@@ -9,13 +9,14 @@ mechanism).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import DomainError, GroupMismatchError, PreconditionError
-from ..finmap import FiniteMap, identity_map, shift_map
+from ..finmap import FiniteMap, check_carrier_size, identity_map, shift_map
 from ..groups import FiniteSubset, GroupHandle, ProductGroup, pair_products
 from ..quasiaction import QuasiAction, verify
 from ..util import check_epsilon
@@ -84,12 +85,19 @@ def direct_product_qa(
     """Combine factor quasi-actions coordinatewise on the product carrier.
 
     Each factor must verify at (F_i, epsilon); the output claims the product
-    F at n*epsilon, and its measured defects never exceed the sum of the
-    factor defects.
+    F at k*epsilon for k factors, and its measured defects never exceed the
+    sum of the factor defects.  A k*epsilon of 1 or more is no bound, so it
+    raises PreconditionError.
     """
     if not inputs:
         raise DomainError("direct product needs at least one factor")
     epsilon = check_epsilon(epsilon)
+    claimed = epsilon * len(inputs)
+    if claimed >= 1:
+        raise PreconditionError(
+            f"{len(inputs)} factors at epsilon {epsilon} give no bound: "
+            f"k*epsilon = {claimed} is not below 1"
+        )
     for i, (qa, fset) in enumerate(inputs):
         report = verify(qa, fset, epsilon)
         if not report.passed:
@@ -101,7 +109,7 @@ def direct_product_qa(
 
     group = ProductGroup([qa.owner for qa, _ in inputs])
     sizes = [qa.carrier_n for qa, _ in inputs]
-    n = int(np.prod(sizes))
+    n = check_carrier_size(math.prod(sizes))
 
     # Row-major carrier index: the last factor varies fastest.
     strides = [1] * len(sizes)
@@ -127,9 +135,6 @@ def direct_product_qa(
     f_out = FiniteSubset(
         group, itertools.product(*(fset for _, fset in inputs))
     )
-    claimed = epsilon * len(inputs)
-    if claimed >= 1:
-        claimed = max(qa.claimed_epsilon for qa, _ in inputs)
     return QuasiAction(group, n, assignment, f_out, claimed)
 
 

@@ -16,6 +16,14 @@ import numpy as np
 from .errors import CarrierMismatchError, DomainError, InvariantViolationError
 
 _DTYPE = np.int32
+_MAX_CARRIER = int(np.iinfo(_DTYPE).max)
+
+
+def check_carrier_size(n: int) -> int:
+    """Reject carrier sizes whose points do not all fit the int32 images."""
+    if not 0 < n <= _MAX_CARRIER:
+        raise DomainError(f"carrier size {n} is outside 1..{_MAX_CARRIER}")
+    return n
 
 
 class FiniteMap:
@@ -24,11 +32,17 @@ class FiniteMap:
     __slots__ = ("_images",)
 
     def __init__(self, images: Iterable[int] | np.ndarray):
-        arr = np.asarray(images, dtype=_DTYPE)
+        arr = np.asarray(images)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("a map needs a one-dimensional, nonempty image list")
+        if arr.dtype.kind not in "iu":
+            raise DomainError(f"map images must be integers, got dtype {arr.dtype}")
+        check_carrier_size(arr.size)
+        # Range-check in the input's own dtype: casting first would wrap
+        # out-of-range images (2**32 -> 0) into valid-looking ones.
         if arr.min() < 0 or arr.max() >= arr.size:
             raise DomainError("image out of range for carrier size %d" % arr.size)
+        arr = arr.astype(_DTYPE, copy=False)
         arr.setflags(write=False)
         self._images = arr
 

@@ -21,9 +21,13 @@ All comparisons are exact rational comparisons of integer counts.
 
 from __future__ import annotations
 
+import base64
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -43,8 +47,6 @@ from .finmap import (
 )
 from .groups import FiniteSubset, GroupHandle, group_from_json, pair_products
 from .util import check_epsilon, document_json, format_fraction, parse_fraction
-
-import json
 
 
 class QuasiAction:
@@ -162,6 +164,15 @@ class StrictChecks:
     def passed(self) -> bool:
         return self.bprime_pass and self.cprime_pass
 
+    def recompute_flags(self) -> tuple[bool, bool]:
+        """Re-derive (bprime_pass, cprime_pass) from the stored flags and counts."""
+        bprime = self.identity_exact and all(
+            fl.bijective and fl.fixpoint_free and fl.inverse_exact is not False
+            for fl in self.element_flags
+        )
+        cprime = all(d.fraction > 1 - self.epsilon for _, _, d in self.pairwise)
+        return bprime, cprime
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -191,6 +202,20 @@ class VerificationReport:
             Fraction(n - agree, n) > 1 - eps for _, agree in self.identity_agreements
         )
         return a, b, c
+
+    def recompute_max_defect(self) -> Defect:
+        """Re-derive max_defect from the stored counts.
+
+        Every stored defect counts points of the carrier (verify builds them
+        that way and report_from_json checks it), so comparing disagreement
+        counts compares the fractions exactly.
+        """
+        worst = max(
+            [self.identity_defect.disagreements]
+            + [p.defect.disagreements for p in self.pair_defects]
+            + [agree for _, agree in self.identity_agreements]
+        )
+        return Defect(worst, self.carrier_n)
 
 
 def verify(
@@ -308,9 +333,13 @@ def _defect_to_json(d: Defect) -> str:
     return str(d)
 
 
-def _defect_from_json(text: str) -> Defect:
+def _defect_from_json(text: str, carrier_n: int) -> Defect:
     num, den = text.split("/")
-    return Defect(int(num), int(den))
+    if int(den) != carrier_n:
+        raise InvariantViolationError(
+            f"stored defect {text} is not out of the carrier size {carrier_n}"
+        )
+    return Defect(int(num), carrier_n)
 
 
 def report_to_json(report: VerificationReport) -> dict:
@@ -366,6 +395,9 @@ def report_to_json(report: VerificationReport) -> dict:
 
 
 def report_from_json(doc: dict) -> VerificationReport:
+    """Rebuild a stored report, rejecting it unless every pass flag, the
+    passed summaries and max_defect agree with the stored counts."""
+    n = int(doc["carrier_n"])
     strict = None
     if doc.get("strict") is not None:
         s = doc["strict"]
@@ -382,30 +414,36 @@ def report_from_json(doc: dict) -> VerificationReport:
                 for fl in s["elements"]
             ),
             pairwise=tuple(
-                (p["left"], p["right"], _defect_from_json(p["defect"]))
+                (p["left"], p["right"], _defect_from_json(p["defect"], n))
                 for p in s["pairwise"]
             ),
             bprime_pass=bool(s["bprime_pass"]),
             cprime_pass=bool(s["cprime_pass"]),
         )
+        if strict.recompute_flags() != (strict.bprime_pass, strict.cprime_pass):
+            raise InvariantViolationError(
+                "stored strict pass flags disagree with the stored flags and counts"
+            )
+        if s["passed"] is not strict.passed:
+            raise InvariantViolationError("stored strict passed disagrees with its flags")
     report = VerificationReport(
-        carrier_n=int(doc["carrier_n"]),
+        carrier_n=n,
         epsilon=parse_fraction(doc["epsilon"]),
         f_keys=tuple(doc["f"]),
         pair_defects=tuple(
             PairDefect(
-                p["left"], p["right"], p["product"], _defect_from_json(p["defect"])
+                p["left"], p["right"], p["product"], _defect_from_json(p["defect"], n)
             )
             for p in doc["condition_a"]
         ),
-        identity_defect=_defect_from_json(doc["condition_b"]["defect"]),
+        identity_defect=_defect_from_json(doc["condition_b"]["defect"], n),
         identity_agreements=tuple(
             (c["element"], int(c["agreements"])) for c in doc["condition_c"]
         ),
         a_pass=bool(doc["a_pass"]),
         b_pass=bool(doc["b_pass"]),
         c_pass=bool(doc["c_pass"]),
-        max_defect=_defect_from_json(doc["max_defect"]),
+        max_defect=_defect_from_json(doc["max_defect"], n),
         strict=strict,
     )
     recomputed = report.recompute_flags()
@@ -413,19 +451,68 @@ def report_from_json(doc: dict) -> VerificationReport:
         raise InvariantViolationError(
             "stored pass flags disagree with the stored counts"
         )
+    if doc["passed"] is not report.passed:
+        raise InvariantViolationError("stored passed disagrees with the pass flags")
+    if report.recompute_max_defect() != report.max_defect:
+        raise InvariantViolationError(
+            f"stored max_defect {report.max_defect} disagrees with the stored "
+            f"counts, which give {report.recompute_max_defect()}"
+        )
     return report
 
 
+CERTIFICATE_FORMAT = 2
+
+# hashlib is imported inside the codec functions: it loads OpenSSL, which
+# adds about 4 MiB of RSS to every command, including those that never
+# read or write a certificate.
+
+
+def _map_to_json(fmap: FiniteMap) -> dict:
+    import hashlib
+
+    raw = fmap.images.astype("<i4", copy=False).tobytes()
+    return {
+        "int32le": base64.b64encode(raw).decode("ascii"),
+        "sha256": hashlib.sha256(raw).hexdigest(),
+    }
+
+
+def _map_from_json(entry, carrier_n: int) -> FiniteMap:
+    """Decode one v2 map entry, checking its length and hash before its range."""
+    import hashlib
+
+    if not isinstance(entry, dict) or set(entry) != {"int32le", "sha256"}:
+        raise InvariantViolationError("a map entry needs exactly int32le and sha256")
+    try:
+        raw = base64.b64decode(entry["int32le"], validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise InvariantViolationError(f"map payload is not valid base64: {exc}") from None
+    if len(raw) != 4 * carrier_n:
+        raise InvariantViolationError(
+            f"map payload has {len(raw)} bytes, expected {4 * carrier_n} "
+            f"for carrier {carrier_n}"
+        )
+    if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
+        raise InvariantViolationError("map payload does not match its sha256")
+    return FiniteMap(np.frombuffer(raw, "<i4"))
+
+
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
-    """Deterministic JSON document binding the assignment to its measurements."""
+    """Deterministic JSON document binding the assignment to its measurements.
+
+    Each map is stored as base64 of its images as little-endian int32, with
+    the sha256 of those bytes.
+    """
     g = qa.owner
     doc = {
+        "format": CERTIFICATE_FORMAT,
         "group": g.describe(),
         "carrier_n": qa.carrier_n,
         "epsilon": format_fraction(qa.claimed_epsilon),
         "F": [g.element_key(e) for e in qa.claimed_f],
         "assignment": {
-            g.element_key(elem): fmap.to_list()
+            g.element_key(elem): _map_to_json(fmap)
             for elem, fmap in qa.assignment.items()
         },
         "report": report_to_json(report),
@@ -434,16 +521,24 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
+    """Read a certificate of format 2, or of format 1, which has no "format"
+    key and stores each map as a plain list of integers."""
     doc = json.loads(text)
     g = group_from_json(doc["group"])
+    carrier_n = int(doc["carrier_n"])
+    v2 = "format" in doc
+    if v2 and doc["format"] != CERTIFICATE_FORMAT:
+        raise DomainError(f"unsupported certificate format {doc['format']!r}")
     assignment = {
-        g.decode(json.loads(key)): FiniteMap(images)
-        for key, images in doc["assignment"].items()
+        g.decode(json.loads(key)): (
+            _map_from_json(entry, carrier_n) if v2 else FiniteMap(entry)
+        )
+        for key, entry in doc["assignment"].items()
     }
     claimed_f = FiniteSubset(g, (g.decode(json.loads(key)) for key in doc["F"]))
     qa = QuasiAction(
         g,
-        int(doc["carrier_n"]),
+        carrier_n,
         assignment,
         claimed_f,
         parse_fraction(doc["epsilon"]),

@@ -58,6 +58,22 @@ class TestVerifyCommand:
         assert main(["verify", "--qa", str(out), "--epsilon", "1/100"]) == 0
 
 
+    def test_out_rewrites_v1_as_v2(self, tmp_path):
+        qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))
+        report = verify(qa)
+        doc = json.loads(emit_certificate(qa, report))
+        del doc["format"]
+        doc["assignment"] = {
+            qa.owner.element_key(e): m.to_list() for e, m in qa.assignment.items()
+        }
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(doc))
+        out = tmp_path / "v2.json"
+        code = main(["verify", "--qa", str(v1), "--epsilon", "1/100", "--out", str(out)])
+        assert code == 0
+        assert out.read_text() == emit_certificate(qa, report)
+
+
 class TestGirthSearchCommand:
     def test_success(self, tmp_path):
         out = tmp_path / "v.json"

@@ -128,6 +128,28 @@ class TestDirectProduct:
         with pytest.raises(DomainError):
             direct_product_qa([], Fraction(1, 10))
 
+    @pytest.mark.parametrize(
+        "k,eps", [(2, Fraction(1, 2)), (10, Fraction(1, 10)), (3, Fraction(2, 5))]
+    )
+    def test_k_epsilon_at_least_one_rejected(self, k, eps):
+        qa = regular_action(cyclic_group(2))
+        f = FiniteSubset(qa.owner, range(2))
+        with pytest.raises(PreconditionError):
+            direct_product_qa([(qa, f)] * k, eps)
+
+    def test_claims_k_epsilon(self):
+        qa = regular_action(cyclic_group(2))
+        f = FiniteSubset(qa.owner, range(2))
+        prod = direct_product_qa([(qa, f)] * 3, Fraction(3, 10))
+        assert prod.claimed_epsilon == Fraction(9, 10)
+
+    def test_carrier_beyond_int32_rejected(self):
+        # 2000**3 points would need int64 images; rejected before any map is built.
+        qa = cyclic_quasi_action([1], 2000)
+        f = FiniteSubset(qa.owner, [1])
+        with pytest.raises(DomainError):
+            direct_product_qa([(qa, f)] * 3, Fraction(1, 10))
+
 
 class TestTransport:
     def test_identity_embedding(self):

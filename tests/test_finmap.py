@@ -166,3 +166,21 @@ class TestHelpers:
     def test_images_validated(self):
         with pytest.raises(DomainError):
             FiniteMap([0, 3])
+
+    @pytest.mark.parametrize(
+        "images",
+        [
+            np.array([2**32, 0], dtype=np.int64),
+            np.array([2**32 + 1, 0], dtype=np.uint64),
+            np.array([-(2**32) + 1, 0], dtype=np.int64),
+            [2**32, 0],
+            [2**70, 0],
+        ],
+    )
+    def test_images_range_checked_before_int32_cast(self, images):
+        with pytest.raises(DomainError):
+            FiniteMap(images)
+
+    def test_non_integer_images_rejected(self):
+        with pytest.raises(DomainError):
+            FiniteMap(np.array([1.0, 0.0]))

@@ -1,7 +1,12 @@
+import base64
+import hashlib
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasiact import (
     FiniteMap,
@@ -18,7 +23,9 @@ from quasiact import (
     swap_map,
     verify,
 )
-from quasiact.errors import DomainError, IncompleteSupportError
+from quasiact.errors import DomainError, IncompleteSupportError, InvariantViolationError
+from quasiact.quasiaction import report_to_json
+from quasiact.util import document_json, format_fraction
 
 
 def regular_c4():
@@ -135,13 +142,17 @@ class TestCertificates:
         assert '"max_defect": "0/4"' in cert
 
     def test_top_level_schema(self):
-        import json
-
         qa = regular_c4()
         doc = json.loads(emit_certificate(qa, verify(qa)))
-        assert set(doc) == {"group", "carrier_n", "F", "epsilon", "assignment", "report"}
+        assert set(doc) == {
+            "format", "group", "carrier_n", "F", "epsilon", "assignment", "report"
+        }
+        assert doc["format"] == 2
         assert doc["epsilon"] == "1/100"
-        assert doc["assignment"]["2"] == [2, 3, 0, 1]
+        entry = doc["assignment"]["2"]
+        raw = base64.b64decode(entry["int32le"])
+        assert np.frombuffer(raw, "<i4").tolist() == [2, 3, 0, 1]
+        assert entry["sha256"] == hashlib.sha256(raw).hexdigest()
 
     def test_condition_b_defect_recorded(self):
         g = TableGroup([[0]])
@@ -168,6 +179,149 @@ class TestCertificates:
         bad = cert.replace('"a_pass": true', '"a_pass": false')
         with pytest.raises(Exception):
             load_certificate(bad)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('"max_defect": "0/4"', '"max_defect": "3/4"'),
+            ('"cprime_pass": true', '"cprime_pass": false'),
+            ('"bprime_pass": true', '"bprime_pass": false'),
+            ('"passed": true', '"passed": false'),
+            ('"defect": "0/4"', '"defect": "0/5"'),
+        ],
+    )
+    def test_tampered_report_rejected(self, old, new):
+        qa = regular_c4()
+        cert = emit_certificate(qa, verify(qa, strict=True))
+        assert old in cert
+        with pytest.raises(InvariantViolationError):
+            load_certificate(cert.replace(old, new, 1))
+
+
+def v1_certificate(qa, report) -> str:
+    """The format-1 document: no "format" key, every map a list of integers.
+
+    Kept as the oracle for reading old certificates.
+    """
+    g = qa.owner
+    doc = {
+        "group": g.describe(),
+        "carrier_n": qa.carrier_n,
+        "epsilon": format_fraction(qa.claimed_epsilon),
+        "F": [g.element_key(e) for e in qa.claimed_f],
+        "assignment": {
+            g.element_key(elem): fmap.to_list() for elem, fmap in qa.assignment.items()
+        },
+        "report": report_to_json(report),
+    }
+    return document_json(doc)
+
+
+@st.composite
+def random_actions(draw):
+    """A cyclic group with arbitrary maps on a random carrier."""
+    order = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    images = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    g = cyclic_group(order)
+    assign = {k: FiniteMap(draw(images)) for k in range(order)}
+    eps = Fraction(draw(st.integers(1, 9)), 10)
+    return QuasiAction(g, n, assign, FiniteSubset(g, range(order)), eps)
+
+
+def map_entry(cert: str, key: str) -> dict:
+    return json.loads(cert)["assignment"][key]
+
+
+def v2_entry(images) -> dict:
+    """A well-formed map entry for the given images, hashed correctly."""
+    raw = np.asarray(images, "<i4").tobytes()
+    return {
+        "int32le": base64.b64encode(raw).decode(),
+        "sha256": hashlib.sha256(raw).hexdigest(),
+    }
+
+
+def replace_entry(cert: str, key: str, entry: dict) -> str:
+    doc = json.loads(cert)
+    doc["assignment"][key] = entry
+    return document_json(doc)
+
+
+class TestCertificateCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(random_actions(), st.booleans())
+    def test_emit_load_emit_identical(self, qa, strict):
+        cert = emit_certificate(qa, verify(qa, strict=strict))
+        qa2, r2 = load_certificate(cert)
+        assert all(qa2.assignment[k] == m for k, m in qa.assignment.items())
+        assert emit_certificate(qa2, r2) == cert
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_actions(), st.booleans())
+    def test_v1_loads_like_v2(self, qa, strict):
+        report = verify(qa, strict=strict)
+        qa1, r1 = load_certificate(v1_certificate(qa, report))
+        qa2, r2 = load_certificate(emit_certificate(qa, report))
+        assert r1 == r2 == report
+        assert (qa1.carrier_n, qa1.claimed_epsilon) == (qa2.carrier_n, qa2.claimed_epsilon)
+        assert list(qa1.claimed_f) == list(qa2.claimed_f)
+        assert qa1.assignment == qa2.assignment == qa.assignment
+
+    def test_v1_checks_still_run(self):
+        qa = regular_c4()
+        cert = v1_certificate(qa, verify(qa))
+        with pytest.raises(InvariantViolationError):
+            load_certificate(cert.replace('"max_defect": "0/4"', '"max_defect": "3/4"'))
+        doc = json.loads(cert)
+        doc["assignment"]["1"] = [1, 2, 3, 4]
+        with pytest.raises(DomainError):
+            load_certificate(document_json(doc))
+
+    def test_unknown_format_rejected(self):
+        qa = regular_c4()
+        cert = emit_certificate(qa, verify(qa)).replace('"format": 2', '"format": 3')
+        with pytest.raises(DomainError):
+            load_certificate(cert)
+
+    def test_invalid_base64(self):
+        qa = regular_c4()
+        cert = emit_certificate(qa, verify(qa))
+        entry = dict(map_entry(cert, "1"), int32le="AQAAAA!=")
+        with pytest.raises(InvariantViolationError, match="base64"):
+            load_certificate(replace_entry(cert, "1", entry))
+
+    def test_wrong_byte_length(self):
+        qa = regular_c4()
+        cert = emit_certificate(qa, verify(qa))
+        with pytest.raises(InvariantViolationError, match="bytes"):
+            load_certificate(replace_entry(cert, "1", v2_entry([1, 2, 3])))
+
+    def test_sha256_mismatch(self):
+        qa = regular_c4()
+        cert = emit_certificate(qa, verify(qa))
+        entry = dict(map_entry(cert, "1"), sha256=map_entry(cert, "2")["sha256"])
+        with pytest.raises(InvariantViolationError, match="sha256"):
+            load_certificate(replace_entry(cert, "1", entry))
+
+    def test_flipped_payload(self):
+        # Swap two images of map "1": still an in-range map, still valid
+        # base64 of the right length, but no longer the bytes that were hashed.
+        qa = regular_c4()
+        cert = emit_certificate(qa, verify(qa))
+        entry = map_entry(cert, "1")
+        images = np.frombuffer(base64.b64decode(entry["int32le"]), "<i4").copy()
+        images[[0, 1]] = images[[1, 0]]
+        FiniteMap(images)  # the tampered payload is a valid map on its own
+        flipped = dict(entry, int32le=v2_entry(images)["int32le"])
+        with pytest.raises(InvariantViolationError, match="sha256"):
+            load_certificate(replace_entry(cert, "1", flipped))
+
+    def test_rehashed_out_of_range_payload(self):
+        qa = regular_c4()
+        cert = emit_certificate(qa, verify(qa))
+        with pytest.raises(DomainError):
+            load_certificate(replace_entry(cert, "1", v2_entry([0, 1, 2, 4])))
 
 
 class TestExtendAssignment:
