@@ -3,16 +3,24 @@
 Points are triples (a, b, v) indexed row-major.  The alpha-classes fix
 (b, v) and range over a; the beta-classes fix a and a group element w,
 collecting the points (a, b, w * gen(a,b)) over b.  An alpha-class meets a
-beta-class in at most one point, and the bipartite incidence graph of the
-two partitions has no cycle of length <= 2N; both facts are certified
-directly on the built object, never inferred from the generator witness.
+beta-class in at most one point, and the bipartite incidence multigraph of
+the two partitions (one edge per point) has no cycle of length <= 2N; both
+facts are certified directly on the built object, never inferred from the
+generator witness.
+
+The girth certificate uses symmetry earned from V's tables alone: a
+bijection sigma of V's indices commuting with every right-multiplication
+table maps the incidence graph to itself through v -> sigma(v).  Once such
+sigmas are shown to be transitive on V, every class lies in the orbit of
+some (b, 0) or (a, 0), so a non-backtracking BFS from these |A| + |B| roots
+refuses every cycle of length <= 2N, two classes meeting twice included.
 
 Generators attach to (a,b) cells either one-to-one (label count == |A||B|)
 or through the cyclic assignment gen(a,b) = generator[(a+b) mod labels],
 which is injective along every row and every column whenever
 labels >= max(|A|,|B|).  Row/column injectivity is exactly what the
 shortening argument behind the incidence-girth bound consumes, and the BFS
-certificate below re-checks the conclusion exhaustively anyway.
+certificate re-checks the conclusion on the built object anyway.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import DomainError, InvariantViolationError, PreconditionError
-from .girth import GirthGroup
+from .girth import GirthGroup, certify_girth
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,11 @@ def _label_assignment(a_size: int, b_size: int, v: GirthGroup) -> tuple[tuple[in
 def build_partitioned_carrier(
     a_size: int, b_size: int, depth: int, v: GirthGroup
 ) -> PartitionedCarrier:
-    """Assemble the carrier and certify class sizes, intersections and girth."""
+    """Assemble the carrier and certify class sizes, intersections and girth.
+
+    Alpha-classes have |A| points by construction; beta-classes have |B|
+    because every table row is checked to be a permutation.
+    """
     if a_size < 1 or b_size < 1 or depth < 1:
         raise DomainError("sizes and depth must be positive")
     if v.certified_girth_bound < 2 * depth:
@@ -108,105 +120,67 @@ def build_partitioned_carrier(
             f"need at least {2 * depth}"
         )
     pc = PartitionedCarrier(a_size, b_size, v, _label_assignment(a_size, b_size, v), depth)
-
-    alpha_ids, beta_ids = _class_ids(pc)
-    _check_class_sizes(pc, alpha_ids, beta_ids)
-    _check_intersections(pc, alpha_ids, beta_ids)
     _bfs_girth_certificate(pc)
     return pc
 
 
-def _class_ids(pc: PartitionedCarrier) -> tuple[np.ndarray, np.ndarray]:
-    o = pc.v.order
-    size = pc.size
-    idx = np.arange(size, dtype=np.int64)
-    v_idx = idx % o
-    rest = idx // o
-    a = rest // pc.b_size
-    b = rest % pc.b_size
-    alpha_ids = b * o + v_idx
-    w = np.empty(size, dtype=np.int64)
-    for ai in range(pc.a_size):
-        for bi in range(pc.b_size):
-            sel = (a == ai) & (b == bi)
-            w[sel] = pc.v.right_mult_inv[pc.gen_label[ai][bi], v_idx[sel]]
-    beta_ids = a * o + w
-    return alpha_ids, beta_ids
+def _certify_symmetry(v: GirthGroup) -> None:
+    """Check from V's tables alone (never the elements) that each sigma_k is
+    an automorphism of the incidence graph.
 
-
-def _check_class_sizes(pc, alpha_ids, beta_ids):
-    alpha_counts = np.bincount(alpha_ids, minlength=pc.alpha_class_count)
-    if not (alpha_counts == pc.a_size).all():
-        raise InvariantViolationError("some alpha-class has the wrong size")
-    beta_counts = np.bincount(beta_ids, minlength=pc.beta_class_count)
-    if not (beta_counts == pc.b_size).all():
-        raise InvariantViolationError("some beta-class has the wrong size")
-
-
-def _check_intersections(pc, alpha_ids, beta_ids):
-    # Two points sharing both classes would witness an intersection of size
-    # two, so pairwise intersections <= 1 iff all (alpha, beta) keys differ.
-    keys = alpha_ids * pc.beta_class_count + beta_ids
-    if np.unique(keys).size != keys.size:
-        raise InvariantViolationError("an alpha-class meets a beta-class twice")
+    sigma_k(0) = R_k(0), and sigma(R_j t) = R_j sigma(t) defines the rest
+    along a BFS tree of the R_j from 0, which must reach all of V.  Each
+    sigma_k must be a bijection commuting with every R_j; then
+    sigma_k1 ... sigma_km (0) = R_km ... R_k1 (0), so the sigmas carry 0 to
+    every index the tree reached, i.e. act transitively on V.
+    """
+    r, r_inv, o = v.right_mult, v.right_mult_inv, v.order
+    if o < 1 or r.shape != (v.labels, o) or r_inv.shape != r.shape:
+        raise InvariantViolationError("right-multiplication tables have the wrong shape")
+    if min(r.min(), r_inv.min()) < 0 or max(r.max(), r_inv.max()) >= o:
+        raise InvariantViolationError("right-multiplication table entry out of range")
+    if not (np.take_along_axis(r_inv, r, axis=1) == np.arange(o)).all():
+        raise InvariantViolationError("right_mult_inv does not invert every right_mult row")
+    sigma = np.empty_like(r)
+    sigma[:, 0] = r[:, 0]
+    seen = np.zeros(o, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        targets = r[:, frontier].ravel()  # label-major: entry i is R_{i // f}(frontier[i % f])
+        fresh = np.flatnonzero(~seen[targets])
+        nodes, first = np.unique(targets[fresh], return_index=True)
+        labels, at = np.divmod(fresh[first], frontier.size)
+        sigma[:, nodes] = r[labels, sigma[:, frontier[at]]]
+        seen[nodes] = True
+        frontier = nodes
+    if not seen.all():
+        raise InvariantViolationError("right_mult does not reach every element from index 0")
+    if not (np.sort(sigma, axis=1) == np.arange(o)).all():
+        raise InvariantViolationError("a table symmetry is not a bijection")
+    for row in r:
+        if not np.array_equal(sigma[:, row], row[sigma]):
+            raise InvariantViolationError("right_mult is not the Cayley table of a group")
 
 
 def _bfs_girth_certificate(pc: PartitionedCarrier) -> None:
-    """BFS from every class node to depth N; any revisit closes a short cycle.
+    """Certify incidence girth > 2N by BFS from the |A| + |B| orbit roots.
 
     Vertices are the alpha-classes (ids 0..) and beta-classes (offset by the
-    alpha count); edges are the carrier points.  In the BFS tree from a root,
-    an edge leading to an already-visited vertex other than the tree parent
-    closes a cycle of length dist(u) + dist(v) + 1 <= 2N.
+    alpha count); edges are the carrier points.  _certify_symmetry earns the
+    transitivity that makes the roots (b, 0) and (a, 0) enough.
     """
-    o = pc.v.order
+    _certify_symmetry(pc.v)
     alpha_count = pc.alpha_class_count
-    # alpha neighbors: class (b,v) -> beta class (a, v * gen(a,b)^-1) per a.
-    alpha_nbrs = np.empty((alpha_count, pc.a_size), dtype=np.int64)
-    varange = np.arange(o, dtype=np.int64)
-    for b in range(pc.b_size):
-        rows = slice(b * o, (b + 1) * o)
-        for a in range(pc.a_size):
-            w = pc.v.right_mult_inv[pc.gen_label[a][b], varange]
-            alpha_nbrs[rows, a] = a * o + w
-    # beta neighbors: class (a,w) -> alpha class (b, w * gen(a,b)) per b.
-    beta_count = pc.beta_class_count
-    beta_nbrs = np.empty((beta_count, pc.b_size), dtype=np.int64)
-    for a in range(pc.a_size):
-        rows = slice(a * o, (a + 1) * o)
-        for b in range(pc.b_size):
-            vv = pc.v.right_mult[pc.gen_label[a][b], varange]
-            beta_nbrs[rows, b] = b * o + vv
-    alpha_lists = alpha_nbrs.tolist()
-    beta_lists = beta_nbrs.tolist()
 
-    depth = pc.depth
-    total = alpha_count + beta_count
-    for root in range(total):
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        level = 0
-        while frontier and level < depth:
-            nxt = []
-            for u in frontier:
-                if u < alpha_count:
-                    nbrs = alpha_lists[u]
-                    offset = alpha_count
-                else:
-                    nbrs = beta_lists[u - alpha_count]
-                    offset = 0
-                for raw in nbrs:
-                    vtx = raw + offset
-                    if vtx == parent[u]:
-                        continue
-                    if vtx in dist:
-                        raise InvariantViolationError(
-                            "incidence graph has a cycle of length "
-                            f"{dist[u] + dist[vtx] + 1} <= {2 * depth}"
-                        )
-                    dist[vtx] = level + 1
-                    parent[vtx] = u
-                    nxt.append(vtx)
-            frontier = nxt
-            level += 1
+    def neighbours(u):
+        if u < alpha_count:
+            for p in pc.alpha_class_points(u):
+                yield p, alpha_count + pc.beta_class_of(p)
+        else:
+            for p in pc.beta_class_points(u - alpha_count):
+                yield p, pc.alpha_class_of(p)
+
+    o = pc.v.order
+    roots = [b * o for b in range(pc.b_size)] + [alpha_count + a * o for a in range(pc.a_size)]
+    certify_girth(neighbours, roots, 2 * pc.depth)

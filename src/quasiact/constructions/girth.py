@@ -2,8 +2,10 @@
 
 A GirthGroup is a fully enumerated finite group given by permutation
 generators, together with a certificate that no nontrivial reduced word of
-length at most the bound evaluates to the identity.  The certificate is
-earned by exhaustive enumeration, never inferred.
+length at most the bound evaluates to the identity, i.e. that the Cayley
+multigraph (edges x -- g*x) has no cycle of length <= bound.  Right
+translations act transitively on it, so one non-backtracking BFS of the
+ball of radius ceil(bound/2) around the identity earns the certificate.
 
 The search draws even permutations of scheduled degrees from a seeded
 generator, rejects cheaply (element order, duplicate or inverse generators),
@@ -17,11 +19,11 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import DomainError, SearchFailureError
+from ..errors import DomainError, InvariantViolationError, SearchFailureError
 from ..finmap import FiniteMap
 from ..util import document_json
 
@@ -46,13 +48,6 @@ class GirthGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity_index(self) -> int:
-        return 0
-
-    def element_index(self, perm: tuple[int, ...]) -> int:
-        return self.elements.index(perm)
-
     def to_witness_json(self) -> str:
         doc = {
             "degree": self.degree,
@@ -65,14 +60,19 @@ class GirthGroup:
 
 
 def load_girth_witness(text: str) -> GirthGroup:
-    """Rebuild a GirthGroup from a witness file, re-earning its certificate."""
+    """Rebuild a GirthGroup from a witness file, re-earning its certificate
+    and checking its stated order and degree."""
     doc = json.loads(text)
     gens = [FiniteMap(images) for images in doc["generators"]]
+    order = int(doc["order"])
     group = _certify_and_enumerate(
-        gens, int(doc["girth_bound"]), order_cap=int(doc["order"]), seed=int(doc["seed"])
+        gens, int(doc["girth_bound"]), order_cap=order, seed=int(doc["seed"])
     )
     if group is None:
         raise DomainError("witness file does not satisfy its own certificate")
+    if group.order != order or group.degree != int(doc["degree"]):
+        raise DomainError(f"witness states order {order}, degree {doc['degree']}; "
+                          f"its generators give {group.order}, {group.degree}")
     return group
 
 
@@ -114,35 +114,53 @@ def _random_even_perm(rng: random.Random, degree: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _words_hit_identity(gens: Sequence[tuple[int, ...]], bound: int) -> bool:
-    """Depth-first walk over reduced words of length <= bound.
+def certify_girth(neighbours: Callable, roots: Iterable, bound: int) -> None:
+    """Non-backtracking BFS from each root; refuse any cycle of length <= bound.
 
-    Words extend one letter at a time over generators and inverses, never
-    placing a letter next to its own inverse.  Returns True when some
-    nontrivial word evaluates to the identity permutation.
+    neighbours(u) yields (edge, x) per edge, edge naming the undirected edge.
+    The walk never leaves a vertex by the edge it arrived on, so parallel
+    edges and loops count as 2- and 1-cycles.  An edge from u reaching a
+    visited x closes a cycle of length <= dist(u) + dist(x) + 1, and every
+    shortest cycle through a root has such an edge within radius
+    ceil(bound/2).  Callers must supply roots meeting every vertex orbit of
+    a certified automorphism group.
     """
+    radius = (bound + 1) // 2
+    for root in roots:
+        dist = {root: 0}
+        arrived = {root: None}
+        frontier = [root]
+        for level in range(radius):
+            nxt = []
+            for u in frontier:
+                for edge, x in neighbours(u):
+                    if edge == arrived[u]:
+                        continue
+                    d = dist.get(x)
+                    if d is None:
+                        dist[x] = level + 1
+                        arrived[x] = edge
+                        nxt.append(x)
+                    elif level + d + 1 <= bound:
+                        raise InvariantViolationError(
+                            f"graph has a cycle of length <= {level + d + 1} <= {bound}"
+                        )
+            frontier = nxt
+
+
+def _certify_word_girth(gens: Sequence[tuple[int, ...]], bound: int) -> None:
+    """certify_girth on the Cayley ball: edge (x, j) joins x and gens[j]*x, so
+    letters 2j and 2j+1 at x are distinct edges unless gens[j] is trivial."""
     degree = len(gens[0])
-    identity = tuple(range(degree))
-    letters = []
-    for j, g in enumerate(gens):
-        inv = [0] * degree
-        for i, img in enumerate(g):
-            inv[img] = i
-        letters.append((2 * j, g))
-        letters.append((2 * j + 1, tuple(inv)))
-    stack = [(identity, -1, 0)]
-    while stack:
-        value, last, depth = stack.pop()
-        if depth == bound:
-            continue
-        for code, perm in letters:
-            if last >= 0 and (code ^ 1) == last:
-                continue
-            new_value = tuple(perm[v] for v in value)
-            if new_value == identity:
-                return True
-            stack.append((new_value, code, depth + 1))
-    return False
+    letters = [(g, sorted(range(degree), key=g.__getitem__)) for g in gens]
+
+    def neighbours(x):
+        for j, (g, inv) in enumerate(letters):
+            yield (x, j), tuple(g[i] for i in x)
+            back = tuple(inv[i] for i in x)
+            yield (back, j), back
+
+    certify_girth(neighbours, [tuple(range(degree))], bound)
 
 
 def _enumerate_closure(
@@ -179,8 +197,13 @@ def _enumerate_closure(
 def _certify_and_enumerate(
     gens: Sequence[FiniteMap], bound: int, order_cap: int, seed: int
 ) -> GirthGroup | None:
+    # The Cayley-graph symmetry behind _certify_word_girth needs a group.
+    if not gens or any(g.n != gens[0].n or not g.is_bijection() for g in gens):
+        raise DomainError("generators must be permutations of one degree")
     perm_tuples = [tuple(g.to_list()) for g in gens]
-    if _words_hit_identity(perm_tuples, bound):
+    try:
+        _certify_word_girth(perm_tuples, bound)
+    except InvariantViolationError:
         return None
     closure = _enumerate_closure(perm_tuples, order_cap)
     if closure is None:

@@ -502,7 +502,8 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic JSON document binding the assignment to its measurements.
 
     Each map is stored as base64 of its images as little-endian int32, with
-    the sha256 of those bytes.
+    the sha256 of those bytes.  The encoder builds each map's entry when it
+    reaches it, so the base64 texts are never all held beside the output.
     """
     g = qa.owner
     doc = {
@@ -511,13 +512,10 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
         "carrier_n": qa.carrier_n,
         "epsilon": format_fraction(qa.claimed_epsilon),
         "F": [g.element_key(e) for e in qa.claimed_f],
-        "assignment": {
-            g.element_key(elem): _map_to_json(fmap)
-            for elem, fmap in qa.assignment.items()
-        },
+        "assignment": {g.element_key(elem): fmap for elem, fmap in qa.assignment.items()},
         "report": report_to_json(report),
     }
-    return document_json(doc)
+    return document_json(doc, default=_map_to_json)
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:

@@ -46,9 +46,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def document_json(obj) -> str:
-    """Deterministic human-readable JSON for files (certificates, witnesses)."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def document_json(obj, default=None) -> str:
+    """Deterministic human-readable JSON for files (certificates, witnesses);
+    default(o) gives the JSON value of an object json cannot encode."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=default) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -1,12 +1,20 @@
+import json
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quasiact.constructions import (
     GirthGroup,
+    PartitionedCarrier,
     build_partitioned_carrier,
     girth_group_search,
     load_girth_witness,
 )
+from quasiact.constructions.carrier import _bfs_girth_certificate, _label_assignment
+from quasiact.constructions.girth import _certify_and_enumerate, _certify_word_girth
 from quasiact.errors import DomainError, InvariantViolationError, PreconditionError, SearchFailureError
+from quasiact.finmap import FiniteMap
 
 
 def iter_reduced_words(perms, bound):
@@ -168,3 +176,277 @@ class TestPartitionedCarrier:
         )
         with pytest.raises(InvariantViolationError):
             build_partitioned_carrier(2, 2, 2, v)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the exhaustive certificates that the symmetry-reduced ones replaced.
+
+
+def words_hit_identity(gens, bound):
+    """Depth-first walk over every reduced word of length <= bound; True when
+    some nontrivial word evaluates to the identity permutation."""
+    degree = len(gens[0])
+    identity = tuple(range(degree))
+    letters = []
+    for j, g in enumerate(gens):
+        inv = [0] * degree
+        for i, img in enumerate(g):
+            inv[img] = i
+        letters.append((2 * j, g))
+        letters.append((2 * j + 1, tuple(inv)))
+    stack = [(identity, -1, 0)]
+    while stack:
+        value, last, depth = stack.pop()
+        if depth == bound:
+            continue
+        for code, perm in letters:
+            if last >= 0 and (code ^ 1) == last:
+                continue
+            new_value = tuple(perm[v] for v in value)
+            if new_value == identity:
+                return True
+            stack.append((new_value, code, depth + 1))
+    return False
+
+
+def bfs_from_every_class_node(pc):
+    """The former carrier certificate: BFS from every class node to depth N
+    over neighbour lists built from the tables; any revisit other than the
+    tree parent closes a cycle of length <= 2N."""
+    o = pc.v.order
+    alpha_count = pc.alpha_class_count
+    alpha_nbrs = np.empty((alpha_count, pc.a_size), dtype=np.int64)
+    varange = np.arange(o, dtype=np.int64)
+    for b in range(pc.b_size):
+        rows = slice(b * o, (b + 1) * o)
+        for a in range(pc.a_size):
+            w = pc.v.right_mult_inv[pc.gen_label[a][b], varange]
+            alpha_nbrs[rows, a] = a * o + w
+    beta_count = pc.beta_class_count
+    beta_nbrs = np.empty((beta_count, pc.b_size), dtype=np.int64)
+    for a in range(pc.a_size):
+        rows = slice(a * o, (a + 1) * o)
+        for b in range(pc.b_size):
+            vv = pc.v.right_mult[pc.gen_label[a][b], varange]
+            beta_nbrs[rows, b] = b * o + vv
+    alpha_lists = alpha_nbrs.tolist()
+    beta_lists = beta_nbrs.tolist()
+
+    depth = pc.depth
+    for root in range(alpha_count + beta_count):
+        dist = {root: 0}
+        parent = {root: -1}
+        frontier = [root]
+        level = 0
+        while frontier and level < depth:
+            nxt = []
+            for u in frontier:
+                if u < alpha_count:
+                    nbrs, offset = alpha_lists[u], alpha_count
+                else:
+                    nbrs, offset = beta_lists[u - alpha_count], 0
+                for raw in nbrs:
+                    vtx = raw + offset
+                    if vtx == parent[u]:
+                        continue
+                    if vtx in dist:
+                        raise InvariantViolationError("short incidence cycle")
+                    dist[vtx] = level + 1
+                    parent[vtx] = u
+                    nxt.append(vtx)
+            frontier = nxt
+            level += 1
+
+
+def raises_invariant(fn, *args):
+    try:
+        fn(*args)
+    except InvariantViolationError:
+        return True
+    return False
+
+
+def networkx_girth_exceeds(pc):
+    import networkx as nx
+
+    graph = nx.MultiGraph()
+    for point in range(pc.size):
+        graph.add_edge(("a", pc.alpha_class_of(point)), ("b", pc.beta_class_of(point)))
+    simple = nx.Graph(graph)
+    no_multi_edges = graph.number_of_edges() == simple.number_of_edges()
+    return no_multi_edges and nx.girth(simple) > 2 * pc.depth
+
+
+def forged_group(tables, degree=4, bound=6):
+    """A GirthGroup holding arbitrary index tables (its generators and
+    elements are placeholders the carrier certificate must not read)."""
+    right = np.array(tables, dtype=np.int64)
+    right_inv = np.empty_like(right)
+    for j, row in enumerate(right):
+        right_inv[j, row] = np.arange(row.size)
+    gens = tuple(FiniteMap(list(range(degree))) for _ in tables)
+    elements = tuple((i,) for i in range(right.shape[1]))
+    return GirthGroup(
+        degree=degree, labels=len(tables), generators=gens, elements=elements,
+        right_mult=right, right_mult_inv=right_inv,
+        certified_girth_bound=bound, seed=0,
+    )
+
+
+def z4_group():
+    return forged_group([[(k + 1) % 4 for k in range(4)], [(k + 3) % 4 for k in range(4)]],
+                        bound=4)
+
+
+def carrier_with_depth(v, a_size, b_size, depth):
+    """The carrier of v at any depth, skipping the witness-bound precondition
+    so that short cycles reach the certificate."""
+    return PartitionedCarrier(a_size, b_size, v, _label_assignment(a_size, b_size, v), depth)
+
+
+perm_lists = st.integers(3, 5).flatmap(
+    lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=2).map(
+        lambda ps: [tuple(p) for p in ps]
+    )
+)
+
+
+def with_special(gens, kind):
+    degree = len(gens[0])
+    if kind == "identity":
+        return gens + [tuple(range(degree))]
+    if kind == "involution":
+        return gens + [(1, 0) + tuple(range(2, degree))]
+    if kind == "repeat":
+        return gens + [gens[0]]
+    if kind == "inverse":
+        return gens + [tuple(sorted(range(degree), key=lambda i: gens[0][i]))]
+    return gens
+
+
+class TestSymmetryCertificatesAgainstOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        gens=perm_lists,
+        kind=st.sampled_from(["none", "identity", "involution", "repeat", "inverse"]),
+        bound=st.integers(1, 6),
+    )
+    @example(gens=[(1, 2, 3, 0)], kind="identity", bound=1)
+    @example(gens=[(1, 2, 3, 0)], kind="involution", bound=2)
+    @example(gens=[(1, 2, 3, 0)], kind="repeat", bound=2)
+    @example(gens=[(1, 2, 3, 0)], kind="inverse", bound=2)
+    @example(gens=[(1, 2, 3, 0)], kind="none", bound=4)
+    def test_cayley_ball_matches_reduced_words(self, gens, kind, bound):
+        gens = with_special(gens, kind)
+        assert raises_invariant(_certify_word_girth, gens, bound) == words_hit_identity(gens, bound)
+
+    def test_special_generators_are_refused(self):
+        base = [(1, 2, 3, 4, 0)]
+        for kind, bound in [("identity", 1), ("involution", 2), ("repeat", 2), ("inverse", 2)]:
+            assert raises_invariant(_certify_word_girth, with_special(base, kind), bound)
+        assert not raises_invariant(_certify_word_girth, base, 4)
+        assert raises_invariant(_certify_word_girth, base, 5)
+
+    @pytest.mark.parametrize(
+        "labels,bound,cap", [(2, 2, 500), (3, 2, 500), (4, 2, 500), (2, 4, 5000)]
+    )
+    def test_carrier_matches_every_root_bfs_and_networkx(self, labels, bound, cap):
+        # Depths up to 5 outrun every witness bound, so both outcomes occur.
+        v = girth_group_search(labels, bound, order_cap=cap, seed=0)
+        for a_size, b_size in [(2, 2), (2, 3)]:
+            if labels == 2 and b_size == 3:
+                continue
+            for depth in (1, 2, 3, 4, 5):
+                pc = carrier_with_depth(v, a_size, b_size, depth)
+                refused = raises_invariant(_bfs_girth_certificate, pc)
+                assert refused == raises_invariant(bfs_from_every_class_node, pc)
+                assert refused != networkx_girth_exceeds(pc)
+
+    def test_forged_z4_agrees_with_oracles(self):
+        pc = carrier_with_depth(z4_group(), 2, 2, 2)
+        assert raises_invariant(_bfs_girth_certificate, pc)
+        assert raises_invariant(bfs_from_every_class_node, pc)
+        assert not networkx_girth_exceeds(pc)
+        assert not raises_invariant(_bfs_girth_certificate, carrier_with_depth(z4_group(), 2, 2, 1))
+
+    def test_non_cayley_table_is_refused(self):
+        # Z/6 shift plus a transposition: both rows are permutations with
+        # correct inverses, but no symmetry commutes with both.
+        shift = [(k + 1) % 6 for k in range(6)]
+        swap = [1, 0, 2, 3, 4, 5]
+        with pytest.raises(InvariantViolationError):
+            build_partitioned_carrier(2, 2, 1, forged_group([shift, swap]))
+
+    def test_short_cycle_away_from_the_roots_is_refused(self):
+        # One generator per cell; the 4-cycle through beta-class (0, 3)
+        # exists because row 1 fixes 3, but no cycle passes through index 0,
+        # so the roots alone would look clean.  Index 3 is unreachable from
+        # 0, which the symmetry check refuses.
+        ident = [0, 1, 2, 3]
+        v = forged_group([ident, [1, 2, 0, 3], ident, ident])
+        pc = carrier_with_depth(v, 2, 2, 2)
+        assert raises_invariant(bfs_from_every_class_node, pc)
+        with pytest.raises(InvariantViolationError):
+            _bfs_girth_certificate(pc)
+
+    def test_inconsistent_tables_are_refused(self):
+        good = z4_group()
+        right_inv = good.right_mult_inv.copy()
+        right_inv[0, [0, 1]] = right_inv[0, [1, 0]]
+        not_inverse = GirthGroup(**{**good.__dict__, "right_mult_inv": right_inv})
+        right = good.right_mult.copy()
+        right[0, 0] = right[0, 1]
+        not_permutation = GirthGroup(**{**good.__dict__, "right_mult": right})
+        wrong_shape = GirthGroup(**{**good.__dict__, "elements": good.elements[:3]})
+        for v in (not_inverse, not_permutation, wrong_shape):
+            with pytest.raises(InvariantViolationError):
+                _bfs_girth_certificate(carrier_with_depth(v, 2, 2, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 7),
+        labels=st.integers(1, 4),
+        depth=st.integers(1, 3),
+    )
+    def test_random_tables_never_pass_a_short_cycle(self, data, n, labels, depth):
+        rows = [data.draw(st.permutations(range(n))) for _ in range(labels)]
+        v = forged_group(rows)
+        a_size = data.draw(st.integers(1, min(labels, 3)))
+        b_size = data.draw(st.integers(1, min(labels, 3)))
+        pc = carrier_with_depth(v, a_size, b_size, depth)
+        if not raises_invariant(_bfs_girth_certificate, pc):
+            assert not raises_invariant(bfs_from_every_class_node, pc)
+
+
+class TestWitnessLoaderSoundness:
+    def witness_doc(self):
+        return json.loads(girth_group_search(2, 4, order_cap=5000, seed=1).to_witness_json())
+
+    def test_constant_generator_rejected(self):
+        doc = self.witness_doc()
+        doc["generators"][0] = [0] * doc["degree"]
+        with pytest.raises(DomainError):
+            load_girth_witness(json.dumps(doc))
+
+    def test_mixed_degrees_rejected(self):
+        doc = self.witness_doc()
+        doc["generators"][1] = doc["generators"][1] + [doc["degree"]]
+        with pytest.raises(DomainError):
+            load_girth_witness(json.dumps(doc))
+
+    def test_inflated_order_rejected(self):
+        doc = self.witness_doc()
+        doc["order"] += 1000
+        with pytest.raises(DomainError):
+            load_girth_witness(json.dumps(doc))
+
+    def test_wrong_degree_rejected(self):
+        doc = self.witness_doc()
+        doc["degree"] = 99
+        with pytest.raises(DomainError):
+            load_girth_witness(json.dumps(doc))
+
+    def test_certify_and_enumerate_requires_bijections(self):
+        with pytest.raises(DomainError):
+            _certify_and_enumerate([FiniteMap([1, 2, 0]), FiniteMap([0, 0, 1])], 2, 100, 0)
