@@ -1,5 +1,5 @@
-"""Command line front end: verify certificates, run constructions, search
-generator witnesses.
+"""Command line front end: verify certificates and run construction
+requests, the generator witness search among them.
 
 Exit status: 0 when every requested verification passes its bound, 1 when a
 bound is violated, 2 on parse or precondition errors (the message names the
@@ -104,11 +104,12 @@ def _qa_from_source(source: dict) -> tuple[QuasiAction, Fraction]:
     if "cyclic" in source:
         spec = source["cyclic"]
         eps = parse_epsilon(spec.get("epsilon", "1/100"))
+        z = IntegerGroup()
         qa = cyclic_quasi_action(
-            [int(k) for k in spec["f"]],
+            [z.decode(k) for k in spec["f"]],
             int(spec["modulus"]),
             eps,
-            extra_support=[int(k) for k in spec.get("support", [])],
+            extra_support=[z.decode(k) for k in spec.get("support", [])],
         )
         return qa, eps
     raise QuasiactError(f"unknown quasi-action source {sorted(source)!r}")
@@ -124,18 +125,6 @@ def _cmd_verify(args) -> int:
     if args.out:
         atomic_write_text(args.out, emit_certificate(qa, report))
     return EXIT_OK if passed else EXIT_FAILED
-
-
-def _cmd_girth_search(args) -> int:
-    group = girth_group_search(
-        args.labels, args.bound, order_cap=args.order_cap, seed=args.seed
-    )
-    atomic_write_text(args.out, group.to_witness_json())
-    print(
-        f"found degree {group.degree} generators, order {group.order}, "
-        f"girth bound {group.certified_girth_bound}"
-    )
-    return EXIT_OK
 
 
 def _construct_product(request: dict, seed: int) -> QuasiAction:
@@ -215,7 +204,7 @@ def _construct_extension(request: dict, seed: int) -> QuasiAction:
             raise QuasiactError("index must be positive")
         z = IntegerGroup()
         sub = SubgroupHandle(z, contains_fn=lambda k: k % d == 0)
-        f = FiniteSubset(z, (int(x) for x in request["f"]))
+        f = FiniteSubset(z, (z.decode(x) for x in request["f"]))
         modulus = int(request["psi_modulus"])
         bound = max((abs(k) for k in f), default=1)
         base = cyclic_quasi_action(
@@ -302,14 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--seed", type=int, default=0)
     p_construct.add_argument("--out", required=True, help="output certificate file")
     p_construct.set_defaults(handler=_cmd_construct)
-
-    p_girth = sub.add_parser("girth-search", help="search for a generator witness")
-    p_girth.add_argument("--labels", type=int, required=True)
-    p_girth.add_argument("--bound", type=int, required=True)
-    p_girth.add_argument("--order-cap", type=int, required=True)
-    p_girth.add_argument("--seed", type=int, default=0)
-    p_girth.add_argument("--out", required=True)
-    p_girth.set_defaults(handler=_cmd_girth_search)
 
     return parser
 

@@ -213,7 +213,6 @@ def build_free_product_action(
     epsilon: Fraction,
     seed: int = 0,
     order_cap: int = 25000,
-    degrees: Iterable[int] | None = None,
 ) -> tuple[QuasiAction, PartitionedCarrier]:
     """End-to-end pipeline from two finite groups to the free-product action.
 
@@ -233,7 +232,7 @@ def build_free_product_action(
     psi = good_action_upgrade(psi0, rf, epsilon)
 
     labels = max(phi.carrier_n, psi.carrier_n)
-    v = girth_group_search(labels, 2 * n, order_cap=order_cap, seed=seed, degrees=degrees)
+    v = girth_group_search(labels, 2 * n, order_cap=order_cap, seed=seed)
     pc = build_partitioned_carrier(phi.carrier_n, psi.carrier_n, n, v)
     qa = free_product_qa(phi, psi, lf, rf, n, pc, epsilon)
     return qa, pc

@@ -256,7 +256,6 @@ def girth_group_search(
     girth_bound: int,
     order_cap: int,
     seed: int = 0,
-    degrees: Iterable[int] | None = None,
     attempts_per_degree: int = _ATTEMPTS_PER_DEGREE,
 ) -> GirthGroup:
     """Find generators whose reduced words up to girth_bound avoid the identity.
@@ -267,12 +266,8 @@ def girth_group_search(
     """
     if label_count < 1 or girth_bound < 1:
         raise DomainError("label_count and girth_bound must be positive")
-    if degrees is None:
-        schedule = _default_degrees(label_count, girth_bound)
-    else:
-        schedule = list(degrees)
     rng = random.Random(seed)
-    for degree in schedule:
+    for degree in _default_degrees(label_count, girth_bound):
         for _ in range(attempts_per_degree):
             gens = _draw_generators(rng, degree, label_count, girth_bound)
             if gens is None:
@@ -284,7 +279,7 @@ def girth_group_search(
                 return group
     raise SearchFailureError(
         f"no girth-{girth_bound} generator set with {label_count} labels found "
-        f"within order cap {order_cap}; raise the cap or extend the degrees"
+        f"within order cap {order_cap}; raise the cap"
     )
 
 

@@ -29,7 +29,9 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import InvariantViolationError, PreconditionError
-from ..finmap import FiniteMap, compose, double, fixpoint_count, identity_map, inverse_map
+from ..finmap import (
+    FiniteMap, compose, double, fixpoint_count, fixpoint_set, identity_map, inverse_map
+)
 from ..groups import FiniteSubset, symmetrized_square
 from ..quasiaction import QuasiAction, verify
 from ..util import check_epsilon
@@ -44,10 +46,6 @@ class GoodActionPreconditionError(PreconditionError):
             "input is not an (F~, eps/10)-quasi-action; failed condition(s): "
             + ", ".join(failed_conditions)
         )
-
-
-def _fixed_points(m: FiniteMap) -> np.ndarray:
-    return np.flatnonzero(m.images == np.arange(m.n, dtype=m.images.dtype))
 
 
 def _doubled_indices(points: np.ndarray, n: int) -> np.ndarray:
@@ -114,12 +112,12 @@ def _build_good_map(phi: QuasiAction, e, e_inv) -> FiniteMap:
     m_inv = phi.map_for(e_inv)
     n = m_e.n
 
-    fix_e = set(_fixed_points(m_e).tolist())
-    fix_round = set(_fixed_points(compose(m_e, m_inv)).tolist())
+    fix_e = fixpoint_set(m_e)
+    fix_round = fixpoint_set(compose(m_e, m_inv))
     a_e = np.array(sorted(fix_round - fix_e), dtype=np.int64)
 
-    fix_inv = set(_fixed_points(m_inv).tolist())
-    fix_round_inv = set(_fixed_points(compose(m_inv, m_e)).tolist())
+    fix_inv = fixpoint_set(m_inv)
+    fix_round_inv = fixpoint_set(compose(m_inv, m_e))
     a_einv = np.array(sorted(fix_round_inv - fix_inv), dtype=np.int64)
 
     if set(np.asarray(m_e.images)[a_e].tolist()) != set(a_einv.tolist()):

@@ -150,19 +150,16 @@ def similarity_defect(e: FiniteMap, f: FiniteMap) -> Defect:
     return Defect(int(np.count_nonzero(e.images != f.images)), e.n)
 
 
+def _is_fixed(e: FiniteMap) -> np.ndarray:
+    return e.images == np.arange(e.n, dtype=_DTYPE)
+
+
 def fixpoint_count(e: FiniteMap) -> int:
-    return int(np.count_nonzero(e.images == np.arange(e.n, dtype=_DTYPE)))
+    return int(np.count_nonzero(_is_fixed(e)))
 
 
 def fixpoint_set(e: FiniteMap) -> frozenset[int]:
-    hits = np.nonzero(e.images == np.arange(e.n, dtype=_DTYPE))[0]
-    return frozenset(int(a) for a in hits)
-
-
-def agreement_count(e: FiniteMap, f: FiniteMap) -> int:
-    if e.n != f.n:
-        raise CarrierMismatchError(f"carrier sizes differ: {e.n} vs {f.n}")
-    return e.n - int(np.count_nonzero(e.images != f.images))
+    return frozenset(np.flatnonzero(_is_fixed(e)).tolist())
 
 
 def inverse_map(e: FiniteMap) -> FiniteMap:

@@ -17,6 +17,17 @@ from .errors import DomainError, GroupMismatchError
 from .util import canonical_json
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _decode_int(obj) -> int:
+    """The one integer check for decoded JSON: no bool, float or string."""
+    if not _is_int(obj):
+        raise DomainError(f"expected an integer, got {obj!r}")
+    return obj
+
+
 class GroupHandle:
     """Abstract group interface; elements are plain hashable Python values."""
 
@@ -95,13 +106,13 @@ class IntegerGroup(GroupHandle):
         return -self.check_element(a)
 
     def contains(self, x) -> bool:
-        return isinstance(x, int) and not isinstance(x, bool)
+        return _is_int(x)
 
     def encode(self, x: int) -> int:
         return self.check_element(x)
 
     def decode(self, obj) -> int:
-        return self.check_element(int(obj))
+        return _decode_int(obj)
 
     def describe(self) -> dict:
         return {"kind": "integers"}
@@ -168,13 +179,13 @@ class TableGroup(GroupHandle):
         return self._inverses[self.check_element(a)]
 
     def contains(self, x) -> bool:
-        return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self._order
+        return _is_int(x) and 0 <= x < self._order
 
     def encode(self, x: int) -> int:
         return self.check_element(x)
 
     def decode(self, obj) -> int:
-        return self.check_element(int(obj))
+        return self.check_element(_decode_int(obj))
 
     def describe(self) -> dict:
         return {"kind": "finite", "table": [list(row) for row in self._table]}
@@ -493,14 +504,14 @@ class IntegerFinitaryGroup(GroupHandle):
         if not (isinstance(x, tuple) and len(x) == 2):
             return False
         k, moved = x
-        if not isinstance(k, int) or not isinstance(moved, tuple):
+        if not _is_int(k) or not isinstance(moved, tuple):
             return False
         seen_src, seen_dst = set(), set()
         for pair in moved:
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 return False
             a, b = pair
-            if not (isinstance(a, int) and isinstance(b, int)) or a == b:
+            if not (_is_int(a) and _is_int(b)) or a == b:
                 return False
             seen_src.add(a)
             seen_dst.add(b)
@@ -514,7 +525,8 @@ class IntegerFinitaryGroup(GroupHandle):
 
     def decode(self, obj) -> tuple:
         k, moved = obj
-        return self.check_element((int(k), tuple((int(a), int(b)) for a, b in moved)))
+        pairs = tuple((_decode_int(a), _decode_int(b)) for a, b in moved)
+        return self.check_element((_decode_int(k), pairs))
 
     def describe(self) -> dict:
         return {"kind": "integer_finitary_extension"}
@@ -570,10 +582,6 @@ class FiniteSubset:
 
     def __repr__(self) -> str:
         return f"FiniteSubset({list(self._elements)!r})"
-
-    def union(self, other: "FiniteSubset") -> "FiniteSubset":
-        self._check_owner(other)
-        return FiniteSubset(self.owner, self._elements + other._elements)
 
     def _check_owner(self, other: "FiniteSubset"):
         if self.owner != other.owner:

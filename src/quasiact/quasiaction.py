@@ -25,6 +25,7 @@ import base64
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -38,7 +39,6 @@ from .errors import (
 from .finmap import (
     Defect,
     FiniteMap,
-    agreement_count,
     compose,
     fixpoint_count,
     identity_map,
@@ -46,7 +46,9 @@ from .finmap import (
     similarity_defect,
 )
 from .groups import FiniteSubset, GroupHandle, group_from_json, pair_products
-from .util import check_epsilon, document_json, format_fraction, parse_fraction
+from .util import (
+    canonical_json, check_epsilon, document_json, format_fraction, parse_fraction
+)
 
 
 class QuasiAction:
@@ -153,63 +155,68 @@ class ElementFlags:
 
 @dataclass(frozen=True)
 class StrictChecks:
+    """Strict-mode measurements; the (b')/(c') verdicts are derived from them."""
+
     epsilon: Fraction
     identity_exact: bool
     element_flags: tuple[ElementFlags, ...]
     pairwise: tuple[tuple[str, str, Defect], ...]
-    bprime_pass: bool
-    cprime_pass: bool
+
+    @cached_property
+    def bprime_pass(self) -> bool:
+        return self.identity_exact and all(
+            fl.bijective and fl.fixpoint_free and fl.inverse_exact is not False
+            for fl in self.element_flags
+        )
+
+    @cached_property
+    def cprime_pass(self) -> bool:
+        return all(d.is_different(1 - self.epsilon) for _, _, d in self.pairwise)
 
     @property
     def passed(self) -> bool:
         return self.bprime_pass and self.cprime_pass
 
-    def recompute_flags(self) -> tuple[bool, bool]:
-        """Re-derive (bprime_pass, cprime_pass) from the stored flags and counts."""
-        bprime = self.identity_exact and all(
-            fl.bijective and fl.fixpoint_free and fl.inverse_exact is not False
-            for fl in self.element_flags
-        )
-        cprime = all(d.fraction > 1 - self.epsilon for _, _, d in self.pairwise)
-        return bprime, cprime
-
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The counts verify measured; every verdict and max_defect is derived
+    from them, so a report cannot state a verdict its counts do not give."""
+
     carrier_n: int
     epsilon: Fraction
     f_keys: tuple[str, ...]
     pair_defects: tuple[PairDefect, ...]
     identity_defect: Defect
     identity_agreements: tuple[tuple[str, int], ...]
-    a_pass: bool
-    b_pass: bool
-    c_pass: bool
-    max_defect: Defect
     strict: StrictChecks | None = None
+
+    @cached_property
+    def a_pass(self) -> bool:
+        return all(p.defect.is_similar(self.epsilon) for p in self.pair_defects)
+
+    @cached_property
+    def b_pass(self) -> bool:
+        return self.identity_defect.is_similar(self.epsilon)
+
+    @cached_property
+    def c_pass(self) -> bool:
+        # (1-eps)-different from the identity: disagreements > (1-eps)*n.
+        n = self.carrier_n
+        return all(
+            Defect(n - agree, n).is_different(1 - self.epsilon)
+            for _, agree in self.identity_agreements
+        )
 
     @property
     def passed(self) -> bool:
         return self.a_pass and self.b_pass and self.c_pass
 
-    def recompute_flags(self) -> tuple[bool, bool, bool]:
-        """Re-derive the pass booleans from the stored counts."""
-        eps = self.epsilon
-        a = all(p.defect.fraction <= eps for p in self.pair_defects)
-        b = self.identity_defect.fraction <= eps
-        n = self.carrier_n
-        c = all(
-            Fraction(n - agree, n) > 1 - eps for _, agree in self.identity_agreements
-        )
-        return a, b, c
-
-    def recompute_max_defect(self) -> Defect:
-        """Re-derive max_defect from the stored counts.
-
-        Every stored defect counts points of the carrier (verify builds them
-        that way and report_from_json checks it), so comparing disagreement
-        counts compares the fractions exactly.
-        """
+    @cached_property
+    def max_defect(self) -> Defect:
+        """The largest stored count.  Every count here is out of carrier_n
+        (verify measures them so and report_from_json checks it), so
+        comparing counts compares the fractions exactly."""
         worst = max(
             [self.identity_defect.disagreements]
             + [p.defect.disagreements for p in self.pair_defects]
@@ -239,14 +246,9 @@ def verify(
     one = g.identity
     n = qa.carrier_n
     ident = identity_map(n)
-
     id_map = qa.map_for(one)
-    b_defect = similarity_defect(id_map, ident)
-    b_pass = b_defect.fraction <= eps
 
     pair_defects = []
-    a_pass = True
-    max_defect = b_defect
     for e in fset:
         for fe in fset:
             prod = g.mul(e, fe)
@@ -256,77 +258,65 @@ def verify(
             pair_defects.append(
                 PairDefect(g.element_key(e), g.element_key(fe), g.element_key(prod), d)
             )
-            if d.fraction > eps:
-                a_pass = False
-            if d.fraction > max_defect.fraction:
-                max_defect = d
 
-    agreements = []
-    c_pass = True
-    for e in fset:
-        if e == one:
-            continue
-        agree = agreement_count(qa.map_for(e), ident)
-        agreements.append((g.element_key(e), agree))
-        # (1-eps)-different means NOT (1-eps)-similar: disagreements > (1-eps)*n.
-        if not Fraction(n - agree, n) > 1 - eps:
-            c_pass = False
-        if Fraction(agree, n) > max_defect.fraction:
-            max_defect = Defect(agree, n)
+    agreements = [
+        (g.element_key(e), n - similarity_defect(qa.map_for(e), ident).disagreements)
+        for e in fset
+        if e != one
+    ]
 
     strict_checks = None
     if strict:
-        support = qa.support
         for e in fset:
             if g.inv(e) not in qa.assignment:
                 raise IncompleteSupportError(
                     g.element_key(g.inv(e)), "strict mode needs F^-1 in the support"
                 )
-        identity_exact = id_map == ident
         flags = []
-        bprime = identity_exact
-        for e in support:
+        for e in qa.support:
             if e == one:
                 continue
             m = qa.map_for(e)
             bij = m.is_bijection()
-            fpf = fixpoint_count(m) == 0
             inv_elem = g.inv(e)
             inverse_exact: bool | None = None
             if inv_elem in qa.assignment:
                 inverse_exact = bij and qa.map_for(inv_elem) == inverse_map(m)
             flags.append(
-                ElementFlags(g.element_key(e), bij, fpf, inverse_exact)
+                ElementFlags(g.element_key(e), bij, fixpoint_count(m) == 0, inverse_exact)
             )
-            if not (bij and fpf) or inverse_exact is False:
-                bprime = False
-        extended = FiniteSubset(g, list(fset) + [one])
-        pairwise = []
-        cprime = True
-        elems = list(extended)
-        for i, e in enumerate(elems):
-            for fe in elems[i + 1 :]:
-                d = similarity_defect(qa.map_for(e), qa.map_for(fe))
-                pairwise.append((g.element_key(e), g.element_key(fe), d))
-                if not d.fraction > 1 - eps:
-                    cprime = False
-        strict_checks = StrictChecks(
-            eps, identity_exact, tuple(flags), tuple(pairwise), bprime, cprime
-        )
+        keyed = [(g.element_key(e), qa.map_for(e)) for e in FiniteSubset(g, [*fset, one])]
+        pairwise = [
+            (ka, kb, similarity_defect(ma, mb))
+            for i, (ka, ma) in enumerate(keyed)
+            for kb, mb in keyed[i + 1 :]
+        ]
+        strict_checks = StrictChecks(eps, id_map == ident, tuple(flags), tuple(pairwise))
 
     return VerificationReport(
         carrier_n=n,
         epsilon=eps,
         f_keys=tuple(g.element_key(e) for e in fset),
         pair_defects=tuple(pair_defects),
-        identity_defect=b_defect,
+        identity_defect=similarity_defect(id_map, ident),
         identity_agreements=tuple(agreements),
-        a_pass=a_pass,
-        b_pass=b_pass,
-        c_pass=c_pass,
-        max_defect=max_defect,
         strict=strict_checks,
     )
+
+
+def _derived_json(report: VerificationReport) -> tuple[dict, dict | None]:
+    """The report's derived fields as stored: top level, then strict block."""
+    top = {
+        "a_pass": report.a_pass,
+        "b_pass": report.b_pass,
+        "c_pass": report.c_pass,
+        "passed": report.passed,
+        "max_defect": _defect_to_json(report.max_defect),
+    }
+    s = report.strict
+    if s is None:
+        return top, None
+    return top, {"bprime_pass": s.bprime_pass, "cprime_pass": s.cprime_pass, "passed": s.passed}
 
 
 def _defect_to_json(d: Defect) -> str:
@@ -334,15 +324,16 @@ def _defect_to_json(d: Defect) -> str:
 
 
 def _defect_from_json(text: str, carrier_n: int) -> Defect:
-    num, den = text.split("/")
-    if int(den) != carrier_n:
+    defect = Defect(int(str(text).split("/")[0]), carrier_n)
+    if str(defect) != text:
         raise InvariantViolationError(
-            f"stored defect {text} is not out of the carrier size {carrier_n}"
+            f"stored defect {text} is not a count out of the carrier size {carrier_n}"
         )
-    return Defect(int(num), carrier_n)
+    return defect
 
 
 def report_to_json(report: VerificationReport) -> dict:
+    top, strict = _derived_json(report)
     doc = {
         "carrier_n": report.carrier_n,
         "epsilon": format_fraction(report.epsilon),
@@ -361,15 +352,10 @@ def report_to_json(report: VerificationReport) -> dict:
             {"element": key, "agreements": agree}
             for key, agree in report.identity_agreements
         ],
-        "a_pass": report.a_pass,
-        "b_pass": report.b_pass,
-        "c_pass": report.c_pass,
-        "passed": report.passed,
-        "max_defect": _defect_to_json(report.max_defect),
+        **top,
+        "strict": None,
     }
-    if report.strict is None:
-        doc["strict"] = None
-    else:
+    if report.strict is not None:
         s = report.strict
         doc["strict"] = {
             "epsilon": format_fraction(s.epsilon),
@@ -387,16 +373,14 @@ def report_to_json(report: VerificationReport) -> dict:
                 {"left": a, "right": b, "defect": _defect_to_json(d)}
                 for a, b, d in s.pairwise
             ],
-            "bprime_pass": s.bprime_pass,
-            "cprime_pass": s.cprime_pass,
-            "passed": s.passed,
+            **strict,
         }
     return doc
 
 
 def report_from_json(doc: dict) -> VerificationReport:
-    """Rebuild a stored report, rejecting it unless every pass flag, the
-    passed summaries and max_defect agree with the stored counts."""
+    """Rebuild a stored report, rejecting it unless every stored verdict and
+    max_defect is exactly (as JSON) the one its stored counts give."""
     n = int(doc["carrier_n"])
     strict = None
     if doc.get("strict") is not None:
@@ -417,15 +401,7 @@ def report_from_json(doc: dict) -> VerificationReport:
                 (p["left"], p["right"], _defect_from_json(p["defect"], n))
                 for p in s["pairwise"]
             ),
-            bprime_pass=bool(s["bprime_pass"]),
-            cprime_pass=bool(s["cprime_pass"]),
         )
-        if strict.recompute_flags() != (strict.bprime_pass, strict.cprime_pass):
-            raise InvariantViolationError(
-                "stored strict pass flags disagree with the stored flags and counts"
-            )
-        if s["passed"] is not strict.passed:
-            raise InvariantViolationError("stored strict passed disagrees with its flags")
     report = VerificationReport(
         carrier_n=n,
         epsilon=parse_fraction(doc["epsilon"]),
@@ -440,24 +416,17 @@ def report_from_json(doc: dict) -> VerificationReport:
         identity_agreements=tuple(
             (c["element"], int(c["agreements"])) for c in doc["condition_c"]
         ),
-        a_pass=bool(doc["a_pass"]),
-        b_pass=bool(doc["b_pass"]),
-        c_pass=bool(doc["c_pass"]),
-        max_defect=_defect_from_json(doc["max_defect"], n),
         strict=strict,
     )
-    recomputed = report.recompute_flags()
-    if recomputed != (report.a_pass, report.b_pass, report.c_pass):
-        raise InvariantViolationError(
-            "stored pass flags disagree with the stored counts"
-        )
-    if doc["passed"] is not report.passed:
-        raise InvariantViolationError("stored passed disagrees with the pass flags")
-    if report.recompute_max_defect() != report.max_defect:
-        raise InvariantViolationError(
-            f"stored max_defect {report.max_defect} disagrees with the stored "
-            f"counts, which give {report.recompute_max_defect()}"
-        )
+    top, strict_top = _derived_json(report)
+    for stored, derived in ((doc, top), (doc.get("strict"), strict_top)):
+        if derived is not None:
+            stored = canonical_json({key: stored[key] for key in derived})
+            if stored != canonical_json(derived):
+                raise InvariantViolationError(
+                    f"stored {stored} disagrees with the stored counts, "
+                    f"which give {canonical_json(derived)}"
+                )
     return report
 
 

@@ -75,22 +75,29 @@ class TestVerifyCommand:
 
 
 class TestGirthSearchCommand:
-    def test_success(self, tmp_path):
+    """The generator witness search, run as a {"construct": "girth_group"} request."""
+
+    def search(self, tmp_path, labels, bound, order_cap):
+        request = {
+            "construct": "girth_group",
+            "labels": labels,
+            "girth_bound": bound,
+            "order_cap": order_cap,
+        }
+        req = tmp_path / "request.json"
+        req.write_text(json.dumps(request))
         out = tmp_path / "v.json"
-        code = main(
-            ["girth-search", "--labels", "2", "--bound", "2", "--order-cap", "500",
-             "--seed", "0", "--out", str(out)]
-        )
+        code = main(["construct", "--request", str(req), "--seed", "0", "--out", str(out)])
+        return code, out
+
+    def test_success(self, tmp_path):
+        code, out = self.search(tmp_path, labels=2, bound=2, order_cap=500)
         assert code == 0
         doc = json.loads(out.read_text())
         assert set(doc) == {"degree", "generators", "girth_bound", "order", "seed"}
 
     def test_unreachable_cap_exits_two(self, tmp_path, capsys):
-        out = tmp_path / "v.json"
-        code = main(
-            ["girth-search", "--labels", "4", "--bound", "4", "--order-cap", "30",
-             "--seed", "0", "--out", str(out)]
-        )
+        code, out = self.search(tmp_path, labels=4, bound=4, order_cap=30)
         assert code == 2
         assert "order cap" in capsys.readouterr().err
         assert not out.exists()
@@ -174,6 +181,36 @@ class TestConstructCommand:
         assert code == 0
         _, report = load_certificate(out.read_text())
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "cyclic",
+        [
+            {"f": [1.5], "modulus": 5},
+            {"f": ["1"], "modulus": 5},
+            {"f": [True], "modulus": 5},
+            {"f": [1], "modulus": 5, "support": [2.5]},
+        ],
+    )
+    def test_cyclic_lists_take_integers_only(self, tmp_path, capsys, cyclic):
+        request = {"construct": "product", "epsilon": "1/10", "factors": [{"cyclic": cyclic}]}
+        code, out = self.run_construct(tmp_path, request)
+        assert code == 2
+        assert "expected an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_subgroup_f_takes_integers_only(self, tmp_path, capsys):
+        request = {
+            "construct": "extension",
+            "extension_kind": "integer_subgroup",
+            "epsilon": "1/10",
+            "index": 2,
+            "psi_modulus": 24,
+            "f": [1.5],
+        }
+        code, out = self.run_construct(tmp_path, request)
+        assert code == 2
+        assert "expected an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_finitary_extension(self, tmp_path):
         request = {

@@ -289,6 +289,40 @@ class TestIntegerFinitaryGroup:
         assert g.contains((0, ((0, 1), (1, 0))))
 
 
+class TestStrictIntegerDecoding:
+    """Decoding takes JSON integers only; nothing is truncated or coerced."""
+
+    @pytest.mark.parametrize("obj", [1.5, "3", True, None])
+    def test_integers_reject(self, obj):
+        with pytest.raises(DomainError):
+            IntegerGroup().decode(obj)
+
+    @pytest.mark.parametrize("obj", [2.9, "1", False])
+    def test_table_group_rejects(self, obj):
+        with pytest.raises(DomainError):
+            cyclic_group(3).decode(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [[1.7, []], ["1", []], [True, []], [0, [[0.0, 1], [1, 0]]], [0, [[0, 1], [True, 0]]]],
+    )
+    def test_finitary_rejects(self, obj):
+        with pytest.raises(DomainError):
+            IntegerFinitaryGroup().decode(obj)
+
+    def test_integers_still_decode(self):
+        assert IntegerGroup().decode(-3) == -3
+        assert cyclic_group(3).decode(2) == 2
+        assert IntegerFinitaryGroup().decode([1, [[0, 1], [1, 0]]]) == (1, ((0, 1), (1, 0)))
+
+    def test_finitary_contains_rejects_bools(self):
+        g = IntegerFinitaryGroup()
+        assert not g.contains((True, ()))
+        assert not g.contains((0, ((False, True), (True, False))))
+        with pytest.raises(GroupMismatchError):
+            FiniteSubset(g, [(True, ()), (1, ())])
+
+
 class TestGroupJson:
     @pytest.mark.parametrize(
         "make",

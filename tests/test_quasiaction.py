@@ -9,17 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasiact import (
+    Defect,
     FiniteMap,
     FiniteSubset,
     IntegerGroup,
     QuasiAction,
     TableGroup,
+    compose,
     cyclic_group,
     emit_certificate,
     extend_assignment,
+    fixpoint_count,
     identity_map,
+    inverse_map,
     load_certificate,
     shift_map,
+    similarity_defect,
     swap_map,
     verify,
 )
@@ -188,6 +193,13 @@ class TestCertificates:
             ('"bprime_pass": true', '"bprime_pass": false'),
             ('"passed": true', '"passed": false'),
             ('"defect": "0/4"', '"defect": "0/5"'),
+            ('"b_pass": true', '"b_pass": false'),
+            ('"c_pass": true', '"c_pass": false'),
+            ('"passed": true\n    }', '"passed": false\n    }'),  # the strict block's
+            ('"defect": "0/4"', '"defect": "1/4"'),  # a pair over 1/100 of the carrier
+            ('"a_pass": true', '"a_pass": 1'),
+            ('"defect": "0/4"', '"defect": "00/4"'),
+            ('"defect": "0/4"', '"defect": 0'),
         ],
     )
     def test_tampered_report_rejected(self, old, new):
@@ -196,6 +208,77 @@ class TestCertificates:
         assert old in cert
         with pytest.raises(InvariantViolationError):
             load_certificate(cert.replace(old, new, 1))
+
+
+def oracle_verdicts(qa, epsilon, strict) -> dict:
+    """The verdicts and max_defect counted straight from the maps, by the
+    rules verify applied inline before reports derived them from counts."""
+    g, n = qa.owner, qa.carrier_n
+    one = g.identity
+    ident = identity_map(n)
+    b_defect = similarity_defect(qa.map_for(one), ident)
+    b_pass = b_defect.fraction <= epsilon
+    a_pass = True
+    max_defect = b_defect
+    for e in qa.claimed_f:
+        for fe in qa.claimed_f:
+            d = similarity_defect(
+                compose(qa.map_for(e), qa.map_for(fe)), qa.map_for(g.mul(e, fe))
+            )
+            if d.fraction > epsilon:
+                a_pass = False
+            if d.fraction > max_defect.fraction:
+                max_defect = d
+    c_pass = True
+    for e in qa.claimed_f:
+        if e == one:
+            continue
+        agree = int(np.count_nonzero(qa.map_for(e).images == ident.images))
+        if not Fraction(n - agree, n) > 1 - epsilon:
+            c_pass = False
+        if Fraction(agree, n) > max_defect.fraction:
+            max_defect = Defect(agree, n)
+    verdicts = {"a_pass": a_pass, "b_pass": b_pass, "c_pass": c_pass, "max_defect": max_defect}
+    if strict:
+        bprime = qa.map_for(one) == ident
+        for e in qa.support:
+            if e == one:
+                continue
+            m = qa.map_for(e)
+            bij = m.is_bijection()
+            if not (bij and fixpoint_count(m) == 0):
+                bprime = False
+            if g.inv(e) in qa.assignment and not (
+                bij and qa.map_for(g.inv(e)) == inverse_map(m)
+            ):
+                bprime = False
+        elems = list(FiniteSubset(g, list(qa.claimed_f) + [one]))
+        cprime = all(
+            similarity_defect(qa.map_for(e), qa.map_for(fe)).fraction > 1 - epsilon
+            for i, e in enumerate(elems)
+            for fe in elems[i + 1 :]
+        )
+        verdicts.update(bprime_pass=bprime, cprime_pass=cprime)
+    return verdicts
+
+
+def derived_verdicts(report) -> dict:
+    verdicts = {
+        "a_pass": report.a_pass,
+        "b_pass": report.b_pass,
+        "c_pass": report.c_pass,
+        "max_defect": report.max_defect,
+    }
+    if report.strict is not None:
+        verdicts.update(
+            bprime_pass=report.strict.bprime_pass, cprime_pass=report.strict.cprime_pass
+        )
+    return verdicts
+
+
+epsilons = st.integers(2, 60).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))
+)
 
 
 def v1_certificate(qa, report) -> str:
@@ -229,6 +312,26 @@ def random_actions(draw):
     return QuasiAction(g, n, assign, FiniteSubset(g, range(order)), eps)
 
 
+@st.composite
+def near_regular_actions(draw):
+    """The regular action of a cyclic group, blown up and lightly perturbed,
+    so that the strict conditions both pass and fail."""
+    order = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 10))
+    n = order * m
+    g = cyclic_group(order)
+    assign = {k: shift_map(n, k * m).to_list() for k in range(order)}
+    for _ in range(draw(st.integers(0, 2))):
+        images = assign[draw(st.integers(0, order - 1))]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            images[i], images[j] = images[j], images[i]  # stays a bijection
+        else:
+            images[i] = j
+    assign = {k: FiniteMap(images) for k, images in assign.items()}
+    return QuasiAction(g, n, assign, FiniteSubset(g, range(order)), Fraction(1, 2))
+
+
 def map_entry(cert: str, key: str) -> dict:
     return json.loads(cert)["assignment"][key]
 
@@ -246,6 +349,20 @@ def replace_entry(cert: str, key: str, entry: dict) -> str:
     doc = json.loads(cert)
     doc["assignment"][key] = entry
     return document_json(doc)
+
+
+class TestVerdictOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_actions(), near_regular_actions()), epsilons, st.booleans())
+    def test_derived_verdicts_match_oracle(self, qa, epsilon, strict):
+        report = verify(qa, epsilon=epsilon, strict=strict)
+        expected = oracle_verdicts(qa, epsilon, strict)
+        assert derived_verdicts(report) == expected
+        assert report.passed == (expected["a_pass"] and expected["b_pass"] and expected["c_pass"])
+        if strict:
+            assert report.strict.passed == (expected["bprime_pass"] and expected["cprime_pass"])
+        _, loaded = load_certificate(emit_certificate(qa, report))
+        assert derived_verdicts(loaded) == expected
 
 
 class TestCertificateCodec:
