@@ -21,6 +21,7 @@ from .groups import (
     IntegerGroup,
     ProductGroup,
     SubgroupHandle,
+    _decode_int,
     group_from_json,
 )
 from .quasiaction import (
@@ -107,7 +108,7 @@ def _qa_from_source(source: dict) -> tuple[QuasiAction, Fraction]:
         z = IntegerGroup()
         qa = cyclic_quasi_action(
             [z.decode(k) for k in spec["f"]],
-            int(spec["modulus"]),
+            _decode_int(spec["modulus"]),
             eps,
             extra_support=[z.decode(k) for k in spec.get("support", [])],
         )
@@ -117,9 +118,13 @@ def _qa_from_source(source: dict) -> tuple[QuasiAction, Fraction]:
 
 def _cmd_verify(args) -> int:
     with open(args.qa) as fh:
-        qa, _ = load_certificate(fh.read())
+        qa, report = load_certificate(fh.read())
     epsilon = parse_epsilon(args.epsilon)
-    report = verify(qa, epsilon=epsilon, strict=args.strict)
+    # Loading measured the stored report's question; ask again only if the
+    # command asks another one.
+    asked = (epsilon, args.strict, tuple(map(qa.owner.element_key, qa.claimed_f)))
+    if asked != (report.epsilon, report.strict is not None, report.f_keys):
+        report = verify(qa, epsilon=epsilon, strict=args.strict)
     _print_summary(report)
     passed = report.passed and (report.strict is None or report.strict.passed)
     if args.out:
@@ -152,10 +157,10 @@ def _construct_free_product(request: dict, seed: int) -> QuasiAction:
         right,
         [left.decode(x) for x in request["f_left"]],
         [right.decode(x) for x in request["f_right"]],
-        int(request["syllable_bound"]),
+        _decode_int(request["syllable_bound"]),
         epsilon,
         seed=seed,
-        order_cap=int(request.get("order_cap", 25000)),
+        order_cap=_decode_int(request.get("order_cap", 25000)),
     )
     return qa
 
@@ -199,13 +204,13 @@ def _construct_extension(request: dict, seed: int) -> QuasiAction:
         psi = regular_action(SubgroupHandle(g, members=members), epsilon=epsilon)
         return amenable_extension_qa(psi, ext, f, epsilon)
     if kind == "integer_subgroup":
-        d = int(request["index"])
+        d = _decode_int(request["index"])
         if d < 1:
             raise QuasiactError("index must be positive")
         z = IntegerGroup()
         sub = SubgroupHandle(z, contains_fn=lambda k: k % d == 0)
         f = FiniteSubset(z, (z.decode(x) for x in request["f"]))
-        modulus = int(request["psi_modulus"])
+        modulus = _decode_int(request["psi_modulus"])
         bound = max((abs(k) for k in f), default=1)
         base = cyclic_quasi_action(
             [1],
@@ -232,8 +237,8 @@ def _construct_extension(request: dict, seed: int) -> QuasiAction:
 
 def _construct_finitary_extension(request: dict, seed: int) -> QuasiAction:
     return finitary_extension_qa(
-        int(request["n"]),
-        int(request["modulus"]),
+        _decode_int(request["n"]),
+        _decode_int(request["modulus"]),
         parse_epsilon(request.get("epsilon", "1/2")),
     )
 
@@ -253,9 +258,9 @@ def _cmd_construct(args) -> int:
     kind = request.get("construct")
     if kind == "girth_group":
         group = girth_group_search(
-            int(request["labels"]),
-            int(request["girth_bound"]),
-            order_cap=int(request["order_cap"]),
+            _decode_int(request["labels"]),
+            _decode_int(request["girth_bound"]),
+            order_cap=_decode_int(request["order_cap"]),
             seed=args.seed,
         )
         atomic_write_text(args.out, group.to_witness_json())

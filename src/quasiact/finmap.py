@@ -150,6 +150,14 @@ def similarity_defect(e: FiniteMap, f: FiniteMap) -> Defect:
     return Defect(int(np.count_nonzero(e.images != f.images)), e.n)
 
 
+def composition_defect(e: FiniteMap, f: FiniteMap, ef: FiniteMap) -> Defect:
+    """similarity_defect(compose(e, f), ef), counted without building the
+    composite map."""
+    if not e.n == f.n == ef.n:
+        raise CarrierMismatchError(f"carrier sizes differ: {e.n}, {f.n}, {ef.n}")
+    return Defect(int(np.count_nonzero(f.images[e.images] != ef.images)), e.n)
+
+
 def _is_fixed(e: FiniteMap) -> np.ndarray:
     return e.images == np.arange(e.n, dtype=_DTYPE)
 

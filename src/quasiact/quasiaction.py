@@ -39,13 +39,13 @@ from .errors import (
 from .finmap import (
     Defect,
     FiniteMap,
-    compose,
+    composition_defect,
     fixpoint_count,
     identity_map,
     inverse_map,
     similarity_defect,
 )
-from .groups import FiniteSubset, GroupHandle, group_from_json, pair_products
+from .groups import FiniteSubset, GroupHandle, _decode_int, group_from_json
 from .util import (
     canonical_json, check_epsilon, document_json, format_fraction, parse_fraction
 )
@@ -215,8 +215,8 @@ class VerificationReport:
     @cached_property
     def max_defect(self) -> Defect:
         """The largest stored count.  Every count here is out of carrier_n
-        (verify measures them so and report_from_json checks it), so
-        comparing counts compares the fractions exactly."""
+        (verify measures them so), so comparing counts compares the
+        fractions exactly."""
         worst = max(
             [self.identity_defect.disagreements]
             + [p.defect.disagreements for p in self.pair_defects]
@@ -247,20 +247,18 @@ def verify(
     n = qa.carrier_n
     ident = identity_map(n)
     id_map = qa.map_for(one)
+    keys = {e: g.element_key(e) for e in qa.assignment}
 
     pair_defects = []
     for e in fset:
+        me = qa.map_for(e)
         for fe in fset:
             prod = g.mul(e, fe)
-            d = similarity_defect(
-                compose(qa.map_for(e), qa.map_for(fe)), qa.map_for(prod)
-            )
-            pair_defects.append(
-                PairDefect(g.element_key(e), g.element_key(fe), g.element_key(prod), d)
-            )
+            d = composition_defect(me, qa.map_for(fe), qa.map_for(prod))
+            pair_defects.append(PairDefect(keys[e], keys[fe], keys[prod], d))
 
     agreements = [
-        (g.element_key(e), n - similarity_defect(qa.map_for(e), ident).disagreements)
+        (keys[e], n - similarity_defect(qa.map_for(e), ident).disagreements)
         for e in fset
         if e != one
     ]
@@ -273,7 +271,7 @@ def verify(
                     g.element_key(g.inv(e)), "strict mode needs F^-1 in the support"
                 )
         flags = []
-        for e in qa.support:
+        for e in sorted(qa.assignment, key=keys.__getitem__):
             if e == one:
                 continue
             m = qa.map_for(e)
@@ -282,10 +280,8 @@ def verify(
             inverse_exact: bool | None = None
             if inv_elem in qa.assignment:
                 inverse_exact = bij and qa.map_for(inv_elem) == inverse_map(m)
-            flags.append(
-                ElementFlags(g.element_key(e), bij, fixpoint_count(m) == 0, inverse_exact)
-            )
-        keyed = [(g.element_key(e), qa.map_for(e)) for e in FiniteSubset(g, [*fset, one])]
+            flags.append(ElementFlags(keys[e], bij, fixpoint_count(m) == 0, inverse_exact))
+        keyed = [(keys[e], qa.map_for(e)) for e in FiniteSubset(g, [*fset, one])]
         pairwise = [
             (ka, kb, similarity_defect(ma, mb))
             for i, (ka, ma) in enumerate(keyed)
@@ -296,7 +292,7 @@ def verify(
     return VerificationReport(
         carrier_n=n,
         epsilon=eps,
-        f_keys=tuple(g.element_key(e) for e in fset),
+        f_keys=tuple(keys[e] for e in fset),
         pair_defects=tuple(pair_defects),
         identity_defect=similarity_defect(id_map, ident),
         identity_agreements=tuple(agreements),
@@ -304,36 +300,9 @@ def verify(
     )
 
 
-def _derived_json(report: VerificationReport) -> tuple[dict, dict | None]:
-    """The report's derived fields as stored: top level, then strict block."""
-    top = {
-        "a_pass": report.a_pass,
-        "b_pass": report.b_pass,
-        "c_pass": report.c_pass,
-        "passed": report.passed,
-        "max_defect": _defect_to_json(report.max_defect),
-    }
-    s = report.strict
-    if s is None:
-        return top, None
-    return top, {"bprime_pass": s.bprime_pass, "cprime_pass": s.cprime_pass, "passed": s.passed}
-
-
-def _defect_to_json(d: Defect) -> str:
-    return str(d)
-
-
-def _defect_from_json(text: str, carrier_n: int) -> Defect:
-    defect = Defect(int(str(text).split("/")[0]), carrier_n)
-    if str(defect) != text:
-        raise InvariantViolationError(
-            f"stored defect {text} is not a count out of the carrier size {carrier_n}"
-        )
-    return defect
-
-
 def report_to_json(report: VerificationReport) -> dict:
-    top, strict = _derived_json(report)
+    """The stored form of a report: its counts, then for readers the
+    verdicts and max_defect derived from them."""
     doc = {
         "carrier_n": report.carrier_n,
         "epsilon": format_fraction(report.epsilon),
@@ -343,16 +312,20 @@ def report_to_json(report: VerificationReport) -> dict:
                 "left": p.left_key,
                 "right": p.right_key,
                 "product": p.product_key,
-                "defect": _defect_to_json(p.defect),
+                "defect": str(p.defect),
             }
             for p in report.pair_defects
         ],
-        "condition_b": {"defect": _defect_to_json(report.identity_defect)},
+        "condition_b": {"defect": str(report.identity_defect)},
         "condition_c": [
             {"element": key, "agreements": agree}
             for key, agree in report.identity_agreements
         ],
-        **top,
+        "a_pass": report.a_pass,
+        "b_pass": report.b_pass,
+        "c_pass": report.c_pass,
+        "passed": report.passed,
+        "max_defect": str(report.max_defect),
         "strict": None,
     }
     if report.strict is not None:
@@ -370,64 +343,13 @@ def report_to_json(report: VerificationReport) -> dict:
                 for fl in s.element_flags
             ],
             "pairwise": [
-                {"left": a, "right": b, "defect": _defect_to_json(d)}
-                for a, b, d in s.pairwise
+                {"left": a, "right": b, "defect": str(d)} for a, b, d in s.pairwise
             ],
-            **strict,
+            "bprime_pass": s.bprime_pass,
+            "cprime_pass": s.cprime_pass,
+            "passed": s.passed,
         }
     return doc
-
-
-def report_from_json(doc: dict) -> VerificationReport:
-    """Rebuild a stored report, rejecting it unless every stored verdict and
-    max_defect is exactly (as JSON) the one its stored counts give."""
-    n = int(doc["carrier_n"])
-    strict = None
-    if doc.get("strict") is not None:
-        s = doc["strict"]
-        strict = StrictChecks(
-            epsilon=parse_fraction(s["epsilon"]),
-            identity_exact=bool(s["identity_exact"]),
-            element_flags=tuple(
-                ElementFlags(
-                    fl["element"],
-                    bool(fl["bijective"]),
-                    bool(fl["fixpoint_free"]),
-                    fl["inverse_exact"],
-                )
-                for fl in s["elements"]
-            ),
-            pairwise=tuple(
-                (p["left"], p["right"], _defect_from_json(p["defect"], n))
-                for p in s["pairwise"]
-            ),
-        )
-    report = VerificationReport(
-        carrier_n=n,
-        epsilon=parse_fraction(doc["epsilon"]),
-        f_keys=tuple(doc["f"]),
-        pair_defects=tuple(
-            PairDefect(
-                p["left"], p["right"], p["product"], _defect_from_json(p["defect"], n)
-            )
-            for p in doc["condition_a"]
-        ),
-        identity_defect=_defect_from_json(doc["condition_b"]["defect"], n),
-        identity_agreements=tuple(
-            (c["element"], int(c["agreements"])) for c in doc["condition_c"]
-        ),
-        strict=strict,
-    )
-    top, strict_top = _derived_json(report)
-    for stored, derived in ((doc, top), (doc.get("strict"), strict_top)):
-        if derived is not None:
-            stored = canonical_json({key: stored[key] for key in derived})
-            if stored != canonical_json(derived):
-                raise InvariantViolationError(
-                    f"stored {stored} disagrees with the stored counts, "
-                    f"which give {canonical_json(derived)}"
-                )
-    return report
 
 
 CERTIFICATE_FORMAT = 2
@@ -489,10 +411,17 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     """Read a certificate of format 2, or of format 1, which has no "format"
-    key and stores each map as a plain list of integers."""
+    key and stores each map as a plain list of integers.
+
+    The stored report is not parsed.  verify measures the stored maps again
+    at the report's own F, epsilon and strictness, and the certificate is
+    refused unless that fresh report, written as canonical JSON, is exactly
+    the stored one (so ``1`` is not ``true``).  The fresh report is returned.
+    """
     doc = json.loads(text)
+    del text  # frees the text now when the caller keeps no reference to it
     g = group_from_json(doc["group"])
-    carrier_n = int(doc["carrier_n"])
+    carrier_n = _decode_int(doc["carrier_n"])
     v2 = "format" in doc
     if v2 and doc["format"] != CERTIFICATE_FORMAT:
         raise DomainError(f"unsupported certificate format {doc['format']!r}")
@@ -510,5 +439,16 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
         claimed_f,
         parse_fraction(doc["epsilon"]),
     )
-    report = report_from_json(doc["report"])
+    stored = doc["report"]
+    f = FiniteSubset(g, (g.decode(json.loads(key)) for key in stored["f"]))
+    epsilon = parse_fraction(stored["epsilon"])
+    strict = stored.get("strict") is not None
+    # Only the report's text is kept while verify runs, not the document.
+    stored = canonical_json(stored)
+    del doc
+    report = verify(qa, f, epsilon, strict)
+    if canonical_json(report_to_json(report)) != stored:
+        raise InvariantViolationError(
+            "the stored report differs from the one verify measures on the stored maps"
+        )
     return qa, report

@@ -1,9 +1,13 @@
+import base64
+import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quasiact import cyclic_group, emit_certificate, load_certificate, verify
+from quasiact import cli
 from quasiact.cli import main
 from quasiact.constructions import regular_action
 
@@ -13,6 +17,23 @@ def c4_certificate(tmp_path):
     qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))
     path = tmp_path / "c4.json"
     path.write_text(emit_certificate(qa, verify(qa)))
+    return path
+
+
+@pytest.fixture
+def forged_c4_certificate(tmp_path):
+    """The C4 certificate with map "1" changed on one point and re-hashed.
+    The stored report no longer describes the maps, though the maps still
+    pass at epsilon 1/2."""
+    qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))
+    doc = json.loads(emit_certificate(qa, verify(qa)))
+    raw = np.array([1, 2, 3, 1], dtype="<i4").tobytes()
+    doc["assignment"]["1"] = {
+        "int32le": base64.b64encode(raw).decode(),
+        "sha256": hashlib.sha256(raw).hexdigest(),
+    }
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -57,6 +78,25 @@ class TestVerifyCommand:
         assert code == 0
         assert main(["verify", "--qa", str(out), "--epsilon", "1/100"]) == 0
 
+    def test_same_question_reuses_the_loaded_report(self, c4_certificate, monkeypatch):
+        def no_second_measurement(*args, **kwargs):
+            raise AssertionError("verify ran again for the question loading answered")
+
+        monkeypatch.setattr(cli, "verify", no_second_measurement)
+        assert main(["verify", "--qa", str(c4_certificate), "--epsilon", "1/100"]) == 0
+
+    def test_other_question_measures_again(self, c4_certificate, tmp_path):
+        out = tmp_path / "strict.json"
+        argv = ["verify", "--qa", str(c4_certificate), "--epsilon", "1/50", "--strict"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, report = load_certificate(out.read_text())
+        assert report.epsilon == Fraction(1, 50)
+        assert report.strict is not None and report.strict.epsilon == Fraction(1, 50)
+
+    def test_forged_certificate_exits_two(self, forged_c4_certificate, capsys):
+        code = main(["verify", "--qa", str(forged_c4_certificate), "--epsilon", "1/100"])
+        assert code == 2
+        assert "stored report" in capsys.readouterr().err
 
     def test_out_rewrites_v1_as_v2(self, tmp_path):
         qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))
@@ -189,6 +229,8 @@ class TestConstructCommand:
             {"f": ["1"], "modulus": 5},
             {"f": [True], "modulus": 5},
             {"f": [1], "modulus": 5, "support": [2.5]},
+            {"f": [1], "modulus": 5.9},
+            {"f": [1], "modulus": "5"},
         ],
     )
     def test_cyclic_lists_take_integers_only(self, tmp_path, capsys, cyclic):
@@ -210,6 +252,44 @@ class TestConstructCommand:
         code, out = self.run_construct(tmp_path, request)
         assert code == 2
         assert "expected an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "request_doc",
+        [
+            {"construct": "finitary_extension", "n": True, "modulus": 21, "epsilon": "20/21"},
+            {"construct": "finitary_extension", "n": 1, "modulus": 21.0, "epsilon": "20/21"},
+            {"construct": "extension", "extension_kind": "integer_subgroup",
+             "epsilon": "1/10", "index": 2.5, "psi_modulus": 24, "f": [1]},
+            {"construct": "extension", "extension_kind": "integer_subgroup",
+             "epsilon": "1/10", "index": 2, "psi_modulus": 24.5, "f": [1]},
+            {"construct": "free_product", "epsilon": "1/10",
+             "left_group": {"kind": "finite", "table": [[0, 1], [1, 0]]},
+             "right_group": {"kind": "finite", "table": [[0, 1], [1, 0]]},
+             "f_left": [0, 1], "f_right": [0, 1], "syllable_bound": 1.5},
+            {"construct": "free_product", "epsilon": "1/10",
+             "left_group": {"kind": "finite", "table": [[0, 1], [1, 0]]},
+             "right_group": {"kind": "finite", "table": [[0, 1], [1, 0]]},
+             "f_left": [0, 1], "f_right": [0, 1], "syllable_bound": 1, "order_cap": 1e4},
+            {"construct": "girth_group", "labels": 2.0, "girth_bound": 2, "order_cap": 500},
+            {"construct": "girth_group", "labels": 2, "girth_bound": "2", "order_cap": 500},
+            {"construct": "girth_group", "labels": 2, "girth_bound": 2, "order_cap": 500.5},
+        ],
+    )
+    def test_scalar_fields_take_integers_only(self, tmp_path, capsys, request_doc):
+        code, out = self.run_construct(tmp_path, request_doc)
+        assert code == 2
+        assert "expected an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_forged_certificate_source_exits_two(self, tmp_path, forged_c4_certificate):
+        request = {
+            "construct": "product",
+            "epsilon": "1/2",
+            "factors": [{"certificate": str(forged_c4_certificate)}],
+        }
+        code, out = self.run_construct(tmp_path, request)
+        assert code == 2
         assert not out.exists()
 
     def test_finitary_extension(self, tmp_path):

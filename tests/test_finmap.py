@@ -16,7 +16,7 @@ from quasiact import (
     swap_map,
 )
 from quasiact.errors import CarrierMismatchError, DomainError
-from quasiact.finmap import constant_map
+from quasiact.finmap import composition_defect, constant_map
 
 
 def compose_oracle(e: FiniteMap, f: FiniteMap) -> list[int]:
@@ -110,6 +110,18 @@ class TestSimilarityDefect:
         lhs = similarity_defect(compose(perm, f), compose(perm, g))
         rhs = similarity_defect(f, g)
         assert lhs.disagreements == rhs.disagreements
+
+
+class TestCompositionDefect:
+    @given(same_size_maps(3))
+    def test_matches_composite_then_similarity(self, efg):
+        e, f, ef = efg
+        assert composition_defect(e, f, ef) == similarity_defect(compose(e, f), ef)
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 4), (3, 4, 3), (4, 3, 3)])
+    def test_size_mismatch(self, sizes):
+        with pytest.raises(CarrierMismatchError):
+            composition_defect(*(identity_map(n) for n in sizes))
 
 
 class TestFixpoints:

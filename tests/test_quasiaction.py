@@ -30,7 +30,7 @@ from quasiact import (
 )
 from quasiact.errors import DomainError, IncompleteSupportError, InvariantViolationError
 from quasiact.quasiaction import report_to_json
-from quasiact.util import document_json, format_fraction
+from quasiact.util import canonical_json, document_json, format_fraction
 
 
 def regular_c4():
@@ -133,6 +133,15 @@ class TestVerify:
             assert verify(qa, epsilon=eps).passed
 
 
+def entry_text(images) -> str:
+    """A map's v2 entry as it is written inside a certificate's assignment."""
+    raw = np.asarray(images, "<i4").tobytes()
+    return (
+        f'"int32le": "{base64.b64encode(raw).decode()}",\n'
+        f'      "sha256": "{hashlib.sha256(raw).hexdigest()}"'
+    )
+
+
 class TestCertificates:
     def test_roundtrip_byte_identical(self):
         qa = regular_c4()
@@ -200,6 +209,11 @@ class TestCertificates:
             ('"a_pass": true', '"a_pass": 1'),
             ('"defect": "0/4"', '"defect": "00/4"'),
             ('"defect": "0/4"', '"defect": 0'),
+            pytest.param(
+                entry_text([1, 2, 3, 0]), entry_text([0, 1, 2, 3]), id="map-1-rehashed-identity"
+            ),
+            ('"identity_exact": true', '"identity_exact": 1'),
+            ('"agreements": 0', '"agreements": 0.9'),
         ],
     )
     def test_tampered_report_rejected(self, old, new):
@@ -384,6 +398,25 @@ class TestCertificateCodec:
         assert (qa1.carrier_n, qa1.claimed_epsilon) == (qa2.carrier_n, qa2.claimed_epsilon)
         assert list(qa1.claimed_f) == list(qa2.claimed_f)
         assert qa1.assignment == qa2.assignment == qa.assignment
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(random_actions(), near_regular_actions()), epsilons, st.booleans(), st.data()
+    )
+    def test_loads_only_the_report_its_maps_give(self, qa, epsilon, strict, data):
+        # Store the report of a perturbed copy beside qa's own maps.
+        elem = data.draw(st.sampled_from(sorted(qa.assignment)))
+        images = qa.map_for(elem).to_list()
+        points = st.integers(0, qa.carrier_n - 1)
+        images[data.draw(points)] = data.draw(points)
+        stored = verify(qa.with_map(elem, FiniteMap(images)), epsilon=epsilon, strict=strict)
+        fresh = verify(qa, epsilon=epsilon, strict=strict)
+        cert = emit_certificate(qa, stored)
+        if canonical_json(report_to_json(stored)) == canonical_json(report_to_json(fresh)):
+            assert load_certificate(cert)[1] == fresh
+        else:
+            with pytest.raises(InvariantViolationError):
+                load_certificate(cert)
 
     def test_v1_checks_still_run(self):
         qa = regular_c4()
