@@ -8,9 +8,11 @@ the two partitions (one edge per point) has no cycle of length <= 2N; both
 facts are certified directly on the built object, never inferred from the
 generator witness.
 
-The girth certificate uses symmetry earned from V's tables alone: a
-bijection sigma of V's indices commuting with every right-multiplication
-table maps the incidence graph to itself through v -> sigma(v).  Once such
+V is indexed by a BFS closure of its generators, the one enumeration of V
+(|V| itself comes from Schreier-Sims).  The girth certificate uses
+symmetry earned from the resulting right-multiplication tables alone: a
+bijection sigma of V's indices commuting with every table maps the
+incidence graph to itself through v -> sigma(v).  Once such
 sigmas are shown to be transitive on V, every class lies in the orbit of
 some (b, 0) or (a, 0), so a non-backtracking BFS from these |A| + |B| roots
 refuses every cycle of length <= 2N, two classes meeting twice included.
@@ -26,7 +28,7 @@ certificate re-checks the conclusion on the built object anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +43,8 @@ class PartitionedCarrier:
     v: GirthGroup
     gen_label: tuple[tuple[int, ...], ...]  # (a, b) -> generator index
     depth: int  # incidence girth certified > 2*depth
+    right_mult: np.ndarray      # shape (labels, |V|): index of v * gen[j]
+    right_mult_inv: np.ndarray  # shape (labels, |V|): index of v * gen[j]^-1
 
     @property
     def size(self) -> int:
@@ -71,7 +75,7 @@ class PartitionedCarrier:
     def beta_class_of(self, idx: int) -> int:
         """Class id of the beta-class through the point; id = a*|V| + w."""
         a, b, v_idx = self.point_coords(idx)
-        w = int(self.v.right_mult_inv[self.gen_label[a][b], v_idx])
+        w = int(self.right_mult_inv[self.gen_label[a][b], v_idx])
         return a * self.v.order + w
 
     def alpha_class_points(self, class_id: int) -> Iterator[int]:
@@ -84,7 +88,7 @@ class PartitionedCarrier:
         o = self.v.order
         a, w = divmod(class_id, o)
         for b in range(self.b_size):
-            v_idx = int(self.v.right_mult[self.gen_label[a][b], w])
+            v_idx = int(self.right_mult[self.gen_label[a][b], w])
             yield self.point_index(a, b, v_idx)
 
 
@@ -104,6 +108,33 @@ def _label_assignment(a_size: int, b_size: int, v: GirthGroup) -> tuple[tuple[in
     )
 
 
+def _cayley_tables(gens: Sequence[tuple[int, ...]], order_cap: int) -> tuple[np.ndarray, ...]:
+    """Right-multiplication tables of <gens> and their inverses, by BFS closure."""
+    identity = tuple(range(len(gens[0])))
+    index = {identity: 0}
+    elements = [identity]
+    products: list[list[int]] = [[] for _ in gens]
+    i = 0
+    while i < len(elements):
+        base = elements[i]
+        for j, g in enumerate(gens):
+            product = tuple(g[x] for x in base)
+            k = index.get(product)
+            if k is None:
+                k = len(elements)
+                if k >= order_cap:
+                    raise InvariantViolationError(f"the generators give over {order_cap} elements")
+                index[product] = k
+                elements.append(product)
+            products[j].append(k)
+        i += 1
+    right_mult = np.array(products, dtype=np.int64)
+    inv_mult = np.argsort(right_mult, axis=1)
+    right_mult.setflags(write=False)
+    inv_mult.setflags(write=False)
+    return right_mult, inv_mult
+
+
 def build_partitioned_carrier(
     a_size: int, b_size: int, depth: int, v: GirthGroup
 ) -> PartitionedCarrier:
@@ -119,14 +150,16 @@ def build_partitioned_carrier(
             f"generator witness certifies girth {v.certified_girth_bound}, "
             f"need at least {2 * depth}"
         )
-    pc = PartitionedCarrier(a_size, b_size, v, _label_assignment(a_size, b_size, v), depth)
+    tables = _cayley_tables([tuple(g.to_list()) for g in v.generators], v.order)
+    pc = PartitionedCarrier(a_size, b_size, v, _label_assignment(a_size, b_size, v), depth,
+                            *tables)
     _bfs_girth_certificate(pc)
     return pc
 
 
-def _certify_symmetry(v: GirthGroup) -> None:
-    """Check from V's tables alone (never the elements) that each sigma_k is
-    an automorphism of the incidence graph.
+def _certify_symmetry(pc: PartitionedCarrier) -> None:
+    """Check from the carrier's tables alone that each sigma_k is an
+    automorphism of the incidence graph.
 
     sigma_k(0) = R_k(0), and sigma(R_j t) = R_j sigma(t) defines the rest
     along a BFS tree of the R_j from 0, which must reach all of V.  Each
@@ -134,8 +167,8 @@ def _certify_symmetry(v: GirthGroup) -> None:
     sigma_k1 ... sigma_km (0) = R_km ... R_k1 (0), so the sigmas carry 0 to
     every index the tree reached, i.e. act transitively on V.
     """
-    r, r_inv, o = v.right_mult, v.right_mult_inv, v.order
-    if o < 1 or r.shape != (v.labels, o) or r_inv.shape != r.shape:
+    r, r_inv, o = pc.right_mult, pc.right_mult_inv, pc.v.order
+    if o < 1 or r.shape != (pc.v.labels, o) or r_inv.shape != r.shape:
         raise InvariantViolationError("right-multiplication tables have the wrong shape")
     if min(r.min(), r_inv.min()) < 0 or max(r.max(), r_inv.max()) >= o:
         raise InvariantViolationError("right-multiplication table entry out of range")
@@ -170,7 +203,7 @@ def _bfs_girth_certificate(pc: PartitionedCarrier) -> None:
     alpha count); edges are the carrier points.  _certify_symmetry earns the
     transitivity that makes the roots (b, 0) and (a, 0) enough.
     """
-    _certify_symmetry(pc.v)
+    _certify_symmetry(pc)
     alpha_count = pc.alpha_class_count
 
     def neighbours(u):

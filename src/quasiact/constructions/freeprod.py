@@ -133,8 +133,8 @@ class _CarrierMaps:
                     if b2 == b:
                         images[seg] = (a * pc.b_size + b) * o + varange
                     else:
-                        w = pc.v.right_mult_inv[pc.gen_label[a][b], varange]
-                        v2 = pc.v.right_mult[pc.gen_label[a][b2], w]
+                        w = pc.right_mult_inv[pc.gen_label[a][b], varange]
+                        v2 = pc.right_mult[pc.gen_label[a][b2], w]
                         images[seg] = (a * pc.b_size + b2) * o + v2
             cached = self._right[h] = FiniteMap(images)
         return cached

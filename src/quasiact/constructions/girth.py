@@ -1,7 +1,7 @@
 """Seeded search for small permutation groups with girth-certified generators.
 
-A GirthGroup is a fully enumerated finite group given by permutation
-generators, together with a certificate that no nontrivial reduced word of
+A GirthGroup is a finite group V given by permutation generators and its
+exact order, together with a certificate that no nontrivial reduced word of
 length at most the bound evaluates to the identity, i.e. that the Cayley
 multigraph (edges x -- g*x) has no cycle of length <= bound.  Right
 translations act transitively on it, so one non-backtracking BFS of the
@@ -9,8 +9,9 @@ ball of radius ceil(bound/2) around the identity earns the certificate.
 
 The search draws even permutations of scheduled degrees from a seeded
 generator, rejects cheaply (element order, duplicate or inverse generators),
-certifies the word bound, then enumerates the closure under a hard order
-cap.  Everything is a pure function of (parameters, seed).
+certifies the word bound, then takes |V| from Schreier-Sims under a hard
+order cap; V is never enumerated here.  Everything is a pure function of
+(parameters, seed).
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from ..errors import DomainError, InvariantViolationError, SearchFailureError
 from ..finmap import FiniteMap
+from ..groups import _decode_int
 from ..util import document_json
 
 _ATTEMPTS_PER_DEGREE = 80
@@ -33,20 +33,14 @@ _DRAWS_PER_GENERATOR = 400
 
 @dataclass(frozen=True)
 class GirthGroup:
-    """Enumerated permutation group with a reduced-word girth certificate."""
+    """Permutation group of known order with a reduced-word girth certificate."""
 
     degree: int
     labels: int
     generators: tuple[FiniteMap, ...]
-    elements: tuple[tuple[int, ...], ...]
-    right_mult: np.ndarray       # shape (labels, order): index of v * gen[j]
-    right_mult_inv: np.ndarray   # shape (labels, order): index of v * gen[j]^-1
+    order: int
     certified_girth_bound: int
     seed: int
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def to_witness_json(self) -> str:
         doc = {
@@ -60,56 +54,49 @@ class GirthGroup:
 
 
 def load_girth_witness(text: str) -> GirthGroup:
-    """Rebuild a GirthGroup from a witness file, re-earning its certificate
-    and checking its stated order and degree."""
+    """Rebuild a GirthGroup from a witness file, re-earning its certificate and
+    checking its stated order and degree (JSON integers only, else DomainError)."""
     doc = json.loads(text)
-    gens = [FiniteMap(images) for images in doc["generators"]]
-    order = int(doc["order"])
-    group = _certify_and_enumerate(
-        gens, int(doc["girth_bound"]), order_cap=order, seed=int(doc["seed"])
+    images = doc["generators"]
+    if not isinstance(images, list) or not all(isinstance(g, list) for g in images):
+        raise DomainError("witness generators must be a list of image lists")
+    gens = [FiniteMap([_decode_int(x) for x in g]) for g in images]
+    order, degree = _decode_int(doc["order"]), _decode_int(doc["degree"])
+    group = _certify_generators(
+        gens, _decode_int(doc["girth_bound"]), order_cap=order, seed=_decode_int(doc["seed"])
     )
     if group is None:
         raise DomainError("witness file does not satisfy its own certificate")
-    if group.order != order or group.degree != int(doc["degree"]):
-        raise DomainError(f"witness states order {order}, degree {doc['degree']}; "
+    if group.order != order or group.degree != degree:
+        raise DomainError(f"witness states order {order}, degree {degree}; "
                           f"its generators give {group.order}, {group.degree}")
     return group
 
 
-def _perm_order(perm: Sequence[int]) -> int:
-    n = len(perm)
-    seen = [False] * n
-    order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
+def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
+def _cycle_lengths(perm: Sequence[int]) -> list[int]:
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
         length = 0
         x = start
         while not seen[x]:
             seen[x] = True
             x = perm[x]
             length += 1
-        order = math.lcm(order, length)
-    return order
+        if length:
+            lengths.append(length)
+    return lengths
 
 
 def _random_even_perm(rng: random.Random, degree: int) -> tuple[int, ...]:
     perm = list(range(degree))
     rng.shuffle(perm)
-    # Parity from cycle count; fix odd permutations by one extra swap.
-    seen = [False] * degree
-    transpositions = 0
-    for start in range(degree):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        transpositions += length - 1
-    if transpositions % 2:
+    # Parity from cycle lengths; fix odd permutations by one extra swap.
+    if sum(length - 1 for length in _cycle_lengths(perm)) % 2:
         perm[0], perm[1] = perm[1], perm[0]
     return tuple(perm)
 
@@ -152,7 +139,7 @@ def _certify_word_girth(gens: Sequence[tuple[int, ...]], bound: int) -> None:
     """certify_girth on the Cayley ball: edge (x, j) joins x and gens[j]*x, so
     letters 2j and 2j+1 at x are distinct edges unless gens[j] is trivial."""
     degree = len(gens[0])
-    letters = [(g, sorted(range(degree), key=g.__getitem__)) for g in gens]
+    letters = [(g, _inverse(g)) for g in gens]
 
     def neighbours(x):
         for j, (g, inv) in enumerate(letters):
@@ -163,40 +150,58 @@ def _certify_word_girth(gens: Sequence[tuple[int, ...]], bound: int) -> None:
     certify_girth(neighbours, [tuple(range(degree))], bound)
 
 
-def _enumerate_closure(
-    gens: Sequence[tuple[int, ...]], order_cap: int
-) -> tuple[list[tuple[int, ...]], np.ndarray] | None:
-    """BFS closure under right multiplication; None when the cap is exceeded.
+def schreier_sims_order(gens: Sequence[tuple[int, ...]]) -> int:
+    """|<gens>| by deterministic Schreier-Sims (Seress 2003, ch. 4; Holt et al.
+    2005, 4.4).  Level i has base point b_i, strong generators S_i fixing
+    b_0..b_{i-1} and the orbit of b_i under <S_i>, with u_p(b_i) = p.  With
+    the levels above i complete, each Schreier generator u_{s(p)}^-1 s u_p
+    sifts through them; a nontrivial residue joins S_{i+1}..S_j and checking
+    resumes at level j.  |<gens>| is then the product of the orbit lengths."""
+    identity = tuple(range(len(gens[0])))
+    base, strong, reps = [], [], []  # per level: b_i, S_i and {p: u_p}
 
-    Also records, for each generator, the index permutation of right
-    multiplication, reused later as the Cayley action on element indices.
-    """
-    degree = len(gens[0])
-    identity = tuple(range(degree))
-    index = {identity: 0}
-    elements = [identity]
-    products: list[list[int]] = [[] for _ in gens]
-    i = 0
-    while i < len(elements):
-        base = elements[i]
-        for j, g in enumerate(gens):
-            product = tuple(g[x] for x in base)
-            k = index.get(product)
-            if k is None:
-                k = len(elements)
-                if k >= order_cap:
-                    return None
-                index[product] = k
-                elements.append(product)
-            products[j].append(k)
-        i += 1
-    right_mult = np.array(products, dtype=np.int64)
-    return elements, right_mult
+    def extend(g, lo, hi):  # g joins S_lo..S_hi, opening level hi if new
+        if hi == len(base):
+            base.append(next(x for x in identity if g[x] != x))
+            strong.append([])
+            reps.append({})
+        for k in range(lo, hi + 1):
+            strong[k].append(g)
+            orbit = reps[k] = {base[k]: identity}
+            queue = [base[k]]
+            for p in queue:
+                for s in strong[k]:
+                    if s[p] not in orbit:
+                        orbit[s[p]] = tuple(s[x] for x in orbit[p])
+                        queue.append(s[p])
+
+    def next_level(i):  # i - 1 if level i is complete, else the deepest level changed
+        for p, u in reps[i].items():
+            for s in strong[i]:
+                inv = _inverse(reps[i][s[p]])
+                g, j = tuple(inv[s[x]] for x in u), i + 1
+                while j < len(base) and g[base[j]] in reps[j]:
+                    inv = _inverse(reps[j][g[base[j]]])
+                    g, j = tuple(inv[x] for x in g), j + 1
+                if g != identity:
+                    extend(g, i + 1, j)
+                    return j
+        return i - 1
+
+    for g in gens:
+        if g != identity:
+            extend(g, 0, 0)
+    i = len(base) - 1
+    while i >= 0:
+        i = next_level(i)
+    return math.prod(len(orbit) for orbit in reps)
 
 
-def _certify_and_enumerate(
+def _certify_generators(
     gens: Sequence[FiniteMap], bound: int, order_cap: int, seed: int
 ) -> GirthGroup | None:
+    """The GirthGroup of gens, or None when a reduced word of length <= bound
+    is the identity or |<gens>| exceeds order_cap."""
     # The Cayley-graph symmetry behind _certify_word_girth needs a group.
     if not gens or any(g.n != gens[0].n or not g.is_bijection() for g in gens):
         raise DomainError("generators must be permutations of one degree")
@@ -205,24 +210,14 @@ def _certify_and_enumerate(
         _certify_word_girth(perm_tuples, bound)
     except InvariantViolationError:
         return None
-    closure = _enumerate_closure(perm_tuples, order_cap)
-    if closure is None:
+    order = schreier_sims_order(perm_tuples)
+    if order > order_cap:
         return None
-    elements, right_mult = closure
-    inv_mult = np.empty_like(right_mult)
-    order = len(elements)
-    rng_rows = np.arange(order, dtype=np.int64)
-    for j in range(right_mult.shape[0]):
-        inv_mult[j, right_mult[j]] = rng_rows
-    right_mult.setflags(write=False)
-    inv_mult.setflags(write=False)
     return GirthGroup(
         degree=gens[0].n,
         labels=len(gens),
         generators=tuple(gens),
-        elements=tuple(elements),
-        right_mult=right_mult,
-        right_mult_inv=inv_mult,
+        order=order,
         certified_girth_bound=bound,
         seed=seed,
     )
@@ -240,7 +235,7 @@ def _reduced_word_count(labels: int, bound: int) -> int:
 
 def _default_degrees(labels: int, bound: int) -> list[int]:
     # Skip degrees whose alternating group is clearly too small for the word
-    # count; the order cap prunes oversized closures attempt by attempt,
+    # count; the order cap prunes oversized groups attempt by attempt,
     # since generated subgroups can be far smaller than the full group.
     words = _reduced_word_count(labels, bound)
     degrees = [
@@ -272,7 +267,7 @@ def girth_group_search(
             gens = _draw_generators(rng, degree, label_count, girth_bound)
             if gens is None:
                 break  # no permutation of large enough order at this degree
-            group = _certify_and_enumerate(
+            group = _certify_generators(
                 [FiniteMap(g) for g in gens], girth_bound, order_cap, seed
             )
             if group is not None:
@@ -291,14 +286,13 @@ def _draw_generators(
     for _ in range(count):
         for _ in range(_DRAWS_PER_GENERATOR):
             perm = _random_even_perm(rng, degree)
-            if _perm_order(perm) <= bound:
+            if math.lcm(*_cycle_lengths(perm)) <= bound:
                 continue
-            inv = tuple(perm.index(i) for i in range(degree))
+            inv = _inverse(perm)
             if perm in taken or inv in taken:
                 continue
             gens.append(perm)
-            taken.add(perm)
-            taken.add(inv)
+            taken.update((perm, inv))
             break
         else:
             return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import DomainError, GroupMismatchError
@@ -71,7 +72,9 @@ class GroupHandle:
             raise GroupMismatchError(f"{x!r} is not an element of {type(self).__name__}")
         return x
 
+    @cached_property
     def _signature(self) -> str | None:
+        # Once per handle: handles never change, and describe() can be a whole table.
         try:
             return canonical_json(self.describe())
         except DomainError:
@@ -84,11 +87,11 @@ class GroupHandle:
             return True
         if not isinstance(other, GroupHandle):
             return NotImplemented
-        mine, theirs = self._signature(), other._signature()
+        mine, theirs = self._signature, other._signature
         return mine is not None and mine == theirs
 
     def __hash__(self):
-        sig = self._signature()
+        sig = self._signature
         return hash(sig) if sig is not None else id(self)
 
 

@@ -409,6 +409,12 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     return document_json(doc, default=_map_to_json)
 
 
+def _element_from_key(g: GroupHandle, key):
+    if not isinstance(key, str):
+        raise DomainError(f"element keys must be strings, got {key!r}")
+    return g.decode(json.loads(key))
+
+
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     """Read a certificate of format 2, or of format 1, which has no "format"
     key and stores each map as a plain list of integers.
@@ -425,13 +431,15 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     v2 = "format" in doc
     if v2 and doc["format"] != CERTIFICATE_FORMAT:
         raise DomainError(f"unsupported certificate format {doc['format']!r}")
+    if not isinstance(doc["assignment"], dict):
+        raise DomainError("the certificate's assignment must be a JSON object")
     assignment = {
-        g.decode(json.loads(key)): (
+        _element_from_key(g, key): (
             _map_from_json(entry, carrier_n) if v2 else FiniteMap(entry)
         )
         for key, entry in doc["assignment"].items()
     }
-    claimed_f = FiniteSubset(g, (g.decode(json.loads(key)) for key in doc["F"]))
+    claimed_f = FiniteSubset(g, (_element_from_key(g, key) for key in doc["F"]))
     qa = QuasiAction(
         g,
         carrier_n,
@@ -440,7 +448,7 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
         parse_fraction(doc["epsilon"]),
     )
     stored = doc["report"]
-    f = FiniteSubset(g, (g.decode(json.loads(key)) for key in stored["f"]))
+    f = FiniteSubset(g, (_element_from_key(g, key) for key in stored["f"]))
     epsilon = parse_fraction(stored["epsilon"])
     strict = stored.get("strict") is not None
     # Only the report's text is kept while verify runs, not the document.

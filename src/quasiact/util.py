@@ -15,7 +15,7 @@ _FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
 
 def parse_fraction(text: str) -> Fraction:
     """Parse an exact "p/q" string. Decimals are rejected on purpose."""
-    m = _FRACTION_RE.match(text.strip())
+    m = _FRACTION_RE.match(text.strip()) if isinstance(text, str) else None
     if not m:
         raise DomainError(f"expected an exact rational 'p/q', got {text!r}")
     num, den = int(m.group(1)), int(m.group(2))

@@ -10,6 +10,7 @@ from quasiact import cyclic_group, emit_certificate, load_certificate, verify
 from quasiact import cli
 from quasiact.cli import main
 from quasiact.constructions import regular_action
+from quasiact.errors import DomainError
 
 
 @pytest.fixture
@@ -97,6 +98,24 @@ class TestVerifyCommand:
         code = main(["verify", "--qa", str(forged_c4_certificate), "--epsilon", "1/100"])
         assert code == 2
         assert "stored report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        (("epsilon",), 0.01),
+        (("F",), [1, 2]),
+        (("report", "f"), [1, 2]),
+        (("assignment",), []),
+    ])
+    def test_wrongly_typed_field_exits_two(self, c4_certificate, tmp_path, field, value):
+        doc = json.loads(c4_certificate.read_text())
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError):
+            load_certificate(path.read_text())
+        assert main(["verify", "--qa", str(path), "--epsilon", "1/100"]) == 2
 
     def test_out_rewrites_v1_as_v2(self, tmp_path):
         qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,8 +12,13 @@ from quasiact.constructions import (
     girth_group_search,
     load_girth_witness,
 )
-from quasiact.constructions.carrier import _bfs_girth_certificate, _label_assignment
-from quasiact.constructions.girth import _certify_and_enumerate, _certify_word_girth
+from quasiact.constructions import carrier
+from quasiact.constructions.carrier import _bfs_girth_certificate, _cayley_tables, _label_assignment
+from quasiact.constructions.girth import (
+    _certify_generators,
+    _certify_word_girth,
+    schreier_sims_order,
+)
 from quasiact.errors import DomainError, InvariantViolationError, PreconditionError, SearchFailureError
 from quasiact.finmap import FiniteMap
 
@@ -48,6 +54,41 @@ def assert_girth_by_oracle(group: GirthGroup):
         count += 1
         assert value != identity
     return count
+
+
+def enumerate_closure(gens, order_cap):
+    """Oracle for |V| and the carrier's tables: the BFS closure under right
+    multiplication that the search ran before Schreier-Sims; None when the
+    cap is exceeded."""
+    degree = len(gens[0])
+    identity = tuple(range(degree))
+    index = {identity: 0}
+    elements = [identity]
+    products = [[] for _ in gens]
+    i = 0
+    while i < len(elements):
+        base = elements[i]
+        for j, g in enumerate(gens):
+            product = tuple(g[x] for x in base)
+            k = index.get(product)
+            if k is None:
+                k = len(elements)
+                if k >= order_cap:
+                    return None
+                index[product] = k
+                elements.append(product)
+            products[j].append(k)
+        i += 1
+    return elements, np.array(products, dtype=np.int64)
+
+
+# sha256 of girth_group_search(6, 5, order_cap=200000, seed=s).to_witness_json(),
+# recorded while the search still enumerated the closure.
+WITNESS_SHA256 = {
+    0: "b84f56343abd248b6279f25226920629c7b667214ecec202c5b1ea7a7393540b",
+    1: "21890bf36e395dd37fb2b7ab320c979e8107af601cb8aeeccd7692bf7f6c00a3",
+    2: "5f374f8cdd9e4d789b99801d9d7cb06899bb919d512c4422b9cb7dcd80f0d099",
+}
 
 
 class TestSearch:
@@ -89,16 +130,37 @@ class TestSearch:
 
     def test_closure_tables_agree_with_multiplication(self):
         v = girth_group_search(2, 4, order_cap=5000, seed=0)
+        pc = build_partitioned_carrier(2, 2, 2, v)
+        elements, right = enumerate_closure([tuple(g.to_list()) for g in v.generators], v.order + 1)
+        assert len(elements) == v.order
+        assert np.array_equal(pc.right_mult, right)
         for j, g in enumerate(v.generators):
             perm = tuple(g.to_list())
             for i in (0, 1, v.order - 1):
-                base = v.elements[i]
+                base = elements[i]
                 product = tuple(perm[x] for x in base)
-                assert v.elements[v.right_mult[j, i]] == product
+                assert elements[pc.right_mult[j, i]] == product
+                assert pc.right_mult_inv[j, pc.right_mult[j, i]] == i
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
             girth_group_search(0, 4, order_cap=10)
+
+    @pytest.mark.parametrize("seed", sorted(WITNESS_SHA256))
+    def test_witness_bytes_pinned(self, seed):
+        text = girth_group_search(6, 5, order_cap=200000, seed=seed).to_witness_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_SHA256[seed]
+
+    def test_bound_six_order(self):
+        assert girth_group_search(6, 6, order_cap=2_000_000, seed=0).order == 1_814_400
+
+    def test_search_and_loader_never_enumerate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("V was enumerated")
+
+        monkeypatch.setattr(carrier, "_cayley_tables", refuse)
+        text = girth_group_search(6, 5, order_cap=200000, seed=0).to_witness_json()
+        assert load_girth_witness(text).order == 181440
 
 
 class TestPartitionedCarrier:
@@ -166,12 +228,8 @@ class TestPartitionedCarrier:
 
         gens = (FiniteMap([(i + 1) % 4 for i in range(4)]),
                 FiniteMap([(i + 3) % 4 for i in range(4)]))
-        elements = tuple(tuple((i + k) % 4 for i in range(4)) for k in range(4))
-        right = np.array([[(k + 1) % 4 for k in range(4)], [(k + 3) % 4 for k in range(4)]])
-        right_inv = np.array([[(k - 1) % 4 for k in range(4)], [(k - 3) % 4 for k in range(4)]])
         v = GirthGroup(
-            degree=4, labels=2, generators=gens, elements=elements,
-            right_mult=right, right_mult_inv=right_inv,
+            degree=4, labels=2, generators=gens, order=4,
             certified_girth_bound=4, seed=0,
         )
         with pytest.raises(InvariantViolationError):
@@ -220,14 +278,14 @@ def bfs_from_every_class_node(pc):
     for b in range(pc.b_size):
         rows = slice(b * o, (b + 1) * o)
         for a in range(pc.a_size):
-            w = pc.v.right_mult_inv[pc.gen_label[a][b], varange]
+            w = pc.right_mult_inv[pc.gen_label[a][b], varange]
             alpha_nbrs[rows, a] = a * o + w
     beta_count = pc.beta_class_count
     beta_nbrs = np.empty((beta_count, pc.b_size), dtype=np.int64)
     for a in range(pc.a_size):
         rows = slice(a * o, (a + 1) * o)
         for b in range(pc.b_size):
-            vv = pc.v.right_mult[pc.gen_label[a][b], varange]
+            vv = pc.right_mult[pc.gen_label[a][b], varange]
             beta_nbrs[rows, b] = b * o + vv
     alpha_lists = alpha_nbrs.tolist()
     beta_lists = beta_nbrs.tolist()
@@ -277,31 +335,36 @@ def networkx_girth_exceeds(pc):
     return no_multi_edges and nx.girth(simple) > 2 * pc.depth
 
 
-def forged_group(tables, degree=4, bound=6):
-    """A GirthGroup holding arbitrary index tables (its generators and
-    elements are placeholders the carrier certificate must not read)."""
+def carrier_with_depth(v, a_size, b_size, depth, tables=None):
+    """The carrier of v at any depth, skipping the witness-bound precondition
+    so that short cycles reach the certificate.  Tables default to the
+    closure's."""
+    if tables is None:
+        tables = _cayley_tables([tuple(g.to_list()) for g in v.generators], v.order)
+    return PartitionedCarrier(
+        a_size, b_size, v, _label_assignment(a_size, b_size, v), depth, *tables
+    )
+
+
+def forged_carrier(tables, a_size, b_size, depth, degree=4, bound=6):
+    """A carrier holding arbitrary index tables (V's generators are
+    placeholders the carrier certificate must not read; its stated order is
+    the table width)."""
     right = np.array(tables, dtype=np.int64)
     right_inv = np.empty_like(right)
     for j, row in enumerate(right):
         right_inv[j, row] = np.arange(row.size)
     gens = tuple(FiniteMap(list(range(degree))) for _ in tables)
-    elements = tuple((i,) for i in range(right.shape[1]))
-    return GirthGroup(
-        degree=degree, labels=len(tables), generators=gens, elements=elements,
-        right_mult=right, right_mult_inv=right_inv,
+    v = GirthGroup(
+        degree=degree, labels=len(tables), generators=gens, order=right.shape[1],
         certified_girth_bound=bound, seed=0,
     )
+    return carrier_with_depth(v, a_size, b_size, depth, (right, right_inv))
 
 
-def z4_group():
-    return forged_group([[(k + 1) % 4 for k in range(4)], [(k + 3) % 4 for k in range(4)]],
-                        bound=4)
-
-
-def carrier_with_depth(v, a_size, b_size, depth):
-    """The carrier of v at any depth, skipping the witness-bound precondition
-    so that short cycles reach the certificate."""
-    return PartitionedCarrier(a_size, b_size, v, _label_assignment(a_size, b_size, v), depth)
+def z4_carrier(depth):
+    return forged_carrier([[(k + 1) % 4 for k in range(4)], [(k + 3) % 4 for k in range(4)]],
+                          2, 2, depth, bound=4)
 
 
 perm_lists = st.integers(3, 5).flatmap(
@@ -315,7 +378,7 @@ def with_special(gens, kind):
     degree = len(gens[0])
     if kind == "identity":
         return gens + [tuple(range(degree))]
-    if kind == "involution":
+    if kind == "involution" and degree > 1:
         return gens + [(1, 0) + tuple(range(2, degree))]
     if kind == "repeat":
         return gens + [gens[0]]
@@ -363,11 +426,11 @@ class TestSymmetryCertificatesAgainstOracles:
                 assert refused != networkx_girth_exceeds(pc)
 
     def test_forged_z4_agrees_with_oracles(self):
-        pc = carrier_with_depth(z4_group(), 2, 2, 2)
+        pc = z4_carrier(2)
         assert raises_invariant(_bfs_girth_certificate, pc)
         assert raises_invariant(bfs_from_every_class_node, pc)
         assert not networkx_girth_exceeds(pc)
-        assert not raises_invariant(_bfs_girth_certificate, carrier_with_depth(z4_group(), 2, 2, 1))
+        assert not raises_invariant(_bfs_girth_certificate, z4_carrier(1))
 
     def test_non_cayley_table_is_refused(self):
         # Z/6 shift plus a transposition: both rows are permutations with
@@ -375,7 +438,7 @@ class TestSymmetryCertificatesAgainstOracles:
         shift = [(k + 1) % 6 for k in range(6)]
         swap = [1, 0, 2, 3, 4, 5]
         with pytest.raises(InvariantViolationError):
-            build_partitioned_carrier(2, 2, 1, forged_group([shift, swap]))
+            _bfs_girth_certificate(forged_carrier([shift, swap], 2, 2, 1))
 
     def test_short_cycle_away_from_the_roots_is_refused(self):
         # One generator per cell; the 4-cycle through beta-class (0, 3)
@@ -383,24 +446,24 @@ class TestSymmetryCertificatesAgainstOracles:
         # so the roots alone would look clean.  Index 3 is unreachable from
         # 0, which the symmetry check refuses.
         ident = [0, 1, 2, 3]
-        v = forged_group([ident, [1, 2, 0, 3], ident, ident])
-        pc = carrier_with_depth(v, 2, 2, 2)
+        pc = forged_carrier([ident, [1, 2, 0, 3], ident, ident], 2, 2, 2)
         assert raises_invariant(bfs_from_every_class_node, pc)
         with pytest.raises(InvariantViolationError):
             _bfs_girth_certificate(pc)
 
     def test_inconsistent_tables_are_refused(self):
-        good = z4_group()
+        good = z4_carrier(1)
         right_inv = good.right_mult_inv.copy()
         right_inv[0, [0, 1]] = right_inv[0, [1, 0]]
-        not_inverse = GirthGroup(**{**good.__dict__, "right_mult_inv": right_inv})
+        not_inverse = PartitionedCarrier(**{**good.__dict__, "right_mult_inv": right_inv})
         right = good.right_mult.copy()
         right[0, 0] = right[0, 1]
-        not_permutation = GirthGroup(**{**good.__dict__, "right_mult": right})
-        wrong_shape = GirthGroup(**{**good.__dict__, "elements": good.elements[:3]})
-        for v in (not_inverse, not_permutation, wrong_shape):
+        not_permutation = PartitionedCarrier(**{**good.__dict__, "right_mult": right})
+        order_three = GirthGroup(**{**good.v.__dict__, "order": 3})
+        wrong_shape = PartitionedCarrier(**{**good.__dict__, "v": order_three})
+        for pc in (not_inverse, not_permutation, wrong_shape):
             with pytest.raises(InvariantViolationError):
-                _bfs_girth_certificate(carrier_with_depth(v, 2, 2, 1))
+                _bfs_girth_certificate(pc)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -411,12 +474,57 @@ class TestSymmetryCertificatesAgainstOracles:
     )
     def test_random_tables_never_pass_a_short_cycle(self, data, n, labels, depth):
         rows = [data.draw(st.permutations(range(n))) for _ in range(labels)]
-        v = forged_group(rows)
         a_size = data.draw(st.integers(1, min(labels, 3)))
         b_size = data.draw(st.integers(1, min(labels, 3)))
-        pc = carrier_with_depth(v, a_size, b_size, depth)
+        pc = forged_carrier(rows, a_size, b_size, depth)
         if not raises_invariant(_bfs_girth_certificate, pc):
             assert not raises_invariant(bfs_from_every_class_node, pc)
+
+
+ORACLE_CAP = 20_000
+
+perm_sets_to_degree_nine = st.integers(1, 9).flatmap(
+    lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=4).map(
+        lambda ps: [tuple(p) for p in ps]
+    )
+)
+special_kinds = st.sampled_from(["none", "identity", "involution", "repeat", "inverse"])
+
+
+class TestSchreierSimsAgainstOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(gens=perm_sets_to_degree_nine, kind=special_kinds)
+    @example(gens=[(0,)], kind="identity")
+    @example(gens=[(1, 2, 3, 4, 0, 6, 5, 7, 8)], kind="inverse")
+    def test_order_matches_closure(self, gens, kind):
+        # Closures past the cap only show that the order passes it, which is
+        # the decision the search makes; test_order_matches_full_closure and
+        # the sympy property cover exact large orders.
+        gens = with_special(gens, kind)
+        order = schreier_sims_order(gens)
+        closure = enumerate_closure(gens, ORACLE_CAP)
+        if closure is None:
+            assert order > ORACLE_CAP
+        else:
+            assert order == len(closure[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(gens=perm_sets_to_degree_nine, kind=special_kinds)
+    def test_order_matches_sympy(self, gens, kind):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        gens = with_special(gens, kind)
+        group = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
+        assert schreier_sims_order(gens) == group.order()
+
+    def test_order_matches_full_closure(self):
+        v = girth_group_search(6, 5, order_cap=200000, seed=0)
+        elements, _ = enumerate_closure([tuple(g.to_list()) for g in v.generators], v.order + 1)
+        assert len(elements) == v.order == 181440
+
+    def test_carrier_refuses_more_elements_than_stated(self):
+        v = girth_group_search(2, 4, order_cap=5000, seed=0)
+        with pytest.raises(InvariantViolationError):
+            build_partitioned_carrier(2, 2, 2, GirthGroup(**{**v.__dict__, "order": v.order - 1}))
 
 
 class TestWitnessLoaderSoundness:
@@ -447,6 +555,27 @@ class TestWitnessLoaderSoundness:
         with pytest.raises(DomainError):
             load_girth_witness(json.dumps(doc))
 
-    def test_certify_and_enumerate_requires_bijections(self):
+    def test_certify_generators_requires_bijections(self):
         with pytest.raises(DomainError):
-            _certify_and_enumerate([FiniteMap([1, 2, 0]), FiniteMap([0, 0, 1])], 2, 100, 0)
+            _certify_generators([FiniteMap([1, 2, 0]), FiniteMap([0, 0, 1])], 2, 100, 0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("girth_bound", 3.7),
+        ("seed", True),
+        ("order", 360.0),
+        ("degree", "6"),
+        ("generators", {"0": [0]}),
+        ("generators", [[0, 1], "01"]),
+    ])
+    def test_fields_decode_strictly(self, field, value):
+        doc = self.witness_doc()
+        assert doc["order"] == 360
+        doc[field] = value
+        with pytest.raises(DomainError):
+            load_girth_witness(json.dumps(doc))
+
+    def test_float_generator_image_rejected(self):
+        doc = self.witness_doc()
+        doc["generators"][0][0] = float(doc["generators"][0][0])
+        with pytest.raises(DomainError):
+            load_girth_witness(json.dumps(doc))

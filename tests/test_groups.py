@@ -246,6 +246,39 @@ class TestFiniteSubset:
         assert set(pair_products(f1, f2)) == {3}
 
 
+class TestHandleSignature:
+    def test_equal_handles_built_apart(self, monkeypatch):
+        calls = []
+        describe = TableGroup.describe
+
+        def counting(self):
+            calls.append(self)
+            return describe(self)
+
+        monkeypatch.setattr(TableGroup, "describe", counting)
+        table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+        a, b = TableGroup(table), TableGroup(table)
+        other = cyclic_group(4)
+        products = ProductGroup([a, other]), ProductGroup([b, cyclic_group(4)])
+        first_round = None
+        for _ in range(3):
+            assert a == b and hash(a) == hash(b)
+            assert a != other
+            assert products[0] == products[1] and hash(products[0]) == hash(products[1])
+            assert len({a, b, other}) == 2
+            # Comparing again describes nothing again.
+            first_round = first_round or len(calls)
+            assert len(calls) == first_round
+
+    def test_unserializable_handles_compare_by_identity(self):
+        evens = SubgroupHandle(IntegerGroup(), contains_fn=lambda x: x % 2 == 0)
+        twin = SubgroupHandle(IntegerGroup(), contains_fn=lambda x: x % 2 == 0)
+        for _ in range(2):
+            assert evens == evens and evens != twin
+            assert hash(evens) == id(evens) and hash(twin) == id(twin)
+        assert len({evens, twin, evens}) == 2
+
+
 class TestIntegerFinitaryGroup:
     @pytest.fixture
     def g(self):
