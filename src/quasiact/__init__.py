@@ -35,7 +35,6 @@ from .quasiaction import (
     QuasiAction,
     VerificationReport,
     emit_certificate,
-    extend_assignment,
     load_certificate,
     verify,
 )

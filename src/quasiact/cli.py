@@ -53,9 +53,10 @@ EXIT_ERROR = 2
 
 def _print_summary(report: VerificationReport) -> None:
     eps = report.epsilon
+    # Every count is out of carrier_n, so the largest count is the worst.
     worst_a = max(
         (p.defect for p in report.pair_defects),
-        key=lambda d: d.fraction,
+        key=lambda d: d.disagreements,
         default=None,
     )
     if worst_a is not None:

@@ -166,10 +166,7 @@ def transport_qa(
                 )
             seen[img_key] = new_group.element_key(g)
 
-    needed = set(core)
-    for e in fset:
-        for f in fset:
-            needed.add(new_group.mul(e, f))
+    needed = {*core, *pair_products(fset, fset)}
 
     ident = identity_map(qa.carrier_n)
     assignment = {}

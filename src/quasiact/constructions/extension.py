@@ -32,7 +32,7 @@ from ..errors import (
     PreconditionError,
 )
 from ..finmap import FiniteMap
-from ..groups import FiniteSubset, GroupHandle, IntegerGroup
+from ..groups import FiniteSubset, GroupHandle, IntegerGroup, pair_products
 from ..quasiaction import QuasiAction, verify
 from ..util import check_epsilon
 
@@ -167,11 +167,7 @@ def amenable_extension_qa(
     a_n = len(abar)
     size = b_n * a_n
 
-    needed = {g.identity}
-    needed.update(fset)
-    for e in fset:
-        for x in fset:
-            needed.add(g.mul(e, x))
+    needed = {g.identity, *fset, *pair_products(fset, fset)}
 
     assignment = {}
     barange = np.arange(b_n, dtype=np.int64)

@@ -30,6 +30,7 @@ from ..groups import (
     FreeProductGroup,
     FreeProductWord,
     GroupHandle,
+    pair_products,
 )
 from ..quasiaction import QuasiAction, verify
 from ..util import check_epsilon
@@ -190,11 +191,7 @@ def free_product_qa(
     f_words = enumerate_normal_words(group, lf, rf, n)
     fset = FiniteSubset(group, f_words)
 
-    support = {group.identity}
-    support.update(f_words)
-    for u in f_words:
-        for v in f_words:
-            support.add(group.mul(u, v))
+    support = {group.identity, *f_words, *pair_products(fset, fset)}
 
     maps = _CarrierMaps(pc, phi_g, psi_h)
     assignment = {}

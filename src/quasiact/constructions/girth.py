@@ -57,13 +57,18 @@ def load_girth_witness(text: str) -> GirthGroup:
     """Rebuild a GirthGroup from a witness file, re-earning its certificate and
     checking its stated order and degree (JSON integers only, else DomainError)."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise DomainError("a girth witness must be a JSON object")
+    bound = _decode_int(doc["girth_bound"])
+    if bound < 1:
+        raise DomainError(f"girth_bound must be positive, got {bound}")
     images = doc["generators"]
     if not isinstance(images, list) or not all(isinstance(g, list) for g in images):
         raise DomainError("witness generators must be a list of image lists")
     gens = [FiniteMap([_decode_int(x) for x in g]) for g in images]
     order, degree = _decode_int(doc["order"]), _decode_int(doc["degree"])
     group = _certify_generators(
-        gens, _decode_int(doc["girth_bound"]), order_cap=order, seed=_decode_int(doc["seed"])
+        gens, bound, order_cap=order, seed=_decode_int(doc["seed"])
     )
     if group is None:
         raise DomainError("witness file does not satisfy its own certificate")

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import InvariantViolationError, PreconditionError
 from ..finmap import (
-    FiniteMap, compose, double, fixpoint_count, fixpoint_set, identity_map, inverse_map
+    FiniteMap, compose, fixpoint_count, fixpoint_set, identity_map, inverse_map
 )
 from ..groups import FiniteSubset, symmetrized_square
 from ..quasiaction import QuasiAction, verify
@@ -149,8 +149,3 @@ def _build_good_map(phi: QuasiAction, e, e_inv) -> FiniteMap:
     if not result.is_bijection() or fixpoint_count(result):
         raise InvariantViolationError("good map is not a fixpoint-free bijection")
     return result
-
-
-def doubled_input_map(phi: QuasiAction, e) -> FiniteMap:
-    """The input's map on the doubled carrier, for defect measurements."""
-    return double(phi.map_for(e))

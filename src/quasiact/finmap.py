@@ -99,12 +99,12 @@ class Defect:
         return f"{self.disagreements}/{self.n}"
 
     def is_similar(self, epsilon: Fraction) -> bool:
-        """At most epsilon*n disagreements."""
-        return self.fraction <= epsilon
+        """At most epsilon*n disagreements: d/n <= p/q as d*q <= p*n."""
+        return self.disagreements * epsilon.denominator <= epsilon.numerator * self.n
 
     def is_different(self, delta: Fraction) -> bool:
         """Not delta-similar: strictly more than delta*n disagreements."""
-        return self.fraction > delta
+        return not self.is_similar(delta)
 
 
 def identity_map(n: int) -> FiniteMap:
@@ -120,10 +120,6 @@ def swap_map(n: int, i: int, j: int) -> FiniteMap:
     images = np.arange(n, dtype=_DTYPE)
     images[i], images[j] = j, i
     return FiniteMap(images)
-
-
-def constant_map(n: int, value: int) -> FiniteMap:
-    return FiniteMap(np.full(n, value, dtype=_DTYPE))
 
 
 def compose(e: FiniteMap, f: FiniteMap) -> FiniteMap:
@@ -148,14 +144,6 @@ def similarity_defect(e: FiniteMap, f: FiniteMap) -> Defect:
     if e.n != f.n:
         raise CarrierMismatchError(f"carrier sizes differ: {e.n} vs {f.n}")
     return Defect(int(np.count_nonzero(e.images != f.images)), e.n)
-
-
-def composition_defect(e: FiniteMap, f: FiniteMap, ef: FiniteMap) -> Defect:
-    """similarity_defect(compose(e, f), ef), counted without building the
-    composite map."""
-    if not e.n == f.n == ef.n:
-        raise CarrierMismatchError(f"carrier sizes differ: {e.n}, {f.n}, {ef.n}")
-    return Defect(int(np.count_nonzero(f.images[e.images] != ef.images)), e.n)
 
 
 def _is_fixed(e: FiniteMap) -> np.ndarray:

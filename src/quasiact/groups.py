@@ -37,9 +37,17 @@ class GroupHandle:
         raise NotImplementedError
 
     def mul(self, a, b):
-        raise NotImplementedError
+        """The product ab; both operands are checked, once, here."""
+        return self._mul(self.check_element(a), self.check_element(b))
 
     def inv(self, a):
+        return self._inv(self.check_element(a))
+
+    def _mul(self, a, b):
+        """mul on operands the caller has already checked."""
+        raise NotImplementedError
+
+    def _inv(self, a):
         raise NotImplementedError
 
     def contains(self, x) -> bool:
@@ -102,11 +110,11 @@ class IntegerGroup(GroupHandle):
     def identity(self) -> int:
         return 0
 
-    def mul(self, a: int, b: int) -> int:
-        return self.check_element(a) + self.check_element(b)
+    def _mul(self, a: int, b: int) -> int:
+        return a + b
 
-    def inv(self, a: int) -> int:
-        return -self.check_element(a)
+    def _inv(self, a: int) -> int:
+        return -a
 
     def contains(self, x) -> bool:
         return _is_int(x)
@@ -175,11 +183,11 @@ class TableGroup(GroupHandle):
     def identity(self) -> int:
         return self._identity
 
-    def mul(self, a: int, b: int) -> int:
-        return self._table[self.check_element(a)][self.check_element(b)]
+    def _mul(self, a: int, b: int) -> int:
+        return self._table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self._inverses[self.check_element(a)]
+    def _inv(self, a: int) -> int:
+        return self._inverses[a]
 
     def contains(self, x) -> bool:
         return _is_int(x) and 0 <= x < self._order
@@ -220,14 +228,11 @@ class ProductGroup(GroupHandle):
     def identity(self) -> tuple:
         return tuple(f.identity for f in self.factors)
 
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        self.check_element(a)
-        self.check_element(b)
-        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        return tuple(f._mul(x, y) for f, x, y in zip(self.factors, a, b))
 
-    def inv(self, a: tuple) -> tuple:
-        self.check_element(a)
-        return tuple(f.inv(x) for f, x in zip(self.factors, a))
+    def _inv(self, a: tuple) -> tuple:
+        return tuple(f._inv(x) for f, x in zip(self.factors, a))
 
     def contains(self, x) -> bool:
         return (
@@ -293,11 +298,11 @@ class SubgroupHandle(GroupHandle):
     def identity(self):
         return self.parent.identity
 
-    def mul(self, a, b):
-        return self.parent.mul(self.check_element(a), self.check_element(b))
+    def _mul(self, a, b):
+        return self.parent._mul(a, b)
 
-    def inv(self, a):
-        return self.parent.inv(self.check_element(a))
+    def _inv(self, a):
+        return self.parent._inv(a)
 
     def contains(self, x) -> bool:
         if not self.parent.contains(x):
@@ -362,21 +367,14 @@ class FreeProductGroup(GroupHandle):
             tagged.append((self.RIGHT, h))
         return reduce_word(self, tagged)
 
-    def mul(self, a: FreeProductWord, b: FreeProductWord) -> FreeProductWord:
-        self.check_element(a)
-        self.check_element(b)
-        tagged = []
-        for g, h in a.pairs + b.pairs:
-            tagged.append((self.LEFT, g))
-            tagged.append((self.RIGHT, h))
-        return reduce_word(self, tagged)
+    def _mul(self, a: FreeProductWord, b: FreeProductWord) -> FreeProductWord:
+        return self.word(a.pairs + b.pairs)
 
-    def inv(self, a: FreeProductWord) -> FreeProductWord:
-        self.check_element(a)
+    def _inv(self, a: FreeProductWord) -> FreeProductWord:
         tagged = []
         for g, h in reversed(a.pairs):
-            tagged.append((self.RIGHT, self.right.inv(h)))
-            tagged.append((self.LEFT, self.left.inv(g)))
+            tagged.append((self.RIGHT, self.right._inv(h)))
+            tagged.append((self.LEFT, self.left._inv(g)))
         return reduce_word(self, tagged)
 
     def contains(self, x) -> bool:
@@ -427,7 +425,7 @@ def reduce_word(
             continue
         while True:
             if stack and stack[-1][0] == side:
-                merged = factors[side].mul(stack[-1][1], elem)
+                merged = factors[side]._mul(stack[-1][1], elem)
                 stack.pop()
                 if merged == identities[side]:
                     if not stack:
@@ -484,9 +482,7 @@ class IntegerFinitaryGroup(GroupHandle):
         k, moved = elem
         return k + self._as_dict(moved).get(x, x)
 
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        self.check_element(a)
-        self.check_element(b)
+    def _mul(self, a: tuple, b: tuple) -> tuple:
         ka, sa = a[0], self._as_dict(a[1])
         kb, sb = b[0], self._as_dict(b[1])
         support = set(sa) | {x - ka for x in sb}
@@ -496,8 +492,7 @@ class IntegerFinitaryGroup(GroupHandle):
             composite[x] = sb.get(ka + y, ka + y) - ka
         return (ka + kb, self._canonical(composite))
 
-    def inv(self, a: tuple) -> tuple:
-        self.check_element(a)
+    def _inv(self, a: tuple) -> tuple:
         k, moved = a[0], self._as_dict(a[1])
         back = {y: x for x, y in moved.items()}
         result = {y + k: back[y] + k for y in back}
@@ -537,6 +532,8 @@ class IntegerFinitaryGroup(GroupHandle):
 
 def group_from_json(obj: dict) -> GroupHandle:
     """Rebuild a handle from its JSON description."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"a group description must be a JSON object, got {obj!r:.40}")
     kind = obj.get("kind")
     if kind == "integers":
         return IntegerGroup()

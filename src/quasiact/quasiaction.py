@@ -16,12 +16,13 @@ fixpoint-free bijection whose inverse element (when supported) maps to the
 exact inverse map, and the maps of distinct elements of F union {1} are
 pairwise (1-eps)-different.
 
-All comparisons are exact rational comparisons of integer counts.
+Counts are integers and verdicts exact integer comparisons (d*q <= p*n).
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,6 @@ from .errors import (
 from .finmap import (
     Defect,
     FiniteMap,
-    composition_defect,
     fixpoint_count,
     identity_map,
     inverse_map,
@@ -51,8 +51,16 @@ from .util import (
 )
 
 
+# verify stacks maps in chunks of max(1, POINTS // n) rows: about 1 MiB of
+# int32 images per chunk, and one map at a time on large carriers.
+POINTS = 1 << 18
+
+
 class QuasiAction:
-    """A carrier size plus a finite table of group element -> map."""
+    """A carrier size plus a finite table of group element -> map.
+
+    The assignment's keys are validated here, once (F's were, by FiniteSubset),
+    and the support check builds the claimed F's F x F product table, once."""
 
     def __init__(
         self,
@@ -80,20 +88,20 @@ class QuasiAction:
                 )
             table[elem] = fmap
         self.assignment = table
-        self._require_support_closure()
+        self._claimed_products = self._products(claimed_f)
 
-    def _require_support_closure(self):
+    def _products(self, fset: FiniteSubset) -> list:
+        """The products e*f for e, f in F, row by row, once the identity, F and
+        each product are found supported; entries are the assignment's keys."""
         g = self.owner
-        required = [g.identity]
-        required.extend(self.claimed_f)
-        for e in self.claimed_f:
-            for f in self.claimed_f:
-                required.append(g.mul(e, f))
-        for elem in required:
-            if elem not in self.assignment:
-                raise IncompleteSupportError(
-                    g.element_key(elem), "needed for the claimed (F, epsilon)"
-                )
+        support = {elem: elem for elem in self.assignment}
+        products = (g._mul(e, f) for e in fset for f in fset)
+        table = []
+        for elem in itertools.chain([g.identity], fset, products):
+            if elem not in support:
+                raise IncompleteSupportError(g.element_key(elem), "needed for (F, epsilon)")
+            table.append(support[elem])
+        return table[1 + len(fset) :]
 
     @property
     def support(self) -> FiniteSubset:
@@ -112,29 +120,6 @@ class QuasiAction:
         return QuasiAction(
             self.owner, self.carrier_n, table, self.claimed_f, self.claimed_epsilon
         )
-
-
-def extend_assignment(qa: QuasiAction, elements: Iterable) -> QuasiAction:
-    """Explicitly extend the support with canonical padding maps.
-
-    Padding is the fixpoint-free involution pairing 2i <-> 2i+1 when the
-    carrier size is even, and the identity map otherwise.  Extension never
-    happens implicitly anywhere else.
-    """
-    n = qa.carrier_n
-    if n % 2 == 0:
-        images = list(range(n))
-        for i in range(0, n, 2):
-            images[i], images[i + 1] = images[i + 1], images[i]
-        pad = FiniteMap(images)
-    else:
-        pad = identity_map(n)
-    table = dict(qa.assignment)
-    for elem in elements:
-        qa.owner.check_element(elem)
-        if elem not in table:
-            table[elem] = pad
-    return QuasiAction(qa.owner, n, table, qa.claimed_f, qa.claimed_epsilon)
 
 
 @dataclass(frozen=True)
@@ -171,7 +156,8 @@ class StrictChecks:
 
     @cached_property
     def cprime_pass(self) -> bool:
-        return all(d.is_different(1 - self.epsilon) for _, _, d in self.pairwise)
+        delta = 1 - self.epsilon
+        return all(d.is_different(delta) for _, _, d in self.pairwise)
 
     @property
     def passed(self) -> bool:
@@ -203,9 +189,9 @@ class VerificationReport:
     def c_pass(self) -> bool:
         # (1-eps)-different from the identity: disagreements > (1-eps)*n.
         n = self.carrier_n
+        delta = 1 - self.epsilon
         return all(
-            Defect(n - agree, n).is_different(1 - self.epsilon)
-            for _, agree in self.identity_agreements
+            Defect(n - agree, n).is_different(delta) for _, agree in self.identity_agreements
         )
 
     @property
@@ -225,13 +211,29 @@ class VerificationReport:
         return Defect(worst, self.carrier_n)
 
 
+def _stack(maps: list[FiniteMap]) -> np.ndarray:
+    """The maps' images as the rows of one array (a view for a single map)."""
+    return maps[0].images[None] if len(maps) == 1 else np.stack([m.images for m in maps])
+
+
+def _chunks(maps: list[FiniteMap], n: int) -> list[tuple[int, np.ndarray]]:
+    """(first row, stacked images) for runs of max(1, POINTS // n) maps."""
+    rows = max(1, POINTS // n)
+    return [(i, _stack(maps[i : i + rows])) for i in range(0, len(maps), rows)]
+
+
 def verify(
     qa: QuasiAction,
     f: FiniteSubset | Iterable | None = None,
     epsilon: Fraction | None = None,
     strict: bool = False,
 ) -> VerificationReport:
-    """Measure conditions (a), (b), (c) of qa on F by exhaustive counting."""
+    """Measure conditions (a), (b), (c) of qa on F by exhaustive counting.
+
+    Elements are not validated again, so products and inverses use the
+    owner's unchecked ops; the claimed F reuses qa's product table, another
+    F gets one per call.  Counts are integer numpy gathers over chunks of
+    max(1, POINTS // n) stacked maps; verdicts cross-multiply them exactly."""
     g = qa.owner
     if f is None:
         fset = qa.claimed_f
@@ -242,59 +244,71 @@ def verify(
     else:
         fset = FiniteSubset(g, f)
     eps = check_epsilon(qa.claimed_epsilon if epsilon is None else epsilon)
+    table = qa._claimed_products if fset == qa.claimed_f else qa._products(fset)
 
     one = g.identity
     n = qa.carrier_n
+    maps = qa.assignment
     ident = identity_map(n)
-    id_map = qa.map_for(one)
-    keys = {e: g.element_key(e) for e in qa.assignment}
+    keys = {e: g.element_key(e) for e in maps}
+    f_elems = list(fset)
+    f_keys = [keys[e] for e in f_elems]
+    right = _chunks([maps[e] for e in f_elems], n)
 
+    k = len(f_elems)
     pair_defects = []
-    for e in fset:
-        me = qa.map_for(e)
-        for fe in fset:
-            prod = g.mul(e, fe)
-            d = composition_defect(me, qa.map_for(fe), qa.map_for(prod))
-            pair_defects.append(PairDefect(keys[e], keys[fe], keys[prod], d))
+    for i, e in enumerate(f_elems):
+        row = table[i * k : (i + 1) * k]
+        counts = []
+        for start, stack in right:
+            products = _stack([maps[p] for p in row[start : start + len(stack)]])
+            gathered = np.take(stack, maps[e].images, axis=1)
+            counts += np.count_nonzero(gathered != products, axis=1).tolist()
+        pair_defects += [
+            PairDefect(keys[e], fk, keys[p], Defect(c, n))
+            for fk, p, c in zip(f_keys, row, counts)
+        ]
 
-    agreements = [
-        (keys[e], n - similarity_defect(qa.map_for(e), ident).disagreements)
-        for e in fset
-        if e != one
-    ]
+    agree = [c for _, s in right for c in np.count_nonzero(s == ident.images, axis=1).tolist()]
+    agreements = [(keys[e], c) for e, c in zip(f_elems, agree) if e != one]
 
     strict_checks = None
     if strict:
         for e in fset:
-            if g.inv(e) not in qa.assignment:
+            if g._inv(e) not in maps:
                 raise IncompleteSupportError(
-                    g.element_key(g.inv(e)), "strict mode needs F^-1 in the support"
+                    g.element_key(g._inv(e)), "strict mode needs F^-1 in the support"
                 )
         flags = []
-        for e in sorted(qa.assignment, key=keys.__getitem__):
+        for e in sorted(maps, key=keys.__getitem__):
             if e == one:
                 continue
-            m = qa.map_for(e)
+            m = maps[e]
             bij = m.is_bijection()
-            inv_elem = g.inv(e)
+            inv_elem = g._inv(e)
             inverse_exact: bool | None = None
-            if inv_elem in qa.assignment:
-                inverse_exact = bij and qa.map_for(inv_elem) == inverse_map(m)
+            if inv_elem in maps:
+                inverse_exact = bij and maps[inv_elem] == inverse_map(m)
             flags.append(ElementFlags(keys[e], bij, fixpoint_count(m) == 0, inverse_exact))
-        keyed = [(keys[e], qa.map_for(e)) for e in FiniteSubset(g, [*fset, one])]
-        pairwise = [
-            (ka, kb, similarity_defect(ma, mb))
-            for i, (ka, ma) in enumerate(keyed)
-            for kb, mb in keyed[i + 1 :]
-        ]
-        strict_checks = StrictChecks(eps, id_map == ident, tuple(flags), tuple(pairwise))
+        ordered = sorted({*f_elems, one}, key=keys.__getitem__)
+        chunks = _chunks([maps[e] for e in ordered], n)
+        pairwise = []
+        for i, a in enumerate(ordered):
+            counts = []
+            for start, stack in chunks:  # the rows after row i
+                rest = stack[max(0, i + 1 - start) :]
+                counts += np.count_nonzero(rest != maps[a].images, axis=1).tolist()
+            pairwise += [
+                (keys[a], keys[b], Defect(c, n)) for b, c in zip(ordered[i + 1 :], counts)
+            ]
+        strict_checks = StrictChecks(eps, maps[one] == ident, tuple(flags), tuple(pairwise))
 
     return VerificationReport(
         carrier_n=n,
         epsilon=eps,
-        f_keys=tuple(keys[e] for e in fset),
+        f_keys=tuple(f_keys),
         pair_defects=tuple(pair_defects),
-        identity_defect=similarity_defect(id_map, ident),
+        identity_defect=similarity_defect(maps[one], ident),
         identity_agreements=tuple(agreements),
         strict=strict_checks,
     )
@@ -409,6 +423,15 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     return document_json(doc, default=_map_to_json)
 
 
+def _read(doc: dict, key: str, kind: type):
+    """doc[key], refused with DomainError unless it is a JSON object or array (dict, list)."""
+    value = doc[key]
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise DomainError(f"the certificate's {key!r} must be a JSON {name}")
+    return value
+
+
 def _element_from_key(g: GroupHandle, key):
     if not isinstance(key, str):
         raise DomainError(f"element keys must be strings, got {key!r}")
@@ -426,20 +449,20 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     """
     doc = json.loads(text)
     del text  # frees the text now when the caller keeps no reference to it
+    if not isinstance(doc, dict):
+        raise DomainError("a certificate must be a JSON object")
     g = group_from_json(doc["group"])
     carrier_n = _decode_int(doc["carrier_n"])
     v2 = "format" in doc
     if v2 and doc["format"] != CERTIFICATE_FORMAT:
         raise DomainError(f"unsupported certificate format {doc['format']!r}")
-    if not isinstance(doc["assignment"], dict):
-        raise DomainError("the certificate's assignment must be a JSON object")
     assignment = {
         _element_from_key(g, key): (
             _map_from_json(entry, carrier_n) if v2 else FiniteMap(entry)
         )
-        for key, entry in doc["assignment"].items()
+        for key, entry in _read(doc, "assignment", dict).items()
     }
-    claimed_f = FiniteSubset(g, (_element_from_key(g, key) for key in doc["F"]))
+    claimed_f = FiniteSubset(g, (_element_from_key(g, key) for key in _read(doc, "F", list)))
     qa = QuasiAction(
         g,
         carrier_n,
@@ -447,8 +470,8 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
         claimed_f,
         parse_fraction(doc["epsilon"]),
     )
-    stored = doc["report"]
-    f = FiniteSubset(g, (_element_from_key(g, key) for key in stored["f"]))
+    stored = _read(doc, "report", dict)
+    f = FiniteSubset(g, (_element_from_key(g, key) for key in _read(stored, "f", list)))
     epsilon = parse_fraction(stored["epsilon"])
     strict = stored.get("strict") is not None
     # Only the report's text is kept while verify runs, not the document.

@@ -20,6 +20,7 @@ from quasiact import (
     SubgroupHandle,
     compose,
     cyclic_group,
+    double,
     fixpoint_count,
     identity_map,
     inverse_map,
@@ -41,7 +42,11 @@ from quasiact.constructions import (
     multiplicativity_case,
     regular_action,
 )
-from quasiact.constructions.good import doubled_input_map
+
+
+def doubled_input_map(phi, e) -> FiniteMap:
+    """The input's map on the doubled carrier, for defect measurements."""
+    return double(phi.map_for(e))
 
 
 @contextlib.contextmanager

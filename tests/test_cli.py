@@ -104,6 +104,9 @@ class TestVerifyCommand:
         (("F",), [1, 2]),
         (("report", "f"), [1, 2]),
         (("assignment",), []),
+        (("F",), 5),
+        (("report",), []),
+        (("group",), 3),
     ])
     def test_wrongly_typed_field_exits_two(self, c4_certificate, tmp_path, field, value):
         doc = json.loads(c4_certificate.read_text())
@@ -116,6 +119,12 @@ class TestVerifyCommand:
         with pytest.raises(DomainError):
             load_certificate(path.read_text())
         assert main(["verify", "--qa", str(path), "--epsilon", "1/100"]) == 2
+
+    def test_non_object_certificate_exits_two(self, c4_certificate, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([json.loads(c4_certificate.read_text())]))
+        assert main(["verify", "--qa", str(path), "--epsilon", "1/100"]) == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_out_rewrites_v1_as_v2(self, tmp_path):
         qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))

@@ -16,7 +16,18 @@ from quasiact import (
     swap_map,
 )
 from quasiact.errors import CarrierMismatchError, DomainError
-from quasiact.finmap import composition_defect, constant_map
+
+
+def constant_map(n: int, value: int) -> FiniteMap:
+    return FiniteMap(np.full(n, value, dtype=np.int32))
+
+
+def composition_defect(e: FiniteMap, f: FiniteMap, ef: FiniteMap) -> Defect:
+    """similarity_defect(compose(e, f), ef), counted without building the
+    composite map: the per-pair count the verify oracle makes."""
+    if not e.n == f.n == ef.n:
+        raise CarrierMismatchError(f"carrier sizes differ: {e.n}, {f.n}, {ef.n}")
+    return Defect(int(np.count_nonzero(f.images[e.images] != ef.images)), e.n)
 
 
 def compose_oracle(e: FiniteMap, f: FiniteMap) -> list[int]:

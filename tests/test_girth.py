@@ -566,6 +566,8 @@ class TestWitnessLoaderSoundness:
         ("degree", "6"),
         ("generators", {"0": [0]}),
         ("generators", [[0, 1], "01"]),
+        ("girth_bound", 0),
+        ("girth_bound", -3),
     ])
     def test_fields_decode_strictly(self, field, value):
         doc = self.witness_doc()
@@ -573,6 +575,11 @@ class TestWitnessLoaderSoundness:
         doc[field] = value
         with pytest.raises(DomainError):
             load_girth_witness(json.dumps(doc))
+
+    def test_non_object_witness_rejected(self):
+        doc = self.witness_doc()
+        with pytest.raises(DomainError):
+            load_girth_witness(json.dumps(list(doc.items())))
 
     def test_float_generator_image_rejected(self):
         doc = self.witness_doc()

@@ -23,7 +23,11 @@ from quasiact.constructions import (
     good_action_upgrade,
     regular_action,
 )
-from quasiact.constructions.good import doubled_input_map
+
+
+def doubled_input_map(phi, e) -> FiniteMap:
+    """The input's map on the doubled carrier, for defect measurements."""
+    return double(phi.map_for(e))
 
 
 def perturbed_shift_action(epsilon):

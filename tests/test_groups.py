@@ -66,6 +66,36 @@ class TestBasicHandles:
         with pytest.raises(GroupMismatchError):
             z.mul(1, "x")
 
+    @pytest.mark.parametrize("group,good,bad", [
+        (IntegerGroup(), 1, [True, 1.0, (1,), "1"]),
+        (cyclic_group(3), 1, [True, 1.0, 3, -1, (1,)]),
+        (
+            ProductGroup([cyclic_group(2), ProductGroup([IntegerGroup(), cyclic_group(3)])]),
+            (1, (2, 0)),
+            [
+                (True, (2, 0)), (1, (2.0, 0)), (1, (2, 3)), (2, (2, 0)),
+                (1,), (1, (2,)), (1, (2, 0), 0), [1, [2, 0]],
+            ],
+        ),
+        (SubgroupHandle(cyclic_group(4), members=[0, 2]), 2, [1, True, 2.0, 4, (2,)]),
+        (
+            SubgroupHandle(ProductGroup([cyclic_group(2), cyclic_group(2)]),
+                           members=[(0, 0), (1, 0)]),
+            (1, 0),
+            [(0, 1), (True, 0), (1, 0.0), (1,), (1, 0, 0)],
+        ),
+    ])
+    def test_public_ops_check_operands(self, group, good, bad):
+        group.mul(good, good)
+        group.inv(good)
+        for x in bad:
+            with pytest.raises(GroupMismatchError):
+                group.mul(x, good)
+            with pytest.raises(GroupMismatchError):
+                group.mul(good, x)
+            with pytest.raises(GroupMismatchError):
+                group.inv(x)
+
     @given(st.integers(2, 8), st.data())
     def test_table_group_axioms(self, n, data):
         g = cyclic_group(n)

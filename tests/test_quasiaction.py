@@ -18,7 +18,6 @@ from quasiact import (
     compose,
     cyclic_group,
     emit_certificate,
-    extend_assignment,
     fixpoint_count,
     identity_map,
     inverse_map,
@@ -28,9 +27,22 @@ from quasiact import (
     swap_map,
     verify,
 )
-from quasiact.errors import DomainError, IncompleteSupportError, InvariantViolationError
-from quasiact.quasiaction import report_to_json
+from quasiact import quasiaction
+from quasiact.errors import (
+    DomainError,
+    GroupMismatchError,
+    IncompleteSupportError,
+    InvariantViolationError,
+)
+from quasiact.quasiaction import (
+    ElementFlags,
+    PairDefect,
+    StrictChecks,
+    VerificationReport,
+    report_to_json,
+)
 from quasiact.util import canonical_json, document_json, format_fraction
+from test_finmap import composition_defect
 
 
 def regular_c4():
@@ -379,6 +391,135 @@ class TestVerdictOracle:
         assert derived_verdicts(loaded) == expected
 
 
+def verify_per_pair(qa, f=None, epsilon=None, strict=False) -> VerificationReport:
+    """verify as it was before it counted in chunks: one group product and
+    one composition_defect per pair, each map looked up as it is needed.
+    Kept as the oracle for the batched verify."""
+    g = qa.owner
+    if f is None:
+        fset = qa.claimed_f
+    elif isinstance(f, FiniteSubset):
+        if f.owner != g:
+            raise GroupMismatchError("F belongs to a different group")
+        fset = f
+    else:
+        fset = FiniteSubset(g, f)
+    eps = qa.claimed_epsilon if epsilon is None else epsilon
+
+    one = g.identity
+    n = qa.carrier_n
+    ident = identity_map(n)
+    id_map = qa.map_for(one)
+    keys = {e: g.element_key(e) for e in qa.assignment}
+
+    pair_defects = []
+    for e in fset:
+        me = qa.map_for(e)
+        for fe in fset:
+            prod = g.mul(e, fe)
+            d = composition_defect(me, qa.map_for(fe), qa.map_for(prod))
+            pair_defects.append(PairDefect(keys[e], keys[fe], keys[prod], d))
+
+    agreements = [
+        (keys[e], n - similarity_defect(qa.map_for(e), ident).disagreements)
+        for e in fset
+        if e != one
+    ]
+
+    strict_checks = None
+    if strict:
+        for e in fset:
+            if g.inv(e) not in qa.assignment:
+                raise IncompleteSupportError(
+                    g.element_key(g.inv(e)), "strict mode needs F^-1 in the support"
+                )
+        flags = []
+        for e in sorted(qa.assignment, key=keys.__getitem__):
+            if e == one:
+                continue
+            m = qa.map_for(e)
+            bij = m.is_bijection()
+            inv_elem = g.inv(e)
+            inverse_exact = None
+            if inv_elem in qa.assignment:
+                inverse_exact = bij and qa.map_for(inv_elem) == inverse_map(m)
+            flags.append(ElementFlags(keys[e], bij, fixpoint_count(m) == 0, inverse_exact))
+        keyed = [(keys[e], qa.map_for(e)) for e in FiniteSubset(g, [*fset, one])]
+        pairwise = [
+            (ka, kb, similarity_defect(ma, mb))
+            for i, (ka, ma) in enumerate(keyed)
+            for kb, mb in keyed[i + 1 :]
+        ]
+        strict_checks = StrictChecks(eps, id_map == ident, tuple(flags), tuple(pairwise))
+
+    return VerificationReport(
+        carrier_n=n,
+        epsilon=eps,
+        f_keys=tuple(keys[e] for e in fset),
+        pair_defects=tuple(pair_defects),
+        identity_defect=similarity_defect(id_map, ident),
+        identity_agreements=tuple(agreements),
+        strict=strict_checks,
+    )
+
+
+class CountingTable(TableGroup):
+    """A table group that counts its products."""
+
+    products = 0
+
+    def _mul(self, a, b):
+        self.products += 1
+        return super()._mul(a, b)
+
+
+class TestBatchedVerify:
+    # rows per chunk: one row, an uneven split of up to 5 rows, and the
+    # default POINTS, which holds every row of these small carriers.
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(random_actions(), near_regular_actions()), epsilons, st.booleans(), st.data())
+    def test_report_matches_per_pair_oracle(self, rows, qa, epsilon, strict, data):
+        f = data.draw(st.none() | st.sets(st.sampled_from(sorted(qa.assignment))))
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(quasiaction, "POINTS", rows * qa.carrier_n)
+            fresh = verify(qa, f, epsilon, strict)
+        expected = verify_per_pair(qa, f, epsilon, strict)
+        assert canonical_json(report_to_json(fresh)) == canonical_json(report_to_json(expected))
+        assert fresh == expected
+
+    def test_chunks_split_as_stated(self, monkeypatch):
+        maps = [shift_map(4, k) for k in range(5)]
+        monkeypatch.setattr(quasiaction, "POINTS", 8)
+        chunks = quasiaction._chunks(maps, 4)
+        assert [(start, stack.shape) for start, stack in chunks] == [
+            (0, (2, 4)), (2, (2, 4)), (4, (1, 4))
+        ]
+        monkeypatch.setattr(quasiaction, "POINTS", 3)
+        assert [stack.shape for _, stack in quasiaction._chunks(maps, 4)] == [(1, 4)] * 5
+
+    def test_product_table_built_once_per_f(self):
+        g = CountingTable([[(i + j) % 4 for j in range(4)] for i in range(4)])
+        assign = {k: shift_map(8, 2 * k) for k in range(4)}
+        qa = QuasiAction(g, 8, assign, FiniteSubset(g, range(4)), Fraction(1, 100))
+        assert g.products == 16
+        verify(qa)
+        verify(qa, range(4), Fraction(1, 5), strict=True)
+        assert g.products == 16
+        verify(qa, [1, 2])
+        assert g.products == 16 + 4
+
+    def test_other_f_is_support_checked(self):
+        z = IntegerGroup()
+        assign = {k: shift_map(12, k) for k in range(-2, 3)}
+        qa = QuasiAction(z, 12, assign, FiniteSubset(z, [1]), Fraction(1, 2))
+        with pytest.raises(IncompleteSupportError, match="no map assigned for element 4"):
+            verify(qa, [2])
+        with pytest.raises(IncompleteSupportError, match="element 3"):
+            verify(qa, [3])
+
+
 class TestCertificateCodec:
     @settings(max_examples=60, deadline=None)
     @given(random_actions(), st.booleans())
@@ -472,6 +613,28 @@ class TestCertificateCodec:
         cert = emit_certificate(qa, verify(qa))
         with pytest.raises(DomainError):
             load_certificate(replace_entry(cert, "1", v2_entry([0, 1, 2, 4])))
+
+
+def extend_assignment(qa: QuasiAction, elements) -> QuasiAction:
+    """Explicitly extend the support with canonical padding maps.
+
+    Padding is the fixpoint-free involution pairing 2i <-> 2i+1 when the
+    carrier size is even, and the identity map otherwise.
+    """
+    n = qa.carrier_n
+    if n % 2 == 0:
+        images = list(range(n))
+        for i in range(0, n, 2):
+            images[i], images[i + 1] = images[i + 1], images[i]
+        pad = FiniteMap(images)
+    else:
+        pad = identity_map(n)
+    table = dict(qa.assignment)
+    for elem in elements:
+        qa.owner.check_element(elem)
+        if elem not in table:
+            table[elem] = pad
+    return QuasiAction(qa.owner, n, table, qa.claimed_f, qa.claimed_epsilon)
 
 
 class TestExtendAssignment:
