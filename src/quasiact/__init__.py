@@ -2,12 +2,13 @@
 
 from .finmap import (
     Defect,
+    Fiber,
     FiniteMap,
     compose,
-    compose_chain,
     double,
     fixpoint_count,
     fixpoint_set,
+    identity_like,
     identity_map,
     inverse_map,
     shift_map,

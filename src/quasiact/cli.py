@@ -53,33 +53,21 @@ EXIT_ERROR = 2
 
 def _print_summary(report: VerificationReport) -> None:
     eps = report.epsilon
-    # Every count is out of carrier_n, so the largest count is the worst.
-    worst_a = max(
-        (p.defect for p in report.pair_defects),
-        key=lambda d: d.disagreements,
-        default=None,
-    )
-    if worst_a is not None:
-        print(
-            f"condition (a): worst defect {worst_a} "
-            f"(threshold {eps}): {'PASS' if report.a_pass else 'FAIL'}"
-        )
-    print(
-        f"condition (b): defect {report.identity_defect} "
-        f"(threshold {eps}): {'PASS' if report.b_pass else 'FAIL'}"
-    )
-    worst_c = max((a for _, a in report.identity_agreements), default=None)
-    if worst_c is not None:
-        print(
-            f"condition (c): worst agreement {worst_c}/{report.carrier_n} "
-            f"(must disagree on more than {1 - eps} of the carrier): "
-            f"{'PASS' if report.c_pass else 'FAIL'}"
-        )
+
+    def verdict(ok: bool) -> str:
+        return "PASS" if ok else "FAIL"
+
+    if report.pair_defects:  # every count is out of carrier_n: the largest is the worst
+        worst_a = max((p.defect for p in report.pair_defects), key=lambda d: d.disagreements)
+        print(f"condition (a): worst defect {worst_a} (threshold {eps}): {verdict(report.a_pass)}")
+    print(f"condition (b): defect {report.identity_defect} (threshold {eps}): "
+          f"{verdict(report.b_pass)}")
+    if report.identity_agreements:
+        worst_c = max(a for _, a in report.identity_agreements)
+        print(f"condition (c): worst agreement {worst_c}/{report.carrier_n} (must disagree "
+              f"on more than {1 - eps} of the carrier): {verdict(report.c_pass)}")
     if report.strict is not None:
-        print(
-            "strict (b')/(c'): "
-            f"{'PASS' if report.strict.passed else 'FAIL'}"
-        )
+        print(f"strict (b')/(c'): {verdict(report.strict.passed)}")
     print(f"max defect {report.max_defect}")
 
 

@@ -9,6 +9,7 @@ mechanism).
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -18,7 +19,7 @@ import numpy as np
 from ..errors import DomainError, GroupMismatchError, PreconditionError
 from ..finmap import FiniteMap, check_carrier_size, identity_map, shift_map
 from ..groups import FiniteSubset, GroupHandle, ProductGroup, pair_products
-from ..quasiaction import QuasiAction, verify
+from ..quasiaction import QuasiAction, require_dense, verify
 from ..util import check_epsilon
 
 
@@ -36,15 +37,11 @@ def regular_action(
         raise DomainError("regular action needs a finite group")
     elements = list(group.elements())
     index = {x: i for i, x in enumerate(elements)}
-    n = len(elements)
-    assignment = {}
-    for g in elements:
-        assignment[g] = FiniteMap([index[group.mul(x, g)] for x in elements])
+    assignment = {g: FiniteMap([index[group.mul(x, g)] for x in elements]) for g in elements}
     if f is None:
-        fset = FiniteSubset(group, elements)
-    else:
-        fset = f if isinstance(f, FiniteSubset) else FiniteSubset(group, f)
-    return QuasiAction(group, n, assignment, fset, epsilon)
+        f = elements
+    fset = f if isinstance(f, FiniteSubset) else FiniteSubset(group, f)
+    return QuasiAction(group, len(elements), assignment, fset, epsilon)
 
 
 def cyclic_quasi_action(
@@ -68,12 +65,8 @@ def cyclic_quasi_action(
     products = pair_products(fset, fset)
     bound = max(abs(k) for k in fset)
     if modulus <= 2 * bound:
-        raise PreconditionError(
-            f"modulus {modulus} too small: needs > {2 * bound} for this F"
-        )
-    support = set(symmetrize(fset))
-    support.update(products)
-    support.update(int(k) for k in extra_support)
+        raise PreconditionError(f"modulus {modulus} too small: needs > {2 * bound} for this F")
+    support = {*symmetrize(fset), *products, *map(int, extra_support)}
     assignment = {k: shift_map(modulus, k) for k in support}
     return QuasiAction(z, modulus, assignment, fset, epsilon)
 
@@ -91,6 +84,8 @@ def direct_product_qa(
     """
     if not inputs:
         raise DomainError("direct product needs at least one factor")
+    for qa, _ in inputs:
+        require_dense(qa, "the direct product")
     epsilon = check_epsilon(epsilon)
     claimed = epsilon * len(inputs)
     if claimed >= 1:
@@ -112,9 +107,7 @@ def direct_product_qa(
     n = check_carrier_size(math.prod(sizes))
 
     # Row-major carrier index: the last factor varies fastest.
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
+    strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
 
     def product_map(maps: Sequence[FiniteMap]) -> FiniteMap:
         images = np.zeros(n, dtype=np.int64)
@@ -124,17 +117,11 @@ def direct_product_qa(
             images += np.asarray(m.images, dtype=np.int64)[coord] * stride
         return FiniteMap(images)
 
-    import itertools
-
-    assignment = {}
-    for combo in itertools.product(*(qa.assignment.keys() for qa, _ in inputs)):
-        assignment[tuple(combo)] = product_map(
-            [qa.assignment[g] for (qa, _), g in zip(inputs, combo)]
-        )
-
-    f_out = FiniteSubset(
-        group, itertools.product(*(fset for _, fset in inputs))
-    )
+    assignment = {
+        combo: product_map([qa.assignment[g] for (qa, _), g in zip(inputs, combo)])
+        for combo in itertools.product(*(qa.assignment.keys() for qa, _ in inputs))
+    }
+    f_out = FiniteSubset(group, itertools.product(*(fset for _, fset in inputs)))
     return QuasiAction(group, n, assignment, f_out, claimed)
 
 
@@ -151,6 +138,7 @@ def transport_qa(
     injection must be injective on F union {1}; when it also preserves the
     products formed inside F, an (j(F), eps) input yields an (F, eps) output.
     """
+    require_dense(qa, "transport")
     fset = new_f if isinstance(new_f, FiniteSubset) else FiniteSubset(new_group, new_f)
     if fset.owner != new_group:
         raise GroupMismatchError("F belongs to a different group")
@@ -161,21 +149,12 @@ def transport_qa(
         if g in mapping:
             img_key = qa.owner.element_key(mapping[g])
             if img_key in seen and seen[img_key] != new_group.element_key(g):
-                raise PreconditionError(
-                    "mapping is not injective on F and the identity"
-                )
+                raise PreconditionError("mapping is not injective on F and the identity")
             seen[img_key] = new_group.element_key(g)
 
     needed = {*core, *pair_products(fset, fset)}
 
+    # Identity maps where the injection is undefined or its image unsupported.
     ident = identity_map(qa.carrier_n)
-    assignment = {}
-    for g in needed:
-        image = mapping.get(g)
-        if image is not None and image in qa.assignment:
-            assignment[g] = qa.assignment[image]
-        else:
-            assignment[g] = ident
-    return QuasiAction(
-        new_group, qa.carrier_n, assignment, fset, qa.claimed_epsilon
-    )
+    assignment = {g: qa.assignment.get(mapping.get(g), ident) for g in needed}
+    return QuasiAction(new_group, qa.carrier_n, assignment, fset, qa.claimed_epsilon)

@@ -33,7 +33,7 @@ from ..errors import (
 )
 from ..finmap import FiniteMap
 from ..groups import FiniteSubset, GroupHandle, IntegerGroup, pair_products
-from ..quasiaction import QuasiAction, verify
+from ..quasiaction import QuasiAction, require_dense, verify
 from ..util import check_epsilon
 
 
@@ -54,12 +54,8 @@ class ExtensionData:
         if len(self.folner) == 0:
             raise DomainError("Folner set must be nonempty")
         for q in self.folner:
-            lifted = self.section(q)
-            self.group.check_element(lifted)
-            if self.project(lifted) != q:
-                raise InvariantViolationError(
-                    f"section fails on {self.quotient.element_key(q)}"
-                )
+            self.group.check_element(self.section(q))
+            self.check_section_at(q)
         if not self.normal_contains(self.group.identity):
             raise InvariantViolationError("normal subgroup must contain the identity")
 
@@ -111,11 +107,8 @@ def integer_folner_interval(projected_f: Iterable[int], epsilon: Fraction) -> Fi
     """
     epsilon = check_epsilon(epsilon)
     bound = max((abs(int(k)) for k in projected_f), default=0)
-    if bound == 0:
-        m = 1
-    else:
-        m = -(-bound * epsilon.denominator // epsilon.numerator)  # ceil division
-    return FiniteSubset(IntegerGroup(), range(int(m)))
+    m = -(-bound * epsilon.denominator // epsilon.numerator) or 1  # ceil division
+    return FiniteSubset(IntegerGroup(), range(m))
 
 
 def amenable_extension_qa(
@@ -131,6 +124,7 @@ def amenable_extension_qa(
     support must cover every conjugated element the formula meets on
     F, F*F and the identity; a missing one raises naming the element.
     """
+    require_dense(psi, "the amenable extension")
     epsilon = check_epsilon(epsilon)
     g = ext.group
     fset = f if isinstance(f, FiniteSubset) else FiniteSubset(g, f)
@@ -139,22 +133,16 @@ def amenable_extension_qa(
 
     expansion = folner_expansion(ext, fset)
     if expansion > epsilon:
-        raise PreconditionError(
-            f"Folner expansion {expansion} exceeds epsilon {epsilon}"
-        )
+        raise PreconditionError(f"Folner expansion {expansion} exceeds epsilon {epsilon}")
 
     h_subset = conjugated_normal_subset(ext, fset)
     try:
         h_for_inner = FiniteSubset(psi.owner, iter(h_subset))
     except Exception as exc:
-        raise PreconditionError(
-            f"inner action's group does not contain all of H: {exc}"
-        ) from exc
+        raise PreconditionError(f"inner action's group does not contain all of H: {exc}") from exc
     inner = verify(psi, h_for_inner, epsilon)
     if not inner.passed:
-        raise PreconditionError(
-            f"inner action does not verify on H at epsilon {epsilon}"
-        )
+        raise PreconditionError(f"inner action does not verify on H at epsilon {epsilon}")
 
     claimed = 3 * epsilon
     if claimed >= 1:

@@ -7,6 +7,11 @@ The right factor acts through the beta-classes: (a, b, v) moves to
 beta-class and moves its in-class coordinate.  A word g1 h1 ... gk hk acts by
 the alternating product of these maps, evaluated on its normal form.
 
+Every such map sends (c, v) to (m(c), v * w_c) for a cell c = (a, b), so it
+commutes with left multiplication on V and is stored as a fibered FiniteMap: one
+cell image and one label w_c per cell, label 1 for the left factor and
+gen(a,b)^-1 * gen(a,b') for the right.  Nothing is built on A x B x V.
+
 Both factor actions must already be good: identity exact, nonidentity maps
 fixpoint-free bijections with exact inverses, distinct elements pairwise far
 apart.  Then cancellations inside products collapse exactly, which makes the
@@ -19,12 +24,13 @@ and is where the incidence girth > 2N enters.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from typing import Iterable
 
 import numpy as np
 
 from ..errors import DomainError, PreconditionError
-from ..finmap import FiniteMap, compose_chain, identity_map
+from ..finmap import FiniteMap, compose
 from ..groups import (
     FiniteSubset,
     FreeProductGroup,
@@ -32,7 +38,7 @@ from ..groups import (
     GroupHandle,
     pair_products,
 )
-from ..quasiaction import QuasiAction, verify
+from ..quasiaction import QuasiAction, require_dense, verify
 from ..util import check_epsilon
 from .carrier import PartitionedCarrier, build_partitioned_carrier
 from .girth import girth_group_search
@@ -47,11 +53,9 @@ def enumerate_normal_words(
 ) -> list[FreeProductWord]:
     """All normal forms g1 h1 ... gk hk, k <= max_pairs, with syllables drawn
     from the given sets (interior syllables never the identity)."""
-    lf = list(f_left if not isinstance(f_left, FiniteSubset) else f_left)
-    rf = list(f_right if not isinstance(f_right, FiniteSubset) else f_right)
     lid, rid = group.left.identity, group.right.identity
-    left_all = sorted({*lf, lid}, key=group.left.element_key)
-    right_all = sorted({*rf, rid}, key=group.right.element_key)
+    left_all = sorted({*f_left, lid}, key=group.left.element_key)
+    right_all = sorted({*f_right, rid}, key=group.right.element_key)
     left_inner = [g for g in left_all if g != lid]
     right_inner = [h for h in right_all if h != rid]
 
@@ -81,71 +85,9 @@ def multiplicativity_case(u: FreeProductWord, v: FreeProductWord, group: FreePro
     3: exactly one boundary syllable is the identity; cancellation may occur
        and one collapsed factor carries the approximation.
     """
-    hk = u.pairs[-1][1]
-    g1 = v.pairs[0][0]
-    h_trivial = hk == group.right.identity
-    g_trivial = g1 == group.left.identity
-    if not h_trivial and not g_trivial:
-        return 1
-    if h_trivial and g_trivial:
-        return 2
-    return 3
-
-
-class _CarrierMaps:
-    """Vectorized factor maps on the carrier, cached per syllable element."""
-
-    def __init__(self, pc: PartitionedCarrier, phi_g: QuasiAction, psi_h: QuasiAction):
-        self.pc = pc
-        self.phi_g = phi_g
-        self.psi_h = psi_h
-        self._left: dict = {}
-        self._right: dict = {}
-        o = pc.v.order
-        size = pc.size
-        idx = np.arange(size, dtype=np.int64)
-        self._v_idx = idx % o
-        rest = idx // o
-        self._a_idx = rest // pc.b_size
-        self._b_idx = rest % pc.b_size
-
-    def left_map(self, g) -> FiniteMap:
-        cached = self._left.get(g)
-        if cached is None:
-            pc = self.pc
-            o = pc.v.order
-            a_images = np.asarray(self.phi_g.map_for(g).images, dtype=np.int64)
-            images = (a_images[self._a_idx] * pc.b_size + self._b_idx) * o + self._v_idx
-            cached = self._left[g] = FiniteMap(images)
-        return cached
-
-    def right_map(self, h) -> FiniteMap:
-        cached = self._right.get(h)
-        if cached is None:
-            pc = self.pc
-            o = pc.v.order
-            b_images = self.psi_h.map_for(h).images
-            images = np.empty(pc.size, dtype=np.int64)
-            varange = np.arange(o, dtype=np.int64)
-            for a in range(pc.a_size):
-                for b in range(pc.b_size):
-                    b2 = int(b_images[b])
-                    seg = slice((a * pc.b_size + b) * o, (a * pc.b_size + b + 1) * o)
-                    if b2 == b:
-                        images[seg] = (a * pc.b_size + b) * o + varange
-                    else:
-                        w = pc.right_mult_inv[pc.gen_label[a][b], varange]
-                        v2 = pc.right_mult[pc.gen_label[a][b2], w]
-                        images[seg] = (a * pc.b_size + b2) * o + v2
-            cached = self._right[h] = FiniteMap(images)
-        return cached
-
-    def word_map(self, word: FreeProductWord) -> FiniteMap:
-        factors = []
-        for g, h in word.pairs:
-            factors.append(self.left_map(g))
-            factors.append(self.right_map(h))
-        return compose_chain(factors)
+    h_trivial = u.pairs[-1][1] == group.right.identity
+    g_trivial = v.pairs[0][0] == group.left.identity
+    return 3 if h_trivial != g_trivial else 2 if h_trivial else 1
 
 
 def free_product_qa(
@@ -157,7 +99,8 @@ def free_product_qa(
     pc: PartitionedCarrier,
     epsilon: Fraction,
 ) -> QuasiAction:
-    """Quasi-action of phi_g.owner * psi_h.owner on the partitioned carrier.
+    """Quasi-action of phi_g.owner * psi_h.owner on the partitioned carrier,
+    by fibered maps over its |A||B| cells.
 
     F is the set of normal forms with at most n syllable pairs drawn from
     f_left and f_right; the assignment also covers all pairwise products of
@@ -167,6 +110,8 @@ def free_product_qa(
     incidence girth > 2n.
     """
     epsilon = check_epsilon(epsilon)
+    require_dense(phi_g, "the free product")
+    require_dense(psi_h, "the free product")
     group = FreeProductGroup(phi_g.owner, psi_h.owner)
     lf = f_left if isinstance(f_left, FiniteSubset) else FiniteSubset(phi_g.owner, f_left)
     rf = f_right if isinstance(f_right, FiniteSubset) else FiniteSubset(psi_h.owner, f_right)
@@ -193,10 +138,26 @@ def free_product_qa(
 
     support = {group.identity, *f_words, *pair_products(fset, fset)}
 
-    maps = _CarrierMaps(pc, phi_g, psi_h)
-    assignment = {}
-    for word in sorted(support, key=group.element_key):
-        assignment[word] = maps.word_map(word)
+    a_size, b_size, fiber = pc.a_size, pc.b_size, pc.fiber
+    gen = np.array(fiber.generators, dtype=np.int64)[np.array(pc.gen_label)]  # (a, b, x)
+    gen_inv = np.argsort(gen, axis=2)
+    one = np.broadcast_to(np.arange(fiber.degree), (a_size * b_size, fiber.degree))
+    a_idx, b_idx = np.divmod(np.arange(a_size * b_size), b_size)
+
+    @cache
+    def left_map(g) -> FiniteMap:  # (a, b) -> (phi(g)(a), b), label 1
+        return FiniteMap(phi_g.map_for(g).images[a_idx] * b_size + b_idx, one, fiber)
+
+    @cache
+    def right_map(h) -> FiniteMap:  # (a, b) -> (a, b'), label gen(a,b)^-1 gen(a,b')
+        b2 = psi_h.map_for(h).images
+        labels = np.take_along_axis(gen[:, b2], gen_inv, axis=2)
+        return FiniteMap(a_idx * b_size + b2[b_idx], labels.reshape(one.shape), fiber)
+
+    assignment = {
+        word: reduce(compose, [m for g, h in word.pairs for m in (left_map(g), right_map(h))])
+        for word in sorted(support, key=group.element_key)
+    }
 
     return QuasiAction(group, pc.size, assignment, fset, epsilon)
 

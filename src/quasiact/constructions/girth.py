@@ -20,11 +20,12 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from ..errors import DomainError, InvariantViolationError, SearchFailureError
 from ..finmap import FiniteMap
-from ..groups import _decode_int
+from ..groups import _decode_int, _decode_list
 from ..util import document_json
 
 _ATTEMPTS_PER_DEGREE = 80
@@ -62,14 +63,10 @@ def load_girth_witness(text: str) -> GirthGroup:
     bound = _decode_int(doc["girth_bound"])
     if bound < 1:
         raise DomainError(f"girth_bound must be positive, got {bound}")
-    images = doc["generators"]
-    if not isinstance(images, list) or not all(isinstance(g, list) for g in images):
-        raise DomainError("witness generators must be a list of image lists")
-    gens = [FiniteMap([_decode_int(x) for x in g]) for g in images]
+    gens = [FiniteMap([_decode_int(x) for x in _decode_list(g)])
+            for g in _decode_list(doc["generators"])]
     order, degree = _decode_int(doc["order"]), _decode_int(doc["degree"])
-    group = _certify_generators(
-        gens, bound, order_cap=order, seed=_decode_int(doc["seed"])
-    )
+    group = _certify_generators(gens, bound, order_cap=order, seed=_decode_int(doc["seed"]))
     if group is None:
         raise DomainError("witness file does not satisfy its own certificate")
     if group.order != order or group.degree != degree:
@@ -155,15 +152,18 @@ def _certify_word_girth(gens: Sequence[tuple[int, ...]], bound: int) -> None:
     certify_girth(neighbours, [tuple(range(degree))], bound)
 
 
-def schreier_sims_order(gens: Sequence[tuple[int, ...]]) -> int:
-    """|<gens>| by deterministic Schreier-Sims (Seress 2003, ch. 4; Holt et al.
-    2005, 4.4).  Level i has base point b_i, strong generators S_i fixing
-    b_0..b_{i-1} and the orbit of b_i under <S_i>, with u_p(b_i) = p.  With
-    the levels above i complete, each Schreier generator u_{s(p)}^-1 s u_p
-    sifts through them; a nontrivial residue joins S_{i+1}..S_j and checking
-    resumes at level j.  |<gens>| is then the product of the orbit lengths."""
+def schreier_sims(gens: Sequence[tuple[int, ...]]) -> tuple[int, Callable[[tuple], bool]]:
+    """|<gens>| and a membership test, by deterministic Schreier-Sims
+    (Seress 2003, ch. 4; Holt et al. 2005, 4.4).  Level i has base point
+    b_i, strong generators S_i fixing b_0..b_{i-1} and the orbit of b_i
+    under <S_i>, with u_p(b_i) = p.  With the levels above i complete, each
+    Schreier generator u_{s(p)}^-1 s u_p sifts through them; a nontrivial
+    residue joins S_{i+1}..S_j and checking resumes at level j.  |<gens>|
+    is the product of the orbit lengths, and a permutation of the degree
+    lies in <gens> iff it sifts to the identity through every level."""
     identity = tuple(range(len(gens[0])))
     base, strong, reps = [], [], []  # per level: b_i, S_i and {p: u_p}
+    inverse = cache(_inverse)  # the same transversal elements are inverted again and again
 
     def extend(g, lo, hi):  # g joins S_lo..S_hi, opening level hi if new
         if hi == len(base):
@@ -180,14 +180,17 @@ def schreier_sims_order(gens: Sequence[tuple[int, ...]]) -> int:
                         orbit[s[p]] = tuple(s[x] for x in orbit[p])
                         queue.append(s[p])
 
+    def sift(g, j):  # g stripped through levels j..: (residue, level reached)
+        while j < len(base) and g[base[j]] in reps[j]:
+            inv = inverse(reps[j][g[base[j]]])
+            g, j = tuple(inv[x] for x in g), j + 1
+        return g, j
+
     def next_level(i):  # i - 1 if level i is complete, else the deepest level changed
         for p, u in reps[i].items():
             for s in strong[i]:
-                inv = _inverse(reps[i][s[p]])
-                g, j = tuple(inv[s[x]] for x in u), i + 1
-                while j < len(base) and g[base[j]] in reps[j]:
-                    inv = _inverse(reps[j][g[base[j]]])
-                    g, j = tuple(inv[x] for x in g), j + 1
+                inv = inverse(reps[i][s[p]])
+                g, j = sift(tuple(inv[s[x]] for x in u), i + 1)
                 if g != identity:
                     extend(g, i + 1, j)
                     return j
@@ -199,7 +202,8 @@ def schreier_sims_order(gens: Sequence[tuple[int, ...]]) -> int:
     i = len(base) - 1
     while i >= 0:
         i = next_level(i)
-    return math.prod(len(orbit) for orbit in reps)
+    order = math.prod(len(orbit) for orbit in reps)
+    return order, lambda g: len(g) == len(identity) and sift(tuple(g), 0)[0] == identity
 
 
 def _certify_generators(
@@ -215,7 +219,7 @@ def _certify_generators(
         _certify_word_girth(perm_tuples, bound)
     except InvariantViolationError:
         return None
-    order = schreier_sims_order(perm_tuples)
+    order = schreier_sims(perm_tuples)[0]
     if order > order_cap:
         return None
     return GirthGroup(
@@ -230,12 +234,7 @@ def _certify_generators(
 
 def _reduced_word_count(labels: int, bound: int) -> int:
     letters = 2 * labels
-    total = 0
-    count = letters
-    for _ in range(bound):
-        total += count
-        count *= letters - 1
-    return total
+    return sum(letters * (letters - 1) ** i for i in range(bound))
 
 
 def _default_degrees(labels: int, bound: int) -> list[int]:

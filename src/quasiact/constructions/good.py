@@ -33,7 +33,7 @@ from ..finmap import (
     FiniteMap, compose, fixpoint_count, fixpoint_set, identity_map, inverse_map
 )
 from ..groups import FiniteSubset, symmetrized_square
-from ..quasiaction import QuasiAction, verify
+from ..quasiaction import QuasiAction, require_dense, verify
 from ..util import check_epsilon
 
 
@@ -65,6 +65,7 @@ def good_action_upgrade(
     check=False runs the construction on any input, for studying the
     mechanics on inputs that violate the bound.
     """
+    require_dense(phi, "the good-action upgrade")
     fset = f if isinstance(f, FiniteSubset) else FiniteSubset(phi.owner, f)
     epsilon = check_epsilon(epsilon)
     group = phi.owner

@@ -29,6 +29,14 @@ def _decode_int(obj) -> int:
     return obj
 
 
+def _decode_list(obj, length: int | None = None) -> list:
+    """A decoded JSON array, of the given length when one is given."""
+    if not isinstance(obj, list) or length not in (None, len(obj)):
+        shape = "an array" if length is None else f"an array of {length} entries"
+        raise DomainError(f"expected {shape}, got {obj!r:.40}")
+    return obj
+
+
 class GroupHandle:
     """Abstract group interface; elements are plain hashable Python values."""
 
@@ -246,8 +254,7 @@ class ProductGroup(GroupHandle):
         return [f.encode(v) for f, v in zip(self.factors, x)]
 
     def decode(self, obj) -> tuple:
-        if len(obj) != len(self.factors):
-            raise DomainError("wrong component count for product element")
+        obj = _decode_list(obj, len(self.factors))
         return tuple(f.decode(v) for f, v in zip(self.factors, obj))
 
     def describe(self) -> dict:
@@ -279,9 +286,7 @@ class SubgroupHandle(GroupHandle):
             raise DomainError("give exactly one of members or contains_fn")
         self.parent = parent
         if members is not None:
-            elems = sorted(
-                {m for m in members}, key=parent.element_key
-            )
+            elems = sorted(set(members), key=parent.element_key)
             for m in elems:
                 parent.check_element(m)
             self._members: tuple | None = tuple(elems)
@@ -348,9 +353,6 @@ class FreeProductWord:
 class FreeProductGroup(GroupHandle):
     """Free product of two handles; elements are normal-form words."""
 
-    LEFT = 0
-    RIGHT = 1
-
     def __init__(self, left: GroupHandle, right: GroupHandle):
         self.left = left
         self.right = right
@@ -361,21 +363,16 @@ class FreeProductGroup(GroupHandle):
 
     def word(self, pairs: Iterable[tuple[Any, Any]]) -> FreeProductWord:
         """Reduce an explicit pair sequence to its normal form."""
-        tagged = []
-        for g, h in pairs:
-            tagged.append((self.LEFT, g))
-            tagged.append((self.RIGHT, h))
-        return reduce_word(self, tagged)
+        return reduce_word(self, [s for g, h in pairs for s in ((0, g), (1, h))])
 
     def _mul(self, a: FreeProductWord, b: FreeProductWord) -> FreeProductWord:
         return self.word(a.pairs + b.pairs)
 
     def _inv(self, a: FreeProductWord) -> FreeProductWord:
-        tagged = []
-        for g, h in reversed(a.pairs):
-            tagged.append((self.RIGHT, self.right._inv(h)))
-            tagged.append((self.LEFT, self.left._inv(g)))
-        return reduce_word(self, tagged)
+        left, right = self.left._inv, self.right._inv
+        return reduce_word(
+            self, [s for g, h in reversed(a.pairs) for s in ((1, right(h)), (0, left(g)))]
+        )
 
     def contains(self, x) -> bool:
         if not isinstance(x, FreeProductWord) or x.k == 0:
@@ -389,7 +386,10 @@ class FreeProductGroup(GroupHandle):
         return [[self.left.encode(g), self.right.encode(h)] for g, h in x.pairs]
 
     def decode(self, obj) -> FreeProductWord:
-        pairs = [(self.left.decode(g), self.right.decode(h)) for g, h in obj]
+        pairs = [
+            (self.left.decode(g), self.right.decode(h))
+            for g, h in (_decode_list(p, 2) for p in _decode_list(obj))
+        ]
         word = self.word(pairs)
         if [list(p) for p in obj] != [
             [self.left.encode(g), self.right.encode(h)] for g, h in word.pairs
@@ -522,8 +522,11 @@ class IntegerFinitaryGroup(GroupHandle):
         return [x[0], [[a, b] for a, b in x[1]]]
 
     def decode(self, obj) -> tuple:
-        k, moved = obj
-        pairs = tuple((_decode_int(a), _decode_int(b)) for a, b in moved)
+        k, moved = _decode_list(obj, 2)
+        pairs = tuple(
+            (_decode_int(a), _decode_int(b))
+            for a, b in (_decode_list(p, 2) for p in _decode_list(moved))
+        )
         return self.check_element((_decode_int(k), pairs))
 
     def describe(self) -> dict:

@@ -17,6 +17,8 @@ exact inverse map, and the maps of distinct elements of F union {1} are
 pairwise (1-eps)-different.
 
 Counts are integers and verdicts exact integer comparisons (d*q <= p*n).
+Maps are dense or fibered (finmap), and every count goes through one code
+path: per cell, |V| points at a time, a dense map being one point per cell.
 """
 
 from __future__ import annotations
@@ -36,31 +38,38 @@ from .errors import (
     GroupMismatchError,
     IncompleteSupportError,
     InvariantViolationError,
+    PreconditionError,
 )
 from .finmap import (
     Defect,
+    Fiber,
     FiniteMap,
+    after,
+    differs,
     fixpoint_count,
-    identity_map,
+    identity_like,
     inverse_map,
     similarity_defect,
 )
-from .groups import FiniteSubset, GroupHandle, _decode_int, group_from_json
+from .groups import FiniteSubset, GroupHandle, _decode_int, _decode_list, group_from_json
 from .util import (
     canonical_json, check_epsilon, document_json, format_fraction, parse_fraction
 )
 
 
-# verify stacks maps in chunks of max(1, POINTS // n) rows: about 1 MiB of
-# int32 images per chunk, and one map at a time on large carriers.
+# verify stacks maps in chunks of max(1, POINTS // width) rows, width being
+# the int32 entries of one map (n for a dense map): about 1 MiB per chunk,
+# and one map at a time on large dense carriers.
 POINTS = 1 << 18
 
 
 class QuasiAction:
     """A carrier size plus a finite table of group element -> map.
 
-    The assignment's keys are validated here, once (F's were, by FiniteSubset),
-    and the support check builds the claimed F's F x F product table, once."""
+    The maps are all dense or all fibered over one Fiber (``fiber``, else
+    None).  The assignment's keys are validated here, once (F's were, by
+    FiniteSubset), and the support check builds the claimed F's F x F
+    product table, once."""
 
     def __init__(
         self,
@@ -77,6 +86,7 @@ class QuasiAction:
         self.claimed_f = claimed_f
         self.claimed_epsilon = check_epsilon(claimed_epsilon)
         table = {}
+        self.fiber = None
         for elem, fmap in assignment.items():
             owner.check_element(elem)
             if not isinstance(fmap, FiniteMap):
@@ -86,6 +96,9 @@ class QuasiAction:
                     f"map for {owner.element_key(elem)} has carrier {fmap.n}, "
                     f"expected {self.carrier_n}"
                 )
+            if table and fmap.fiber != self.fiber:
+                raise DomainError("the maps of a quasi-action must share one fiber")
+            self.fiber = fmap.fiber
             table[elem] = fmap
         self.assignment = table
         self._claimed_products = self._products(claimed_f)
@@ -119,6 +132,14 @@ class QuasiAction:
         table[elem] = fmap
         return QuasiAction(
             self.owner, self.carrier_n, table, self.claimed_f, self.claimed_epsilon
+        )
+
+
+def require_dense(qa: QuasiAction, construction: str) -> None:
+    """Refuse a fibered action to a construction that reads carrier images."""
+    if qa.fiber is not None:
+        raise PreconditionError(
+            f"{construction} reads dense carrier images; this action's maps are fibered"
         )
 
 
@@ -212,13 +233,13 @@ class VerificationReport:
 
 
 def _stack(maps: list[FiniteMap]) -> np.ndarray:
-    """The maps' images as the rows of one array (a view for a single map)."""
-    return maps[0].images[None] if len(maps) == 1 else np.stack([m.images for m in maps])
+    """The maps' packed images as the rows of one array (a view for a single map)."""
+    return maps[0].packed[None] if len(maps) == 1 else np.stack([m.packed for m in maps])
 
 
-def _chunks(maps: list[FiniteMap], n: int) -> list[tuple[int, np.ndarray]]:
-    """(first row, stacked images) for runs of max(1, POINTS // n) maps."""
-    rows = max(1, POINTS // n)
+def _chunks(maps: list[FiniteMap], width: int) -> list[tuple[int, np.ndarray]]:
+    """(first row, stacked packed images) for runs of max(1, POINTS // width) maps."""
+    rows = max(1, POINTS // width)
     return [(i, _stack(maps[i : i + rows])) for i in range(0, len(maps), rows)]
 
 
@@ -233,7 +254,9 @@ def verify(
     Elements are not validated again, so products and inverses use the
     owner's unchecked ops; the claimed F reuses qa's product table, another
     F gets one per call.  Counts are integer numpy gathers over chunks of
-    max(1, POINTS // n) stacked maps; verdicts cross-multiply them exactly."""
+    max(1, POINTS // width) stacked maps, one per cell: a cell's |V| points
+    disagree iff its cell images or labels do (one point per cell for dense
+    maps).  Verdicts cross-multiply the counts exactly."""
     g = qa.owner
     if f is None:
         fset = qa.claimed_f
@@ -249,11 +272,21 @@ def verify(
     one = g.identity
     n = qa.carrier_n
     maps = qa.assignment
-    ident = identity_map(n)
+    ident = identity_like(maps[one])
+    cells, degree = ident.labels.shape
+    width, per_cell = ident.packed.size, ident.fiber_size
+
+    def split(stack):  # packed rows -> (images, labels)
+        return stack[:, :cells], stack[:, cells:].reshape(len(stack), cells, degree)
+
+    def counts_of(x, y) -> list[int]:  # disagreeing points per row of x against y
+        # Python ints: |V| times a cell count can pass 2**63.
+        return [per_cell * c for c in np.count_nonzero(differs(x, y), axis=-1).tolist()]
+
     keys = {e: g.element_key(e) for e in maps}
     f_elems = list(fset)
     f_keys = [keys[e] for e in f_elems]
-    right = _chunks([maps[e] for e in f_elems], n)
+    right = _chunks([maps[e] for e in f_elems], width)
 
     k = len(f_elems)
     pair_defects = []
@@ -262,14 +295,14 @@ def verify(
         counts = []
         for start, stack in right:
             products = _stack([maps[p] for p in row[start : start + len(stack)]])
-            gathered = np.take(stack, maps[e].images, axis=1)
-            counts += np.count_nonzero(gathered != products, axis=1).tolist()
+            counts += counts_of(after(maps[e], *split(stack)), split(products))
         pair_defects += [
             PairDefect(keys[e], fk, keys[p], Defect(c, n))
             for fk, p, c in zip(f_keys, row, counts)
         ]
 
-    agree = [c for _, s in right for c in np.count_nonzero(s == ident.images, axis=1).tolist()]
+    unit = (ident.images, ident.labels)
+    agree = [n - c for _, s in right for c in counts_of(split(s), unit)]
     agreements = [(keys[e], c) for e, c in zip(f_elems, agree) if e != one]
 
     strict_checks = None
@@ -291,13 +324,13 @@ def verify(
                 inverse_exact = bij and maps[inv_elem] == inverse_map(m)
             flags.append(ElementFlags(keys[e], bij, fixpoint_count(m) == 0, inverse_exact))
         ordered = sorted({*f_elems, one}, key=keys.__getitem__)
-        chunks = _chunks([maps[e] for e in ordered], n)
+        chunks = _chunks([maps[e] for e in ordered], width)
         pairwise = []
         for i, a in enumerate(ordered):
             counts = []
             for start, stack in chunks:  # the rows after row i
                 rest = stack[max(0, i + 1 - start) :]
-                counts += np.count_nonzero(rest != maps[a].images, axis=1).tolist()
+                counts += counts_of(split(rest), (maps[a].images, maps[a].labels))
             pairwise += [
                 (keys[a], keys[b], Defect(c, n)) for b, c in zip(ordered[i + 1 :], counts)
             ]
@@ -366,49 +399,82 @@ def report_to_json(report: VerificationReport) -> dict:
     return doc
 
 
-CERTIFICATE_FORMAT = 2
+CERTIFICATE_FORMAT = 2  # dense maps
+FIBERED_FORMAT = 3  # format 2 plus a "fiber" section, with fibered map entries
 
 # hashlib is imported inside the codec functions: it loads OpenSSL, which
 # adds about 4 MiB of RSS to every command, including those that never
 # read or write a certificate.
 
 
+def _entry_keys(fiber: Fiber | None) -> tuple[str, ...]:
+    return ("int32le",) if fiber is None else ("cells", "labels")
+
+
 def _map_to_json(fmap: FiniteMap) -> dict:
     import hashlib
 
-    raw = fmap.images.astype("<i4", copy=False).tobytes()
-    return {
-        "int32le": base64.b64encode(raw).decode("ascii"),
-        "sha256": hashlib.sha256(raw).hexdigest(),
-    }
+    raws = [a.astype("<i4", copy=False).tobytes() for a in (fmap.images, fmap.labels)]
+    entry = {k: base64.b64encode(r).decode("ascii") for k, r in zip(_entry_keys(fmap.fiber), raws)}
+    entry["sha256"] = hashlib.sha256(b"".join(raws)).hexdigest()
+    return entry
 
 
-def _map_from_json(entry, carrier_n: int) -> FiniteMap:
-    """Decode one v2 map entry, checking its length and hash before its range."""
+def _map_from_json(entry, carrier_n: int, fiber: Fiber | None) -> FiniteMap:
+    """Decode one format 2 or 3 map entry, checking the length of each
+    payload (carrier_n / |V| cells when fibered) and its hash before ranges."""
     import hashlib
 
-    if not isinstance(entry, dict) or set(entry) != {"int32le", "sha256"}:
-        raise InvariantViolationError("a map entry needs exactly int32le and sha256")
-    try:
-        raw = base64.b64decode(entry["int32le"], validate=True)
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise InvariantViolationError(f"map payload is not valid base64: {exc}") from None
-    if len(raw) != 4 * carrier_n:
-        raise InvariantViolationError(
-            f"map payload has {len(raw)} bytes, expected {4 * carrier_n} "
-            f"for carrier {carrier_n}"
-        )
-    if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
+    keys = _entry_keys(fiber)
+    if not isinstance(entry, dict) or set(entry) != {*keys, "sha256"}:
+        raise InvariantViolationError(f"a map entry needs exactly {', '.join(keys)} and sha256")
+    cells = carrier_n if fiber is None else carrier_n // fiber.order
+    raws = []
+    for key, count in zip(keys, (cells, cells * (fiber.degree if fiber else 0))):
+        try:
+            raws.append(base64.b64decode(entry[key], validate=True))
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise InvariantViolationError(f"map payload is not valid base64: {exc}") from None
+        if len(raws[-1]) != 4 * count:
+            raise InvariantViolationError(
+                f"map payload {key!r} has {len(raws[-1])} bytes, expected {4 * count}"
+            )
+    if hashlib.sha256(b"".join(raws)).hexdigest() != entry["sha256"]:
         raise InvariantViolationError("map payload does not match its sha256")
-    return FiniteMap(np.frombuffer(raw, "<i4"))
+    images, *labels = (np.frombuffer(raw, "<i4") for raw in raws)
+    return FiniteMap(images, labels[0].reshape(cells, -1) if labels else None, fiber)
+
+
+def _fiber_from_json(doc: dict, carrier_n: int):
+    """The certificate's V and its stabilizer chain.  The generators must be
+    permutations of the stated degree, Schreier-Sims must give the stated
+    order, and carrier_n must be a whole number of cells times that order."""
+    from .constructions.girth import schreier_sims
+
+    degree = _decode_int(doc.get("degree"))
+    gens = tuple(tuple(map(_decode_int, _decode_list(p, degree)))
+                 for p in _read(doc, "generators", list))
+    fiber = Fiber(gens, _decode_int(doc.get("order")))
+    order, member = schreier_sims(gens)
+    if order != fiber.order:
+        raise InvariantViolationError(
+            f"the fiber states order {fiber.order}; its generators give {order}"
+        )
+    if carrier_n % fiber.order:
+        raise InvariantViolationError(
+            f"carrier_n {carrier_n} is not a multiple of |V| = {fiber.order}")
+    return fiber, member
 
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic JSON document binding the assignment to its measurements.
 
-    Each map is stored as base64 of its images as little-endian int32, with
-    the sha256 of those bytes.  The encoder builds each map's entry when it
-    reaches it, so the base64 texts are never all held beside the output.
+    A dense map is stored as base64 of its images as little-endian int32,
+    with the sha256 of those bytes (format 2).  A fibered action (format 3)
+    also states V's degree, generators and order, and stores each map's cell
+    images and labels that way, with one sha256 over both.  The encoder
+    builds each map's entry when it reaches it, so the base64 texts are
+    never all held beside the output.
     """
     g = qa.owner
     doc = {
@@ -420,12 +486,16 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
         "assignment": {g.element_key(elem): fmap for elem, fmap in qa.assignment.items()},
         "report": report_to_json(report),
     }
+    if qa.fiber is not None:
+        v = qa.fiber
+        doc.update(format=FIBERED_FORMAT,
+                   fiber={"degree": v.degree, "generators": v.generators, "order": v.order})
     return document_json(doc, default=_map_to_json)
 
 
 def _read(doc: dict, key: str, kind: type):
     """doc[key], refused with DomainError unless it is a JSON object or array (dict, list)."""
-    value = doc[key]
+    value = doc.get(key)
     if not isinstance(value, kind):
         name = "object" if kind is dict else "array"
         raise DomainError(f"the certificate's {key!r} must be a JSON {name}")
@@ -439,8 +509,12 @@ def _element_from_key(g: GroupHandle, key):
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
-    """Read a certificate of format 2, or of format 1, which has no "format"
-    key and stores each map as a plain list of integers.
+    """Read a certificate of format 2 or 3, or of format 1, which has no
+    "format" key and stores each map as a plain list of integers.
+
+    A format 3 certificate's |V| is recomputed from its generators, and
+    every label is sifted into V: a label outside V would move points off
+    the carrier, so it is refused.
 
     The stored report is not parsed.  verify measures the stored maps again
     at the report's own F, epsilon and strictness, and the certificate is
@@ -453,15 +527,25 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
         raise DomainError("a certificate must be a JSON object")
     g = group_from_json(doc["group"])
     carrier_n = _decode_int(doc["carrier_n"])
-    v2 = "format" in doc
-    if v2 and doc["format"] != CERTIFICATE_FORMAT:
-        raise DomainError(f"unsupported certificate format {doc['format']!r}")
+    fmt = _decode_int(doc["format"]) if "format" in doc else None
+    if fmt not in (None, CERTIFICATE_FORMAT, FIBERED_FORMAT):
+        raise DomainError(f"unsupported certificate format {fmt!r}")
+    fiber = member = None
+    if fmt == FIBERED_FORMAT:
+        fiber, member = _fiber_from_json(_read(doc, "fiber", dict), carrier_n)
     assignment = {
         _element_from_key(g, key): (
-            _map_from_json(entry, carrier_n) if v2 else FiniteMap(entry)
+            FiniteMap(entry) if fmt is None else _map_from_json(entry, carrier_n, fiber)
         )
         for key, entry in _read(doc, "assignment", dict).items()
     }
+    if member is not None:
+        labels = {tuple(w) for m in assignment.values() for w in m.labels.tolist()}
+        for w in sorted(labels):
+            if not member(w):
+                raise InvariantViolationError(
+                    f"label {list(w)} is not in V, so its map leaves the carrier"
+                )
     claimed_f = FiniteSubset(g, (_element_from_key(g, key) for key in _read(doc, "F", list)))
     qa = QuasiAction(
         g,

@@ -29,6 +29,7 @@ from quasiact import (
     verify,
 )
 from quasiact.cli import main
+from quasiact.finmap import identity_like
 from quasiact.constructions import (
     ExtensionData,
     amenable_extension_qa,
@@ -42,6 +43,8 @@ from quasiact.constructions import (
     multiplicativity_case,
     regular_action,
 )
+
+from dense_carrier import dense_carrier
 
 
 def doubled_input_map(phi, e) -> FiniteMap:
@@ -176,8 +179,9 @@ def test_criterion_4_girth_certification():
 def test_criterion_5_partitioned_carrier_structure():
     with criterion(5, "partitioned carrier structure", 10.0):
         v = girth_group_search(4, 4, order_cap=5000, seed=0)
-        pc = build_partitioned_carrier(2, 2, 2, v)
-        assert pc.size == 4 * v.order <= 2 * 10**5
+        built = build_partitioned_carrier(2, 2, 2, v)
+        pc = dense_carrier(built)
+        assert pc.size == built.size == 4 * v.order <= 2 * 10**5
 
         # class sizes, exhaustively
         alpha_seen = {}
@@ -197,7 +201,7 @@ def test_criterion_5_partitioned_carrier_structure():
         # depth 2 (girth > 4); re-run it as the explicit acceptance check
         from quasiact.constructions.carrier import _bfs_girth_certificate
 
-        _bfs_girth_certificate(pc)
+        _bfs_girth_certificate(built)
 
 
 def test_criterion_6_free_product_desk_scale():
@@ -207,7 +211,8 @@ def test_criterion_6_free_product_desk_scale():
             cyclic_group(2), cyclic_group(3), [0, 1], [0, 1, 2], 2, eps, seed=0
         )
         fp = qa.owner
-        assert qa.assignment[fp.identity] == identity_map(pc.size)
+        one = qa.assignment[fp.identity]
+        assert one.n == pc.size and one == identity_like(one)
         for w in qa.claimed_f:
             if w != fp.identity:
                 assert fixpoint_count(qa.assignment[w]) == 0

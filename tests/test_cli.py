@@ -126,6 +126,35 @@ class TestVerifyCommand:
         assert main(["verify", "--qa", str(path), "--epsilon", "1/100"]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,key", [
+        ("product", "5"),
+        ("free_product", "5"),
+        ("free_product", "[[0]]"),
+        ("finitary", "5"),
+        ("finitary", "[1,5]"),
+    ])
+    def test_element_key_of_the_wrong_shape_exits_two(self, tmp_path, capsys, kind, key):
+        from quasiact import ProductGroup
+        from quasiact.constructions import build_free_product_action, finitary_extension_qa
+
+        if kind == "product":
+            qa = regular_action(ProductGroup([cyclic_group(2)] * 2), epsilon=Fraction(1, 10))
+        elif kind == "free_product":
+            qa, _ = build_free_product_action(
+                cyclic_group(2), cyclic_group(2), [0, 1], [0, 1], 1, Fraction(1, 10)
+            )
+        else:
+            qa = finitary_extension_qa(1, 21, Fraction(20, 21))
+        doc = json.loads(emit_certificate(qa, verify(qa)))
+        doc["F"][0] = key
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match="expected an array"):
+            load_certificate(path.read_text())
+        assert main(["verify", "--qa", str(path), "--epsilon", "1/10"]) == 2
+        err = capsys.readouterr().err
+        assert "expected an array" in err and "Traceback" not in err
+
     def test_out_rewrites_v1_as_v2(self, tmp_path):
         qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))
         report = verify(qa)

@@ -1,0 +1,424 @@
+"""Fibered maps against their dense forms, fibered certificates, and the
+free product built from them."""
+
+import base64
+import dataclasses
+import hashlib
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quasiact import (
+    FiniteSubset,
+    QuasiAction,
+    compose,
+    cyclic_group,
+    double,
+    emit_certificate,
+    fixpoint_count,
+    fixpoint_set,
+    identity_map,
+    inverse_map,
+    load_certificate,
+    similarity_defect,
+    verify,
+)
+from quasiact.cli import main
+from quasiact.constructions import (
+    build_free_product_action,
+    direct_product_qa,
+    good_action_upgrade,
+    multiplicativity_case,
+    transport_qa,
+)
+from quasiact.errors import (
+    CarrierMismatchError,
+    DomainError,
+    InvariantViolationError,
+    PreconditionError,
+)
+from quasiact.finmap import Defect, Fiber, FiniteMap, identity_like
+from quasiact.quasiaction import report_to_json
+from quasiact.util import canonical_json
+
+from dense_carrier import cayley_closure, densify, densify_action
+
+C2 = {"kind": "finite", "table": [[0, 1], [1, 0]]}
+C3 = {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+EPS = Fraction(1, 10)
+
+# Small groups V, each by generators: S3, A4 and Z/5.
+SMALL_FIBERS = [
+    ((1, 0, 2), (0, 2, 1)),
+    ((1, 2, 0, 3), (0, 2, 3, 1)),
+    ((1, 2, 3, 4, 0),),
+]
+
+
+def closure_of(fiber: Fiber):
+    return cayley_closure(fiber.generators, fiber.order + 1)[0]
+
+
+@st.composite
+def fibered_maps(draw, count, fiber_index=None):
+    """count fibered maps on one carrier: random cell maps, labels random
+    words in a small V."""
+    gens = SMALL_FIBERS[draw(st.sampled_from(range(len(SMALL_FIBERS))))
+                        if fiber_index is None else fiber_index]
+    elements = cayley_closure(gens, 100)[0]
+    fiber = Fiber(gens, len(elements))
+    cells = draw(st.integers(1, 5))
+    bijective = draw(st.booleans())
+
+    def one():
+        if bijective:
+            images = draw(st.permutations(range(cells)))
+        else:
+            images = draw(st.lists(st.integers(0, cells - 1), min_size=cells, max_size=cells))
+        labels = []
+        for _ in range(cells):
+            word = tuple(range(fiber.degree))
+            for j in draw(st.lists(st.integers(0, 2 * len(gens) - 1), max_size=4)):
+                g = gens[j // 2] if j % 2 == 0 else tuple(np.argsort(gens[j // 2]))
+                word = tuple(g[x] for x in word)
+            labels.append(word)
+        return FiniteMap(images, labels, fiber)
+
+    return [one() for _ in range(count)], elements
+
+
+class TestFiberedMapsAgainstDenseForms:
+    @settings(max_examples=150, deadline=None)
+    @given(fibered_maps(2))
+    def test_every_operation_matches_its_dense_form(self, drawn):
+        (e, f), elements = drawn
+        de, df = densify(e, elements), densify(f, elements)
+        assert e.n == de.n == e.images.size * len(elements)
+        assert densify(compose(e, f), elements) == compose(de, df)
+        assert similarity_defect(e, f) == similarity_defect(de, df)
+        assert fixpoint_count(e) == fixpoint_count(de)
+        assert e.is_bijection() == de.is_bijection()
+        assert densify(identity_like(e), elements) == identity_map(e.n)
+        if e.is_bijection():
+            assert densify(inverse_map(e), elements) == inverse_map(de)
+        else:
+            with pytest.raises(DomainError):
+                inverse_map(e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fibered_maps(3), st.booleans(), st.sampled_from([Fraction(1, 10), Fraction(1, 2)]))
+    def test_verify_matches_dense_verify(self, drawn, strict, epsilon):
+        maps, elements = drawn
+        g = cyclic_group(3)
+        qa = QuasiAction(g, maps[0].n, dict(enumerate(maps)), FiniteSubset(g, range(3)), epsilon)
+        fresh = report_to_json(verify(qa, strict=strict))
+        dense = report_to_json(verify(densify_action(qa, elements), strict=strict))
+        assert canonical_json(fresh) == canonical_json(dense)
+
+    def test_maps_on_different_fibers_do_not_mix(self):
+        s3, z5 = (Fiber(gens, order) for gens, order in zip(SMALL_FIBERS[::2], (6, 5)))
+        e = identity_like(FiniteMap([0] * 5, [tuple(range(3))] * 5, s3))
+        f = FiniteMap([0] * 6, [tuple(range(5))] * 6, z5)
+        assert e.n == f.n == 30
+        for op in (compose, similarity_defect):
+            with pytest.raises(CarrierMismatchError):
+                op(e, f)
+            with pytest.raises(CarrierMismatchError):
+                op(identity_map(30), f)
+        g = cyclic_group(2)
+        with pytest.raises(DomainError, match="one fiber"):
+            QuasiAction(g, 30, {0: e, 1: f}, FiniteSubset(g, [0]), EPS)
+
+    @pytest.mark.parametrize("labels", [[[0, 1, 1]], [[0, 1]], [[0, 1, 3]]])
+    def test_labels_must_be_permutations_of_the_degree(self, labels):
+        with pytest.raises(DomainError):
+            FiniteMap([0], labels, Fiber(SMALL_FIBERS[0], 6))
+
+    def test_one_class_for_both_kinds(self):
+        # A dense map is the trivial-fiber case: labels of shape (n, 0).
+        dense = FiniteMap([1, 0])
+        assert dense.fiber is None and dense.labels.shape == (2, 0)
+        assert FiniteMap([1, 0], np.zeros((2, 0), dtype=int)) == dense
+        with pytest.raises(DomainError, match="shape"):
+            FiniteMap([1, 0], [[0], [0]])
+        fibered = FiniteMap([1, 0], [(1, 0, 2), (0, 2, 1)], Fiber(SMALL_FIBERS[0], 6))
+        assert fibered != FiniteMap([1, 0]) and fibered.n == 12
+        for op in (lambda e: e(0), FiniteMap.to_list, FiniteMap.tobytes, fixpoint_set, double):
+            with pytest.raises(DomainError, match="no list of points"):
+                op(fibered)
+
+    def test_non_permutation_generators_refused(self):
+        with pytest.raises(DomainError):
+            Fiber(((0, 0, 1),), 1)
+
+
+def free_product(left, right, f_left, f_right, n, seed):
+    return build_free_product_action(
+        cyclic_group(left), cyclic_group(right), f_left, f_right, n, EPS, seed=seed
+    )
+
+
+PAIRS = {"C2*C2": (2, 2, [0, 1], [0, 1]), "C2*C3": (2, 3, [0, 1], [0, 1, 2])}
+
+
+class TestFreeProductAgainstDenseCarrier:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_reports_equal_the_dense_reports(self, pair, n, seed):
+        qa, pc = free_product(*PAIRS[pair], n, seed)
+        assert qa.carrier_n == pc.size
+        dense = densify_action(qa, closure_of(pc.fiber))
+        for strict in (False, True):
+            fibered = canonical_json(report_to_json(verify(qa, strict=strict)))
+            assert fibered == canonical_json(report_to_json(verify(dense, strict=strict)))
+
+    @pytest.mark.parametrize("pair,n", [("C2*C2", 1), ("C2*C3", 1), ("C2*C2", 2)])
+    def test_dense_certificate_loads(self, pair, n):
+        # A dense certificate of the action (format 2, as written before maps
+        # were fibered) loads, measures the same report, and writes itself.
+        qa, pc = free_product(*PAIRS[pair], n, 0)
+        dense = densify_action(qa, closure_of(pc.fiber))
+        text = emit_certificate(dense, verify(dense, strict=True))
+        assert json.loads(text)["format"] == 2
+        loaded, report = load_certificate(text)
+        assert report == verify(qa, strict=True)
+        assert emit_certificate(loaded, report) == text
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_construction_claims(self, pair, n, seed):
+        # Cases 1 and 2 of the multiplication are exact; case 3 is within
+        # epsilon (the factor actions' own defect).
+        qa, _ = free_product(*PAIRS[pair], n, seed)
+        fp = qa.owner
+        key = fp.element_key
+        defects = {(p.left_key, p.right_key): p.defect for p in verify(qa).pair_defects}
+        assert len(defects) == len(qa.claimed_f) ** 2
+        for u in qa.claimed_f:
+            for v in qa.claimed_f:
+                d = defects[key(u), key(v)]
+                if multiplicativity_case(u, v, fp) in (1, 2):
+                    assert d.disagreements == 0
+                else:
+                    assert d.is_similar(EPS)
+
+
+def fibered_entry(cells, labels) -> dict:
+    raw = np.asarray(cells, "<i4").tobytes()
+    raw_labels = np.asarray(labels, "<i4").tobytes()
+    return {
+        "cells": base64.b64encode(raw).decode(),
+        "labels": base64.b64encode(raw_labels).decode(),
+        "sha256": hashlib.sha256(raw + raw_labels).hexdigest(),
+    }
+
+
+def entry_arrays(entry, degree):
+    cells = np.frombuffer(base64.b64decode(entry["cells"]), "<i4").copy()
+    labels = np.frombuffer(base64.b64decode(entry["labels"]), "<i4").reshape(-1, degree).copy()
+    return cells, labels
+
+
+@pytest.fixture(scope="module")
+def c2_c2_certificate():
+    qa, _ = free_product(2, 2, [0, 1], [0, 1], 1, 0)
+    return emit_certificate(qa, verify(qa))
+
+
+def tampered(text, change):
+    doc = json.loads(text)
+    key = next(k for k in doc["F"] if k != "[[0,0]]")
+    change(doc, key, doc["fiber"]["degree"])
+    return json.dumps(doc)
+
+
+def label_outside_v(doc, key, degree):
+    cells, labels = entry_arrays(doc["assignment"][key], degree)
+    labels[0] = [1, 0, *range(2, degree)]  # V is generated by even permutations
+    doc["assignment"][key] = fibered_entry(cells, labels)
+
+
+def cell_out_of_range(doc, key, degree):
+    cells, labels = entry_arrays(doc["assignment"][key], degree)
+    cells[0] = cells.size
+    doc["assignment"][key] = fibered_entry(cells, labels)
+
+
+def labels_short(doc, key, degree):
+    cells, labels = entry_arrays(doc["assignment"][key], degree)
+    doc["assignment"][key] = fibered_entry(cells, labels[:-1])
+
+
+def hash_mismatch(doc, key, degree):
+    doc["assignment"][key]["sha256"] = hashlib.sha256(b"").hexdigest()
+
+
+def order_inflated(doc, key, degree):
+    doc["fiber"]["order"] *= 2
+    doc["carrier_n"] *= 2
+
+
+def carrier_doubled(doc, key, degree):
+    doc["carrier_n"] *= 2
+
+
+def carrier_not_a_multiple(doc, key, degree):
+    doc["carrier_n"] += 1
+
+
+def generator_not_a_permutation(doc, key, degree):
+    doc["fiber"]["generators"][0] = [0] * degree
+
+
+def generators_of_other_degree(doc, key, degree):
+    doc["fiber"]["degree"] = degree + 1
+
+
+REFUSALS = [
+    (label_outside_v, InvariantViolationError, "not in V"),
+    (cell_out_of_range, DomainError, "out of range"),
+    (labels_short, InvariantViolationError, "bytes"),
+    (hash_mismatch, InvariantViolationError, "sha256"),
+    (order_inflated, InvariantViolationError, "generators give"),
+    (carrier_doubled, InvariantViolationError, "bytes"),
+    (carrier_not_a_multiple, InvariantViolationError, "multiple"),
+    (generator_not_a_permutation, DomainError, "permutations"),
+    (generators_of_other_degree, DomainError, "entries"),
+]
+
+
+class TestFiberedCertificates:
+    def test_round_trip_is_byte_identical(self, c2_c2_certificate):
+        qa, report = load_certificate(c2_c2_certificate)
+        assert emit_certificate(qa, report) == c2_c2_certificate
+        doc = json.loads(c2_c2_certificate)
+        assert doc["format"] == 3
+        assert set(doc["fiber"]) == {"degree", "generators", "order"}
+        assert doc["carrier_n"] == 16 * doc["fiber"]["order"]
+        entry = next(iter(doc["assignment"].values()))
+        assert set(entry) == {"cells", "labels", "sha256"}
+
+    @pytest.mark.parametrize("change,error,message", REFUSALS, ids=[r[0].__name__ for r in REFUSALS])
+    def test_loader_refuses(self, c2_c2_certificate, tmp_path, capsys, change, error, message):
+        text = tampered(c2_c2_certificate, change)
+        with pytest.raises(error, match=message):
+            load_certificate(text)
+        path = tmp_path / "tampered.json"
+        path.write_text(text)
+        assert main(["verify", "--qa", str(path), "--epsilon", "1/10"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_unknown_format_refused(self, c2_c2_certificate):
+        with pytest.raises(DomainError, match="format"):
+            load_certificate(c2_c2_certificate.replace('"format": 3', '"format": 4'))
+
+
+class TestDenseOnlyConstructionsRefuseFiberedActions:
+    @pytest.fixture(scope="class")
+    def fibered(self):
+        return free_product(2, 2, [0, 1], [0, 1], 1, 0)[0]
+
+    def test_library_calls(self, fibered):
+        f = fibered.claimed_f
+        with pytest.raises(PreconditionError, match="fibered"):
+            direct_product_qa([(fibered, f)], EPS)
+        with pytest.raises(PreconditionError, match="fibered"):
+            transport_qa(fibered, fibered.owner, f, {})
+        with pytest.raises(PreconditionError, match="fibered"):
+            good_action_upgrade(fibered, f, EPS)
+
+    def test_amenable_extension(self, fibered):
+        from quasiact.constructions import ExtensionData, amenable_extension_qa
+
+        g = cyclic_group(2)
+        ext = ExtensionData(
+            group=g, normal_contains=lambda x: True, quotient=g, project=lambda x: 0,
+            section=lambda q: q, folner=FiniteSubset(g, [0]),
+        )
+        with pytest.raises(PreconditionError, match="fibered"):
+            amenable_extension_qa(fibered, ext, [0], EPS)
+
+    def test_product_request_exits_two(self, fibered, tmp_path, capsys):
+        cert = tmp_path / "freeprod.json"
+        cert.write_text(emit_certificate(fibered, verify(fibered)))
+        request = tmp_path / "request.json"
+        request.write_text(json.dumps({
+            "construct": "product", "epsilon": "1/10",
+            "factors": [{"certificate": str(cert)}, {"cyclic": {"f": [1], "modulus": 5}}],
+        }))
+        out = tmp_path / "product.json"
+        assert main(["construct", "--request", str(request), "--out", str(out)]) == 2
+        assert "fibered" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_syllable_bound_three_through_the_cli(tmp_path):
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps({
+        "construct": "free_product", "epsilon": "1/10", "left_group": C2, "right_group": C3,
+        "f_left": [0, 1], "f_right": [0, 1], "syllable_bound": 3, "order_cap": 2_000_000,
+    }))
+    out = tmp_path / "fp3.json"
+    assert main(["construct", "--request", str(request), "--out", str(out)]) == 0
+    assert out.stat().st_size < 1_000_000
+    assert main(["verify", "--qa", str(out), "--epsilon", "1/10"]) == 0
+    qa, report = load_certificate(out.read_text())
+    assert qa.carrier_n == 24 * 1_814_400 and report.passed
+
+
+def symmetric_fiber(degree: int) -> Fiber:
+    """S_degree, from a degree-cycle and a transposition."""
+    cycle = tuple(range(1, degree)) + (0,)
+    swap = (1, 0) + tuple(range(2, degree))
+    return Fiber((cycle, swap), math.factorial(degree))
+
+
+class TestCountsPastInt64:
+    """|V| times a cell count passes 2**63 for V = S_20 (20! ~ 2.4e18) at
+    four cells and exceeds it for S_21 at once; counts stay exact."""
+
+    CELLS = 8
+
+    def shift_action(self, degree):
+        fiber = symmetric_fiber(degree)
+        one = np.broadcast_to(np.arange(degree), (self.CELLS, degree))
+        shift = FiniteMap((np.arange(self.CELLS) + 1) % self.CELLS, one, fiber)
+        g = cyclic_group(2)
+        n = self.CELLS * fiber.order
+        return QuasiAction(g, n, {0: identity_like(shift), 1: shift}, FiniteSubset(g, [0, 1]), EPS)
+
+    @pytest.mark.parametrize("degree", [20, 21])
+    def test_verify_counts_are_exact(self, degree):
+        qa = self.shift_action(degree)
+        n = qa.carrier_n
+        assert n == self.CELLS * math.factorial(degree) and n > 2**63
+        report = verify(qa, strict=True)
+        # shift o shift moves every cell, so (1, 1) -> 0 differs on all n points.
+        assert [p.defect.disagreements for p in report.pair_defects] == [0, 0, 0, n]
+        assert report.identity_agreements == (("1", 0),)
+        assert [d.disagreements for _, _, d in report.strict.pairwise] == [n]
+        assert not report.a_pass
+
+    def test_wrapped_report_is_refused(self):
+        qa = self.shift_action(20)
+        n = qa.carrier_n
+        report = verify(qa)
+
+        def wrap(c):  # the count an int64 product would give
+            return (c + 2**63) % 2**64 - 2**63
+
+        forged = dataclasses.replace(report, pair_defects=tuple(
+            dataclasses.replace(p, defect=Defect(wrap(p.defect.disagreements), n))
+            for p in report.pair_defects
+        ))
+        assert forged.a_pass and forged.pair_defects[-1].defect.disagreements < n // 10
+        with pytest.raises(InvariantViolationError, match="stored report differs"):
+            load_certificate(emit_certificate(qa, forged))
+        assert load_certificate(emit_certificate(qa, report))[1] == report

@@ -8,10 +8,10 @@ from quasiact import (
     compose,
     cyclic_group,
     fixpoint_count,
-    identity_map,
     similarity_defect,
     verify,
 )
+from quasiact.finmap import identity_like
 from quasiact.constructions import (
     build_free_product_action,
     build_partitioned_carrier,
@@ -59,7 +59,8 @@ class TestSmallEndToEnd:
             cyclic_group(2), cyclic_group(2), [0, 1], [0, 1], 1, Fraction(1, 10), seed=0
         )
         fp = qa.owner
-        assert qa.assignment[fp.identity] == identity_map(pc.size)
+        one = qa.assignment[fp.identity]
+        assert one.n == pc.size and one == identity_like(one)
         for w in qa.claimed_f:
             if w != fp.identity:
                 assert fixpoint_count(qa.assignment[w]) == 0
@@ -69,7 +70,8 @@ class TestSmallEndToEnd:
 class TestDeskScale:
     def test_identity_word_is_identity_map(self, z2_z3_action):
         qa, pc = z2_z3_action
-        assert qa.assignment[qa.owner.identity] == identity_map(pc.size)
+        one = qa.assignment[qa.owner.identity]
+        assert one.n == pc.size and one == identity_like(one)
 
     def test_fixpoint_free_on_f(self, z2_z3_action):
         qa, _ = z2_z3_action

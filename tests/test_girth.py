@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +13,16 @@ from quasiact.constructions import (
     girth_group_search,
     load_girth_witness,
 )
-from quasiact.constructions import carrier
-from quasiact.constructions.carrier import _bfs_girth_certificate, _cayley_tables, _label_assignment
+from quasiact.constructions.carrier import _bfs_girth_certificate, _label_assignment
 from quasiact.constructions.girth import (
     _certify_generators,
     _certify_word_girth,
-    schreier_sims_order,
+    schreier_sims,
 )
 from quasiact.errors import DomainError, InvariantViolationError, PreconditionError, SearchFailureError
 from quasiact.finmap import FiniteMap
+
+from dense_carrier import DenseCarrier, bfs_girth_certificate, dense_carrier
 
 
 def iter_reduced_words(perms, bound):
@@ -130,17 +132,17 @@ class TestSearch:
 
     def test_closure_tables_agree_with_multiplication(self):
         v = girth_group_search(2, 4, order_cap=5000, seed=0)
-        pc = build_partitioned_carrier(2, 2, 2, v)
+        dc = dense_carrier(build_partitioned_carrier(2, 2, 2, v))
         elements, right = enumerate_closure([tuple(g.to_list()) for g in v.generators], v.order + 1)
         assert len(elements) == v.order
-        assert np.array_equal(pc.right_mult, right)
+        assert np.array_equal(dc.right_mult, right)
         for j, g in enumerate(v.generators):
             perm = tuple(g.to_list())
             for i in (0, 1, v.order - 1):
                 base = elements[i]
                 product = tuple(perm[x] for x in base)
-                assert elements[pc.right_mult[j, i]] == product
-                assert pc.right_mult_inv[j, pc.right_mult[j, i]] == i
+                assert elements[dc.right_mult[j, i]] == product
+                assert dc.right_mult_inv[j, dc.right_mult[j, i]] == i
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -154,13 +156,20 @@ class TestSearch:
     def test_bound_six_order(self):
         assert girth_group_search(6, 6, order_cap=2_000_000, seed=0).order == 1_814_400
 
-    def test_search_and_loader_never_enumerate(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("V was enumerated")
-
-        monkeypatch.setattr(carrier, "_cayley_tables", refuse)
-        text = girth_group_search(6, 5, order_cap=200000, seed=0).to_witness_json()
-        assert load_girth_witness(text).order == 181440
+    def test_search_and_loader_never_enumerate(self):
+        # Listing V's 181,440 elements as tuples allocates about 32 MB under
+        # tracemalloc; the search, the loader and the carrier build together
+        # peak near 0.6 MB, so any enumeration, under any name, fails here.
+        tracemalloc.start()
+        try:
+            text = girth_group_search(6, 5, order_cap=200000, seed=0).to_witness_json()
+            v = load_girth_witness(text)
+            pc = build_partitioned_carrier(2, 3, 2, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.order == 181440 and pc.size == 6 * 181440
+        assert peak < 4_000_000
 
 
 class TestPartitionedCarrier:
@@ -171,7 +180,7 @@ class TestPartitionedCarrier:
 
     def test_two_by_two_structure(self):
         v = girth_group_search(4, 4, order_cap=5000, seed=0)
-        pc = build_partitioned_carrier(2, 2, 2, v)
+        pc = dense_carrier(build_partitioned_carrier(2, 2, 2, v))
         assert pc.size == 4 * v.order
         assert pc.alpha_class_count == pc.size // 2
         assert pc.beta_class_count == pc.size // 2
@@ -188,7 +197,7 @@ class TestPartitionedCarrier:
         import networkx as nx
 
         v = girth_group_search(2, 4, order_cap=5000, seed=0)
-        pc = build_partitioned_carrier(2, 2, 2, v)
+        pc = dense_carrier(build_partitioned_carrier(2, 2, 2, v))
         graph = nx.MultiGraph()
         for point in range(pc.size):
             graph.add_edge(
@@ -267,7 +276,7 @@ def words_hit_identity(gens, bound):
     return False
 
 
-def bfs_from_every_class_node(pc):
+def bfs_from_every_class_node(pc: DenseCarrier):
     """The former carrier certificate: BFS from every class node to depth N
     over neighbour lists built from the tables; any revisit other than the
     tree parent closes a cycle of length <= 2N."""
@@ -324,7 +333,7 @@ def raises_invariant(fn, *args):
     return False
 
 
-def networkx_girth_exceeds(pc):
+def networkx_girth_exceeds(pc: DenseCarrier):
     import networkx as nx
 
     graph = nx.MultiGraph()
@@ -335,21 +344,16 @@ def networkx_girth_exceeds(pc):
     return no_multi_edges and nx.girth(simple) > 2 * pc.depth
 
 
-def carrier_with_depth(v, a_size, b_size, depth, tables=None):
+def carrier_with_depth(v, a_size, b_size, depth):
     """The carrier of v at any depth, skipping the witness-bound precondition
-    so that short cycles reach the certificate.  Tables default to the
-    closure's."""
-    if tables is None:
-        tables = _cayley_tables([tuple(g.to_list()) for g in v.generators], v.order)
-    return PartitionedCarrier(
-        a_size, b_size, v, _label_assignment(a_size, b_size, v), depth, *tables
-    )
+    so that short cycles reach the certificate."""
+    return PartitionedCarrier(a_size, b_size, v, _label_assignment(a_size, b_size, v), depth)
 
 
 def forged_carrier(tables, a_size, b_size, depth, degree=4, bound=6):
-    """A carrier holding arbitrary index tables (V's generators are
-    placeholders the carrier certificate must not read; its stated order is
-    the table width)."""
+    """A dense oracle carrier holding arbitrary index tables (V's generators
+    are placeholders the table certificate must not read; its stated order
+    is the table width)."""
     right = np.array(tables, dtype=np.int64)
     right_inv = np.empty_like(right)
     for j, row in enumerate(right):
@@ -359,7 +363,7 @@ def forged_carrier(tables, a_size, b_size, depth, degree=4, bound=6):
         degree=degree, labels=len(tables), generators=gens, order=right.shape[1],
         certified_girth_bound=bound, seed=0,
     )
-    return carrier_with_depth(v, a_size, b_size, depth, (right, right_inv))
+    return dense_carrier(carrier_with_depth(v, a_size, b_size, depth), (right, right_inv))
 
 
 def z4_carrier(depth):
@@ -421,16 +425,18 @@ class TestSymmetryCertificatesAgainstOracles:
                 continue
             for depth in (1, 2, 3, 4, 5):
                 pc = carrier_with_depth(v, a_size, b_size, depth)
+                dc = dense_carrier(pc)
                 refused = raises_invariant(_bfs_girth_certificate, pc)
-                assert refused == raises_invariant(bfs_from_every_class_node, pc)
-                assert refused != networkx_girth_exceeds(pc)
+                assert refused == raises_invariant(bfs_from_every_class_node, dc)
+                assert refused == raises_invariant(bfs_girth_certificate, dc)
+                assert refused != networkx_girth_exceeds(dc)
 
     def test_forged_z4_agrees_with_oracles(self):
         pc = z4_carrier(2)
-        assert raises_invariant(_bfs_girth_certificate, pc)
+        assert raises_invariant(bfs_girth_certificate, pc)
         assert raises_invariant(bfs_from_every_class_node, pc)
         assert not networkx_girth_exceeds(pc)
-        assert not raises_invariant(_bfs_girth_certificate, z4_carrier(1))
+        assert not raises_invariant(bfs_girth_certificate, z4_carrier(1))
 
     def test_non_cayley_table_is_refused(self):
         # Z/6 shift plus a transposition: both rows are permutations with
@@ -438,7 +444,7 @@ class TestSymmetryCertificatesAgainstOracles:
         shift = [(k + 1) % 6 for k in range(6)]
         swap = [1, 0, 2, 3, 4, 5]
         with pytest.raises(InvariantViolationError):
-            _bfs_girth_certificate(forged_carrier([shift, swap], 2, 2, 1))
+            bfs_girth_certificate(forged_carrier([shift, swap], 2, 2, 1))
 
     def test_short_cycle_away_from_the_roots_is_refused(self):
         # One generator per cell; the 4-cycle through beta-class (0, 3)
@@ -449,21 +455,21 @@ class TestSymmetryCertificatesAgainstOracles:
         pc = forged_carrier([ident, [1, 2, 0, 3], ident, ident], 2, 2, 2)
         assert raises_invariant(bfs_from_every_class_node, pc)
         with pytest.raises(InvariantViolationError):
-            _bfs_girth_certificate(pc)
+            bfs_girth_certificate(pc)
 
     def test_inconsistent_tables_are_refused(self):
         good = z4_carrier(1)
         right_inv = good.right_mult_inv.copy()
         right_inv[0, [0, 1]] = right_inv[0, [1, 0]]
-        not_inverse = PartitionedCarrier(**{**good.__dict__, "right_mult_inv": right_inv})
+        not_inverse = DenseCarrier(**{**good.__dict__, "right_mult_inv": right_inv})
         right = good.right_mult.copy()
         right[0, 0] = right[0, 1]
-        not_permutation = PartitionedCarrier(**{**good.__dict__, "right_mult": right})
+        not_permutation = DenseCarrier(**{**good.__dict__, "right_mult": right})
         order_three = GirthGroup(**{**good.v.__dict__, "order": 3})
-        wrong_shape = PartitionedCarrier(**{**good.__dict__, "v": order_three})
+        wrong_shape = DenseCarrier(**{**good.__dict__, "v": order_three})
         for pc in (not_inverse, not_permutation, wrong_shape):
             with pytest.raises(InvariantViolationError):
-                _bfs_girth_certificate(pc)
+                bfs_girth_certificate(pc)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -477,8 +483,64 @@ class TestSymmetryCertificatesAgainstOracles:
         a_size = data.draw(st.integers(1, min(labels, 3)))
         b_size = data.draw(st.integers(1, min(labels, 3)))
         pc = forged_carrier(rows, a_size, b_size, depth)
-        if not raises_invariant(_bfs_girth_certificate, pc):
+        if not raises_invariant(bfs_girth_certificate, pc):
             assert not raises_invariant(bfs_from_every_class_node, pc)
+
+    # Generator-level forgeries: generators under a forged girth bound, so
+    # that short cycles reach the certificate.  A table can no longer be
+    # forged: the carrier reads only V's generators.
+
+    def forged_generators(self, gens, a_size, b_size, depth):
+        """Whether the carrier certificate refuses gens at this depth; the
+        every-root BFS and the table-symmetry BFS must agree."""
+        v = GirthGroup(
+            degree=len(gens[0]), labels=len(gens), generators=tuple(map(FiniteMap, gens)),
+            order=schreier_sims(gens)[0], certified_girth_bound=2 * depth, seed=0,
+        )
+        pc = carrier_with_depth(v, a_size, b_size, depth)
+        dc = dense_carrier(pc)
+        refused = raises_invariant(_bfs_girth_certificate, pc)
+        assert refused == raises_invariant(bfs_from_every_class_node, dc)
+        assert refused == raises_invariant(bfs_girth_certificate, dc)
+        if pc.size <= 3000:
+            assert refused != networkx_girth_exceeds(dc)
+        return refused
+
+    def test_forged_z4_generators(self):
+        z4 = [tuple((k + 1) % 4 for k in range(4)), tuple((k + 3) % 4 for k in range(4))]
+        assert self.forged_generators(z4, 2, 2, 2)
+        assert not self.forged_generators(z4, 2, 2, 1)
+
+    def test_forged_shift_and_swap_generators(self):
+        # The rows of the refused non-Cayley table, turned into generators
+        # g0 = shift, g1 = shift * swap: the cyclic labels of a 2 x 2 carrier
+        # close a 4-cycle iff (g0^-1 g1)^2 = 1, and g0^-1 g1 is the swap.
+        shift = tuple((k + 1) % 6 for k in range(6))
+        swap = (1, 0, 2, 3, 4, 5)
+        shift_swap = tuple(swap[x] for x in shift)
+        assert self.forged_generators([shift, shift_swap], 2, 2, 2)
+        assert not self.forged_generators([shift, shift_swap], 2, 2, 1)
+        assert not self.forged_generators([shift, swap], 2, 2, 2)
+
+    def test_forged_identity_generators(self):
+        # Identity rows, as generators one per cell: a 4-cycle closes iff
+        # gen(0,0)^-1 gen(0,1) gen(1,1)^-1 gen(1,0) = 1.
+        ident, p = (0, 1, 2, 3), (1, 2, 0, 3)
+        assert self.forged_generators([ident, ident, p, p], 2, 2, 2)
+        assert not self.forged_generators([ident, p, ident, ident], 2, 2, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 6),
+        labels=st.integers(1, 4),
+        depth=st.integers(1, 3),
+    )
+    def test_random_generators_agree_with_oracles(self, data, n, labels, depth):
+        gens = [tuple(data.draw(st.permutations(range(n)))) for _ in range(labels)]
+        a_size = data.draw(st.integers(1, min(labels, 3)))
+        b_size = data.draw(st.integers(1, min(labels, 3)))
+        self.forged_generators(gens, a_size, b_size, depth)
 
 
 ORACLE_CAP = 20_000
@@ -501,7 +563,7 @@ class TestSchreierSimsAgainstOracles:
         # the decision the search makes; test_order_matches_full_closure and
         # the sympy property cover exact large orders.
         gens = with_special(gens, kind)
-        order = schreier_sims_order(gens)
+        order = schreier_sims(gens)[0]
         closure = enumerate_closure(gens, ORACLE_CAP)
         if closure is None:
             assert order > ORACLE_CAP
@@ -514,7 +576,50 @@ class TestSchreierSimsAgainstOracles:
         combinatorics = pytest.importorskip("sympy.combinatorics")
         gens = with_special(gens, kind)
         group = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
-        assert schreier_sims_order(gens) == group.order()
+        assert schreier_sims(gens)[0] == group.order()
+
+    @settings(max_examples=150, deadline=None)
+    @given(gens=perm_sets_to_degree_nine, kind=special_kinds, data=st.data())
+    @example(gens=[(1, 2, 0, 3), (0, 2, 3, 1)], kind="none", data=None)
+    def test_membership_matches_closure(self, gens, kind, data):
+        gens = with_special(gens, kind)
+        closure = enumerate_closure(gens, ORACLE_CAP)
+        if closure is None:
+            return
+        (order, member), elements = schreier_sims(gens), set(closure[0])
+        assert order == len(elements)
+        degree = len(gens[0])
+        candidates = [(1, 0) + tuple(range(2, degree))] if degree > 1 else []
+        if data is not None:
+            candidates += [data.draw(st.sampled_from(closure[0])),
+                           tuple(data.draw(st.permutations(range(degree))))]
+        for perm in candidates:
+            assert member(perm) == (perm in elements)
+        assert all(member(g) for g in gens)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gens=perm_sets_to_degree_nine, kind=special_kinds, data=st.data())
+    def test_membership_matches_sympy(self, gens, kind, data):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        gens = with_special(gens, kind)
+        group = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
+        _, member = schreier_sims(gens)
+        degree = len(gens[0])
+        word = tuple(range(degree))
+        for j in data.draw(st.lists(st.integers(0, len(gens) - 1), max_size=6)):
+            word = tuple(gens[j][x] for x in word)
+        other = tuple(data.draw(st.permutations(range(degree))))
+        assert member(word)
+        for perm in (word, other):
+            assert member(perm) == group.contains(combinatorics.Permutation(list(perm)))
+
+    def test_transposition_outside_an_alternating_group(self):
+        v = girth_group_search(6, 5, order_cap=200000, seed=0)
+        order, member = schreier_sims([tuple(g.to_list()) for g in v.generators])
+        assert order == 181440  # A_9 has index 2 in S_9
+        assert not member((1, 0, *range(2, 9)))
+        assert member((1, 2, 0, *range(3, 9)))
+        assert not member((1, 0))  # wrong degree
 
     def test_order_matches_full_closure(self):
         v = girth_group_search(6, 5, order_cap=200000, seed=0)
