@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import QuasiactError
+from .errors import DomainError, QuasiactError
 from .groups import (
     FiniteSubset,
     GroupHandle,
@@ -22,6 +22,11 @@ from .groups import (
     ProductGroup,
     SubgroupHandle,
     _decode_int,
+    _decode_ints,
+    _decode_list,
+    _decode_str,
+    _field,
+    cyclic_group,
     group_from_json,
 )
 from .quasiaction import (
@@ -34,6 +39,7 @@ from .quasiaction import (
 from .util import atomic_write_text, parse_epsilon
 from .constructions import (
     ExtensionData,
+    GirthGroup,
     amenable_extension_qa,
     build_free_product_action,
     cyclic_quasi_action,
@@ -71,43 +77,8 @@ def _print_summary(report: VerificationReport) -> None:
     print(f"max defect {report.max_defect}")
 
 
-def _qa_from_source(source: dict) -> tuple[QuasiAction, Fraction]:
-    """Build a quasi-action from an inline source description.
-
-    Shapes: {"regular": {"group": ..., "f": [...]?, "epsilon": "p/q"?}},
-            {"cyclic": {"f": [...], "modulus": m, "support": [...]?,
-                        "epsilon": "p/q"?}},
-            {"certificate": "path.json"}.
-    """
-    if "certificate" in source:
-        with open(source["certificate"]) as fh:
-            qa, _ = load_certificate(fh.read())
-        return qa, qa.claimed_epsilon
-    if "regular" in source:
-        spec = source["regular"]
-        group = group_from_json(spec["group"])
-        eps = parse_epsilon(spec.get("epsilon", "1/100"))
-        f = None
-        if "f" in spec:
-            f = FiniteSubset(group, (group.decode(x) for x in spec["f"]))
-        return regular_action(group, f, eps), eps
-    if "cyclic" in source:
-        spec = source["cyclic"]
-        eps = parse_epsilon(spec.get("epsilon", "1/100"))
-        z = IntegerGroup()
-        qa = cyclic_quasi_action(
-            [z.decode(k) for k in spec["f"]],
-            _decode_int(spec["modulus"]),
-            eps,
-            extra_support=[z.decode(k) for k in spec.get("support", [])],
-        )
-        return qa, eps
-    raise QuasiactError(f"unknown quasi-action source {sorted(source)!r}")
-
-
 def _cmd_verify(args) -> int:
-    with open(args.qa) as fh:
-        qa, report = load_certificate(fh.read())
+    qa, report = load_certificate(_read_text(args.qa))
     epsilon = parse_epsilon(args.epsilon)
     # Loading measured the stored report's question; ask again only if the
     # command asks another one.
@@ -121,146 +92,173 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_FAILED
 
 
-def _construct_product(request: dict, seed: int) -> QuasiAction:
-    epsilon = parse_epsilon(request["epsilon"])
-    inputs = []
-    for source in request["factors"]:
-        qa, _ = _qa_from_source(source)
-        inputs.append((qa, qa.claimed_f))
-    return direct_product_qa(inputs, epsilon)
+def _read_text(path: str) -> str:
+    with open(path, errors="surrogateescape") as fh:  # bad bytes then fail as JSON
+        return fh.read()
 
 
-def _construct_good_action(request: dict, seed: int) -> QuasiAction:
-    epsilon = parse_epsilon(request["epsilon"])
-    qa, _ = _qa_from_source(request["base"])
-    f = FiniteSubset(qa.owner, (qa.owner.decode(x) for x in request["f"]))
-    return good_action_upgrade(qa, f, epsilon)
+def _elements(group: GroupHandle):  # decoder of a JSON array of the group's elements
+    return lambda obj: [group.decode(x) for x in _decode_list(obj)]
 
 
-def _construct_free_product(request: dict, seed: int) -> QuasiAction:
-    epsilon = parse_epsilon(request["epsilon"])
-    left = group_from_json(request["left_group"])
-    right = group_from_json(request["right_group"])
-    qa, _ = build_free_product_action(
-        left,
-        right,
-        [left.decode(x) for x in request["f_left"]],
-        [right.decode(x) for x in request["f_right"]],
-        _decode_int(request["syllable_bound"]),
-        epsilon,
-        seed=seed,
-        order_cap=_decode_int(request.get("order_cap", 25000)),
-    )
+def _row(table: dict, kind, what: str):
+    if not isinstance(kind, str) or kind not in table:
+        raise DomainError(f"unknown {what} {kind!r:.40}")
+    return table[kind]
+
+
+def _source(obj, seed: int) -> QuasiAction:
+    """A nested construction {kind: fields}, built by the same table as a request."""
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise DomainError(f"a source is an object with one key, its kind; got {obj!r:.60}")
+    [(kind, spec)] = obj.items()
+    qa = _row(_BUILDERS, kind, "construction")(spec, seed)
+    if not isinstance(qa, QuasiAction):
+        raise DomainError(f"a {kind!r} source builds no quasi-action")
     return qa
 
 
-def _construct_extension(request: dict, seed: int) -> QuasiAction:
-    """Two concrete extension shapes.
-
-    "product_factor": G = quotient x N for a finite N (the second factor is
-    the normal subgroup, the first factor the quotient, split section).
-    "integer_subgroup": G the integers, N = d*Z for a positive index d with
-    the finite quotient Z/d; the inner action is shifts with modulus
-    "psi_modulus" pulled back along k -> k/d.
-    """
-    epsilon = parse_epsilon(request["epsilon"])
-    kind = request["extension_kind"]
-    if kind == "product_factor":
-        quotient = group_from_json(request["quotient"])
-        normal = group_from_json(request["normal"])
-        if not normal.is_finite:
-            raise QuasiactError("the normal factor must be a finite group")
-        g = ProductGroup([quotient, normal])
-        f = FiniteSubset(g, (g.decode(x) for x in request["f"]))
-        q_id = quotient.identity
-        if quotient.is_finite:
-            folner = FiniteSubset(quotient, quotient.elements())
-        elif isinstance(quotient, IntegerGroup):
-            folner = integer_folner_interval(
-                [g_elem[0] for g_elem in f], epsilon
-            )
-        else:
-            raise QuasiactError("quotient must be finite or the integers")
-        ext = ExtensionData(
-            group=g,
-            normal_contains=lambda x: x[0] == q_id,
-            quotient=quotient,
-            project=lambda x: x[0],
-            section=lambda q: (q, normal.identity),
-            folner=folner,
-        )
-        members = [(q_id, t) for t in normal.elements()]
-        psi = regular_action(SubgroupHandle(g, members=members), epsilon=epsilon)
-        return amenable_extension_qa(psi, ext, f, epsilon)
-    if kind == "integer_subgroup":
-        d = _decode_int(request["index"])
-        if d < 1:
-            raise QuasiactError("index must be positive")
-        z = IntegerGroup()
-        sub = SubgroupHandle(z, contains_fn=lambda k: k % d == 0)
-        f = FiniteSubset(z, (z.decode(x) for x in request["f"]))
-        modulus = _decode_int(request["psi_modulus"])
-        bound = max((abs(k) for k in f), default=1)
-        base = cyclic_quasi_action(
-            [1],
-            modulus,
-            epsilon,
-            extra_support=range(-2 * bound - 2, 2 * bound + 3),
-        )
-        span = range(-2 * d * (bound + 2), 2 * d * (bound + 2) + 1, d)
-        psi = transport_qa(base, sub, [d, -d], {k: k // d for k in span})
-        from .groups import cyclic_group
-
-        q = cyclic_group(d)
-        ext = ExtensionData(
-            group=z,
-            normal_contains=lambda k: k % d == 0,
-            quotient=q,
-            project=lambda k: k % d,
-            section=lambda t: t,
-            folner=FiniteSubset(q, q.elements()),
-        )
-        return amenable_extension_qa(psi, ext, f, epsilon)
-    raise QuasiactError(f"unknown extension kind {kind!r}")
+def _certificate(path, seed: int) -> QuasiAction:
+    return load_certificate(_read_text(_decode_str(path)))[0]
 
 
-def _construct_finitary_extension(request: dict, seed: int) -> QuasiAction:
-    return finitary_extension_qa(
-        _decode_int(request["n"]),
-        _decode_int(request["modulus"]),
-        parse_epsilon(request.get("epsilon", "1/2")),
+def _regular(spec: dict, seed: int) -> QuasiAction:
+    group = _field(spec, "group", group_from_json)
+    f = _field(spec, "f", _elements(group), None)
+    return regular_action(group, f, _field(spec, "epsilon", parse_epsilon, Fraction(1, 100)))
+
+
+def _cyclic(spec: dict, seed: int) -> QuasiAction:
+    return cyclic_quasi_action(
+        _field(spec, "f", _decode_ints),
+        _field(spec, "modulus", _decode_int),
+        _field(spec, "epsilon", parse_epsilon, Fraction(1, 100)),
+        extra_support=_field(spec, "support", _decode_ints, []),
     )
 
 
-_CONSTRUCTORS = {
-    "product": _construct_product,
-    "good_action": _construct_good_action,
-    "free_product": _construct_free_product,
-    "extension": _construct_extension,
-    "finitary_extension": _construct_finitary_extension,
+def _product(spec: dict, seed: int) -> QuasiAction:
+    epsilon = _field(spec, "epsilon", parse_epsilon)
+    factors = _field(spec, "factors", lambda v: [_source(s, seed) for s in _decode_list(v)])
+    return direct_product_qa([(qa, qa.claimed_f) for qa in factors], epsilon)
+
+
+def _good_action(spec: dict, seed: int) -> QuasiAction:
+    epsilon = _field(spec, "epsilon", parse_epsilon)
+    qa = _field(spec, "base", lambda v: _source(v, seed))
+    return good_action_upgrade(qa, _field(spec, "f", _elements(qa.owner)), epsilon)
+
+
+def _free_product(spec: dict, seed: int) -> QuasiAction:
+    epsilon = _field(spec, "epsilon", parse_epsilon)
+    left, right = (_field(spec, k, group_from_json) for k in ("left_group", "right_group"))
+    return build_free_product_action(
+        left, right, _field(spec, "f_left", _elements(left)),
+        _field(spec, "f_right", _elements(right)), _field(spec, "syllable_bound", _decode_int),
+        epsilon, seed=seed, order_cap=_field(spec, "order_cap", _decode_int, 25000))[0]
+
+
+def _product_factor(spec: dict, epsilon: Fraction):
+    """G = quotient x N for a finite N (the second factor is the normal
+    subgroup, the first factor the quotient, split section)."""
+    quotient = _field(spec, "quotient", group_from_json)
+    normal = _field(spec, "normal", group_from_json)
+    if not normal.is_finite:
+        raise DomainError("the normal factor must be a finite group")
+    g = ProductGroup([quotient, normal])
+    f = FiniteSubset(g, _field(spec, "f", _elements(g)))
+    q_id = quotient.identity
+    if quotient.is_finite:
+        folner = FiniteSubset(quotient, quotient.elements())
+    elif isinstance(quotient, IntegerGroup):
+        folner = integer_folner_interval([g_elem[0] for g_elem in f], epsilon)
+    else:
+        raise DomainError("quotient must be finite or the integers")
+    ext = ExtensionData(
+        group=g,
+        normal_contains=lambda x: x[0] == q_id,
+        quotient=quotient,
+        project=lambda x: x[0],
+        section=lambda q: (q, normal.identity),
+        folner=folner,
+    )
+    members = [(q_id, t) for t in normal.elements()]
+    psi = regular_action(SubgroupHandle(g, members=members), epsilon=epsilon)
+    return psi, ext, f
+
+
+def _integer_subgroup(spec: dict, epsilon: Fraction):
+    """G the integers, N = d*Z for a positive index d with the finite
+    quotient Z/d; the inner action is shifts with modulus "psi_modulus"
+    pulled back along k -> k/d."""
+    d = _field(spec, "index", _decode_int)
+    if d < 1:
+        raise DomainError("index must be positive")
+    z = IntegerGroup()
+    sub = SubgroupHandle(z, contains_fn=lambda k: k % d == 0)
+    f = FiniteSubset(z, _field(spec, "f", _elements(z)))
+    bound = max((abs(k) for k in f), default=1)
+    base = cyclic_quasi_action(
+        [1],
+        _field(spec, "psi_modulus", _decode_int),
+        epsilon,
+        extra_support=range(-2 * bound - 2, 2 * bound + 3),
+    )
+    span = range(-2 * d * (bound + 2), 2 * d * (bound + 2) + 1, d)
+    psi = transport_qa(base, sub, [d, -d], {k: k // d for k in span})
+    q = cyclic_group(d)
+    ext = ExtensionData(
+        group=z,
+        normal_contains=lambda k: k % d == 0,
+        quotient=q,
+        project=lambda k: k % d,
+        section=lambda t: t,
+        folner=FiniteSubset(q, q.elements()),
+    )
+    return psi, ext, f
+
+
+# extension_kind -> (request, epsilon) -> (inner action psi, ExtensionData, F)
+_EXTENSIONS = {"product_factor": _product_factor, "integer_subgroup": _integer_subgroup}
+
+
+def _extension(spec: dict, seed: int) -> QuasiAction:
+    epsilon = _field(spec, "epsilon", parse_epsilon)
+    shape = _field(spec, "extension_kind", lambda v: _row(_EXTENSIONS, v, "extension kind"))
+    return amenable_extension_qa(*shape(spec, epsilon), epsilon)
+
+
+def _finitary_extension(spec: dict, seed: int) -> QuasiAction:
+    n, modulus = (_field(spec, k, _decode_int) for k in ("n", "modulus"))
+    return finitary_extension_qa(n, modulus, _field(spec, "epsilon", parse_epsilon, Fraction(1, 2)))
+
+
+def _girth_group(spec: dict, seed: int) -> GirthGroup:
+    labels, bound, cap = (
+        _field(spec, k, _decode_int) for k in ("labels", "girth_bound", "order_cap"))
+    return girth_group_search(labels, bound, order_cap=cap, seed=seed)
+
+
+# The one construction table: a request {"construct": kind, ...fields} and a nested
+# source {kind: fields} (a certificate's fields are its path) build through row kind.
+_BUILDERS = {
+    "certificate": _certificate, "regular": _regular, "cyclic": _cyclic,
+    "product": _product, "good_action": _good_action, "free_product": _free_product,
+    "extension": _extension, "finitary_extension": _finitary_extension,
+    "girth_group": _girth_group,
 }
 
 
 def _cmd_construct(args) -> int:
-    with open(args.request) as fh:
-        request = json.load(fh)
-    kind = request.get("construct")
-    if kind == "girth_group":
-        group = girth_group_search(
-            _decode_int(request["labels"]),
-            _decode_int(request["girth_bound"]),
-            order_cap=_decode_int(request["order_cap"]),
-            seed=args.seed,
-        )
-        atomic_write_text(args.out, group.to_witness_json())
+    request = json.loads(_read_text(args.request))
+    builder = _field(request, "construct", lambda v: _row(_BUILDERS, v, "construction"))
+    built = builder(request, args.seed)
+    if isinstance(built, GirthGroup):
+        atomic_write_text(args.out, built.to_witness_json())
         print(f"girth witness written to {args.out}")
         return EXIT_OK
-    builder = _CONSTRUCTORS.get(kind)
-    if builder is None:
-        raise QuasiactError(f"unknown construction {kind!r}")
-    qa = builder(request, args.seed)
-    report = verify(qa)
-    atomic_write_text(args.out, emit_certificate(qa, report))
+    report = verify(built)
+    atomic_write_text(args.out, emit_certificate(built, report))
     _print_summary(report)
     print(f"certificate written to {args.out}")
     return EXIT_OK if report.passed else EXIT_FAILED
@@ -297,7 +295,7 @@ def main(argv=None) -> int:
     except QuasiactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..errors import (
     DomainError,
+    GroupMismatchError,
     IncompleteSupportError,
     InvariantViolationError,
     PreconditionError,
@@ -138,7 +139,7 @@ def amenable_extension_qa(
     h_subset = conjugated_normal_subset(ext, fset)
     try:
         h_for_inner = FiniteSubset(psi.owner, iter(h_subset))
-    except Exception as exc:
+    except GroupMismatchError as exc:
         raise PreconditionError(f"inner action's group does not contain all of H: {exc}") from exc
     inner = verify(psi, h_for_inner, epsilon)
     if not inner.passed:

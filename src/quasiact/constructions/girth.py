@@ -9,8 +9,8 @@ ball of radius ceil(bound/2) around the identity earns the certificate.
 
 The search draws even permutations of scheduled degrees from a seeded
 generator, rejects cheaply (element order, duplicate or inverse generators),
-certifies the word bound, then takes |V| from Schreier-Sims under a hard
-order cap; V is never enumerated here.  Everything is a pure function of
+takes |V| from Schreier-Sims under a hard order cap, then certifies the word
+bound; V is never enumerated here.  Everything is a pure function of
 (parameters, seed).
 """
 
@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 from ..errors import DomainError, InvariantViolationError, SearchFailureError
 from ..finmap import FiniteMap
-from ..groups import _decode_int, _decode_list
+from ..groups import _decode_int, _decode_ints, _decode_list, _field
 from ..util import document_json
 
 _ATTEMPTS_PER_DEGREE = 80
@@ -58,15 +58,13 @@ def load_girth_witness(text: str) -> GirthGroup:
     """Rebuild a GirthGroup from a witness file, re-earning its certificate and
     checking its stated order and degree (JSON integers only, else DomainError)."""
     doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise DomainError("a girth witness must be a JSON object")
-    bound = _decode_int(doc["girth_bound"])
+    bound, order, degree, seed = (
+        _field(doc, k, _decode_int) for k in ("girth_bound", "order", "degree", "seed"))
     if bound < 1:
         raise DomainError(f"girth_bound must be positive, got {bound}")
-    gens = [FiniteMap([_decode_int(x) for x in _decode_list(g)])
-            for g in _decode_list(doc["generators"])]
-    order, degree = _decode_int(doc["order"]), _decode_int(doc["degree"])
-    group = _certify_generators(gens, bound, order_cap=order, seed=_decode_int(doc["seed"]))
+    gens = _field(doc, "generators",
+                  lambda v: [FiniteMap(_decode_ints(p)) for p in _decode_list(v)])
+    group = _certify_generators(gens, bound, order_cap=order, seed=seed)
     if group is None:
         raise DomainError("witness file does not satisfy its own certificate")
     if group.order != order or group.degree != degree:
@@ -215,12 +213,13 @@ def _certify_generators(
     if not gens or any(g.n != gens[0].n or not g.is_bijection() for g in gens):
         raise DomainError("generators must be permutations of one degree")
     perm_tuples = [tuple(g.to_list()) for g in gens]
+    # The order first: a draw past the cap never pays for the word ball.
+    order = schreier_sims(perm_tuples)[0]
+    if order > order_cap:
+        return None
     try:
         _certify_word_girth(perm_tuples, bound)
     except InvariantViolationError:
-        return None
-    order = schreier_sims(perm_tuples)[0]
-    if order > order_cap:
         return None
     return GirthGroup(
         degree=gens[0].n,

@@ -91,7 +91,8 @@ class FiniteMap:
             arr = np.concatenate([arr, labels.ravel()])
         elif labels is not None and np.shape(labels) != (cells, 0):
             raise DomainError(f"a dense map's labels, if given, have shape {(cells, 0)}")
-        self.packed = arr.astype(_DTYPE, copy=False)
+        # Writeable input is copied, not frozen under its owner; read-only is shared.
+        self.packed = arr.astype(_DTYPE, copy=arr.flags.writeable)
         self.packed.setflags(write=False)
         self.images = self.packed[:cells]
         self.labels = self.packed[cells:].reshape(cells, degree)

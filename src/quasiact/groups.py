@@ -37,6 +37,38 @@ def _decode_list(obj, length: int | None = None) -> list:
     return obj
 
 
+def _decode_ints(obj, length: int | None = None) -> list[int]:
+    return [_decode_int(x) for x in _decode_list(obj, length)]
+
+
+def _decode_object(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise DomainError(f"expected a JSON object, got {obj!r:.40}")
+    return obj
+
+
+def _decode_str(obj) -> str:
+    if not isinstance(obj, str):
+        raise DomainError(f"expected a string, got {obj!r:.40}")
+    return obj
+
+
+_REQUIRED = object()
+
+
+def _field(doc, name: str, decode: Callable, default=_REQUIRED):
+    """The one reader of a decoded JSON object's fields: decode(doc[name]), or
+    default if absent.  A missing required field or refused value names the field."""
+    if name not in _decode_object(doc):
+        if default is _REQUIRED:
+            raise DomainError(f"missing field {name!r}")
+        return default
+    try:
+        return decode(doc[name])
+    except DomainError as exc:
+        raise DomainError(f"field {name!r}: {exc}") from None
+
+
 class GroupHandle:
     """Abstract group interface; elements are plain hashable Python values."""
 
@@ -140,14 +172,11 @@ class IntegerGroup(GroupHandle):
 class TableGroup(GroupHandle):
     """Finite group given by its full multiplication table on {0..n-1}."""
 
-    def __init__(self, table: Sequence[Sequence[int]]):
-        n = len(table)
-        if n == 0:
-            raise DomainError("empty multiplication table")
-        rows = tuple(tuple(int(x) for x in row) for row in table)
-        for row in rows:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
-                raise DomainError("multiplication table is not square over {0..n-1}")
+    def __init__(self, table: list[list[int]]):
+        n = len(_decode_list(table))
+        rows = tuple(tuple(_decode_ints(row, n)) for row in table)
+        if n == 0 or any(not 0 <= x < n for row in rows for x in row):
+            raise DomainError("multiplication table is not square over {0..n-1}")
         self._table = rows
         self._order = n
         self._identity = self._find_identity()
@@ -391,9 +420,7 @@ class FreeProductGroup(GroupHandle):
             for g, h in (_decode_list(p, 2) for p in _decode_list(obj))
         ]
         word = self.word(pairs)
-        if [list(p) for p in obj] != [
-            [self.left.encode(g), self.right.encode(h)] for g, h in word.pairs
-        ]:
+        if self.encode(word) != obj:
             raise DomainError("encoded word was not in normal form")
         return word
 
@@ -411,8 +438,8 @@ def reduce_word(
     """Reduce a tagged syllable sequence to the unique normal form.
 
     Each item is (side, element) with side 0 for the left factor and 1 for
-    the right.  Identity syllables may appear anywhere; adjacent syllables
-    from the same factor are multiplied, and cancellations cascade.
+    the right.  Identity syllables may appear anywhere; a syllable merges with
+    a top of its own side, and as the stack alternates sides nothing cascades.
     """
     factors = (group.left, group.right)
     identities = (group.left.identity, group.right.identity)
@@ -421,34 +448,18 @@ def reduce_word(
         if side not in (0, 1):
             raise DomainError(f"syllable side must be 0 or 1, got {side!r}")
         factors[side].check_element(elem)
-        if elem == identities[side]:
-            continue
-        while True:
-            if stack and stack[-1][0] == side:
-                merged = factors[side]._mul(stack[-1][1], elem)
-                stack.pop()
-                if merged == identities[side]:
-                    if not stack:
-                        elem = None
-                        break
-                    side, elem = stack.pop()
-                    continue
-                elem = merged
-            if elem is not None:
-                stack.append((side, elem))
-            break
-    if not stack:
-        return group.identity
+        if stack and stack[-1][0] == side:
+            elem = factors[side]._mul(stack.pop()[1], elem)
+        if elem != identities[side]:
+            stack.append((side, elem))
     # Pad the ends so the word starts with a left syllable and ends with a
     # right one; only g1 and hk may be identities in a normal form.
-    if stack[0][0] == 1:
+    if not stack or stack[0][0] == 1:
         stack.insert(0, (0, identities[0]))
     if stack[-1][0] == 0:
         stack.append((1, identities[1]))
-    pairs = tuple(
-        (stack[i][1], stack[i + 1][1]) for i in range(0, len(stack), 2)
-    )
-    return FreeProductWord(pairs)
+    syllables = [elem for _, elem in stack]
+    return FreeProductWord(tuple(zip(syllables[::2], syllables[1::2])))
 
 
 class IntegerFinitaryGroup(GroupHandle):
@@ -523,10 +534,7 @@ class IntegerFinitaryGroup(GroupHandle):
 
     def decode(self, obj) -> tuple:
         k, moved = _decode_list(obj, 2)
-        pairs = tuple(
-            (_decode_int(a), _decode_int(b))
-            for a, b in (_decode_list(p, 2) for p in _decode_list(moved))
-        )
+        pairs = tuple(tuple(_decode_ints(p, 2)) for p in _decode_list(moved))
         return self.check_element((_decode_int(k), pairs))
 
     def describe(self) -> dict:
@@ -535,17 +543,16 @@ class IntegerFinitaryGroup(GroupHandle):
 
 def group_from_json(obj: dict) -> GroupHandle:
     """Rebuild a handle from its JSON description."""
-    if not isinstance(obj, dict):
-        raise DomainError(f"a group description must be a JSON object, got {obj!r:.40}")
-    kind = obj.get("kind")
+    kind = _field(obj, "kind", _decode_str)
     if kind == "integers":
         return IntegerGroup()
     if kind == "finite":
-        return TableGroup(obj["table"])
+        return _field(obj, "table", TableGroup)
     if kind == "product":
-        return ProductGroup([group_from_json(f) for f in obj["factors"]])
+        factors = _field(obj, "factors", lambda v: [group_from_json(f) for f in _decode_list(v)])
+        return ProductGroup(factors)
     if kind == "free_product":
-        return FreeProductGroup(group_from_json(obj["left"]), group_from_json(obj["right"]))
+        return FreeProductGroup(*(_field(obj, side, group_from_json) for side in ("left", "right")))
     if kind == "integer_finitary_extension":
         return IntegerFinitaryGroup()
     raise DomainError(f"unknown group kind {kind!r}")

@@ -51,7 +51,10 @@ from .finmap import (
     inverse_map,
     similarity_defect,
 )
-from .groups import FiniteSubset, GroupHandle, _decode_int, _decode_list, group_from_json
+from .groups import (
+    FiniteSubset, GroupHandle, _decode_int, _decode_ints, _decode_list, _decode_object,
+    _decode_str, _field, group_from_json,
+)
 from .util import (
     canonical_json, check_epsilon, document_json, format_fraction, parse_fraction
 )
@@ -451,10 +454,10 @@ def _fiber_from_json(doc: dict, carrier_n: int):
     order, and carrier_n must be a whole number of cells times that order."""
     from .constructions.girth import schreier_sims
 
-    degree = _decode_int(doc.get("degree"))
-    gens = tuple(tuple(map(_decode_int, _decode_list(p, degree)))
-                 for p in _read(doc, "generators", list))
-    fiber = Fiber(gens, _decode_int(doc.get("order")))
+    degree = _field(doc, "degree", _decode_int)
+    gens = _field(doc, "generators", lambda v: tuple(
+        tuple(_decode_ints(p, degree)) for p in _decode_list(v)))
+    fiber = Fiber(gens, _field(doc, "order", _decode_int))
     order, member = schreier_sims(gens)
     if order != fiber.order:
         raise InvariantViolationError(
@@ -493,19 +496,12 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     return document_json(doc, default=_map_to_json)
 
 
-def _read(doc: dict, key: str, kind: type):
-    """doc[key], refused with DomainError unless it is a JSON object or array (dict, list)."""
-    value = doc.get(key)
-    if not isinstance(value, kind):
-        name = "object" if kind is dict else "array"
-        raise DomainError(f"the certificate's {key!r} must be a JSON {name}")
-    return value
-
-
-def _element_from_key(g: GroupHandle, key):
-    if not isinstance(key, str):
-        raise DomainError(f"element keys must be strings, got {key!r}")
-    return g.decode(json.loads(key))
+def _elements_from_keys(g: GroupHandle, keys) -> list:
+    """The elements keys name, each key the JSON text of an element's encoding."""
+    try:
+        return [g.decode(json.loads(_decode_str(key))) for key in keys]
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"element key {exc.doc!r} is not JSON") from None
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
@@ -523,22 +519,19 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     """
     doc = json.loads(text)
     del text  # frees the text now when the caller keeps no reference to it
-    if not isinstance(doc, dict):
-        raise DomainError("a certificate must be a JSON object")
-    g = group_from_json(doc["group"])
-    carrier_n = _decode_int(doc["carrier_n"])
-    fmt = _decode_int(doc["format"]) if "format" in doc else None
+    g = _field(doc, "group", group_from_json)
+    carrier_n = _field(doc, "carrier_n", _decode_int)
+    fmt = _field(doc, "format", _decode_int, None)
     if fmt not in (None, CERTIFICATE_FORMAT, FIBERED_FORMAT):
         raise DomainError(f"unsupported certificate format {fmt!r}")
     fiber = member = None
     if fmt == FIBERED_FORMAT:
-        fiber, member = _fiber_from_json(_read(doc, "fiber", dict), carrier_n)
-    assignment = {
-        _element_from_key(g, key): (
-            FiniteMap(entry) if fmt is None else _map_from_json(entry, carrier_n, fiber)
-        )
-        for key, entry in _read(doc, "assignment", dict).items()
-    }
+        fiber, member = _field(doc, "fiber", lambda v: _fiber_from_json(v, carrier_n))
+    assignment = _field(doc, "assignment", lambda v: dict(zip(
+        _elements_from_keys(g, _decode_object(v)),
+        [FiniteMap(_decode_ints(e)) if fmt is None else _map_from_json(e, carrier_n, fiber)
+         for e in v.values()],
+    )))
     if member is not None:
         labels = {tuple(w) for m in assignment.values() for w in m.labels.tolist()}
         for w in sorted(labels):
@@ -546,18 +539,18 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
                 raise InvariantViolationError(
                     f"label {list(w)} is not in V, so its map leaves the carrier"
                 )
-    claimed_f = FiniteSubset(g, (_element_from_key(g, key) for key in _read(doc, "F", list)))
+    claimed_f = FiniteSubset(g, _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v))))
     qa = QuasiAction(
         g,
         carrier_n,
         assignment,
         claimed_f,
-        parse_fraction(doc["epsilon"]),
+        _field(doc, "epsilon", parse_fraction),
     )
-    stored = _read(doc, "report", dict)
-    f = FiniteSubset(g, (_element_from_key(g, key) for key in _read(stored, "f", list)))
-    epsilon = parse_fraction(stored["epsilon"])
-    strict = stored.get("strict") is not None
+    stored = _field(doc, "report", _decode_object)
+    f = _field(stored, "f", lambda v: _elements_from_keys(g, _decode_list(v)))
+    epsilon = _field(stored, "epsilon", parse_fraction)
+    strict = _field(stored, "strict", lambda v: v is not None)
     # Only the report's text is kept while verify runs, not the document.
     stored = canonical_json(stored)
     del doc

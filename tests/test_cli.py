@@ -387,3 +387,102 @@ class TestConstructCommand:
         out = tmp_path / "out.json"
         main(["construct", "--request", str(req), "--seed", "0", "--out", str(out)])
         assert req.read_text() == text
+
+    def test_nested_construction_as_product_factor(self, tmp_path):
+        good_action = {
+            "epsilon": "1/10",
+            "base": {"cyclic": {"f": [1], "modulus": 12, "support": [-4, -3, -2, 2, 3, 4]}},
+            "f": [1],
+        }
+        request = {
+            "construct": "product",
+            "epsilon": "1/4",
+            "factors": [{"good_action": good_action}, {"cyclic": {"f": [1], "modulus": 5}}],
+        }
+        code, out = self.run_construct(tmp_path, request)
+        assert code == 0
+        qa, report = load_certificate(out.read_text())
+        assert qa.carrier_n == 24 * 5 and report.passed
+
+    def test_top_level_cyclic(self, tmp_path):
+        code, out = self.run_construct(tmp_path, {"construct": "cyclic", "f": [1], "modulus": 5})
+        assert code == 0
+        qa, report = load_certificate(out.read_text())
+        assert qa.carrier_n == 5 and qa.claimed_epsilon == Fraction(1, 100) and report.passed
+
+    def test_certificate_source_is_a_path(self, tmp_path, capsys):
+        request = {"construct": "product", "epsilon": "1/10", "factors": [{"certificate": 5}]}
+        code, _ = self.run_construct(tmp_path, request)
+        assert code == 2
+        assert "'factors': expected a string, got 5" in capsys.readouterr().err
+
+
+def _set(path, value):
+    def mutate(doc):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return mutate
+
+
+def _format_1(doc):
+    del doc["format"]
+    doc["assignment"]["0"] = [0, [1]]
+
+
+C4_TABLE = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+
+
+class TestMalformedInputs:
+    """Each malformed input exits 2, naming the field or value, with no traceback."""
+
+    @pytest.mark.parametrize("mutate,named", [
+        (_set(("group", "table"), 5), "'table': expected an array"),
+        (_set(("group", "table"), C4_TABLE[:3] + [[3, 0, 1, 2.0]]), "'table': expected an integer"),
+        (_set(("group", "table"), C4_TABLE[:3] + [[3, 0, 1, "2"]]), "'table': expected an integer"),
+        (_set(("group",), {"kind": "product", "factors": 5}), "'factors': expected an array"),
+        (lambda doc: doc.pop("carrier_n"), "missing field 'carrier_n'"),
+        (_format_1, "'assignment': expected an integer, got [1]"),
+        (_set(("F", 0), "[1,"), "element key '[1,' is not JSON"),
+    ])
+    def test_certificate(self, tmp_path, capsys, c4_certificate, mutate, named):
+        doc = json.loads(c4_certificate.read_text())
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--qa", str(path), "--epsilon", "1/100"]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("request_doc,named", [
+        ({"construct": "good_action", "epsilon": "1/10",
+          "base": {"cyclic": {"f": [1], "modulus": 12, "support": [-4, -3, -2, 2, 3, 4]}},
+          "f": 5}, "'f': expected an array"),
+        ({"construct": "product", "epsilon": "1/10", "factors": 5}, "'factors': expected an array"),
+        ({"construct": "product", "epsilon": "1/10",
+          "factors": [{"cyclic": {"f": [1], "modulus": 5}, "regular": {}}]}, "one key"),
+        ({"construct": "product", "epsilon": "1/10",
+          "factors": [{"cyclic": {"f": [1], "modulus": 5}, "certificate": "c4.json"}]}, "one key"),
+        (["x"], "expected a JSON object"),
+        ({"construct": "product", "epsilon": "1/10",
+          "factors": [{"girth_group": {"labels": 2, "girth_bound": 2, "order_cap": 500}}]},
+         "builds no quasi-action"),
+        ({"construct": "extension", "extension_kind": "mystery", "epsilon": "1/10"},
+         "'extension_kind': unknown extension kind 'mystery'"),
+        ({"construct": ["cyclic"]}, "unknown construction ['cyclic']"),
+    ])
+    def test_request(self, tmp_path, capsys, c4_certificate, request_doc, named):
+        req = tmp_path / "request.json"
+        req.write_text(json.dumps(request_doc).replace("c4.json", str(c4_certificate)))
+        out = tmp_path / "out.json"
+        assert main(["construct", "--request", str(req), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_undecodable_request_bytes(self, tmp_path, capsys):
+        req = tmp_path / "request.json"
+        req.write_bytes(b'\xff{"construct": "cyclic"}')
+        assert main(["construct", "--request", str(req), "--out", str(tmp_path / "o")]) == 2
+        assert "Traceback" not in capsys.readouterr().err

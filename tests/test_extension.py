@@ -171,6 +171,14 @@ class TestProductFactorExtension:
         with pytest.raises(PreconditionError):
             amenable_extension_qa(psi, ext, f, Fraction(1, 2))
 
+    def test_inner_group_missing_an_element_of_h(self):
+        g, ext = product_extension(20)
+        # H = {(0,0), (0,1)}, but psi's group is the trivial subgroup.
+        psi = regular_action(SubgroupHandle(g, members=[(0, 0)]), epsilon=Fraction(1, 100))
+        f = FiniteSubset(g, [(0, 1)])
+        with pytest.raises(PreconditionError, match=r"does not contain all of H.*\(0, 1\)"):
+            amenable_extension_qa(psi, ext, f, Fraction(1, 10))
+
     def test_inner_support_gap_detected(self):
         g, ext = product_extension(20)
         # inner action supported only on the identity: conjugated (0,1) missing

@@ -204,6 +204,22 @@ class TestHelpers:
         with pytest.raises(DomainError):
             FiniteMap(images)
 
+    def test_caller_array_stays_writeable_and_map_fixed(self):
+        images = np.arange(3, dtype=np.int32)
+        fmap = FiniteMap(images)
+        images[0] = 2  # the caller's array is not frozen under it
+        assert fmap.to_list() == [0, 1, 2]
+        view = np.arange(6, dtype=np.int32)[::2] // 2
+        shared = FiniteMap(view)
+        view[0] = 1
+        assert shared.to_list() == [0, 1, 2]
+        with pytest.raises(ValueError):
+            fmap.packed[0] = 1
+
+    def test_read_only_input_is_shared(self):
+        raw = np.frombuffer(np.array([1, 0], dtype="<i4").tobytes(), "<i4")
+        assert np.shares_memory(FiniteMap(raw).packed, raw)
+
     def test_non_integer_images_rejected(self):
         with pytest.raises(DomainError):
             FiniteMap(np.array([1.0, 0.0]))

@@ -148,6 +148,22 @@ class TestSearch:
         with pytest.raises(DomainError):
             girth_group_search(0, 4, order_cap=10)
 
+    def test_order_cap_checked_before_word_girth(self, monkeypatch):
+        # Every draw generates a group of order above 2, so no draw may pay
+        # for the Cayley ball.
+        from quasiact.constructions import girth
+
+        calls = []
+        certify = girth._certify_word_girth
+        monkeypatch.setattr(
+            girth, "_certify_word_girth", lambda *a: calls.append(a) or certify(*a)
+        )
+        with pytest.raises(SearchFailureError):
+            girth_group_search(2, 4, order_cap=2, seed=0, attempts_per_degree=5)
+        assert calls == []
+        girth_group_search(2, 4, order_cap=5000, seed=0)
+        assert calls
+
     @pytest.mark.parametrize("seed", sorted(WITNESS_SHA256))
     def test_witness_bytes_pinned(self, seed):
         text = girth_group_search(6, 5, order_cap=200000, seed=seed).to_witness_json()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from quasiact import (
     FiniteSubset,
     FreeProductGroup,
+    FreeProductWord,
     IntegerFinitaryGroup,
     IntegerGroup,
     ProductGroup,
@@ -140,6 +141,39 @@ def brute_normal_forms(fp, tagged):
     return irreducible
 
 
+def reduce_word_cascading(group, tagged):
+    """The former reduce_word, kept as an oracle: after a cancelling merge it
+    popped the new top and tried to merge it again."""
+    factors = (group.left, group.right)
+    identities = (group.left.identity, group.right.identity)
+    stack = []
+    for side, elem in tagged:
+        factors[side].check_element(elem)
+        if elem == identities[side]:
+            continue
+        while True:
+            if stack and stack[-1][0] == side:
+                merged = factors[side].mul(stack[-1][1], elem)
+                stack.pop()
+                if merged == identities[side]:
+                    if not stack:
+                        elem = None
+                        break
+                    side, elem = stack.pop()
+                    continue
+                elem = merged
+            if elem is not None:
+                stack.append((side, elem))
+            break
+    if not stack:
+        return group.identity
+    if stack[0][0] == 1:
+        stack.insert(0, (0, identities[0]))
+    if stack[-1][0] == 0:
+        stack.append((1, identities[1]))
+    return FreeProductWord(tuple((stack[i][1], stack[i + 1][1]) for i in range(0, len(stack), 2)))
+
+
 def word_to_tagged(word):
     out = []
     for g, h in word.pairs:
@@ -206,6 +240,15 @@ class TestFreeProduct:
                 if e != (fp.left.identity if s == 0 else fp.right.identity)
             )
             assert stripped == only
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 5)), max_size=12))
+    def test_matches_cascading_oracle(self, raw):
+        perms = list(itertools.permutations(range(3)))
+        s3 = TableGroup([[perms.index(tuple(q[x] for x in p)) for q in perms] for p in perms])
+        fp = FreeProductGroup(s3, cyclic_group(4))
+        tagged = [(side, e if side == 0 else e % 4) for side, e in raw]
+        assert reduce_word(fp, tagged) == reduce_word_cascading(fp, tagged)
 
     def test_associative_on_random_words(self, fp):
         rng = random.Random(11)
