@@ -10,7 +10,6 @@ and renamed, so interrupted runs never leave partial certificates.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -36,7 +35,7 @@ from .quasiaction import (
     load_certificate,
     verify,
 )
-from .util import atomic_write_text, parse_epsilon
+from .util import atomic_write_text, parse_epsilon, parse_json
 from .constructions import (
     ExtensionData,
     GirthGroup,
@@ -250,7 +249,7 @@ _BUILDERS = {
 
 
 def _cmd_construct(args) -> int:
-    request = json.loads(_read_text(args.request))
+    request = parse_json(_read_text(args.request), "request")
     builder = _field(request, "construct", lambda v: _row(_BUILDERS, v, "construction"))
     built = builder(request, args.seed)
     if isinstance(built, GirthGroup):
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
     except QuasiactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

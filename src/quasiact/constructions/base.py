@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import DomainError, GroupMismatchError, PreconditionError
+from ..errors import DomainError, PreconditionError
 from ..finmap import FiniteMap, check_carrier_size, identity_map, shift_map
 from ..groups import FiniteSubset, GroupHandle, ProductGroup, pair_products
 from ..quasiaction import QuasiAction, require_dense, verify
@@ -40,8 +40,7 @@ def regular_action(
     assignment = {g: FiniteMap([index[group.mul(x, g)] for x in elements]) for g in elements}
     if f is None:
         f = elements
-    fset = f if isinstance(f, FiniteSubset) else FiniteSubset(group, f)
-    return QuasiAction(group, len(elements), assignment, fset, epsilon)
+    return QuasiAction(group, len(elements), assignment, FiniteSubset(group, f), epsilon)
 
 
 def cyclic_quasi_action(
@@ -63,7 +62,7 @@ def cyclic_quasi_action(
     z = IntegerGroup()
     fset = FiniteSubset(z, f)
     products = pair_products(fset, fset)
-    bound = max(abs(k) for k in fset)
+    bound = max((abs(k) for k in fset), default=0)
     if modulus <= 2 * bound:
         raise PreconditionError(f"modulus {modulus} too small: needs > {2 * bound} for this F")
     support = {*symmetrize(fset), *products, *map(int, extra_support)}
@@ -139,9 +138,7 @@ def transport_qa(
     products formed inside F, an (j(F), eps) input yields an (F, eps) output.
     """
     require_dense(qa, "transport")
-    fset = new_f if isinstance(new_f, FiniteSubset) else FiniteSubset(new_group, new_f)
-    if fset.owner != new_group:
-        raise GroupMismatchError("F belongs to a different group")
+    fset = FiniteSubset(new_group, new_f)
     one = new_group.identity
     core = list(fset) + [one]
     seen = {}

@@ -71,7 +71,7 @@ class ExtensionData:
 
 def folner_expansion(ext: ExtensionData, f: FiniteSubset | Iterable) -> Fraction:
     """max over g in F of |Abar * gb \\ Abar| / |Abar|, counted exactly."""
-    fset = f if isinstance(f, FiniteSubset) else FiniteSubset(ext.group, f)
+    fset = FiniteSubset(ext.group, f)
     abar = list(ext.folner)
     inside = set(abar)
     worst = Fraction(0)
@@ -86,7 +86,7 @@ def conjugated_normal_subset(
     ext: ExtensionData, f: FiniteSubset | Iterable
 ) -> FiniteSubset:
     """H = N intersected with A*F*A^-1, enumerated over all |A|^2 |F| triples."""
-    fset = f if isinstance(f, FiniteSubset) else FiniteSubset(ext.group, f)
+    fset = FiniteSubset(ext.group, f)
     g = ext.group
     lifts = [ext.check_section_at(q) for q in ext.folner]
     members = []
@@ -128,9 +128,7 @@ def amenable_extension_qa(
     require_dense(psi, "the amenable extension")
     epsilon = check_epsilon(epsilon)
     g = ext.group
-    fset = f if isinstance(f, FiniteSubset) else FiniteSubset(g, f)
-    if fset.owner != g:
-        raise DomainError("F must live in the extension's group")
+    fset = FiniteSubset(g, f)
 
     expansion = folner_expansion(ext, fset)
     if expansion > epsilon:

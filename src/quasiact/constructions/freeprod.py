@@ -113,8 +113,8 @@ def free_product_qa(
     require_dense(phi_g, "the free product")
     require_dense(psi_h, "the free product")
     group = FreeProductGroup(phi_g.owner, psi_h.owner)
-    lf = f_left if isinstance(f_left, FiniteSubset) else FiniteSubset(phi_g.owner, f_left)
-    rf = f_right if isinstance(f_right, FiniteSubset) else FiniteSubset(psi_h.owner, f_right)
+    lf = FiniteSubset(phi_g.owner, f_left)
+    rf = FiniteSubset(psi_h.owner, f_right)
 
     for name, qa, fs in (("left", phi_g, lf), ("right", psi_h, rf)):
         report = verify(qa, fs, epsilon, strict=True)

@@ -16,7 +16,6 @@ bound; V is never enumerated here.  Everything is a pure function of
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 from ..errors import DomainError, InvariantViolationError, SearchFailureError
 from ..finmap import FiniteMap
 from ..groups import _decode_int, _decode_ints, _decode_list, _field
-from ..util import document_json
+from ..util import document_json, parse_json
 
 _ATTEMPTS_PER_DEGREE = 80
 _DRAWS_PER_GENERATOR = 400
@@ -57,7 +56,7 @@ class GirthGroup:
 def load_girth_witness(text: str) -> GirthGroup:
     """Rebuild a GirthGroup from a witness file, re-earning its certificate and
     checking its stated order and degree (JSON integers only, else DomainError)."""
-    doc = json.loads(text)
+    doc = parse_json(text, "girth witness")
     bound, order, degree, seed = (
         _field(doc, k, _decode_int) for k in ("girth_bound", "order", "degree", "seed"))
     if bound < 1:

@@ -29,9 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import InvariantViolationError, PreconditionError
-from ..finmap import (
-    FiniteMap, compose, fixpoint_count, fixpoint_set, identity_map, inverse_map
-)
+from ..finmap import FiniteMap, _moved, compose, fixpoint_count, identity_map, inverse_map
 from ..groups import FiniteSubset, symmetrized_square
 from ..quasiaction import QuasiAction, require_dense, verify
 from ..util import check_epsilon
@@ -48,10 +46,6 @@ class GoodActionPreconditionError(PreconditionError):
         )
 
 
-def _doubled_indices(points: np.ndarray, n: int) -> np.ndarray:
-    return np.concatenate([points, points + n])
-
-
 def good_action_upgrade(
     phi: QuasiAction,
     f: FiniteSubset | Iterable,
@@ -66,9 +60,9 @@ def good_action_upgrade(
     mechanics on inputs that violate the bound.
     """
     require_dense(phi, "the good-action upgrade")
-    fset = f if isinstance(f, FiniteSubset) else FiniteSubset(phi.owner, f)
-    epsilon = check_epsilon(epsilon)
     group = phi.owner
+    fset = FiniteSubset(group, f)
+    epsilon = check_epsilon(epsilon)
     tilde = symmetrized_square(fset)
 
     if check:
@@ -85,25 +79,16 @@ def good_action_upgrade(
             )
             raise GoodActionPreconditionError(failed)
 
-    n = phi.carrier_n
-    n2 = 2 * n
-    one = group.identity
-    assignment = {one: identity_map(n2)}
-
-    # Process {e, e^-1} together, anchored at a deterministic representative.
-    done = set()
+    n2 = 2 * phi.carrier_n
+    assignment = {group.identity: identity_map(n2)}
+    # tilde is symmetric and in key order, so of {e, e^-1} it reaches the
+    # one with the smaller key first: build that map, invert it for the other.
     for e in tilde:
-        if e == one or e in done:
-            continue
-        e_inv = group.inv(e)
-        rep = min(e, e_inv, key=group.element_key)
-        rep_inv = group.inv(rep)
-        psi_rep = _build_good_map(phi, rep, rep_inv)
-        assignment[rep] = psi_rep
-        if rep_inv != rep:
-            assignment[rep_inv] = inverse_map(psi_rep)
-        done.add(rep)
-        done.add(rep_inv)
+        if e not in assignment:
+            e_inv = group.inv(e)
+            assignment[e] = _build_good_map(phi, e, e_inv)
+            if e_inv != e:
+                assignment[e_inv] = inverse_map(assignment[e])
 
     return QuasiAction(group, n2, assignment, fset, epsilon)
 
@@ -112,40 +97,22 @@ def _build_good_map(phi: QuasiAction, e, e_inv) -> FiniteMap:
     m_e = phi.map_for(e)
     m_inv = phi.map_for(e_inv)
     n = m_e.n
-
-    fix_e = fixpoint_set(m_e)
-    fix_round = fixpoint_set(compose(m_e, m_inv))
-    a_e = np.array(sorted(fix_round - fix_e), dtype=np.int64)
-
-    fix_inv = fixpoint_set(m_inv)
-    fix_round_inv = fixpoint_set(compose(m_inv, m_e))
-    a_einv = np.array(sorted(fix_round_inv - fix_inv), dtype=np.int64)
-
-    if set(np.asarray(m_e.images)[a_e].tolist()) != set(a_einv.tolist()):
+    # A_e as a mask: moved by phi(e), fixed by phi(e)phi(e^-1).
+    in_e = _moved(m_e) & ~_moved(compose(m_e, m_inv))
+    in_inv = _moved(m_inv) & ~_moved(compose(m_inv, m_e))
+    a_e = np.flatnonzero(in_e)
+    targets = m_e.images[a_e].astype(np.int64)
+    if not np.array_equal(np.sort(targets), np.flatnonzero(in_inv)):
         raise InvariantViolationError("A_e . phi(e) != A_{e^-1}")
 
-    images = np.full(2 * n, -1, dtype=np.int64)
-    if a_e.size:
-        targets = np.asarray(m_e.images, dtype=np.int64)[a_e]
-        images[a_e] = targets
-        images[a_e + n] = targets + n
-
-    set_e = set(a_e.tolist())
-    set_inv = set(a_einv.tolist())
-    only_inv = np.array(sorted(set_inv - set_e), dtype=np.int64)
-    only_e = np.array(sorted(set_e - set_inv), dtype=np.int64)
-    if only_inv.size:
-        src = _doubled_indices(only_inv, n)
-        dst = _doubled_indices(only_e, n)
+    # The copy swap, then the doubled phi(e) on A_e and the leftover
+    # A_{e^-1} \ A_e onto A_e \ A_{e^-1} in ascending order, on both copies.
+    images = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+    only_inv, only_e = np.flatnonzero(in_inv & ~in_e), np.flatnonzero(in_e & ~in_inv)
+    for src, dst in ((a_e, targets), (only_inv, only_e)):
         images[src] = dst
+        images[src + n] = dst + n
 
-    complement = np.array(sorted(set(range(n)) - set_e - set_inv), dtype=np.int64)
-    if complement.size:
-        images[complement] = complement + n
-        images[complement + n] = complement
-
-    if (images < 0).any():
-        raise InvariantViolationError("good map left points unassigned")
     result = FiniteMap(images)
     if not result.is_bijection() or fixpoint_count(result):
         raise InvariantViolationError("good map is not a fixpoint-free bijection")

@@ -244,7 +244,8 @@ def fixpoint_count(e: FiniteMap) -> int:
 
 def fixpoint_set(e: FiniteMap) -> frozenset[int]:
     """The fixed points of a dense map."""
-    return frozenset(np.flatnonzero(e.points() == np.arange(e.n)).tolist())
+    e.points()  # refuses a fibered map
+    return frozenset(np.flatnonzero(~_moved(e)).tolist())
 
 
 def inverse_map(e: FiniteMap) -> FiniteMap:

@@ -562,10 +562,16 @@ class FiniteSubset:
     """A deduplicated finite set of elements of one group.
 
     Elements are kept sorted by their canonical key, so iteration order is
-    deterministic and certificates serialize identically across runs.
+    deterministic and certificates serialize identically across runs.  Given
+    a FiniteSubset, it reuses that subset's elements, which must belong to
+    the same group.
     """
 
     def __init__(self, owner: GroupHandle, elements: Iterable):
+        if isinstance(elements, FiniteSubset):
+            elements._check_owner(owner)
+            self.owner, self._elements, self._set = owner, elements._elements, elements._set
+            return
         elems = {}
         for x in elements:
             owner.check_element(x)
@@ -593,14 +599,14 @@ class FiniteSubset:
     def __repr__(self) -> str:
         return f"FiniteSubset({list(self._elements)!r})"
 
-    def _check_owner(self, other: "FiniteSubset"):
-        if self.owner != other.owner:
-            raise GroupMismatchError("subsets belong to different groups")
+    def _check_owner(self, owner: GroupHandle):
+        if self.owner != owner:
+            raise GroupMismatchError("subset belongs to a different group")
 
 
 def pair_products(f1: FiniteSubset, f2: FiniteSubset) -> FiniteSubset:
     """The product set {e*f : e in F1, f in F2}, deduplicated."""
-    f1._check_owner(f2)
+    f1._check_owner(f2.owner)
     g = f1.owner
     return FiniteSubset(g, (g.mul(e, f) for e in f1 for f in f2))
 

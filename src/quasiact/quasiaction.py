@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import base64
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -56,7 +55,7 @@ from .groups import (
     _decode_str, _field, group_from_json,
 )
 from .util import (
-    canonical_json, check_epsilon, document_json, format_fraction, parse_fraction
+    canonical_json, check_epsilon, document_json, format_fraction, parse_fraction, parse_json
 )
 
 
@@ -261,14 +260,7 @@ def verify(
     disagree iff its cell images or labels do (one point per cell for dense
     maps).  Verdicts cross-multiply the counts exactly."""
     g = qa.owner
-    if f is None:
-        fset = qa.claimed_f
-    elif isinstance(f, FiniteSubset):
-        if f.owner != g:
-            raise GroupMismatchError("F belongs to a different group")
-        fset = f
-    else:
-        fset = FiniteSubset(g, f)
+    fset = qa.claimed_f if f is None else FiniteSubset(g, f)
     eps = check_epsilon(qa.claimed_epsilon if epsilon is None else epsilon)
     table = qa._claimed_products if fset == qa.claimed_f else qa._products(fset)
 
@@ -498,10 +490,7 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
 
 def _elements_from_keys(g: GroupHandle, keys) -> list:
     """The elements keys name, each key the JSON text of an element's encoding."""
-    try:
-        return [g.decode(json.loads(_decode_str(key))) for key in keys]
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"element key {exc.doc!r} is not JSON") from None
+    return [g.decode(parse_json(k, f"element key {k!r:.60}")) for k in map(_decode_str, keys)]
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
@@ -517,7 +506,7 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     refused unless that fresh report, written as canonical JSON, is exactly
     the stored one (so ``1`` is not ``true``).  The fresh report is returned.
     """
-    doc = json.loads(text)
+    doc = parse_json(text, "certificate")
     del text  # frees the text now when the caller keeps no reference to it
     g = _field(doc, "group", group_from_json)
     carrier_n = _field(doc, "carrier_n", _decode_int)

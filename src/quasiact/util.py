@@ -1,4 +1,4 @@
-"""Small shared helpers: exact rational parsing and deterministic JSON."""
+"""Small shared helpers: exact rational parsing, JSON parsing and deterministic JSON."""
 
 from __future__ import annotations
 
@@ -39,6 +39,16 @@ def check_epsilon(eps: Fraction) -> Fraction:
 def format_fraction(value: Fraction) -> str:
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+def parse_json(text: str, what: str):
+    """json.loads, where any failure is a DomainError naming what the text
+    is: bad syntax, an integer past the interpreter's digit limit (both
+    ValueError) or nesting too deep (RecursionError)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(f"{what} is not JSON: {type(exc).__name__}: {exc}") from None
 
 
 def canonical_json(obj) -> str:

@@ -410,6 +410,12 @@ class TestConstructCommand:
         qa, report = load_certificate(out.read_text())
         assert qa.carrier_n == 5 and qa.claimed_epsilon == Fraction(1, 100) and report.passed
 
+    def test_cyclic_with_empty_f(self, tmp_path):
+        code, out = self.run_construct(tmp_path, {"construct": "cyclic", "f": [], "modulus": 5})
+        assert code == 0
+        qa, report = load_certificate(out.read_text())
+        assert len(qa.claimed_f) == 0 and report.passed
+
     def test_certificate_source_is_a_path(self, tmp_path, capsys):
         request = {"construct": "product", "epsilon": "1/10", "factors": [{"certificate": 5}]}
         code, _ = self.run_construct(tmp_path, request)
@@ -486,3 +492,40 @@ class TestMalformedInputs:
         req.write_bytes(b'\xff{"construct": "cyclic"}')
         assert main(["construct", "--request", str(req), "--out", str(tmp_path / "o")]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+# JSON that json.loads refuses with ValueError or RecursionError, not JSONDecodeError.
+HUGE_MODULUS = '{"construct": "cyclic", "f": [1], "modulus": ' + "9" * 5000 + "}"
+DEEP_F = '{"construct": "cyclic", "f": ' + "[" * 100000 + "]" * 100000 + ', "modulus": 5}'
+
+
+class TestUnparsableJson:
+    @pytest.mark.parametrize("text,cause", [
+        (HUGE_MODULUS, "ValueError"), (DEEP_F, "RecursionError"), ("{", "JSONDecodeError"),
+    ])
+    def test_request(self, tmp_path, capsys, text, cause):
+        req = tmp_path / "request.json"
+        req.write_text(text)
+        out = tmp_path / "out.json"
+        assert main(["construct", "--request", str(req), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"request is not JSON: {cause}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value,cause", [
+        ("9" * 5000, "ValueError"), ("[" * 100000 + "]" * 100000, "RecursionError"),
+    ])
+    def test_certificate(self, tmp_path, capsys, c4_certificate, value, cause):
+        text = c4_certificate.read_text().replace('"carrier_n": 4', f'"carrier_n": {value}')
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["verify", "--qa", str(path), "--epsilon", "1/100"]) == 2
+        err = capsys.readouterr().err
+        assert f"certificate is not JSON: {cause}" in err and "Traceback" not in err
+
+    def test_element_key(self):
+        qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))
+        doc = json.loads(emit_certificate(qa, verify(qa)))
+        doc["F"][0] = "9" * 5000
+        with pytest.raises(DomainError, match="element key '9999.* is not JSON: ValueError"):
+            load_certificate(json.dumps(doc))

@@ -23,6 +23,7 @@ from quasiact.constructions import (
     transport_qa,
 )
 from quasiact.errors import (
+    GroupMismatchError,
     IncompleteSupportError,
     InvariantViolationError,
     PreconditionError,
@@ -68,6 +69,20 @@ class TestExtensionData:
         folner2 = integer_folner_interval([3], Fraction(2, 7))
         # 3 / m <= 2/7 first holds at m = 11
         assert len(folner2) == 11
+
+    def test_f_of_another_group_is_refused(self):
+        _, ext = product_extension(20)
+        psi = regular_action(cyclic_group(2), epsilon=Fraction(1, 100))
+        other = FiniteSubset(cyclic_group(3), [1, 2])
+        for build in (
+            lambda: folner_expansion(ext, other),
+            lambda: conjugated_normal_subset(ext, other),
+            lambda: amenable_extension_qa(psi, ext, other, Fraction(1, 10)),
+            lambda: transport_qa(psi, ext.group, other, {}),
+            lambda: verify(psi, other),
+        ):
+            with pytest.raises(GroupMismatchError):
+                build()
 
     def test_conjugated_subset(self):
         g, ext = product_extension(5)

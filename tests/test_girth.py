@@ -652,6 +652,12 @@ class TestWitnessLoaderSoundness:
     def witness_doc(self):
         return json.loads(girth_group_search(2, 4, order_cap=5000, seed=1).to_witness_json())
 
+    @pytest.mark.parametrize("value", ["9" * 5000, "[" * 100000 + "]" * 100000])
+    def test_unparsable_json_rejected(self, value):
+        text = json.dumps({**self.witness_doc(), "order": 0}).replace('"order": 0', '"order": ' + value)
+        with pytest.raises(DomainError, match="girth witness is not JSON"):
+            load_girth_witness(text)
+
     def test_constant_generator_rejected(self):
         doc = self.witness_doc()
         doc["generators"][0] = [0] * doc["degree"]

@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quasiact import (
     FiniteMap,
     FiniteSubset,
     IntegerGroup,
+    QuasiAction,
     compose,
     cyclic_group,
     double,
@@ -23,6 +27,8 @@ from quasiact.constructions import (
     good_action_upgrade,
     regular_action,
 )
+from quasiact.constructions.good import _build_good_map
+from quasiact.errors import InvariantViolationError
 
 
 def doubled_input_map(phi, e) -> FiniteMap:
@@ -38,6 +44,138 @@ def perturbed_shift_action(epsilon):
     images = phi.assignment[3].to_list()
     images[0] = 4  # not 3 (the honest value), not 0 (would create a fixpoint)
     return phi.with_map(3, FiniteMap(images))
+
+
+def build_good_map_with_sets(phi, e, e_inv) -> FiniteMap:
+    """_build_good_map as it was before it read finmap's fixpoint mask: A_e
+    from fixpoint sets and set differences, -1 marking unassigned points.
+    Kept as the oracle for the mask version."""
+    m_e = phi.map_for(e)
+    m_inv = phi.map_for(e_inv)
+    n = m_e.n
+
+    fix_e = fixpoint_set(m_e)
+    fix_round = fixpoint_set(compose(m_e, m_inv))
+    a_e = np.array(sorted(fix_round - fix_e), dtype=np.int64)
+
+    fix_inv = fixpoint_set(m_inv)
+    fix_round_inv = fixpoint_set(compose(m_inv, m_e))
+    a_einv = np.array(sorted(fix_round_inv - fix_inv), dtype=np.int64)
+
+    if set(np.asarray(m_e.images)[a_e].tolist()) != set(a_einv.tolist()):
+        raise InvariantViolationError("A_e . phi(e) != A_{e^-1}")
+
+    images = np.full(2 * n, -1, dtype=np.int64)
+    if a_e.size:
+        targets = np.asarray(m_e.images, dtype=np.int64)[a_e]
+        images[a_e] = targets
+        images[a_e + n] = targets + n
+
+    set_e = set(a_e.tolist())
+    set_inv = set(a_einv.tolist())
+    only_inv = np.array(sorted(set_inv - set_e), dtype=np.int64)
+    only_e = np.array(sorted(set_e - set_inv), dtype=np.int64)
+    if only_inv.size:
+        images[np.concatenate([only_inv, only_inv + n])] = np.concatenate([only_e, only_e + n])
+
+    complement = np.array(sorted(set(range(n)) - set_e - set_inv), dtype=np.int64)
+    if complement.size:
+        images[complement] = complement + n
+        images[complement + n] = complement
+
+    if (images < 0).any():
+        raise InvariantViolationError("good map left points unassigned")
+    result = FiniteMap(images)
+    if not result.is_bijection() or fixpoint_count(result):
+        raise InvariantViolationError("good map is not a fixpoint-free bijection")
+    return result
+
+
+def _random_pair(rng: random.Random, n: int, kind: str):
+    """(phi(e), phi(e^-1)) as image lists, of the named kind."""
+    def bijection():
+        return rng.sample(range(n), n)
+
+    def any_map():
+        return [rng.randrange(n) for _ in range(n)]
+
+    if kind == "bijections":
+        return bijection(), bijection()
+    if kind == "perturbed_shifts":
+        k = rng.randrange(n)
+        m_e = [(a + k) % n for a in range(n)]
+        m_inv = [(a - k) % n for a in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            rng.choice((m_e, m_inv))[rng.randrange(n)] = rng.randrange(n)
+        return m_e, m_inv
+    if kind == "non_bijective":
+        return any_map(), any_map()
+    if kind == "exact_inverses":
+        m_e = bijection()
+        return m_e, np.argsort(m_e).tolist()
+    m_e = any_map() if rng.random() < 0.5 else bijection()  # "involutive": e = e^-1
+    return m_e, m_e
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestMaskAgainstSetOracle:
+    KINDS = ("bijections", "perturbed_shifts", "non_bijective", "exact_inverses", "involutive")
+
+    def test_same_map_or_same_error(self):
+        rng = random.Random(0)
+        z, c2 = IntegerGroup(), cyclic_group(2)
+        for i in range(2500):
+            n = rng.randint(1, 30)
+            kind = self.KINDS[i % len(self.KINDS)]
+            m_e, m_inv = map(FiniteMap, _random_pair(rng, n, kind))
+            if kind == "involutive":
+                phi = QuasiAction(c2, n, {0: identity_map(n), 1: m_e},
+                                  FiniteSubset(c2, []), Fraction(1, 2))
+                args = (phi, 1, 1)
+            else:
+                phi = QuasiAction(z, n, {0: identity_map(n), 1: m_e, -1: m_inv},
+                                  FiniteSubset(z, []), Fraction(1, 2))
+                args = (phi, 1, -1)
+            expected = _outcome(build_good_map_with_sets, *args)
+            assert _outcome(_build_good_map, *args) == expected, (kind, m_e, m_inv)
+
+
+class TestDocumentedClaims:
+    """On any input that verifies as an (F~, eps/10)-quasi-action, psi(e) is
+    3eps/10-similar to the doubled phi(e) for e in F~, and the maps of
+    F union {1} are pairwise (1 - 8eps/10)-different."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(20, 48),
+        st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=3),
+        st.sampled_from([Fraction(1, 2), Fraction(7, 10), Fraction(9, 10)]),
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(0, 47), st.integers(0, 47)),
+                 max_size=3),
+    )
+    def test_similarity_and_difference(self, modulus, f, eps, damage):
+        phi = cyclic_quasi_action(f, modulus, eps / 10, extra_support=range(-12, 13))
+        for k, point, target in damage:
+            images = phi.assignment[k].to_list()
+            images[point % modulus] = target % modulus
+            phi = phi.with_map(k, FiniteMap(images))
+        tilde = symmetrized_square(phi.claimed_f)
+        assume(verify(phi, tilde, eps / 10).passed)
+        psi = good_action_upgrade(phi, f, eps)
+        for e in tilde:
+            d = similarity_defect(psi.assignment[e], double(phi.map_for(e)))
+            assert d.is_similar(3 * eps / 10), (e, d)
+        core = sorted({0, *f})
+        for i, a in enumerate(core):
+            for b in core[i + 1 :]:
+                d = similarity_defect(psi.assignment[a], psi.assignment[b])
+                assert d.is_different(1 - 8 * eps / 10), (a, b, d)
 
 
 class TestExactInput:

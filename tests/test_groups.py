@@ -313,6 +313,17 @@ class TestFiniteSubset:
                 FiniteSubset(IntegerGroup(), [1]), FiniteSubset(cyclic_group(2), [1])
             )
 
+    def test_a_subset_coerces_to_itself_or_refuses_another_group(self):
+        f = FiniteSubset(IntegerGroup(), [2, -1])
+        again = FiniteSubset(IntegerGroup(), f)
+        assert again == f and again._elements is f._elements
+        with pytest.raises(GroupMismatchError):
+            FiniteSubset(cyclic_group(3), FiniteSubset(cyclic_group(2), [1]))
+        sub = SubgroupHandle(IntegerGroup(), contains_fn=lambda k: k % 2 == 0)
+        with pytest.raises(GroupMismatchError):
+            FiniteSubset(sub, f)
+        assert set(FiniteSubset(sub, iter(FiniteSubset(IntegerGroup(), [2])))) == {2}
+
     def test_equal_groups_interoperate(self):
         f1 = FiniteSubset(IntegerGroup(), [1])
         f2 = FiniteSubset(IntegerGroup(), [2])
