@@ -204,7 +204,8 @@ def _integer_subgroup(spec: dict, epsilon: Fraction):
         extra_support=range(-2 * bound - 2, 2 * bound + 3),
     )
     span = range(-2 * d * (bound + 2), 2 * d * (bound + 2) + 1, d)
-    psi = transport_qa(base, sub, [d, -d], {k: k // d for k in span})
+    psi_f = range(-d * (bound + 1), d * (bound + 2), d)  # past H: covers H*H, F*F's conjugates
+    psi = transport_qa(base, sub, psi_f, {k: k // d for k in span})
     q = cyclic_group(d)
     ext = ExtensionData(
         group=z,

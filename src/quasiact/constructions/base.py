@@ -65,7 +65,7 @@ def cyclic_quasi_action(
     bound = max((abs(k) for k in fset), default=0)
     if modulus <= 2 * bound:
         raise PreconditionError(f"modulus {modulus} too small: needs > {2 * bound} for this F")
-    support = {*symmetrize(fset), *products, *map(int, extra_support)}
+    support = {*symmetrize(fset), *products, *FiniteSubset(z, extra_support)}
     assignment = {k: shift_map(modulus, k) for k in support}
     return QuasiAction(z, modulus, assignment, fset, epsilon)
 

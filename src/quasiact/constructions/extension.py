@@ -19,7 +19,7 @@ and psi's own defect epsilon of the b-coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -40,7 +40,8 @@ from ..util import check_epsilon
 
 @dataclass(frozen=True)
 class ExtensionData:
-    """Normal subgroup, quotient with section, and the chosen Folner set."""
+    """Normal subgroup, quotient with section, and the chosen Folner set;
+    ``lifts`` is A = sigma(Abar) in Folner order, ``index`` Abar's positions."""
 
     group: GroupHandle
     normal_contains: Callable
@@ -48,56 +49,58 @@ class ExtensionData:
     project: Callable
     section: Callable
     folner: FiniteSubset
+    lifts: tuple = field(init=False, repr=False, compare=False)
+    index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.folner.owner != self.quotient:
-            raise DomainError("Folner set must live in the quotient group")
-        if len(self.folner) == 0:
+        folner = FiniteSubset(self.quotient, self.folner)
+        if len(folner) == 0:
             raise DomainError("Folner set must be nonempty")
-        for q in self.folner:
-            self.group.check_element(self.section(q))
-            self.check_section_at(q)
+        lifts = tuple(self.group.check_element(self.section(q)) for q in folner)
+        for q, a in zip(folner, lifts):
+            if self.project(a) != q:
+                raise InvariantViolationError(f"section fails on {self.quotient.element_key(q)}")
         if not self.normal_contains(self.group.identity):
             raise InvariantViolationError("normal subgroup must contain the identity")
+        object.__setattr__(self, "folner", folner)
+        object.__setattr__(self, "lifts", lifts)
+        object.__setattr__(self, "index", {q: i for i, q in enumerate(folner)})
 
-    def check_section_at(self, q):
-        lifted = self.section(q)
-        if self.project(lifted) != q:
-            raise InvariantViolationError(
-                f"section fails on {self.quotient.element_key(q)}"
-            )
-        return lifted
+
+def _blocks(ext: ExtensionData, g) -> list:
+    """g's walk over the blocks a of A, in Folner order: (j, a g sigma(ab gb)^-1)
+    when ab gb is the j-th element of Abar, None when it leaves Abar.  N is the
+    projection's kernel and sigma is injective on Abar, so that is the one a2
+    in A with a g a2^-1 in N.  g must already be an element of G."""
+    gb = ext.quotient.check_element(ext.project(g))
+    qmul, mul, inv = ext.quotient._mul, ext.group._mul, ext.group._inv
+    blocks = []
+    for q, a in zip(ext.folner, ext.lifts):
+        j = ext.index.get(qmul(q, gb))
+        if j is None:
+            blocks.append(None)
+            continue
+        conjugated = mul(mul(a, g), inv(ext.lifts[j]))
+        if not ext.normal_contains(conjugated):
+            key = ext.group.element_key(conjugated)
+            raise InvariantViolationError(f"conjugated element escaped the normal subgroup: {key}")
+        blocks.append((j, conjugated))
+    return blocks
 
 
 def folner_expansion(ext: ExtensionData, f: FiniteSubset | Iterable) -> Fraction:
     """max over g in F of |Abar * gb \\ Abar| / |Abar|, counted exactly."""
     fset = FiniteSubset(ext.group, f)
-    abar = list(ext.folner)
-    inside = set(abar)
-    worst = Fraction(0)
-    for g in fset:
-        gb = ext.project(g)
-        escaped = sum(1 for q in abar if ext.quotient.mul(q, gb) not in inside)
-        worst = max(worst, Fraction(escaped, len(abar)))
-    return worst
+    escaped = max((_blocks(ext, g).count(None) for g in fset), default=0)
+    return Fraction(escaped, len(ext.folner))
 
 
 def conjugated_normal_subset(
     ext: ExtensionData, f: FiniteSubset | Iterable
 ) -> FiniteSubset:
-    """H = N intersected with A*F*A^-1, enumerated over all |A|^2 |F| triples."""
+    """H = N intersected with A*F*A^-1: the conjugates of F's block walks."""
     fset = FiniteSubset(ext.group, f)
-    g = ext.group
-    lifts = [ext.check_section_at(q) for q in ext.folner]
-    members = []
-    for a in lifts:
-        for x in fset:
-            ax = g.mul(a, x)
-            for a2 in lifts:
-                candidate = g.mul(ax, g.inv(a2))
-                if ext.normal_contains(candidate):
-                    members.append(candidate)
-    return FiniteSubset(g, members)
+    return FiniteSubset(ext.group, (b[1] for x in fset for b in _blocks(ext, x) if b))
 
 
 def integer_folner_interval(projected_f: Iterable[int], epsilon: Fraction) -> FiniteSubset:
@@ -147,40 +150,26 @@ def amenable_extension_qa(
     if claimed >= 1:
         raise PreconditionError(f"3*epsilon = {claimed} leaves (0,1)")
 
-    abar = list(ext.folner)
-    lifts = [ext.check_section_at(q) for q in ext.folner]
-    q_index = {q: i for i, q in enumerate(abar)}
-    b_n = psi.carrier_n
-    a_n = len(abar)
-    size = b_n * a_n
-
+    a_n = len(ext.folner)
+    barange = np.arange(psi.carrier_n)
     needed = {g.identity, *fset, *pair_products(fset, fset)}
 
     assignment = {}
-    barange = np.arange(b_n, dtype=np.int64)
     for elem in sorted(needed, key=g.element_key):
-        gb = ext.project(elem)
-        images = np.empty(size, dtype=np.int64)
-        for i, (q, a) in enumerate(zip(abar, lifts)):
-            target_q = ext.quotient.mul(q, gb)
-            j = q_index.get(target_q)
-            if j is None:
+        target, inner = np.arange(a_n), []
+        for i, block in enumerate(_blocks(ext, elem)):
+            if block is None:
                 # ab gb left the Folner set: identity on this block.
-                images[barange * a_n + i] = barange * a_n + i
+                inner.append(barange)
                 continue
-            a2 = lifts[j]
-            conjugated = g.mul(g.mul(a, elem), g.inv(a2))
-            if not ext.normal_contains(conjugated):
-                raise InvariantViolationError(
-                    "conjugated element escaped the normal subgroup: "
-                    + g.element_key(conjugated)
-                )
+            target[i], conjugated = block
             if conjugated not in psi.assignment:
                 raise IncompleteSupportError(
                     g.element_key(conjugated), "inner action support"
                 )
-            inner_map = np.asarray(psi.assignment[conjugated].images, dtype=np.int64)
-            images[barange * a_n + i] = inner_map[barange] * a_n + j
-        assignment[elem] = FiniteMap(images)
+            inner.append(psi.assignment[conjugated].images)
+        # Point (b, a_i) is b * |A| + i; column i holds block i's B-images.
+        images = np.stack(inner, axis=1).astype(np.int64) * a_n + target
+        assignment[elem] = FiniteMap(images.ravel())
 
-    return QuasiAction(g, size, assignment, fset, claimed)
+    return QuasiAction(g, psi.carrier_n * a_n, assignment, fset, claimed)

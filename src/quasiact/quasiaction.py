@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    GroupMismatchError,
     IncompleteSupportError,
     InvariantViolationError,
     PreconditionError,
@@ -69,7 +68,7 @@ class QuasiAction:
     """A carrier size plus a finite table of group element -> map.
 
     The maps are all dense or all fibered over one Fiber (``fiber``, else
-    None).  The assignment's keys are validated here, once (F's were, by
+    None).  The assignment's keys are validated here, once (F's by
     FiniteSubset), and the support check builds the claimed F's F x F
     product table, once."""
 
@@ -78,14 +77,12 @@ class QuasiAction:
         owner: GroupHandle,
         carrier_n: int,
         assignment: Mapping,
-        claimed_f: FiniteSubset,
+        claimed_f: FiniteSubset | Iterable,
         claimed_epsilon: Fraction,
     ):
-        if claimed_f.owner != owner:
-            raise GroupMismatchError("claimed F belongs to a different group")
         self.owner = owner
         self.carrier_n = int(carrier_n)
-        self.claimed_f = claimed_f
+        self.claimed_f = FiniteSubset(owner, claimed_f)
         self.claimed_epsilon = check_epsilon(claimed_epsilon)
         table = {}
         self.fiber = None
@@ -103,7 +100,7 @@ class QuasiAction:
             self.fiber = fmap.fiber
             table[elem] = fmap
         self.assignment = table
-        self._claimed_products = self._products(claimed_f)
+        self._claimed_products = self._products(self.claimed_f)
 
     def _products(self, fset: FiniteSubset) -> list:
         """The products e*f for e, f in F, row by row, once the identity, F and

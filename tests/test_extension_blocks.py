@@ -1,0 +1,373 @@
+"""The amenable extension's block walk against the triple enumeration it
+replaced, and the extension and product claims on random cases.
+
+The oracles are the enumerations the constructions used before the block
+walk: H as every a*x*a2^-1 over A x F x A that N contains, and the Folner
+expansion through checked quotient products.
+"""
+
+import itertools
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quasiact import (
+    FiniteMap,
+    FiniteSubset,
+    IntegerGroup,
+    ProductGroup,
+    QuasiAction,
+    SubgroupHandle,
+    TableGroup,
+    cyclic_group,
+    identity_map,
+    load_certificate,
+    verify,
+)
+from quasiact.cli import main
+from quasiact.constructions import (
+    ExtensionData,
+    amenable_extension_qa,
+    conjugated_normal_subset,
+    cyclic_quasi_action,
+    direct_product_qa,
+    folner_expansion,
+    integer_folner_interval,
+    regular_action,
+    transport_qa,
+)
+from quasiact.errors import GroupMismatchError, InvariantViolationError
+
+
+def triple_oracle(ext, f):
+    """H = N & (A F A^-1), enumerated over all |A|^2 |F| triples."""
+    g = ext.group
+    lifts = [ext.section(q) for q in ext.folner]
+    candidates = (g.mul(g.mul(a, x), g.inv(a2)) for a in lifts for x in f for a2 in lifts)
+    return {c for c in candidates if ext.normal_contains(c)}
+
+
+def expansion_oracle(ext, f):
+    """max over x in F of |Abar * xb \\ Abar| / |Abar| with checked products."""
+    abar = list(ext.folner)
+    inside = set(abar)
+    escaped = (
+        sum(1 for q in abar if ext.quotient.mul(q, ext.project(x)) not in inside) for x in f
+    )
+    return max((Fraction(e, len(abar)) for e in escaped), default=Fraction(0))
+
+
+def _symmetric_group_table(degree):
+    perms = list(itertools.permutations(range(degree)))
+    index = {p: i for i, p in enumerate(perms)}
+    return perms, [[index[tuple(q[i] for i in p)] for q in perms] for p in perms]
+
+
+S4_PERMS, S4_TABLE = _symmetric_group_table(4)
+S4 = TableGroup(S4_TABLE)
+
+
+def _parity(p):
+    return sum(1 for i, j in itertools.combinations(range(len(p)), 2) if p[i] > p[j]) % 2
+
+
+# The normal subgroups of S4, as index sets into S4_PERMS.
+S4_NORMAL = {
+    "trivial": [S4_PERMS.index((0, 1, 2, 3))],
+    "klein": [S4_PERMS.index(p) for p in [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]],
+    "alternating": [i for i, p in enumerate(S4_PERMS) if _parity(p) == 0],
+    "whole": list(range(24)),
+}
+
+
+def quotient_by(group, normal):
+    """G/N as a table group on coset numbers, with the projection."""
+    members = set(normal)
+    cosets, coset_of = [], {}
+    for x in group.elements():
+        if x not in coset_of:
+            coset = frozenset(group.mul(x, n) for n in members)
+            for y in coset:
+                coset_of[y] = len(cosets)
+            cosets.append(coset)
+    reps = [min(c) for c in cosets]
+    table = [[coset_of[group.mul(r, s)] for s in reps] for r in reps]
+    return TableGroup(table), coset_of.__getitem__, cosets
+
+
+@st.composite
+def product_factor_integer(draw):
+    """G = Z x C_n, N the finite factor, quotient Z with a non-homomorphic
+    section and a Folner set that need not be an interval."""
+    n = draw(st.integers(1, 4))
+    g = ProductGroup([IntegerGroup(), cyclic_group(n)])
+    q = IntegerGroup()
+    folner = draw(st.sets(st.integers(-6, 6), min_size=1, max_size=8))
+    offsets = {k: draw(st.integers(0, n - 1)) for k in sorted(folner)}
+    f = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, n - 1)), max_size=5))
+    ext = ExtensionData(
+        group=g,
+        normal_contains=lambda x: x[0] == 0,
+        quotient=q,
+        project=lambda x: x[0],
+        section=lambda k: (k, offsets[k]),
+        folner=FiniteSubset(q, folner),
+    )
+    return ext, f
+
+
+@st.composite
+def product_factor_finite(draw):
+    """G = C_m x C_n, N the second factor, quotient C_m."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    g = ProductGroup([cyclic_group(m), cyclic_group(n)])
+    q = cyclic_group(m)
+    folner = draw(st.sets(st.integers(0, m - 1), min_size=1))
+    offsets = [draw(st.integers(0, n - 1)) for _ in range(m)]
+    f = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), max_size=5))
+    ext = ExtensionData(
+        group=g,
+        normal_contains=lambda x: x[0] == 0,
+        quotient=q,
+        project=lambda x: x[0],
+        section=lambda t: (t, offsets[t]),
+        folner=FiniteSubset(q, folner),
+    )
+    return ext, f
+
+
+@st.composite
+def integer_subgroup(draw):
+    """G the integers, N = dZ, quotient C_d, each residue lifted anywhere."""
+    d = draw(st.integers(1, 5))
+    q = cyclic_group(d)
+    folner = draw(st.sets(st.integers(0, d - 1), min_size=1))
+    lifts = [t + d * draw(st.integers(-2, 2)) for t in range(d)]
+    f = draw(st.lists(st.integers(-9, 9), max_size=5))
+    ext = ExtensionData(
+        group=IntegerGroup(),
+        normal_contains=lambda k: k % d == 0,
+        quotient=q,
+        project=lambda k: k % d,
+        section=lambda t: lifts[t],
+        folner=FiniteSubset(q, folner),
+    )
+    return ext, f
+
+
+@st.composite
+def symmetric_group_quotient(draw):
+    """G = S4 over one of its normal subgroups: a nonabelian G, and for the
+    Klein four-group a nonabelian quotient too."""
+    normal = S4_NORMAL[draw(st.sampled_from(sorted(S4_NORMAL)))]
+    q, project, cosets = quotient_by(S4, normal)
+    folner = draw(st.sets(st.sampled_from(list(q.elements())), min_size=1))
+    lifts = [draw(st.sampled_from(sorted(c))) for c in cosets]
+    f = draw(st.lists(st.integers(0, 23), max_size=4))
+    members = set(normal)
+    ext = ExtensionData(
+        group=S4,
+        normal_contains=members.__contains__,
+        quotient=q,
+        project=project,
+        section=lambda t: lifts[t],
+        folner=FiniteSubset(q, folner),
+    )
+    return ext, f
+
+
+KINDS = {
+    "product_factor_integer": product_factor_integer(),
+    "product_factor_finite": product_factor_finite(),
+    "integer_subgroup": integer_subgroup(),
+    "symmetric_group_quotient": symmetric_group_quotient(),
+}
+
+
+class TestBlockWalkOracle:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_h_and_expansion_match_the_triple_enumeration(self, kind, data):
+        ext, f = data.draw(KINDS[kind])
+        assert set(conjugated_normal_subset(ext, f)) == triple_oracle(ext, f)
+        assert folner_expansion(ext, f) == expansion_oracle(ext, f)
+
+    def test_empty_f(self):
+        q = IntegerGroup()
+        ext = ExtensionData(
+            group=ProductGroup([q, cyclic_group(2)]),
+            normal_contains=lambda x: x[0] == 0,
+            quotient=q,
+            project=lambda x: x[0],
+            section=lambda k: (k, 1),
+            folner=FiniteSubset(q, [0, 3, 4]),
+        )
+        assert len(conjugated_normal_subset(ext, [])) == 0
+        assert folner_expansion(ext, []) == 0
+
+    def test_conjugate_outside_n_is_an_invariant_violation(self):
+        # N claims only the identity although (0, 1) projects to 0 as well.
+        q = IntegerGroup()
+        ext = ExtensionData(
+            group=ProductGroup([q, cyclic_group(2)]),
+            normal_contains=lambda x: x == (0, 0),
+            quotient=q,
+            project=lambda x: x[0],
+            section=lambda k: (k, 0),
+            folner=FiniteSubset(q, range(3)),
+        )
+        for walk in (conjugated_normal_subset, folner_expansion):
+            with pytest.raises(InvariantViolationError, match=r"escaped.*\[0,1\]"):
+                walk(ext, [(1, 1)])
+
+    def test_folner_set_of_another_group_is_refused(self):
+        q = IntegerGroup()
+        with pytest.raises(GroupMismatchError):
+            ExtensionData(
+                group=ProductGroup([q, cyclic_group(2)]),
+                normal_contains=lambda x: x[0] == 0,
+                quotient=q,
+                project=lambda x: x[0],
+                section=lambda k: (k, 0),
+                folner=FiniteSubset(cyclic_group(3), [0, 1]),
+            )
+
+
+EPSILONS = st.sampled_from([Fraction(1, 10), Fraction(1, 20), Fraction(1, 50), Fraction(2, 7)])
+
+
+@st.composite
+def product_factor_claim(draw):
+    """The CLI's product_factor shape with the regular action of N as psi,
+    an integer or a finite quotient, and a section that is no homomorphism."""
+    epsilon = draw(EPSILONS)
+    n = draw(st.integers(1, 4))
+    normal = cyclic_group(n)
+    if draw(st.booleans()):
+        quotient = IntegerGroup()
+        f = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, n - 1)),
+                          min_size=1, max_size=4))
+        folner = integer_folner_interval([x[0] for x in f], epsilon)
+    else:
+        quotient = cyclic_group(draw(st.integers(1, 5)))
+        f = draw(st.lists(st.tuples(st.sampled_from(quotient.elements()), st.integers(0, n - 1)),
+                          min_size=1, max_size=4))
+        folner = FiniteSubset(quotient, quotient.elements())
+    g = ProductGroup([quotient, normal])
+    q_id = quotient.identity
+    scale = draw(st.integers(0, n - 1))
+    ext = ExtensionData(
+        group=g,
+        normal_contains=lambda x: x[0] == q_id,
+        quotient=quotient,
+        project=lambda x: x[0],
+        section=lambda q: (q, (q * q * scale) % n),
+        folner=folner,
+    )
+    psi = regular_action(SubgroupHandle(g, members=[(q_id, t) for t in range(n)]), epsilon=epsilon)
+    return psi, ext, f, epsilon
+
+
+@st.composite
+def integer_subgroup_claim(draw):
+    """The CLI's integer_subgroup shape: shifts on Z/M pulled back to dZ, with
+    F reaching past +-d, so that H has more than the multiples 0, +-d."""
+    epsilon = draw(EPSILONS)
+    d = draw(st.integers(1, 4))
+    f = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+    bound = max(abs(k) for k in f) or 1
+    modulus = draw(st.integers(2 * bound + 3, 4 * bound + 10))
+    base = cyclic_quasi_action([1], modulus, epsilon,
+                               extra_support=range(-2 * bound - 2, 2 * bound + 3))
+    span = range(-2 * d * (bound + 2), 2 * d * (bound + 2) + 1, d)
+    sub = SubgroupHandle(IntegerGroup(), contains_fn=lambda k: k % d == 0)
+    psi = transport_qa(base, sub, range(-d * (bound + 1), d * (bound + 2), d),
+                       {k: k // d for k in span})
+    q = cyclic_group(d)
+    ext = ExtensionData(
+        group=IntegerGroup(),
+        normal_contains=lambda k: k % d == 0,
+        quotient=q,
+        project=lambda k: k % d,
+        section=lambda t: t,
+        folner=FiniteSubset(q, q.elements()),
+    )
+    return psi, ext, f, epsilon
+
+
+class TestClaims:
+    @pytest.mark.parametrize("shape", [product_factor_claim(), integer_subgroup_claim()],
+                             ids=["product_factor", "integer_subgroup"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_extension_verifies_at_three_epsilon(self, shape, data):
+        psi, ext, f, epsilon = data.draw(shape)
+        qa = amenable_extension_qa(psi, ext, f, epsilon)
+        assert qa.claimed_epsilon == 3 * epsilon
+        assert verify(qa, epsilon=qa.claimed_epsilon).passed
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_product_defects_at_most_the_sum_and_pass_at_k_epsilon(self, data):
+        epsilon = Fraction(1, 4)
+        k = data.draw(st.integers(2, 3))
+        inputs = []
+        for _ in range(k):
+            f = data.draw(st.sets(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=2))
+            qa = cyclic_quasi_action(sorted(f), data.draw(st.integers(12, 14)), epsilon)
+            elem = data.draw(st.sampled_from(sorted(qa.assignment)))
+            images = qa.assignment[elem].to_list()
+            for p in data.draw(st.sets(st.integers(0, qa.carrier_n - 1), max_size=1)):
+                images[p] = data.draw(st.integers(0, qa.carrier_n - 1))
+            inputs.append((qa.with_map(elem, FiniteMap(images)), FiniteSubset(qa.owner, f)))
+        factor_reports = [verify(qa, fset, epsilon) for qa, fset in inputs]
+        assert all(r.passed for r in factor_reports)
+
+        prod = direct_product_qa(inputs, epsilon)
+        assert prod.claimed_epsilon == k * epsilon
+        report = verify(prod, epsilon=k * epsilon)
+        assert report.passed
+
+        def by_pair(r):
+            return {(p.left_key, p.right_key): p.defect.fraction for p in r.pair_defects}
+
+        factor_pairs = [by_pair(r) for r in factor_reports]
+        pairs = by_pair(report)
+        pg, z = prod.owner, IntegerGroup()
+        for e in prod.claimed_f:
+            for f in prod.claimed_f:
+                bound = sum(d[z.element_key(x), z.element_key(y)]
+                            for d, x, y in zip(factor_pairs, e, f))
+                assert pairs[pg.element_key(e), pg.element_key(f)] <= bound
+        assert report.identity_defect.fraction <= sum(
+            r.identity_defect.fraction for r in factor_reports
+        )
+
+
+class TestIntegerSubgroupRequest:
+    @pytest.mark.parametrize("index,f", [(1, [2]), (2, [5, -3]), (3, [7])])
+    def test_f_past_the_index_constructs(self, tmp_path, index, f):
+        # H then holds multiples of the index beyond +-index, which the inner
+        # action's support must cover, with H*H and the conjugates of F*F.
+        request = {"construct": "extension", "extension_kind": "integer_subgroup",
+                   "epsilon": "1/10", "index": index, "psi_modulus": 41, "f": f}
+        req, out = tmp_path / "request.json", tmp_path / "out.json"
+        req.write_text(json.dumps(request))
+        assert main(["construct", "--request", str(req), "--out", str(out)]) == 0
+        qa, report = load_certificate(out.read_text())
+        assert report.passed and qa.claimed_epsilon == Fraction(3, 10)
+
+
+class TestDecodedInputs:
+    @pytest.mark.parametrize("bad", [2.7, True, "3"])
+    def test_cyclic_extra_support_is_not_truncated(self, bad):
+        with pytest.raises(GroupMismatchError):
+            cyclic_quasi_action([1], 12, extra_support=[3, bad])
+
+    def test_quasi_action_f_of_another_group_is_refused(self):
+        with pytest.raises(GroupMismatchError):
+            QuasiAction(IntegerGroup(), 2, {0: identity_map(2)},
+                        FiniteSubset(cyclic_group(2), [0]), Fraction(1, 10))
