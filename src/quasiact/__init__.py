@@ -7,13 +7,11 @@ from .finmap import (
     compose,
     double,
     fixpoint_count,
-    fixpoint_set,
     identity_like,
     identity_map,
     inverse_map,
     shift_map,
     similarity_defect,
-    swap_map,
 )
 from .groups import (
     FiniteSubset,

@@ -62,15 +62,25 @@ def _print_summary(report: VerificationReport) -> None:
     def verdict(ok: bool) -> str:
         return "PASS" if ok else "FAIL"
 
-    if report.pair_defects:  # every count is out of carrier_n: the largest is the worst
-        worst_a = max((p.defect for p in report.pair_defects), key=lambda d: d.disagreements)
-        print(f"condition (a): worst defect {worst_a} (threshold {eps}): {verdict(report.a_pass)}")
+    def worst(counts) -> int:  # every count is out of carrier_n: the largest is the worst
+        return max(range(len(counts)), key=counts.__getitem__)
+
+    n, limit = report.carrier_n, eps * report.carrier_n
+    if report.a_counts:
+        i = worst(report.a_counts)
+        e, f = divmod(i, len(report.f_keys))
+        d = report.a_counts[i]
+        print(f"condition (a): worst pair ({report.f_keys[e]}, {report.f_keys[f]}) defect "
+              f"{d}/{n}, margin eps*n - d = {limit - d} (threshold {eps}): "
+              f"{verdict(report.a_pass)}")
     print(f"condition (b): defect {report.identity_defect} (threshold {eps}): "
           f"{verdict(report.b_pass)}")
-    if report.identity_agreements:
-        worst_c = max(a for _, a in report.identity_agreements)
-        print(f"condition (c): worst agreement {worst_c}/{report.carrier_n} (must disagree "
-              f"on more than {1 - eps} of the carrier): {verdict(report.c_pass)}")
+    if report.c_agreements:
+        i = worst(report.c_agreements)
+        agree = report.c_agreements[i]
+        print(f"condition (c): worst element {report.c_keys[i]} agrees on {agree}/{n}, "
+              f"margin eps*n - agreements = {limit - agree} (must disagree on more than "
+              f"{1 - eps} of the carrier): {verdict(report.c_pass)}")
     if report.strict is not None:
         print(f"strict (b')/(c'): {verdict(report.strict.passed)}")
     print(f"max defect {report.max_defect}")

@@ -110,7 +110,7 @@ def integer_folner_interval(projected_f: Iterable[int], epsilon: Fraction) -> Fi
     modulus is ceil(max|k| / epsilon).
     """
     epsilon = check_epsilon(epsilon)
-    bound = max((abs(int(k)) for k in projected_f), default=0)
+    bound = max((abs(k) for k in FiniteSubset(IntegerGroup(), projected_f)), default=0)
     m = -(-bound * epsilon.denominator // epsilon.numerator) or 1  # ceil division
     return FiniteSubset(IntegerGroup(), range(m))
 

@@ -21,7 +21,7 @@ import itertools
 from fractions import Fraction
 
 from ..errors import DomainError, PreconditionError
-from ..finmap import FiniteMap
+from ..finmap import FiniteMap, check_carrier_size
 from ..groups import FiniteSubset, IntegerFinitaryGroup
 from ..quasiaction import QuasiAction
 from ..util import check_epsilon
@@ -72,6 +72,7 @@ def finitary_extension_qa(
             f"modulus {modulus} too small: the ball of radius {10 * n} "
             f"must stay injective, needs modulus > {20 * n}"
         )
+    check_carrier_size(modulus)  # before ball_map walks Z/modulus point by point
     epsilon = check_epsilon(epsilon)
     group = IntegerFinitaryGroup()
     support_elements = enumerate_finitary_elements(2 * n)

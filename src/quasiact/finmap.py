@@ -174,7 +174,7 @@ class Defect:
 
 
 def identity_map(n: int) -> FiniteMap:
-    return FiniteMap(np.arange(n, dtype=_DTYPE))
+    return FiniteMap(np.arange(check_carrier_size(n), dtype=_DTYPE))
 
 
 def identity_like(e: FiniteMap) -> FiniteMap:
@@ -186,13 +186,7 @@ def identity_like(e: FiniteMap) -> FiniteMap:
 
 def shift_map(n: int, k: int) -> FiniteMap:
     """The cyclic shift a -> (a + k) mod n."""
-    return FiniteMap((np.arange(n, dtype=np.int64) + k) % n)
-
-
-def swap_map(n: int, i: int, j: int) -> FiniteMap:
-    images = np.arange(n, dtype=_DTYPE)
-    images[i], images[j] = j, i
-    return FiniteMap(images)
+    return FiniteMap((np.arange(check_carrier_size(n), dtype=np.int64) + k) % n)
 
 
 def _check_same(e: FiniteMap, f: FiniteMap) -> None:
@@ -240,12 +234,6 @@ def _moved(e: FiniteMap) -> np.ndarray:
 
 def fixpoint_count(e: FiniteMap) -> int:
     return e.fiber_size * (e.images.size - int(np.count_nonzero(_moved(e))))
-
-
-def fixpoint_set(e: FiniteMap) -> frozenset[int]:
-    """The fixed points of a dense map."""
-    e.points()  # refuses a fibered map
-    return frozenset(np.flatnonzero(~_moved(e)).tolist())
 
 
 def inverse_map(e: FiniteMap) -> FiniteMap:

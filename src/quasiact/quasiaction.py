@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import base64
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -53,9 +53,7 @@ from .groups import (
     FiniteSubset, GroupHandle, _decode_int, _decode_ints, _decode_list, _decode_object,
     _decode_str, _field, group_from_json,
 )
-from .util import (
-    canonical_json, check_epsilon, document_json, format_fraction, parse_fraction, parse_json
-)
+from .util import canonical_json, check_epsilon, format_fraction, parse_fraction, parse_json
 
 
 # verify stacks maps in chunks of max(1, POINTS // width) rows, width being
@@ -142,8 +140,9 @@ def require_dense(qa: QuasiAction, construction: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PairDefect:
+class PairDefect(NamedTuple):
+    """One condition (a) count with its keys: a view for readers, never stored."""
+
     left_key: str
     right_key: str
     product_key: str
@@ -151,55 +150,71 @@ class PairDefect:
 
 
 @dataclass(frozen=True)
-class ElementFlags:
-    element_key: str
-    bijective: bool
-    fixpoint_free: bool
-    inverse_exact: bool | None  # None when the inverse is unsupported
-
-
-@dataclass(frozen=True)
 class StrictChecks:
-    """Strict-mode measurements; the (b')/(c') verdicts are derived from them."""
+    """Strict-mode counts and flags; the (b')/(c') verdicts are derived from them.
 
+    The flags run over the supported elements other than the identity, sorted
+    by key; inverse_exact is None where the inverse is unsupported.  The
+    pairwise counts are the row-major upper triangle over F union {1} sorted
+    by key, whose keys ``keys`` holds in memory only."""
+
+    carrier_n: int
     epsilon: Fraction
     identity_exact: bool
-    element_flags: tuple[ElementFlags, ...]
-    pairwise: tuple[tuple[str, str, Defect], ...]
+    bijective: tuple[bool, ...]
+    fixpoint_free: tuple[bool, ...]
+    inverse_exact: tuple[bool | None, ...]
+    pair_counts: tuple[int, ...]
+    keys: tuple[str, ...] = field(compare=False, repr=False)
 
     @cached_property
     def bprime_pass(self) -> bool:
-        return self.identity_exact and all(
-            fl.bijective and fl.fixpoint_free and fl.inverse_exact is not False
-            for fl in self.element_flags
-        )
+        return (self.identity_exact and all(self.bijective) and all(self.fixpoint_free)
+                and False not in self.inverse_exact)
 
     @cached_property
     def cprime_pass(self) -> bool:
-        delta = 1 - self.epsilon
-        return all(d.is_different(delta) for _, _, d in self.pairwise)
+        # (1-eps)-different is monotone in the count: the smallest decides.
+        n = self.carrier_n
+        return Defect(min(self.pair_counts, default=n), n).is_different(1 - self.epsilon)
 
     @property
     def passed(self) -> bool:
         return self.bprime_pass and self.cprime_pass
 
+    @cached_property
+    def pairwise(self) -> tuple[tuple[str, str, Defect], ...]:
+        """(left key, right key, defect) per pair: a view for readers."""
+        pairs = itertools.combinations(self.keys, 2)
+        n = self.carrier_n
+        return tuple((a, b, Defect(c, n)) for (a, b), c in zip(pairs, self.pair_counts))
+
 
 @dataclass(frozen=True)
 class VerificationReport:
     """The counts verify measured; every verdict and max_defect is derived
-    from them, so a report cannot state a verdict its counts do not give."""
+    from them, so a report cannot state a verdict its counts do not give.
+
+    a_counts holds condition (a) as a k x k row-major table in F order (row
+    e, column f), c_agreements condition (c) over F minus the identity, in F
+    order.  Counts are Python ints, exact past 2**63.  The keys of the F x F
+    products and of the identity are kept in memory only, for the per-pair
+    views; F and the group give them, so they are neither stored nor compared."""
 
     carrier_n: int
     epsilon: Fraction
     f_keys: tuple[str, ...]
-    pair_defects: tuple[PairDefect, ...]
+    a_counts: tuple[int, ...]
     identity_defect: Defect
-    identity_agreements: tuple[tuple[str, int], ...]
+    c_agreements: tuple[int, ...]
+    product_keys: tuple[str, ...] = field(compare=False, repr=False)
+    identity_key: str = field(compare=False, repr=False)
     strict: StrictChecks | None = None
 
+    # Each test is monotone in its count, so one max decides it.
     @cached_property
     def a_pass(self) -> bool:
-        return all(p.defect.is_similar(self.epsilon) for p in self.pair_defects)
+        return Defect(max(self.a_counts, default=0), self.carrier_n).is_similar(self.epsilon)
 
     @cached_property
     def b_pass(self) -> bool:
@@ -209,10 +224,7 @@ class VerificationReport:
     def c_pass(self) -> bool:
         # (1-eps)-different from the identity: disagreements > (1-eps)*n.
         n = self.carrier_n
-        delta = 1 - self.epsilon
-        return all(
-            Defect(n - agree, n).is_different(delta) for _, agree in self.identity_agreements
-        )
+        return Defect(n - max(self.c_agreements, default=0), n).is_different(1 - self.epsilon)
 
     @property
     def passed(self) -> bool:
@@ -223,12 +235,25 @@ class VerificationReport:
         """The largest stored count.  Every count here is out of carrier_n
         (verify measures them so), so comparing counts compares the
         fractions exactly."""
-        worst = max(
-            [self.identity_defect.disagreements]
-            + [p.defect.disagreements for p in self.pair_defects]
-            + [agree for _, agree in self.identity_agreements]
-        )
-        return Defect(worst, self.carrier_n)
+        worst = max(self.a_counts + self.c_agreements, default=0)
+        return Defect(max(worst, self.identity_defect.disagreements), self.carrier_n)
+
+    @cached_property
+    def c_keys(self) -> tuple[str, ...]:
+        """The keys of F minus the identity: the elements of c_agreements."""
+        return tuple(k for k in self.f_keys if k != self.identity_key)
+
+    # Read-only views for readers, built on first access.
+    @cached_property
+    def pair_defects(self) -> tuple[PairDefect, ...]:
+        pairs = itertools.product(self.f_keys, repeat=2)
+        n = self.carrier_n
+        return tuple(PairDefect(e, f, p, Defect(c, n))
+                     for (e, f), p, c in zip(pairs, self.product_keys, self.a_counts))
+
+    @cached_property
+    def identity_agreements(self) -> tuple[tuple[str, int], ...]:
+        return tuple(zip(self.c_keys, self.c_agreements))
 
 
 def _stack(maps: list[FiniteMap]) -> np.ndarray:
@@ -277,25 +302,18 @@ def verify(
 
     keys = {e: g.element_key(e) for e in maps}
     f_elems = list(fset)
-    f_keys = [keys[e] for e in f_elems]
     right = _chunks([maps[e] for e in f_elems], width)
 
     k = len(f_elems)
-    pair_defects = []
+    a_counts = []
     for i, e in enumerate(f_elems):
         row = table[i * k : (i + 1) * k]
-        counts = []
         for start, stack in right:
             products = _stack([maps[p] for p in row[start : start + len(stack)]])
-            counts += counts_of(after(maps[e], *split(stack)), split(products))
-        pair_defects += [
-            PairDefect(keys[e], fk, keys[p], Defect(c, n))
-            for fk, p, c in zip(f_keys, row, counts)
-        ]
+            a_counts += counts_of(after(maps[e], *split(stack)), split(products))
 
     unit = (ident.images, ident.labels)
     agree = [n - c for _, s in right for c in counts_of(split(s), unit)]
-    agreements = [(keys[e], c) for e, c in zip(f_elems, agree) if e != one]
 
     strict_checks = None
     if strict:
@@ -304,62 +322,49 @@ def verify(
                 raise IncompleteSupportError(
                     g.element_key(g._inv(e)), "strict mode needs F^-1 in the support"
                 )
-        flags = []
-        for e in sorted(maps, key=keys.__getitem__):
-            if e == one:
-                continue
-            m = maps[e]
-            bij = m.is_bijection()
-            inv_elem = g._inv(e)
-            inverse_exact: bool | None = None
-            if inv_elem in maps:
-                inverse_exact = bij and maps[inv_elem] == inverse_map(m)
-            flags.append(ElementFlags(keys[e], bij, fixpoint_count(m) == 0, inverse_exact))
+        others = sorted((e for e in maps if e != one), key=keys.__getitem__)
+        bijective = tuple(maps[e].is_bijection() for e in others)
+        inverse_exact = tuple(
+            bij and maps[g._inv(e)] == inverse_map(maps[e]) if g._inv(e) in maps else None
+            for e, bij in zip(others, bijective)
+        )
         ordered = sorted({*f_elems, one}, key=keys.__getitem__)
         chunks = _chunks([maps[e] for e in ordered], width)
-        pairwise = []
+        pair_counts = []
         for i, a in enumerate(ordered):
-            counts = []
             for start, stack in chunks:  # the rows after row i
                 rest = stack[max(0, i + 1 - start) :]
-                counts += counts_of(split(rest), (maps[a].images, maps[a].labels))
-            pairwise += [
-                (keys[a], keys[b], Defect(c, n)) for b, c in zip(ordered[i + 1 :], counts)
-            ]
-        strict_checks = StrictChecks(eps, maps[one] == ident, tuple(flags), tuple(pairwise))
+                pair_counts += counts_of(split(rest), (maps[a].images, maps[a].labels))
+        strict_checks = StrictChecks(
+            n, eps, maps[one] == ident, bijective,
+            tuple(fixpoint_count(maps[e]) == 0 for e in others), inverse_exact,
+            tuple(pair_counts), tuple(keys[e] for e in ordered),
+        )
 
     return VerificationReport(
         carrier_n=n,
         epsilon=eps,
-        f_keys=tuple(f_keys),
-        pair_defects=tuple(pair_defects),
+        f_keys=tuple(keys[e] for e in f_elems),
+        a_counts=tuple(a_counts),
         identity_defect=similarity_defect(maps[one], ident),
-        identity_agreements=tuple(agreements),
+        c_agreements=tuple(c for e, c in zip(f_elems, agree) if e != one),
+        product_keys=tuple(map(keys.__getitem__, table)),
+        identity_key=keys[one],
         strict=strict_checks,
     )
 
 
 def report_to_json(report: VerificationReport) -> dict:
-    """The stored form of a report: its counts, then for readers the
-    verdicts and max_defect derived from them."""
+    """The stored form of a report: its count arrays, then for readers the
+    verdicts and max_defect derived from them.  It holds no product key and
+    no per-pair record: F and the group give both."""
     doc = {
         "carrier_n": report.carrier_n,
         "epsilon": format_fraction(report.epsilon),
-        "f": list(report.f_keys),
-        "condition_a": [
-            {
-                "left": p.left_key,
-                "right": p.right_key,
-                "product": p.product_key,
-                "defect": str(p.defect),
-            }
-            for p in report.pair_defects
-        ],
-        "condition_b": {"defect": str(report.identity_defect)},
-        "condition_c": [
-            {"element": key, "agreements": agree}
-            for key, agree in report.identity_agreements
-        ],
+        "f": report.f_keys,
+        "condition_a": report.a_counts,
+        "condition_b": report.identity_defect.disagreements,
+        "condition_c": report.c_agreements,
         "a_pass": report.a_pass,
         "b_pass": report.b_pass,
         "c_pass": report.c_pass,
@@ -370,20 +375,11 @@ def report_to_json(report: VerificationReport) -> dict:
     if report.strict is not None:
         s = report.strict
         doc["strict"] = {
-            "epsilon": format_fraction(s.epsilon),
             "identity_exact": s.identity_exact,
-            "elements": [
-                {
-                    "element": fl.element_key,
-                    "bijective": fl.bijective,
-                    "fixpoint_free": fl.fixpoint_free,
-                    "inverse_exact": fl.inverse_exact,
-                }
-                for fl in s.element_flags
-            ],
-            "pairwise": [
-                {"left": a, "right": b, "defect": str(d)} for a, b, d in s.pairwise
-            ],
+            "bijective": s.bijective,
+            "fixpoint_free": s.fixpoint_free,
+            "inverse_exact": s.inverse_exact,
+            "pairwise": s.pair_counts,
             "bprime_pass": s.bprime_pass,
             "cprime_pass": s.cprime_pass,
             "passed": s.passed,
@@ -391,38 +387,33 @@ def report_to_json(report: VerificationReport) -> dict:
     return doc
 
 
-CERTIFICATE_FORMAT = 2  # dense maps
-FIBERED_FORMAT = 3  # format 2 plus a "fiber" section, with fibered map entries
+FORMAT = 4
 
 # hashlib is imported inside the codec functions: it loads OpenSSL, which
 # adds about 4 MiB of RSS to every command, including those that never
 # read or write a certificate.
 
 
-def _entry_keys(fiber: Fiber | None) -> tuple[str, ...]:
-    return ("int32le",) if fiber is None else ("cells", "labels")
-
-
 def _map_to_json(fmap: FiniteMap) -> dict:
     import hashlib
 
     raws = [a.astype("<i4", copy=False).tobytes() for a in (fmap.images, fmap.labels)]
-    entry = {k: base64.b64encode(r).decode("ascii") for k, r in zip(_entry_keys(fmap.fiber), raws)}
+    entry = {k: base64.b64encode(r).decode("ascii") for k, r in zip(("cells", "labels"), raws)}
     entry["sha256"] = hashlib.sha256(b"".join(raws)).hexdigest()
     return entry
 
 
 def _map_from_json(entry, carrier_n: int, fiber: Fiber | None) -> FiniteMap:
-    """Decode one format 2 or 3 map entry, checking the length of each
-    payload (carrier_n / |V| cells when fibered) and its hash before ranges."""
+    """Decode one map entry, checking the length of each payload (carrier_n
+    / |V| cells, and as many labels of V's degree) and its hash before ranges."""
     import hashlib
 
-    keys = _entry_keys(fiber)
-    if not isinstance(entry, dict) or set(entry) != {*keys, "sha256"}:
-        raise InvariantViolationError(f"a map entry needs exactly {', '.join(keys)} and sha256")
+    if not isinstance(entry, dict) or set(entry) != {"cells", "labels", "sha256"}:
+        raise InvariantViolationError("a map entry needs exactly cells, labels and sha256")
+    degree = 0 if fiber is None else fiber.degree
     cells = carrier_n if fiber is None else carrier_n // fiber.order
     raws = []
-    for key, count in zip(keys, (cells, cells * (fiber.degree if fiber else 0))):
+    for key, count in (("cells", cells), ("labels", cells * degree)):
         try:
             raws.append(base64.b64decode(entry[key], validate=True))
         except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
@@ -433,14 +424,17 @@ def _map_from_json(entry, carrier_n: int, fiber: Fiber | None) -> FiniteMap:
             )
     if hashlib.sha256(b"".join(raws)).hexdigest() != entry["sha256"]:
         raise InvariantViolationError("map payload does not match its sha256")
-    images, *labels = (np.frombuffer(raw, "<i4") for raw in raws)
-    return FiniteMap(images, labels[0].reshape(cells, -1) if labels else None, fiber)
+    images, labels = (np.frombuffer(raw, "<i4") for raw in raws)
+    return FiniteMap(images, labels.reshape(cells, degree), fiber)
 
 
-def _fiber_from_json(doc: dict, carrier_n: int):
-    """The certificate's V and its stabilizer chain.  The generators must be
-    permutations of the stated degree, Schreier-Sims must give the stated
-    order, and carrier_n must be a whole number of cells times that order."""
+def _fiber_from_json(doc, carrier_n: int):
+    """The certificate's V and its stabilizer chain, or (None, None) for a
+    dense action.  The generators must be permutations of the stated degree,
+    Schreier-Sims must give the stated order, and carrier_n must be a whole
+    number of cells times that order."""
+    if doc is None:
+        return None, None
     from .constructions.girth import schreier_sims
 
     degree = _field(doc, "degree", _decode_int)
@@ -459,30 +453,29 @@ def _fiber_from_json(doc: dict, carrier_n: int):
 
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
-    """Deterministic JSON document binding the assignment to its measurements.
+    """Deterministic compact JSON binding the assignment to its measurements
+    (format 4).
 
-    A dense map is stored as base64 of its images as little-endian int32,
-    with the sha256 of those bytes (format 2).  A fibered action (format 3)
-    also states V's degree, generators and order, and stores each map's cell
-    images and labels that way, with one sha256 over both.  The encoder
-    builds each map's entry when it reaches it, so the base64 texts are
-    never all held beside the output.
+    Every map is one entry: base64 of its cell images and of its labels,
+    each as little-endian int32, and one sha256 over both.  A dense map's
+    labels are empty.  "fiber" states V's degree, generators and order for
+    a fibered action, and is null for a dense one.  The encoder builds each
+    map's entry when it reaches it, so the base64 texts are never all held
+    beside the output.
     """
-    g = qa.owner
+    g, v = qa.owner, qa.fiber
     doc = {
-        "format": CERTIFICATE_FORMAT,
+        "format": FORMAT,
         "group": g.describe(),
         "carrier_n": qa.carrier_n,
         "epsilon": format_fraction(qa.claimed_epsilon),
         "F": [g.element_key(e) for e in qa.claimed_f],
+        "fiber": None if v is None else {
+            "degree": v.degree, "generators": v.generators, "order": v.order},
         "assignment": {g.element_key(elem): fmap for elem, fmap in qa.assignment.items()},
         "report": report_to_json(report),
     }
-    if qa.fiber is not None:
-        v = qa.fiber
-        doc.update(format=FIBERED_FORMAT,
-                   fiber={"degree": v.degree, "generators": v.generators, "order": v.order})
-    return document_json(doc, default=_map_to_json)
+    return canonical_json(doc, default=_map_to_json) + "\n"
 
 
 def _elements_from_keys(g: GroupHandle, keys) -> list:
@@ -491,12 +484,12 @@ def _elements_from_keys(g: GroupHandle, keys) -> list:
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
-    """Read a certificate of format 2 or 3, or of format 1, which has no
-    "format" key and stores each map as a plain list of integers.
+    """Read a format 4 certificate.  Formats 1-3 are refused by name: run
+    their request again with ``quasiact construct`` to get format 4.
 
-    A format 3 certificate's |V| is recomputed from its generators, and
-    every label is sifted into V: a label outside V would move points off
-    the carrier, so it is refused.
+    A fibered action's |V| is recomputed from its generators, and every
+    label is sifted into V: a label outside V would move points off the
+    carrier, so it is refused.
 
     The stored report is not parsed.  verify measures the stored maps again
     at the report's own F, epsilon and strictness, and the certificate is
@@ -505,18 +498,18 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     """
     doc = parse_json(text, "certificate")
     del text  # frees the text now when the caller keeps no reference to it
+    fmt = _field(doc, "format", _decode_int, 1)  # format 1 had no "format" key
+    if fmt != FORMAT:
+        raise DomainError(
+            f"certificate format {fmt} is not read, only format {FORMAT}: "
+            "run its request again with quasiact construct"
+        )
     g = _field(doc, "group", group_from_json)
     carrier_n = _field(doc, "carrier_n", _decode_int)
-    fmt = _field(doc, "format", _decode_int, None)
-    if fmt not in (None, CERTIFICATE_FORMAT, FIBERED_FORMAT):
-        raise DomainError(f"unsupported certificate format {fmt!r}")
-    fiber = member = None
-    if fmt == FIBERED_FORMAT:
-        fiber, member = _field(doc, "fiber", lambda v: _fiber_from_json(v, carrier_n))
+    fiber, member = _field(doc, "fiber", lambda v: _fiber_from_json(v, carrier_n))
     assignment = _field(doc, "assignment", lambda v: dict(zip(
         _elements_from_keys(g, _decode_object(v)),
-        [FiniteMap(_decode_ints(e)) if fmt is None else _map_from_json(e, carrier_n, fiber)
-         for e in v.values()],
+        [_map_from_json(e, carrier_n, fiber) for e in v.values()],
     )))
     if member is not None:
         labels = {tuple(w) for m in assignment.values() for w in m.labels.tolist()}

@@ -30,10 +30,12 @@ def parse_epsilon(text: str) -> Fraction:
 
 
 def check_epsilon(eps: Fraction) -> Fraction:
-    eps = Fraction(eps)
+    """An exact epsilon in (0,1): an int or a Fraction, never a float, string or bool."""
+    if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
+        raise DomainError(f"epsilon must be an exact Fraction, got {type(eps).__name__}")
     if not (0 < eps < 1):
         raise DomainError(f"epsilon must lie in (0,1), got {eps}")
-    return eps
+    return Fraction(eps)
 
 
 def format_fraction(value: Fraction) -> str:
@@ -51,15 +53,16 @@ def parse_json(text: str, what: str):
         raise DomainError(f"{what} is not JSON: {type(exc).__name__}: {exc}") from None
 
 
-def canonical_json(obj) -> str:
-    """Compact, key-sorted JSON; the canonical string form used for keys."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def canonical_json(obj, default=None) -> str:
+    """Compact, key-sorted JSON: the canonical string form used for keys and
+    certificates.  default(o) gives the JSON value of an object json cannot
+    encode."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=default)
 
 
-def document_json(obj, default=None) -> str:
-    """Deterministic human-readable JSON for files (certificates, witnesses);
-    default(o) gives the JSON value of an object json cannot encode."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=default) + "\n"
+def document_json(obj) -> str:
+    """Deterministic human-readable JSON for girth witness files."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -30,7 +30,8 @@ def forged_c4_certificate(tmp_path):
     doc = json.loads(emit_certificate(qa, verify(qa)))
     raw = np.array([1, 2, 3, 1], dtype="<i4").tobytes()
     doc["assignment"]["1"] = {
-        "int32le": base64.b64encode(raw).decode(),
+        "cells": base64.b64encode(raw).decode(),
+        "labels": "",
         "sha256": hashlib.sha256(raw).hexdigest(),
     }
     path = tmp_path / "forged.json"
@@ -52,7 +53,8 @@ class TestVerifyCommand:
         )
 
     def test_fail_exit_one(self, tmp_path, capsys):
-        from quasiact import FiniteSubset, QuasiAction, TableGroup, swap_map
+        from quasiact import FiniteSubset, QuasiAction, TableGroup
+        from test_finmap import swap_map
 
         g = TableGroup([[0]])
         qa = QuasiAction(
@@ -62,6 +64,30 @@ class TestVerifyCommand:
         path.write_text(emit_certificate(qa, verify(qa)))
         assert main(["verify", "--qa", str(path), "--epsilon", "1/10"]) == 1
         assert main(["verify", "--qa", str(path), "--epsilon", "1/5"]) == 0
+
+    def test_summary_names_the_worst_pair_and_element(self, tmp_path, capsys):
+        from quasiact import FiniteMap, FiniteSubset, QuasiAction
+
+        g = cyclic_group(4)
+        assign = {k: FiniteMap([(x + 2 * k) % 8 for x in range(8)]) for k in range(4)}
+        assign[3] = FiniteMap([0, 7, 0, 1, 2, 3, 4, 5])  # fixes 0; 6 is never reached
+        qa = QuasiAction(g, 8, assign, FiniteSubset(g, range(4)), Fraction(1, 2))
+        report = verify(qa)
+        path = tmp_path / "perturbed.json"
+        path.write_text(emit_certificate(qa, report))
+        worst = max(report.pair_defects, key=lambda p: p.defect.disagreements)
+        d = worst.defect.disagreements
+        assert 0 < d < 8
+        # eps*n is 1 or 7 points; element 3 agrees with the identity on 1.
+        for eps, limit, verdict in [("1/8", 1, "FAIL"), ("7/8", 7, "PASS")]:
+            main(["verify", "--qa", str(path), "--epsilon", eps])
+            lines = capsys.readouterr().out.splitlines()
+            assert (f"condition (a): worst pair ({worst.left_key}, {worst.right_key}) defect "
+                    f"{d}/8, margin eps*n - d = {limit - d} (threshold {eps}): {verdict}") in lines
+            [c] = [line for line in lines if line.startswith("condition (c)")]
+            assert c.startswith("condition (c): worst element 3 agrees on 1/8, "
+                                f"margin eps*n - agreements = {limit - 1} ")
+            assert all("FAIL" not in line for line in lines if line.endswith("PASS"))
 
     def test_decimal_epsilon_rejected(self, c4_certificate, capsys):
         code = main(["verify", "--qa", str(c4_certificate), "--epsilon", "0.5"])
@@ -155,20 +181,19 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "expected an array" in err and "Traceback" not in err
 
-    def test_out_rewrites_v1_as_v2(self, tmp_path):
-        qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))
-        report = verify(qa)
-        doc = json.loads(emit_certificate(qa, report))
-        del doc["format"]
-        doc["assignment"] = {
-            qa.owner.element_key(e): m.to_list() for e, m in qa.assignment.items()
-        }
-        v1 = tmp_path / "v1.json"
-        v1.write_text(json.dumps(doc))
-        out = tmp_path / "v2.json"
-        code = main(["verify", "--qa", str(v1), "--epsilon", "1/100", "--out", str(out)])
-        assert code == 0
-        assert out.read_text() == emit_certificate(qa, report)
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3])
+    def test_old_formats_exit_two(self, c4_certificate, tmp_path, capsys, fmt):
+        # Formats 1-3 are refused by name; a missing "format" is format 1.
+        doc = json.loads(c4_certificate.read_text())
+        if fmt is None:
+            del doc["format"]
+        else:
+            doc["format"] = fmt
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--qa", str(path), "--epsilon", "1/100"]) == 2
+        err = capsys.readouterr().err
+        assert f"certificate format {fmt or 1} is not read" in err and "Traceback" not in err
 
 
 class TestGirthSearchCommand:
@@ -416,6 +441,15 @@ class TestConstructCommand:
         qa, report = load_certificate(out.read_text())
         assert len(qa.claimed_f) == 0 and report.passed
 
+    def test_carrier_past_int32_exits_two(self, tmp_path, capsys):
+        # Refused before np.arange allocates 16 GiB of int64 images.
+        request = {"construct": "cyclic", "f": [1], "modulus": 2**31}
+        code, out = self.run_construct(tmp_path, request)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "carrier size 2147483648" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_certificate_source_is_a_path(self, tmp_path, capsys):
         request = {"construct": "product", "epsilon": "1/10", "factors": [{"certificate": 5}]}
         code, _ = self.run_construct(tmp_path, request)
@@ -449,7 +483,7 @@ class TestMalformedInputs:
         (_set(("group", "table"), C4_TABLE[:3] + [[3, 0, 1, "2"]]), "'table': expected an integer"),
         (_set(("group",), {"kind": "product", "factors": 5}), "'factors': expected an array"),
         (lambda doc: doc.pop("carrier_n"), "missing field 'carrier_n'"),
-        (_format_1, "'assignment': expected an integer, got [1]"),
+        (_format_1, "certificate format 1 is not read"),
         (_set(("F", 0), "[1,"), "element key '[1,' is not JSON"),
     ])
     def test_certificate(self, tmp_path, capsys, c4_certificate, mutate, named):
@@ -516,7 +550,9 @@ class TestUnparsableJson:
         ("9" * 5000, "ValueError"), ("[" * 100000 + "]" * 100000, "RecursionError"),
     ])
     def test_certificate(self, tmp_path, capsys, c4_certificate, value, cause):
-        text = c4_certificate.read_text().replace('"carrier_n": 4', f'"carrier_n": {value}')
+        old = c4_certificate.read_text()
+        text = old.replace('"carrier_n":4', f'"carrier_n":{value}')
+        assert text != old
         path = tmp_path / "bad.json"
         path.write_text(text)
         assert main(["verify", "--qa", str(path), "--epsilon", "1/100"]) == 2

@@ -70,6 +70,11 @@ class TestExtensionData:
         # 3 / m <= 2/7 first holds at m = 11
         assert len(folner2) == 11
 
+    @pytest.mark.parametrize("k", [2.7, True, "3"])
+    def test_interval_input_is_not_truncated(self, k):
+        with pytest.raises(GroupMismatchError):
+            integer_folner_interval([k], Fraction(1, 2))
+
     def test_f_of_another_group_is_refused(self):
         _, ext = product_extension(20)
         psi = regular_action(cyclic_group(2), epsilon=Fraction(1, 100))

@@ -4,6 +4,7 @@ free product built from them."""
 import base64
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -20,7 +21,6 @@ from quasiact import (
     double,
     emit_certificate,
     fixpoint_count,
-    fixpoint_set,
     identity_map,
     inverse_map,
     load_certificate,
@@ -41,11 +41,12 @@ from quasiact.errors import (
     InvariantViolationError,
     PreconditionError,
 )
-from quasiact.finmap import Defect, Fiber, FiniteMap, identity_like
+from quasiact.finmap import Fiber, FiniteMap, identity_like
 from quasiact.quasiaction import report_to_json
 from quasiact.util import canonical_json
 
 from dense_carrier import cayley_closure, densify, densify_action
+from test_finmap import fixpoint_set
 
 C2 = {"kind": "finite", "table": [[0, 1], [1, 0]]}
 C3 = {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
@@ -119,6 +120,17 @@ class TestFiberedMapsAgainstDenseForms:
         dense = report_to_json(verify(densify_action(qa, elements), strict=strict))
         assert canonical_json(fresh) == canonical_json(dense)
 
+    @settings(max_examples=60, deadline=None)
+    @given(fibered_maps(3), st.booleans())
+    def test_emit_load_emit_identical(self, drawn, strict):
+        maps, _ = drawn
+        g = cyclic_group(3)
+        qa = QuasiAction(g, maps[0].n, dict(enumerate(maps)), FiniteSubset(g, range(3)), EPS)
+        cert = emit_certificate(qa, verify(qa, strict=strict))
+        qa2, r2 = load_certificate(cert)
+        assert qa2.assignment == qa.assignment
+        assert emit_certificate(qa2, r2) == cert
+
     def test_maps_on_different_fibers_do_not_mix(self):
         s3, z5 = (Fiber(gens, order) for gens, order in zip(SMALL_FIBERS[::2], (6, 5)))
         e = identity_like(FiniteMap([0] * 5, [tuple(range(3))] * 5, s3))
@@ -179,12 +191,15 @@ class TestFreeProductAgainstDenseCarrier:
 
     @pytest.mark.parametrize("pair,n", [("C2*C2", 1), ("C2*C3", 1), ("C2*C2", 2)])
     def test_dense_certificate_loads(self, pair, n):
-        # A dense certificate of the action (format 2, as written before maps
-        # were fibered) loads, measures the same report, and writes itself.
+        # The action's dense form writes the same entry shape with empty
+        # labels and a null fiber; it loads, measures the same report, and
+        # writes itself.
         qa, pc = free_product(*PAIRS[pair], n, 0)
         dense = densify_action(qa, closure_of(pc.fiber))
         text = emit_certificate(dense, verify(dense, strict=True))
-        assert json.loads(text)["format"] == 2
+        doc = json.loads(text)
+        assert doc["format"] == 4 and doc["fiber"] is None
+        assert all(entry["labels"] == "" for entry in doc["assignment"].values())
         loaded, report = load_certificate(text)
         assert report == verify(qa, strict=True)
         assert emit_certificate(loaded, report) == text
@@ -207,6 +222,31 @@ class TestFreeProductAgainstDenseCarrier:
                     assert d.disagreements == 0
                 else:
                     assert d.is_similar(EPS)
+
+
+def assert_exact_cases(qa):
+    """Read the (a) matrix: pairs in multiplication case 1 or 2 count 0, and
+    case-3 pairs at most epsilon*n."""
+    report = verify(qa)
+    f = list(qa.claimed_f)
+    assert report.f_keys == tuple(map(qa.owner.element_key, f))
+    limit = EPS * qa.carrier_n
+    for (u, v), count in zip(itertools.product(f, repeat=2), report.a_counts, strict=True):
+        if multiplicativity_case(u, v, qa.owner) in (1, 2):
+            assert count == 0
+        else:
+            assert count <= limit
+
+
+class TestFreeProductExactCases:
+    @settings(max_examples=24, deadline=None)
+    @given(st.integers(0, 3), st.sets(st.sampled_from(range(2))),
+           st.sets(st.sampled_from(range(3))))
+    def test_bound_one(self, seed, f_left, f_right):
+        assert_exact_cases(free_product(2, 3, sorted(f_left), sorted(f_right), 1, seed)[0])
+
+    def test_bound_two(self):
+        assert_exact_cases(free_product(2, 3, [0, 1], [0, 1, 2], 2, 1)[0])
 
 
 def fibered_entry(cells, labels) -> dict:
@@ -298,7 +338,7 @@ class TestFiberedCertificates:
         qa, report = load_certificate(c2_c2_certificate)
         assert emit_certificate(qa, report) == c2_c2_certificate
         doc = json.loads(c2_c2_certificate)
-        assert doc["format"] == 3
+        assert doc["format"] == 4
         assert set(doc["fiber"]) == {"degree", "generators", "order"}
         assert doc["carrier_n"] == 16 * doc["fiber"]["order"]
         entry = next(iter(doc["assignment"].values()))
@@ -315,9 +355,12 @@ class TestFiberedCertificates:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
-    def test_unknown_format_refused(self, c2_c2_certificate):
-        with pytest.raises(DomainError, match="format"):
-            load_certificate(c2_c2_certificate.replace('"format": 3', '"format": 4'))
+    @pytest.mark.parametrize("fmt", [3, 5])
+    def test_other_format_refused(self, c2_c2_certificate, fmt):
+        doc = json.loads(c2_c2_certificate)
+        doc["format"] = fmt
+        with pytest.raises(DomainError, match=f"certificate format {fmt} is not read"):
+            load_certificate(json.dumps(doc))
 
 
 class TestDenseOnlyConstructionsRefuseFiberedActions:
@@ -414,11 +457,8 @@ class TestCountsPastInt64:
         def wrap(c):  # the count an int64 product would give
             return (c + 2**63) % 2**64 - 2**63
 
-        forged = dataclasses.replace(report, pair_defects=tuple(
-            dataclasses.replace(p, defect=Defect(wrap(p.defect.disagreements), n))
-            for p in report.pair_defects
-        ))
-        assert forged.a_pass and forged.pair_defects[-1].defect.disagreements < n // 10
+        forged = dataclasses.replace(report, a_counts=tuple(map(wrap, report.a_counts)))
+        assert forged.a_pass and forged.a_counts[-1] < n // 10 < report.a_counts[-1]
         with pytest.raises(InvariantViolationError, match="stored report differs"):
             load_certificate(emit_certificate(qa, forged))
         assert load_certificate(emit_certificate(qa, report))[1] == report

@@ -96,6 +96,11 @@ class TestPreconditions:
             finitary_extension_qa(1, 20)
         finitary_extension_qa(1, 21)
 
+    def test_modulus_checked_before_the_ball_maps(self):
+        # ball_map would walk all 2**31 points in Python before any map refused them.
+        with pytest.raises(DomainError, match="carrier size"):
+            finitary_extension_qa(1, 2**31)
+
     def test_radius_positive(self):
         with pytest.raises(DomainError):
             finitary_extension_qa(0, 21)

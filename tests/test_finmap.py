@@ -8,14 +8,24 @@ from quasiact import (
     compose,
     double,
     fixpoint_count,
-    fixpoint_set,
     identity_map,
     inverse_map,
     shift_map,
     similarity_defect,
-    swap_map,
 )
 from quasiact.errors import CarrierMismatchError, DomainError
+
+
+def swap_map(n: int, i: int, j: int) -> FiniteMap:
+    """The identity on n points with i and j exchanged."""
+    images = np.arange(n)
+    images[i], images[j] = j, i
+    return FiniteMap(images)
+
+
+def fixpoint_set(e: FiniteMap) -> frozenset[int]:
+    """The fixed points of a dense map (a fibered map has no list of points)."""
+    return frozenset(np.flatnonzero(e.points() == np.arange(e.n)).tolist())
 
 
 def constant_map(n: int, value: int) -> FiniteMap:
@@ -173,6 +183,13 @@ class TestHelpers:
     def test_shift_map_wraps(self):
         assert shift_map(5, 7).to_list() == [2, 3, 4, 0, 1]
         assert shift_map(5, -1).to_list() == [4, 0, 1, 2, 3]
+
+    @pytest.mark.parametrize("build", [lambda n: shift_map(n, 1), identity_map])
+    @pytest.mark.parametrize("n", [2**31, 0])
+    def test_carrier_size_checked_before_allocating(self, build, n):
+        # 2**31 points would take 16 GiB as int64 images before FiniteMap refused them.
+        with pytest.raises(DomainError, match="carrier size"):
+            build(n)
 
     def test_inverse_map(self):
         p = FiniteMap([2, 0, 1])

@@ -14,7 +14,6 @@ from quasiact import (
     cyclic_group,
     double,
     fixpoint_count,
-    fixpoint_set,
     identity_map,
     inverse_map,
     similarity_defect,
@@ -29,6 +28,8 @@ from quasiact.constructions import (
 )
 from quasiact.constructions.good import _build_good_map
 from quasiact.errors import InvariantViolationError
+
+from test_finmap import fixpoint_set
 
 
 def doubled_input_map(phi, e) -> FiniteMap:

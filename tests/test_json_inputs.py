@@ -1,12 +1,12 @@
 """Every JSON input either decodes in full or is refused with a named error.
 
-Each example takes a certificate (formats 2 and 3), a girth witness or one
-of the README's construction requests, and either deletes one key or
-replaces one value (a leaf or a container) with a value of another JSON
-type.  Then exactly one of these holds: the document loads or builds (and a
-certificate or witness re-emits the mutated document exactly, compared as
-canonical JSON), or decoding raises a QuasiactError and the command line
-exits 2.
+Each example takes a certificate (format 4, dense or fibered), a girth
+witness or one of the README's construction requests, and either deletes
+one key or replaces one value (a leaf or a container) with a value of
+another JSON type.  Then exactly one of these holds: the document loads
+or builds (and a certificate or witness re-emits the mutated document
+exactly, compared as canonical JSON), or decoding raises a QuasiactError
+and the command line exits 2.
 """
 
 import json
@@ -100,7 +100,9 @@ SETTINGS = settings(
 )
 
 
-@pytest.mark.parametrize("make", [c4_certificate, free_product_certificate], ids=["format2", "format3"])
+@pytest.mark.parametrize(
+    "make", [c4_certificate, free_product_certificate], ids=["dense", "fibered"]
+)
 @SETTINGS
 @given(data=st.data())
 def test_certificate_loads_exactly_or_exits_two(tmp_path, make, data):

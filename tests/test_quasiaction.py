@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,6 @@ from quasiact import (
     load_certificate,
     shift_map,
     similarity_defect,
-    swap_map,
     verify,
 )
 from quasiact import quasiaction
@@ -34,15 +34,9 @@ from quasiact.errors import (
     IncompleteSupportError,
     InvariantViolationError,
 )
-from quasiact.quasiaction import (
-    ElementFlags,
-    PairDefect,
-    StrictChecks,
-    VerificationReport,
-    report_to_json,
-)
-from quasiact.util import canonical_json, document_json, format_fraction
-from test_finmap import composition_defect
+from quasiact.quasiaction import StrictChecks, VerificationReport, report_to_json
+from quasiact.util import canonical_json, check_epsilon
+from test_finmap import composition_defect, swap_map
 
 
 def regular_c4():
@@ -121,9 +115,8 @@ class TestVerify:
         qa = regular_c4()
         r = verify(qa, strict=True)
         assert r.strict.identity_exact
-        for flags in r.strict.element_flags:
-            assert flags.bijective and flags.fixpoint_free
-            assert flags.inverse_exact is True
+        assert r.strict.bijective == r.strict.fixpoint_free == (True,) * 3
+        assert r.strict.inverse_exact == (True,) * 3
 
     def test_incomplete_support_names_element(self):
         z = IntegerGroup()
@@ -145,13 +138,27 @@ class TestVerify:
             assert verify(qa, epsilon=eps).passed
 
 
-def entry_text(images) -> str:
-    """A map's v2 entry as it is written inside a certificate's assignment."""
+def dense_entry(images) -> dict:
+    """A well-formed dense map entry for the given images, hashed correctly."""
     raw = np.asarray(images, "<i4").tobytes()
-    return (
-        f'"int32le": "{base64.b64encode(raw).decode()}",\n'
-        f'      "sha256": "{hashlib.sha256(raw).hexdigest()}"'
-    )
+    return {
+        "cells": base64.b64encode(raw).decode(),
+        "labels": "",
+        "sha256": hashlib.sha256(raw).hexdigest(),
+    }
+
+
+def edited(cert: str, path: tuple, value) -> str:
+    """The certificate with the value at path (keys and indices) replaced."""
+    doc = json.loads(cert)
+    before = json.dumps(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    text = json.dumps(doc)
+    assert text != before  # the edit took effect
+    return text
 
 
 class TestCertificates:
@@ -165,20 +172,35 @@ class TestCertificates:
     def test_max_defect_recorded(self):
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
-        assert '"max_defect": "0/4"' in cert
+        assert json.loads(cert)["report"]["max_defect"] == "0/4"
 
     def test_top_level_schema(self):
         qa = regular_c4()
-        doc = json.loads(emit_certificate(qa, verify(qa)))
+        cert = emit_certificate(qa, verify(qa))
+        doc = json.loads(cert)
         assert set(doc) == {
-            "format", "group", "carrier_n", "F", "epsilon", "assignment", "report"
+            "format", "group", "carrier_n", "F", "epsilon", "fiber", "assignment", "report"
         }
-        assert doc["format"] == 2
+        assert doc["format"] == 4 and doc["fiber"] is None
         assert doc["epsilon"] == "1/100"
         entry = doc["assignment"]["2"]
-        raw = base64.b64decode(entry["int32le"])
+        raw = base64.b64decode(entry["cells"])
         assert np.frombuffer(raw, "<i4").tolist() == [2, 3, 0, 1]
-        assert entry["sha256"] == hashlib.sha256(raw).hexdigest()
+        assert entry == dense_entry([2, 3, 0, 1])
+        # compact and key-sorted, one line
+        assert cert == canonical_json(doc) + "\n"
+
+    def test_report_is_count_arrays(self):
+        qa = integer_shifts([-1, 1], 12, range(-2, 3))
+        report = json.loads(emit_certificate(qa, verify(qa, strict=True)))["report"]
+        assert report["f"] == ["-1", "1"]
+        assert report["condition_a"] == [0, 0, 0, 0]
+        assert report["condition_b"] == 0
+        assert report["condition_c"] == [0, 0]
+        strict = report["strict"]
+        assert strict["bijective"] == strict["fixpoint_free"] == [True] * 4
+        assert strict["inverse_exact"] == [True] * 4
+        assert strict["pairwise"] == [12, 12, 12]  # -1, 0, 1 in key order
 
     def test_condition_b_defect_recorded(self):
         g = TableGroup([[0]])
@@ -186,7 +208,7 @@ class TestCertificates:
             g, 10, {0: swap_map(10, 0, 1)}, FiniteSubset(g, [0]), Fraction(1, 5)
         )
         cert = emit_certificate(qa, verify(qa))
-        assert '"defect": "2/10"' in cert
+        assert json.loads(cert)["report"]["condition_b"] == 2
 
     def test_loaded_values_match(self):
         qa = regular_c4()
@@ -202,38 +224,41 @@ class TestCertificates:
     def test_tampered_flags_rejected(self):
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
-        bad = cert.replace('"a_pass": true', '"a_pass": false')
-        with pytest.raises(Exception):
-            load_certificate(bad)
+        with pytest.raises(InvariantViolationError):
+            load_certificate(edited(cert, ("report", "a_pass"), False))
 
     @pytest.mark.parametrize(
-        "old,new",
+        "path,value",
         [
-            ('"max_defect": "0/4"', '"max_defect": "3/4"'),
-            ('"cprime_pass": true', '"cprime_pass": false'),
-            ('"bprime_pass": true', '"bprime_pass": false'),
-            ('"passed": true', '"passed": false'),
-            ('"defect": "0/4"', '"defect": "0/5"'),
-            ('"b_pass": true', '"b_pass": false'),
-            ('"c_pass": true', '"c_pass": false'),
-            ('"passed": true\n    }', '"passed": false\n    }'),  # the strict block's
-            ('"defect": "0/4"', '"defect": "1/4"'),  # a pair over 1/100 of the carrier
-            ('"a_pass": true', '"a_pass": 1'),
-            ('"defect": "0/4"', '"defect": "00/4"'),
-            ('"defect": "0/4"', '"defect": 0'),
-            pytest.param(
-                entry_text([1, 2, 3, 0]), entry_text([0, 1, 2, 3]), id="map-1-rehashed-identity"
-            ),
-            ('"identity_exact": true', '"identity_exact": 1'),
-            ('"agreements": 0', '"agreements": 0.9'),
+            (("report", "max_defect"), "3/4"),
+            (("report", "strict", "cprime_pass"), False),
+            (("report", "strict", "bprime_pass"), False),
+            (("report", "passed"), False),
+            (("report", "carrier_n"), 5),
+            (("report", "b_pass"), False),
+            (("report", "c_pass"), False),
+            (("report", "strict", "passed"), False),
+            (("report", "condition_a", 5), 1),  # a pair over 1/100 of the carrier
+            (("report", "condition_b"), 1),
+            (("report", "condition_c", 2), 1),
+            (("report", "strict", "pairwise", 0), 3),
+            (("report", "strict", "bijective", 0), False),
+            (("report", "strict", "inverse_exact", 1), None),
+            (("report", "a_pass"), 1),
+            (("report", "condition_a", 0), False),
+            (("report", "condition_a", 0), 0.0),
+            (("report", "condition_b"), "0/4"),
+            (("report", "f", 1), " 1"),  # a key that names the same element
+            (("assignment", "1"), dense_entry([0, 1, 2, 3])),  # rehashed identity
+            (("report", "strict", "identity_exact"), 1),
+            (("report", "condition_c", 0), 0.9),
         ],
     )
-    def test_tampered_report_rejected(self, old, new):
+    def test_tampered_report_rejected(self, path, value):
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa, strict=True))
-        assert old in cert
         with pytest.raises(InvariantViolationError):
-            load_certificate(cert.replace(old, new, 1))
+            load_certificate(edited(cert, path, value))
 
 
 def oracle_verdicts(qa, epsilon, strict) -> dict:
@@ -307,25 +332,6 @@ epsilons = st.integers(2, 60).flatmap(
 )
 
 
-def v1_certificate(qa, report) -> str:
-    """The format-1 document: no "format" key, every map a list of integers.
-
-    Kept as the oracle for reading old certificates.
-    """
-    g = qa.owner
-    doc = {
-        "group": g.describe(),
-        "carrier_n": qa.carrier_n,
-        "epsilon": format_fraction(qa.claimed_epsilon),
-        "F": [g.element_key(e) for e in qa.claimed_f],
-        "assignment": {
-            g.element_key(elem): fmap.to_list() for elem, fmap in qa.assignment.items()
-        },
-        "report": report_to_json(report),
-    }
-    return document_json(doc)
-
-
 @st.composite
 def random_actions(draw):
     """A cyclic group with arbitrary maps on a random carrier."""
@@ -362,19 +368,10 @@ def map_entry(cert: str, key: str) -> dict:
     return json.loads(cert)["assignment"][key]
 
 
-def v2_entry(images) -> dict:
-    """A well-formed map entry for the given images, hashed correctly."""
-    raw = np.asarray(images, "<i4").tobytes()
-    return {
-        "int32le": base64.b64encode(raw).decode(),
-        "sha256": hashlib.sha256(raw).hexdigest(),
-    }
-
-
 def replace_entry(cert: str, key: str, entry: dict) -> str:
     doc = json.loads(cert)
     doc["assignment"][key] = entry
-    return document_json(doc)
+    return json.dumps(doc)
 
 
 class TestVerdictOracle:
@@ -412,18 +409,17 @@ def verify_per_pair(qa, f=None, epsilon=None, strict=False) -> VerificationRepor
     id_map = qa.map_for(one)
     keys = {e: g.element_key(e) for e in qa.assignment}
 
-    pair_defects = []
+    a_counts, product_keys = [], []
     for e in fset:
         me = qa.map_for(e)
         for fe in fset:
             prod = g.mul(e, fe)
             d = composition_defect(me, qa.map_for(fe), qa.map_for(prod))
-            pair_defects.append(PairDefect(keys[e], keys[fe], keys[prod], d))
+            a_counts.append(d.disagreements)
+            product_keys.append(keys[prod])
 
     agreements = [
-        (keys[e], n - similarity_defect(qa.map_for(e), ident).disagreements)
-        for e in fset
-        if e != one
+        n - similarity_defect(qa.map_for(e), ident).disagreements for e in fset if e != one
     ]
 
     strict_checks = None
@@ -433,32 +429,39 @@ def verify_per_pair(qa, f=None, epsilon=None, strict=False) -> VerificationRepor
                 raise IncompleteSupportError(
                     g.element_key(g.inv(e)), "strict mode needs F^-1 in the support"
                 )
-        flags = []
+        bijective, fixpoint_free, inverse_exact = [], [], []
         for e in sorted(qa.assignment, key=keys.__getitem__):
             if e == one:
                 continue
             m = qa.map_for(e)
             bij = m.is_bijection()
             inv_elem = g.inv(e)
-            inverse_exact = None
+            exact = None
             if inv_elem in qa.assignment:
-                inverse_exact = bij and qa.map_for(inv_elem) == inverse_map(m)
-            flags.append(ElementFlags(keys[e], bij, fixpoint_count(m) == 0, inverse_exact))
+                exact = bij and qa.map_for(inv_elem) == inverse_map(m)
+            bijective.append(bij)
+            fixpoint_free.append(fixpoint_count(m) == 0)
+            inverse_exact.append(exact)
         keyed = [(keys[e], qa.map_for(e)) for e in FiniteSubset(g, [*fset, one])]
         pairwise = [
-            (ka, kb, similarity_defect(ma, mb))
-            for i, (ka, ma) in enumerate(keyed)
-            for kb, mb in keyed[i + 1 :]
+            similarity_defect(ma, mb).disagreements
+            for i, (_, ma) in enumerate(keyed)
+            for _, mb in keyed[i + 1 :]
         ]
-        strict_checks = StrictChecks(eps, id_map == ident, tuple(flags), tuple(pairwise))
+        strict_checks = StrictChecks(
+            n, eps, id_map == ident, tuple(bijective), tuple(fixpoint_free),
+            tuple(inverse_exact), tuple(pairwise), tuple(k for k, _ in keyed),
+        )
 
     return VerificationReport(
         carrier_n=n,
         epsilon=eps,
         f_keys=tuple(keys[e] for e in fset),
-        pair_defects=tuple(pair_defects),
+        a_counts=tuple(a_counts),
         identity_defect=similarity_defect(id_map, ident),
-        identity_agreements=tuple(agreements),
+        c_agreements=tuple(agreements),
+        product_keys=tuple(product_keys),
+        identity_key=keys[one],
         strict=strict_checks,
     )
 
@@ -529,16 +532,21 @@ class TestCertificateCodec:
         assert all(qa2.assignment[k] == m for k, m in qa.assignment.items())
         assert emit_certificate(qa2, r2) == cert
 
-    @settings(max_examples=30, deadline=None)
-    @given(random_actions(), st.booleans())
-    def test_v1_loads_like_v2(self, qa, strict):
-        report = verify(qa, strict=strict)
-        qa1, r1 = load_certificate(v1_certificate(qa, report))
-        qa2, r2 = load_certificate(emit_certificate(qa, report))
-        assert r1 == r2 == report
-        assert (qa1.carrier_n, qa1.claimed_epsilon) == (qa2.carrier_n, qa2.claimed_epsilon)
-        assert list(qa1.claimed_f) == list(qa2.claimed_f)
-        assert qa1.assignment == qa2.assignment == qa.assignment
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 5])
+    def test_other_formats_refused(self, fmt):
+        # Only format 4 is read.  No "format" key is format 1, whose maps
+        # were plain lists of integers.
+        qa = regular_c4()
+        doc = json.loads(emit_certificate(qa, verify(qa)))
+        if fmt is None:
+            del doc["format"]
+            doc["assignment"] = {
+                qa.owner.element_key(e): m.to_list() for e, m in qa.assignment.items()
+            }
+        else:
+            doc["format"] = fmt
+        with pytest.raises(DomainError, match=f"certificate format {fmt or 1} is not read"):
+            load_certificate(json.dumps(doc))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -559,26 +567,10 @@ class TestCertificateCodec:
             with pytest.raises(InvariantViolationError):
                 load_certificate(cert)
 
-    def test_v1_checks_still_run(self):
-        qa = regular_c4()
-        cert = v1_certificate(qa, verify(qa))
-        with pytest.raises(InvariantViolationError):
-            load_certificate(cert.replace('"max_defect": "0/4"', '"max_defect": "3/4"'))
-        doc = json.loads(cert)
-        doc["assignment"]["1"] = [1, 2, 3, 4]
-        with pytest.raises(DomainError):
-            load_certificate(document_json(doc))
-
-    def test_unknown_format_rejected(self):
-        qa = regular_c4()
-        cert = emit_certificate(qa, verify(qa)).replace('"format": 2', '"format": 3')
-        with pytest.raises(DomainError):
-            load_certificate(cert)
-
     def test_invalid_base64(self):
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
-        entry = dict(map_entry(cert, "1"), int32le="AQAAAA!=")
+        entry = dict(map_entry(cert, "1"), cells="AQAAAA!=")
         with pytest.raises(InvariantViolationError, match="base64"):
             load_certificate(replace_entry(cert, "1", entry))
 
@@ -586,7 +578,7 @@ class TestCertificateCodec:
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
         with pytest.raises(InvariantViolationError, match="bytes"):
-            load_certificate(replace_entry(cert, "1", v2_entry([1, 2, 3])))
+            load_certificate(replace_entry(cert, "1", dense_entry([1, 2, 3])))
 
     def test_sha256_mismatch(self):
         qa = regular_c4()
@@ -601,10 +593,10 @@ class TestCertificateCodec:
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
         entry = map_entry(cert, "1")
-        images = np.frombuffer(base64.b64decode(entry["int32le"]), "<i4").copy()
+        images = np.frombuffer(base64.b64decode(entry["cells"]), "<i4").copy()
         images[[0, 1]] = images[[1, 0]]
         FiniteMap(images)  # the tampered payload is a valid map on its own
-        flipped = dict(entry, int32le=v2_entry(images)["int32le"])
+        flipped = dict(entry, cells=dense_entry(images)["cells"])
         with pytest.raises(InvariantViolationError, match="sha256"):
             load_certificate(replace_entry(cert, "1", flipped))
 
@@ -612,7 +604,7 @@ class TestCertificateCodec:
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
         with pytest.raises(DomainError):
-            load_certificate(replace_entry(cert, "1", v2_entry([0, 1, 2, 4])))
+            load_certificate(replace_entry(cert, "1", dense_entry([0, 1, 2, 4])))
 
 
 def extend_assignment(qa: QuasiAction, elements) -> QuasiAction:
@@ -654,6 +646,20 @@ class TestExtendAssignment:
         qa = QuasiAction(g, 5, {0: identity_map(5)}, FiniteSubset(g, [0]), Fraction(1, 2))
         out = extend_assignment(qa, [])
         assert out.assignment[0] == identity_map(5)
+
+    @pytest.mark.parametrize("eps,named", [
+        (0.1, "float"), ("1/10", "str"), (True, "bool"), (Decimal("0.1"), "Decimal"),
+    ])
+    def test_epsilon_must_be_exact(self, eps, named):
+        with pytest.raises(DomainError, match=f"exact Fraction, got {named}"):
+            check_epsilon(eps)
+        with pytest.raises(DomainError, match=named):
+            verify(regular_c4(), epsilon=eps)
+
+    def test_exact_epsilons_accepted(self):
+        assert check_epsilon(Fraction(1, 10)) == Fraction(1, 10)
+        with pytest.raises(DomainError, match="lie in"):
+            check_epsilon(1)
 
     def test_epsilon_range_validated(self):
         g = TableGroup([[0]])
