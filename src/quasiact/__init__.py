@@ -5,7 +5,6 @@ from .finmap import (
     Fiber,
     FiniteMap,
     compose,
-    double,
     fixpoint_count,
     identity_like,
     identity_map,

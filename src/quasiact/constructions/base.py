@@ -14,12 +14,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from ..errors import DomainError, PreconditionError
-from ..finmap import FiniteMap, check_carrier_size, identity_map, shift_map
+from ..finmap import FiniteMap, identity_like, shift_map
 from ..groups import FiniteSubset, GroupHandle, ProductGroup, pair_products
-from ..quasiaction import QuasiAction, require_dense, verify
+from ..quasiaction import QuasiAction, verify
 from ..util import check_epsilon
 
 
@@ -79,12 +77,11 @@ def direct_product_qa(
     Each factor must verify at (F_i, epsilon); the output claims the product
     F at k*epsilon for k factors, and its measured defects never exceed the
     sum of the factor defects.  A k*epsilon of 1 or more is no bound, so it
-    raises PreconditionError.
+    raises PreconditionError.  A product map's slots are its factors' slots
+    (FiniteMap.product): no carrier size cap, and a factor may be fibered.
     """
     if not inputs:
         raise DomainError("direct product needs at least one factor")
-    for qa, _ in inputs:
-        require_dense(qa, "the direct product")
     epsilon = check_epsilon(epsilon)
     claimed = epsilon * len(inputs)
     if claimed >= 1:
@@ -102,25 +99,12 @@ def direct_product_qa(
         return inputs[0][0]
 
     group = ProductGroup([qa.owner for qa, _ in inputs])
-    sizes = [qa.carrier_n for qa, _ in inputs]
-    n = check_carrier_size(math.prod(sizes))
-
-    # Row-major carrier index: the last factor varies fastest.
-    strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
-
-    def product_map(maps: Sequence[FiniteMap]) -> FiniteMap:
-        images = np.zeros(n, dtype=np.int64)
-        idx = np.arange(n, dtype=np.int64)
-        for size, stride, m in zip(sizes, strides, maps):
-            coord = (idx // stride) % size
-            images += np.asarray(m.images, dtype=np.int64)[coord] * stride
-        return FiniteMap(images)
-
     assignment = {
-        combo: product_map([qa.assignment[g] for (qa, _), g in zip(inputs, combo)])
+        combo: FiniteMap.product([qa.assignment[g] for (qa, _), g in zip(inputs, combo)])
         for combo in itertools.product(*(qa.assignment.keys() for qa, _ in inputs))
     }
     f_out = FiniteSubset(group, itertools.product(*(fset for _, fset in inputs)))
+    n = math.prod(qa.carrier_n for qa, _ in inputs)
     return QuasiAction(group, n, assignment, f_out, claimed)
 
 
@@ -137,7 +121,6 @@ def transport_qa(
     injection must be injective on F union {1}; when it also preserves the
     products formed inside F, an (j(F), eps) input yields an (F, eps) output.
     """
-    require_dense(qa, "transport")
     fset = FiniteSubset(new_group, new_f)
     one = new_group.identity
     core = list(fset) + [one]
@@ -152,6 +135,6 @@ def transport_qa(
     needed = {*core, *pair_products(fset, fset)}
 
     # Identity maps where the injection is undefined or its image unsupported.
-    ident = identity_map(qa.carrier_n)
+    ident = identity_like(qa.map_for(qa.owner.identity))
     assignment = {g: qa.assignment.get(mapping.get(g), ident) for g in needed}
     return QuasiAction(new_group, qa.carrier_n, assignment, fset, qa.claimed_epsilon)

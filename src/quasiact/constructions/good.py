@@ -98,8 +98,8 @@ def _build_good_map(phi: QuasiAction, e, e_inv) -> FiniteMap:
     m_inv = phi.map_for(e_inv)
     n = m_e.n
     # A_e as a mask: moved by phi(e), fixed by phi(e)phi(e^-1).
-    in_e = _moved(m_e) & ~_moved(compose(m_e, m_inv))
-    in_inv = _moved(m_inv) & ~_moved(compose(m_inv, m_e))
+    in_e = _moved(m_e.slots[0]) & ~_moved(compose(m_e, m_inv).slots[0])
+    in_inv = _moved(m_inv.slots[0]) & ~_moved(compose(m_inv, m_e).slots[0])
     a_e = np.flatnonzero(in_e)
     targets = m_e.images[a_e].astype(np.int64)
     if not np.array_equal(np.sort(targets), np.flatnonzero(in_inv)):

@@ -1,13 +1,12 @@
 """Self-maps of finite carriers and similarity counting.
 
-A FiniteMap is dense or fibered.  A dense map is the array of images of
-{0..n-1}.  A map fibered over the permutation group V (its Fiber) acts on
-cells x V and commutes with left multiplication on V: it stores one cell
-image and one label in V per cell, and sends (c, v) to (images[c],
-v * labels[c]).  Two such maps disagree at (c, v) iff they disagree at
-(c, 1), so every count is |V| times a count over cells.  Each operation
-takes both kinds through one code path (a dense map has one point per cell
-and labels of shape (n, 0)) and counts points exactly.
+A FiniteMap is a tuple of slots and acts on the product of their carriers
+coordinatewise.  A dense slot is the array of images of {0..cells-1}.  A
+slot fibered over the permutation group V (its Fiber) acts on cells x V and
+commutes with left multiplication on V: it stores one cell image and one
+label in V per cell, and sends (c, v) to (images[c], v * labels[c]).  So a
+slot's agreements are |V| times a count over cells (one point per cell, and
+labels of shape (cells, 0), when dense), and a map's are their product.
 
 Maps act on the right: the product ``ef`` means "apply e, then f", so
 ``a . ef == (a . e) . f``; permutations compose the same way, so
@@ -17,9 +16,10 @@ integer pairs, never floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,17 +56,30 @@ class Fiber:
         return len(self.generators[0])
 
 
+class Slot(NamedTuple):
+    """One slot of a map: cell images (cells,) and labels (cells, V's degree)."""
+
+    images: np.ndarray
+    labels: np.ndarray
+    fiber: Fiber | None
+
+    @property
+    def per_cell(self) -> int:  # |V|, or 1 for a dense slot
+        return 1 if self.fiber is None else self.fiber.order
+
+
 class FiniteMap:
-    """A self-map of a finite carrier: one image per cell and, over a fiber
-    V, one label per cell.
+    """A self-map of a finite carrier: per slot, one image per cell and,
+    over a fiber V, one label per cell.  ``FiniteMap(images, labels, fiber)``
+    has one slot; ``FiniteMap.product(maps)`` has the maps' slots in order.
 
     Labels must lie in V, which is not checked here: the free product builds
     them from V's generators, and the certificate loader sifts each one into
-    V.  ``packed`` is one read-only int32 array, the cell images and then the
-    labels; ``images`` and ``labels`` (shape (cells, V's degree)) view it.
-    """
+    V.  ``packed`` is one read-only int32 array, every slot's cell images,
+    then every slot's labels; ``images`` (all cell images) and ``slots`` view
+    it.  ``layout`` is (cells, fiber or None) per slot."""
 
-    __slots__ = ("packed", "images", "labels", "fiber")
+    __slots__ = ("packed", "images", "slots", "layout")
 
     def __init__(
         self, images: Iterable[int] | np.ndarray, labels=None, fiber: Fiber | None = None
@@ -88,60 +101,74 @@ class FiniteMap:
                 raise DomainError(f"labels must be an integer array of shape {(cells, degree)}")
             if not (np.sort(labels, axis=1) == np.arange(degree)).all():
                 raise DomainError(f"every label must be a permutation of 0..{degree - 1}")
-            arr = np.concatenate([arr, labels.ravel()])
         elif labels is not None and np.shape(labels) != (cells, 0):
             raise DomainError(f"a dense map's labels, if given, have shape {(cells, 0)}")
-        # Writeable input is copied, not frozen under its owner; read-only is shared.
-        self.packed = arr.astype(_DTYPE, copy=arr.flags.writeable)
-        self.packed.setflags(write=False)
-        self.images = self.packed[:cells]
-        self.labels = self.packed[cells:].reshape(cells, degree)
-        self.fiber = fiber
+        self._pack([(arr, labels, fiber)])
 
-    @property
-    def fiber_size(self) -> int:
-        """Points per cell: |V|, or 1 for a dense map."""
-        return 1 if self.fiber is None else self.fiber.order
+    def _pack(self, slots: Sequence[tuple]) -> FiniteMap:
+        """Pack (images, labels, fiber) triples, known valid, as this map's slots."""
+        parts = [s[0] for s in slots] + [np.ravel(s[1]) for s in slots if s[2] is not None]
+        arr = parts[0] if len(parts) == 1 else np.concatenate(parts, dtype=_DTYPE)
+        # Writeable input is copied, not frozen under its owner; read-only is shared.
+        self.packed = arr.astype(_DTYPE, copy=len(parts) == 1 and arr.flags.writeable)
+        self.packed.setflags(write=False)
+        self.layout = tuple((s[0].size, s[2]) for s in slots)
+        self.images = self.packed[: sum(cells for cells, _ in self.layout)]
+        self.slots = tuple(Slot(i[0], l[0], s[2]) for (i, l), s in zip(self.rows(), slots))
+        return self
+
+    def rows(self, stack: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Packed maps of this map's layout stacked as rows (this map alone by
+        default), as per slot (images (r, cells), labels (r, cells, degree))."""
+        stack = self.packed[None] if stack is None else stack
+        out, c, l = [], 0, self.images.size
+        for cells, fiber in self.layout:
+            d = 0 if fiber is None else fiber.degree
+            labels = stack[:, l : l + cells * d].reshape(len(stack), cells, d)
+            out.append((stack[:, c : c + cells], labels))
+            c, l = c + cells, l + cells * d
+        return out
+
+    @classmethod
+    def _of(cls, slots: Sequence[tuple]) -> FiniteMap:
+        return cls.__new__(cls)._pack(slots)
+
+    @staticmethod
+    def product(maps: Sequence[FiniteMap]) -> FiniteMap:
+        """The map acting by maps[i] on the i-th coordinate of the product carrier."""
+        return FiniteMap._of([s for m in maps for s in m.slots])
 
     @property
     def n(self) -> int:
-        return self.images.size * self.fiber_size
+        return math.prod(s.images.size * s.per_cell for s in self.slots)
 
     def points(self) -> np.ndarray:
-        """A dense map's images; a fibered map has no list of points."""
-        if self.fiber is not None:
-            raise DomainError("a fibered map has no list of points")
+        """A dense one-slot map's images; other maps have no list of points."""
+        if self.layout != ((self.images.size, None),):
+            raise DomainError("a fibered or multi-slot map has no list of points")
         return self.images
-
-    def __call__(self, point: int) -> int:
-        return int(self.points()[point])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteMap)
-            and self.fiber == other.fiber
+            and self.layout == other.layout
             and np.array_equal(self.packed, other.packed)
         )
 
     def __hash__(self):
-        return hash((self.fiber, self.packed.tobytes()))
+        return hash((self.layout, self.packed.tobytes()))
 
     def __repr__(self) -> str:
-        if self.fiber is not None:
-            return f"FiniteMap(cells={self.images.size}, |V|={self.fiber.order})"
-        if self.n <= 16:
-            return f"FiniteMap({self.images.tolist()})"
-        return f"FiniteMap(n={self.n})"
+        if self.layout != ((self.n, None),):
+            return f"FiniteMap(cells, |V| = {[(c, v and v.order) for c, v in self.layout]})"
+        return f"FiniteMap({self.images.tolist()})" if self.n <= 16 else f"FiniteMap(n={self.n})"
 
     def is_bijection(self) -> bool:
-        """Whether the cell map is a bijection; v -> v * w is one on V."""
-        return bool(np.bincount(self.images, minlength=self.images.size).max() == 1)
+        """Whether every slot's cell map is a bijection; v -> v * w is one on V."""
+        return all(np.bincount(s.images, minlength=s.images.size).max() == 1 for s in self.slots)
 
     def to_list(self) -> list[int]:
         return [int(x) for x in self.points()]
-
-    def tobytes(self) -> bytes:
-        return self.points().tobytes()
 
 
 @dataclass(frozen=True)
@@ -156,10 +183,6 @@ class Defect:
             raise InvariantViolationError(
                 f"defect {self.disagreements}/{self.n} out of range"
             )
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.disagreements, self.n)
 
     def __str__(self) -> str:
         return f"{self.disagreements}/{self.n}"
@@ -178,10 +201,9 @@ def identity_map(n: int) -> FiniteMap:
 
 
 def identity_like(e: FiniteMap) -> FiniteMap:
-    """The identity map on e's carrier: cells fixed, labels 1."""
-    cells, degree = e.labels.shape
-    labels = np.broadcast_to(np.arange(degree, dtype=_DTYPE), (cells, degree))
-    return FiniteMap(np.arange(cells, dtype=_DTYPE), labels, e.fiber)
+    """The identity map on e's carrier: in every slot, cells fixed and labels 1."""
+    return FiniteMap._of([(np.arange(s.images.size), np.indices(s.labels.shape)[1], s.fiber)
+                          for s in e.slots])
 
 
 def shift_map(n: int, k: int) -> FiniteMap:
@@ -190,17 +212,19 @@ def shift_map(n: int, k: int) -> FiniteMap:
 
 
 def _check_same(e: FiniteMap, f: FiniteMap) -> None:
-    if e.packed.size != f.packed.size or e.fiber != f.fiber:
+    if e.layout != f.layout:
         raise CarrierMismatchError(f"carriers differ: {e!r} vs {f!r}")
 
 
-def after(e: FiniteMap, images: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maps f stacked as rows (images (r, cells), labels (r, cells, degree)),
-    each composed after e: the rows of ef.  The label of ef at c is
-    w_e(c) * w_f(e(c)), i.e. w_f(e(c))[w_e(c)[x]]."""
-    if labels.shape[-1]:  # empty labels (dense maps) stay empty
-        labels = np.take_along_axis(np.take(labels, e.images, axis=1), e.labels[None], axis=2)
-    return np.take(images, e.images, axis=1), labels
+def after(e: FiniteMap, rows: list[tuple[np.ndarray, np.ndarray]]) -> list:
+    """Rows of maps f (FiniteMap.rows), each composed after e: the rows of ef.
+    The label of ef at c is w_e(c) * w_f(e(c)), i.e. w_f(e(c))[w_e(c)[x]]."""
+    out = []
+    for s, (images, labels) in zip(e.slots, rows):
+        if labels.shape[-1]:  # empty labels (dense slots) stay empty
+            labels = np.take_along_axis(np.take(labels, s.images, axis=1), s.labels[None], axis=2)
+        out.append((np.take(images, s.images, axis=1), labels))
+    return out
 
 
 def differs(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -212,44 +236,46 @@ def differs(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) 
     return out
 
 
+def agreements(e: FiniteMap, x: list, y: list) -> list[int]:
+    """Per row, the points where rows x and y of e's layout (broadcast) agree:
+    the product over slots of |V| times the agreeing cells, as Python ints."""
+    per_slot = []
+    for s, a, b in zip(e.slots, x, y):
+        counts = np.count_nonzero(differs(a, b), axis=-1).tolist()
+        per_slot.append([s.per_cell * (s.images.size - c) for c in counts])
+    return [math.prod(t) for t in zip(*per_slot)]
+
+
 def compose(e: FiniteMap, f: FiniteMap) -> FiniteMap:
-    """The product ef: first e, then f.  compose(e, f)(a) == f(e(a))."""
+    """The product ef: first e, then f, so a . ef == (a . e) . f."""
     _check_same(e, f)
-    images, labels = after(e, f.images[None], f.labels[None])
-    return FiniteMap(images[0], labels[0], e.fiber)
+    rows = after(e, f.rows())
+    return FiniteMap._of([(i[0], l[0], s.fiber) for (i, l), s in zip(rows, e.slots)])
 
 
 def similarity_defect(e: FiniteMap, f: FiniteMap) -> Defect:
     """Count the points where e and f disagree."""
     _check_same(e, f)
-    cells = np.count_nonzero(differs((e.images, e.labels), (f.images, f.labels)))
-    return Defect(e.fiber_size * int(cells), e.n)
+    [agree] = agreements(e, e.rows(), f.rows())
+    return Defect(e.n - agree, e.n)
 
 
-def _moved(e: FiniteMap) -> np.ndarray:
-    """Per cell: its points move iff the cell moves or its label is not 1."""
-    cells, degree = e.labels.shape
-    return differs((e.images, e.labels), (np.arange(cells), np.arange(degree)))
+def _moved(s: Slot) -> np.ndarray:
+    """Per cell of slot s: its points move iff the cell moves or its label is not 1."""
+    cells, degree = s.labels.shape
+    return differs((s.images, s.labels), (np.arange(cells), np.arange(degree)))
 
 
 def fixpoint_count(e: FiniteMap) -> int:
-    return e.fiber_size * (e.images.size - int(np.count_nonzero(_moved(e))))
+    """A point is fixed iff it is fixed in every slot."""
+    return math.prod(s.per_cell * (s.images.size - int(np.count_nonzero(_moved(s))))
+                     for s in e.slots)
 
 
 def inverse_map(e: FiniteMap) -> FiniteMap:
-    """Inverse of a bijection: c' goes to e^-1(c') with the inverse of the
-    label at e^-1(c')."""
+    """Inverse of a bijection, slot by slot: c' goes to e^-1(c') with the
+    inverse of the label at e^-1(c'); argsort inverts a permutation."""
     if not e.is_bijection():
         raise DomainError("cannot invert a non-bijective map")
-    images = np.empty_like(e.images)
-    images[e.images] = np.arange(images.size, dtype=_DTYPE)
-    return FiniteMap(images, np.argsort(e.labels, axis=1)[images], e.fiber)
-
-
-def double(e: FiniteMap) -> FiniteMap:
-    """Act the same way on two disjoint copies of the carrier.
-
-    Points [0,n) are the first copy and [n,2n) the second, so
-    double(e)(a) == e(a) and double(e)(n+a) == n + e(a).
-    """
-    return FiniteMap(np.concatenate([e.points(), e.images + e.n]))
+    inverses = [(np.argsort(s.images), s) for s in e.slots]
+    return FiniteMap._of([(c, np.argsort(s.labels, axis=1)[c], s.fiber) for c, s in inverses])

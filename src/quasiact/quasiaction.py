@@ -17,8 +17,8 @@ exact inverse map, and the maps of distinct elements of F union {1} are
 pairwise (1-eps)-different.
 
 Counts are integers and verdicts exact integer comparisons (d*q <= p*n).
-Maps are dense or fibered (finmap), and every count goes through one code
-path: per cell, |V| points at a time, a dense map being one point per cell.
+Maps are tuples of dense or fibered slots (finmap), and every count goes
+through one code path: per cell and slot, then multiplied over the slots.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import base64
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -43,7 +43,7 @@ from .finmap import (
     Fiber,
     FiniteMap,
     after,
-    differs,
+    agreements,
     fixpoint_count,
     identity_like,
     inverse_map,
@@ -57,16 +57,16 @@ from .util import canonical_json, check_epsilon, format_fraction, parse_fraction
 
 
 # verify stacks maps in chunks of max(1, POINTS // width) rows, width being
-# the int32 entries of one map (n for a dense map): about 1 MiB per chunk,
-# and one map at a time on large dense carriers.
+# the int32 entries of one map (the sum of its slots' cells x (1 + degree)):
+# about 1 MiB per chunk, and one map at a time on large dense carriers.
 POINTS = 1 << 18
 
 
 class QuasiAction:
     """A carrier size plus a finite table of group element -> map.
 
-    The maps are all dense or all fibered over one Fiber (``fiber``, else
-    None).  The assignment's keys are validated here, once (F's by
+    The maps share one ``layout``: the same cells and fiber (or None) in
+    every slot.  The assignment's keys are validated here, once (F's by
     FiniteSubset), and the support check builds the claimed F's F x F
     product table, once."""
 
@@ -83,7 +83,7 @@ class QuasiAction:
         self.claimed_f = FiniteSubset(owner, claimed_f)
         self.claimed_epsilon = check_epsilon(claimed_epsilon)
         table = {}
-        self.fiber = None
+        self.layout = None
         for elem, fmap in assignment.items():
             owner.check_element(elem)
             if not isinstance(fmap, FiniteMap):
@@ -93,9 +93,9 @@ class QuasiAction:
                     f"map for {owner.element_key(elem)} has carrier {fmap.n}, "
                     f"expected {self.carrier_n}"
                 )
-            if table and fmap.fiber != self.fiber:
-                raise DomainError("the maps of a quasi-action must share one fiber")
-            self.fiber = fmap.fiber
+            if table and fmap.layout != self.layout:
+                raise DomainError("a quasi-action's maps must share one fiber and size per slot")
+            self.layout = fmap.layout
             table[elem] = fmap
         self.assignment = table
         self._claimed_products = self._products(self.claimed_f)
@@ -123,21 +123,14 @@ class QuasiAction:
         except KeyError:
             raise IncompleteSupportError(self.owner.element_key(elem)) from None
 
-    def with_map(self, elem, fmap: FiniteMap) -> "QuasiAction":
-        """A copy with one assignment replaced (for perturbation studies)."""
-        table = dict(self.assignment)
-        table[elem] = fmap
-        return QuasiAction(
-            self.owner, self.carrier_n, table, self.claimed_f, self.claimed_epsilon
-        )
-
 
 def require_dense(qa: QuasiAction, construction: str) -> None:
-    """Refuse a fibered action to a construction that reads carrier images."""
-    if qa.fiber is not None:
-        raise PreconditionError(
-            f"{construction} reads dense carrier images; this action's maps are fibered"
-        )
+    """Refuse a fibered or multi-slot action to a construction that reads
+    one dense carrier's images."""
+    slots = len(qa.layout)
+    if slots > 1 or qa.layout[0][1] is not None:
+        kind = f"have {slots} slots (a direct product)" if slots > 1 else "are fibered"
+        raise PreconditionError(f"{construction} reads dense carrier images; its maps {kind}")
 
 
 class PairDefect(NamedTuple):
@@ -278,9 +271,10 @@ def verify(
     Elements are not validated again, so products and inverses use the
     owner's unchecked ops; the claimed F reuses qa's product table, another
     F gets one per call.  Counts are integer numpy gathers over chunks of
-    max(1, POINTS // width) stacked maps, one per cell: a cell's |V| points
-    disagree iff its cell images or labels do (one point per cell for dense
-    maps).  Verdicts cross-multiply the counts exactly."""
+    max(1, POINTS // width) stacked maps, one per cell and slot: a cell's
+    |V| points (one when dense) disagree iff its cell images or labels do,
+    and maps agree at a point iff they agree in every slot.  Verdicts
+    cross-multiply the counts exactly."""
     g = qa.owner
     fset = qa.claimed_f if f is None else FiniteSubset(g, f)
     eps = check_epsilon(qa.claimed_epsilon if epsilon is None else epsilon)
@@ -290,19 +284,13 @@ def verify(
     n = qa.carrier_n
     maps = qa.assignment
     ident = identity_like(maps[one])
-    cells, degree = ident.labels.shape
-    width, per_cell = ident.packed.size, ident.fiber_size
-
-    def split(stack):  # packed rows -> (images, labels)
-        return stack[:, :cells], stack[:, cells:].reshape(len(stack), cells, degree)
 
     def counts_of(x, y) -> list[int]:  # disagreeing points per row of x against y
-        # Python ints: |V| times a cell count can pass 2**63.
-        return [per_cell * c for c in np.count_nonzero(differs(x, y), axis=-1).tolist()]
+        return [n - a for a in agreements(ident, x, y)]
 
     keys = {e: g.element_key(e) for e in maps}
     f_elems = list(fset)
-    right = _chunks([maps[e] for e in f_elems], width)
+    right = _chunks([maps[e] for e in f_elems], ident.packed.size)
 
     k = len(f_elems)
     a_counts = []
@@ -310,10 +298,9 @@ def verify(
         row = table[i * k : (i + 1) * k]
         for start, stack in right:
             products = _stack([maps[p] for p in row[start : start + len(stack)]])
-            a_counts += counts_of(after(maps[e], *split(stack)), split(products))
+            a_counts += counts_of(after(maps[e], ident.rows(stack)), ident.rows(products))
 
-    unit = (ident.images, ident.labels)
-    agree = [n - c for _, s in right for c in counts_of(split(s), unit)]
+    agree = [a for _, s in right for a in agreements(ident, ident.rows(s), ident.rows())]
 
     strict_checks = None
     if strict:
@@ -329,12 +316,12 @@ def verify(
             for e, bij in zip(others, bijective)
         )
         ordered = sorted({*f_elems, one}, key=keys.__getitem__)
-        chunks = _chunks([maps[e] for e in ordered], width)
+        chunks = _chunks([maps[e] for e in ordered], ident.packed.size)
         pair_counts = []
         for i, a in enumerate(ordered):
             for start, stack in chunks:  # the rows after row i
                 rest = stack[max(0, i + 1 - start) :]
-                pair_counts += counts_of(split(rest), (maps[a].images, maps[a].labels))
+                pair_counts += counts_of(ident.rows(rest), maps[a].rows())
         strict_checks = StrictChecks(
             n, eps, maps[one] == ident, bijective,
             tuple(fixpoint_count(maps[e]) == 0 for e in others), inverse_exact,
@@ -387,31 +374,34 @@ def report_to_json(report: VerificationReport) -> dict:
     return doc
 
 
-FORMAT = 4
+FORMAT = 5
 
 # hashlib is imported inside the codec functions: it loads OpenSSL, which
 # adds about 4 MiB of RSS to every command, including those that never
 # read or write a certificate.
 
 
-def _map_to_json(fmap: FiniteMap) -> dict:
+def _map_to_json(fmap: FiniteMap) -> list[dict]:
     import hashlib
 
-    raws = [a.astype("<i4", copy=False).tobytes() for a in (fmap.images, fmap.labels)]
-    entry = {k: base64.b64encode(r).decode("ascii") for k, r in zip(("cells", "labels"), raws)}
-    entry["sha256"] = hashlib.sha256(b"".join(raws)).hexdigest()
-    return entry
+    entries = []
+    for slot in fmap.slots:
+        raws = [a.astype("<i4", copy=False).tobytes() for a in (slot.images, slot.labels)]
+        entry = {k: base64.b64encode(r).decode("ascii") for k, r in zip(("cells", "labels"), raws)}
+        entry["sha256"] = hashlib.sha256(b"".join(raws)).hexdigest()
+        entries.append(entry)
+    return entries
 
 
-def _map_from_json(entry, carrier_n: int, fiber: Fiber | None) -> FiniteMap:
-    """Decode one map entry, checking the length of each payload (carrier_n
-    / |V| cells, and as many labels of V's degree) and its hash before ranges."""
+def _slot_from_json(entry, cells: int, fiber: Fiber | None, member) -> FiniteMap:
+    """Decode one slot's entry, checking the length of each payload (cells,
+    and as many labels of V's degree) and its hash before ranges; then sift
+    every label into V, since one outside V would move points off the carrier."""
     import hashlib
 
     if not isinstance(entry, dict) or set(entry) != {"cells", "labels", "sha256"}:
         raise InvariantViolationError("a map entry needs exactly cells, labels and sha256")
     degree = 0 if fiber is None else fiber.degree
-    cells = carrier_n if fiber is None else carrier_n // fiber.order
     raws = []
     for key, count in (("cells", cells), ("labels", cells * degree)):
         try:
@@ -425,14 +415,22 @@ def _map_from_json(entry, carrier_n: int, fiber: Fiber | None) -> FiniteMap:
     if hashlib.sha256(b"".join(raws)).hexdigest() != entry["sha256"]:
         raise InvariantViolationError("map payload does not match its sha256")
     images, labels = (np.frombuffer(raw, "<i4") for raw in raws)
-    return FiniteMap(images, labels.reshape(cells, degree), fiber)
+    fmap = FiniteMap(images, labels.reshape(cells, degree), fiber)
+    for w in sorted(set(map(tuple, fmap.slots[0].labels.tolist()))) if member else ():
+        if not member(w):
+            raise InvariantViolationError(f"label {list(w)} is not in V: a map leaves the carrier")
+    return fmap
 
 
-def _fiber_from_json(doc, carrier_n: int):
-    """The certificate's V and its stabilizer chain, or (None, None) for a
-    dense action.  The generators must be permutations of the stated degree,
-    Schreier-Sims must give the stated order, and carrier_n must be a whole
-    number of cells times that order."""
+def _map_from_json(value, slots: list) -> FiniteMap:
+    """One assignment value: a list of one entry per slot."""
+    maps = [_slot_from_json(e, *slot) for e, slot in zip(_decode_list(value, len(slots)), slots)]
+    return maps[0] if len(maps) == 1 else FiniteMap.product(maps)
+
+
+def _fiber_from_json(doc):
+    """(V, cached test of membership in V) for a fibered slot, (None, None) when
+    dense.  The generators must be permutations of the stated degree giving the stated order."""
     if doc is None:
         return None, None
     from .constructions.girth import schreier_sims
@@ -444,34 +442,31 @@ def _fiber_from_json(doc, carrier_n: int):
     order, member = schreier_sims(gens)
     if order != fiber.order:
         raise InvariantViolationError(
-            f"the fiber states order {fiber.order}; its generators give {order}"
-        )
-    if carrier_n % fiber.order:
-        raise InvariantViolationError(
-            f"carrier_n {carrier_n} is not a multiple of |V| = {fiber.order}")
-    return fiber, member
+            f"the fiber states order {fiber.order}; its generators give {order}")
+    return fiber, cache(member)
 
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
-    (format 4).
+    (format 5).
 
-    Every map is one entry: base64 of its cell images and of its labels,
-    each as little-endian int32, and one sha256 over both.  A dense map's
-    labels are empty.  "fiber" states V's degree, generators and order for
-    a fibered action, and is null for a dense one.  The encoder builds each
-    map's entry when it reaches it, so the base64 texts are never all held
-    beside the output.
+    "slots" states the carrier once: per slot its cell count and fiber (V's
+    degree, generators and order, or null when dense).  Every map is a list
+    of one entry per slot: base64 of the slot's cell images and of its labels
+    (empty when dense), each as little-endian int32, and one sha256 over
+    both.  The encoder builds each map's entries when it reaches it, so the
+    base64 texts are never all held beside the output.
     """
-    g, v = qa.owner, qa.fiber
+    g = qa.owner
     doc = {
         "format": FORMAT,
         "group": g.describe(),
         "carrier_n": qa.carrier_n,
         "epsilon": format_fraction(qa.claimed_epsilon),
         "F": [g.element_key(e) for e in qa.claimed_f],
-        "fiber": None if v is None else {
-            "degree": v.degree, "generators": v.generators, "order": v.order},
+        "slots": [{"cells": cells, "fiber": None if v is None else {
+            "degree": v.degree, "generators": v.generators, "order": v.order}}
+            for cells, v in qa.layout],
         "assignment": {g.element_key(elem): fmap for elem, fmap in qa.assignment.items()},
         "report": report_to_json(report),
     }
@@ -484,12 +479,11 @@ def _elements_from_keys(g: GroupHandle, keys) -> list:
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
-    """Read a format 4 certificate.  Formats 1-3 are refused by name: run
-    their request again with ``quasiact construct`` to get format 4.
+    """Read a format 5 certificate.  Formats 1-4 are refused by name: run
+    their request again with ``quasiact construct`` to get format 5.
 
-    A fibered action's |V| is recomputed from its generators, and every
-    label is sifted into V: a label outside V would move points off the
-    carrier, so it is refused.
+    Each fibered slot's |V| is recomputed from its generators, and every
+    label of the slot is sifted into V.
 
     The stored report is not parsed.  verify measures the stored maps again
     at the report's own F, epsilon and strictness, and the certificate is
@@ -506,18 +500,16 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
         )
     g = _field(doc, "group", group_from_json)
     carrier_n = _field(doc, "carrier_n", _decode_int)
-    fiber, member = _field(doc, "fiber", lambda v: _fiber_from_json(v, carrier_n))
+    # (cells, fiber, test of membership in V) per slot; QuasiAction checks each map's n.
+    slots = _field(doc, "slots", lambda v: [
+        (_field(s, "cells", _decode_int), *_field(s, "fiber", _fiber_from_json))
+        for s in _decode_list(v)])
+    if not slots:
+        raise DomainError("field 'slots': a certificate has at least one slot")
     assignment = _field(doc, "assignment", lambda v: dict(zip(
         _elements_from_keys(g, _decode_object(v)),
-        [_map_from_json(e, carrier_n, fiber) for e in v.values()],
+        [_map_from_json(e, slots) for e in v.values()],
     )))
-    if member is not None:
-        labels = {tuple(w) for m in assignment.values() for w in m.labels.tolist()}
-        for w in sorted(labels):
-            if not member(w):
-                raise InvariantViolationError(
-                    f"label {list(w)} is not in V, so its map leaves the carrier"
-                )
     claimed_f = FiniteSubset(g, _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v))))
     qa = QuasiAction(
         g,

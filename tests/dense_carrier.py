@@ -192,8 +192,9 @@ def densify(fmap: FiniteMap, elements: Sequence[tuple[int, ...]], _moves=None) -
             moves[w][by_key] = sorter
         return moves[w]
 
-    images = np.empty((fmap.images.size, order), dtype=np.int64)
-    for c, (target, w) in enumerate(zip(fmap.images.tolist(), map(tuple, fmap.labels.tolist()))):
+    [slot] = fmap.slots
+    images = np.empty((slot.images.size, order), dtype=np.int64)
+    for c, (target, w) in enumerate(zip(slot.images.tolist(), map(tuple, slot.labels.tolist()))):
         images[c] = target * order + move(w)
     return FiniteMap(images.ravel())
 

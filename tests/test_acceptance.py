@@ -20,7 +20,6 @@ from quasiact import (
     SubgroupHandle,
     compose,
     cyclic_group,
-    double,
     fixpoint_count,
     identity_map,
     inverse_map,
@@ -45,6 +44,7 @@ from quasiact.constructions import (
 )
 
 from dense_carrier import dense_carrier
+from test_finmap import double, fraction, with_map
 
 
 def doubled_input_map(phi, e) -> FiniteMap:
@@ -97,7 +97,7 @@ def test_criterion_2_good_action_suite():
         # to the eps/10 budget (defect 1/12) without creating a fixpoint
         images = phi.assignment[3].to_list()
         images[0] = 4
-        phi = phi.with_map(3, FiniteMap(images))
+        phi = with_map(phi, 3, FiniteMap(images))
 
         psi = good_action_upgrade(phi, [1], eps)
         assert psi.carrier_n == 24
@@ -114,13 +114,13 @@ def test_criterion_2_good_action_suite():
         # (ii) 3eps/10-similarity to the doubled input on all of F~
         for g, m in psi.assignment.items():
             d = similarity_defect(m, doubled_input_map(phi, g))
-            assert d.fraction <= 3 * eps / 10
+            assert fraction(d) <= 3 * eps / 10
 
         # (iii) condition (a) at eps, (iv) pairwise difference > 1 - 8eps/10
         report = verify(psi, [1], eps, strict=True)
         assert report.a_pass
         for _, _, d in report.strict.pairwise:
-            assert d.fraction > 1 - 8 * eps / 10
+            assert fraction(d) > 1 - 8 * eps / 10
 
 
 def test_criterion_3_direct_product_bound():
@@ -130,11 +130,11 @@ def test_criterion_3_direct_product_bound():
             images = qa.assignment[0].to_list()
             for p in points:
                 images[p] = (p + 5) % 10
-            return qa.with_map(0, FiniteMap(images))
+            return with_map(qa, 0, FiniteMap(images))
 
         qa1, qa2 = perturbed([0]), perturbed([0, 1])
-        d1 = similarity_defect(qa1.assignment[0], shift_map(10, 0)).fraction
-        d2 = similarity_defect(qa2.assignment[0], shift_map(10, 0)).fraction
+        d1 = fraction(similarity_defect(qa1.assignment[0], shift_map(10, 0)))
+        d2 = fraction(similarity_defect(qa2.assignment[0], shift_map(10, 0)))
         assert (d1, d2) == (Fraction(1, 10), Fraction(2, 10))
 
         f = FiniteSubset(IntegerGroup(), [1, 2])
@@ -142,7 +142,7 @@ def test_criterion_3_direct_product_bound():
         prod = direct_product_qa([(qa1, f), (qa2, f)], eps)
         report = verify(prod, epsilon=2 * eps)
         assert report.passed
-        assert report.identity_defect.fraction <= d1 + d2
+        assert fraction(report.identity_defect) <= d1 + d2
 
 
 def test_criterion_4_girth_certification():
@@ -267,7 +267,7 @@ def test_criterion_8_finitary_embedding():
                 assert similarity_defect(lhs, rhs).disagreements == 0
         seen = {}
         for elem, m in qa.assignment.items():
-            key = m.tobytes()
+            key = m
             assert key not in seen, (elem, seen.get(key))
             seen[key] = elem
         assert len(seen) == 600

@@ -29,11 +29,11 @@ def forged_c4_certificate(tmp_path):
     qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))
     doc = json.loads(emit_certificate(qa, verify(qa)))
     raw = np.array([1, 2, 3, 1], dtype="<i4").tobytes()
-    doc["assignment"]["1"] = {
+    doc["assignment"]["1"] = [{
         "cells": base64.b64encode(raw).decode(),
         "labels": "",
         "sha256": hashlib.sha256(raw).hexdigest(),
-    }
+    }]
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(doc))
     return path
@@ -181,9 +181,9 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "expected an array" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4])
     def test_old_formats_exit_two(self, c4_certificate, tmp_path, capsys, fmt):
-        # Formats 1-3 are refused by name; a missing "format" is format 1.
+        # Formats 1-4 are refused by name; a missing "format" is format 1.
         doc = json.loads(c4_certificate.read_text())
         if fmt is None:
             del doc["format"]

@@ -22,6 +22,8 @@ from quasiact.constructions import (
 )
 from quasiact.errors import DomainError, PreconditionError
 
+from test_finmap import fraction, with_map
+
 
 class TestRegularAction:
     def test_trivial_group(self):
@@ -102,12 +104,12 @@ class TestDirectProduct:
             images = qa.assignment[0].to_list()
             for p in points:
                 images[p] = (p + 5) % 10
-            return qa.with_map(0, FiniteMap(images))
+            return with_map(qa, 0, FiniteMap(images))
 
         qa1 = perturbed([0])
         qa2 = perturbed([0, 1])
-        d1 = similarity_defect(qa1.assignment[0], shift_map(10, 0)).fraction
-        d2 = similarity_defect(qa2.assignment[0], shift_map(10, 0)).fraction
+        d1 = fraction(similarity_defect(qa1.assignment[0], shift_map(10, 0)))
+        d2 = fraction(similarity_defect(qa2.assignment[0], shift_map(10, 0)))
         assert (d1, d2) == (Fraction(1, 10), Fraction(1, 5))
 
         z = IntegerGroup()
@@ -115,11 +117,11 @@ class TestDirectProduct:
         prod = direct_product_qa([(qa1, f), (qa2, f)], Fraction(1, 5))
         report = verify(prod, epsilon=Fraction(2, 5))
         assert report.passed
-        assert report.identity_defect.fraction <= d1 + d2
+        assert fraction(report.identity_defect) <= d1 + d2
 
     def test_factor_must_verify(self):
         qa = cyclic_quasi_action([1], 12, epsilon=Fraction(1, 2))
-        bad = qa.with_map(1, shift_map(12, 0))  # identity map breaks (c)
+        bad = with_map(qa, 1, shift_map(12, 0))  # identity map breaks (c)
         f = FiniteSubset(qa.owner, [1])
         with pytest.raises(PreconditionError):
             direct_product_qa([(bad, f)], Fraction(1, 10))
@@ -143,12 +145,22 @@ class TestDirectProduct:
         prod = direct_product_qa([(qa, f)] * 3, Fraction(3, 10))
         assert prod.claimed_epsilon == Fraction(9, 10)
 
-    def test_carrier_beyond_int32_rejected(self):
-        # 2000**3 points would need int64 images; rejected before any map is built.
+    def test_carrier_beyond_int32(self):
+        # 2000**3 points: each slot holds 2000 cells, so no image passes
+        # int32, and the counts are exact Python ints past 2**31.
         qa = cyclic_quasi_action([1], 2000)
-        f = FiniteSubset(qa.owner, [1])
-        with pytest.raises(DomainError):
-            direct_product_qa([(qa, f)] * 3, Fraction(1, 10))
+        images = qa.assignment[0].to_list()
+        images[0] = 1  # the identity element's map moves one point
+        qa = with_map(qa, 0, FiniteMap(images))
+        prod = direct_product_qa([(qa, qa.claimed_f)] * 3, Fraction(1, 10))
+        n = 2000**3
+        assert prod.carrier_n == n > 2**31
+        one = prod.map_for((0, 0, 0))
+        assert fixpoint_count(one) == 1999**3 > 2**31
+        report = verify(prod, strict=True)
+        assert report.passed and report.identity_defect.disagreements == n - 1999**3
+        # The maps of (0, 0, 0) and (1, 1, 1) agree only at (0, 0, 0), sent to (1, 1, 1).
+        assert report.strict.pair_counts == (n - 1,) and not report.strict.identity_exact
 
 
 class TestTransport:

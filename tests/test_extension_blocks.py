@@ -40,6 +40,8 @@ from quasiact.constructions import (
 )
 from quasiact.errors import GroupMismatchError, InvariantViolationError
 
+from test_finmap import fraction, with_map
+
 
 def triple_oracle(ext, f):
     """H = N & (A F A^-1), enumerated over all |A|^2 |F| triples."""
@@ -322,7 +324,7 @@ class TestClaims:
             images = qa.assignment[elem].to_list()
             for p in data.draw(st.sets(st.integers(0, qa.carrier_n - 1), max_size=1)):
                 images[p] = data.draw(st.integers(0, qa.carrier_n - 1))
-            inputs.append((qa.with_map(elem, FiniteMap(images)), FiniteSubset(qa.owner, f)))
+            inputs.append((with_map(qa, elem, FiniteMap(images)), FiniteSubset(qa.owner, f)))
         factor_reports = [verify(qa, fset, epsilon) for qa, fset in inputs]
         assert all(r.passed for r in factor_reports)
 
@@ -332,7 +334,7 @@ class TestClaims:
         assert report.passed
 
         def by_pair(r):
-            return {(p.left_key, p.right_key): p.defect.fraction for p in r.pair_defects}
+            return {(p.left_key, p.right_key): fraction(p.defect) for p in r.pair_defects}
 
         factor_pairs = [by_pair(r) for r in factor_reports]
         pairs = by_pair(report)
@@ -342,8 +344,8 @@ class TestClaims:
                 bound = sum(d[z.element_key(x), z.element_key(y)]
                             for d, x, y in zip(factor_pairs, e, f))
                 assert pairs[pg.element_key(e), pg.element_key(f)] <= bound
-        assert report.identity_defect.fraction <= sum(
-            r.identity_defect.fraction for r in factor_reports
+        assert fraction(report.identity_defect) <= sum(
+            fraction(r.identity_defect) for r in factor_reports
         )
 
 

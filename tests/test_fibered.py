@@ -18,7 +18,6 @@ from quasiact import (
     QuasiAction,
     compose,
     cyclic_group,
-    double,
     emit_certificate,
     fixpoint_count,
     identity_map,
@@ -30,6 +29,7 @@ from quasiact import (
 from quasiact.cli import main
 from quasiact.constructions import (
     build_free_product_action,
+    cyclic_quasi_action,
     direct_product_qa,
     good_action_upgrade,
     multiplicativity_case,
@@ -46,7 +46,7 @@ from quasiact.quasiaction import report_to_json
 from quasiact.util import canonical_json
 
 from dense_carrier import cayley_closure, densify, densify_action
-from test_finmap import fixpoint_set
+from test_finmap import double, fixpoint_set
 
 C2 = {"kind": "finite", "table": [[0, 1], [1, 0]]}
 C3 = {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
@@ -153,13 +153,14 @@ class TestFiberedMapsAgainstDenseForms:
     def test_one_class_for_both_kinds(self):
         # A dense map is the trivial-fiber case: labels of shape (n, 0).
         dense = FiniteMap([1, 0])
-        assert dense.fiber is None and dense.labels.shape == (2, 0)
+        [slot] = dense.slots
+        assert slot.fiber is None and slot.labels.shape == (2, 0)
         assert FiniteMap([1, 0], np.zeros((2, 0), dtype=int)) == dense
         with pytest.raises(DomainError, match="shape"):
             FiniteMap([1, 0], [[0], [0]])
         fibered = FiniteMap([1, 0], [(1, 0, 2), (0, 2, 1)], Fiber(SMALL_FIBERS[0], 6))
         assert fibered != FiniteMap([1, 0]) and fibered.n == 12
-        for op in (lambda e: e(0), FiniteMap.to_list, FiniteMap.tobytes, fixpoint_set, double):
+        for op in (FiniteMap.points, FiniteMap.to_list, fixpoint_set, double):
             with pytest.raises(DomainError, match="no list of points"):
                 op(fibered)
 
@@ -198,8 +199,8 @@ class TestFreeProductAgainstDenseCarrier:
         dense = densify_action(qa, closure_of(pc.fiber))
         text = emit_certificate(dense, verify(dense, strict=True))
         doc = json.loads(text)
-        assert doc["format"] == 4 and doc["fiber"] is None
-        assert all(entry["labels"] == "" for entry in doc["assignment"].values())
+        assert doc["format"] == 5 and doc["slots"] == [{"cells": qa.carrier_n, "fiber": None}]
+        assert all(entry["labels"] == "" for [entry] in doc["assignment"].values())
         loaded, report = load_certificate(text)
         assert report == verify(qa, strict=True)
         assert emit_certificate(loaded, report) == text
@@ -274,50 +275,51 @@ def c2_c2_certificate():
 def tampered(text, change):
     doc = json.loads(text)
     key = next(k for k in doc["F"] if k != "[[0,0]]")
-    change(doc, key, doc["fiber"]["degree"])
+    change(doc, key, doc["slots"][0]["fiber"]["degree"])
     return json.dumps(doc)
 
 
 def label_outside_v(doc, key, degree):
-    cells, labels = entry_arrays(doc["assignment"][key], degree)
+    cells, labels = entry_arrays(doc["assignment"][key][0], degree)
     labels[0] = [1, 0, *range(2, degree)]  # V is generated by even permutations
-    doc["assignment"][key] = fibered_entry(cells, labels)
+    doc["assignment"][key] = [fibered_entry(cells, labels)]
 
 
 def cell_out_of_range(doc, key, degree):
-    cells, labels = entry_arrays(doc["assignment"][key], degree)
+    cells, labels = entry_arrays(doc["assignment"][key][0], degree)
     cells[0] = cells.size
-    doc["assignment"][key] = fibered_entry(cells, labels)
+    doc["assignment"][key] = [fibered_entry(cells, labels)]
 
 
 def labels_short(doc, key, degree):
-    cells, labels = entry_arrays(doc["assignment"][key], degree)
-    doc["assignment"][key] = fibered_entry(cells, labels[:-1])
+    cells, labels = entry_arrays(doc["assignment"][key][0], degree)
+    doc["assignment"][key] = [fibered_entry(cells, labels[:-1])]
 
 
 def hash_mismatch(doc, key, degree):
-    doc["assignment"][key]["sha256"] = hashlib.sha256(b"").hexdigest()
+    doc["assignment"][key][0]["sha256"] = hashlib.sha256(b"").hexdigest()
 
 
 def order_inflated(doc, key, degree):
-    doc["fiber"]["order"] *= 2
+    doc["slots"][0]["fiber"]["order"] *= 2
     doc["carrier_n"] *= 2
 
 
-def carrier_doubled(doc, key, degree):
+def cells_doubled(doc, key, degree):
+    doc["slots"][0]["cells"] *= 2
     doc["carrier_n"] *= 2
 
 
-def carrier_not_a_multiple(doc, key, degree):
+def carrier_not_the_slots_size(doc, key, degree):
     doc["carrier_n"] += 1
 
 
 def generator_not_a_permutation(doc, key, degree):
-    doc["fiber"]["generators"][0] = [0] * degree
+    doc["slots"][0]["fiber"]["generators"][0] = [0] * degree
 
 
 def generators_of_other_degree(doc, key, degree):
-    doc["fiber"]["degree"] = degree + 1
+    doc["slots"][0]["fiber"]["degree"] = degree + 1
 
 
 REFUSALS = [
@@ -326,8 +328,8 @@ REFUSALS = [
     (labels_short, InvariantViolationError, "bytes"),
     (hash_mismatch, InvariantViolationError, "sha256"),
     (order_inflated, InvariantViolationError, "generators give"),
-    (carrier_doubled, InvariantViolationError, "bytes"),
-    (carrier_not_a_multiple, InvariantViolationError, "multiple"),
+    (cells_doubled, InvariantViolationError, "bytes"),
+    (carrier_not_the_slots_size, DomainError, "has carrier"),
     (generator_not_a_permutation, DomainError, "permutations"),
     (generators_of_other_degree, DomainError, "entries"),
 ]
@@ -338,10 +340,11 @@ class TestFiberedCertificates:
         qa, report = load_certificate(c2_c2_certificate)
         assert emit_certificate(qa, report) == c2_c2_certificate
         doc = json.loads(c2_c2_certificate)
-        assert doc["format"] == 4
-        assert set(doc["fiber"]) == {"degree", "generators", "order"}
-        assert doc["carrier_n"] == 16 * doc["fiber"]["order"]
-        entry = next(iter(doc["assignment"].values()))
+        assert doc["format"] == 5
+        [slot] = doc["slots"]
+        assert slot["cells"] == 16 and set(slot["fiber"]) == {"degree", "generators", "order"}
+        assert doc["carrier_n"] == 16 * slot["fiber"]["order"]
+        [entry] = next(iter(doc["assignment"].values()))
         assert set(entry) == {"cells", "labels", "sha256"}
 
     @pytest.mark.parametrize("change,error,message", REFUSALS, ids=[r[0].__name__ for r in REFUSALS])
@@ -355,7 +358,7 @@ class TestFiberedCertificates:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fmt", [3, 5])
+    @pytest.mark.parametrize("fmt", [3, 4])
     def test_other_format_refused(self, c2_c2_certificate, fmt):
         doc = json.loads(c2_c2_certificate)
         doc["format"] = fmt
@@ -370,10 +373,13 @@ class TestDenseOnlyConstructionsRefuseFiberedActions:
 
     def test_library_calls(self, fibered):
         f = fibered.claimed_f
-        with pytest.raises(PreconditionError, match="fibered"):
-            direct_product_qa([(fibered, f)], EPS)
-        with pytest.raises(PreconditionError, match="fibered"):
-            transport_qa(fibered, fibered.owner, f, {})
+        # The direct product and transport work slot by slot: a fibered
+        # factor is accepted, and transport's identity maps are fibered too.
+        cyclic = cyclic_quasi_action([1], 5, EPS)
+        product = direct_product_qa([(fibered, f), (cyclic, cyclic.claimed_f)], EPS)
+        assert product.carrier_n == fibered.carrier_n * 5 and verify(product).passed
+        moved = transport_qa(fibered, fibered.owner, f, {})
+        assert set(moved.assignment.values()) == {identity_like(fibered.map_for(fibered.owner.identity))}
         with pytest.raises(PreconditionError, match="fibered"):
             good_action_upgrade(fibered, f, EPS)
 
@@ -388,7 +394,7 @@ class TestDenseOnlyConstructionsRefuseFiberedActions:
         with pytest.raises(PreconditionError, match="fibered"):
             amenable_extension_qa(fibered, ext, [0], EPS)
 
-    def test_product_request_exits_two(self, fibered, tmp_path, capsys):
+    def test_product_request_accepts_a_fibered_factor(self, fibered, tmp_path):
         cert = tmp_path / "freeprod.json"
         cert.write_text(emit_certificate(fibered, verify(fibered)))
         request = tmp_path / "request.json"
@@ -397,9 +403,10 @@ class TestDenseOnlyConstructionsRefuseFiberedActions:
             "factors": [{"certificate": str(cert)}, {"cyclic": {"f": [1], "modulus": 5}}],
         }))
         out = tmp_path / "product.json"
-        assert main(["construct", "--request", str(request), "--out", str(out)]) == 2
-        assert "fibered" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["construct", "--request", str(request), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert [s["fiber"] is None for s in doc["slots"]] == [False, True]
+        assert main(["verify", "--qa", str(out), "--epsilon", "1/5", "--strict"]) == 0
 
 
 def test_syllable_bound_three_through_the_cli(tmp_path):

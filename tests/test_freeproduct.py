@@ -24,6 +24,8 @@ from quasiact.constructions import (
 )
 from quasiact.errors import PreconditionError
 
+from test_finmap import fraction, with_map
+
 
 @pytest.fixture(scope="module")
 def z2_z3_action():
@@ -91,7 +93,7 @@ class TestDeskScale:
                 lhs = compose(qa.assignment[u], qa.assignment[v])
                 rhs = qa.assignment[fp.mul(u, v)]
                 d = similarity_defect(lhs, rhs)
-                assert d.fraction <= Fraction(1, 10)
+                assert fraction(d) <= Fraction(1, 10)
                 if case in (1, 2):
                     assert d.disagreements == 0
                     exact_cases += 1
@@ -112,7 +114,7 @@ class TestPreconditions:
         # perturb the good action's identity map: strict check must fail
         from quasiact import FiniteMap
 
-        broken = good.with_map(0, FiniteMap([1, 0, 2, 3]))
+        broken = with_map(good, 0, FiniteMap([1, 0, 2, 3]))
         with pytest.raises(PreconditionError):
             free_product_qa(broken, good, [0, 1], [0, 1], 1, pc, Fraction(1, 10))
 

@@ -1,9 +1,9 @@
 """Every JSON input either decodes in full or is refused with a named error.
 
-Each example takes a certificate (format 4, dense or fibered), a girth
-witness or one of the README's construction requests, and either deletes
-one key or replaces one value (a leaf or a container) with a value of
-another JSON type.  Then exactly one of these holds: the document loads
+Each example takes a certificate (format 5: dense, fibered, or a product
+with a dense and a fibered slot), a girth witness or one of the README's
+construction requests, and either deletes one key or replaces one value (a
+leaf or a container) with a value of another JSON type.  Then exactly one of these holds: the document loads
 or builds (and a certificate or witness re-emits the mutated document
 exactly, compared as canonical JSON), or decoding raises a QuasiactError
 and the command line exits 2.
@@ -20,6 +20,8 @@ from quasiact import cyclic_group, emit_certificate, load_certificate, verify
 from quasiact.cli import main
 from quasiact.constructions import (
     build_free_product_action,
+    cyclic_quasi_action,
+    direct_product_qa,
     girth_group_search,
     load_girth_witness,
     regular_action,
@@ -46,6 +48,15 @@ def free_product_certificate() -> str:
     qa, _ = build_free_product_action(
         cyclic_group(2), cyclic_group(2), [0, 1], [0, 1], 1, Fraction(1, 10)
     )
+    return emit_certificate(qa, verify(qa))
+
+
+def product_certificate() -> str:
+    fp, _ = build_free_product_action(
+        cyclic_group(2), cyclic_group(2), [0, 1], [0, 1], 1, Fraction(1, 10)
+    )
+    c5 = cyclic_quasi_action([1], 5, Fraction(1, 10))
+    qa = direct_product_qa([(c5, c5.claimed_f), (fp, fp.claimed_f)], Fraction(1, 10))
     return emit_certificate(qa, verify(qa))
 
 
@@ -101,7 +112,8 @@ SETTINGS = settings(
 
 
 @pytest.mark.parametrize(
-    "make", [c4_certificate, free_product_certificate], ids=["dense", "fibered"]
+    "make", [c4_certificate, free_product_certificate, product_certificate],
+    ids=["dense", "fibered", "product"],
 )
 @SETTINGS
 @given(data=st.data())
