@@ -185,7 +185,6 @@ def _product_factor(spec: dict, epsilon: Fraction):
         raise DomainError("quotient must be finite or the integers")
     ext = ExtensionData(
         group=g,
-        normal_contains=lambda x: x[0] == q_id,
         quotient=quotient,
         project=lambda x: x[0],
         section=lambda q: (q, normal.identity),
@@ -219,7 +218,6 @@ def _integer_subgroup(spec: dict, epsilon: Fraction):
     q = cyclic_group(d)
     ext = ExtensionData(
         group=z,
-        normal_contains=lambda k: k % d == 0,
         quotient=q,
         project=lambda k: k % d,
         section=lambda t: t,

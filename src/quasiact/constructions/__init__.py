@@ -9,12 +9,7 @@ from .base import (
 from .good import GoodActionPreconditionError, good_action_upgrade
 from .girth import GirthGroup, girth_group_search, load_girth_witness
 from .carrier import PartitionedCarrier, build_partitioned_carrier
-from .freeprod import (
-    build_free_product_action,
-    enumerate_normal_words,
-    free_product_qa,
-    multiplicativity_case,
-)
+from .freeprod import build_free_product_action, enumerate_normal_words, free_product_qa
 from .extension import (
     ExtensionData,
     amenable_extension_qa,

@@ -27,10 +27,8 @@ certificate re-checks the conclusion on the built object anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from ..errors import DomainError, InvariantViolationError, PreconditionError
-from ..finmap import Fiber
 from .girth import GirthGroup, _inverse, certify_girth, schreier_sims
 
 
@@ -53,11 +51,6 @@ class PartitionedCarrier:
     @property
     def beta_class_count(self) -> int:
         return self.a_size * self.v.order
-
-    @cached_property
-    def fiber(self) -> Fiber:
-        """V, the group the free product's labels lie in."""
-        return Fiber(tuple(tuple(g.to_list()) for g in self.v.generators), self.v.order)
 
 
 def _label_assignment(a_size: int, b_size: int, v: GirthGroup) -> tuple[tuple[int, ...], ...]:
@@ -92,7 +85,7 @@ def build_partitioned_carrier(
             f"need at least {2 * depth}"
         )
     pc = PartitionedCarrier(a_size, b_size, v, _label_assignment(a_size, b_size, v), depth)
-    order = schreier_sims(pc.fiber.generators)[0]
+    order = schreier_sims(v.fiber.generators)[0]
     if order != v.order:
         raise InvariantViolationError(f"the generators give {order} elements, not {v.order}")
     _bfs_girth_certificate(pc)
@@ -107,7 +100,7 @@ def _bfs_girth_certificate(pc: PartitionedCarrier) -> None:
     and (1, a, v * gen(a,b)^-1).  Left multiplication on V makes the roots
     enough (see the module docstring).
     """
-    gens = pc.fiber.generators
+    gens = pc.v.fiber.generators
     inverses = [_inverse(g) for g in gens]
 
     def neighbours(node):
@@ -122,6 +115,6 @@ def _bfs_girth_certificate(pc: PartitionedCarrier) -> None:
                 point = tuple(gen[x] for x in v)
                 yield (i, b, point), (0, b, point)
 
-    one = tuple(range(pc.fiber.degree))
+    one = tuple(range(pc.v.fiber.degree))
     roots = [(0, b, one) for b in range(pc.b_size)] + [(1, a, one) for a in range(pc.a_size)]
     certify_girth(neighbours, roots, 2 * pc.depth)

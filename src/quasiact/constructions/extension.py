@@ -1,9 +1,9 @@
 """Quasi-action of a group from one of a normal subgroup plus a Folner set.
 
-The data: a normal subgroup N of G given by a membership test, the quotient
-Q = G/N as its own group with a projection and a section sigma (so that
-projecting sigma(q) gives back q), and a finite Folner subset Abar of Q
-whose right translates by the projected F leak at most epsilon of its mass.
+The data: the quotient Q = G/N as its own group with a projection, whose
+kernel is the normal subgroup N, and a section sigma (so that projecting
+sigma(q) gives back q), and a finite Folner subset Abar of Q whose right
+translates by the projected F leak at most epsilon of its mass.
 
 With A = sigma(Abar) the carrier is B x A (B the carrier of the inner
 quasi-action psi of N) and
@@ -40,11 +40,11 @@ from ..util import check_epsilon
 
 @dataclass(frozen=True)
 class ExtensionData:
-    """Normal subgroup, quotient with section, and the chosen Folner set;
-    ``lifts`` is A = sigma(Abar) in Folner order, ``index`` Abar's positions."""
+    """Quotient with projection (its kernel is N) and section, and the chosen
+    Folner set; ``lifts`` is A = sigma(Abar) in Folner order, ``index``
+    Abar's positions."""
 
     group: GroupHandle
-    normal_contains: Callable
     quotient: GroupHandle
     project: Callable
     section: Callable
@@ -60,8 +60,8 @@ class ExtensionData:
         for q, a in zip(folner, lifts):
             if self.project(a) != q:
                 raise InvariantViolationError(f"section fails on {self.quotient.element_key(q)}")
-        if not self.normal_contains(self.group.identity):
-            raise InvariantViolationError("normal subgroup must contain the identity")
+        if self.project(self.group.identity) != self.quotient.identity:
+            raise InvariantViolationError("the projection must send the identity to the identity")
         object.__setattr__(self, "folner", folner)
         object.__setattr__(self, "lifts", lifts)
         object.__setattr__(self, "index", {q: i for i, q in enumerate(folner)})
@@ -81,7 +81,7 @@ def _blocks(ext: ExtensionData, g) -> list:
             blocks.append(None)
             continue
         conjugated = mul(mul(a, g), inv(ext.lifts[j]))
-        if not ext.normal_contains(conjugated):
+        if ext.project(conjugated) != ext.quotient.identity:
             key = ext.group.element_key(conjugated)
             raise InvariantViolationError(f"conjugated element escaped the normal subgroup: {key}")
         blocks.append((j, conjugated))

@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from ..errors import DomainError, PreconditionError
 from ..finmap import FiniteMap, check_carrier_size
 from ..groups import FiniteSubset, IntegerFinitaryGroup
@@ -40,18 +42,15 @@ def enumerate_finitary_elements(radius: int) -> list[tuple]:
     return elements
 
 
-def ball_map(group: IntegerFinitaryGroup, elem: tuple, radius: int, modulus: int) -> FiniteMap:
-    """The element's self-map of Z/modulus, moving only the reduced ball."""
+def ball_map(elem: tuple, modulus: int) -> FiniteMap:
+    """The element's self-map t -> tau(k) + sigma~(t) of Z/modulus: the
+    reduced points sigma moves are overwritten first, then all shift by k."""
     k, moved = elem
-    images = []
-    shift = k % modulus
-    sigma = {x: y for x, y in moved}
-    ball_points = {a % modulus: a for a in range(-radius, radius + 1)}
-    for t in range(modulus):
-        a = ball_points.get(t)
-        base = sigma.get(a, a) if a is not None else t
-        images.append((base + k) % modulus)
-    return FiniteMap(images)
+    images = np.arange(modulus)
+    if moved:
+        points, targets = np.array(moved).T
+        images[points % modulus] = targets % modulus
+    return FiniteMap((images + k) % modulus)
 
 
 def finitary_extension_qa(
@@ -72,25 +71,9 @@ def finitary_extension_qa(
             f"modulus {modulus} too small: the ball of radius {10 * n} "
             f"must stay injective, needs modulus > {20 * n}"
         )
-    check_carrier_size(modulus)  # before ball_map walks Z/modulus point by point
+    check_carrier_size(modulus)  # before ball_map builds modulus images per element
     epsilon = check_epsilon(epsilon)
     group = IntegerFinitaryGroup()
-    support_elements = enumerate_finitary_elements(2 * n)
-    for elem in support_elements:
-        _check_support_radius(elem, 2 * n)
-    assignment = {
-        elem: ball_map(group, elem, 2 * n, modulus) for elem in support_elements
-    }
+    assignment = {elem: ball_map(elem, modulus) for elem in enumerate_finitary_elements(2 * n)}
     claimed_f = FiniteSubset(group, enumerate_finitary_elements(n))
     return QuasiAction(group, modulus, assignment, claimed_f, epsilon)
-
-
-def _check_support_radius(elem: tuple, radius: int) -> None:
-    k, moved = elem
-    if abs(k) > radius:
-        raise DomainError(f"translation part {k} exceeds radius {radius}")
-    for x, _ in moved:
-        if abs(x) > radius:
-            raise DomainError(
-                f"permutation moves {x}, outside the ball of radius {radius}"
-            )

@@ -76,20 +76,6 @@ def enumerate_normal_words(
     return words
 
 
-def multiplicativity_case(u: FreeProductWord, v: FreeProductWord, group: FreeProductGroup) -> int:
-    """Which multiplication case the pair falls in, read off the normal forms.
-
-    1: no cancellation (u ends with a nonidentity right syllable and v starts
-       with a nonidentity left syllable); the product map is exact.
-    2: both boundary syllables are identities; also exact.
-    3: exactly one boundary syllable is the identity; cancellation may occur
-       and one collapsed factor carries the approximation.
-    """
-    h_trivial = u.pairs[-1][1] == group.right.identity
-    g_trivial = v.pairs[0][0] == group.left.identity
-    return 3 if h_trivial != g_trivial else 2 if h_trivial else 1
-
-
 def free_product_qa(
     phi_g: QuasiAction,
     psi_h: QuasiAction,
@@ -138,7 +124,7 @@ def free_product_qa(
 
     support = {group.identity, *f_words, *pair_products(fset, fset)}
 
-    a_size, b_size, fiber = pc.a_size, pc.b_size, pc.fiber
+    a_size, b_size, fiber = pc.a_size, pc.b_size, pc.v.fiber
     gen = np.array(fiber.generators, dtype=np.int64)[np.array(pc.gen_label)]  # (a, b, x)
     gen_inv = np.argsort(gen, axis=2)
     one = np.broadcast_to(np.arange(fiber.degree), (a_size * b_size, fiber.degree))

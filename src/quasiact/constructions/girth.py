@@ -23,7 +23,7 @@ from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from ..errors import DomainError, InvariantViolationError, SearchFailureError
-from ..finmap import FiniteMap
+from ..finmap import Fiber
 from ..groups import _decode_int, _decode_ints, _decode_list, _field
 from ..util import document_json, parse_json
 
@@ -33,43 +33,62 @@ _DRAWS_PER_GENERATOR = 400
 
 @dataclass(frozen=True)
 class GirthGroup:
-    """Permutation group of known order with a reduced-word girth certificate."""
+    """V (its Fiber: permutation generators and exact order) with a
+    reduced-word girth certificate."""
 
-    degree: int
-    labels: int
-    generators: tuple[FiniteMap, ...]
-    order: int
+    fiber: Fiber
     certified_girth_bound: int
     seed: int
 
+    @property
+    def order(self) -> int:
+        return self.fiber.order
+
+    @property
+    def labels(self) -> int:
+        return len(self.fiber.generators)
+
     def to_witness_json(self) -> str:
+        v = self.fiber
         doc = {
-            "degree": self.degree,
-            "generators": [g.to_list() for g in self.generators],
-            "order": self.order,
+            "degree": v.degree,
+            "generators": v.generators,
+            "order": v.order,
             "girth_bound": self.certified_girth_bound,
             "seed": self.seed,
         }
         return document_json(doc)
 
 
+def fiber_from_json(doc) -> tuple[Fiber, Callable[[tuple], bool]]:
+    """The one reader of V (a girth witness, or a certificate slot's fiber):
+    its degree, then its generators, each of that length, then its order.
+    Fiber checks the permutations and Schreier-Sims the order; returns V and
+    a cached test of membership in V."""
+    degree = _field(doc, "degree", _decode_int)
+    gens = _field(doc, "generators", lambda v: tuple(
+        tuple(_decode_ints(p, degree)) for p in _decode_list(v)))
+    fiber = Fiber(gens, _field(doc, "order", _decode_int))
+    order, member = schreier_sims(gens)
+    if order != fiber.order:
+        raise InvariantViolationError(f"V states order {fiber.order}; its generators give {order}")
+    return fiber, cache(member)
+
+
 def load_girth_witness(text: str) -> GirthGroup:
-    """Rebuild a GirthGroup from a witness file, re-earning its certificate and
-    checking its stated order and degree (JSON integers only, else DomainError)."""
+    """Rebuild a GirthGroup from a witness file: V by fiber_from_json, then
+    its girth bound and seed (JSON integers only, else DomainError), and the
+    word-girth certificate earned again."""
     doc = parse_json(text, "girth witness")
-    bound, order, degree, seed = (
-        _field(doc, k, _decode_int) for k in ("girth_bound", "order", "degree", "seed"))
+    fiber = fiber_from_json(doc)[0]
+    bound, seed = (_field(doc, k, _decode_int) for k in ("girth_bound", "seed"))
     if bound < 1:
         raise DomainError(f"girth_bound must be positive, got {bound}")
-    gens = _field(doc, "generators",
-                  lambda v: [FiniteMap(_decode_ints(p)) for p in _decode_list(v)])
-    group = _certify_generators(gens, bound, order_cap=order, seed=seed)
-    if group is None:
-        raise DomainError("witness file does not satisfy its own certificate")
-    if group.order != order or group.degree != degree:
-        raise DomainError(f"witness states order {order}, degree {degree}; "
-                          f"its generators give {group.order}, {group.degree}")
-    return group
+    try:
+        _certify_word_girth(fiber.generators, bound)
+    except InvariantViolationError:
+        raise DomainError("witness file does not satisfy its own certificate") from None
+    return GirthGroup(fiber, bound, seed)
 
 
 def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
@@ -204,30 +223,20 @@ def schreier_sims(gens: Sequence[tuple[int, ...]]) -> tuple[int, Callable[[tuple
 
 
 def _certify_generators(
-    gens: Sequence[FiniteMap], bound: int, order_cap: int, seed: int
+    gens: Sequence[tuple[int, ...]], bound: int, order_cap: int, seed: int
 ) -> GirthGroup | None:
-    """The GirthGroup of gens, or None when a reduced word of length <= bound
-    is the identity or |<gens>| exceeds order_cap."""
-    # The Cayley-graph symmetry behind _certify_word_girth needs a group.
-    if not gens or any(g.n != gens[0].n or not g.is_bijection() for g in gens):
-        raise DomainError("generators must be permutations of one degree")
-    perm_tuples = [tuple(g.to_list()) for g in gens]
+    """The GirthGroup of gens, permutations of one degree, or None when a
+    reduced word of length <= bound is the identity or |<gens>| exceeds
+    order_cap."""
     # The order first: a draw past the cap never pays for the word ball.
-    order = schreier_sims(perm_tuples)[0]
+    order = schreier_sims(gens)[0]
     if order > order_cap:
         return None
     try:
-        _certify_word_girth(perm_tuples, bound)
+        _certify_word_girth(gens, bound)
     except InvariantViolationError:
         return None
-    return GirthGroup(
-        degree=gens[0].n,
-        labels=len(gens),
-        generators=tuple(gens),
-        order=order,
-        certified_girth_bound=bound,
-        seed=seed,
-    )
+    return GirthGroup(Fiber(tuple(gens), order), bound, seed)
 
 
 def _reduced_word_count(labels: int, bound: int) -> int:
@@ -269,9 +278,7 @@ def girth_group_search(
             gens = _draw_generators(rng, degree, label_count, girth_bound)
             if gens is None:
                 break  # no permutation of large enough order at this degree
-            group = _certify_generators(
-                [FiniteMap(g) for g in gens], girth_bound, order_cap, seed
-            )
+            group = _certify_generators(gens, girth_bound, order_cap, seed)
             if group is not None:
                 return group
     raise SearchFailureError(

@@ -47,17 +47,12 @@ class GoodActionPreconditionError(PreconditionError):
 
 
 def good_action_upgrade(
-    phi: QuasiAction,
-    f: FiniteSubset | Iterable,
-    epsilon: Fraction,
-    check: bool = True,
+    phi: QuasiAction, f: FiniteSubset | Iterable, epsilon: Fraction
 ) -> QuasiAction:
     """Build the doubled quasi-action with exact bijective structure.
 
-    With check=True (the default) the input must verify as an
-    (F~, epsilon/10)-quasi-action; the error names the failed conditions.
-    check=False runs the construction on any input, for studying the
-    mechanics on inputs that violate the bound.
+    The input must verify as an (F~, epsilon/10)-quasi-action; the error
+    names the failed conditions.
     """
     require_dense(phi, "the good-action upgrade")
     group = phi.owner
@@ -65,19 +60,10 @@ def good_action_upgrade(
     epsilon = check_epsilon(epsilon)
     tilde = symmetrized_square(fset)
 
-    if check:
-        report = verify(phi, tilde, epsilon / 10)
-        if not report.passed:
-            failed = tuple(
-                name
-                for name, ok in (
-                    ("(a)", report.a_pass),
-                    ("(b)", report.b_pass),
-                    ("(c)", report.c_pass),
-                )
-                if not ok
-            )
-            raise GoodActionPreconditionError(failed)
+    report = verify(phi, tilde, epsilon / 10)
+    if not report.passed:
+        failed = (("(a)", report.a_pass), ("(b)", report.b_pass), ("(c)", report.c_pass))
+        raise GoodActionPreconditionError(tuple(name for name, ok in failed if not ok))
 
     n2 = 2 * phi.carrier_n
     assignment = {group.identity: identity_map(n2)}

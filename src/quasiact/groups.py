@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, GroupMismatchError
 from .util import canonical_json
 
@@ -203,14 +205,11 @@ class TableGroup(GroupHandle):
         return tuple(inverses)
 
     def _check_associativity(self):
-        n = self._order
-        t = self._table
-        for a in range(n):
-            for b in range(n):
-                ab = t[a][b]
-                for c in range(n):
-                    if t[ab][c] != t[a][t[b][c]]:
-                        raise DomainError("multiplication table is not associative")
+        # Row a at a time: t[t[a]][b, c] is (ab)c and t[a][t][b, c] is a(bc).
+        t = np.array(self._table)
+        for a in range(self._order):
+            if not np.array_equal(t[t[a]], t[a][t]):
+                raise DomainError("multiplication table is not associative")
 
     @property
     def order(self) -> int:
@@ -487,11 +486,6 @@ class IntegerFinitaryGroup(GroupHandle):
         moved = self._canonical(mapping)
         elem = (int(k), moved)
         return self.check_element(elem)
-
-    def apply(self, elem: tuple, x: int) -> int:
-        """Evaluate the element as a self-map of the integers."""
-        k, moved = elem
-        return k + self._as_dict(moved).get(x, x)
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
         ka, sa = a[0], self._as_dict(a[1])

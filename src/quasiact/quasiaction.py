@@ -27,7 +27,7 @@ import base64
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -50,8 +50,8 @@ from .finmap import (
     similarity_defect,
 )
 from .groups import (
-    FiniteSubset, GroupHandle, _decode_int, _decode_ints, _decode_list, _decode_object,
-    _decode_str, _field, group_from_json,
+    FiniteSubset, GroupHandle, _decode_int, _decode_list, _decode_object, _decode_str, _field,
+    group_from_json,
 )
 from .util import canonical_json, check_epsilon, format_fraction, parse_fraction, parse_json
 
@@ -112,10 +112,6 @@ class QuasiAction:
                 raise IncompleteSupportError(g.element_key(elem), "needed for (F, epsilon)")
             table.append(support[elem])
         return table[1 + len(fset) :]
-
-    @property
-    def support(self) -> FiniteSubset:
-        return FiniteSubset(self.owner, self.assignment.keys())
 
     def map_for(self, elem) -> FiniteMap:
         try:
@@ -428,24 +424,6 @@ def _map_from_json(value, slots: list) -> FiniteMap:
     return maps[0] if len(maps) == 1 else FiniteMap.product(maps)
 
 
-def _fiber_from_json(doc):
-    """(V, cached test of membership in V) for a fibered slot, (None, None) when
-    dense.  The generators must be permutations of the stated degree giving the stated order."""
-    if doc is None:
-        return None, None
-    from .constructions.girth import schreier_sims
-
-    degree = _field(doc, "degree", _decode_int)
-    gens = _field(doc, "generators", lambda v: tuple(
-        tuple(_decode_ints(p, degree)) for p in _decode_list(v)))
-    fiber = Fiber(gens, _field(doc, "order", _decode_int))
-    order, member = schreier_sims(gens)
-    if order != fiber.order:
-        raise InvariantViolationError(
-            f"the fiber states order {fiber.order}; its generators give {order}")
-    return fiber, cache(member)
-
-
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
     (format 5).
@@ -482,14 +460,16 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     """Read a format 5 certificate.  Formats 1-4 are refused by name: run
     their request again with ``quasiact construct`` to get format 5.
 
-    Each fibered slot's |V| is recomputed from its generators, and every
-    label of the slot is sifted into V.
+    Each fibered slot's V is read by girth.fiber_from_json, as a girth
+    witness's is, and every label of the slot is sifted into V.
 
     The stored report is not parsed.  verify measures the stored maps again
     at the report's own F, epsilon and strictness, and the certificate is
     refused unless that fresh report, written as canonical JSON, is exactly
     the stored one (so ``1`` is not ``true``).  The fresh report is returned.
     """
+    from .constructions.girth import fiber_from_json  # constructions imports this module
+
     doc = parse_json(text, "certificate")
     del text  # frees the text now when the caller keeps no reference to it
     fmt = _field(doc, "format", _decode_int, 1)  # format 1 had no "format" key
@@ -500,9 +480,11 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
         )
     g = _field(doc, "group", group_from_json)
     carrier_n = _field(doc, "carrier_n", _decode_int)
-    # (cells, fiber, test of membership in V) per slot; QuasiAction checks each map's n.
+    # (cells, V, test of membership in V) per slot, V None when dense; QuasiAction
+    # checks each map's n.
     slots = _field(doc, "slots", lambda v: [
-        (_field(s, "cells", _decode_int), *_field(s, "fiber", _fiber_from_json))
+        (_field(s, "cells", _decode_int),
+         *_field(s, "fiber", lambda f: (None, None) if f is None else fiber_from_json(f)))
         for s in _decode_list(v)])
     if not slots:
         raise DomainError("field 'slots': a certificate has at least one slot")

@@ -108,7 +108,7 @@ def dense_carrier(pc: PartitionedCarrier, tables=None) -> DenseCarrier:
     """The dense form of pc; tables default to the closure's (capped at the
     stated order, so a group with more elements is refused)."""
     if tables is None:
-        _, *tables = cayley_closure([tuple(g.to_list()) for g in pc.v.generators], pc.v.order)
+        _, *tables = cayley_closure(pc.v.fiber.generators, pc.v.order)
     return DenseCarrier(pc.a_size, pc.b_size, pc.v, pc.gen_label, pc.depth, *tables)
 
 

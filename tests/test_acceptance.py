@@ -39,12 +39,12 @@ from quasiact.constructions import (
     finitary_extension_qa,
     girth_group_search,
     good_action_upgrade,
-    multiplicativity_case,
     regular_action,
 )
 
 from dense_carrier import dense_carrier
 from test_finmap import double, fraction, with_map
+from test_freeproduct import multiplicativity_case
 
 
 def doubled_input_map(phi, e) -> FiniteMap:
@@ -151,11 +151,10 @@ def test_criterion_4_girth_certification():
         assert v.order <= 5000
 
         # independent oracle: recursive enumeration over permutation tuples
-        degree = v.degree
+        degree = v.fiber.degree
         identity = tuple(range(degree))
         letters = []
-        for j, g in enumerate(v.generators):
-            perm = tuple(g.to_list())
+        for j, perm in enumerate(v.fiber.generators):
             inv = tuple(sorted(range(degree), key=lambda i: perm[i]))
             letters.append((2 * j, perm))
             letters.append((2 * j + 1, inv))
@@ -234,7 +233,6 @@ def test_criterion_7_amenable_extension():
         q = IntegerGroup()
         ext = ExtensionData(
             group=g,
-            normal_contains=lambda x: x[0] == 0,
             quotient=q,
             project=lambda x: x[0],
             section=lambda k: (k, 0),
@@ -250,7 +248,7 @@ def test_criterion_7_amenable_extension():
         report = verify(qa)
         assert report.passed
         for e in f:
-            if not ext.normal_contains(e):
+            if ext.project(e) != ext.quotient.identity:
                 assert fixpoint_count(qa.assignment[e]) <= eps * 20 * 2
 
 

@@ -36,7 +36,6 @@ def product_extension(folner_size=20):
     q = IntegerGroup()
     return g, ExtensionData(
         group=g,
-        normal_contains=lambda x: x[0] == 0,
         quotient=q,
         project=lambda x: x[0],
         section=lambda k: (k, 0),
@@ -51,10 +50,22 @@ class TestExtensionData:
         with pytest.raises(InvariantViolationError):
             ExtensionData(
                 group=g,
-                normal_contains=lambda x: x[0] == 0,
                 quotient=q,
                 project=lambda x: x[0],
                 section=lambda k: (k + 1, 0),
+                folner=FiniteSubset(q, range(3)),
+            )
+
+    def test_projection_must_send_the_identity_to_the_identity(self):
+        # The section splits, but N, the projection's kernel, would miss (0, 0).
+        g = ProductGroup([IntegerGroup(), cyclic_group(2)])
+        q = IntegerGroup()
+        with pytest.raises(InvariantViolationError, match="identity to the identity"):
+            ExtensionData(
+                group=g,
+                quotient=q,
+                project=lambda x: x[0] + 1,
+                section=lambda k: (k - 1, 0),
                 folner=FiniteSubset(q, range(3)),
             )
 
@@ -102,7 +113,6 @@ class TestDegenerateQuotient:
         triv = TableGroup([[0]])
         ext = ExtensionData(
             group=g,
-            normal_contains=lambda x: True,
             quotient=triv,
             project=lambda x: 0,
             section=lambda t: (0, 0),
@@ -130,7 +140,6 @@ class TestIntegerSubgroup:
         q = cyclic_group(2)
         ext = ExtensionData(
             group=z,
-            normal_contains=lambda k: k % 2 == 0,
             quotient=q,
             project=lambda k: k % 2,
             section=lambda t: t,
@@ -169,7 +178,7 @@ class TestProductFactorExtension:
         for e in f:
             count = fixpoint_count(qa.assignment[e])
             assert count <= eps * a_count * b_count
-            if ext.normal_contains(e):
+            if ext.project(e) == ext.quotient.identity:
                 # inner regular action is fixpoint-free away from 1
                 assert count == 0
 

@@ -32,7 +32,7 @@ from quasiact.constructions import (
     cyclic_quasi_action,
     direct_product_qa,
     good_action_upgrade,
-    multiplicativity_case,
+    load_girth_witness,
     transport_qa,
 )
 from quasiact.errors import (
@@ -47,6 +47,7 @@ from quasiact.util import canonical_json
 
 from dense_carrier import cayley_closure, densify, densify_action
 from test_finmap import double, fixpoint_set
+from test_freeproduct import multiplicativity_case
 
 C2 = {"kind": "finite", "table": [[0, 1], [1, 0]]}
 C3 = {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
@@ -185,7 +186,7 @@ class TestFreeProductAgainstDenseCarrier:
     def test_reports_equal_the_dense_reports(self, pair, n, seed):
         qa, pc = free_product(*PAIRS[pair], n, seed)
         assert qa.carrier_n == pc.size
-        dense = densify_action(qa, closure_of(pc.fiber))
+        dense = densify_action(qa, closure_of(pc.v.fiber))
         for strict in (False, True):
             fibered = canonical_json(report_to_json(verify(qa, strict=strict)))
             assert fibered == canonical_json(report_to_json(verify(dense, strict=strict)))
@@ -196,7 +197,7 @@ class TestFreeProductAgainstDenseCarrier:
         # labels and a null fiber; it loads, measures the same report, and
         # writes itself.
         qa, pc = free_product(*PAIRS[pair], n, 0)
-        dense = densify_action(qa, closure_of(pc.fiber))
+        dense = densify_action(qa, closure_of(pc.v.fiber))
         text = emit_certificate(dense, verify(dense, strict=True))
         doc = json.loads(text)
         assert doc["format"] == 5 and doc["slots"] == [{"cells": qa.carrier_n, "fiber": None}]
@@ -366,6 +367,60 @@ class TestFiberedCertificates:
             load_certificate(json.dumps(doc))
 
 
+def v_order_inflated(v):
+    v["order"] += 1
+
+
+def v_generator_not_a_permutation(v):
+    v["generators"][0][1] = v["generators"][0][0]
+
+
+def v_generator_short(v):
+    v["generators"][0].pop()
+
+
+def v_float_image(v):
+    v["generators"][0][0] = float(v["generators"][0][0])
+
+
+V_FORGERIES = [
+    (v_order_inflated, InvariantViolationError, "its generators give"),
+    (v_generator_not_a_permutation, DomainError, "permutations of one degree"),
+    (v_generator_short, DomainError, "entries"),
+    (v_float_image, DomainError, "expected an integer"),
+]
+
+
+class TestOneReaderOfV:
+    """A girth witness and a certificate's fibered slot state V alike, and
+    girth.fiber_from_json reads both: the same forgery of V is refused with
+    the same error, the certificate's naming its field path."""
+
+    def witness_and_certificate(self, c2_c2_certificate):
+        doc = json.loads(c2_c2_certificate)
+        # The free product at syllable bound 1 searched V at girth bound 2.
+        witness = {**json.loads(json.dumps(doc["slots"][0]["fiber"])), "girth_bound": 2, "seed": 0}
+        return witness, doc
+
+    def test_the_slot_reads_as_a_witness(self, c2_c2_certificate):
+        witness, _ = self.witness_and_certificate(c2_c2_certificate)
+        [(_, fiber)] = load_certificate(c2_c2_certificate)[0].layout
+        assert load_girth_witness(json.dumps(witness)).fiber == fiber
+
+    @pytest.mark.parametrize("forge,error,message", V_FORGERIES, ids=[f[0].__name__ for f in V_FORGERIES])
+    def test_same_refusal(self, c2_c2_certificate, forge, error, message):
+        witness, doc = self.witness_and_certificate(c2_c2_certificate)
+        forge(witness)
+        forge(doc["slots"][0]["fiber"])
+        with pytest.raises(error, match=message) as from_witness:
+            load_girth_witness(json.dumps(witness))
+        with pytest.raises(error) as from_certificate:
+            load_certificate(json.dumps(doc))
+        path = "" if error is InvariantViolationError else "field 'slots': field 'fiber': "
+        assert type(from_certificate.value) is type(from_witness.value)
+        assert str(from_certificate.value) == path + str(from_witness.value)
+
+
 class TestDenseOnlyConstructionsRefuseFiberedActions:
     @pytest.fixture(scope="class")
     def fibered(self):
@@ -388,7 +443,7 @@ class TestDenseOnlyConstructionsRefuseFiberedActions:
 
         g = cyclic_group(2)
         ext = ExtensionData(
-            group=g, normal_contains=lambda x: True, quotient=g, project=lambda x: 0,
+            group=g, quotient=g, project=lambda x: 0,
             section=lambda q: q, folner=FiniteSubset(g, [0]),
         )
         with pytest.raises(PreconditionError, match="fibered"):

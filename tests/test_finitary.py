@@ -36,15 +36,25 @@ class TestEnumeration:
 class TestBallMap:
     def test_pure_translation_is_fixpoint_free(self):
         g = IntegerFinitaryGroup()
-        m = ball_map(g, g.make(1, {}), 2, 21)
+        m = ball_map(g.make(1, {}), 21)
         assert m.to_list() == [(t + 1) % 21 for t in range(21)]
         assert fixpoint_count(m) == 0
 
     def test_pure_permutation_moves_only_ball(self):
         g = IntegerFinitaryGroup()
-        m = ball_map(g, g.make(0, {0: 1, 1: 0}), 2, 21)
+        m = ball_map(g.make(0, {0: 1, 1: 0}), 21)
         moved = {t for t, image in enumerate(m.to_list()) if image != t}
         assert moved == {0, 1}
+
+    @pytest.mark.parametrize("modulus", [41, 50])
+    def test_matches_the_point_by_point_map(self, modulus):
+        # The former per-point walk: a point of the reduced ball B_2 moves by
+        # sigma then k, any other point by k alone.
+        ball = {a % modulus: a for a in range(-2, 3)}
+        for k, moved in enumerate_finitary_elements(2):
+            sigma = dict(moved)
+            expected = [(sigma.get(ball[t], ball[t]) if t in ball else t) + k for t in range(modulus)]
+            assert ball_map((k, moved), modulus).to_list() == [x % modulus for x in expected]
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +107,7 @@ class TestPreconditions:
         finitary_extension_qa(1, 21)
 
     def test_modulus_checked_before_the_ball_maps(self):
-        # ball_map would walk all 2**31 points in Python before any map refused them.
+        # ball_map would build 2**31 images per element before any map refused them.
         with pytest.raises(DomainError, match="carrier size"):
             finitary_extension_qa(1, 2**31)
 
@@ -105,11 +115,3 @@ class TestPreconditions:
         with pytest.raises(DomainError):
             finitary_extension_qa(0, 21)
 
-    def test_support_radius_guard(self):
-        from quasiact.constructions.finitary import _check_support_radius
-
-        g = IntegerFinitaryGroup()
-        with pytest.raises(DomainError):
-            _check_support_radius(g.make(0, {5: 6, 6: 5}), 2)
-        with pytest.raises(DomainError):
-            _check_support_radius(g.make(7, {}), 2)

@@ -19,12 +19,25 @@ from quasiact.constructions import (
     free_product_qa,
     girth_group_search,
     good_action_upgrade,
-    multiplicativity_case,
     regular_action,
 )
 from quasiact.errors import PreconditionError
 
 from test_finmap import fraction, with_map
+
+
+def multiplicativity_case(u, v, group: FreeProductGroup) -> int:
+    """Which multiplication case the pair falls in, read off the normal forms.
+
+    1: no cancellation (u ends with a nonidentity right syllable and v starts
+       with a nonidentity left syllable); the product map is exact.
+    2: both boundary syllables are identities; also exact.
+    3: exactly one boundary syllable is the identity; cancellation may occur
+       and one collapsed factor carries the approximation.
+    """
+    h_trivial = u.pairs[-1][1] == group.right.identity
+    g_trivial = v.pairs[0][0] == group.left.identity
+    return 3 if h_trivial != g_trivial else 2 if h_trivial else 1
 
 
 @pytest.fixture(scope="module")

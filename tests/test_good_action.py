@@ -273,8 +273,7 @@ class TestMechanicsOnBadInput:
 
     def test_construction_shape(self):
         _, m_e, phi = self.make_phi()
-        psi = good_action_upgrade(phi, [1], Fraction(1, 2), check=False)
-        out = psi.assignment[1]
+        out = _build_good_map(phi, 1, 1)  # the map the upgrade would build, unchecked
         assert out.is_bijection()
         assert fixpoint_count(out) == 0
         assert compose(out, out) == identity_map(20)  # order-2 element

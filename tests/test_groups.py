@@ -42,6 +42,14 @@ class TestBasicHandles:
         with pytest.raises(DomainError):
             TableGroup([[0, 1], [1, 2]])  # out of range
 
+    def test_non_associative_loop_rejected(self):
+        # A Latin square with identity 0 and every element its own inverse:
+        # a loop of order 5, but no group (C5 has no involution).
+        table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                 [4, 3, 1, 2, 0]]
+        with pytest.raises(DomainError, match="not associative"):
+            TableGroup(table)
+
     def test_product(self):
         g = ProductGroup([IntegerGroup(), cyclic_group(2)])
         assert g.mul((2, 1), (3, 1)) == (5, 0)
@@ -363,6 +371,53 @@ class TestHandleSignature:
         assert len({evens, twin, evens}) == 2
 
 
+def associative_by_loop(table) -> bool:
+    """The cubic loop the row-wise check replaced: (ab)c == a(bc) for all a, b, c."""
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+@st.composite
+def small_tables(draw):
+    """Any table of order <= 7, or a relabelled cyclic group's table with
+    perhaps one entry changed."""
+    n = draw(st.integers(1, 7))
+    entries = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    p = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[p[a]][p[b]] = p[(a + b) % n]
+    if draw(st.booleans()):
+        table[draw(entries)][draw(entries)] = draw(entries)
+    return table
+
+
+class TestAssociativityAgainstLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(table=small_tables())
+    def test_row_check_matches_the_loop(self, table):
+        # Identity and inverses are not needed for the check, so it runs on
+        # tables that __init__ would refuse before reaching it.
+        g = TableGroup.__new__(TableGroup)
+        g._table, g._order = tuple(map(tuple, table)), len(table)
+        try:
+            g._check_associativity()
+            passed = True
+        except DomainError:
+            passed = False
+        assert passed == associative_by_loop(table)
+
+
+def apply(elem: tuple, x: int) -> int:
+    """An IntegerFinitaryGroup element as a self-map of the integers."""
+    k, moved = elem
+    return k + dict(moved).get(x, x)
+
+
 class TestIntegerFinitaryGroup:
     @pytest.fixture
     def g(self):
@@ -392,7 +447,7 @@ class TestIntegerFinitaryGroup:
             b = self.random_element(g, rng)
             ab = g.mul(a, b)
             for x in range(-8, 9):
-                assert g.apply(ab, x) == g.apply(b, g.apply(a, x))
+                assert apply(ab, x) == apply(b, apply(a, x))
 
     def test_associative(self, g):
         rng = random.Random(5)

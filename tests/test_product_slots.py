@@ -196,7 +196,7 @@ class TestFactoredProductsAgainstDenseProducts:
         c3 = regular_action(cyclic_group(3), epsilon=Fraction(1, 10))
         prod = direct_product_qa([(c3, c3.claimed_f), (fp, fp.claimed_f)], Fraction(1, 10))
         assert [v is None for _, v in prod.layout] == [True, False]
-        elements = cayley_closure(pc.fiber.generators, pc.fiber.order + 1)[0]
+        elements = cayley_closure(pc.v.fiber.generators, pc.v.order + 1)[0]
         dense_fp = densify_action(fp, elements)
         same_reports(prod, dense_product_qa(
             [(c3, c3.claimed_f), (dense_fp, fp.claimed_f)], Fraction(1, 10)))
@@ -233,7 +233,7 @@ class TestDenseOnlyConstructionsRefuseMultiSlotActions:
             free_product_qa(product, product, f, f, 1, None, Fraction(1, 10))
         g = cyclic_group(2)
         ext = ExtensionData(
-            group=g, normal_contains=lambda x: True, quotient=g, project=lambda x: 0,
+            group=g, quotient=g, project=lambda x: 0,
             section=lambda q: q, folner=FiniteSubset(g, [0]),
         )
         with pytest.raises(PreconditionError, match="2 slots"):

@@ -292,7 +292,7 @@ def oracle_verdicts(qa, epsilon, strict) -> dict:
     verdicts = {"a_pass": a_pass, "b_pass": b_pass, "c_pass": c_pass, "max_defect": max_defect}
     if strict:
         bprime = qa.map_for(one) == ident
-        for e in qa.support:
+        for e in qa.assignment:
             if e == one:
                 continue
             m = qa.map_for(e)
