@@ -216,14 +216,17 @@ def _check_same(e: FiniteMap, f: FiniteMap) -> None:
         raise CarrierMismatchError(f"carriers differ: {e!r} vs {f!r}")
 
 
-def after(e: FiniteMap, rows: list[tuple[np.ndarray, np.ndarray]]) -> list:
-    """Rows of maps f (FiniteMap.rows), each composed after e: the rows of ef.
-    The label of ef at c is w_e(c) * w_f(e(c)), i.e. w_f(e(c))[w_e(c)[x]]."""
+def after(x: list, y: list) -> list:
+    """Rows x then rows y of one layout (FiniteMap.rows, broadcast): the rows
+    of the composites ef.  The label of ef at c is w_e(c) * w_f(e(c)), i.e.
+    w_f(e(c))[w_e(c)[x]]."""
     out = []
-    for s, (images, labels) in zip(e.slots, rows):
+    for (e_images, e_labels), (images, labels) in zip(x, y):
+        at = np.arange(len(images))[:, None], e_images  # row i of y at row i of x's images
+        labels = labels[at]
         if labels.shape[-1]:  # empty labels (dense slots) stay empty
-            labels = np.take_along_axis(np.take(labels, s.images, axis=1), s.labels[None], axis=2)
-        out.append((np.take(images, s.images, axis=1), labels))
+            labels = np.take_along_axis(labels, e_labels, axis=2)
+        out.append((images[at], labels))
     return out
 
 
@@ -249,7 +252,7 @@ def agreements(e: FiniteMap, x: list, y: list) -> list[int]:
 def compose(e: FiniteMap, f: FiniteMap) -> FiniteMap:
     """The product ef: first e, then f, so a . ef == (a . e) . f."""
     _check_same(e, f)
-    rows = after(e, f.rows())
+    rows = after(e.rows(), f.rows())
     return FiniteMap._of([(i[0], l[0], s.fiber) for (i, l), s in zip(rows, e.slots)])
 
 

@@ -205,11 +205,19 @@ class TableGroup(GroupHandle):
         return tuple(inverses)
 
     def _check_associativity(self):
-        # Row a at a time: t[t[a]][b, c] is (ab)c and t[a][t][b, c] is a(bc).
+        # Light's test: the s with (xs)y = x(sy) for all x, y are closed under
+        # products, so it is enough to test generators; each one is the first
+        # element that left-bracketed products of those before do not reach.
         t = np.array(self._table)
-        for a in range(self._order):
-            if not np.array_equal(t[t[a]], t[a][t]):
+        reached, gens = np.zeros(self._order, bool), []
+        while not reached.all():
+            s = int(np.argmin(reached))
+            if not np.array_equal(t[t[:, s]], t[:, t[s]]):  # [x, y]: (xs)y and x(sy)
                 raise DomainError("multiplication table is not associative")
+            reached[s], count = True, 0
+            gens.append(s)
+            while count < (count := np.count_nonzero(reached)):
+                reached[t[np.ix_(reached, gens)]] = True
 
     @property
     def order(self) -> int:

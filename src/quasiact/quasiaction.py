@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import base64
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -38,27 +39,17 @@ from .errors import (
     InvariantViolationError,
     PreconditionError,
 )
-from .finmap import (
-    Defect,
-    Fiber,
-    FiniteMap,
-    after,
-    agreements,
-    fixpoint_count,
-    identity_like,
-    inverse_map,
-    similarity_defect,
-)
+from .finmap import Defect, Fiber, FiniteMap, after, agreements, fixpoint_count, inverse_map
 from .groups import (
-    FiniteSubset, GroupHandle, _decode_int, _decode_list, _decode_object, _decode_str, _field,
-    group_from_json,
+    FiniteSubset, GroupHandle, _decode_int, _decode_ints, _decode_list, _decode_object,
+    _decode_str, _field, group_from_json,
 )
 from .util import canonical_json, check_epsilon, format_fraction, parse_fraction, parse_json
 
 
-# verify stacks maps in chunks of max(1, POINTS // width) rows, width being
-# the int32 entries of one map (the sum of its slots' cells x (1 + degree)):
-# about 1 MiB per chunk, and one map at a time on large dense carriers.
+# verify stacks slot maps in chunks of max(1, POINTS // width) rows, width
+# being the int32 entries of one slot map (cells x (1 + V's degree)): about
+# 1 MiB per chunk, and one map at a time on large dense carriers.
 POINTS = 1 << 18
 
 
@@ -99,6 +90,26 @@ class QuasiAction:
             table[elem] = fmap
         self.assignment = table
         self._claimed_products = self._products(self.claimed_f)
+        self._counts = {}  # verify's reports on the claimed F by strictness, at any epsilon
+
+    @cached_property
+    def keys(self) -> dict:
+        return {elem: self.owner.element_key(elem) for elem in self.assignment}
+
+    @cached_property
+    def slot_tables(self) -> tuple[list[list[FiniteMap]], dict]:
+        """The maps by slot: per slot, its distinct slot maps (one-slot maps)
+        in order of first use over the elements sorted by key, and per
+        element the index of its map's slot in each slot's table."""
+        seen, tables, index = [{} for _ in self.layout], [[] for _ in self.layout], {}
+        for elem in sorted(self.assignment, key=self.keys.__getitem__):
+            fmap = self.assignment[elem]
+            index[elem] = tuple(t.setdefault(s.images.tobytes() + s.labels.tobytes(), len(t))
+                                for t, s in zip(seen, fmap.slots))
+            for t, table, s in zip(seen, tables, fmap.slots):
+                if len(t) > len(table):  # this slot map is new
+                    table.append(fmap if len(tables) == 1 else FiniteMap._of([s]))
+        return tables, index
 
     def _products(self, fset: FiniteSubset) -> list:
         """The products e*f for e, f in F, row by row, once the identity, F and
@@ -245,15 +256,42 @@ class VerificationReport:
         return tuple(zip(self.c_keys, self.c_agreements))
 
 
-def _stack(maps: list[FiniteMap]) -> np.ndarray:
-    """The maps' packed images as the rows of one array (a view for a single map)."""
-    return maps[0].packed[None] if len(maps) == 1 else np.stack([m.packed for m in maps])
+def _slot_counts(qa: QuasiAction, columns: list[list], measure) -> list:
+    """Per row of the parallel element lists ``columns`` (two or three), the
+    product over the slots of measure(slot's table, its distinct rows of
+    indices), batched.  Python ints, exact past 2**63."""
+    tables, index = qa.slot_tables
+    rows = np.stack([np.fromiter(itertools.chain.from_iterable(map(index.__getitem__, c)),
+                                 np.intp).reshape(-1, len(tables)) for c in columns], -1)
+    total = np.ones(len(rows), dtype=object)
+    for s, t in enumerate(tables):
+        code = rows[:, s, 0]
+        for c in rows[:, s, 1:].T:  # codes stay below max(len(t), len(rows)) * len(t)
+            _, first, code = np.unique(code * len(t) + c, return_index=True, return_inverse=True)
+        total *= np.array(measure(t, rows[first, s]), dtype=object)[code]
+    return total.tolist()
 
 
-def _chunks(maps: list[FiniteMap], width: int) -> list[tuple[int, np.ndarray]]:
-    """(first row, stacked packed images) for runs of max(1, POINTS // width) maps."""
-    rows = max(1, POINTS // width)
-    return [(i, _stack(maps[i : i + rows])) for i in range(0, len(maps), rows)]
+def _slot_facts(qa: QuasiAction, rows: list[tuple], measure) -> list:
+    """Per row of elements, the product over the slots of measure(the row's
+    slot maps), each distinct row of a slot's slot maps measured once."""
+    tables, index = qa.slot_tables
+    once = [cache(lambda *at, t=t: measure(*(t[i] for i in at))) for t in tables]
+    return [math.prod(f(*at) for f, *at in zip(once, *map(index.__getitem__, row)))
+            for row in rows]
+
+
+def _agreements(table: list[FiniteMap], rows: np.ndarray) -> list[int]:
+    """Per row (x, y) or (x, y, z) of one slot's table, the points where x
+    agrees with y, or x then y with z: batched gathers over chunks of
+    max(1, POINTS // width) rows."""
+    m = table[0]
+    step = max(1, POINTS // m.packed.size)
+    out = []
+    for i in range(0, len(rows), step):
+        x, y, *z = (m.rows(np.stack([table[j].packed for j in c])) for c in rows[i : i + step].T)
+        out += agreements(m, after(x, y), z[0]) if z else agreements(m, x, y)
+    return out
 
 
 def verify(
@@ -266,74 +304,59 @@ def verify(
 
     Elements are not validated again, so products and inverses use the
     owner's unchecked ops; the claimed F reuses qa's product table, another
-    F gets one per call.  Counts are integer numpy gathers over chunks of
-    max(1, POINTS // width) stacked maps, one per cell and slot: a cell's
-    |V| points (one when dense) disagree iff its cell images or labels do,
-    and maps agree at a point iff they agree in every slot.  Verdicts
-    cross-multiply the counts exactly."""
-    g = qa.owner
-    fset = qa.claimed_f if f is None else FiniteSubset(g, f)
+    F gets one per call.  Maps agree at a point iff they agree in every
+    slot, so each slot counts each distinct row of its slot maps once
+    (qa.slot_tables).  No count depends on epsilon: those on the claimed F
+    are kept on qa, and verdicts cross-multiply them exactly."""
+    fset = qa.claimed_f if f is None else FiniteSubset(qa.owner, f)
     eps = check_epsilon(qa.claimed_epsilon if epsilon is None else epsilon)
-    table = qa._claimed_products if fset == qa.claimed_f else qa._products(fset)
+    counts = qa._counts if fset == qa.claimed_f else {}
+    if False not in counts:
+        table = qa._claimed_products if counts is qa._counts else qa._products(fset)
+        counts[False] = _count(qa, fset, table, eps)
+    if strict and True not in counts:
+        counts[True] = _count_strict(qa, fset, eps)
+    return replace(counts[False], epsilon=eps,
+                   strict=replace(counts[True], epsilon=eps) if strict else None)
 
-    one = g.identity
-    n = qa.carrier_n
-    maps = qa.assignment
-    ident = identity_like(maps[one])
 
-    def counts_of(x, y) -> list[int]:  # disagreeing points per row of x against y
-        return [n - a for a in agreements(ident, x, y)]
-
-    keys = {e: g.element_key(e) for e in maps}
-    f_elems = list(fset)
-    right = _chunks([maps[e] for e in f_elems], ident.packed.size)
-
-    k = len(f_elems)
-    a_counts = []
-    for i, e in enumerate(f_elems):
-        row = table[i * k : (i + 1) * k]
-        for start, stack in right:
-            products = _stack([maps[p] for p in row[start : start + len(stack)]])
-            a_counts += counts_of(after(maps[e], ident.rows(stack)), ident.rows(products))
-
-    agree = [a for _, s in right for a in agreements(ident, ident.rows(s), ident.rows())]
-
-    strict_checks = None
-    if strict:
-        for e in fset:
-            if g._inv(e) not in maps:
-                raise IncompleteSupportError(
-                    g.element_key(g._inv(e)), "strict mode needs F^-1 in the support"
-                )
-        others = sorted((e for e in maps if e != one), key=keys.__getitem__)
-        bijective = tuple(maps[e].is_bijection() for e in others)
-        inverse_exact = tuple(
-            bij and maps[g._inv(e)] == inverse_map(maps[e]) if g._inv(e) in maps else None
-            for e, bij in zip(others, bijective)
-        )
-        ordered = sorted({*f_elems, one}, key=keys.__getitem__)
-        chunks = _chunks([maps[e] for e in ordered], ident.packed.size)
-        pair_counts = []
-        for i, a in enumerate(ordered):
-            for start, stack in chunks:  # the rows after row i
-                rest = stack[max(0, i + 1 - start) :]
-                pair_counts += counts_of(ident.rows(rest), maps[a].rows())
-        strict_checks = StrictChecks(
-            n, eps, maps[one] == ident, bijective,
-            tuple(fixpoint_count(maps[e]) == 0 for e in others), inverse_exact,
-            tuple(pair_counts), tuple(keys[e] for e in ordered),
-        )
-
+def _count(qa: QuasiAction, fset: FiniteSubset, table: list, eps: Fraction) -> VerificationReport:
+    g, n, keys = qa.owner, qa.carrier_n, qa.keys
+    one, f_elems = g.identity, list(fset)
+    fixed = _slot_facts(qa, [(e,) for e in [one, *f_elems]], fixpoint_count)
     return VerificationReport(
         carrier_n=n,
         epsilon=eps,
         f_keys=tuple(keys[e] for e in f_elems),
-        a_counts=tuple(a_counts),
-        identity_defect=similarity_defect(maps[one], ident),
-        c_agreements=tuple(c for e, c in zip(f_elems, agree) if e != one),
+        a_counts=tuple(n - a for a in _slot_counts(qa, [
+            [e for e in f_elems for _ in f_elems], f_elems * len(f_elems), table], _agreements)),
+        identity_defect=Defect(n - fixed[0], n),
+        c_agreements=tuple(c for e, c in zip(f_elems, fixed[1:]) if e != one),
         product_keys=tuple(map(keys.__getitem__, table)),
         identity_key=keys[one],
-        strict=strict_checks,
+    )
+
+
+def _count_strict(qa: QuasiAction, fset: FiniteSubset, eps: Fraction) -> StrictChecks:
+    g, n, maps, keys = qa.owner, qa.carrier_n, qa.assignment, qa.keys
+    one = g.identity
+    missing = [g._inv(e) for e in fset if g._inv(e) not in maps]
+    if missing:
+        raise IncompleteSupportError(
+            g.element_key(missing[0]), "strict mode needs F^-1 in the support")
+    others = sorted((e for e in maps if e != one), key=keys.__getitem__)
+    fixed = _slot_facts(qa, [(e,) for e in [one, *others]], fixpoint_count)
+    bijective = _slot_facts(qa, [(e,) for e in others], FiniteMap.is_bijection)
+    paired = [(e, g._inv(e)) for e in others if g._inv(e) in maps]
+    inverse_exact = dict(zip((e for e, _ in paired), _slot_facts(  # y is exactly x's inverse
+        qa, paired, lambda x, y: x.is_bijection() and y == inverse_map(x))))
+    ordered = sorted({*fset, one}, key=keys.__getitem__)
+    lefts, rights = zip(*itertools.combinations(ordered, 2)) if len(ordered) > 1 else ((), ())
+    return StrictChecks(
+        n, eps, fixed[0] == n, tuple(map(bool, bijective)), tuple(c == 0 for c in fixed[1:]),
+        tuple(None if e not in inverse_exact else bool(inverse_exact[e]) for e in others),
+        tuple(n - a for a in _slot_counts(qa, [lefts, rights], _agreements)),  # row-major
+        tuple(keys[e] for e in ordered),
     )
 
 
@@ -370,27 +393,24 @@ def report_to_json(report: VerificationReport) -> dict:
     return doc
 
 
-FORMAT = 5
+FORMAT = 6
 
 # hashlib is imported inside the codec functions: it loads OpenSSL, which
 # adds about 4 MiB of RSS to every command, including those that never
 # read or write a certificate.
 
 
-def _map_to_json(fmap: FiniteMap) -> list[dict]:
+def _slot_to_json(fmap: FiniteMap) -> dict:
     import hashlib
 
-    entries = []
-    for slot in fmap.slots:
-        raws = [a.astype("<i4", copy=False).tobytes() for a in (slot.images, slot.labels)]
-        entry = {k: base64.b64encode(r).decode("ascii") for k, r in zip(("cells", "labels"), raws)}
-        entry["sha256"] = hashlib.sha256(b"".join(raws)).hexdigest()
-        entries.append(entry)
-    return entries
+    raws = [a.astype("<i4", copy=False).tobytes() for a in fmap.slots[0][:2]]  # one slot
+    entry = {k: base64.b64encode(r).decode("ascii") for k, r in zip(("cells", "labels"), raws)}
+    entry["sha256"] = hashlib.sha256(b"".join(raws)).hexdigest()
+    return entry
 
 
 def _slot_from_json(entry, cells: int, fiber: Fiber | None, member) -> FiniteMap:
-    """Decode one slot's entry, checking the length of each payload (cells,
+    """Decode one table entry, checking the length of each payload (cells,
     and as many labels of V's degree) and its hash before ranges; then sift
     every label into V, since one outside V would move points off the carrier."""
     import hashlib
@@ -418,37 +438,51 @@ def _slot_from_json(entry, cells: int, fiber: Fiber | None, member) -> FiniteMap
     return fmap
 
 
-def _map_from_json(value, slots: list) -> FiniteMap:
-    """One assignment value: a list of one entry per slot."""
-    maps = [_slot_from_json(e, *slot) for e, slot in zip(_decode_list(value, len(slots)), slots)]
-    return maps[0] if len(maps) == 1 else FiniteMap.product(maps)
+def _table_from_json(s) -> list[FiniteMap]:
+    """One slot's table: each distinct entry decoded, hashed and sifted once."""
+    from .constructions.girth import fiber_from_json  # constructions imports this module
+
+    cells = _field(s, "cells", _decode_int)
+    fiber = _field(s, "fiber", lambda f: (None, None) if f is None else fiber_from_json(f))
+    return [_slot_from_json(e, cells, *fiber) for e in _field(s, "maps", _decode_list)]
+
+
+def _map_from_json(value, tables: list) -> FiniteMap:
+    """One assignment value: a list of one index per slot into its table."""
+    at = _decode_ints(value, len(tables))
+    if not all(0 <= i < len(t) for i, t in zip(at, tables)):
+        raise DomainError(f"map indices {at} are not all below their tables' sizes "
+                          f"{[len(t) for t in tables]}")
+    slots = [t[i] for i, t in zip(at, tables)]
+    return slots[0] if len(slots) == 1 else FiniteMap.product(slots)
 
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
-    (format 5).
+    (format 6).
 
-    "slots" states the carrier once: per slot its cell count and fiber (V's
-    degree, generators and order, or null when dense).  Every map is a list
-    of one entry per slot: base64 of the slot's cell images and of its labels
-    (empty when dense), each as little-endian int32, and one sha256 over
-    both.  The encoder builds each map's entries when it reaches it, so the
-    base64 texts are never all held beside the output.
+    "slots" states the carrier once: per slot its cell count, its fiber (V's
+    degree, generators and order, or null when dense) and "maps", its table
+    of distinct slot maps (QuasiAction.slot_tables).  An entry holds base64
+    of the cell images and of the labels (empty when dense), each as
+    little-endian int32, and one sha256 over both.  Every map is a list of
+    one index per slot into that slot's table.
     """
     g = qa.owner
+    tables, index = qa.slot_tables
     doc = {
         "format": FORMAT,
         "group": g.describe(),
         "carrier_n": qa.carrier_n,
         "epsilon": format_fraction(qa.claimed_epsilon),
         "F": [g.element_key(e) for e in qa.claimed_f],
-        "slots": [{"cells": cells, "fiber": None if v is None else {
+        "slots": [{"cells": cells, "maps": table, "fiber": None if v is None else {
             "degree": v.degree, "generators": v.generators, "order": v.order}}
-            for cells, v in qa.layout],
-        "assignment": {g.element_key(elem): fmap for elem, fmap in qa.assignment.items()},
+            for (cells, v), table in zip(qa.layout, tables)],
+        "assignment": {qa.keys[elem]: index[elem] for elem in qa.assignment},
         "report": report_to_json(report),
     }
-    return canonical_json(doc, default=_map_to_json) + "\n"
+    return canonical_json(doc, default=_slot_to_json) + "\n"
 
 
 def _elements_from_keys(g: GroupHandle, keys) -> list:
@@ -457,19 +491,18 @@ def _elements_from_keys(g: GroupHandle, keys) -> list:
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
-    """Read a format 5 certificate.  Formats 1-4 are refused by name: run
-    their request again with ``quasiact construct`` to get format 5.
+    """Read a format 6 certificate.  Formats 1-5 are refused by name: run
+    their request again with ``quasiact construct`` to get format 6.
 
     Each fibered slot's V is read by girth.fiber_from_json, as a girth
-    witness's is, and every label of the slot is sifted into V.
+    witness's is, and every label of the slot's table is sifted into V.  The
+    tables must be those emit_certificate writes: each entry used, once.
 
     The stored report is not parsed.  verify measures the stored maps again
     at the report's own F, epsilon and strictness, and the certificate is
     refused unless that fresh report, written as canonical JSON, is exactly
     the stored one (so ``1`` is not ``true``).  The fresh report is returned.
     """
-    from .constructions.girth import fiber_from_json  # constructions imports this module
-
     doc = parse_json(text, "certificate")
     del text  # frees the text now when the caller keeps no reference to it
     fmt = _field(doc, "format", _decode_int, 1)  # format 1 had no "format" key
@@ -480,17 +513,13 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
         )
     g = _field(doc, "group", group_from_json)
     carrier_n = _field(doc, "carrier_n", _decode_int)
-    # (cells, V, test of membership in V) per slot, V None when dense; QuasiAction
-    # checks each map's n.
-    slots = _field(doc, "slots", lambda v: [
-        (_field(s, "cells", _decode_int),
-         *_field(s, "fiber", lambda f: (None, None) if f is None else fiber_from_json(f)))
-        for s in _decode_list(v)])
-    if not slots:
+    # Per slot, its table of distinct slot maps; QuasiAction checks each map's n.
+    tables = _field(doc, "slots", lambda v: [_table_from_json(s) for s in _decode_list(v)])
+    if not tables:
         raise DomainError("field 'slots': a certificate has at least one slot")
     assignment = _field(doc, "assignment", lambda v: dict(zip(
         _elements_from_keys(g, _decode_object(v)),
-        [_map_from_json(e, slots) for e in v.values()],
+        [_map_from_json(e, tables) for e in v.values()],
     )))
     claimed_f = FiniteSubset(g, _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v))))
     qa = QuasiAction(
@@ -500,6 +529,9 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
         claimed_f,
         _field(doc, "epsilon", parse_fraction),
     )
+    if qa.slot_tables[0] != tables:  # the tables emit_certificate writes for these maps
+        raise InvariantViolationError("a slot's table must list each slot map in use once, "
+                                      "in order of first use over the sorted keys")
     stored = _field(doc, "report", _decode_object)
     f = _field(stored, "f", lambda v: _elements_from_keys(g, _decode_list(v)))
     epsilon = _field(stored, "epsilon", parse_fraction)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quasiact import cyclic_group, emit_certificate, load_certificate, verify
-from quasiact import cli
+from quasiact import quasiaction
 from quasiact.cli import main
 from quasiact.constructions import regular_action
 from quasiact.errors import DomainError
@@ -29,11 +29,12 @@ def forged_c4_certificate(tmp_path):
     qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))
     doc = json.loads(emit_certificate(qa, verify(qa)))
     raw = np.array([1, 2, 3, 1], dtype="<i4").tobytes()
-    doc["assignment"]["1"] = [{
+    [i] = doc["assignment"]["1"]
+    doc["slots"][0]["maps"][i] = {
         "cells": base64.b64encode(raw).decode(),
         "labels": "",
         "sha256": hashlib.sha256(raw).hexdigest(),
-    }]
+    }
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(doc))
     return path
@@ -105,12 +106,18 @@ class TestVerifyCommand:
         assert code == 0
         assert main(["verify", "--qa", str(out), "--epsilon", "1/100"]) == 0
 
-    def test_same_question_reuses_the_loaded_report(self, c4_certificate, monkeypatch):
-        def no_second_measurement(*args, **kwargs):
-            raise AssertionError("verify ran again for the question loading answered")
-
-        monkeypatch.setattr(cli, "verify", no_second_measurement)
-        assert main(["verify", "--qa", str(c4_certificate), "--epsilon", "1/100"]) == 0
+    @pytest.mark.parametrize("epsilon,strict", [("1/100", False), ("1/2", False), ("1/50", True)])
+    def test_counts_are_measured_once(self, c4_certificate, monkeypatch, epsilon, strict):
+        # Loading counts (a)/(b)/(c) on the claimed F; the command's verify,
+        # at any epsilon, derives its verdicts from those counts.
+        calls = []
+        for name in ("_count", "_count_strict"):
+            counter = getattr(quasiaction, name)
+            monkeypatch.setattr(quasiaction, name,
+                                lambda *a, _c=counter, _n=name: calls.append(_n) or _c(*a))
+        argv = ["verify", "--qa", str(c4_certificate), "--epsilon", epsilon]
+        assert main(argv + ["--strict"] * strict) == 0
+        assert calls == ["_count"] + ["_count_strict"] * strict
 
     def test_other_question_measures_again(self, c4_certificate, tmp_path):
         out = tmp_path / "strict.json"
@@ -181,9 +188,9 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "expected an array" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5])
     def test_old_formats_exit_two(self, c4_certificate, tmp_path, capsys, fmt):
-        # Formats 1-4 are refused by name; a missing "format" is format 1.
+        # Formats 1-5 are refused by name; a missing "format" is format 1.
         doc = json.loads(c4_certificate.read_text())
         if fmt is None:
             del doc["format"]

@@ -200,8 +200,9 @@ class TestFreeProductAgainstDenseCarrier:
         dense = densify_action(qa, closure_of(pc.v.fiber))
         text = emit_certificate(dense, verify(dense, strict=True))
         doc = json.loads(text)
-        assert doc["format"] == 5 and doc["slots"] == [{"cells": qa.carrier_n, "fiber": None}]
-        assert all(entry["labels"] == "" for [entry] in doc["assignment"].values())
+        [slot] = doc["slots"]
+        assert doc["format"] == 6 and (slot["cells"], slot["fiber"]) == (qa.carrier_n, None)
+        assert all(entry["labels"] == "" for entry in slot["maps"])
         loaded, report = load_certificate(text)
         assert report == verify(qa, strict=True)
         assert emit_certificate(loaded, report) == text
@@ -280,25 +281,35 @@ def tampered(text, change):
     return json.dumps(doc)
 
 
+def entry_at(doc, key):
+    """The slot table holding the entry of the one-slot map key, and its index."""
+    [i] = doc["assignment"][key]
+    return doc["slots"][0]["maps"], i
+
+
 def label_outside_v(doc, key, degree):
-    cells, labels = entry_arrays(doc["assignment"][key][0], degree)
+    table, i = entry_at(doc, key)
+    cells, labels = entry_arrays(table[i], degree)
     labels[0] = [1, 0, *range(2, degree)]  # V is generated by even permutations
-    doc["assignment"][key] = [fibered_entry(cells, labels)]
+    table[i] = fibered_entry(cells, labels)
 
 
 def cell_out_of_range(doc, key, degree):
-    cells, labels = entry_arrays(doc["assignment"][key][0], degree)
+    table, i = entry_at(doc, key)
+    cells, labels = entry_arrays(table[i], degree)
     cells[0] = cells.size
-    doc["assignment"][key] = [fibered_entry(cells, labels)]
+    table[i] = fibered_entry(cells, labels)
 
 
 def labels_short(doc, key, degree):
-    cells, labels = entry_arrays(doc["assignment"][key][0], degree)
-    doc["assignment"][key] = [fibered_entry(cells, labels[:-1])]
+    table, i = entry_at(doc, key)
+    cells, labels = entry_arrays(table[i], degree)
+    table[i] = fibered_entry(cells, labels[:-1])
 
 
 def hash_mismatch(doc, key, degree):
-    doc["assignment"][key][0]["sha256"] = hashlib.sha256(b"").hexdigest()
+    table, i = entry_at(doc, key)
+    table[i]["sha256"] = hashlib.sha256(b"").hexdigest()
 
 
 def order_inflated(doc, key, degree):
@@ -341,12 +352,13 @@ class TestFiberedCertificates:
         qa, report = load_certificate(c2_c2_certificate)
         assert emit_certificate(qa, report) == c2_c2_certificate
         doc = json.loads(c2_c2_certificate)
-        assert doc["format"] == 5
+        assert doc["format"] == 6
         [slot] = doc["slots"]
+        assert set(slot) == {"cells", "fiber", "maps"}
         assert slot["cells"] == 16 and set(slot["fiber"]) == {"degree", "generators", "order"}
         assert doc["carrier_n"] == 16 * slot["fiber"]["order"]
-        [entry] = next(iter(doc["assignment"].values()))
-        assert set(entry) == {"cells", "labels", "sha256"}
+        assert sorted(i for [i] in doc["assignment"].values()) == list(range(len(slot["maps"])))
+        assert all(set(entry) == {"cells", "labels", "sha256"} for entry in slot["maps"])
 
     @pytest.mark.parametrize("change,error,message", REFUSALS, ids=[r[0].__name__ for r in REFUSALS])
     def test_loader_refuses(self, c2_c2_certificate, tmp_path, capsys, change, error, message):
@@ -359,7 +371,7 @@ class TestFiberedCertificates:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fmt", [3, 4])
+    @pytest.mark.parametrize("fmt", [3, 4, 5])
     def test_other_format_refused(self, c2_c2_certificate, fmt):
         doc = json.loads(c2_c2_certificate)
         doc["format"] = fmt

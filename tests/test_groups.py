@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -378,28 +379,46 @@ def associative_by_loop(table) -> bool:
                for a in range(n) for b in range(n) for c in range(n))
 
 
+def associative_by_rows(table) -> bool:
+    """The row-by-row check Light's test replaced: t[t[a]][b, c] is (ab)c
+    and t[a][t][b, c] is a(bc), one row a at a time (n^3 lookups)."""
+    t = np.array(table)
+    return all(np.array_equal(t[t[a]], t[a][t]) for a in range(len(table)))
+
+
+S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
+            [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]
+# (Z/2)^3: no single element generates it, so Light's test takes three.
+C2_CUBED = [[a ^ b for b in range(8)] for a in range(8)]
+
+
 @st.composite
 def small_tables(draw):
-    """Any table of order <= 7, or a relabelled cyclic group's table with
-    perhaps one entry changed."""
-    n = draw(st.integers(1, 7))
-    entries = st.integers(0, n - 1)
+    """Any table of order <= 7, or a relabelled group's table (cyclic, S3 or
+    (Z/2)^3) with perhaps one entry changed."""
     if draw(st.booleans()):
-        return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+        n = draw(st.integers(1, 7))
+        return [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n)]
+    base = draw(st.one_of(
+        st.integers(1, 7).map(lambda n: [[(a + b) % n for b in range(n)] for a in range(n)]),
+        st.sampled_from([S3_TABLE, C2_CUBED]),
+    ))
+    n = len(base)
+    entries = st.integers(0, n - 1)
     p = draw(st.permutations(range(n)))
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            table[p[a]][p[b]] = p[(a + b) % n]
+            table[p[a]][p[b]] = p[base[a][b]]
     if draw(st.booleans()):
         table[draw(entries)][draw(entries)] = draw(entries)
     return table
 
 
 class TestAssociativityAgainstLoop:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(table=small_tables())
-    def test_row_check_matches_the_loop(self, table):
+    def test_light_check_matches_the_row_check_and_the_loop(self, table):
         # Identity and inverses are not needed for the check, so it runs on
         # tables that __init__ would refuse before reaching it.
         g = TableGroup.__new__(TableGroup)
@@ -409,7 +428,15 @@ class TestAssociativityAgainstLoop:
             passed = True
         except DomainError:
             passed = False
-        assert passed == associative_by_loop(table)
+        assert passed == associative_by_rows(table) == associative_by_loop(table)
+
+    def test_groups_needing_several_generators(self):
+        for table in (S3_TABLE, C2_CUBED):
+            assert TableGroup(table).order == len(table)
+            broken = [row[:] for row in table]
+            broken[1][2], broken[1][3] = broken[1][3], broken[1][2]  # rows stay permutations
+            with pytest.raises(DomainError, match="associative|inverse|identity"):
+                TableGroup(broken)
 
 
 def apply(elem: tuple, x: int) -> int:

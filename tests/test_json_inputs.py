@@ -1,6 +1,6 @@
 """Every JSON input either decodes in full or is refused with a named error.
 
-Each example takes a certificate (format 5: dense, fibered, or a product
+Each example takes a certificate (format 6: dense, fibered, or a product
 with a dense and a fibered slot), a girth witness or one of the README's
 construction requests, and either deletes one key or replaces one value (a
 leaf or a container) with a value of another JSON type.  Then exactly one of these holds: the document loads

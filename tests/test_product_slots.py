@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from quasiact import (
     FiniteSubset,
     IntegerGroup,
+    ProductGroup,
     QuasiAction,
     TableGroup,
     compose,
@@ -42,11 +44,15 @@ from quasiact.constructions import (
     free_product_qa,
     good_action_upgrade,
     regular_action,
+    transport_qa,
 )
-from quasiact.errors import DomainError, InvariantViolationError, PreconditionError
-from quasiact.finmap import Fiber, FiniteMap
+from quasiact import quasiaction
+from quasiact.errors import (
+    DomainError, IncompleteSupportError, InvariantViolationError, PreconditionError,
+)
+from quasiact.finmap import Fiber, FiniteMap, after, agreements
 from quasiact.groups import pair_products, symmetrize
-from quasiact.quasiaction import report_to_json
+from quasiact.quasiaction import StrictChecks, VerificationReport, report_to_json
 from quasiact.util import canonical_json
 
 from dense_carrier import cayley_closure, densify, densify_action
@@ -83,8 +89,6 @@ def dense_form(fmap: FiniteMap, elements) -> FiniteMap:
 def dense_product_qa(factors, epsilon) -> QuasiAction:
     """direct_product_qa's output built on the dense product carrier, from
     dense factors, with no precondition checked."""
-    from quasiact import ProductGroup
-
     group = ProductGroup([qa.owner for qa, _ in factors])
     assignment = {
         combo: product_map([qa.assignment[g] for (qa, _), g in zip(factors, combo)])
@@ -266,36 +270,290 @@ class TestProductCertificates:
         prod = direct_product_qa([(a, a.claimed_f), (b, b.claimed_f)], EPS)
         return emit_certificate(prod, verify(prod, strict=True))
 
-    def test_slots_stated_once_and_entries_per_slot(self, certificate):
+    def test_one_table_of_distinct_entries_per_slot(self, certificate):
         doc = json.loads(certificate)
-        assert doc["format"] == 5 and doc["carrier_n"] == 35
-        assert doc["slots"] == [{"cells": 7, "fiber": None}, {"cells": 5, "fiber": None}]
-        entries = doc["assignment"]["[1,1]"]
-        assert [np.frombuffer(base64.b64decode(e["cells"]), "<i4").tolist() for e in entries] == [
-            [1, 2, 3, 4, 5, 6, 0], [1, 2, 3, 4, 0]]
+        assert doc["format"] == 6 and doc["carrier_n"] == 35
+        assert [(s["cells"], s["fiber"]) for s in doc["slots"]] == [(7, None), (5, None)]
+        # 7 x 4 product maps: shifts by -2..4 mod 7 and by -1..2 mod 5.
+        assert len(doc["assignment"]) == 28
+        assert [len(s["maps"]) for s in doc["slots"]] == [7, 4]
+        i, j = doc["assignment"]["[1,1]"]
+        assert [np.frombuffer(base64.b64decode(s["maps"][k]["cells"]), "<i4").tolist()
+                for s, k in zip(doc["slots"], (i, j))] == [[1, 2, 3, 4, 5, 6, 0], [1, 2, 3, 4, 0]]
+        # Entries are numbered in order of first use over the sorted keys.
+        first = [[], []]
+        for key in sorted(doc["assignment"]):
+            for seen, k in zip(first, doc["assignment"][key]):
+                seen += [k] * (k not in seen)
+        assert first == [list(range(7)), list(range(4))]
         qa, report = load_certificate(certificate)
         assert emit_certificate(qa, report) == certificate
 
     def test_rehashed_tampered_slot_is_refused(self, certificate):
         doc = json.loads(certificate)
-        doc["assignment"]["[1,1]"][1] = rehashed([1, 2, 3, 0, 4])  # still a bijection
+        _, j = doc["assignment"]["[1,1]"]
+        doc["slots"][1]["maps"][j] = rehashed([1, 2, 3, 0, 4])  # still a bijection
         with pytest.raises(InvariantViolationError, match="stored report differs"):
             load_certificate(json.dumps(doc))
-        doc["assignment"]["[1,1]"][1] = rehashed([1, 2, 3, 4, 5])
+        doc["slots"][1]["maps"][j] = rehashed([1, 2, 3, 4, 5])
         with pytest.raises(DomainError, match="out of range"):
-            load_certificate(json.dumps(doc))
-        doc["assignment"]["[1,1]"] = doc["assignment"]["[1,1]"][:1]
-        with pytest.raises(DomainError, match="2 entries"):
             load_certificate(json.dumps(doc))
 
     @pytest.mark.parametrize("edit,error,message", [
         (lambda d: d.update(format=4), DomainError, "certificate format 4 is not read"),
+        (lambda d: d.update(format=5), DomainError, "certificate format 5 is not read"),
         (lambda d: d.update(slots=[]), DomainError, "at least one slot"),
-        (lambda d: d["slots"].reverse(), InvariantViolationError, "bytes"),
+        (lambda d: d["slots"].reverse(), DomainError, "not all below their tables' sizes"),
         (lambda d: d["slots"].pop(), DomainError, "1 entries"),
+        (lambda d: d["slots"][0].pop("maps"), DomainError, "missing field 'maps'"),
     ])
     def test_layout_edits_are_refused(self, certificate, edit, error, message):
         doc = json.loads(certificate)
         edit(doc)
         with pytest.raises(error, match=message):
             load_certificate(json.dumps(doc))
+
+    @pytest.mark.parametrize("index,message", [
+        (7, "map indices [7, 2] are not all below their tables' sizes [7, 4]"),
+        (-1, "map indices [-1, 2] are not all below"),
+        (True, "expected an integer, got True"),
+        (1.0, "expected an integer, got 1.0"),
+        ("1", "expected an integer, got '1'"),
+        (None, "expected an integer, got None"),
+    ])
+    def test_bad_index_is_refused_by_name(self, certificate, tmp_path, capsys, index, message):
+        doc = json.loads(certificate)
+        doc["assignment"]["[1,1]"][0] = index
+        with pytest.raises(DomainError, match=re.escape(message)):
+            load_certificate(json.dumps(doc))
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--qa", str(path), "--epsilon", "1/2"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [[0], [0, 0, 0], 0, {"0": 0}])
+    def test_wrong_number_of_indices_is_refused(self, certificate, value):
+        doc = json.loads(certificate)
+        doc["assignment"]["[1,1]"] = value
+        with pytest.raises(DomainError, match="an array of 2 entries"):
+            load_certificate(json.dumps(doc))
+
+    def test_unused_entry_is_refused(self, certificate):
+        doc = json.loads(certificate)
+        doc["slots"][1]["maps"].append(rehashed([1, 0, 2, 3, 4]))  # a valid map no element uses
+        with pytest.raises(InvariantViolationError, match="each slot map in use once"):
+            load_certificate(json.dumps(doc))
+
+    def test_entry_stated_twice_is_refused(self, certificate):
+        doc = json.loads(certificate)
+        table = doc["slots"][0]["maps"]
+        table.append(dict(table[0]))
+        last = max(k for k in doc["assignment"] if doc["assignment"][k][0] == 0)
+        doc["assignment"][last][0] = len(table) - 1  # both copies in use
+        with pytest.raises(InvariantViolationError, match="each slot map in use once"):
+            load_certificate(json.dumps(doc))
+
+    def test_entries_out_of_first_use_order_are_refused(self, certificate):
+        # Swapping two entries and renumbering every map keeps the maps, but
+        # not the one numbering emit_certificate writes.
+        doc = json.loads(certificate)
+        table = doc["slots"][0]["maps"]
+        table[0], table[1] = table[1], table[0]
+        for value in doc["assignment"].values():
+            value[0] = {0: 1, 1: 0}.get(value[0], value[0])
+        with pytest.raises(InvariantViolationError, match="in order of first use"):
+            load_certificate(json.dumps(doc))
+
+    def test_deleting_an_unneeded_map_is_refused(self, certificate):
+        # The first map in key order is outside F's products; without it, the
+        # stored numbering is no longer the first-use numbering.
+        doc = json.loads(certificate)
+        first = min(doc["assignment"])
+        del doc["assignment"][first]
+        with pytest.raises(InvariantViolationError):
+            load_certificate(json.dumps(doc))
+
+
+def _c2_free_product():
+    return build_free_product_action(
+        cyclic_group(2), cyclic_group(2), [0, 1], [0, 1], 1, Fraction(1, 10), seed=0)[0]
+
+
+def _regular_c3():
+    return regular_action(cyclic_group(3), epsilon=Fraction(1, 10))
+
+
+def _product_with_fibered_factor():
+    c3, fp = _regular_c3(), _c2_free_product()
+    return direct_product_qa([(c3, c3.claimed_f), (fp, fp.claimed_f)], Fraction(1, 10))
+
+
+@pytest.mark.parametrize("build", [_regular_c3, _c2_free_product, _product_with_fibered_factor],
+                         ids=["dense", "fibered", "product"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_emit_load_emit_is_byte_identical(build, strict):
+    qa = build()
+    text = emit_certificate(qa, verify(qa, strict=strict))
+    loaded, report = load_certificate(text)
+    assert emit_certificate(loaded, report) == text
+    tables, _ = loaded.slot_tables
+    assert [len(t) for t in tables] == [len(s["maps"]) for s in json.loads(text)["slots"]]
+    assert all(loaded.map_for(e) == qa.map_for(e) for e in qa.assignment)
+
+
+def stacked_verify(qa, f=None, epsilon=None, strict=False) -> VerificationReport:
+    """verify as it counted before slot tables: every map's packed row is
+    stacked in chunks of max(1, POINTS // width) rows, condition (a) is
+    counted per left element against the stacked right maps and their
+    products, and the strict facts are derived map by map.  Kept as the
+    oracle for the verify that counts each distinct slot map once."""
+    g = qa.owner
+    fset = qa.claimed_f if f is None else FiniteSubset(g, f)
+    eps = qa.claimed_epsilon if epsilon is None else epsilon
+    table = qa._products(fset)
+    one = g.identity
+    n = qa.carrier_n
+    maps = qa.assignment
+    ident = identity_like(maps[one])
+
+    def counts_of(x, y) -> list[int]:  # disagreeing points per row of x against y
+        return [n - a for a in agreements(ident, x, y)]
+
+    def stack(ms):
+        return np.stack([m.packed for m in ms])
+
+    def chunks(ms):
+        rows = max(1, quasiaction.POINTS // ident.packed.size)
+        return [(i, stack(ms[i : i + rows])) for i in range(0, len(ms), rows)]
+
+    keys = {e: g.element_key(e) for e in maps}
+    f_elems = list(fset)
+    right = chunks([maps[e] for e in f_elems])
+    k = len(f_elems)
+    a_counts = []
+    for i, e in enumerate(f_elems):
+        row = table[i * k : (i + 1) * k]
+        for start, st_ in right:
+            products = stack([maps[p] for p in row[start : start + len(st_)]])
+            a_counts += counts_of(after(maps[e].rows(), ident.rows(st_)), ident.rows(products))
+    agree = [a for _, s in right for a in agreements(ident, ident.rows(s), ident.rows())]
+
+    strict_checks = None
+    if strict:
+        for e in fset:
+            if g._inv(e) not in maps:
+                raise IncompleteSupportError(
+                    g.element_key(g._inv(e)), "strict mode needs F^-1 in the support"
+                )
+        others = sorted((e for e in maps if e != one), key=keys.__getitem__)
+        bijective = tuple(maps[e].is_bijection() for e in others)
+        inverse_exact = tuple(
+            bij and maps[g._inv(e)] == inverse_map(maps[e]) if g._inv(e) in maps else None
+            for e, bij in zip(others, bijective)
+        )
+        ordered = sorted({*f_elems, one}, key=keys.__getitem__)
+        pair_counts = []
+        for i, a in enumerate(ordered):
+            for start, st_ in chunks([maps[e] for e in ordered]):  # the rows after row i
+                rest = st_[max(0, i + 1 - start) :]
+                pair_counts += counts_of(ident.rows(rest), maps[a].rows())
+        strict_checks = StrictChecks(
+            n, eps, maps[one] == ident, bijective,
+            tuple(fixpoint_count(maps[e]) == 0 for e in others), inverse_exact,
+            tuple(pair_counts), tuple(keys[e] for e in ordered),
+        )
+
+    return VerificationReport(
+        carrier_n=n,
+        epsilon=eps,
+        f_keys=tuple(keys[e] for e in f_elems),
+        a_counts=tuple(a_counts),
+        identity_defect=similarity_defect(maps[one], ident),
+        c_agreements=tuple(c for e, c in zip(f_elems, agree) if e != one),
+        product_keys=tuple(map(keys.__getitem__, table)),
+        identity_key=keys[one],
+        strict=strict_checks,
+    )
+
+
+def slot_product_qa(qas) -> QuasiAction:
+    """direct_product_qa's maps and F with no precondition checked, so that
+    products nest and perturbed factors combine at any epsilon."""
+    group = ProductGroup([qa.owner for qa in qas])
+    assignment = {
+        combo: FiniteMap.product([qa.assignment[g] for qa, g in zip(qas, combo)])
+        for combo in itertools.product(*(qa.assignment for qa in qas))
+    }
+    f = FiniteSubset(group, itertools.product(*(qa.claimed_f for qa in qas)))
+    return QuasiAction(group, math.prod(qa.carrier_n for qa in qas), assignment, f, EPS)
+
+
+@st.composite
+def repeating_actions(draw):
+    """Products whose maps repeat their factors' slot maps: 2 or 3 factors,
+    perhaps nested, perhaps transported with identity maps where a partial
+    injection is undefined."""
+    qas = [qa for qa, _, _ in draw(factors())]
+    if len(qas) == 3 and draw(st.booleans()):
+        qas = [slot_product_qa(qas[:2]), qas[2]]
+    qa = slot_product_qa(qas)
+    if draw(st.booleans()):
+        core = [*qa.claimed_f, qa.owner.identity]
+        mapping = {g: g for g in core if draw(st.booleans())}
+        qa = transport_qa(qa, qa.owner, qa.claimed_f, mapping)
+    return qa
+
+
+def outcome(measure, *args):
+    """A report's canonical JSON with its in-memory keys, or the error it raised."""
+    try:
+        r = measure(*args)
+    except IncompleteSupportError as exc:
+        return str(exc)
+    keys = (r.product_keys, r.identity_key, r.strict and r.strict.keys)
+    return canonical_json(report_to_json(r)), keys, r
+
+
+class TestDistinctSlotVerifyAgainstStackedOracle:
+    @pytest.mark.parametrize("rows", [1, None])
+    @settings(max_examples=60, deadline=None)
+    @given(repeating_actions(), st.integers(1, 9), st.booleans(), st.data())
+    def test_reports_equal_the_stacked_reports(self, rows, qa, tenths, strict, data):
+        f = data.draw(st.none() | st.sets(st.sampled_from(sorted(qa.assignment)), max_size=4))
+        eps = Fraction(tenths, 10)
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(quasiaction, "POINTS", rows)
+            assert outcome(verify, qa, f, eps, strict) == outcome(stacked_verify, qa, f, eps, strict)
+        tables, index = qa.slot_tables
+        assert all(len(t) <= len(qa.assignment) for t in tables)
+        assert all(qa.map_for(e) == FiniteMap.product([t[i] for t, i in zip(tables, index[e])])
+                   for e in qa.assignment)
+
+    @settings(max_examples=40, deadline=None)
+    @given(repeating_actions(), st.integers(1, 9), st.integers(1, 9), st.booleans(),
+           st.booleans())
+    def test_memoised_reask_equals_a_fresh_verify(self, qa, first, second, s1, s2):
+        try:
+            verify(qa, epsilon=Fraction(first, 10), strict=s1)
+        except IncompleteSupportError:
+            pass
+        fresh = QuasiAction(qa.owner, qa.carrier_n, qa.assignment, qa.claimed_f,
+                            qa.claimed_epsilon)
+        eps = Fraction(second, 10)
+        assert outcome(verify, qa, None, eps, s2) == outcome(verify, fresh, None, eps, s2)
+
+    def test_many_pairs_product_counts_each_distinct_slot_triple_once(self, monkeypatch):
+        big = [k for i in range(1, 21) for k in (i, -i)]
+        a, b = cyclic_quasi_action(big, 83, Fraction(1, 10)), cyclic_quasi_action(
+            [1, -1, 2, -2], 11, Fraction(1, 10))
+        prod = direct_product_qa([(a, a.claimed_f), (b, b.claimed_f)], Fraction(1, 10))
+        assert [len(t) for t in prod.slot_tables[0]] == [81, 9]
+        rows = []
+        real = quasiaction._agreements
+        monkeypatch.setattr(quasiaction, "_agreements",
+                            lambda t, r: rows.append(len(r)) or real(t, r))
+        report = verify(prod, strict=True)
+        assert len(report.a_counts) == 25600 and rows[:2] == [1600, 16]
+        assert report.passed and report.strict.passed

@@ -181,9 +181,12 @@ class TestCertificates:
         assert set(doc) == {
             "format", "group", "carrier_n", "F", "epsilon", "slots", "assignment", "report"
         }
-        assert doc["format"] == 5 and doc["slots"] == [{"cells": 4, "fiber": None}]
+        [slot] = doc["slots"]
+        assert doc["format"] == 6 and slot["cells"] == 4 and slot["fiber"] is None
         assert doc["epsilon"] == "1/100"
-        [entry] = doc["assignment"]["2"]
+        # one table entry per distinct map, in key order of first use
+        assert doc["assignment"] == {"0": [0], "1": [1], "2": [2], "3": [3]}
+        entry = slot["maps"][2]
         raw = base64.b64decode(entry["cells"])
         assert np.frombuffer(raw, "<i4").tolist() == [2, 3, 0, 1]
         assert entry == dense_entry([2, 3, 0, 1])
@@ -249,7 +252,7 @@ class TestCertificates:
             (("report", "condition_a", 0), 0.0),
             (("report", "condition_b"), "0/4"),
             (("report", "f", 1), " 1"),  # a key that names the same element
-            (("assignment", "1", 0), dense_entry([0, 1, 2, 3])),  # rehashed identity
+            (("slots", 0, "maps", 1), dense_entry([0, 1, 2, 3])),  # map "1", rehashed identity
             (("report", "strict", "identity_exact"), 1),
             (("report", "condition_c", 0), 0.9),
         ],
@@ -365,14 +368,17 @@ def near_regular_actions(draw):
 
 
 def map_entry(cert: str, key: str) -> dict:
-    """The entry of a one-slot map."""
-    [entry] = json.loads(cert)["assignment"][key]
-    return entry
+    """The table entry of a one-slot map."""
+    doc = json.loads(cert)
+    [i] = doc["assignment"][key]
+    return doc["slots"][0]["maps"][i]
 
 
 def replace_entry(cert: str, key: str, entry: dict) -> str:
+    """The certificate with the table entry of a one-slot map replaced."""
     doc = json.loads(cert)
-    doc["assignment"][key] = [entry]
+    [i] = doc["assignment"][key]
+    doc["slots"][0]["maps"][i] = entry
     return json.dumps(doc)
 
 
@@ -495,14 +501,20 @@ class TestBatchedVerify:
         assert fresh == expected
 
     def test_chunks_split_as_stated(self, monkeypatch):
-        maps = [shift_map(4, k) for k in range(5)]
+        table = [shift_map(4, k) for k in range(5)]
+        rows = np.array([[k, (k + 1) % 5] for k in range(5)])
+        expected = [4 - similarity_defect(table[a], table[b]).disagreements for a, b in rows]
+        seen = []
+        real = quasiaction.agreements
+        monkeypatch.setattr(quasiaction, "agreements",
+                            lambda m, x, y: seen.append(x[0][0].shape) or real(m, x, y))
         monkeypatch.setattr(quasiaction, "POINTS", 8)
-        chunks = quasiaction._chunks(maps, 4)
-        assert [(start, stack.shape) for start, stack in chunks] == [
-            (0, (2, 4)), (2, (2, 4)), (4, (1, 4))
-        ]
+        assert quasiaction._agreements(table, rows) == expected
+        assert seen == [(2, 4), (2, 4), (1, 4)]
+        seen.clear()
         monkeypatch.setattr(quasiaction, "POINTS", 3)
-        assert [stack.shape for _, stack in quasiaction._chunks(maps, 4)] == [(1, 4)] * 5
+        assert quasiaction._agreements(table, rows) == expected
+        assert seen == [(1, 4)] * 5
 
     def test_product_table_built_once_per_f(self):
         g = CountingTable([[(i + j) % 4 for j in range(4)] for i in range(4)])
@@ -534,9 +546,9 @@ class TestCertificateCodec:
         assert all(qa2.assignment[k] == m for k, m in qa.assignment.items())
         assert emit_certificate(qa2, r2) == cert
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5])
     def test_other_formats_refused(self, fmt):
-        # Only format 5 is read.  No "format" key is format 1, whose maps
+        # Only format 6 is read.  No "format" key is format 1, whose maps
         # were plain lists of integers.
         qa = regular_c4()
         doc = json.loads(emit_certificate(qa, verify(qa)))
