@@ -222,23 +222,6 @@ def schreier_sims(gens: Sequence[tuple[int, ...]]) -> tuple[int, Callable[[tuple
     return order, lambda g: len(g) == len(identity) and sift(tuple(g), 0)[0] == identity
 
 
-def _certify_generators(
-    gens: Sequence[tuple[int, ...]], bound: int, order_cap: int, seed: int
-) -> GirthGroup | None:
-    """The GirthGroup of gens, permutations of one degree, or None when a
-    reduced word of length <= bound is the identity or |<gens>| exceeds
-    order_cap."""
-    # The order first: a draw past the cap never pays for the word ball.
-    order = schreier_sims(gens)[0]
-    if order > order_cap:
-        return None
-    try:
-        _certify_word_girth(gens, bound)
-    except InvariantViolationError:
-        return None
-    return GirthGroup(Fiber(tuple(gens), order), bound, seed)
-
-
 def _reduced_word_count(labels: int, bound: int) -> int:
     letters = 2 * labels
     return sum(letters * (letters - 1) ** i for i in range(bound))
@@ -268,22 +251,38 @@ def girth_group_search(
 
     Deterministic for fixed arguments: one pseudorandom stream drives a fixed
     schedule of degrees and attempts.  Raises SearchFailureError when the
-    schedule is exhausted.
+    schedule is exhausted, naming what ran out: the order cap, when every
+    draw exceeded it, else the schedule, with the draws each refused.
     """
     if label_count < 1 or girth_bound < 1:
         raise DomainError("label_count and girth_bound must be positive")
     rng = random.Random(seed)
-    for degree in _default_degrees(label_count, girth_bound):
+    degrees = _default_degrees(label_count, girth_bound)
+    over_cap = short = 0  # draws refused by the order cap, and by a short cycle
+    for degree in degrees:
         for _ in range(attempts_per_degree):
             gens = _draw_generators(rng, degree, label_count, girth_bound)
             if gens is None:
                 break  # no permutation of large enough order at this degree
-            group = _certify_generators(gens, girth_bound, order_cap, seed)
-            if group is not None:
-                return group
+            # The order first: a draw past the cap never pays for the word ball.
+            order = schreier_sims(gens)[0]
+            if order > order_cap:
+                over_cap += 1
+                continue
+            try:
+                _certify_word_girth(gens, girth_bound)
+            except InvariantViolationError:
+                short += 1
+                continue
+            return GirthGroup(Fiber(tuple(gens), order), girth_bound, seed)
+    found = f"no girth-{girth_bound} generator set with {label_count} labels found"
+    if over_cap and not short:
+        raise SearchFailureError(
+            f"{found}: all {over_cap} draws exceeded order cap {order_cap}; raise the cap")
     raise SearchFailureError(
-        f"no girth-{girth_bound} generator set with {label_count} labels found "
-        f"within order cap {order_cap}; raise the cap"
+        f"{found}: the degree schedule (degrees {degrees[0]}-{degrees[-1]}) ran out; "
+        f"{short} draws within order cap {order_cap} had a reduced word of length "
+        f"<= {girth_bound} equal to the identity, {over_cap} exceeded the cap"
     )
 
 

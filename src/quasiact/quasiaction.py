@@ -51,15 +51,24 @@ from .util import canonical_json, check_epsilon, format_fraction, parse_fraction
 # being the int32 entries of one slot map (cells x (1 + V's degree)): about
 # 1 MiB per chunk, and one map at a time on large dense carriers.
 POINTS = 1 << 18
+# verify codes a row of table indices as one int64 below CODES, numbering
+# the codes densely first whenever the next column could pass it.
+CODES = 1 << 62
 
 
 class QuasiAction:
     """A carrier size plus a finite table of group element -> map.
 
-    The maps share one ``layout``: the same cells and fiber (or None) in
-    every slot.  The assignment's keys are validated here, once (F's by
+    Each supported element has an integer id: its position in the
+    assignment's key order (``elements``; ``ids`` maps back).  The maps share
+    one ``layout``: the same cells and fiber (or None) in every slot.  verify
+    reads them as ``slot_tables``: per slot, its distinct slot maps, and per
+    id, one index per slot.  Maps handed in one by one are validated here and
+    interned into tables on first use; a loaded certificate hands its tables
+    in as they are (``_from_slots``), and its maps are built only when
+    ``assignment`` is read.  The keys are validated once (F's by
     FiniteSubset), and the support check builds the claimed F's F x F
-    product table, once."""
+    product table of ids, once."""
 
     def __init__(
         self,
@@ -69,12 +78,9 @@ class QuasiAction:
         claimed_f: FiniteSubset | Iterable,
         claimed_epsilon: Fraction,
     ):
-        self.owner = owner
-        self.carrier_n = int(carrier_n)
-        self.claimed_f = FiniteSubset(owner, claimed_f)
-        self.claimed_epsilon = check_epsilon(claimed_epsilon)
+        self._claim(owner, carrier_n, claimed_f, claimed_epsilon)
         table = {}
-        self.layout = None
+        layout = None
         for elem, fmap in assignment.items():
             owner.check_element(elem)
             if not isinstance(fmap, FiniteMap):
@@ -84,45 +90,85 @@ class QuasiAction:
                     f"map for {owner.element_key(elem)} has carrier {fmap.n}, "
                     f"expected {self.carrier_n}"
                 )
-            if table and fmap.layout != self.layout:
+            if table and fmap.layout != layout:
                 raise DomainError("a quasi-action's maps must share one fiber and size per slot")
-            self.layout = fmap.layout
+            layout = fmap.layout
             table[elem] = fmap
-        self.assignment = table
-        self._claimed_products = self._products(self.claimed_f)
+        self.assignment = table  # set, so the cached property below is not used
+        self._support(table, layout)
+
+    @classmethod
+    def _from_slots(cls, owner: GroupHandle, carrier_n: int, layout: tuple, tables: list,
+                    index: Mapping, claimed_f, claimed_epsilon: Fraction) -> QuasiAction:
+        """The action whose element e maps by tables[s][index[e][s]] in each
+        slot s.  The caller vouches for the rest: the elements are decoded,
+        each table holds one-slot maps of its slot's layout, and each index
+        is in range."""
+        qa = cls.__new__(cls)
+        qa._claim(owner, carrier_n, claimed_f, claimed_epsilon)
+        n = math.prod(cells * (1 if v is None else v.order) for cells, v in layout)
+        if n != qa.carrier_n:
+            raise DomainError(f"the slots' layout has carrier {n}, expected {qa.carrier_n}")
+        qa.slot_tables = tables, np.array(list(index.values()), np.intp).reshape(-1, len(layout))
+        qa._support(index, layout)
+        return qa
+
+    def _claim(self, owner, carrier_n, claimed_f, claimed_epsilon) -> None:
+        self.owner = owner
+        self.carrier_n = int(carrier_n)
+        self.claimed_f = FiniteSubset(owner, claimed_f)
+        self.claimed_epsilon = check_epsilon(claimed_epsilon)
         self._counts = {}  # verify's reports on the claimed F by strictness, at any epsilon
+
+    def _support(self, elements: Iterable, layout: tuple | None) -> None:
+        self.layout = layout
+        self.elements = tuple(elements)
+        self.ids = {elem: i for i, elem in enumerate(self.elements)}
+        self._claimed_products = self._products(self.claimed_f)
 
     @cached_property
     def keys(self) -> dict:
-        return {elem: self.owner.element_key(elem) for elem in self.assignment}
+        return {elem: self.owner.element_key(elem) for elem in self.elements}
 
     @cached_property
-    def slot_tables(self) -> tuple[list[list[FiniteMap]], dict]:
+    def assignment(self) -> dict:
+        """Element -> map, built from the slot tables (for a loaded action)."""
+        tables, index = self.slot_tables
+        maps = ([t[i] for t, i in zip(tables, row)] for row in index.tolist())
+        return {e: m[0] if len(m) == 1 else FiniteMap.product(m)
+                for e, m in zip(self.elements, maps)}
+
+    @cached_property
+    def slot_tables(self) -> tuple[list[list[FiniteMap]], np.ndarray]:
         """The maps by slot: per slot, its distinct slot maps (one-slot maps)
-        in order of first use over the elements sorted by key, and per
-        element the index of its map's slot in each slot's table."""
-        seen, tables, index = [{} for _ in self.layout], [[] for _ in self.layout], {}
-        for elem in sorted(self.assignment, key=self.keys.__getitem__):
+        in order of first use over the elements sorted by key, and per id the
+        index of its map's slot in each slot's table, as an (ids, slots) array."""
+        seen, tables = [{} for _ in self.layout], [[] for _ in self.layout]
+        index = np.empty((len(self.elements), len(self.layout)), np.intp)
+        for elem in sorted(self.elements, key=self.keys.__getitem__):
             fmap = self.assignment[elem]
-            index[elem] = tuple(t.setdefault(s.images.tobytes() + s.labels.tobytes(), len(t))
-                                for t, s in zip(seen, fmap.slots))
+            index[self.ids[elem]] = [t.setdefault(s.images.tobytes() + s.labels.tobytes(), len(t))
+                                     for t, s in zip(seen, fmap.slots)]
             for t, table, s in zip(seen, tables, fmap.slots):
                 if len(t) > len(table):  # this slot map is new
                     table.append(fmap if len(tables) == 1 else FiniteMap._of([s]))
         return tables, index
 
-    def _products(self, fset: FiniteSubset) -> list:
-        """The products e*f for e, f in F, row by row, once the identity, F and
-        each product are found supported; entries are the assignment's keys."""
-        g = self.owner
-        support = {elem: elem for elem in self.assignment}
-        products = (g._mul(e, f) for e in fset for f in fset)
-        table = []
-        for elem in itertools.chain([g.identity], fset, products):
-            if elem not in support:
-                raise IncompleteSupportError(g.element_key(elem), "needed for (F, epsilon)")
-            table.append(support[elem])
-        return table[1 + len(fset) :]
+    def _products(self, fset: FiniteSubset) -> np.ndarray:
+        """The ids of the products e*f for e, f in F, row by row, once the
+        identity, F and each product are found supported: the first missing,
+        in that order, is named."""
+        g, f_elems = self.owner, list(fset)
+        products = g._mul_many([e for e in f_elems for _ in f_elems], f_elems * len(f_elems))
+        needed = [g.identity, *f_elems, *products]
+        table = np.fromiter(map(self.ids.get, needed, itertools.repeat(-1)), np.intp, len(needed))
+        missing = np.flatnonzero(table < 0)
+        if missing.size:
+            raise IncompleteSupportError(g.element_key(needed[missing[0]]), "needed for (F, epsilon)")
+        return table[1 + len(f_elems) :]
+
+    def _ids(self, elems: Iterable) -> np.ndarray:
+        return np.fromiter(map(self.ids.__getitem__, elems), np.intp)
 
     def map_for(self, elem) -> FiniteMap:
         try:
@@ -256,40 +302,50 @@ class VerificationReport:
         return tuple(zip(self.c_keys, self.c_agreements))
 
 
-def _slot_counts(qa: QuasiAction, columns: list[list], measure) -> list:
-    """Per row of the parallel element lists ``columns`` (two or three), the
-    product over the slots of measure(slot's table, its distinct rows of
-    indices), batched.  Python ints, exact past 2**63."""
+def _slot_counts(qa: QuasiAction, columns: list[np.ndarray], measure) -> list:
+    """Per row of the parallel id arrays ``columns``, the product over the
+    slots of measure(slot's table, its distinct rows of indices), batched:
+    one gather of the rows' indices from qa's index array, then per slot one
+    code per row and one np.unique of the codes.  Python ints, exact past
+    2**63."""
     tables, index = qa.slot_tables
-    rows = np.stack([np.fromiter(itertools.chain.from_iterable(map(index.__getitem__, c)),
-                                 np.intp).reshape(-1, len(tables)) for c in columns], -1)
-    total = np.ones(len(rows), dtype=object)
+    rows = index[np.stack(columns)]  # (columns, rows, slots)
+    total = np.ones(rows.shape[1], dtype=object)
     for s, t in enumerate(tables):
-        code = rows[:, s, 0]
-        for c in rows[:, s, 1:].T:  # codes stay below max(len(t), len(rows)) * len(t)
-            _, first, code = np.unique(code * len(t) + c, return_index=True, return_inverse=True)
-        total *= np.array(measure(t, rows[first, s]), dtype=object)[code]
+        code, size = np.zeros(rows.shape[1], np.int64), 1
+        for c in rows[..., s]:
+            if size * len(t) > CODES:
+                _, code = np.unique(code, return_inverse=True)
+                size = len(code)
+            code, size = code * len(t) + c, size * len(t)
+        _, code = np.unique(code, return_inverse=True)
+        first = np.empty(code.max(initial=-1) + 1, np.intp)
+        first[code] = np.arange(len(code))  # a row of each distinct code
+        total *= np.array(measure(t, rows[:, first, s].T), dtype=object)[code]
     return total.tolist()
 
 
-def _slot_facts(qa: QuasiAction, rows: list[tuple], measure) -> list:
-    """Per row of elements, the product over the slots of measure(the row's
-    slot maps), each distinct row of a slot's slot maps measured once."""
+def _slot_facts(qa: QuasiAction, columns: list[np.ndarray], measure) -> list:
+    """Per row of the parallel id arrays ``columns``, the product over the
+    slots of measure(the row's slot maps), each distinct row of a slot's
+    slot maps measured once."""
     tables, index = qa.slot_tables
-    once = [cache(lambda *at, t=t: measure(*(t[i] for i in at))) for t in tables]
-    return [math.prod(f(*at) for f, *at in zip(once, *map(index.__getitem__, row)))
-            for row in rows]
+    once = [cache(lambda *at, t=t: measure(*map(t.__getitem__, at))) for t in tables]
+    rows = index[np.stack(columns)].transpose(1, 2, 0).tolist()  # row, slot, column
+    return [math.prod(f(*at) for f, at in zip(once, row)) for row in rows]
 
 
 def _agreements(table: list[FiniteMap], rows: np.ndarray) -> list[int]:
     """Per row (x, y) or (x, y, z) of one slot's table, the points where x
     agrees with y, or x then y with z: batched gathers over chunks of
-    max(1, POINTS // width) rows."""
+    max(1, POINTS // width) rows, each stacking the entries it uses once."""
     m = table[0]
     step = max(1, POINTS // m.packed.size)
     out = []
     for i in range(0, len(rows), step):
-        x, y, *z = (m.rows(np.stack([table[j].packed for j in c])) for c in rows[i : i + step].T)
+        used, at = np.unique(rows[i : i + step], return_inverse=True)
+        stacked = np.stack([table[j].packed for j in used.tolist()])
+        x, y, *z = (m.rows(stacked[c]) for c in at.reshape(-1, rows.shape[1]).T)
         out += agreements(m, after(x, y), z[0]) if z else agreements(m, x, y)
     return out
 
@@ -320,42 +376,47 @@ def verify(
                    strict=replace(counts[True], epsilon=eps) if strict else None)
 
 
-def _count(qa: QuasiAction, fset: FiniteSubset, table: list, eps: Fraction) -> VerificationReport:
+def _count(qa: QuasiAction, fset: FiniteSubset, table: np.ndarray,
+           eps: Fraction) -> VerificationReport:
     g, n, keys = qa.owner, qa.carrier_n, qa.keys
     one, f_elems = g.identity, list(fset)
-    fixed = _slot_facts(qa, [(e,) for e in [one, *f_elems]], fixpoint_count)
+    f_ids, k = qa._ids(f_elems), len(f_elems)
+    fixed = _slot_facts(qa, [qa._ids([one, *f_elems])], fixpoint_count)
+    key_of = list(map(keys.__getitem__, qa.elements))
     return VerificationReport(
         carrier_n=n,
         epsilon=eps,
         f_keys=tuple(keys[e] for e in f_elems),
-        a_counts=tuple(n - a for a in _slot_counts(qa, [
-            [e for e in f_elems for _ in f_elems], f_elems * len(f_elems), table], _agreements)),
+        a_counts=tuple(n - a for a in _slot_counts(
+            qa, [np.repeat(f_ids, k), np.tile(f_ids, k), table], _agreements)),
         identity_defect=Defect(n - fixed[0], n),
         c_agreements=tuple(c for e, c in zip(f_elems, fixed[1:]) if e != one),
-        product_keys=tuple(map(keys.__getitem__, table)),
+        product_keys=tuple(map(key_of.__getitem__, table.tolist())),
         identity_key=keys[one],
     )
 
 
 def _count_strict(qa: QuasiAction, fset: FiniteSubset, eps: Fraction) -> StrictChecks:
-    g, n, maps, keys = qa.owner, qa.carrier_n, qa.assignment, qa.keys
+    g, n, keys, ids = qa.owner, qa.carrier_n, qa.keys, qa.ids
     one = g.identity
-    missing = [g._inv(e) for e in fset if g._inv(e) not in maps]
+    missing = [g._inv(e) for e in fset if g._inv(e) not in ids]
     if missing:
         raise IncompleteSupportError(
             g.element_key(missing[0]), "strict mode needs F^-1 in the support")
-    others = sorted((e for e in maps if e != one), key=keys.__getitem__)
-    fixed = _slot_facts(qa, [(e,) for e in [one, *others]], fixpoint_count)
-    bijective = _slot_facts(qa, [(e,) for e in others], FiniteMap.is_bijection)
-    paired = [(e, g._inv(e)) for e in others if g._inv(e) in maps]
-    inverse_exact = dict(zip((e for e, _ in paired), _slot_facts(  # y is exactly x's inverse
-        qa, paired, lambda x, y: x.is_bijection() and y == inverse_map(x))))
+    others = sorted((e for e in qa.elements if e != one), key=keys.__getitem__)
+    fixed = _slot_facts(qa, [qa._ids([one, *others])], fixpoint_count)
+    bijective = _slot_facts(qa, [qa._ids(others)], FiniteMap.is_bijection)
+    paired = [e for e in others if g._inv(e) in ids]
+    inverse_exact = dict(zip(paired, _slot_facts(  # y is exactly x's inverse
+        qa, [qa._ids(paired), qa._ids(map(g._inv, paired))],
+        lambda x, y: x.is_bijection() and y == inverse_map(x))))
     ordered = sorted({*fset, one}, key=keys.__getitem__)
-    lefts, rights = zip(*itertools.combinations(ordered, 2)) if len(ordered) > 1 else ((), ())
+    o = qa._ids(ordered)
+    left, right = np.triu_indices(len(o), 1)  # row-major, as itertools.combinations
     return StrictChecks(
         n, eps, fixed[0] == n, tuple(map(bool, bijective)), tuple(c == 0 for c in fixed[1:]),
         tuple(None if e not in inverse_exact else bool(inverse_exact[e]) for e in others),
-        tuple(n - a for a in _slot_counts(qa, [lefts, rights], _agreements)),  # row-major
+        tuple(n - a for a in _slot_counts(qa, [o[left], o[right]], _agreements)),
         tuple(keys[e] for e in ordered),
     )
 
@@ -438,23 +499,37 @@ def _slot_from_json(entry, cells: int, fiber: Fiber | None, member) -> FiniteMap
     return fmap
 
 
-def _table_from_json(s) -> list[FiniteMap]:
-    """One slot's table: each distinct entry decoded, hashed and sifted once."""
+def _table_from_json(s) -> tuple[tuple, list[FiniteMap]]:
+    """One slot's layout (cells, fiber) and table: each distinct entry
+    decoded, hashed and sifted once."""
     from .constructions.girth import fiber_from_json  # constructions imports this module
 
     cells = _field(s, "cells", _decode_int)
     fiber = _field(s, "fiber", lambda f: (None, None) if f is None else fiber_from_json(f))
-    return [_slot_from_json(e, cells, *fiber) for e in _field(s, "maps", _decode_list)]
+    table = [_slot_from_json(e, cells, *fiber) for e in _field(s, "maps", _decode_list)]
+    return (cells, fiber[0]), table
 
 
-def _map_from_json(value, tables: list) -> FiniteMap:
+def _indices_from_json(value, tables: list) -> list[int]:
     """One assignment value: a list of one index per slot into its table."""
     at = _decode_ints(value, len(tables))
     if not all(0 <= i < len(t) for i, t in zip(at, tables)):
         raise DomainError(f"map indices {at} are not all below their tables' sizes "
                           f"{[len(t) for t in tables]}")
-    slots = [t[i] for i, t in zip(at, tables)]
-    return slots[0] if len(slots) == 1 else FiniteMap.product(slots)
+    return at
+
+
+def _in_first_use_order(qa: QuasiAction) -> bool:
+    """Whether each slot's table lists each slot map in use once, in order of
+    first use over the sorted keys: the tables slot_tables interns."""
+    tables, index = qa.slot_tables
+    in_key_order = index[qa._ids(sorted(qa.elements, key=qa.keys.__getitem__))]
+    for t, used in zip(tables, in_key_order.T):
+        top = np.maximum.accumulate(np.r_[-1, used])  # top[i]: the largest of used[:i]
+        if ((used > top[:-1] + 1).any() or top[-1] != len(t) - 1  # a new entry is top + 1
+                or len({m.packed.tobytes() for m in t}) < len(t)):
+            return False
+    return True
 
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
@@ -470,6 +545,7 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """
     g = qa.owner
     tables, index = qa.slot_tables
+    keys = map(qa.keys.__getitem__, qa.elements)
     doc = {
         "format": FORMAT,
         "group": g.describe(),
@@ -479,7 +555,7 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
         "slots": [{"cells": cells, "maps": table, "fiber": None if v is None else {
             "degree": v.degree, "generators": v.generators, "order": v.order}}
             for (cells, v), table in zip(qa.layout, tables)],
-        "assignment": {qa.keys[elem]: index[elem] for elem in qa.assignment},
+        "assignment": dict(zip(keys, index.tolist())),
         "report": report_to_json(report),
     }
     return canonical_json(doc, default=_slot_to_json) + "\n"
@@ -513,23 +589,19 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
         )
     g = _field(doc, "group", group_from_json)
     carrier_n = _field(doc, "carrier_n", _decode_int)
-    # Per slot, its table of distinct slot maps; QuasiAction checks each map's n.
-    tables = _field(doc, "slots", lambda v: [_table_from_json(s) for s in _decode_list(v)])
-    if not tables:
+    # Per slot, its layout and its table of distinct slot maps.
+    slots = _field(doc, "slots", lambda v: [_table_from_json(s) for s in _decode_list(v)])
+    if not slots:
         raise DomainError("field 'slots': a certificate has at least one slot")
-    assignment = _field(doc, "assignment", lambda v: dict(zip(
+    tables = [t for _, t in slots]
+    index = _field(doc, "assignment", lambda v: dict(zip(
         _elements_from_keys(g, _decode_object(v)),
-        [_map_from_json(e, tables) for e in v.values()],
+        [_indices_from_json(e, tables) for e in v.values()],
     )))
     claimed_f = FiniteSubset(g, _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v))))
-    qa = QuasiAction(
-        g,
-        carrier_n,
-        assignment,
-        claimed_f,
-        _field(doc, "epsilon", parse_fraction),
-    )
-    if qa.slot_tables[0] != tables:  # the tables emit_certificate writes for these maps
+    qa = QuasiAction._from_slots(g, carrier_n, tuple(layout for layout, _ in slots), tables,
+                                 index, claimed_f, _field(doc, "epsilon", parse_fraction))
+    if not _in_first_use_order(qa):  # the tables emit_certificate writes for these maps
         raise InvariantViolationError("a slot's table must list each slot map in use once, "
                                       "in order of first use over the sorted keys")
     stored = _field(doc, "report", _decode_object)

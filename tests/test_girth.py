@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -114,8 +115,30 @@ class TestSearch:
         assert assert_girth_by_oracle(v) <= 8 * 7**3 + 8 * 7**2 + 8 * 7 + 8
 
     def test_unreachable_cap_fails(self):
-        with pytest.raises(SearchFailureError):
+        # Every draw exceeds the cap, so the message names the cap.
+        with pytest.raises(SearchFailureError,
+                           match="all 40 draws exceeded order cap 30; raise the cap"):
             girth_group_search(4, 4, order_cap=30, seed=0, attempts_per_degree=5)
+
+    def test_failure_names_the_schedule_when_draws_have_short_cycles(self, monkeypatch):
+        # Every draw under the cap has a short cycle: a larger cap cannot help.
+        from quasiact.constructions import girth
+
+        def short_cycle(*args):
+            raise InvariantViolationError("graph has a cycle")
+
+        monkeypatch.setattr(girth, "_certify_word_girth", short_cycle)
+        with pytest.raises(SearchFailureError) as exc:
+            girth_group_search(2, 4, order_cap=10**15, seed=0, attempts_per_degree=2)
+        message = str(exc.value)
+        assert "the degree schedule (degrees 6-14) ran out; 18 draws within order cap" in message
+        assert "0 exceeded the cap" in message and "raise the cap" not in message
+
+    def test_failure_counts_both_refusals(self):
+        with pytest.raises(SearchFailureError, match=re.escape(
+                "the degree schedule (degrees 8-14) ran out; 1 draws within order cap 100000 had "
+                "a reduced word of length <= 6 equal to the identity, 6 exceeded the cap")):
+            girth_group_search(3, 6, order_cap=100_000, seed=0, attempts_per_degree=1)
 
     def test_deterministic_per_seed(self):
         a = girth_group_search(2, 4, order_cap=5000, seed=3)

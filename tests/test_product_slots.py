@@ -411,7 +411,7 @@ def stacked_verify(qa, f=None, epsilon=None, strict=False) -> VerificationReport
     g = qa.owner
     fset = qa.claimed_f if f is None else FiniteSubset(g, f)
     eps = qa.claimed_epsilon if epsilon is None else epsilon
-    table = qa._products(fset)
+    table = [qa.elements[i] for i in qa._products(fset)]  # the products, by id
     one = g.identity
     n = qa.carrier_n
     maps = qa.assignment
@@ -528,8 +528,8 @@ class TestDistinctSlotVerifyAgainstStackedOracle:
             assert outcome(verify, qa, f, eps, strict) == outcome(stacked_verify, qa, f, eps, strict)
         tables, index = qa.slot_tables
         assert all(len(t) <= len(qa.assignment) for t in tables)
-        assert all(qa.map_for(e) == FiniteMap.product([t[i] for t, i in zip(tables, index[e])])
-                   for e in qa.assignment)
+        assert all(qa.map_for(e) == FiniteMap.product([t[i] for t, i in zip(tables, row)])
+                   for e, row in zip(qa.elements, index))
 
     @settings(max_examples=40, deadline=None)
     @given(repeating_actions(), st.integers(1, 9), st.integers(1, 9), st.booleans(),
