@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..errors import DomainError, PreconditionError
 from ..finmap import FiniteMap, identity_like, shift_map
 from ..groups import FiniteSubset, GroupHandle, ProductGroup, pair_products
@@ -77,8 +79,8 @@ def direct_product_qa(
     Each factor must verify at (F_i, epsilon); the output claims the product
     F at k*epsilon for k factors, and its measured defects never exceed the
     sum of the factor defects.  A k*epsilon of 1 or more is no bound, so it
-    raises PreconditionError.  A product map's slots are its factors' slots
-    (FiniteMap.product): no carrier size cap, and a factor may be fibered.
+    raises PreconditionError.  Its slot tables are its factors' tables: no
+    map is built, there is no carrier size cap, and a factor may be fibered.
     """
     if not inputs:
         raise DomainError("direct product needs at least one factor")
@@ -98,14 +100,16 @@ def direct_product_qa(
     if len(inputs) == 1:
         return inputs[0][0]
 
-    group = ProductGroup([qa.owner for qa, _ in inputs])
-    assignment = {
-        combo: FiniteMap.product([qa.assignment[g] for (qa, _), g in zip(inputs, combo)])
-        for combo in itertools.product(*(qa.assignment.keys() for qa, _ in inputs))
-    }
-    f_out = FiniteSubset(group, itertools.product(*(fset for _, fset in inputs)))
-    n = math.prod(qa.carrier_n for qa, _ in inputs)
-    return QuasiAction(group, n, assignment, f_out, claimed)
+    qas = [qa for qa, _ in inputs]
+    group = ProductGroup([qa.owner for qa in qas])
+    # Element (e_1, ..., e_k) has e_1's index row, then e_2's, ...: the
+    # factors' rows side by side, in itertools.product order.
+    grid = np.indices([len(qa.elements) for qa in qas]).reshape(len(qas), -1)
+    return QuasiAction._from_slots(
+        group, math.prod(qa.carrier_n for qa in qas), sum((qa.layout for qa in qas), ()),
+        [t for qa in qas for t in qa.slot_tables[0]], itertools.product(*(qa.elements for qa in qas)),
+        np.hstack([qa.slot_tables[1][at] for qa, at in zip(qas, grid)]),
+        FiniteSubset(group, itertools.product(*(fset for _, fset in inputs))), claimed)
 
 
 def transport_qa(

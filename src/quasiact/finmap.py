@@ -71,7 +71,8 @@ class Slot(NamedTuple):
 class FiniteMap:
     """A self-map of a finite carrier: per slot, one image per cell and,
     over a fiber V, one label per cell.  ``FiniteMap(images, labels, fiber)``
-    has one slot; ``FiniteMap.product(maps)`` has the maps' slots in order.
+    has one slot; ``FiniteMap.product(maps)`` has the maps' slots in order,
+    as a product action's map, built when its assignment is read.
 
     Labels must lie in V, which is not checked here: the free product builds
     them from V's generators, and the certificate loader sifts each one into
@@ -166,9 +167,6 @@ class FiniteMap:
     def is_bijection(self) -> bool:
         """Whether every slot's cell map is a bijection; v -> v * w is one on V."""
         return all(np.bincount(s.images, minlength=s.images.size).max() == 1 for s in self.slots)
-
-    def to_list(self) -> list[int]:
-        return [int(x) for x in self.points()]
 
 
 @dataclass(frozen=True)

@@ -219,17 +219,18 @@ class TableGroup(GroupHandle):
     def _check_associativity(self):
         # Light's test: the s with (xs)y = x(sy) for all x, y are closed under
         # products, so it is enough to test generators; each one is the first
-        # element that left-bracketed products of those before do not reach.
+        # element that products of those before do not reach.  The reached
+        # set is closed under its own products, so each pass doubles the
+        # length of the products it holds.
         t = np.array(self._table)
-        reached, gens = np.zeros(self._order, bool), []
+        reached = np.zeros(self._order, bool)
         while not reached.all():
             s = int(np.argmin(reached))
             if not np.array_equal(t[t[:, s]], t[:, t[s]]):  # [x, y]: (xs)y and x(sy)
                 raise DomainError("multiplication table is not associative")
             reached[s], count = True, 0
-            gens.append(s)
             while count < (count := np.count_nonzero(reached)):
-                reached[t[np.ix_(reached, gens)]] = True
+                reached[t[np.ix_(reached, reached)]] = True
 
     @property
     def order(self) -> int:

@@ -57,17 +57,19 @@ CODES = 1 << 62
 
 
 class QuasiAction:
-    """A carrier size plus a finite table of group element -> map.
+    """A carrier size plus a finite table of group element -> map, held as
+    its slot tables.
 
-    Each supported element has an integer id: its position in the
-    assignment's key order (``elements``; ``ids`` maps back).  The maps share
-    one ``layout``: the same cells and fiber (or None) in every slot.  verify
-    reads them as ``slot_tables``: per slot, its distinct slot maps, and per
-    id, one index per slot.  Maps handed in one by one are validated here and
-    interned into tables on first use; a loaded certificate hands its tables
-    in as they are (``_from_slots``), and its maps are built only when
-    ``assignment`` is read.  The keys are validated once (F's by
-    FiniteSubset), and the support check builds the claimed F's F x F
+    Each supported element has an integer id: its position in key order
+    (``elements``; ``ids`` maps back, ``keys`` gives the keys).  The maps
+    share one ``layout``: the same cells and fiber (or None) in every slot.
+    ``slot_tables`` holds per slot its distinct slot maps (one-slot maps),
+    and per id one index per slot, as an (ids, slots) array numbered by
+    ``_first_use``: the same maps give the same tables whether they come one
+    by one (validated here, interned by content) or as tables
+    (``_from_slots``, from a product or a certificate).  ``assignment`` is
+    built from the tables on first read.  The keys are validated once (F's
+    by FiniteSubset), and the support check builds the claimed F's F x F
     product table of ids, once."""
 
     def __init__(
@@ -78,81 +80,65 @@ class QuasiAction:
         claimed_f: FiniteSubset | Iterable,
         claimed_epsilon: Fraction,
     ):
-        self._claim(owner, carrier_n, claimed_f, claimed_epsilon)
-        table = {}
-        layout = None
+        maps, layout = {}, ()
         for elem, fmap in assignment.items():
             owner.check_element(elem)
             if not isinstance(fmap, FiniteMap):
                 fmap = FiniteMap(fmap)
-            if fmap.n != self.carrier_n:
+            if fmap.n != int(carrier_n):
                 raise DomainError(
                     f"map for {owner.element_key(elem)} has carrier {fmap.n}, "
-                    f"expected {self.carrier_n}"
+                    f"expected {int(carrier_n)}"
                 )
-            if table and fmap.layout != layout:
+            if maps and fmap.layout != layout:
                 raise DomainError("a quasi-action's maps must share one fiber and size per slot")
             layout = fmap.layout
-            table[elem] = fmap
-        self.assignment = table  # set, so the cached property below is not used
-        self._support(table, layout)
+            maps[elem] = fmap
+        seen = [{} for _ in layout]  # per slot, a slot map's bytes -> (its number, a map using it)
+        index = [[t.setdefault(s.images.tobytes() + s.labels.tobytes(), (len(t), m))[0]
+                  for t, s in zip(seen, m.slots)] for m in maps.values()]
+        tables = [[m if len(layout) == 1 else FiniteMap._of([m.slots[s]]) for _, m in t.values()]
+                  for s, t in enumerate(seen)]
+        self._set(owner, carrier_n, layout, tables, maps, index, claimed_f, claimed_epsilon)
 
     @classmethod
-    def _from_slots(cls, owner: GroupHandle, carrier_n: int, layout: tuple, tables: list,
-                    index: Mapping, claimed_f, claimed_epsilon: Fraction) -> QuasiAction:
-        """The action whose element e maps by tables[s][index[e][s]] in each
-        slot s.  The caller vouches for the rest: the elements are decoded,
-        each table holds one-slot maps of its slot's layout, and each index
-        is in range."""
-        qa = cls.__new__(cls)
-        qa._claim(owner, carrier_n, claimed_f, claimed_epsilon)
-        n = math.prod(cells * (1 if v is None else v.order) for cells, v in layout)
-        if n != qa.carrier_n:
-            raise DomainError(f"the slots' layout has carrier {n}, expected {qa.carrier_n}")
-        qa.slot_tables = tables, np.array(list(index.values()), np.intp).reshape(-1, len(layout))
-        qa._support(index, layout)
-        return qa
+    def _from_slots(cls, *args) -> QuasiAction:
+        """The action (owner, carrier_n, layout, tables, elements, index,
+        claimed_f, claimed_epsilon) whose elements[i] maps by
+        tables[s][index[i][s]] in each slot s.  The caller vouches that the
+        elements are decoded and distinct, each table holds distinct one-slot
+        maps of its slot's layout, and each index is in range."""
+        return cls.__new__(cls)._set(*args)
 
-    def _claim(self, owner, carrier_n, claimed_f, claimed_epsilon) -> None:
+    def _set(self, owner, carrier_n, layout, tables, elements, index, claimed_f,
+             claimed_epsilon) -> QuasiAction:
         self.owner = owner
         self.carrier_n = int(carrier_n)
         self.claimed_f = FiniteSubset(owner, claimed_f)
         self.claimed_epsilon = check_epsilon(claimed_epsilon)
-        self._counts = {}  # verify's reports on the claimed F by strictness, at any epsilon
-
-    def _support(self, elements: Iterable, layout: tuple | None) -> None:
         self.layout = layout
-        self.elements = tuple(elements)
-        self.ids = {elem: i for i, elem in enumerate(self.elements)}
+        elements = list(elements)
+        keys = [owner.element_key(e) for e in elements]
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
+        self.elements = tuple(elements[i] for i in by_key)
+        self.keys = {e: keys[i] for e, i in zip(self.elements, by_key)}
+        self.ids = {e: i for i, e in enumerate(self.elements)}
         self._claimed_products = self._products(self.claimed_f)
-
-    @cached_property
-    def keys(self) -> dict:
-        return {elem: self.owner.element_key(elem) for elem in self.elements}
+        n = math.prod(cells * (1 if v is None else v.order) for cells, v in layout)
+        if n != self.carrier_n:
+            raise DomainError(f"the slots' layout has carrier {n}, expected {self.carrier_n}")
+        index = np.asarray(index, np.intp).reshape(len(keys), len(layout))[by_key]
+        self.slot_tables = _first_use(tables, index)
+        self._counts = {}  # verify's reports on the claimed F by strictness, at any epsilon
+        return self
 
     @cached_property
     def assignment(self) -> dict:
-        """Element -> map, built from the slot tables (for a loaded action)."""
+        """Element -> map, built from the slot tables on first read."""
         tables, index = self.slot_tables
         maps = ([t[i] for t, i in zip(tables, row)] for row in index.tolist())
         return {e: m[0] if len(m) == 1 else FiniteMap.product(m)
                 for e, m in zip(self.elements, maps)}
-
-    @cached_property
-    def slot_tables(self) -> tuple[list[list[FiniteMap]], np.ndarray]:
-        """The maps by slot: per slot, its distinct slot maps (one-slot maps)
-        in order of first use over the elements sorted by key, and per id the
-        index of its map's slot in each slot's table, as an (ids, slots) array."""
-        seen, tables = [{} for _ in self.layout], [[] for _ in self.layout]
-        index = np.empty((len(self.elements), len(self.layout)), np.intp)
-        for elem in sorted(self.elements, key=self.keys.__getitem__):
-            fmap = self.assignment[elem]
-            index[self.ids[elem]] = [t.setdefault(s.images.tobytes() + s.labels.tobytes(), len(t))
-                                     for t, s in zip(seen, fmap.slots)]
-            for t, table, s in zip(seen, tables, fmap.slots):
-                if len(t) > len(table):  # this slot map is new
-                    table.append(fmap if len(tables) == 1 else FiniteMap._of([s]))
-        return tables, index
 
     def _products(self, fset: FiniteSubset) -> np.ndarray:
         """The ids of the products e*f for e, f in F, row by row, once the
@@ -184,6 +170,21 @@ def require_dense(qa: QuasiAction, construction: str) -> None:
     if slots > 1 or qa.layout[0][1] is not None:
         kind = f"have {slots} slots (a direct product)" if slots > 1 else "are fibered"
         raise PreconditionError(f"{construction} reads dense carrier images; its maps {kind}")
+
+
+def _first_use(tables: list, index: np.ndarray) -> tuple[list, np.ndarray]:
+    """The canonical slot tables: per slot, the entries in use, in order of
+    first use over the rows of ``index`` (the ids, in key order), and the
+    index renumbered to match.  Built, product and loaded actions all number
+    their tables so, and a certificate must state them so."""
+    out, renumbered = [], np.empty_like(index)
+    for s, table in enumerate(tables):
+        kept = list(dict.fromkeys(index[:, s].tolist()))
+        new = np.zeros(len(table), np.intp)
+        new[kept] = np.arange(len(kept))
+        renumbered[:, s] = new[index[:, s]]
+        out.append([table[i] for i in kept])
+    return out, renumbered
 
 
 class PairDefect(NamedTuple):
@@ -519,19 +520,6 @@ def _indices_from_json(value, tables: list) -> list[int]:
     return at
 
 
-def _in_first_use_order(qa: QuasiAction) -> bool:
-    """Whether each slot's table lists each slot map in use once, in order of
-    first use over the sorted keys: the tables slot_tables interns."""
-    tables, index = qa.slot_tables
-    in_key_order = index[qa._ids(sorted(qa.elements, key=qa.keys.__getitem__))]
-    for t, used in zip(tables, in_key_order.T):
-        top = np.maximum.accumulate(np.r_[-1, used])  # top[i]: the largest of used[:i]
-        if ((used > top[:-1] + 1).any() or top[-1] != len(t) - 1  # a new entry is top + 1
-                or len({m.packed.tobytes() for m in t}) < len(t)):
-            return False
-    return True
-
-
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
     (format 6).
@@ -600,8 +588,12 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     )))
     claimed_f = FiniteSubset(g, _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v))))
     qa = QuasiAction._from_slots(g, carrier_n, tuple(layout for layout, _ in slots), tables,
-                                 index, claimed_f, _field(doc, "epsilon", parse_fraction))
-    if not _in_first_use_order(qa):  # the tables emit_certificate writes for these maps
+                                 index, list(index.values()), claimed_f,
+                                 _field(doc, "epsilon", parse_fraction))
+    # The tables emit_certificate writes: _first_use kept them as they are,
+    # and no entry is stated twice.
+    if qa.slot_tables[0] != tables or any(len({m.packed.tobytes() for m in t}) < len(t)
+                                          for t in tables):
         raise InvariantViolationError("a slot's table must list each slot map in use once, "
                                       "in order of first use over the sorted keys")
     stored = _field(doc, "report", _decode_object)

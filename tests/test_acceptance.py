@@ -95,7 +95,7 @@ def test_criterion_2_good_action_suite():
         )
         # one-point perturbation on an element of F~.F~ \ F~, sized exactly
         # to the eps/10 budget (defect 1/12) without creating a fixpoint
-        images = phi.assignment[3].to_list()
+        images = phi.assignment[3].points().tolist()
         images[0] = 4
         phi = with_map(phi, 3, FiniteMap(images))
 
@@ -127,7 +127,7 @@ def test_criterion_3_direct_product_bound():
     with criterion(3, "direct product bound", 1.0):
         def perturbed(points):
             qa = cyclic_quasi_action([1, 2], 10, epsilon=Fraction(1, 5))
-            images = qa.assignment[0].to_list()
+            images = qa.assignment[0].points().tolist()
             for p in points:
                 images[p] = (p + 5) % 10
             return with_map(qa, 0, FiniteMap(images))

@@ -29,12 +29,12 @@ class TestRegularAction:
     def test_trivial_group(self):
         qa = regular_action(TableGroup([[0]]))
         assert qa.carrier_n == 1
-        assert qa.assignment[0].to_list() == [0]
+        assert qa.assignment[0].points().tolist() == [0]
 
     def test_z2(self):
         qa = regular_action(cyclic_group(2))
-        assert qa.assignment[0].to_list() == [0, 1]
-        assert qa.assignment[1].to_list() == [1, 0]
+        assert qa.assignment[0].points().tolist() == [0, 1]
+        assert qa.assignment[1].points().tolist() == [1, 0]
         assert fixpoint_count(qa.assignment[1]) == 0
 
     def test_z6_zero_defects(self):
@@ -54,7 +54,7 @@ class TestRegularAction:
 class TestCyclicQuasiAction:
     def test_single_generator_three_cycle(self):
         qa = cyclic_quasi_action([1], 3)
-        assert qa.assignment[1].to_list() == [1, 2, 0]
+        assert qa.assignment[1].points().tolist() == [1, 2, 0]
 
     def test_twelve_points_exact(self):
         qa = cyclic_quasi_action([-2, -1, 1, 2], 12)
@@ -101,7 +101,7 @@ class TestDirectProduct:
     def test_b_defect_bounded_by_sum(self):
         def perturbed(points):
             qa = cyclic_quasi_action([1, 2], 10, epsilon=Fraction(1, 5))
-            images = qa.assignment[0].to_list()
+            images = qa.assignment[0].points().tolist()
             for p in points:
                 images[p] = (p + 5) % 10
             return with_map(qa, 0, FiniteMap(images))
@@ -149,7 +149,7 @@ class TestDirectProduct:
         # 2000**3 points: each slot holds 2000 cells, so no image passes
         # int32, and the counts are exact Python ints past 2**31.
         qa = cyclic_quasi_action([1], 2000)
-        images = qa.assignment[0].to_list()
+        images = qa.assignment[0].points().tolist()
         images[0] = 1  # the identity element's map moves one point
         qa = with_map(qa, 0, FiniteMap(images))
         prod = direct_product_qa([(qa, qa.claimed_f)] * 3, Fraction(1, 10))

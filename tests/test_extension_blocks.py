@@ -313,7 +313,7 @@ class TestClaims:
             f = data.draw(st.sets(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=2))
             qa = cyclic_quasi_action(sorted(f), data.draw(st.integers(12, 14)), epsilon)
             elem = data.draw(st.sampled_from(sorted(qa.assignment)))
-            images = qa.assignment[elem].to_list()
+            images = qa.assignment[elem].points().tolist()
             for p in data.draw(st.sets(st.integers(0, qa.carrier_n - 1), max_size=1)):
                 images[p] = data.draw(st.integers(0, qa.carrier_n - 1))
             inputs.append((with_map(qa, elem, FiniteMap(images)), FiniteSubset(qa.owner, f)))

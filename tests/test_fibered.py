@@ -161,7 +161,7 @@ class TestFiberedMapsAgainstDenseForms:
             FiniteMap([1, 0], [[0], [0]])
         fibered = FiniteMap([1, 0], [(1, 0, 2), (0, 2, 1)], Fiber(SMALL_FIBERS[0], 6))
         assert fibered != FiniteMap([1, 0]) and fibered.n == 12
-        for op in (FiniteMap.points, FiniteMap.to_list, fixpoint_set, double):
+        for op in (FiniteMap.points, fixpoint_set, double):
             with pytest.raises(DomainError, match="no list of points"):
                 op(fibered)
 

@@ -37,13 +37,13 @@ class TestBallMap:
     def test_pure_translation_is_fixpoint_free(self):
         g = IntegerFinitaryGroup()
         m = ball_map(g.make(1, {}), 21)
-        assert m.to_list() == [(t + 1) % 21 for t in range(21)]
+        assert m.points().tolist() == [(t + 1) % 21 for t in range(21)]
         assert fixpoint_count(m) == 0
 
     def test_pure_permutation_moves_only_ball(self):
         g = IntegerFinitaryGroup()
         m = ball_map(g.make(0, {0: 1, 1: 0}), 21)
-        moved = {t for t, image in enumerate(m.to_list()) if image != t}
+        moved = {t for t, image in enumerate(m.points().tolist()) if image != t}
         assert moved == {0, 1}
 
     @pytest.mark.parametrize("modulus", [41, 50])
@@ -54,7 +54,7 @@ class TestBallMap:
         for k, moved in enumerate_finitary_elements(2):
             sigma = dict(moved)
             expected = [(sigma.get(ball[t], ball[t]) if t in ball else t) + k for t in range(modulus)]
-            assert ball_map((k, moved), modulus).to_list() == [x % modulus for x in expected]
+            assert ball_map((k, moved), modulus).points().tolist() == [x % modulus for x in expected]
 
 
 @pytest.fixture(scope="module")

@@ -65,7 +65,7 @@ def composition_defect(e: FiniteMap, f: FiniteMap, ef: FiniteMap) -> Defect:
 
 def compose_oracle(e: FiniteMap, f: FiniteMap) -> list[int]:
     # Pointwise evaluation, kept independent of the array implementation.
-    images_e, images_f = e.to_list(), f.to_list()
+    images_e, images_f = e.points().tolist(), f.points().tolist()
     return [images_f[images_e[a]] for a in range(e.n)]
 
 
@@ -91,17 +91,17 @@ class TestCompose:
     def test_order_fixes_convention(self):
         e = constant_map(2, 0)
         f = swap_map(2, 0, 1)
-        assert compose(e, f).to_list() == [1, 1]
-        assert compose(f, e).to_list() == [0, 0]
+        assert compose(e, f).points().tolist() == [1, 1]
+        assert compose(f, e).points().tolist() == [0, 0]
 
     def test_three_cycle_squared(self):
         e = FiniteMap([1, 2, 0])
-        assert compose(e, e).to_list() == [2, 0, 1]
+        assert compose(e, e).points().tolist() == [2, 0, 1]
 
     def test_matches_pointwise_oracle(self):
         e = FiniteMap([2, 2, 0, 1, 3])
         f = FiniteMap([4, 0, 1, 1, 2])
-        assert compose(e, f).to_list() == compose_oracle(e, f)
+        assert compose(e, f).points().tolist() == compose_oracle(e, f)
 
     def test_size_mismatch(self):
         with pytest.raises(CarrierMismatchError):
@@ -190,7 +190,7 @@ class TestDouble:
 
     def test_three_cycle(self):
         d = double(FiniteMap([1, 2, 0]))
-        assert d.to_list() == [1, 2, 0, 4, 5, 3]
+        assert d.points().tolist() == [1, 2, 0, 4, 5, 3]
         assert fixpoint_set(d) == frozenset()
 
     @given(maps())
@@ -205,8 +205,8 @@ class TestDouble:
 
 class TestHelpers:
     def test_shift_map_wraps(self):
-        assert shift_map(5, 7).to_list() == [2, 3, 4, 0, 1]
-        assert shift_map(5, -1).to_list() == [4, 0, 1, 2, 3]
+        assert shift_map(5, 7).points().tolist() == [2, 3, 4, 0, 1]
+        assert shift_map(5, -1).points().tolist() == [4, 0, 1, 2, 3]
 
     @pytest.mark.parametrize("build", [lambda n: shift_map(n, 1), identity_map])
     @pytest.mark.parametrize("n", [2**31, 0])
@@ -249,11 +249,11 @@ class TestHelpers:
         images = np.arange(3, dtype=np.int32)
         fmap = FiniteMap(images)
         images[0] = 2  # the caller's array is not frozen under it
-        assert fmap.to_list() == [0, 1, 2]
+        assert fmap.points().tolist() == [0, 1, 2]
         view = np.arange(6, dtype=np.int32)[::2] // 2
         shared = FiniteMap(view)
         view[0] = 1
-        assert shared.to_list() == [0, 1, 2]
+        assert shared.points().tolist() == [0, 1, 2]
         with pytest.raises(ValueError):
             fmap.packed[0] = 1
 

@@ -41,7 +41,7 @@ def perturbed_shift_action(epsilon):
     point; 3 lies outside F~ = {-2..2} for F = {1}, so the damage shows up
     only through condition (a) products, at exactly 1/12 = epsilon/10."""
     phi = cyclic_quasi_action([1], 12, epsilon=epsilon / 10, extra_support=range(-4, 5))
-    images = phi.assignment[3].to_list()
+    images = phi.assignment[3].points().tolist()
     images[0] = 4  # not 3 (the honest value), not 0 (would create a fixpoint)
     return with_map(phi, 3, FiniteMap(images))
 
@@ -162,7 +162,7 @@ class TestDocumentedClaims:
     def test_similarity_and_difference(self, modulus, f, eps, damage):
         phi = cyclic_quasi_action(f, modulus, eps / 10, extra_support=range(-12, 13))
         for k, point, target in damage:
-            images = phi.assignment[k].to_list()
+            images = phi.assignment[k].points().tolist()
             images[point % modulus] = target % modulus
             phi = with_map(phi, k, FiniteMap(images))
         tilde = symmetrized_square(phi.claimed_f)
@@ -279,7 +279,7 @@ class TestMechanicsOnBadInput:
         assert compose(out, out) == identity_map(20)  # order-2 element
         # equals the doubled input on A_e' = {0..7} doubled
         dm = double(m_e)
-        images, doubled = out.to_list(), dm.to_list()
+        images, doubled = out.points().tolist(), dm.points().tolist()
         for a in list(range(8)) + list(range(10, 18)):
             assert images[a] == doubled[a]
         # copy-swap on the doubled complement {8, 9}

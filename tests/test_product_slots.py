@@ -114,7 +114,7 @@ def cyclic_factors(draw):
     qa = cyclic_quasi_action(f, draw(st.integers(12, 14)), EPS)
     if draw(st.booleans()):
         elem = draw(st.sampled_from(sorted(qa.assignment)))
-        images = qa.assignment[elem].to_list()
+        images = qa.assignment[elem].points().tolist()
         images[draw(st.integers(0, qa.carrier_n - 1))] = draw(st.integers(0, qa.carrier_n - 1))
         qa = with_map(qa, elem, FiniteMap(images))
     return qa, qa, None
@@ -477,16 +477,28 @@ def stacked_verify(qa, f=None, epsilon=None, strict=False) -> VerificationReport
     )
 
 
-def slot_product_qa(qas) -> QuasiAction:
+def slot_product_qa(qas, epsilon=EPS) -> QuasiAction:
     """direct_product_qa's maps and F with no precondition checked, so that
-    products nest and perturbed factors combine at any epsilon."""
+    products nest and perturbed factors combine at any epsilon.  It builds
+    every product map (FiniteMap.product) and hands them in one by one, so
+    its tables are interned by content: the oracle for direct_product_qa,
+    which combines its factors' tables and index rows."""
     group = ProductGroup([qa.owner for qa in qas])
     assignment = {
         combo: FiniteMap.product([qa.assignment[g] for qa, g in zip(qas, combo)])
         for combo in itertools.product(*(qa.assignment for qa in qas))
     }
     f = FiniteSubset(group, itertools.product(*(qa.claimed_f for qa in qas)))
-    return QuasiAction(group, math.prod(qa.carrier_n for qa in qas), assignment, f, EPS)
+    return QuasiAction(group, math.prod(qa.carrier_n for qa in qas), assignment, f, epsilon)
+
+
+def same_action(qa, other) -> None:
+    """Equal slot tables (entries and index), maps and certificate bytes."""
+    assert qa.elements == other.elements and qa.layout == other.layout
+    (tables, index), (other_tables, other_index) = qa.slot_tables, other.slot_tables
+    assert tables == other_tables and np.array_equal(index, other_index)
+    assert qa.assignment == other.assignment
+    assert emit_certificate(qa, verify(qa)) == emit_certificate(other, verify(other))
 
 
 @st.composite
@@ -513,6 +525,44 @@ def outcome(measure, *args):
         return str(exc)
     keys = (r.product_keys, r.identity_key, r.strict and r.strict.keys)
     return canonical_json(report_to_json(r)), keys, r
+
+
+class TestProductTablesAgainstMapBuiltOracle:
+    """direct_product_qa combines its factors' tables and index rows; the
+    oracle builds each product map and interns it by content."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(factors(), st.booleans())
+    def test_product_equals_the_map_built_product(self, drawn, nest):
+        qas = [qa for qa, _, _ in drawn]
+        eps = EPS
+        if nest and len(qas) == 3:  # ((a x b) x c): inner claims 2 EPS, outer verifies at 2/5
+            inner = direct_product_qa([(qa, qa.claimed_f) for qa in qas[:2]], EPS)
+            same_action(inner, slot_product_qa(qas[:2], 2 * EPS))
+            oracle = slot_product_qa([slot_product_qa(qas[:2], 2 * EPS), qas[2]], Fraction(4, 5))
+            qas, eps = [inner, qas[2]], Fraction(2, 5)
+        else:
+            oracle = slot_product_qa(qas, EPS * len(qas))
+        prod = direct_product_qa([(qa, qa.claimed_f) for qa in qas], eps)
+        same_action(prod, oracle)
+
+    def test_fibered_factor_and_nesting(self):
+        c3, fp = _regular_c3(), _c2_free_product()
+        eps = Fraction(1, 10)
+        inner = direct_product_qa([(c3, c3.claimed_f), (fp, fp.claimed_f)], eps)
+        same_action(inner, slot_product_qa([c3, fp], 2 * eps))
+        nested = direct_product_qa([(inner, inner.claimed_f), (c3, c3.claimed_f)], 2 * eps)
+        same_action(nested, slot_product_qa([slot_product_qa([c3, fp], 2 * eps), c3], 4 * eps))
+
+
+class TestInsertionOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(repeating_actions(), st.randoms(use_true_random=False))
+    def test_any_insertion_order_gives_the_same_action(self, qa, rng):
+        items = list(qa.assignment.items())
+        rng.shuffle(items)
+        same_action(QuasiAction(qa.owner, qa.carrier_n, dict(items), qa.claimed_f,
+                                qa.claimed_epsilon), qa)
 
 
 class TestDistinctSlotVerifyAgainstStackedOracle:

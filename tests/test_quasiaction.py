@@ -14,6 +14,7 @@ from quasiact import (
     FiniteMap,
     FiniteSubset,
     IntegerGroup,
+    ProductGroup,
     QuasiAction,
     TableGroup,
     compose,
@@ -95,7 +96,7 @@ class TestVerify:
         import itertools
 
         qa = integer_shifts([-2, -1, 1, 2], 12, range(-4, 5))
-        perturbed = qa.assignment[1].to_list()
+        perturbed = qa.assignment[1].points().tolist()
         perturbed[0] = 3
         qa = with_map(qa, 1, FiniteMap(perturbed))
         eps = Fraction(1, 4)
@@ -131,6 +132,16 @@ class TestVerify:
         assign = {k: shift_map(12, k) for k in [0, 1]}
         with pytest.raises(IncompleteSupportError):
             QuasiAction(z, 12, assign, FiniteSubset(z, [1]), Fraction(1, 2))
+
+    @pytest.mark.parametrize("group,f,identity_key", [
+        (IntegerGroup(), [1], "0"), (cyclic_group(3), [1, 2], "0"),
+        (ProductGroup([IntegerGroup(), cyclic_group(2)]), [(1, 1)], "[0,0]"),
+    ])
+    def test_empty_assignment_names_the_identity(self, group, f, identity_key):
+        # No map, so no layout: the support check still runs first.
+        with pytest.raises(IncompleteSupportError) as err:
+            QuasiAction(group, 12, {}, FiniteSubset(group, f), Fraction(1, 2))
+        assert err.value.element_key == identity_key
 
     def test_exact_homomorphism_all_epsilons(self):
         qa = integer_shifts([-2, -1, 1, 2], 12, range(-4, 5))
@@ -355,7 +366,7 @@ def near_regular_actions(draw):
     m = draw(st.integers(1, 10))
     n = order * m
     g = cyclic_group(order)
-    assign = {k: shift_map(n, k * m).to_list() for k in range(order)}
+    assign = {k: shift_map(n, k * m).points().tolist() for k in range(order)}
     for _ in range(draw(st.integers(0, 2))):
         images = assign[draw(st.integers(0, order - 1))]
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -555,7 +566,7 @@ class TestCertificateCodec:
         if fmt is None:
             del doc["format"]
             doc["assignment"] = {
-                qa.owner.element_key(e): m.to_list() for e, m in qa.assignment.items()
+                qa.owner.element_key(e): m.points().tolist() for e, m in qa.assignment.items()
             }
         else:
             doc["format"] = fmt
@@ -569,7 +580,7 @@ class TestCertificateCodec:
     def test_loads_only_the_report_its_maps_give(self, qa, epsilon, strict, data):
         # Store the report of a perturbed copy beside qa's own maps.
         elem = data.draw(st.sampled_from(sorted(qa.assignment)))
-        images = qa.map_for(elem).to_list()
+        images = qa.map_for(elem).points().tolist()
         points = st.integers(0, qa.carrier_n - 1)
         images[data.draw(points)] = data.draw(points)
         stored = verify(with_map(qa, elem, FiniteMap(images)), epsilon=epsilon, strict=strict)
@@ -649,7 +660,7 @@ class TestExtendAssignment:
         qa = integer_shifts([1], 12, range(-2, 3))
         out = extend_assignment(qa, [7])
         pad = out.assignment[7]
-        assert pad.to_list()[:4] == [1, 0, 3, 2]
+        assert pad.points().tolist()[:4] == [1, 0, 3, 2]
         from quasiact import compose, fixpoint_count, identity_map as idm
 
         assert compose(pad, pad) == idm(12)
