@@ -21,6 +21,23 @@ from .errors import DomainError, GroupMismatchError
 from .util import canonical_json
 
 
+# Rows of numbers are coded as one int64 below CODES each, the codes being
+# numbered densely first whenever the next column could pass it.
+CODES = 1 << 62
+
+
+def _row_codes(columns: Iterable[np.ndarray], sizes: Iterable[int]) -> np.ndarray:
+    """One int64 code per row of the parallel columns, column j's entries in
+    range(sizes[j]): two rows are equal iff their codes are."""
+    code, size = 0, 1
+    for c, n in zip(columns, sizes):
+        if size > 1 and size * n > CODES:
+            _, code = np.unique(code, return_inverse=True)
+            size = len(code)
+        code, size = code * n + c, size * n
+    return code
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -97,6 +114,26 @@ class GroupHandle:
         """The products x*y of the parallel lists xs and ys, whose elements
         the caller has already checked: one batch, by default the _mul loop."""
         return list(map(self._mul, xs, ys))
+
+    # Id-level batches: each takes a support, checked elements in id order,
+    # and answers with positions in it, -1 for an element outside it.
+    def _product_ids(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The position of support[x]*support[y] for the parallel positions
+        xs and ys: by default the _mul_many batch and a dict lookup."""
+        ids = {e: i for i, e in enumerate(support)}
+        products = self._mul_many([support[x] for x in xs.tolist()],
+                                  [support[y] for y in ys.tolist()])
+        return np.fromiter(map(ids.get, products, itertools.repeat(-1)), np.intp, len(products))
+
+    def _inverse_ids(self, support: Sequence) -> np.ndarray:
+        """The position of each element's inverse: by default the _inv loop
+        and a dict lookup."""
+        ids = {e: i for i, e in enumerate(support)}
+        return np.fromiter((ids.get(self._inv(e), -1) for e in support), np.intp, len(support))
+
+    def _keys_many(self, xs: Sequence) -> list[str]:
+        """element_key of each of the checked elements xs."""
+        return list(map(self.element_key, xs))
 
     def contains(self, x) -> bool:
         raise NotImplementedError
@@ -182,16 +219,18 @@ class TableGroup(GroupHandle):
 
     def __init__(self, table: list[list[int]]):
         n = len(_decode_list(table))
-        rows = tuple(tuple(_decode_ints(row, n)) for row in table)
+        rows = [_decode_ints(row, n) for row in table]
         if n == 0 or any(not 0 <= x < n for row in rows for x in row):
             raise DomainError("multiplication table is not square over {0..n-1}")
-        self._setup(rows)
+        self._setup(np.array(rows, np.intp))
 
-    def _setup(self, rows: tuple[tuple[int, ...], ...]) -> TableGroup:
-        """Take rows, a square table of Python ints over {0..n-1}, once its
-        identity, inverses and associativity check out."""
-        self._table = rows
-        self._order = len(rows)
+    def _setup(self, table: np.ndarray) -> TableGroup:
+        """Take table, a square int array over {0..n-1}, once its identity,
+        inverses and associativity check out.  The array is kept for the
+        associativity check, and its rows as Python ints for _mul."""
+        self._table = table
+        self._rows = tuple(map(tuple, table.tolist()))
+        self._order = len(table)
         self._identity = self._find_identity()
         self._inverses = self._find_inverses()
         self._check_associativity()
@@ -199,19 +238,19 @@ class TableGroup(GroupHandle):
 
     def _find_identity(self) -> int:
         for e in range(self._order):
-            if all(self._table[e][x] == x == self._table[x][e] for x in range(self._order)):
+            if all(self._rows[e][x] == x == self._rows[x][e] for x in range(self._order)):
                 return e
         raise DomainError("table has no identity element")
 
     def _find_inverses(self) -> tuple[int, ...]:
         inverses = []
         for a in range(self._order):
-            row = self._table[a]
+            row = self._rows[a]
             try:
                 b = row.index(self._identity)
             except ValueError:
                 raise DomainError(f"element {a} has no inverse") from None
-            if self._table[b][a] != self._identity:
+            if self._rows[b][a] != self._identity:
                 raise DomainError(f"element {a} has no two-sided inverse")
             inverses.append(b)
         return tuple(inverses)
@@ -222,7 +261,7 @@ class TableGroup(GroupHandle):
         # element that products of those before do not reach.  The reached
         # set is closed under its own products, so each pass doubles the
         # length of the products it holds.
-        t = np.array(self._table)
+        t = np.asarray(self._table)
         reached = np.zeros(self._order, bool)
         while not reached.all():
             s = int(np.argmin(reached))
@@ -241,7 +280,7 @@ class TableGroup(GroupHandle):
         return self._identity
 
     def _mul(self, a: int, b: int) -> int:
-        return self._table[a][b]
+        return self._rows[a][b]
 
     def _inv(self, a: int) -> int:
         return self._inverses[a]
@@ -256,7 +295,7 @@ class TableGroup(GroupHandle):
         return self.check_element(_decode_int(obj))
 
     def describe(self) -> dict:
-        return {"kind": "finite", "table": [list(row) for row in self._table]}
+        return {"kind": "finite", "table": [list(row) for row in self._rows]}
 
     @property
     def is_finite(self) -> bool:
@@ -271,7 +310,7 @@ def cyclic_group(n: int) -> TableGroup:
     if n < 1:
         raise DomainError("cyclic group order must be positive")
     i = np.arange(n)  # its entries are in range by construction: no JSON decode
-    return TableGroup.__new__(TableGroup)._setup(tuple(map(tuple, ((i[:, None] + i) % n).tolist())))
+    return TableGroup.__new__(TableGroup)._setup((i[:, None] + i) % n)
 
 
 class ProductGroup(GroupHandle):
@@ -303,6 +342,56 @@ class ProductGroup(GroupHandle):
             products = f._mul_many([x for x, _ in distinct], [y for _, y in distinct])
             columns.append(map(dict(zip(distinct, products)).__getitem__, zip(a, b)))
         return list(zip(*columns))
+
+    # The id-level batches work per coordinate: each factor numbers the
+    # distinct values of its coordinate in the support and answers for them
+    # through its own batch, and an element is its row of coordinate numbers.
+    def _coordinates(self, support: Sequence) -> list[tuple[list, np.ndarray]]:
+        """Per factor, the distinct values of its coordinate in support, in
+        order of first use, and each element's number among them."""
+        out = []
+        for i in range(len(self.factors)):
+            numbers = {}
+            column = [numbers.setdefault(x[i], len(numbers)) for x in support]
+            out.append((list(numbers), np.array(column, np.intp)))
+        return out
+
+    @staticmethod
+    def _find(coordinates: list, columns: list[np.ndarray]) -> np.ndarray:
+        """The position in the support of each row of coordinate numbers (the
+        parallel ``columns``, -1 for a value outside the support), or -1:
+        each row's code looked up among the support's sorted codes.  Numbers
+        are shifted by one, so a row with a -1 matches no element."""
+        m = len(coordinates[0][1])
+        code = _row_codes([np.concatenate([own, c]) + 1 for (_, own), c in zip(coordinates, columns)],
+                          [len(values) + 1 for values, _ in coordinates])
+        order = np.argsort(code[:m])  # distinct elements have distinct codes
+        known = code[:m][order]
+        at = np.searchsorted(known, code[m:]).clip(max=max(m - 1, 0))
+        return np.where(known[at] == code[m:], order[at], -1)
+
+    def _product_ids(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Each factor multiplies each distinct pair of its coordinate values
+        once (40^2 + 4^2 for the F x F of a 160-element product F), and no
+        product element is built."""
+        coordinates, columns = self._coordinates(support), []
+        for f, (values, own) in zip(self.factors, coordinates):
+            n = len(values)
+            pairs, at = np.unique(own[xs] * n + own[ys], return_inverse=True)
+            columns.append(f._product_ids(values, pairs // n, pairs % n)[at])
+        return self._find(coordinates, columns)
+
+    def _inverse_ids(self, support: Sequence) -> np.ndarray:
+        coordinates = self._coordinates(support)
+        return self._find(coordinates, [f._inverse_ids(values)[own] for f, (values, own)
+                                        in zip(self.factors, coordinates)])
+
+    def _keys_many(self, xs: Sequence) -> list[str]:
+        """Each factor keys each distinct value of its coordinate once; with
+        canonical_json's separators "[" + ",".join(keys) + "]" is element_key."""
+        columns = [map(f._keys_many(values).__getitem__, own.tolist())
+                   for f, (values, own) in zip(self.factors, self._coordinates(xs))]
+        return ["[" + ",".join(keys) + "]" for keys in zip(*columns)]
 
     def contains(self, x) -> bool:
         return (
@@ -600,10 +689,8 @@ class FiniteSubset:
             elements._check_owner(owner)
             self.owner, self._elements, self._set = owner, elements._elements, elements._set
             return
-        elems = {}
-        for x in elements:
-            owner.check_element(x)
-            elems[owner.element_key(x)] = x
+        elements = [owner.check_element(x) for x in elements]
+        elems = dict(zip(owner._keys_many(elements), elements))
         self.owner = owner
         self._elements = tuple(elems[k] for k in sorted(elems))
         self._set = frozenset(self._elements)

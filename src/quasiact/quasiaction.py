@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -42,7 +42,7 @@ from .errors import (
 from .finmap import Defect, Fiber, FiniteMap, after, agreements, fixpoint_count, inverse_map
 from .groups import (
     FiniteSubset, GroupHandle, _decode_int, _decode_ints, _decode_list, _decode_object,
-    _decode_str, _field, group_from_json,
+    _decode_str, _field, _row_codes, group_from_json,
 )
 from .util import canonical_json, check_epsilon, format_fraction, parse_fraction, parse_json
 
@@ -51,9 +51,6 @@ from .util import canonical_json, check_epsilon, format_fraction, parse_fraction
 # being the int32 entries of one slot map (cells x (1 + V's degree)): about
 # 1 MiB per chunk, and one map at a time on large dense carriers.
 POINTS = 1 << 18
-# verify codes a row of table indices as one int64 below CODES, numbering
-# the codes densely first whenever the next column could pass it.
-CODES = 1 << 62
 
 
 class QuasiAction:
@@ -118,7 +115,7 @@ class QuasiAction:
         self.claimed_epsilon = check_epsilon(claimed_epsilon)
         self.layout = layout
         elements = list(elements)
-        keys = [owner.element_key(e) for e in elements]
+        keys = owner._keys_many(elements)
         by_key = sorted(range(len(keys)), key=keys.__getitem__)
         self.elements = tuple(elements[i] for i in by_key)
         self.keys = {e: keys[i] for e, i in zip(self.elements, by_key)}
@@ -141,17 +138,24 @@ class QuasiAction:
                 for e, m in zip(self.elements, maps)}
 
     def _products(self, fset: FiniteSubset) -> np.ndarray:
-        """The ids of the products e*f for e, f in F, row by row, once the
-        identity, F and each product are found supported: the first missing,
-        in that order, is named."""
-        g, f_elems = self.owner, list(fset)
-        products = g._mul_many([e for e in f_elems for _ in f_elems], f_elems * len(f_elems))
-        needed = [g.identity, *f_elems, *products]
-        table = np.fromiter(map(self.ids.get, needed, itertools.repeat(-1)), np.intp, len(needed))
-        missing = np.flatnonzero(table < 0)
-        if missing.size:
-            raise IncompleteSupportError(g.element_key(needed[missing[0]]), "needed for (F, epsilon)")
-        return table[1 + len(f_elems) :]
+        """The ids of the products e*f for e, f in F, row by row, from the
+        owner's id-level batch, once the identity, F and each product are
+        found supported: the first missing, in that order, is named (only
+        that product is built, for its key)."""
+        g, f_elems, k = self.owner, list(fset), len(fset)
+
+        def missing(elem):
+            return IncompleteSupportError(g.element_key(elem), "needed for (F, epsilon)")
+
+        needed = [g.identity, *f_elems]
+        ids = np.fromiter(map(self.ids.get, needed, itertools.repeat(-1)), np.intp, len(needed))
+        if ids.min() < 0:
+            raise missing(needed[np.argmin(ids)])  # the first -1
+        table = g._product_ids(self.elements, np.repeat(ids[1:], k), np.tile(ids[1:], k))
+        if table.min(initial=0) < 0:
+            e, f = divmod(int(np.argmin(table)), k)
+            raise missing(g._mul(f_elems[e], f_elems[f]))
+        return table
 
     def _ids(self, elems: Iterable) -> np.ndarray:
         return np.fromiter(map(self.ids.__getitem__, elems), np.intp)
@@ -313,27 +317,17 @@ def _slot_counts(qa: QuasiAction, columns: list[np.ndarray], measure) -> list:
     rows = index[np.stack(columns)]  # (columns, rows, slots)
     total = np.ones(rows.shape[1], dtype=object)
     for s, t in enumerate(tables):
-        code, size = np.zeros(rows.shape[1], np.int64), 1
-        for c in rows[..., s]:
-            if size * len(t) > CODES:
-                _, code = np.unique(code, return_inverse=True)
-                size = len(code)
-            code, size = code * len(t) + c, size * len(t)
-        _, code = np.unique(code, return_inverse=True)
+        _, code = np.unique(_row_codes(rows[..., s], itertools.repeat(len(t))),
+                            return_inverse=True)
         first = np.empty(code.max(initial=-1) + 1, np.intp)
         first[code] = np.arange(len(code))  # a row of each distinct code
         total *= np.array(measure(t, rows[:, first, s].T), dtype=object)[code]
     return total.tolist()
 
 
-def _slot_facts(qa: QuasiAction, columns: list[np.ndarray], measure) -> list:
-    """Per row of the parallel id arrays ``columns``, the product over the
-    slots of measure(the row's slot maps), each distinct row of a slot's
-    slot maps measured once."""
-    tables, index = qa.slot_tables
-    once = [cache(lambda *at, t=t: measure(*map(t.__getitem__, at))) for t in tables]
-    rows = index[np.stack(columns)].transpose(1, 2, 0).tolist()  # row, slot, column
-    return [math.prod(f(*at) for f, at in zip(once, row)) for row in rows]
+def _each(fact):
+    """The _slot_counts measure that is fact(x, ...) of each row's slot maps."""
+    return lambda table, rows: [fact(*map(table.__getitem__, r)) for r in rows.tolist()]
 
 
 def _agreements(table: list[FiniteMap], rows: np.ndarray) -> list[int]:
@@ -382,8 +376,8 @@ def _count(qa: QuasiAction, fset: FiniteSubset, table: np.ndarray,
     g, n, keys = qa.owner, qa.carrier_n, qa.keys
     one, f_elems = g.identity, list(fset)
     f_ids, k = qa._ids(f_elems), len(f_elems)
-    fixed = _slot_facts(qa, [qa._ids([one, *f_elems])], fixpoint_count)
-    key_of = list(map(keys.__getitem__, qa.elements))
+    fixed = _slot_counts(qa, [qa._ids([one, *f_elems])], _each(fixpoint_count))
+    key_of = np.array(list(map(keys.__getitem__, qa.elements)), object)
     return VerificationReport(
         carrier_n=n,
         epsilon=eps,
@@ -392,33 +386,34 @@ def _count(qa: QuasiAction, fset: FiniteSubset, table: np.ndarray,
             qa, [np.repeat(f_ids, k), np.tile(f_ids, k), table], _agreements)),
         identity_defect=Defect(n - fixed[0], n),
         c_agreements=tuple(c for e, c in zip(f_elems, fixed[1:]) if e != one),
-        product_keys=tuple(map(key_of.__getitem__, table.tolist())),
+        product_keys=tuple(key_of[table].tolist()),
         identity_key=keys[one],
     )
 
 
 def _count_strict(qa: QuasiAction, fset: FiniteSubset, eps: Fraction) -> StrictChecks:
-    g, n, keys, ids = qa.owner, qa.carrier_n, qa.keys, qa.ids
-    one = g.identity
-    missing = [g._inv(e) for e in fset if g._inv(e) not in ids]
-    if missing:
-        raise IncompleteSupportError(
-            g.element_key(missing[0]), "strict mode needs F^-1 in the support")
-    others = sorted((e for e in qa.elements if e != one), key=keys.__getitem__)
-    fixed = _slot_facts(qa, [qa._ids([one, *others])], fixpoint_count)
-    bijective = _slot_facts(qa, [qa._ids(others)], FiniteMap.is_bijection)
-    paired = [e for e in others if g._inv(e) in ids]
-    inverse_exact = dict(zip(paired, _slot_facts(  # y is exactly x's inverse
-        qa, [qa._ids(paired), qa._ids(map(g._inv, paired))],
-        lambda x, y: x.is_bijection() and y == inverse_map(x))))
-    ordered = sorted({*fset, one}, key=keys.__getitem__)
-    o = qa._ids(ordered)
+    """Ids are in key order, so every id array here is sorted by key."""
+    g, n = qa.owner, qa.carrier_n
+    inverse = g._inverse_ids(qa.elements)  # each id's inverse's id, or -1
+    f_ids, one = qa._ids(fset), qa.ids[g.identity]
+    missing = f_ids[inverse[f_ids] < 0]
+    if missing.size:
+        raise IncompleteSupportError(g.element_key(g._inv(qa.elements[missing[0]])),
+                                     "strict mode needs F^-1 in the support")
+    others = np.delete(np.arange(len(qa.elements)), one)
+    fixed = _slot_counts(qa, [np.append(one, others)], _each(fixpoint_count))
+    bijective = _slot_counts(qa, [others], _each(FiniteMap.is_bijection))
+    paired = inverse[others] >= 0
+    inverse_exact = iter(_slot_counts(  # y is exactly x's inverse
+        qa, [others[paired], inverse[others[paired]]],
+        _each(lambda x, y: x.is_bijection() and y == inverse_map(x))))
+    o = np.array(sorted({*f_ids.tolist(), one}), np.intp)
     left, right = np.triu_indices(len(o), 1)  # row-major, as itertools.combinations
     return StrictChecks(
         n, eps, fixed[0] == n, tuple(map(bool, bijective)), tuple(c == 0 for c in fixed[1:]),
-        tuple(None if e not in inverse_exact else bool(inverse_exact[e]) for e in others),
+        tuple(bool(next(inverse_exact)) if p else None for p in paired.tolist()),
         tuple(n - a for a in _slot_counts(qa, [o[left], o[right]], _agreements)),
-        tuple(keys[e] for e in ordered),
+        tuple(qa.keys[qa.elements[i]] for i in o.tolist()),
     )
 
 
@@ -539,7 +534,7 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
         "group": g.describe(),
         "carrier_n": qa.carrier_n,
         "epsilon": format_fraction(qa.claimed_epsilon),
-        "F": [g.element_key(e) for e in qa.claimed_f],
+        "F": [qa.keys[e] for e in qa.claimed_f],
         "slots": [{"cells": cells, "maps": table, "fiber": None if v is None else {
             "degree": v.degree, "generators": v.generators, "order": v.order}}
             for (cells, v), table in zip(qa.layout, tables)],
@@ -549,9 +544,19 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     return canonical_json(doc, default=_slot_to_json) + "\n"
 
 
-def _elements_from_keys(g: GroupHandle, keys) -> list:
-    """The elements keys name, each key the JSON text of an element's encoding."""
-    return [g.decode(parse_json(k, f"element key {k!r:.60}")) for k in map(_decode_str, keys)]
+def _elements_from_keys(g: GroupHandle, keys) -> dict:
+    """Each key's element, each key the JSON text of an element's encoding."""
+    return {k: g.decode(parse_json(k, f"element key {k!r:.60}")) for k in map(_decode_str, keys)}
+
+
+def _check_keys(keyed: dict, canonical: Iterable[str]) -> None:
+    """Refuse the first stated key of keyed (key -> its element) that is not
+    its element's canonical key (element_key): another spelling of an element
+    would load as that element."""
+    for stated, key in zip(keyed, canonical):
+        if stated != key:
+            raise InvariantViolationError(
+                f"element key {stated!r:.60} is not its element's canonical key {key!r:.60}")
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
@@ -561,6 +566,8 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     Each fibered slot's V is read by girth.fiber_from_json, as a girth
     witness's is, and every label of the slot's table is sifted into V.  The
     tables must be those emit_certificate writes: each entry used, once.
+    Every element key (assignment, F, the report's f) must be its element's
+    canonical key; the first that is not is refused by name.
 
     The stored report is not parsed.  verify measures the stored maps again
     at the report's own F, epsilon and strictness, and the certificate is
@@ -582,14 +589,17 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     if not slots:
         raise DomainError("field 'slots': a certificate has at least one slot")
     tables = [t for _, t in slots]
-    index = _field(doc, "assignment", lambda v: dict(zip(
-        _elements_from_keys(g, _decode_object(v)),
-        [_indices_from_json(e, tables) for e in v.values()],
-    )))
-    claimed_f = FiniteSubset(g, _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v))))
+    keyed, rows = _field(doc, "assignment", lambda v: (
+        _elements_from_keys(g, _decode_object(v)), [_indices_from_json(e, tables) for e in v.values()]))
+    index = dict(zip(keyed.values(), rows))
+    f_keyed = _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v)))
     qa = QuasiAction._from_slots(g, carrier_n, tuple(layout for layout, _ in slots), tables,
-                                 index, list(index.values()), claimed_f,
+                                 index, list(index.values()), FiniteSubset(g, f_keyed.values()),
                                  _field(doc, "epsilon", parse_fraction))
+    # The assignment's and F's elements are supported, so qa has their
+    # canonical keys: each element is keyed once.
+    for stated in (keyed, f_keyed):
+        _check_keys(stated, map(qa.keys.__getitem__, stated.values()))
     # The tables emit_certificate writes: _first_use kept them as they are,
     # and no entry is stated twice.
     if qa.slot_tables[0] != tables or any(len({m.packed.tobytes() for m in t}) < len(t)
@@ -598,12 +608,13 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
                                       "in order of first use over the sorted keys")
     stored = _field(doc, "report", _decode_object)
     f = _field(stored, "f", lambda v: _elements_from_keys(g, _decode_list(v)))
+    _check_keys(f, g._keys_many(list(f.values())))
     epsilon = _field(stored, "epsilon", parse_fraction)
     strict = _field(stored, "strict", lambda v: v is not None)
     # Only the report's text is kept while verify runs, not the document.
     stored = canonical_json(stored)
     del doc
-    report = verify(qa, f, epsilon, strict)
+    report = verify(qa, f.values(), epsilon, strict)
     if canonical_json(report_to_json(report)) != stored:
         raise InvariantViolationError(
             "the stored report differs from the one verify measures on the stored maps"

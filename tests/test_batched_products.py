@@ -2,9 +2,12 @@
 
 ``GroupHandle._mul_many`` multiplies parallel element lists in one call, and
 ``ProductGroup`` does so coordinatewise, each distinct pair of coordinates
-once.  ``QuasiAction._products`` builds the F x F table from it as element
-ids.  The scalar loop ``[g._mul(e, f) for e in F for f in F]`` stays the
-oracle for both, and for the element a missing product is reported by.
+once.  The id-level batches ``_product_ids``, ``_inverse_ids`` and
+``_keys_many`` answer for a support in id order; ``ProductGroup`` answers
+per coordinate and builds no product element.  ``QuasiAction._products``
+builds the F x F table of ids from ``_product_ids``.  The scalar loops
+(``_mul``, ``_inv``, ``element_key``) stay the oracle for all of them, and
+for the element a missing product is reported by.
 """
 
 import itertools
@@ -12,6 +15,7 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,8 +34,8 @@ from quasiact import (
     pair_products,
     verify,
 )
-from quasiact import quasiaction
-from quasiact.constructions import regular_action
+from quasiact import groups
+from quasiact.constructions import cyclic_quasi_action, direct_product_qa, regular_action
 from quasiact.errors import DomainError, IncompleteSupportError, InvariantViolationError
 from quasiact.util import canonical_json
 
@@ -90,6 +94,54 @@ class TestMulManyAgainstTheScalarLoop:
         assert pair_products(f1, f2) == FiniteSubset(g, (g.mul(e, f) for e in f1 for f in f2))
 
 
+# Products nested two deep, with a free-product factor inside.
+NESTED = [
+    (ProductGroup([ProductGroup([FREE, cyclic_group(3)]), IntegerGroup()]),
+     st.tuples(st.tuples(free_words(), st.integers(0, 2)), st.integers(-3, 3))),
+    (ProductGroup([cyclic_group(2), ProductGroup([IntegerGroup(), FREE]), IntegerGroup()]),
+     st.tuples(st.integers(0, 1), st.tuples(st.integers(-2, 2), free_words()), st.integers(-2, 2))),
+]
+NESTED_IDS = ["free_x_c3_x_integers", "c2_x_integers_free_x_integers"]
+
+
+@st.composite
+def supports(draw, g, elements):
+    """Distinct elements in any order, drawn from a few elements, their
+    products and their inverses: rarely a grid of coordinates, and with some
+    products and inverses inside it and some outside."""
+    pool = list(dict.fromkeys(draw(st.lists(elements, min_size=1, max_size=4))))
+    near = [*pool, *(g._mul(a, b) for a in pool for b in pool), *map(g._inv, pool)]
+    return list(dict.fromkeys(draw(st.lists(st.sampled_from(near), min_size=1, max_size=12))))
+
+
+def position(support, elem) -> int:
+    return support.index(elem) if elem in support else -1
+
+
+class TestIdBatchesAgainstTheScalarLoops:
+    """With CODES = 1 a product renumbers its codes before each coordinate
+    is added, as a support too large for one int64 code per row would."""
+
+    @pytest.mark.parametrize("codes", [groups.CODES, 1], ids=["int64_codes", "renumbered"])
+    @pytest.mark.parametrize("g,elements", HANDLES + NESTED, ids=HANDLE_IDS + NESTED_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batches_equal_the_loops(self, g, elements, codes, data):
+        support = data.draw(supports(g, elements))
+        at = st.integers(0, len(support) - 1)
+        pairs = data.draw(st.lists(st.tuples(at, at), max_size=30))
+        xs, ys = (np.array([p[i] for p in pairs], np.intp) for i in (0, 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups, "CODES", codes)
+            products, inverses = g._product_ids(support, xs, ys), g._inverse_ids(support)
+            keys = g._keys_many(support)
+        assert products.dtype == inverses.dtype == np.intp
+        assert products.tolist() == [position(support, g._mul(support[x], support[y]))
+                                     for x, y in pairs]
+        assert inverses.tolist() == [position(support, g._inv(e)) for e in support]
+        assert keys == [g.element_key(e) for e in support]
+
+
 def products_by_loop(g, support, fset):
     """The F x F products by the scalar loop, or the key of the first element
     missing from the support: the identity, then F, then the products in
@@ -135,6 +187,72 @@ class TestIdTableAgainstTheScalarLoop:
         assert first_missing == products_by_loop(qa.owner, assignment, fset)
 
 
+class TestProductSupportsThatAreNoGrid:
+    @pytest.fixture
+    def grid(self):
+        """C7 x C5 shifts on the integers: each factor supports -1, 0, 1, 2."""
+        factors = [cyclic_quasi_action([1], m, Fraction(1, 10)) for m in (7, 5)]
+        return direct_product_qa([(qa, qa.claimed_f) for qa in factors], Fraction(1, 10))
+
+    @pytest.mark.parametrize("removed,first_missing", [
+        ([(2, 1), (2, 2)], "[2,1]"),  # (1,0)(1,1), the second product row-major
+        ([(2, 2), (2, 0)], "[2,0]"),  # (1,0)(1,0), the first
+        ([(2, 2)], "[2,2]"),  # (1,1)(1,1), the last
+        ([(1, 1), (2, 2)], "[1,1]"),  # an element of F comes before every product
+    ])
+    def test_the_first_missing_product_row_major_is_named(self, grid, removed, first_missing):
+        g = grid.owner
+        assignment = {e: m for e, m in grid.assignment.items() if e not in removed}
+        fset = FiniteSubset(g, [(1, 0), (1, 1)])
+        assert products_by_loop(g, assignment, fset) == first_missing
+        with pytest.raises(IncompleteSupportError) as exc:
+            QuasiAction(g, grid.carrier_n, assignment, fset, Fraction(1, 4))
+        assert exc.value.element_key == first_missing
+
+    def test_products_outside_a_holed_support_are_minus_one(self, grid):
+        g = grid.owner
+        support = [e for e in grid.elements if e not in [(2, 1), (0, -1)]]
+        xs, ys = np.divmod(np.arange(len(support) ** 2), len(support))
+        table = g._product_ids(support, xs, ys).tolist()
+        assert table == [position(support, g._mul(support[x], support[y]))
+                         for x, y in zip(xs.tolist(), ys.tolist())]
+        assert table.count(-1) > 0 and len(set(table) - {-1}) == len(support)
+
+
+class TestLoaderRefusesNonCanonicalKeys:
+    """Every key a certificate states must be its element's element_key:
+    another spelling of an element is refused by name, not read as it."""
+
+    @pytest.fixture
+    def doc(self):
+        factors = [cyclic_quasi_action([1, -1], m, Fraction(1, 10)) for m in (7, 5)]
+        qa = direct_product_qa([(f, f.claimed_f) for f in factors], Fraction(1, 10))
+        return json.loads(emit_certificate(qa, verify(qa)))
+
+    def test_a_second_spelling_of_a_key_is_refused(self, doc):
+        # It would load as 25 elements from 26 keys.
+        doc["assignment"]["[-1, -1]"] = doc["assignment"]["[-1,-1]"]
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                "element key '[-1, -1]' is not its element's canonical key '[-1,-1]'")):
+            load_certificate(json.dumps(doc))
+
+    @pytest.mark.parametrize("where", ["assignment", "F", "report f"])
+    def test_a_respelled_key_is_refused(self, doc, where):
+        # It would load, and emit other bytes than it was read from.
+        if where == "assignment":
+            doc["assignment"]["[-1, -1]"] = doc["assignment"].pop("[-1,-1]")
+        else:
+            keys = doc["F"] if where == "F" else doc["report"]["f"]
+            keys[keys.index("[-1,-1]")] = "[-1, -1]"
+        with pytest.raises(InvariantViolationError, match=re.escape("element key '[-1, -1]'")):
+            load_certificate(json.dumps(doc))
+
+    def test_the_canonical_keys_load(self, doc):
+        text = canonical_json(doc) + "\n"
+        qa, report = load_certificate(text)
+        assert emit_certificate(qa, report) == text
+
+
 class TestSlotCodes:
     @settings(max_examples=40, deadline=None)
     @given(repeating_actions(), st.booleans())
@@ -143,7 +261,7 @@ class TestSlotCodes:
         # tables too large for one int64 code per row would.
         fresh = QuasiAction(qa.owner, qa.carrier_n, qa.assignment, qa.claimed_f, Fraction(1, 4))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quasiaction, "CODES", 1)
+            mp.setattr(groups, "CODES", 1)
             renumbered = outcome(verify, qa, None, Fraction(1, 4), strict)
         assert renumbered == outcome(verify, fresh, None, Fraction(1, 4), strict)
 
