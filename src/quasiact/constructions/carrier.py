@@ -11,17 +11,17 @@ are certified on the built object, never inferred from the witness.
 Left multiplication by u in V sends (b, v) to (b, u v), (a, w) to (a, u w)
 and (a, b, v) to (a, b, u v): an automorphism of the incidence graph, and
 these are transitive on V.  So every class lies in the orbit of some
-(b, 1) or (a, 1), and a non-backtracking BFS from these |A| + |B| roots,
-on class nodes labelled by permutation tuples, refuses every cycle of
-length <= 2N, two classes meeting twice included.  |V| is recomputed by
-Schreier-Sims.
+(b, 1) or (a, 1), and girth.certify_girth, walking the non-backtracking
+walks from these |A| + |B| roots a level at a time on class nodes labelled
+by permutations, refuses every cycle of length <= 2N, two classes meeting
+twice included.  |V| is recomputed by Schreier-Sims.
 
 Generators attach to (a,b) cells either one-to-one (label count == |A||B|)
 or through the cyclic assignment gen(a,b) = generator[(a+b) mod labels],
 which is injective along every row and every column whenever
 labels >= max(|A|,|B|).  Row/column injectivity is exactly what the
-shortening argument behind the incidence-girth bound consumes, and the BFS
-certificate re-checks the conclusion on the built object anyway.
+shortening argument behind the incidence-girth bound consumes, and the
+girth certificate re-checks the conclusion on the built object anyway.
 """
 
 from __future__ import annotations
@@ -93,28 +93,13 @@ def build_partitioned_carrier(
 
 
 def _bfs_girth_certificate(pc: PartitionedCarrier) -> None:
-    """Certify incidence girth > 2N by BFS from the |A| + |B| classes through 1.
-
-    Vertices are alpha-classes (0, b, v) and beta-classes (1, a, w), v and w
-    permutation tuples; the edge (a, b, v) is the point joining (0, b, v)
-    and (1, a, v * gen(a,b)^-1).  Left multiplication on V makes the roots
-    enough (see the module docstring).
-    """
-    gens = pc.v.fiber.generators
-    inverses = [_inverse(g) for g in gens]
-
-    def neighbours(node):
-        side, i, v = node
-        if side == 0:
-            for a in range(pc.a_size):
-                inv = inverses[pc.gen_label[a][i]]
-                yield (a, i, v), (1, a, tuple(inv[x] for x in v))
-        else:
-            for b in range(pc.b_size):
-                gen = gens[pc.gen_label[i][b]]
-                point = tuple(gen[x] for x in v)
-                yield (i, b, point), (0, b, point)
-
-    one = tuple(range(pc.v.fiber.degree))
-    roots = [(0, b, one) for b in range(pc.b_size)] + [(1, a, one) for a in range(pc.a_size)]
-    certify_girth(neighbours, roots, 2 * pc.depth)
+    """Certify incidence girth > 2N from the |A| + |B| classes through 1 (the
+    module docstring says why these roots suffice).  Alpha-class (b, v) has
+    tag b and beta-class (a, w) tag |B| + a; the point (a, b, v) joins (b, v)
+    and (a, v * gen(a,b)^-1), so the move from tag b to |B| + a applies
+    gen(a,b)^-1, and its back move gen(a,b)."""
+    gens, label, b_size = pc.v.fiber.generators, pc.gen_label, pc.b_size
+    alpha = [[(b_size + a, _inverse(gens[label[a][b]]), b) for a in range(pc.a_size)]
+             for b in range(b_size)]
+    beta = [[(b, gens[label[a][b]], a) for b in range(b_size)] for a in range(pc.a_size)]
+    certify_girth(alpha + beta, range(b_size + pc.a_size), 2 * pc.depth)

@@ -4,8 +4,8 @@ A GirthGroup is a finite group V given by permutation generators and its
 exact order, together with a certificate that no nontrivial reduced word of
 length at most the bound evaluates to the identity, i.e. that the Cayley
 multigraph (edges x -- g*x) has no cycle of length <= bound.  Right
-translations act transitively on it, so one non-backtracking BFS of the
-ball of radius ceil(bound/2) around the identity earns the certificate.
+translations act transitively on it, so certify_girth on the ball of radius
+ceil(bound/2) around the identity, one level array at a time, earns it.
 
 The search draws even permutations of scheduled degrees from a seeded
 generator, rejects cheaply (element order, duplicate or inverse generators),
@@ -20,7 +20,9 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from ..errors import DomainError, InvariantViolationError, SearchFailureError
 from ..finmap import Fiber
@@ -119,53 +121,78 @@ def _random_even_perm(rng: random.Random, degree: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def certify_girth(neighbours: Callable, roots: Iterable, bound: int) -> None:
-    """Non-backtracking BFS from each root; refuse any cycle of length <= bound.
+def certify_girth(moves: Sequence[Sequence[tuple]], roots: Sequence[int], bound: int) -> None:
+    """Refuse a cycle of length <= bound through a root, a level of walks at a time.
 
-    neighbours(u) yields (edge, x) per edge, edge naming the undirected edge.
-    The walk never leaves a vertex by the edge it arrived on, so parallel
-    edges and loops count as 2- and 1-cycles.  An edge from u reaching a
-    visited x closes a cycle of length <= dist(u) + dist(x) + 1, and every
-    shortest cycle through a root has such an edge within radius
-    ceil(bound/2).  Callers must supply roots meeting every vertex orbit of
-    a certified automorphism group.
+    Nodes are rows (root, tag, permutation x); moves[t] lists tag t's moves
+    as (next tag, p, back): x steps to p[x], back indexing the next tag's
+    move along the same edge.  Roots are tags at the identity, and level L
+    holds the non-backtracking walks of length L.  Two walks from one root
+    that end on one node with lengths summing to <= bound close a cycle of
+    length <= bound, and a shortest cycle halves into two walks of at most
+    ceil(bound/2) steps.  Roots must meet every vertex orbit of a certified
+    automorphism group.
     """
-    radius = (bound + 1) // 2
-    for root in roots:
-        dist = {root: 0}
-        arrived = {root: None}
-        frontier = [root]
-        for level in range(radius):
-            nxt = []
-            for u in frontier:
-                for edge, x in neighbours(u):
-                    if edge == arrived[u]:
-                        continue
-                    d = dist.get(x)
-                    if d is None:
-                        dist[x] = level + 1
-                        arrived[x] = edge
-                        nxt.append(x)
-                    elif level + d + 1 <= bound:
-                        raise InvariantViolationError(
-                            f"graph has a cycle of length <= {level + d + 1} <= {bound}"
-                        )
-            frontier = nxt
+    first = np.cumsum([0] + [len(m) for m in moves])  # each tag's first move
+    source, target, perms, back = map(np.array, zip(*[
+        (t, nxt, p, first[nxt] + b) for t, tag_moves in enumerate(moves) for nxt, p, b in tag_moves]))
+    degree = perms.shape[1]
+    dtype = np.min_scalar_type(max(degree, len(moves), len(roots)))
+    per_word = 8 // dtype.itemsize
+    rows = np.zeros((len(roots), -(-(2 + degree) // per_word) * per_word), dtype)  # whole words
+    rows[:, 0], rows[:, 1], rows[:, 2:2 + degree] = range(len(roots)), roots, range(degree)
+    perms, arrived, levels, hashes = perms.astype(dtype), -1, [rows], [_row_hashes(rows)]
+    for _ in range((bound + 1) // 2):
+        # Each row takes every move of its tag but the back move of the one it came by.
+        arrived, parent = np.nonzero((rows[:, 1] == source[:, None]) & (arrived != back[:, None]))
+        if not parent.size:
+            return  # every walk ended
+        rows = rows[parent]
+        rows[:, 1] = target[arrived]
+        ends = np.searchsorted(arrived, range(len(perms) + 1)).tolist()  # rows grouped by move
+        for m, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            rows[lo:hi, 2:2 + degree] = perms[m][rows[lo:hi, 2:2 + degree]]
+        levels.append(rows)
+        hashes.append(_row_hashes(rows))
+        _refuse_meetings(levels, hashes, bound)
+
+
+def _row_hashes(rows: np.ndarray) -> np.ndarray:
+    """A 64-bit hash per row (equal rows, equal hashes): its words times odd weights."""
+    words = rows.view(np.uint64)
+    weights = [pow(0x9E3779B97F4A7C15, k + 1, 1 << 64) for k in range(words.shape[1])]
+    return (words * np.array(weights, np.uint64)).sum(axis=1, dtype=np.uint64)
+
+
+def _refuse_meetings(levels: list[np.ndarray], hashes: list[np.ndarray], bound: int) -> None:
+    """Refuse two equal rows whose levels sum to at most bound (at odd bounds
+    two rows of the last level sum to bound + 1, and pass).  Earlier meetings
+    were refused, so a run of equal rows holds at most one row below the last
+    level, and its adjacent pairs include the pair of smallest sum."""
+    hashes = np.concatenate(hashes)
+    ordered = np.sort(hashes)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not shared.size:
+        return
+    at = np.minimum(np.searchsorted(shared, hashes), shared.size - 1)
+    match = np.flatnonzero(shared[at] == hashes)
+    offsets = np.cumsum([0] + [len(rows) for rows in levels])
+    level = np.searchsorted(offsets, match, "right") - 1  # match ascends, so level does
+    rows = np.concatenate([r[match[level == k] - offsets[k]] for k, r in enumerate(levels)])
+    order = np.lexsort(rows.view(np.uint64).T)  # equal rows end up adjacent
+    words, level = rows.view(np.uint64)[order], level[order]
+    sums = (level[1:] + level[:-1])[(words[1:] == words[:-1]).all(axis=1)]
+    if sums.size and sums.min() <= bound:
+        raise InvariantViolationError(f"graph has a cycle of length <= {sums.min()} <= {bound}")
 
 
 def _certify_word_girth(gens: Sequence[tuple[int, ...]], bound: int) -> None:
-    """certify_girth on the Cayley ball: edge (x, j) joins x and gens[j]*x, so
-    letters 2j and 2j+1 at x are distinct edges unless gens[j] is trivial."""
-    degree = len(gens[0])
-    letters = [(g, _inverse(g)) for g in gens]
-
-    def neighbours(x):
-        for j, (g, inv) in enumerate(letters):
-            yield (x, j), tuple(g[i] for i in x)
-            back = tuple(inv[i] for i in x)
-            yield (back, j), back
-
-    certify_girth(neighbours, [tuple(range(degree))], bound)
+    """certify_girth on the Cayley ball: one tag whose moves are the letters
+    g_j (2j) and g_j^-1 (2j+1), each the other's back move.  A trivial
+    generator returns to the root (a 1-cycle), an involution's two letters
+    meet (a 2-cycle)."""
+    letters = [p for g in gens for p in (g, _inverse(g))]
+    certify_girth([[(0, p, i ^ 1) for i, p in enumerate(letters)]], [0], bound)
 
 
 def schreier_sims(gens: Sequence[tuple[int, ...]]) -> tuple[int, Callable[[tuple], bool]]:
@@ -228,16 +255,14 @@ def _reduced_word_count(labels: int, bound: int) -> int:
 
 
 def _default_degrees(labels: int, bound: int) -> list[int]:
-    # Skip degrees whose alternating group is clearly too small for the word
-    # count; the order cap prunes oversized groups attempt by attempt,
-    # since generated subgroups can be far smaller than the full group.
-    words = _reduced_word_count(labels, bound)
-    degrees = [
-        d
-        for d in range(4, 15)
-        if math.factorial(d) // 2 >= max(words // 2, labels * 4)
-    ]
-    return degrees or list(range(4, 15))
+    # From the first degree whose alternating group is not clearly too small
+    # for the word count, to 14 or two past it; the order cap prunes oversized
+    # groups draw by draw, since generated subgroups can be far smaller.
+    floor = max(_reduced_word_count(labels, bound) // 2, labels * 4)
+    degree = 4
+    while math.factorial(degree) // 2 < floor:
+        degree += 1
+    return list(range(degree, max(15, degree + 3)))
 
 
 def girth_group_search(

@@ -549,6 +549,17 @@ def _elements_from_keys(g: GroupHandle, keys) -> dict:
     return {k: g.decode(parse_json(k, f"element key {k!r:.60}")) for k in map(_decode_str, keys)}
 
 
+def _elements_in_key_order(g: GroupHandle, v) -> dict:
+    """_elements_from_keys, refusing the first key not after the one before it."""
+    keys = list(map(_decode_str, _decode_list(v)))
+    keyed = _elements_from_keys(g, keys)
+    for before, key in zip(keys, keys[1:]):
+        if not before < key:
+            raise DomainError(f"key {key!r:.60} does not come after {before!r:.60}: "
+                              "each key is stated once, in key order")
+    return keyed
+
+
 def _check_keys(keyed: dict, canonical: Iterable[str]) -> None:
     """Refuse the first stated key of keyed (key -> its element) that is not
     its element's canonical key (element_key): another spelling of an element
@@ -567,7 +578,8 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     witness's is, and every label of the slot's table is sifted into V.  The
     tables must be those emit_certificate writes: each entry used, once.
     Every element key (assignment, F, the report's f) must be its element's
-    canonical key; the first that is not is refused by name.
+    canonical key; the first that is not is refused by name.  F states its
+    keys in key order, each once, as emit_certificate writes them.
 
     The stored report is not parsed.  verify measures the stored maps again
     at the report's own F, epsilon and strictness, and the certificate is
@@ -592,7 +604,7 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     keyed, rows = _field(doc, "assignment", lambda v: (
         _elements_from_keys(g, _decode_object(v)), [_indices_from_json(e, tables) for e in v.values()]))
     index = dict(zip(keyed.values(), rows))
-    f_keyed = _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v)))
+    f_keyed = _field(doc, "F", lambda v: _elements_in_key_order(g, v))
     qa = QuasiAction._from_slots(g, carrier_n, tuple(layout for layout, _ in slots), tables,
                                  index, list(index.values()), FiniteSubset(g, f_keyed.values()),
                                  _field(doc, "epsilon", parse_fraction))

@@ -6,20 +6,96 @@ tables.  Points are (a, b, v) indexed row-major.  The class helpers, the
 table-symmetry check and the symmetry BFS are the ones the library ran on
 this carrier before its maps were fibered; ``densify`` writes a fibered map
 out point by point on the same indexing.
+
+``tuple_certify_girth`` is the non-backtracking tuple BFS that the level
+arrays of ``girth.certify_girth`` replaced, with the neighbour generators of
+its two former callers, the Cayley ball and the carrier's class nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from quasiact.constructions.carrier import PartitionedCarrier
-from quasiact.constructions.girth import GirthGroup, certify_girth
+from quasiact.constructions.girth import GirthGroup, _inverse
 from quasiact.errors import InvariantViolationError
 from quasiact.finmap import FiniteMap
 from quasiact.quasiaction import QuasiAction
+
+
+def tuple_certify_girth(neighbours: Callable, roots: Iterable, bound: int) -> None:
+    """Non-backtracking BFS from each root; refuse any cycle of length <= bound.
+
+    neighbours(u) yields (edge, x) per edge, edge naming the undirected edge.
+    The walk never leaves a vertex by the edge it arrived on, so parallel
+    edges and loops count as 2- and 1-cycles.  An edge from u reaching a
+    visited x closes a cycle of length <= dist(u) + dist(x) + 1, and every
+    shortest cycle through a root has such an edge within radius
+    ceil(bound/2).
+    """
+    radius = (bound + 1) // 2
+    for root in roots:
+        dist = {root: 0}
+        arrived = {root: None}
+        frontier = [root]
+        for level in range(radius):
+            nxt = []
+            for u in frontier:
+                for edge, x in neighbours(u):
+                    if edge == arrived[u]:
+                        continue
+                    d = dist.get(x)
+                    if d is None:
+                        dist[x] = level + 1
+                        arrived[x] = edge
+                        nxt.append(x)
+                    elif level + d + 1 <= bound:
+                        raise InvariantViolationError(
+                            f"graph has a cycle of length <= {level + d + 1} <= {bound}"
+                        )
+            frontier = nxt
+
+
+def tuple_word_girth(gens: Sequence[tuple[int, ...]], bound: int) -> None:
+    """The tuple BFS on the Cayley ball: edge (x, j) joins x and gens[j]*x, so
+    letters 2j and 2j+1 at x are distinct edges unless gens[j] is trivial."""
+    degree = len(gens[0])
+    letters = [(g, _inverse(g)) for g in gens]
+
+    def neighbours(x):
+        for j, (g, inv) in enumerate(letters):
+            yield (x, j), tuple(g[i] for i in x)
+            back = tuple(inv[i] for i in x)
+            yield (back, j), back
+
+    tuple_certify_girth(neighbours, [tuple(range(degree))], bound)
+
+
+def tuple_carrier_girth(pc: PartitionedCarrier) -> None:
+    """The tuple BFS on the carrier's class nodes: alpha-classes (0, b, v) and
+    beta-classes (1, a, w), v and w permutation tuples; the edge (a, b, v) is
+    the point joining (0, b, v) and (1, a, v * gen(a,b)^-1)."""
+    gens = pc.v.fiber.generators
+    inverses = [_inverse(g) for g in gens]
+
+    def neighbours(node):
+        side, i, v = node
+        if side == 0:
+            for a in range(pc.a_size):
+                inv = inverses[pc.gen_label[a][i]]
+                yield (a, i, v), (1, a, tuple(inv[x] for x in v))
+        else:
+            for b in range(pc.b_size):
+                gen = gens[pc.gen_label[i][b]]
+                point = tuple(gen[x] for x in v)
+                yield (i, b, point), (0, b, point)
+
+    one = tuple(range(pc.v.fiber.degree))
+    roots = [(0, b, one) for b in range(pc.b_size)] + [(1, a, one) for a in range(pc.a_size)]
+    tuple_certify_girth(neighbours, roots, 2 * pc.depth)
 
 
 def cayley_closure(gens: Sequence[tuple[int, ...]], order_cap: int):
@@ -167,7 +243,7 @@ def bfs_girth_certificate(dc: DenseCarrier) -> None:
 
     o = dc.v.order
     roots = [b * o for b in range(dc.b_size)] + [alpha_count + a * o for a in range(dc.a_size)]
-    certify_girth(neighbours, roots, 2 * dc.depth)
+    tuple_certify_girth(neighbours, roots, 2 * dc.depth)
 
 
 def densify(fmap: FiniteMap, elements: Sequence[tuple[int, ...]], _moves=None) -> FiniteMap:

@@ -247,6 +247,21 @@ class TestLoaderRefusesNonCanonicalKeys:
         with pytest.raises(InvariantViolationError, match=re.escape("element key '[-1, -1]'")):
             load_certificate(json.dumps(doc))
 
+    @pytest.mark.parametrize("probe", ["swapped", "repeated"])
+    def test_f_out_of_key_order_is_refused(self, doc, probe):
+        # F[0] and F[1] swapped would load and emit the sorted original;
+        # F[0] appended again would load as 25 elements from 26 keys.
+        keys = doc["F"]
+        first, second = keys[0], keys[1]
+        if probe == "swapped":
+            keys[0], keys[1] = second, first
+            message = f"field 'F': key {first!r} does not come after {second!r}"
+        else:
+            keys.append(first)
+            message = f"field 'F': key {first!r} does not come after {keys[-2]!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            load_certificate(json.dumps(doc))
+
     def test_the_canonical_keys_load(self, doc):
         text = canonical_json(doc) + "\n"
         qa, report = load_certificate(text)

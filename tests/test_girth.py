@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,15 +16,22 @@ from quasiact.constructions import (
     GirthGroup,
     PartitionedCarrier,
     build_partitioned_carrier,
+    girth,
     girth_group_search,
     load_girth_witness,
 )
 from quasiact.constructions.carrier import _bfs_girth_certificate, _label_assignment
-from quasiact.constructions.girth import _certify_word_girth, schreier_sims
+from quasiact.constructions.girth import _certify_word_girth, _default_degrees, schreier_sims
 from quasiact.errors import DomainError, InvariantViolationError, PreconditionError, SearchFailureError
 from quasiact.finmap import Fiber
 
-from dense_carrier import DenseCarrier, bfs_girth_certificate, dense_carrier
+from dense_carrier import (
+    DenseCarrier,
+    bfs_girth_certificate,
+    dense_carrier,
+    tuple_carrier_girth,
+    tuple_word_girth,
+)
 
 
 def iter_reduced_words(perms, bound):
@@ -140,6 +151,38 @@ class TestSearch:
                 "a reduced word of length <= 6 equal to the identity, 6 exceeded the cap")):
             girth_group_search(3, 6, order_cap=100_000, seed=0, attempts_per_degree=1)
 
+    @pytest.mark.parametrize("labels,bound,attempts,cap,message", [
+        (3, 6, 1, 100_000,
+         "no girth-6 generator set with 3 labels found: the degree schedule (degrees 8-14) ran out; "
+         "1 draws within order cap 100000 had a reduced word of length <= 6 equal to the identity, "
+         "6 exceeded the cap"),
+        (2, 4, 2, 10**15,
+         "no girth-4 generator set with 2 labels found: the degree schedule (degrees 6-14) ran out; "
+         "18 draws within order cap 1000000000000000 had a reduced word of length <= 4 equal to "
+         "the identity, 0 exceeded the cap"),
+    ])
+    def test_failure_messages_pinned(self, monkeypatch, labels, bound, attempts, cap, message):
+        if labels == 2:  # every draw has a short cycle
+            monkeypatch.setattr(girth, "_certify_word_girth", self.short_cycle)
+        with pytest.raises(SearchFailureError) as exc:
+            girth_group_search(labels, bound, order_cap=cap, seed=0, attempts_per_degree=attempts)
+        assert str(exc.value) == message
+
+    @staticmethod
+    def short_cycle(*args):
+        raise InvariantViolationError("graph has a cycle")
+
+    def test_degree_schedule(self):
+        # Degrees from the word-count floor up to 14 while the floor is at
+        # most 12, else the floor and the two degrees past it: 6 labels at
+        # bound 12 (C2*C3 at syllable bound 6) have about 3.8e12 reduced
+        # words, and A_15 has 6.5e11 elements.
+        assert _default_degrees(2, 4) == list(range(6, 15))
+        assert _default_degrees(3, 6) == list(range(8, 15))
+        assert _default_degrees(6, 10) == list(range(14, 17))
+        assert _default_degrees(6, 12) == [16, 17, 18]
+        assert _default_degrees(1, 1) == list(range(4, 15))
+
     def test_deterministic_per_seed(self):
         a = girth_group_search(2, 4, order_cap=5000, seed=3)
         b = girth_group_search(2, 4, order_cap=5000, seed=3)
@@ -190,6 +233,19 @@ class TestSearch:
 
     def test_bound_six_order(self):
         assert girth_group_search(6, 6, order_cap=2_000_000, seed=0).order == 1_814_400
+
+    def test_cold_start_leaves_numpy_ma_unimported(self):
+        # A plain np.unique(x) imports numpy.ma, about 20 ms in a fresh
+        # interpreter; neither the search nor the loader may pay for it.
+        code = (
+            "import sys\n"
+            "from quasiact.constructions import girth_group_search, load_girth_witness\n"
+            "v = girth_group_search(6, 5, order_cap=200000, seed=0)\n"
+            "load_girth_witness(v.to_witness_json())\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_search_and_loader_never_enumerate(self):
         # Listing V's 181,440 elements as tuples allocates about 32 MB under
@@ -403,6 +459,10 @@ perm_lists = st.integers(3, 5).flatmap(
 )
 
 
+SPECIAL_KINDS = ["none", "identity", "involution", "repeat", "inverse"]
+special_kinds = st.sampled_from(SPECIAL_KINDS)
+
+
 def with_special(gens, kind):
     degree = len(gens[0])
     if kind == "identity":
@@ -565,6 +625,95 @@ class TestSymmetryCertificatesAgainstOracles:
         self.forged_generators(gens, a_size, b_size, depth)
 
 
+def random_generators(data, n, labels):
+    return [tuple(data.draw(st.permutations(range(n)))) for _ in range(labels)]
+
+
+def random_carrier(data):
+    """A carrier of random generators under either label assignment, with
+    |A|, |B| in 1..3 and depth 1..4; the forged witness bound lets short
+    cycles reach the certificate."""
+    a_size, b_size = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        labels = a_size * b_size  # one generator per cell
+    else:
+        wide = max(a_size, b_size)
+        labels = data.draw(st.sampled_from([k for k in range(wide, wide + 3) if k != a_size * b_size]))
+    gens = random_generators(data, data.draw(st.integers(1, 6)), labels)
+    depth = data.draw(st.integers(1, 4))
+    v = GirthGroup(Fiber(tuple(gens), schreier_sims(gens)[0]), 2 * depth, seed=0)
+    return carrier_with_depth(v, a_size, b_size, depth)
+
+
+def random_word_case(data):
+    gens = random_generators(data, data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)))
+    kind = data.draw(special_kinds)
+    return with_special(gens, kind), data.draw(st.integers(1, 8))
+
+
+class TestLevelArraysAgainstTupleBFS:
+    """girth.certify_girth (level arrays, row hashes) against the tuple BFS
+    it replaced, on the Cayley ball and on the carrier's class nodes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cayley_ball_matches_tuple_bfs(self, data):
+        gens, bound = random_word_case(data)
+        assert (raises_invariant(_certify_word_girth, gens, bound)
+                == raises_invariant(tuple_word_girth, gens, bound))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_carrier_matches_tuple_bfs(self, data):
+        pc = random_carrier(data)
+        assert raises_invariant(_bfs_girth_certificate, pc) == raises_invariant(tuple_carrier_girth, pc)
+
+    def test_single_cell_carrier_ends_its_walks(self):
+        # A = B = 1: each class meets one point, so every walk ends after one
+        # step and no depth finds a cycle.
+        v = girth_group_search(1, 8, order_cap=10**6, seed=0)
+        for depth in (1, 2, 4):
+            pc = carrier_with_depth(v, 1, 1, depth)
+            _bfs_girth_certificate(pc)
+            tuple_carrier_girth(pc)
+
+    def test_witnesses_and_search_draws_match_tuple_bfs(self):
+        # The pinned witnesses pass both; draws of the seed-0 search at a
+        # bound they miss are refused by both.
+        for seed in WITNESS_SHA256:
+            gens = girth_group_search(6, 5, order_cap=200000, seed=seed).fiber.generators
+            _certify_word_girth(gens, 5)
+            tuple_word_girth(gens, 5)
+            assert raises_invariant(_certify_word_girth, gens, 8) == raises_invariant(tuple_word_girth, gens, 8)
+
+    def test_colliding_hashes_change_no_verdict(self):
+        # Every row hashes to 0, so every row is a hash match and the exact
+        # comparison alone decides.
+        rng = random.Random(0)
+        word_cases, carriers = [], []
+        for _ in range(150):
+            degree = rng.randint(1, 6)
+            gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 3))]
+            word_cases.append((with_special(gens, rng.choice(SPECIAL_KINDS)), rng.randint(1, 8)))
+        for _ in range(80):
+            a_size, b_size, depth = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+            labels = rng.choice([a_size * b_size, max(a_size, b_size) + 1])
+            degree = rng.randint(1, 6)
+            gens = [tuple(rng.sample(range(degree), degree)) for _ in range(labels)]
+            v = GirthGroup(Fiber(tuple(gens), schreier_sims(gens)[0]), 2 * depth, seed=0)
+            carriers.append(carrier_with_depth(v, a_size, b_size, depth))
+        hashed = ([raises_invariant(_certify_word_girth, *case) for case in word_cases],
+                  [raises_invariant(_bfs_girth_certificate, pc) for pc in carriers])
+        zeros = lambda rows: np.zeros(rows.shape[0], np.uint64)
+        with mock.patch.object(girth, "_row_hashes", zeros):
+            colliding = ([raises_invariant(_certify_word_girth, *case) for case in word_cases],
+                         [raises_invariant(_bfs_girth_certificate, pc) for pc in carriers])
+        assert colliding == hashed
+        assert hashed[0] == [raises_invariant(tuple_word_girth, *case) for case in word_cases]
+        assert hashed[1] == [raises_invariant(tuple_carrier_girth, pc) for pc in carriers]
+        assert 0 < sum(hashed[0]) < len(word_cases) and 0 < sum(hashed[1]) < len(carriers)
+
+
 ORACLE_CAP = 20_000
 
 perm_sets_to_degree_nine = st.integers(1, 9).flatmap(
@@ -572,7 +721,6 @@ perm_sets_to_degree_nine = st.integers(1, 9).flatmap(
         lambda ps: [tuple(p) for p in ps]
     )
 )
-special_kinds = st.sampled_from(["none", "identity", "involution", "repeat", "inverse"])
 
 
 class TestSchreierSimsAgainstOracles:
