@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, QuasiactError
+from .finmap import check_carrier_size
 from .groups import (
     FiniteSubset,
     GroupHandle,
@@ -163,6 +164,15 @@ def _free_product(spec: dict, seed: int) -> QuasiAction:
         epsilon, seed=seed, order_cap=_field(spec, "order_cap", _decode_int, 25000))[0]
 
 
+def _named(name: str, build, *args):
+    """build(*args), where a DomainError names the request field that set the
+    range it refused (check_carrier_size's bound, before the range is built)."""
+    try:
+        return build(*args)
+    except DomainError as exc:
+        raise DomainError(f"field {name!r}: {exc}") from None
+
+
 def _product_factor(spec: dict, epsilon: Fraction):
     """G = quotient x N for a finite N (the second factor is the normal
     subgroup, the first factor the quotient, split section)."""
@@ -176,7 +186,7 @@ def _product_factor(spec: dict, epsilon: Fraction):
     if quotient.is_finite:
         folner = FiniteSubset(quotient, quotient.elements())
     elif isinstance(quotient, IntegerGroup):
-        folner = integer_folner_interval([g_elem[0] for g_elem in f], epsilon)
+        folner = _named("f", integer_folner_interval, [g_elem[0] for g_elem in f], epsilon)
     else:
         raise DomainError("quotient must be finite or the integers")
     ext = ExtensionData(
@@ -198,10 +208,12 @@ def _integer_subgroup(spec: dict, epsilon: Fraction):
     d = _field(spec, "index", _decode_int)
     if d < 1:
         raise DomainError("index must be positive")
+    _named("index", check_carrier_size, d * d)  # cyclic_group(d)'s table
     z = IntegerGroup()
     sub = SubgroupHandle(z, contains_fn=lambda k: k % d == 0)
     f = FiniteSubset(z, _field(spec, "f", _elements(z)))
     bound = max((abs(k) for k in f), default=1)
+    _named("f", check_carrier_size, 4 * bound + 9)  # span's count, the largest range below
     base = cyclic_quasi_action(
         [1],
         _field(spec, "psi_modulus", _decode_int),

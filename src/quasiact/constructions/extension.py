@@ -15,13 +15,17 @@ writing xb for the projection of x.  The conjugated elements handed to psi
 all lie in N; when psi verifies on H = N & (A F A^-1) at epsilon, the output
 verifies at 3 epsilon: Folner leakage costs 2 epsilon of the a-coordinates
 and psi's own defect epsilon of the b-coordinates.
+
+The blocks of every element the construction needs, 1, F and F*F, are
+walked at once on arrays (``_blocks``): F's rows give the expansion and H,
+and every row's maps are one gather from psi's slot table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from ..errors import (
     InvariantViolationError,
     PreconditionError,
 )
-from ..finmap import FiniteMap
+from ..finmap import FiniteMap, check_carrier_size
 from ..groups import FiniteSubset, GroupHandle, IntegerGroup, pair_products
 from ..quasiaction import QuasiAction, require_dense, verify
 from ..util import check_epsilon
@@ -67,52 +71,98 @@ class ExtensionData:
         object.__setattr__(self, "index", {q: i for i, q in enumerate(folner)})
 
 
-def _blocks(ext: ExtensionData, g) -> list:
-    """g's walk over the blocks a of A, in Folner order: (j, a g sigma(ab gb)^-1)
-    when ab gb is the j-th element of Abar, None when it leaves Abar.  N is the
-    projection's kernel and sigma is injective on Abar, so that is the one a2
-    in A with a g a2^-1 in N.  g must already be an element of G."""
-    gb = ext.quotient.check_element(ext.project(g))
-    qmul, mul, inv = ext.quotient._mul, ext.group._mul, ext.group._inv
-    blocks = []
-    for q, a in zip(ext.folner, ext.lifts):
-        j = ext.index.get(qmul(q, gb))
-        if j is None:
-            blocks.append(None)
-            continue
-        conjugated = mul(mul(a, g), inv(ext.lifts[j]))
-        if ext.project(conjugated) != ext.quotient.identity:
-            key = ext.group.element_key(conjugated)
-            raise InvariantViolationError(f"conjugated element escaped the normal subgroup: {key}")
-        blocks.append((j, conjugated))
-    return blocks
+class _Walk(NamedTuple):
+    """The walks of elements of G over the blocks a of A: one row per element
+    and one column per block, in Folner order.  ``targets`` holds j when
+    ab gb is the j-th element of Abar and -1 when it leaves Abar; ``which``
+    the position in ``conjugates`` (distinct, in order of first use) of
+    a g sigma(ab gb)^-1, -1 where the block leaves Abar; ``escaped`` marks
+    the conjugates whose projection is not the identity, outside N."""
+
+    targets: np.ndarray
+    which: np.ndarray
+    conjugates: list
+    escaped: np.ndarray
+
+    def expansion(self, rows: int | None) -> Fraction:
+        """The largest share of blocks leaving Abar in one of the first rows."""
+        left = (self.targets[:rows] < 0).sum(axis=1)
+        return Fraction(int(left.max(initial=0)), self.targets.shape[1])
+
+    def used(self, rows: int | None) -> list:
+        """The conjugates the first rows meet: H when they are F's."""
+        which = self.which[:rows]
+        return [self.conjugates[c] for c in dict.fromkeys(which[which >= 0].tolist())]
+
+    def check(self, group: GroupHandle, rows: int | None = None, missing=False) -> None:
+        """Raise for the first block of the first rows, row by row, whose
+        conjugate escaped N (an invariant violation) or else is flagged in
+        ``missing`` (absent from the inner action's support)."""
+        which = self.which[:rows]
+        hit = np.append(self.escaped | missing, False)[which]  # a block's -1 reads the False
+        if hit.any():
+            c = which.flat[np.argmax(hit)]
+            key = group.element_key(self.conjugates[c])
+            if self.escaped[c]:
+                raise InvariantViolationError(
+                    f"conjugated element escaped the normal subgroup: {key}")
+            raise IncompleteSupportError(key, "inner action support")
+
+
+def _blocks(ext: ExtensionData, gs: Sequence) -> _Walk:
+    """The walks of the elements gs of G, which must already be checked, all
+    at once.  N is the projection's kernel and sigma is injective on Abar, so
+    a2 = sigma(ab gb) is the one lift with a g a2^-1 in N.  One quotient batch
+    finds every ab gb among Abar's ids, two batches of G form a g and then
+    a g a2^-1, with sigma's inverses taken once per lift, and each distinct
+    conjugate is projected once."""
+    q, g, a_n = ext.quotient, ext.group, len(ext.lifts)
+    gbs = [q.check_element(ext.project(x)) for x in gs]
+    ids = dict(ext.index)  # the quotient's support: Abar, then the projections outside it
+    gb_ids = np.fromiter((ids.setdefault(gb, len(ids)) for gb in gbs), np.intp, len(gbs))
+    targets = q._product_ids(list(ids), np.tile(np.arange(a_n), len(gs)), np.repeat(gb_ids, a_n))
+    targets = np.where(targets < a_n, targets, -1).reshape(len(gs), a_n)
+
+    rows, blocks = np.nonzero(targets >= 0)
+    inverses = list(map(g._inv, ext.lifts))
+    moved = g._mul_many([ext.lifts[i] for i in blocks.tolist()], [gs[r] for r in rows.tolist()])
+    products = g._mul_many(moved, [inverses[j] for j in targets[rows, blocks].tolist()])
+    position = {}
+    which = np.full(targets.shape, -1, np.intp)
+    which[rows, blocks] = [position.setdefault(c, len(position)) for c in products]
+    escaped = np.fromiter((ext.project(c) != q.identity for c in position), bool, len(position))
+    return _Walk(targets, which, list(position), escaped)
+
+
+def _f_walk(ext: ExtensionData, f: FiniteSubset | Iterable) -> _Walk:
+    walk = _blocks(ext, list(FiniteSubset(ext.group, f)))
+    walk.check(ext.group)
+    return walk
 
 
 def folner_expansion(ext: ExtensionData, f: FiniteSubset | Iterable) -> Fraction:
     """max over g in F of |Abar * gb \\ Abar| / |Abar|, counted exactly."""
-    fset = FiniteSubset(ext.group, f)
-    escaped = max((_blocks(ext, g).count(None) for g in fset), default=0)
-    return Fraction(escaped, len(ext.folner))
+    return _f_walk(ext, f).expansion(None)
 
 
 def conjugated_normal_subset(
     ext: ExtensionData, f: FiniteSubset | Iterable
 ) -> FiniteSubset:
     """H = N intersected with A*F*A^-1: the conjugates of F's block walks."""
-    fset = FiniteSubset(ext.group, f)
-    return FiniteSubset(ext.group, (b[1] for x in fset for b in _blocks(ext, x) if b))
+    return FiniteSubset(ext.group, _f_walk(ext, f).used(None))
 
 
 def integer_folner_interval(projected_f: Iterable[int], epsilon: Fraction) -> FiniteSubset:
     """Smallest interval {0..m-1} in the integers with expansion <= epsilon.
 
     A shift by k moves exactly |k| points out of the interval, so the least
-    modulus is ceil(max|k| / epsilon).
+    modulus is ceil(max|k| / epsilon); an m past check_carrier_size's bound
+    is refused before the interval is built.
     """
     epsilon = check_epsilon(epsilon)
     bound = max((abs(k) for k in FiniteSubset(IntegerGroup(), projected_f)), default=0)
     m = -(-bound * epsilon.denominator // epsilon.numerator) or 1  # ceil division
-    return FiniteSubset(IntegerGroup(), range(m))
+    return FiniteSubset(IntegerGroup(), range(check_carrier_size(m)))
 
 
 def amenable_extension_qa(
@@ -127,19 +177,25 @@ def amenable_extension_qa(
     verifies as an (H, epsilon)-quasi-action for H = N & (A F A^-1).  psi's
     support must cover every conjugated element the formula meets on
     F, F*F and the identity; a missing one raises naming the element.
+    One walk covers F and then the rest of {1} u F u F*F in key order, the
+    order in which an escaped or missing conjugate is named.
     """
     require_dense(psi, "the amenable extension")
     epsilon = check_epsilon(epsilon)
     g = ext.group
     fset = FiniteSubset(g, f)
+    k = len(fset)
+    rows = [*fset, *(x for x in FiniteSubset(g, [g.identity, *pair_products(fset, fset)])
+                     if x not in fset)]
+    walk = _blocks(ext, rows)
+    walk.check(g, k)
 
-    expansion = folner_expansion(ext, fset)
+    expansion = walk.expansion(k)
     if expansion > epsilon:
         raise PreconditionError(f"Folner expansion {expansion} exceeds epsilon {epsilon}")
 
-    h_subset = conjugated_normal_subset(ext, fset)
     try:
-        h_for_inner = FiniteSubset(psi.owner, iter(h_subset))
+        h_for_inner = FiniteSubset(psi.owner, walk.used(k))
     except GroupMismatchError as exc:
         raise PreconditionError(f"inner action's group does not contain all of H: {exc}") from exc
     inner = verify(psi, h_for_inner, epsilon)
@@ -150,26 +206,16 @@ def amenable_extension_qa(
     if claimed >= 1:
         raise PreconditionError(f"3*epsilon = {claimed} leaves (0,1)")
 
+    ids = np.array([psi.ids.get(c, -1) for c in walk.conjugates], np.intp)
+    walk.check(g, None, ids < 0)  # F's rows have neither by now
+    # One gather from psi's distinct maps, with the identity as the last row
+    # (picked by which's -1) for blocks that leave Abar; those stay in place.
+    tables, index = psi.slot_tables
+    images = np.stack([m.images for m in tables[0]] + [np.arange(psi.carrier_n)]).astype(np.int64)
+    picks = np.append(index[ids, 0], len(tables[0]))[walk.which]
     a_n = len(ext.folner)
-    barange = np.arange(psi.carrier_n)
-    needed = {g.identity, *fset, *pair_products(fset, fset)}
-
-    assignment = {}
-    for elem in sorted(needed, key=g.element_key):
-        target, inner = np.arange(a_n), []
-        for i, block in enumerate(_blocks(ext, elem)):
-            if block is None:
-                # ab gb left the Folner set: identity on this block.
-                inner.append(barange)
-                continue
-            target[i], conjugated = block
-            if conjugated not in psi.assignment:
-                raise IncompleteSupportError(
-                    g.element_key(conjugated), "inner action support"
-                )
-            inner.append(psi.assignment[conjugated].images)
-        # Point (b, a_i) is b * |A| + i; column i holds block i's B-images.
-        images = np.stack(inner, axis=1).astype(np.int64) * a_n + target
-        assignment[elem] = FiniteMap(images.ravel())
-
+    target = np.where(walk.targets >= 0, walk.targets, np.arange(a_n))
+    # Point (b, a_i) is b * |A| + i; column i holds block i's B-images.
+    maps = images[picks].transpose(0, 2, 1) * a_n + target[:, None, :]
+    assignment = {x: FiniteMap(m.ravel()) for x, m in zip(rows, maps)}
     return QuasiAction(g, psi.carrier_n * a_n, assignment, fset, claimed)

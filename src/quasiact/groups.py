@@ -38,6 +38,30 @@ def _row_codes(columns: Iterable[np.ndarray], sizes: Iterable[int]) -> np.ndarra
     return code
 
 
+def _positions(known: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The position in ``known``, an array of distinct codes, of each of
+    ``codes``, or -1 where it is absent: a search among the sorted codes."""
+    order = np.argsort(known)
+    ranked = known[order]
+    at = np.searchsorted(ranked, codes).clip(max=max(len(known) - 1, 0))
+    return np.where(ranked[at] == codes, order[at], -1)
+
+
+def _int64(xs: Sequence) -> np.ndarray | None:
+    """The checked ints xs as int64, or None unless every |x| < 2**62: then no
+    sum of two and no negation wraps, and a batch past it takes the loop."""
+    try:
+        arr = np.fromiter(xs, np.int64, len(xs))
+    except OverflowError:  # past int64 itself
+        return None
+    return arr if not arr.size or (-1 << 62 < arr.min() and arr.max() < 1 << 62) else None
+
+
+def _str_keys(self, xs: Sequence) -> list[str]:
+    """element_key of checked ints: str(x) is their canonical JSON."""
+    return list(map(str, xs))
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -201,6 +225,22 @@ class IntegerGroup(GroupHandle):
     def _inv(self, a: int) -> int:
         return -a
 
+    # Batches add and negate as int64 when nothing can wrap, and give Python
+    # ints back through tolist, so no array form reaches a key.
+    def _mul_many(self, xs: Sequence, ys: Sequence) -> list:
+        a, b = _int64(xs), _int64(ys)
+        return super()._mul_many(xs, ys) if a is None or b is None else (a + b).tolist()
+
+    def _product_ids(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        v = _int64(support)
+        return super()._product_ids(support, xs, ys) if v is None else _positions(v, v[xs] + v[ys])
+
+    def _inverse_ids(self, support: Sequence) -> np.ndarray:
+        v = _int64(support)
+        return super()._inverse_ids(support) if v is None else _positions(v, -v)
+
+    _keys_many = _str_keys
+
     def contains(self, x) -> bool:
         return _is_int(x)
 
@@ -285,6 +325,20 @@ class TableGroup(GroupHandle):
     def _inv(self, a: int) -> int:
         return self._inverses[a]
 
+    # Batches are gathers from the table.
+    def _mul_many(self, xs: Sequence, ys: Sequence) -> list:
+        return self._table[np.asarray(xs, np.intp), np.asarray(ys, np.intp)].tolist()
+
+    def _product_ids(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        e = np.asarray(support, np.intp)
+        return _positions(e, self._table[e[xs], e[ys]])
+
+    def _inverse_ids(self, support: Sequence) -> np.ndarray:
+        e = np.asarray(support, np.intp)
+        return _positions(e, np.asarray(self._inverses, np.intp)[e])
+
+    _keys_many = _str_keys
+
     def contains(self, x) -> bool:
         return _is_int(x) and 0 <= x < self._order
 
@@ -365,10 +419,7 @@ class ProductGroup(GroupHandle):
         m = len(coordinates[0][1])
         code = _row_codes([np.concatenate([own, c]) + 1 for (_, own), c in zip(coordinates, columns)],
                           [len(values) + 1 for values, _ in coordinates])
-        order = np.argsort(code[:m])  # distinct elements have distinct codes
-        known = code[:m][order]
-        at = np.searchsorted(known, code[m:]).clip(max=max(m - 1, 0))
-        return np.where(known[at] == code[m:], order[at], -1)
+        return _positions(code[:m], code[m:])  # distinct elements have distinct codes
 
     def _product_ids(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Each factor multiplies each distinct pair of its coordinate values

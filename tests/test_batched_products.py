@@ -1,8 +1,9 @@
 """Batched group products against the scalar ``_mul`` loop.
 
-``GroupHandle._mul_many`` multiplies parallel element lists in one call, and
+``GroupHandle._mul_many`` multiplies parallel element lists in one call,
 ``ProductGroup`` does so coordinatewise, each distinct pair of coordinates
-once.  The id-level batches ``_product_ids``, ``_inverse_ids`` and
+once, ``IntegerGroup`` adds as int64 when no operand can wrap, and
+``TableGroup`` gathers from its table.  The id-level batches ``_product_ids``, ``_inverse_ids`` and
 ``_keys_many`` answer for a support in id order; ``ProductGroup`` answers
 per coordinate and builds no product element.  ``QuasiAction._products``
 builds the F x F table of ids from ``_product_ids``.  The scalar loops
@@ -56,9 +57,15 @@ def finitary_elements(draw):
     return FINITARY.make(draw(st.integers(-3, 3)), dict(zip(range(-2, 3), moved)))
 
 
+# Integers around the int64 batches' bound 2**62 and past int64 itself:
+# a batch holding one of them takes the scalar loop, exact at any size.
+WIDE = [2**62 - 1, 2**62, 2**63 - 1, 2**63, 2**64 + 5]
+WIDE_INTEGERS = st.one_of(st.integers(-3, 3), st.sampled_from(WIDE + [-x for x in WIDE]))
+
 # (handle, a strategy for its elements), one row per kind of handle.
 HANDLES = [
     (IntegerGroup(), st.integers(-50, 50)),
+    (IntegerGroup(), WIDE_INTEGERS),
     (TableGroup(S3), st.integers(0, 5)),
     (cyclic_group(7), st.integers(0, 6)),
     (ProductGroup([IntegerGroup(), ProductGroup([cyclic_group(3), TableGroup(S3)])]),
@@ -70,7 +77,7 @@ HANDLES = [
     (FINITARY, finitary_elements()),
     (ProductGroup([FREE, FINITARY]), st.tuples(free_words(), finitary_elements())),
 ]
-HANDLE_IDS = ["integers", "s3", "c7", "nested_product", "members_subgroup",
+HANDLE_IDS = ["integers", "wide_integers", "s3", "c7", "nested_product", "members_subgroup",
               "predicate_subgroup", "free_product", "finitary", "free_x_finitary"]
 
 
@@ -84,7 +91,16 @@ class TestMulManyAgainstTheScalarLoop:
         pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
                                    max_size=30))
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-        assert g._mul_many(xs, ys) == [g._mul(x, y) for x, y in zip(xs, ys)]
+        batch, loop = g._mul_many(xs, ys), [g._mul(x, y) for x, y in zip(xs, ys)]
+        assert batch == loop
+        assert list(map(type, batch)) == list(map(type, loop))  # Python ints, never numpy's
+
+    @pytest.mark.parametrize("g,elements", HANDLES, ids=HANDLE_IDS)
+    def test_empty_batches(self, g, elements):
+        none = np.array([], np.intp)
+        assert g._mul_many([], []) == [] and g._keys_many([]) == []
+        for ids in (g._product_ids([], none, none), g._inverse_ids([])):
+            assert ids.dtype == np.intp and ids.shape == (0,)
 
     @pytest.mark.parametrize("g,elements", HANDLES, ids=HANDLE_IDS)
     @settings(max_examples=30, deadline=None)

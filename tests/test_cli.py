@@ -1,11 +1,17 @@
 import base64
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quasiact
 from quasiact import cyclic_group, emit_certificate, load_certificate, verify
 from quasiact import quasiaction
 from quasiact.cli import main
@@ -479,6 +485,47 @@ def _format_1(doc):
 
 
 C4_TABLE = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+
+
+class TestOversizedRanges:
+    """An extension shape refuses a range past check_carrier_size's bound
+    (2**31 - 1) by the field that set it, before enumerating it.  Each
+    request runs in a child under timeout and a 1 GiB address-space limit,
+    so a shape that starts to enumerate fails the test instead of stalling
+    the suite or filling memory."""
+
+    @staticmethod
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    EXTENSION = {"construct": "extension", "epsilon": "1/10", "psi_modulus": 24}
+
+    @pytest.mark.parametrize("request_doc,field,size", [
+        # integer_folner_interval's {0..10**22 - 1}
+        ({"construct": "extension", "extension_kind": "product_factor", "epsilon": "1/100",
+          "quotient": {"kind": "integers"}, "normal": {"kind": "finite", "table": [[0, 1], [1, 0]]},
+          "f": [[10**20, 0]]}, "f", 10**22),
+        # the inner action's span of multiples, 4 * 10**20 + 9 of them
+        ({**EXTENSION, "extension_kind": "integer_subgroup", "index": 3, "f": [10**20]},
+         "f", 4 * 10**20 + 9),
+        # cyclic_group(10**7)'s table of 10**14 entries
+        ({**EXTENSION, "extension_kind": "integer_subgroup", "index": 10**7, "f": [1]},
+         "index", 10**14),
+    ], ids=["product_factor_f", "integer_subgroup_f", "integer_subgroup_index"])
+    def test_exits_two_naming_the_field(self, tmp_path, request_doc, field, size):
+        req, out = tmp_path / "request.json", tmp_path / "out.json"
+        req.write_text(json.dumps(request_doc))
+        src = str(Path(quasiact.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        run = subprocess.run(["timeout", "30", sys.executable, "-m", "quasiact.cli", "construct",
+                              "--request", str(req), "--out", str(out)],
+                             capture_output=True, text=True, env=env,
+                             preexec_fn=self.limit_memory)
+        assert run.returncode == 2, run.stderr[-500:]
+        assert run.stderr == (f"error: field {field!r}: carrier size {size} is outside "
+                              "1..2147483647\n")
+        assert not out.exists()
 
 
 class TestMalformedInputs:

@@ -1,14 +1,19 @@
-"""The amenable extension's block walk against the triple enumeration it
-replaced, and the extension and product claims on random cases.
+"""The amenable extension's block walk against the scalar walk and the
+triple enumeration, and the extension and product claims on random cases.
 
-The oracles are the enumerations the constructions used before the block
-walk: H as every a*x*a2^-1 over A x F x A that N contains, and the Folner
-expansion through checked quotient products.
+The oracles: H as every a*x*a2^-1 over A x F x A that N contains, the Folner
+expansion through checked quotient products, and the walk one element and
+one block at a time (``scalar_blocks``), with the extension built on it
+(``scalar_amenable_extension_qa``).  The batched walk must give the same
+targets, conjugates, H, expansion, maps and certificate bytes, and raise the
+same error for the same first offender.
 """
 
 import itertools
 import json
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +27,10 @@ from quasiact import (
     SubgroupHandle,
     TableGroup,
     cyclic_group,
+    emit_certificate,
     identity_map,
     load_certificate,
+    pair_products,
     verify,
 )
 from quasiact.cli import main
@@ -38,7 +45,16 @@ from quasiact.constructions import (
     regular_action,
     transport_qa,
 )
-from quasiact.errors import GroupMismatchError, InvariantViolationError
+from quasiact.constructions.extension import _blocks
+from quasiact.errors import (
+    GroupMismatchError,
+    IncompleteSupportError,
+    InvariantViolationError,
+    PreconditionError,
+    QuasiactError,
+)
+from quasiact.quasiaction import require_dense
+from quasiact.util import check_epsilon
 
 from test_finmap import fraction, with_map
 
@@ -60,6 +76,76 @@ def expansion_oracle(ext, f):
         sum(1 for q in abar if ext.quotient.mul(q, ext.project(x)) not in inside) for x in f
     )
     return max((Fraction(e, len(abar)) for e in escaped), default=Fraction(0))
+
+
+def scalar_blocks(ext, g) -> list:
+    """g's walk over the blocks a of A, in Folner order: (j, a g sigma(ab gb)^-1)
+    when ab gb is the j-th element of Abar, None when it leaves Abar."""
+    gb = ext.quotient.check_element(ext.project(g))
+    qmul, mul, inv = ext.quotient._mul, ext.group._mul, ext.group._inv
+    blocks = []
+    for q, a in zip(ext.folner, ext.lifts):
+        j = ext.index.get(qmul(q, gb))
+        if j is None:
+            blocks.append(None)
+            continue
+        conjugated = mul(mul(a, g), inv(ext.lifts[j]))
+        if ext.project(conjugated) != ext.quotient.identity:
+            key = ext.group.element_key(conjugated)
+            raise InvariantViolationError(f"conjugated element escaped the normal subgroup: {key}")
+        blocks.append((j, conjugated))
+    return blocks
+
+
+def scalar_folner_expansion(ext, f) -> Fraction:
+    fset = FiniteSubset(ext.group, f)
+    escaped = max((scalar_blocks(ext, g).count(None) for g in fset), default=0)
+    return Fraction(escaped, len(ext.folner))
+
+
+def scalar_conjugated_normal_subset(ext, f) -> FiniteSubset:
+    fset = FiniteSubset(ext.group, f)
+    return FiniteSubset(ext.group, (b[1] for x in fset for b in scalar_blocks(ext, x) if b))
+
+
+def scalar_amenable_extension_qa(psi, ext, f, epsilon) -> QuasiAction:
+    """The extension on the scalar walk: one walk per element of F for the
+    expansion and again for H, then one per element of {1} u F u F*F, in key
+    order, for the maps, each block's images read from psi's assignment."""
+    require_dense(psi, "the amenable extension")
+    epsilon = check_epsilon(epsilon)
+    g = ext.group
+    fset = FiniteSubset(g, f)
+    expansion = scalar_folner_expansion(ext, fset)
+    if expansion > epsilon:
+        raise PreconditionError(f"Folner expansion {expansion} exceeds epsilon {epsilon}")
+    h_subset = scalar_conjugated_normal_subset(ext, fset)
+    try:
+        h_for_inner = FiniteSubset(psi.owner, iter(h_subset))
+    except GroupMismatchError as exc:
+        raise PreconditionError(f"inner action's group does not contain all of H: {exc}") from exc
+    if not verify(psi, h_for_inner, epsilon).passed:
+        raise PreconditionError(f"inner action does not verify on H at epsilon {epsilon}")
+    claimed = 3 * epsilon
+    if claimed >= 1:
+        raise PreconditionError(f"3*epsilon = {claimed} leaves (0,1)")
+    a_n = len(ext.folner)
+    barange = np.arange(psi.carrier_n)
+    needed = {g.identity, *fset, *pair_products(fset, fset)}
+    assignment = {}
+    for elem in sorted(needed, key=g.element_key):
+        target, inner = np.arange(a_n), []
+        for i, block in enumerate(scalar_blocks(ext, elem)):
+            if block is None:
+                inner.append(barange)
+                continue
+            target[i], conjugated = block
+            if conjugated not in psi.assignment:
+                raise IncompleteSupportError(g.element_key(conjugated), "inner action support")
+            inner.append(psi.assignment[conjugated].images)
+        images = np.stack(inner, axis=1).astype(np.int64) * a_n + target
+        assignment[elem] = FiniteMap(images.ravel())
+    return QuasiAction(g, psi.carrier_n * a_n, assignment, fset, claimed)
 
 
 def _symmetric_group_table(degree):
@@ -238,10 +324,16 @@ EPSILONS = st.sampled_from([Fraction(1, 10), Fraction(1, 20), Fraction(1, 50), F
 @st.composite
 def product_factor_claim(draw):
     """The CLI's product_factor shape with the regular action of N as psi,
-    an integer or a finite quotient, and a section that is no homomorphism."""
+    an integer or a finite quotient, and a section that is no homomorphism.
+    N is C_n with its elements relabelled, so its identity need not come
+    first in key order."""
     epsilon = draw(EPSILONS)
     n = draw(st.integers(1, 4))
-    normal = cyclic_group(n)
+    label = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        table[label[i]][label[j]] = label[(i + j) % n]
+    normal = TableGroup(table)
     if draw(st.booleans()):
         quotient = IntegerGroup()
         f = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, n - 1)),
@@ -365,3 +457,142 @@ class TestDecodedInputs:
         with pytest.raises(GroupMismatchError):
             QuasiAction(IntegerGroup(), 2, {0: identity_map(2)},
                         FiniteSubset(cyclic_group(2), [0]), Fraction(1, 10))
+
+
+@st.composite
+def symmetric_group_claim(draw):
+    """G = S4 over one of its normal subgroups N, psi the regular action of
+    N, and Abar either the whole quotient or any nonempty subset of it."""
+    ext, f = draw(symmetric_group_quotient())
+    if draw(st.booleans()):
+        whole = FiniteSubset(ext.quotient, ext.quotient.elements())
+        ext = ExtensionData(group=S4, quotient=ext.quotient, project=ext.project,
+                            section=ext.section, folner=whole)
+    epsilon = draw(EPSILONS)
+    members = [x for x in S4.elements() if ext.project(x) == ext.quotient.identity]
+    return regular_action(SubgroupHandle(S4, members=members), epsilon=epsilon), ext, f, epsilon
+
+
+def without(psi, drop):
+    """psi with drop taken out of its support, claiming no F."""
+    kept = {e: m for e, m in psi.assignment.items() if e != drop}
+    return QuasiAction(psi.owner, psi.carrier_n, kept, [], psi.claimed_epsilon)
+
+
+@st.composite
+def faulted(draw, claim):
+    """A claim as ExtensionData's fields, with at most one fault: a projection
+    forged on one element near the walk, a section forged on one element of
+    Abar, or one element other than the identity dropped from psi's support."""
+    psi, ext, f, epsilon = draw(claim)
+    g = ext.group
+    fset = FiniteSubset(g, f)
+    rows = [g.identity, *fset, *pair_products(fset, fset)]
+    lifts = ext.lifts[:3]
+    near = [*rows, *ext.lifts,
+            *(g._mul(g._mul(a, x), g._inv(b)) for a in lifts for b in lifts for x in rows)]
+    fields = dict(group=g, quotient=ext.quotient, project=ext.project, section=ext.section,
+                  folner=ext.folner)
+    fault = draw(st.sampled_from(["none", "projection", "section", "support"]))
+    if fault == "projection":
+        forged, value = draw(st.sampled_from(near)), ext.project(draw(st.sampled_from(near)))
+        project = ext.project
+        fields["project"] = lambda x: value if x == forged else project(x)
+    elif fault == "section":
+        q0, wrong = draw(st.sampled_from(list(ext.folner))), draw(st.sampled_from(near))
+        section = ext.section
+        fields["section"] = lambda q: wrong if q == q0 else section(q)
+    elif fault == "support" and len(psi.elements) > 1:
+        psi = without(psi, draw(st.sampled_from([e for e in psi.elements if e != g.identity])))
+    return psi, fields, f, epsilon
+
+
+def result(build):
+    """build()'s value, or the type and message of the error it raised."""
+    try:
+        return build()
+    except QuasiactError as exc:
+        return type(exc), str(exc)
+
+
+def batched_rows(ext, gs) -> list:
+    """The batched walk of gs, checked, in scalar_blocks' form."""
+    walk = _blocks(ext, gs)
+    walk.check(ext.group)
+    return [[None if j < 0 else (j, walk.conjugates[c]) for j, c in zip(t, w)]
+            for t, w in zip(walk.targets.tolist(), walk.which.tolist())]
+
+
+def built(extension, psi, fields, f, epsilon):
+    """The extension's maps by key and its certificate, or the error raised."""
+    def run():
+        qa = extension(psi, ExtensionData(**fields), f, epsilon)
+        maps = {qa.owner.element_key(e): m.images.tolist() for e, m in qa.assignment.items()}
+        return maps, emit_certificate(qa, verify(qa))
+    return result(run)
+
+
+def walked(expansion, conjugated, blocks, fields, f):
+    """The expansion, H and the walk of F, then {1} u F*F in key order."""
+    def run():
+        ext = ExtensionData(**fields)
+        g, fset = ext.group, FiniteSubset(ext.group, f)
+        rows = [*fset, *(x for x in FiniteSubset(g, [g.identity, *pair_products(fset, fset)])
+                         if x not in fset)]
+        return (result(lambda: expansion(ext, f)), result(lambda: conjugated(ext, f)),
+                result(lambda: blocks(ext, rows)))
+    return result(run)
+
+
+CLAIMS = [product_factor_claim(), integer_subgroup_claim(), symmetric_group_claim()]
+
+
+class TestBatchedWalkAgainstTheScalarWalk:
+    @pytest.mark.parametrize("claim", CLAIMS, ids=["product_factor", "integer_subgroup", "s4"])
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_same_walk_maps_bytes_and_errors(self, claim, data):
+        psi, fields, f, epsilon = data.draw(faulted(claim))
+        assert (walked(folner_expansion, conjugated_normal_subset, batched_rows, fields, f)
+                == walked(scalar_folner_expansion, scalar_conjugated_normal_subset,
+                          lambda ext, rows: [scalar_blocks(ext, x) for x in rows], fields, f))
+        assert (built(amenable_extension_qa, psi, fields, f, epsilon)
+                == built(scalar_amenable_extension_qa, psi, fields, f, epsilon))
+
+    def product_factor(self, epsilon=Fraction(1, 10), **forged):
+        """G = Z x C2 over the finite factor, each lift (q, 1), Abar {0..9}."""
+        g, z = ProductGroup([IntegerGroup(), cyclic_group(2)]), IntegerGroup()
+        fields = dict(group=g, quotient=z, project=lambda x: x[0], section=lambda q: (q, 1),
+                      folner=FiniteSubset(z, range(10)))
+        psi = regular_action(SubgroupHandle(g, members=[(0, 0), (0, 1)]), epsilon=epsilon)
+        return psi, {**fields, **forged}, [(1, 0)], epsilon
+
+    def s4_over_klein(self):
+        """A Folner set of five of S3's six elements, F = {11, 14} and
+        H = {0, 7}: the walk of 10 in F*F meets the conjugate 16 on its
+        second block, in N but not in H u H*H, and psi lacks 16."""
+        q, project, _ = quotient_by(S4, S4_NORMAL["klein"])
+        lifts = [23, 6, 21, 3, 8, 5]
+        fields = dict(group=S4, quotient=q, project=project, section=lambda t: lifts[t],
+                      folner=FiniteSubset(q, [3, 4, 0, 1, 5]))
+        psi = regular_action(SubgroupHandle(S4, members=S4_NORMAL["klein"]), epsilon=Fraction(2, 7))
+        return without(psi, 16), fields, [11, 14], Fraction(2, 7)
+
+    @pytest.mark.parametrize("case,error,message", [
+        # (2, 0), in F*F only, projects to 1: its blocks' conjugate (1, 0) escapes N.
+        (lambda self: self.product_factor(project=lambda x: 1 if x == (2, 0) else x[0]),
+         InvariantViolationError, "conjugated element escaped the normal subgroup: [1,0]"),
+        # The same escape comes after F's expansion 1/10 is refused.
+        (lambda self: self.product_factor(Fraction(1, 20),
+                                          project=lambda x: 1 if x == (2, 0) else x[0]),
+         PreconditionError, "Folner expansion 1/10 exceeds epsilon 1/20"),
+        (lambda self: self.s4_over_klein(),
+         IncompleteSupportError, "no map assigned for element 16 (inner action support)"),
+        (lambda self: self.product_factor(section=lambda q: (q + (q == 4), 1)),
+         InvariantViolationError, "section fails on 4"),
+    ], ids=["escaped_in_f_times_f", "escaped_after_the_expansion", "inner_support_gap",
+            "section_fails"])
+    def test_the_first_offender_is_named_as_the_scalar_walk_names_it(self, case, error, message):
+        args = case(self)
+        got = built(amenable_extension_qa, *args)
+        assert got == built(scalar_amenable_extension_qa, *args) == (error, message)

@@ -486,13 +486,13 @@ def verify_per_pair(qa, f=None, epsilon=None, strict=False) -> VerificationRepor
 
 
 class CountingTable(TableGroup):
-    """A table group that counts its products."""
+    """A table group that counts the products its id batch forms."""
 
     products = 0
 
-    def _mul(self, a, b):
-        self.products += 1
-        return super()._mul(a, b)
+    def _product_ids(self, support, xs, ys):
+        self.products += len(xs)
+        return super()._product_ids(support, xs, ys)
 
 
 class TestBatchedVerify:
