@@ -75,7 +75,7 @@ class _Walk(NamedTuple):
     """The walks of elements of G over the blocks a of A: one row per element
     and one column per block, in Folner order.  ``targets`` holds j when
     ab gb is the j-th element of Abar and -1 when it leaves Abar; ``which``
-    the position in ``conjugates`` (distinct, in order of first use) of
+    the position in ``conjugates`` (distinct, in no particular order) of
     a g sigma(ab gb)^-1, -1 where the block leaves Abar; ``escaped`` marks
     the conjugates whose projection is not the identity, outside N."""
 
@@ -113,9 +113,9 @@ def _blocks(ext: ExtensionData, gs: Sequence) -> _Walk:
     """The walks of the elements gs of G, which must already be checked, all
     at once.  N is the projection's kernel and sigma is injective on Abar, so
     a2 = sigma(ab gb) is the one lift with a g a2^-1 in N.  One quotient batch
-    finds every ab gb among Abar's ids, two batches of G form a g and then
-    a g a2^-1, with sigma's inverses taken once per lift, and each distinct
-    conjugate is projected once."""
+    finds every ab gb among Abar's ids, and two batches of G form the
+    distinct a g and then the distinct a g a2^-1, with sigma's inverses
+    taken once per lift; each distinct conjugate is projected once."""
     q, g, a_n = ext.quotient, ext.group, len(ext.lifts)
     gbs = [q.check_element(ext.project(x)) for x in gs]
     ids = dict(ext.index)  # the quotient's support: Abar, then the projections outside it
@@ -124,14 +124,13 @@ def _blocks(ext: ExtensionData, gs: Sequence) -> _Walk:
     targets = np.where(targets < a_n, targets, -1).reshape(len(gs), a_n)
 
     rows, blocks = np.nonzero(targets >= 0)
-    inverses = list(map(g._inv, ext.lifts))
-    moved = g._mul_many([ext.lifts[i] for i in blocks.tolist()], [gs[r] for r in rows.tolist()])
-    products = g._mul_many(moved, [inverses[j] for j in targets[rows, blocks].tolist()])
-    position = {}
+    moved, at = g._multiply([*ext.lifts, *gs], blocks, a_n + rows)
+    conjugates, at = g._multiply([*moved, *map(g._inv, ext.lifts)], at,
+                                 len(moved) + targets[rows, blocks])
     which = np.full(targets.shape, -1, np.intp)
-    which[rows, blocks] = [position.setdefault(c, len(position)) for c in products]
-    escaped = np.fromiter((ext.project(c) != q.identity for c in position), bool, len(position))
-    return _Walk(targets, which, list(position), escaped)
+    which[rows, blocks] = at
+    escaped = np.fromiter((ext.project(c) != q.identity for c in conjugates), bool, len(conjugates))
+    return _Walk(targets, which, conjugates, escaped)
 
 
 def _f_walk(ext: ExtensionData, f: FiniteSubset | Iterable) -> _Walk:

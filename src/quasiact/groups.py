@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -38,18 +37,22 @@ def _row_codes(columns: Iterable[np.ndarray], sizes: Iterable[int]) -> np.ndarra
     return code
 
 
-def _positions(known: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The position in ``known``, an array of distinct codes, of each of
-    ``codes``, or -1 where it is absent: a search among the sorted codes."""
-    order = np.argsort(known)
-    ranked = known[order]
-    at = np.searchsorted(ranked, codes).clip(max=max(len(known) - 1, 0))
-    return np.where(ranked[at] == codes, order[at], -1)
+def _distinct(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct values as Python ints, so no array form reaches a key,
+    and each value's position among them."""
+    distinct, at = np.unique(values, return_inverse=True)
+    return distinct.tolist(), at
+
+
+def _lookup(support: Sequence, elems: Iterable) -> np.ndarray:
+    """The position in support of each of elems, -1 for one outside it."""
+    ids = {e: i for i, e in enumerate(support)}
+    return np.fromiter(map(ids.get, elems, itertools.repeat(-1)), np.intp)
 
 
 def _int64(xs: Sequence) -> np.ndarray | None:
     """The checked ints xs as int64, or None unless every |x| < 2**62: then no
-    sum of two and no negation wraps, and a batch past it takes the loop."""
+    sum of two wraps, and a batch past it takes the loop."""
     try:
         arr = np.fromiter(xs, np.int64, len(xs))
     except OverflowError:  # past int64 itself
@@ -134,26 +137,26 @@ class GroupHandle:
     def _inv(self, a):
         raise NotImplementedError
 
-    def _mul_many(self, xs: Sequence, ys: Sequence) -> list:
-        """The products x*y of the parallel lists xs and ys, whose elements
-        the caller has already checked: one batch, by default the _mul loop."""
-        return list(map(self._mul, xs, ys))
+    def _multiply(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> tuple[list, np.ndarray]:
+        """The one group batch: the distinct products support[x]*support[y]
+        of the parallel id arrays xs and ys into support, a list of checked
+        elements, and each pair's position among them.  By default _mul runs
+        once per distinct pair of ids and a dict numbers the products."""
+        n, numbers = max(len(support), 1), {}
+        pairs, at = np.unique(xs * n + ys, return_inverse=True)
+        which = [numbers.setdefault(self._mul(support[p // n], support[p % n]), len(numbers))
+                 for p in pairs.tolist()]
+        return list(numbers), np.array(which, np.intp)[at]
 
-    # Id-level batches: each takes a support, checked elements in id order,
-    # and answers with positions in it, -1 for an element outside it.
     def _product_ids(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """The position of support[x]*support[y] for the parallel positions
-        xs and ys: by default the _mul_many batch and a dict lookup."""
-        ids = {e: i for i, e in enumerate(support)}
-        products = self._mul_many([support[x] for x in xs.tolist()],
-                                  [support[y] for y in ys.tolist()])
-        return np.fromiter(map(ids.get, products, itertools.repeat(-1)), np.intp, len(products))
+        """The position in support, -1 outside it, of each product
+        support[x]*support[y]: each distinct product looked up once."""
+        products, at = self._multiply(support, xs, ys)
+        return _lookup(support, products)[at]
 
     def _inverse_ids(self, support: Sequence) -> np.ndarray:
-        """The position of each element's inverse: by default the _inv loop
-        and a dict lookup."""
-        ids = {e: i for i, e in enumerate(support)}
-        return np.fromiter((ids.get(self._inv(e), -1) for e in support), np.intp, len(support))
+        """The position in support, -1 outside it, of each element's inverse."""
+        return _lookup(support, map(self._inv, support))
 
     def _keys_many(self, xs: Sequence) -> list[str]:
         """element_key of each of the checked elements xs."""
@@ -225,19 +228,10 @@ class IntegerGroup(GroupHandle):
     def _inv(self, a: int) -> int:
         return -a
 
-    # Batches add and negate as int64 when nothing can wrap, and give Python
-    # ints back through tolist, so no array form reaches a key.
-    def _mul_many(self, xs: Sequence, ys: Sequence) -> list:
-        a, b = _int64(xs), _int64(ys)
-        return super()._mul_many(xs, ys) if a is None or b is None else (a + b).tolist()
-
-    def _product_ids(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def _multiply(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> tuple[list, np.ndarray]:
+        """An int64 add when nothing can wrap."""
         v = _int64(support)
-        return super()._product_ids(support, xs, ys) if v is None else _positions(v, v[xs] + v[ys])
-
-    def _inverse_ids(self, support: Sequence) -> np.ndarray:
-        v = _int64(support)
-        return super()._inverse_ids(support) if v is None else _positions(v, -v)
+        return super()._multiply(support, xs, ys) if v is None else _distinct(v[xs] + v[ys])
 
     _keys_many = _str_keys
 
@@ -266,10 +260,9 @@ class TableGroup(GroupHandle):
 
     def _setup(self, table: np.ndarray) -> TableGroup:
         """Take table, a square int array over {0..n-1}, once its identity,
-        inverses and associativity check out.  The array is kept for the
-        associativity check, and its rows as Python ints for _mul."""
+        inverses and associativity check out.  The array is the one form of
+        the table kept."""
         self._table = table
-        self._rows = tuple(map(tuple, table.tolist()))
         self._order = len(table)
         self._identity = self._find_identity()
         self._inverses = self._find_inverses()
@@ -277,23 +270,25 @@ class TableGroup(GroupHandle):
         return self
 
     def _find_identity(self) -> int:
-        for e in range(self._order):
-            if all(self._rows[e][x] == x == self._rows[x][e] for x in range(self._order)):
-                return e
-        raise DomainError("table has no identity element")
+        """The first e whose row and column are both 0..n-1."""
+        i = np.arange(self._order)
+        both = (self._table == i).all(axis=1) & (self._table == i[:, None]).all(axis=0)
+        if not both.any():
+            raise DomainError("table has no identity element")
+        return int(np.argmax(both))
 
     def _find_inverses(self) -> tuple[int, ...]:
-        inverses = []
-        for a in range(self._order):
-            row = self._rows[a]
-            try:
-                b = row.index(self._identity)
-            except ValueError:
-                raise DomainError(f"element {a} has no inverse") from None
-            if self._rows[b][a] != self._identity:
-                raise DomainError(f"element {a} has no two-sided inverse")
-            inverses.append(b)
-        return tuple(inverses)
+        """Each a's first b with ab = 1, once ba = 1 too; the first a that
+        fails is named."""
+        i, hit = np.arange(self._order), self._table == self._identity
+        b = hit.argmax(axis=1)
+        found = hit[i, b]
+        two_sided = found & (self._table[b, i] == self._identity)
+        if not two_sided.all():
+            a = int(np.argmin(two_sided))
+            raise DomainError(f"element {a} has no two-sided inverse" if found[a]
+                              else f"element {a} has no inverse")
+        return tuple(b.tolist())
 
     def _check_associativity(self):
         # Light's test: the s with (xs)y = x(sy) for all x, y are closed under
@@ -320,22 +315,15 @@ class TableGroup(GroupHandle):
         return self._identity
 
     def _mul(self, a: int, b: int) -> int:
-        return self._rows[a][b]
+        return self._table.item(a, b)
 
     def _inv(self, a: int) -> int:
         return self._inverses[a]
 
-    # Batches are gathers from the table.
-    def _mul_many(self, xs: Sequence, ys: Sequence) -> list:
-        return self._table[np.asarray(xs, np.intp), np.asarray(ys, np.intp)].tolist()
-
-    def _product_ids(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def _multiply(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> tuple[list, np.ndarray]:
+        """A gather from the table."""
         e = np.asarray(support, np.intp)
-        return _positions(e, self._table[e[xs], e[ys]])
-
-    def _inverse_ids(self, support: Sequence) -> np.ndarray:
-        e = np.asarray(support, np.intp)
-        return _positions(e, np.asarray(self._inverses, np.intp)[e])
+        return _distinct(self._table[e[xs], e[ys]])
 
     _keys_many = _str_keys
 
@@ -349,7 +337,7 @@ class TableGroup(GroupHandle):
         return self.check_element(_decode_int(obj))
 
     def describe(self) -> dict:
-        return {"kind": "finite", "table": [list(row) for row in self._rows]}
+        return {"kind": "finite", "table": self._table.tolist()}
 
     @property
     def is_finite(self) -> bool:
@@ -385,21 +373,9 @@ class ProductGroup(GroupHandle):
     def _inv(self, a: tuple) -> tuple:
         return tuple(f._inv(x) for f, x in zip(self.factors, a))
 
-    def _mul_many(self, xs: Sequence, ys: Sequence) -> list:
-        """Coordinatewise: each factor multiplies each distinct pair of its
-        coordinates once, in one batch (40^2 + 4^2 products for the F x F of
-        a 160-element product F, not 25,600 per factor)."""
-        columns = []
-        for i, f in enumerate(self.factors):
-            a, b = (list(map(itemgetter(i), zs)) for zs in (xs, ys))
-            distinct = list(dict.fromkeys(zip(a, b)))
-            products = f._mul_many([x for x, _ in distinct], [y for _, y in distinct])
-            columns.append(map(dict(zip(distinct, products)).__getitem__, zip(a, b)))
-        return list(zip(*columns))
-
-    # The id-level batches work per coordinate: each factor numbers the
-    # distinct values of its coordinate in the support and answers for them
-    # through its own batch, and an element is its row of coordinate numbers.
+    # The batches work per coordinate: each factor numbers the distinct
+    # values of its coordinate in the support and answers for them through
+    # its own batch, so nested products and free-product factors recurse.
     def _coordinates(self, support: Sequence) -> list[tuple[list, np.ndarray]]:
         """Per factor, the distinct values of its coordinate in support, in
         order of first use, and each element's number among them."""
@@ -410,32 +386,16 @@ class ProductGroup(GroupHandle):
             out.append((list(numbers), np.array(column, np.intp)))
         return out
 
-    @staticmethod
-    def _find(coordinates: list, columns: list[np.ndarray]) -> np.ndarray:
-        """The position in the support of each row of coordinate numbers (the
-        parallel ``columns``, -1 for a value outside the support), or -1:
-        each row's code looked up among the support's sorted codes.  Numbers
-        are shifted by one, so a row with a -1 matches no element."""
-        m = len(coordinates[0][1])
-        code = _row_codes([np.concatenate([own, c]) + 1 for (_, own), c in zip(coordinates, columns)],
-                          [len(values) + 1 for values, _ in coordinates])
-        return _positions(code[:m], code[m:])  # distinct elements have distinct codes
-
-    def _product_ids(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Each factor multiplies each distinct pair of its coordinate values
-        once (40^2 + 4^2 for the F x F of a 160-element product F), and no
-        product element is built."""
-        coordinates, columns = self._coordinates(support), []
-        for f, (values, own) in zip(self.factors, coordinates):
-            n = len(values)
-            pairs, at = np.unique(own[xs] * n + own[ys], return_inverse=True)
-            columns.append(f._product_ids(values, pairs // n, pairs % n)[at])
-        return self._find(coordinates, columns)
-
-    def _inverse_ids(self, support: Sequence) -> np.ndarray:
-        coordinates = self._coordinates(support)
-        return self._find(coordinates, [f._inverse_ids(values)[own] for f, (values, own)
-                                        in zip(self.factors, coordinates)])
+    def _multiply(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> tuple[list, np.ndarray]:
+        """Each factor multiplies the distinct pairs of its coordinate values
+        (40^2 + 4^2 for the F x F of a 160-element product F), and each
+        distinct row of factor products becomes a tuple once."""
+        columns = [f._multiply(values, own[xs], own[ys])
+                   for f, (values, own) in zip(self.factors, self._coordinates(support))]
+        code = _row_codes([at for _, at in columns], [len(products) for products, _ in columns])
+        _, first, at = np.unique(code, return_index=True, return_inverse=True)
+        rows = (map(products.__getitem__, column[first].tolist()) for products, column in columns)
+        return list(zip(*rows)), at
 
     def _keys_many(self, xs: Sequence) -> list[str]:
         """Each factor keys each distinct value of its coordinate once; with
@@ -773,9 +733,9 @@ class FiniteSubset:
 def pair_products(f1: FiniteSubset, f2: FiniteSubset) -> FiniteSubset:
     """The product set {e*f : e in F1, f in F2}, deduplicated."""
     f1._check_owner(f2.owner)
-    g = f1.owner  # members of FiniteSubsets are checked, so the unchecked batch is sound
-    products = g._mul_many([e for e in f1 for _ in f2], list(f2) * len(f1))
-    return FiniteSubset(g, dict.fromkeys(products))  # each distinct product checked and keyed once
+    g, m, n = f1.owner, len(f1), len(f2)  # members of FiniteSubsets are checked
+    products, _ = g._multiply([*f1, *f2], np.repeat(np.arange(m), n), np.tile(np.arange(m, m + n), m))
+    return FiniteSubset(g, products)  # each distinct product checked and keyed once
 
 
 def symmetrize(f: FiniteSubset) -> FiniteSubset:

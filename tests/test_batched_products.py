@@ -1,14 +1,16 @@
 """Batched group products against the scalar ``_mul`` loop.
 
-``GroupHandle._mul_many`` multiplies parallel element lists in one call,
-``ProductGroup`` does so coordinatewise, each distinct pair of coordinates
-once, ``IntegerGroup`` adds as int64 when no operand can wrap, and
-``TableGroup`` gathers from its table.  The id-level batches ``_product_ids``, ``_inverse_ids`` and
-``_keys_many`` answer for a support in id order; ``ProductGroup`` answers
-per coordinate and builds no product element.  ``QuasiAction._products``
-builds the F x F table of ids from ``_product_ids``.  The scalar loops
-(``_mul``, ``_inv``, ``element_key``) stay the oracle for all of them, and
-for the element a missing product is reported by.
+``GroupHandle._multiply`` is the one group batch: it returns the distinct
+products of parallel id arrays into a support and each pair's position
+among them.  ``ProductGroup`` multiplies coordinatewise, each distinct
+pair of coordinates once, ``IntegerGroup`` adds as int64 when no operand
+can wrap, and ``TableGroup`` gathers from its table.  ``_product_ids`` and
+``_inverse_ids`` look the products and inverses up in the support, and
+``_keys_many`` keys it; ``ProductGroup`` keys per coordinate.
+``QuasiAction._products`` builds the F x F table of ids from
+``_product_ids``.  The scalar loops (``_mul``, ``_inv``, ``element_key``)
+stay the oracle for all of them, and for the element a missing product is
+reported by.
 """
 
 import itertools
@@ -81,35 +83,6 @@ HANDLE_IDS = ["integers", "wide_integers", "s3", "c7", "nested_product", "member
               "predicate_subgroup", "free_product", "finitary", "free_x_finitary"]
 
 
-class TestMulManyAgainstTheScalarLoop:
-    @pytest.mark.parametrize("g,elements", HANDLES, ids=HANDLE_IDS)
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_batch_equals_the_loop(self, g, elements, data):
-        # A small pool makes repeated operands and coordinate pairs likely.
-        pool = data.draw(st.lists(elements, min_size=1, max_size=4))
-        pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
-                                   max_size=30))
-        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-        batch, loop = g._mul_many(xs, ys), [g._mul(x, y) for x, y in zip(xs, ys)]
-        assert batch == loop
-        assert list(map(type, batch)) == list(map(type, loop))  # Python ints, never numpy's
-
-    @pytest.mark.parametrize("g,elements", HANDLES, ids=HANDLE_IDS)
-    def test_empty_batches(self, g, elements):
-        none = np.array([], np.intp)
-        assert g._mul_many([], []) == [] and g._keys_many([]) == []
-        for ids in (g._product_ids([], none, none), g._inverse_ids([])):
-            assert ids.dtype == np.intp and ids.shape == (0,)
-
-    @pytest.mark.parametrize("g,elements", HANDLES, ids=HANDLE_IDS)
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_pair_products_equal_the_checked_loop(self, g, elements, data):
-        f1, f2 = (FiniteSubset(g, data.draw(st.lists(elements, max_size=5))) for _ in range(2))
-        assert pair_products(f1, f2) == FiniteSubset(g, (g.mul(e, f) for e in f1 for f in f2))
-
-
 # Products nested two deep, with a free-product factor inside.
 NESTED = [
     (ProductGroup([ProductGroup([FREE, cyclic_group(3)]), IntegerGroup()]),
@@ -132,6 +105,52 @@ def supports(draw, g, elements):
 
 def position(support, elem) -> int:
     return support.index(elem) if elem in support else -1
+
+
+def leaf_types(x):
+    """x with each leaf replaced by its type: a numpy int is not Python's."""
+    return tuple(map(leaf_types, x)) if isinstance(x, tuple) else type(x)
+
+
+class TestMultiplyAgainstTheScalarLoop:
+    """With CODES = 1 a product renumbers its codes before each coordinate
+    is added, as a batch too large for one int64 code per row would."""
+
+    @pytest.mark.parametrize("codes", [groups.CODES, 1], ids=["int64_codes", "renumbered"])
+    @pytest.mark.parametrize("g,elements", HANDLES + NESTED, ids=HANDLE_IDS + NESTED_IDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_the_loop(self, g, elements, codes, data):
+        # A small support with repeats, as pair_products' F1 then F2 may
+        # have, makes repeated products and coordinate pairs likely.
+        support = data.draw(st.lists(elements, min_size=1, max_size=4))
+        at = st.integers(0, len(support) - 1)
+        pairs = data.draw(st.lists(st.tuples(at, at), max_size=30))
+        xs, ys = (np.array([p[i] for p in pairs], np.intp) for i in (0, 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups, "CODES", codes)
+            products, at = g._multiply(support, xs, ys)
+        loop = [g._mul(support[x], support[y]) for x, y in pairs]
+        assert at.dtype == np.intp and at.shape == (len(pairs),)
+        batch = [products[i] for i in at.tolist()]
+        assert batch == loop
+        assert list(map(leaf_types, batch)) == list(map(leaf_types, loop))  # Python ints
+        assert len(set(products)) == len(products) and set(products) == set(loop)
+
+    @pytest.mark.parametrize("g,elements", HANDLES + NESTED, ids=HANDLE_IDS + NESTED_IDS)
+    def test_empty_batches(self, g, elements):
+        none = np.array([], np.intp)
+        products, at = g._multiply([], none, none)
+        assert products == [] and g._keys_many([]) == []
+        for ids in (at, g._product_ids([], none, none), g._inverse_ids([])):
+            assert ids.dtype == np.intp and ids.shape == (0,)
+
+    @pytest.mark.parametrize("g,elements", HANDLES + NESTED, ids=HANDLE_IDS + NESTED_IDS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_pair_products_equal_the_checked_loop(self, g, elements, data):
+        f1, f2 = (FiniteSubset(g, data.draw(st.lists(elements, max_size=5))) for _ in range(2))
+        assert pair_products(f1, f2) == FiniteSubset(g, (g.mul(e, f) for e in f1 for f in f2))
 
 
 class TestIdBatchesAgainstTheScalarLoops:

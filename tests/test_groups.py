@@ -439,6 +439,82 @@ class TestAssociativityAgainstLoop:
                 TableGroup(broken)
 
 
+def identity_by_loop(table) -> int:
+    """The search the numpy one replaced: the first e with ex = x = xe for all x."""
+    n = len(table)
+    for e in range(n):
+        if all(table[e][x] == x == table[x][e] for x in range(n)):
+            return e
+    raise DomainError("table has no identity element")
+
+
+def inverses_by_loop(table, identity) -> tuple:
+    """The search the numpy one replaced: each a's first b with ab = 1, once
+    ba = 1 too, the first a that fails named."""
+    inverses = []
+    for a, row in enumerate(table):
+        try:
+            b = row.index(identity)
+        except ValueError:
+            raise DomainError(f"element {a} has no inverse") from None
+        if table[b][a] != identity:
+            raise DomainError(f"element {a} has no two-sided inverse")
+        inverses.append(b)
+    return tuple(inverses)
+
+
+@st.composite
+def tables_with_an_identity(draw):
+    """A random table of order <= 6 in which some e's row and column are
+    0..n-1: its other elements often lack an inverse or have a one-sided one."""
+    n = draw(st.integers(1, 6))
+    e = draw(st.integers(0, n - 1))
+    table = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n)]
+    for x in range(n):
+        table[e][x] = table[x][e] = x
+    return table
+
+
+def searched(find):
+    """find()'s identity and inverses, or the message of the DomainError it raised."""
+    try:
+        return find()
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestIdentityAndInversesAgainstTheLoops:
+    @settings(max_examples=400, deadline=None)
+    @given(table=st.one_of(small_tables(), tables_with_an_identity()))
+    def test_numpy_search_matches_the_loops(self, table):
+        # As in the associativity test, the search runs on a bare handle.
+        g = TableGroup.__new__(TableGroup)
+        g._table, g._order = np.array(table, np.intp), len(table)
+
+        def by_numpy():
+            g._identity = g._find_identity()
+            return g._identity, g._find_inverses()
+
+        def by_loops():
+            e = identity_by_loop(table)
+            return e, inverses_by_loop(table, e)
+
+        found = searched(by_numpy)
+        assert found == searched(by_loops)
+        assert isinstance(found, str) or all(type(x) is int for x in (found[0], *found[1]))
+
+    @pytest.mark.parametrize("table,message", [
+        ([[0, 0], [0, 0]], "table has no identity element"),
+        ([[0, 1, 2], [1, 1, 2], [2, 2, 2]], "element 1 has no inverse"),
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 1]], "element 1 has no two-sided inverse"),
+    ], ids=["no_identity", "no_inverse", "one_sided"])
+    def test_each_refusal_is_named(self, table, message):
+        assert searched(lambda: (identity_by_loop(table),
+                                 inverses_by_loop(table, identity_by_loop(table)))) == message
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            TableGroup(table)
+
+
 def apply(elem: tuple, x: int) -> int:
     """An IntegerFinitaryGroup element as a self-map of the integers."""
     k, moved = elem
