@@ -63,12 +63,10 @@ def _print_summary(report: VerificationReport) -> None:
     def verdict(ok: bool) -> str:
         return "PASS" if ok else "FAIL"
 
-    def worst(counts) -> int:  # every count is out of carrier_n: the largest is the worst
-        return max(range(len(counts)), key=counts.__getitem__)
-
+    # Every count is out of carrier_n: the first largest is the worst.
     n, limit = report.carrier_n, eps * report.carrier_n
     if report.a_counts:
-        i = worst(report.a_counts)
+        i = report.a_counts.index(max(report.a_counts))
         e, f = divmod(i, len(report.f_keys))
         d = report.a_counts[i]
         print(f"condition (a): worst pair ({report.f_keys[e]}, {report.f_keys[f]}) defect "
@@ -77,7 +75,7 @@ def _print_summary(report: VerificationReport) -> None:
     print(f"condition (b): defect {report.identity_defect} (threshold {eps}): "
           f"{verdict(report.b_pass)}")
     if report.c_agreements:
-        i = worst(report.c_agreements)
+        i = report.c_agreements.index(max(report.c_agreements))
         agree = report.c_agreements[i]
         print(f"condition (c): worst element {report.c_keys[i]} agrees on {agree}/{n}, "
               f"margin eps*n - agreements = {limit - agree} (must disagree on more than "

@@ -36,8 +36,9 @@ def regular_action(
     if not group.is_finite:
         raise DomainError("regular action needs a finite group")
     elements = list(group.elements())
-    index = {x: i for i, x in enumerate(elements)}
-    assignment = {g: FiniteMap([index[group.mul(x, g)] for x in elements]) for g in elements}
+    ids, n = np.arange(len(elements)), len(elements)  # map g: column g of the table of x*g
+    table = group._product_ids(elements, np.repeat(ids, n), np.tile(ids, n)).reshape(n, n)
+    assignment = {g: FiniteMap(column) for g, column in zip(elements, table.T)}
     if f is None:
         f = elements
     return QuasiAction(group, len(elements), assignment, FiniteSubset(group, f), epsilon)

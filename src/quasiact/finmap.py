@@ -237,14 +237,17 @@ def differs(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) 
     return out
 
 
-def agreements(e: FiniteMap, x: list, y: list) -> list[int]:
+def count_dtype(n: int):
+    """int64 for counts of at most n < 2**63 points (none wraps), else object."""
+    return np.int64 if n < 2**63 else object
+
+
+def agreements(e: FiniteMap, x: list, y: list) -> np.ndarray:
     """Per row, the points where rows x and y of e's layout (broadcast) agree:
-    the product over slots of |V| times the agreeing cells, as Python ints."""
-    per_slot = []
-    for s, a, b in zip(e.slots, x, y):
-        counts = np.count_nonzero(differs(a, b), axis=-1).tolist()
-        per_slot.append([s.per_cell * (s.images.size - c) for c in counts])
-    return [math.prod(t) for t in zip(*per_slot)]
+    per slot the column |V| times the agreeing cells, multiplied over the
+    slots in count_dtype(e.n)."""
+    return math.prod(s.per_cell * (s.images.size - np.count_nonzero(differs(a, b), axis=-1))
+                     .astype(count_dtype(e.n)) for s, a, b in zip(e.slots, x, y))
 
 
 def compose(e: FiniteMap, f: FiniteMap) -> FiniteMap:
@@ -257,7 +260,7 @@ def compose(e: FiniteMap, f: FiniteMap) -> FiniteMap:
 def similarity_defect(e: FiniteMap, f: FiniteMap) -> Defect:
     """Count the points where e and f disagree."""
     _check_same(e, f)
-    [agree] = agreements(e, e.rows(), f.rows())
+    [agree] = agreements(e, e.rows(), f.rows()).tolist()
     return Defect(e.n - agree, e.n)
 
 

@@ -31,17 +31,26 @@ def _row_codes(columns: Iterable[np.ndarray], sizes: Iterable[int]) -> np.ndarra
     code, size = 0, 1
     for c, n in zip(columns, sizes):
         if size > 1 and size * n > CODES:
-            _, code = np.unique(code, return_inverse=True)
+            _, code, _ = _unique(code)
             size = len(code)
         code, size = code * n + c, size * n
     return code
 
 
-def _distinct(values: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct values as Python ints, so no array form reaches a key,
-    and each value's position among them."""
-    distinct, at = np.unique(values, return_inverse=True)
-    return distinct.tolist(), at
+def _unique(values: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """The sorted distinct values of a 1-d int array as Python ints, each
+    value's position among them and a position in values of each: marked in
+    an array over their range if it is below 4 times their count, else sorted."""
+    lo, hi = (int(values.min()), int(values.max())) if len(values) else (0, 0)
+    if hi - lo < 4 * len(values):
+        mark = np.zeros(hi - lo + 1, bool)
+        mark[values - lo] = True
+        distinct, at = np.flatnonzero(mark) + lo, (np.cumsum(mark) - 1)[values - lo]
+    else:
+        distinct, at = np.unique(values, return_inverse=True)
+    first = np.empty(len(distinct), np.intp)
+    first[at] = np.arange(len(at))
+    return distinct.tolist(), at, first
 
 
 def _lookup(support: Sequence, elems: Iterable) -> np.ndarray:
@@ -143,9 +152,9 @@ class GroupHandle:
         elements, and each pair's position among them.  By default _mul runs
         once per distinct pair of ids and a dict numbers the products."""
         n, numbers = max(len(support), 1), {}
-        pairs, at = np.unique(xs * n + ys, return_inverse=True)
+        pairs, at, _ = _unique(xs * n + ys)
         which = [numbers.setdefault(self._mul(support[p // n], support[p % n]), len(numbers))
-                 for p in pairs.tolist()]
+                 for p in pairs]
         return list(numbers), np.array(which, np.intp)[at]
 
     def _product_ids(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -231,7 +240,7 @@ class IntegerGroup(GroupHandle):
     def _multiply(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> tuple[list, np.ndarray]:
         """An int64 add when nothing can wrap."""
         v = _int64(support)
-        return super()._multiply(support, xs, ys) if v is None else _distinct(v[xs] + v[ys])
+        return super()._multiply(support, xs, ys) if v is None else _unique(v[xs] + v[ys])[:2]
 
     _keys_many = _str_keys
 
@@ -295,16 +304,19 @@ class TableGroup(GroupHandle):
         # products, so it is enough to test generators; each one is the first
         # element that products of those before do not reach.  The reached
         # set is closed under its own products, so each pass doubles the
-        # length of the products it holds.
-        t = np.asarray(self._table)
+        # length of the products it holds.  Both go by blocks of rows.
+        t, step = np.asarray(self._table), max(1, (1 << 18) // self._order)
         reached = np.zeros(self._order, bool)
         while not reached.all():
             s = int(np.argmin(reached))
-            if not np.array_equal(t[t[:, s]], t[:, t[s]]):  # [x, y]: (xs)y and x(sy)
-                raise DomainError("multiplication table is not associative")
+            for x in range(0, self._order, step):  # [x, y]: (xs)y and x(sy)
+                if not np.array_equal(t[t[x : x + step, s]], t[x : x + step, t[s]]):
+                    raise DomainError("multiplication table is not associative")
             reached[s], count = True, 0
             while count < (count := np.count_nonzero(reached)):
-                reached[t[np.ix_(reached, reached)]] = True
+                r = np.flatnonzero(reached)
+                for x in range(0, len(r), step):
+                    reached[t[np.ix_(r[x : x + step], r)]] = True
 
     @property
     def order(self) -> int:
@@ -323,7 +335,7 @@ class TableGroup(GroupHandle):
     def _multiply(self, support: Sequence, xs: np.ndarray, ys: np.ndarray) -> tuple[list, np.ndarray]:
         """A gather from the table."""
         e = np.asarray(support, np.intp)
-        return _distinct(self._table[e[xs], e[ys]])
+        return _unique(self._table[e[xs], e[ys]])[:2]
 
     _keys_many = _str_keys
 
@@ -351,8 +363,9 @@ def cyclic_group(n: int) -> TableGroup:
     """Z/n with elements 0..n-1 written additively."""
     if n < 1:
         raise DomainError("cyclic group order must be positive")
-    i = np.arange(n)  # its entries are in range by construction: no JSON decode
-    return TableGroup.__new__(TableGroup)._setup((i[:, None] + i) % n)
+    table = np.add.outer(np.arange(n), np.arange(n))  # in range by construction: no JSON decode
+    table %= n  # in place: the table is the one n x n array made
+    return TableGroup.__new__(TableGroup)._setup(table)
 
 
 class ProductGroup(GroupHandle):
@@ -392,8 +405,8 @@ class ProductGroup(GroupHandle):
         distinct row of factor products becomes a tuple once."""
         columns = [f._multiply(values, own[xs], own[ys])
                    for f, (values, own) in zip(self.factors, self._coordinates(support))]
-        code = _row_codes([at for _, at in columns], [len(products) for products, _ in columns])
-        _, first, at = np.unique(code, return_index=True, return_inverse=True)
+        _, at, first = _unique(
+            _row_codes([at for _, at in columns], [len(products) for products, _ in columns]))
         rows = (map(products.__getitem__, column[first].tolist()) for products, column in columns)
         return list(zip(*rows)), at
 

@@ -38,11 +38,13 @@ from .errors import (
     IncompleteSupportError,
     InvariantViolationError,
     PreconditionError,
+    QuasiactError,
 )
-from .finmap import Defect, Fiber, FiniteMap, after, agreements, fixpoint_count, inverse_map
+from .finmap import (Defect, Fiber, FiniteMap, after, agreements, count_dtype, fixpoint_count,
+                     inverse_map)
 from .groups import (
     FiniteSubset, GroupHandle, _decode_int, _decode_ints, _decode_list, _decode_object,
-    _decode_str, _field, _row_codes, group_from_json,
+    _decode_str, _field, _row_codes, _unique, group_from_json,
 )
 from .util import canonical_json, check_epsilon, format_fraction, parse_fraction, parse_json
 
@@ -101,21 +103,22 @@ class QuasiAction:
     @classmethod
     def _from_slots(cls, *args) -> QuasiAction:
         """The action (owner, carrier_n, layout, tables, elements, index,
-        claimed_f, claimed_epsilon) whose elements[i] maps by
+        claimed_f, claimed_epsilon[, keys]) whose elements[i] maps by
         tables[s][index[i][s]] in each slot s.  The caller vouches that the
-        elements are decoded and distinct, each table holds distinct one-slot
-        maps of its slot's layout, and each index is in range."""
+        elements are decoded and distinct (keys, if given, their canonical
+        keys), each table holds distinct one-slot maps of its slot's layout,
+        and each index is in range."""
         return cls.__new__(cls)._set(*args)
 
     def _set(self, owner, carrier_n, layout, tables, elements, index, claimed_f,
-             claimed_epsilon) -> QuasiAction:
+             claimed_epsilon, keys=None) -> QuasiAction:
         self.owner = owner
         self.carrier_n = int(carrier_n)
         self.claimed_f = FiniteSubset(owner, claimed_f)
         self.claimed_epsilon = check_epsilon(claimed_epsilon)
         self.layout = layout
         elements = list(elements)
-        keys = owner._keys_many(elements)
+        keys = owner._keys_many(elements) if keys is None else keys
         by_key = sorted(range(len(keys)), key=keys.__getitem__)
         self.elements = tuple(elements[i] for i in by_key)
         self.keys = {e: keys[i] for e, i in zip(self.elements, by_key)}
@@ -248,9 +251,11 @@ class VerificationReport:
 
     a_counts holds condition (a) as a k x k row-major table in F order (row
     e, column f), c_agreements condition (c) over F minus the identity, in F
-    order.  Counts are Python ints, exact past 2**63.  The keys of the F x F
-    products and of the identity are kept in memory only, for the per-pair
-    views; F and the group give them, so they are neither stored nor compared."""
+    order.  Counts are Python ints, exact past 2**63: verify counts in
+    count_dtype(carrier_n) columns (int64 below 2**63 points, object past
+    it) and converts each once.  The keys of the F x F products and of the
+    identity are kept in memory only, for the per-pair views; F and the
+    group give them, so they are neither stored nor compared."""
 
     carrier_n: int
     epsilon: Fraction
@@ -286,7 +291,7 @@ class VerificationReport:
         """The largest stored count.  Every count here is out of carrier_n
         (verify measures them so), so comparing counts compares the
         fractions exactly."""
-        worst = max(self.a_counts + self.c_agreements, default=0)
+        worst = max(max(self.a_counts, default=0), max(self.c_agreements, default=0))
         return Defect(max(worst, self.identity_defect.disagreements), self.carrier_n)
 
     @cached_property
@@ -307,22 +312,20 @@ class VerificationReport:
         return tuple(zip(self.c_keys, self.c_agreements))
 
 
-def _slot_counts(qa: QuasiAction, columns: list[np.ndarray], measure) -> list:
+def _slot_counts(qa: QuasiAction, columns: list[np.ndarray], measure) -> np.ndarray:
     """Per row of the parallel id arrays ``columns``, the product over the
     slots of measure(slot's table, its distinct rows of indices), batched:
     one gather of the rows' indices from qa's index array, then per slot one
-    code per row and one np.unique of the codes.  Python ints, exact past
-    2**63."""
+    code per row and one _unique of the codes.  In count_dtype(qa.carrier_n):
+    no count or partial product over the slots exceeds carrier_n, so int64
+    cannot wrap; reports get Python ints, from one .tolist() per column."""
     tables, index = qa.slot_tables
     rows = index[np.stack(columns)]  # (columns, rows, slots)
-    total = np.ones(rows.shape[1], dtype=object)
+    total = np.ones(rows.shape[1], count_dtype(qa.carrier_n))
     for s, t in enumerate(tables):
-        _, code = np.unique(_row_codes(rows[..., s], itertools.repeat(len(t))),
-                            return_inverse=True)
-        first = np.empty(code.max(initial=-1) + 1, np.intp)
-        first[code] = np.arange(len(code))  # a row of each distinct code
-        total *= np.array(measure(t, rows[:, first, s].T), dtype=object)[code]
-    return total.tolist()
+        _, code, first = _unique(_row_codes(rows[..., s], itertools.repeat(len(t))))
+        total *= np.asarray(measure(t, rows[:, first, s].T), total.dtype)[code]
+    return total
 
 
 def _each(fact):
@@ -330,18 +333,18 @@ def _each(fact):
     return lambda table, rows: [fact(*map(table.__getitem__, r)) for r in rows.tolist()]
 
 
-def _agreements(table: list[FiniteMap], rows: np.ndarray) -> list[int]:
+def _agreements(table: list[FiniteMap], rows: np.ndarray) -> np.ndarray:
     """Per row (x, y) or (x, y, z) of one slot's table, the points where x
     agrees with y, or x then y with z: batched gathers over chunks of
     max(1, POINTS // width) rows, each stacking the entries it uses once."""
     m = table[0]
     step = max(1, POINTS // m.packed.size)
-    out = []
+    out = np.zeros(len(rows), count_dtype(m.n))
     for i in range(0, len(rows), step):
-        used, at = np.unique(rows[i : i + step], return_inverse=True)
-        stacked = np.stack([table[j].packed for j in used.tolist()])
+        used, at, _ = _unique(rows[i : i + step].ravel())
+        stacked = np.stack([table[j].packed for j in used])
         x, y, *z = (m.rows(stacked[c]) for c in at.reshape(-1, rows.shape[1]).T)
-        out += agreements(m, after(x, y), z[0]) if z else agreements(m, x, y)
+        out[i : i + step] = agreements(m, after(x, y), z[0]) if z else agreements(m, x, y)
     return out
 
 
@@ -376,14 +379,14 @@ def _count(qa: QuasiAction, fset: FiniteSubset, table: np.ndarray,
     g, n, keys = qa.owner, qa.carrier_n, qa.keys
     one, f_elems = g.identity, list(fset)
     f_ids, k = qa._ids(f_elems), len(f_elems)
-    fixed = _slot_counts(qa, [qa._ids([one, *f_elems])], _each(fixpoint_count))
+    fixed = _slot_counts(qa, [qa._ids([one, *f_elems])], _each(fixpoint_count)).tolist()
     key_of = np.array(list(map(keys.__getitem__, qa.elements)), object)
     return VerificationReport(
         carrier_n=n,
         epsilon=eps,
         f_keys=tuple(keys[e] for e in f_elems),
-        a_counts=tuple(n - a for a in _slot_counts(
-            qa, [np.repeat(f_ids, k), np.tile(f_ids, k), table], _agreements)),
+        a_counts=tuple((n - _slot_counts(
+            qa, [np.repeat(f_ids, k), np.tile(f_ids, k), table], _agreements)).tolist()),
         identity_defect=Defect(n - fixed[0], n),
         c_agreements=tuple(c for e, c in zip(f_elems, fixed[1:]) if e != one),
         product_keys=tuple(key_of[table].tolist()),
@@ -406,13 +409,14 @@ def _count_strict(qa: QuasiAction, fset: FiniteSubset, eps: Fraction) -> StrictC
     paired = inverse[others] >= 0
     inverse_exact = iter(_slot_counts(  # y is exactly x's inverse
         qa, [others[paired], inverse[others[paired]]],
-        _each(lambda x, y: x.is_bijection() and y == inverse_map(x))))
+        _each(lambda x, y: x.is_bijection() and y == inverse_map(x))).astype(bool).tolist())
     o = np.array(sorted({*f_ids.tolist(), one}), np.intp)
     left, right = np.triu_indices(len(o), 1)  # row-major, as itertools.combinations
     return StrictChecks(
-        n, eps, fixed[0] == n, tuple(map(bool, bijective)), tuple(c == 0 for c in fixed[1:]),
-        tuple(bool(next(inverse_exact)) if p else None for p in paired.tolist()),
-        tuple(n - a for a in _slot_counts(qa, [o[left], o[right]], _agreements)),
+        n, eps, bool(fixed[0] == n), tuple(bijective.astype(bool).tolist()),
+        tuple((fixed[1:] == 0).tolist()),
+        tuple(next(inverse_exact) if p else None for p in paired.tolist()),
+        tuple((n - _slot_counts(qa, [o[left], o[right]], _agreements)).tolist()),
         tuple(qa.keys[qa.elements[i]] for i in o.tolist()),
     )
 
@@ -544,15 +548,29 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     return canonical_json(doc, default=_slot_to_json) + "\n"
 
 
-def _elements_from_keys(g: GroupHandle, keys) -> dict:
-    """Each key's element, each key the JSON text of an element's encoding."""
-    return {k: g.decode(parse_json(k, f"element key {k!r:.60}")) for k in map(_decode_str, keys)}
+def _elements_from_keys(g: GroupHandle, keys, known: Mapping) -> dict:
+    """Each key's element: known's (key -> element), else the key's JSON decoded."""
+    return {k: known[k] if k in known else g.decode(parse_json(k, f"element key {k!r:.60}"))
+            for k in map(_decode_str, keys)}
 
 
-def _elements_in_key_order(g: GroupHandle, v) -> dict:
+def _assignment_keys(g: GroupHandle, keys: list[str]) -> tuple[dict, list[str] | None]:
+    """(_elements_from_keys, keys) from one parse of the joined keys once each
+    is its element's canonical key (so it parses alone to that element);
+    else (_elements_from_keys, None) by the per-key path, naming any bad key."""
+    try:
+        elems = [g.decode(x) for x in parse_json("[" + ",".join(keys) + "]", "keys")]
+        if len(elems) == len(keys) and g._keys_many(elems) == keys:
+            return dict(zip(keys, elems)), keys
+    except QuasiactError:  # the per-key path raises it for the key it belongs to
+        pass
+    return _elements_from_keys(g, keys, {}), None
+
+
+def _elements_in_key_order(g: GroupHandle, v, known: Mapping) -> dict:
     """_elements_from_keys, refusing the first key not after the one before it."""
     keys = list(map(_decode_str, _decode_list(v)))
-    keyed = _elements_from_keys(g, keys)
+    keyed = _elements_from_keys(g, keys, known)
     for before, key in zip(keys, keys[1:]):
         if not before < key:
             raise DomainError(f"key {key!r:.60} does not come after {before!r:.60}: "
@@ -601,13 +619,13 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     if not slots:
         raise DomainError("field 'slots': a certificate has at least one slot")
     tables = [t for _, t in slots]
-    keyed, rows = _field(doc, "assignment", lambda v: (
-        _elements_from_keys(g, _decode_object(v)), [_indices_from_json(e, tables) for e in v.values()]))
+    keyed, keys, rows = _field(doc, "assignment", lambda v: (*_assignment_keys(
+        g, list(_decode_object(v))), [_indices_from_json(e, tables) for e in v.values()]))
     index = dict(zip(keyed.values(), rows))
-    f_keyed = _field(doc, "F", lambda v: _elements_in_key_order(g, v))
+    f_keyed = _field(doc, "F", lambda v: _elements_in_key_order(g, v, keyed))
     qa = QuasiAction._from_slots(g, carrier_n, tuple(layout for layout, _ in slots), tables,
                                  index, list(index.values()), FiniteSubset(g, f_keyed.values()),
-                                 _field(doc, "epsilon", parse_fraction))
+                                 _field(doc, "epsilon", parse_fraction), keys)
     # The assignment's and F's elements are supported, so qa has their
     # canonical keys: each element is keyed once.
     for stated in (keyed, f_keyed):
@@ -619,7 +637,7 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
         raise InvariantViolationError("a slot's table must list each slot map in use once, "
                                       "in order of first use over the sorted keys")
     stored = _field(doc, "report", _decode_object)
-    f = _field(stored, "f", lambda v: _elements_from_keys(g, _decode_list(v)))
+    f = _field(stored, "f", lambda v: _elements_from_keys(g, _decode_list(v), keyed))
     _check_keys(f, g._keys_many(list(f.values())))
     epsilon = _field(stored, "epsilon", parse_fraction)
     strict = _field(stored, "strict", lambda v: v is not None)

@@ -418,7 +418,7 @@ def stacked_verify(qa, f=None, epsilon=None, strict=False) -> VerificationReport
     ident = identity_like(maps[one])
 
     def counts_of(x, y) -> list[int]:  # disagreeing points per row of x against y
-        return [n - a for a in agreements(ident, x, y)]
+        return [n - a for a in agreements(ident, x, y).tolist()]
 
     def stack(ms):
         return np.stack([m.packed for m in ms])
@@ -437,7 +437,7 @@ def stacked_verify(qa, f=None, epsilon=None, strict=False) -> VerificationReport
         for start, st_ in right:
             products = stack([maps[p] for p in row[start : start + len(st_)]])
             a_counts += counts_of(after(maps[e].rows(), ident.rows(st_)), ident.rows(products))
-    agree = [a for _, s in right for a in agreements(ident, ident.rows(s), ident.rows())]
+    agree = [a for _, s in right for a in agreements(ident, ident.rows(s), ident.rows()).tolist()]
 
     strict_checks = None
     if strict:

@@ -520,11 +520,11 @@ class TestBatchedVerify:
         monkeypatch.setattr(quasiaction, "agreements",
                             lambda m, x, y: seen.append(x[0][0].shape) or real(m, x, y))
         monkeypatch.setattr(quasiaction, "POINTS", 8)
-        assert quasiaction._agreements(table, rows) == expected
+        assert quasiaction._agreements(table, rows).tolist() == expected
         assert seen == [(2, 4), (2, 4), (1, 4)]
         seen.clear()
         monkeypatch.setattr(quasiaction, "POINTS", 3)
-        assert quasiaction._agreements(table, rows) == expected
+        assert quasiaction._agreements(table, rows).tolist() == expected
         assert seen == [(1, 4)] * 5
 
     def test_product_table_built_once_per_f(self):
