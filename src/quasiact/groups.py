@@ -410,6 +410,12 @@ class ProductGroup(GroupHandle):
         rows = (map(products.__getitem__, column[first].tolist()) for products, column in columns)
         return list(zip(*rows)), at
 
+    def _inverse_ids(self, support: Sequence) -> np.ndarray:
+        """Each factor inverts each distinct value of its coordinate once."""
+        columns = [map(list(map(f._inv, values)).__getitem__, own.tolist())
+                   for f, (values, own) in zip(self.factors, self._coordinates(support))]
+        return _lookup(support, zip(*columns))
+
     def _keys_many(self, xs: Sequence) -> list[str]:
         """Each factor keys each distinct value of its coordinate once; with
         canonical_json's separators "[" + ",".join(keys) + "]" is element_key."""

@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -40,8 +40,7 @@ from .errors import (
     PreconditionError,
     QuasiactError,
 )
-from .finmap import (Defect, Fiber, FiniteMap, after, agreements, count_dtype, fixpoint_count,
-                     inverse_map)
+from .finmap import Defect, Fiber, FiniteMap, after, agreements, count_dtype, identity_like
 from .groups import (
     FiniteSubset, GroupHandle, _decode_int, _decode_ints, _decode_list, _decode_object,
     _decode_str, _field, _row_codes, _unique, group_from_json,
@@ -314,38 +313,42 @@ class VerificationReport:
 
 def _slot_counts(qa: QuasiAction, columns: list[np.ndarray], measure) -> np.ndarray:
     """Per row of the parallel id arrays ``columns``, the product over the
-    slots of measure(slot's table, its distinct rows of indices), batched:
-    one gather of the rows' indices from qa's index array, then per slot one
-    code per row and one _unique of the codes.  In count_dtype(qa.carrier_n):
-    no count or partial product over the slots exceeds carrier_n, so int64
-    cannot wrap; reports get Python ints, from one .tolist() per column."""
+    slots of measure(slot's table, its distinct rows of indices), at most the
+    slot's points (a flag is 0 or 1): per slot one gather of the rows'
+    indices, one code per row and one _unique of the codes.  In
+    count_dtype(qa.carrier_n) no count or partial product over the slots
+    exceeds carrier_n, so int64 cannot wrap; reports get Python ints."""
     tables, index = qa.slot_tables
-    rows = index[np.stack(columns)]  # (columns, rows, slots)
-    total = np.ones(rows.shape[1], count_dtype(qa.carrier_n))
+    ids = np.stack(columns)
+    total = np.ones(ids.shape[1], count_dtype(qa.carrier_n))
     for s, t in enumerate(tables):
-        _, code, first = _unique(_row_codes(rows[..., s], itertools.repeat(len(t))))
-        total *= np.asarray(measure(t, rows[:, first, s].T), total.dtype)[code]
+        rows = index[:, s].take(ids)  # (columns, rows); faster than one 2-d gather
+        _, code, first = _unique(_row_codes(rows, itertools.repeat(len(t))))
+        total *= np.asarray(measure(t, rows[:, first].T), total.dtype)[code]
     return total
 
 
-def _each(fact):
-    """The _slot_counts measure that is fact(x, ...) of each row's slot maps."""
-    return lambda table, rows: [fact(*map(table.__getitem__, r)) for r in rows.tolist()]
-
-
-def _agreements(table: list[FiniteMap], rows: np.ndarray) -> np.ndarray:
-    """Per row (x, y) or (x, y, z) of one slot's table, the points where x
-    agrees with y, or x then y with z: batched gathers over chunks of
-    max(1, POINTS // width) rows, each stacking the entries it uses once."""
+def _stacked(measure, table: list[FiniteMap], rows: np.ndarray) -> np.ndarray:
+    """measure(m, x, ...) on the rows (x, ...) of one slot's table, m its
+    first entry: batched over chunks of max(1, POINTS // width) rows, each
+    stacking the entries it uses once."""
     m = table[0]
     step = max(1, POINTS // m.packed.size)
     out = np.zeros(len(rows), count_dtype(m.n))
     for i in range(0, len(rows), step):
         used, at, _ = _unique(rows[i : i + step].ravel())
         stacked = np.stack([table[j].packed for j in used])
-        x, y, *z = (m.rows(stacked[c]) for c in at.reshape(-1, rows.shape[1]).T)
-        out[i : i + step] = agreements(m, after(x, y), z[0]) if z else agreements(m, x, y)
+        out[i : i + step] = measure(m, *(m.rows(stacked[c]) for c in at.reshape(-1, rows.shape[1]).T))
     return out
+
+
+# The _slot_counts measures, per row (x, y) or (x, y, z): the points where x agrees with y,
+# or x then y with z; per (x) or (x, y): the points x, or x then y, fixes; per (x): x onto.
+_agreements = partial(_stacked, lambda m, x, y, *z: agreements(m, after(x, y), *z) if z
+                      else agreements(m, x, y))
+_fixpoints = partial(_stacked, lambda m, x, *y: agreements(m, after(x, *y) if y else x,
+                                                            identity_like(m).rows()))
+_bijective = partial(_stacked, lambda m, x: (np.sort(x[0][0]) == np.arange(m.images.size)).all(-1))
 
 
 def verify(
@@ -379,7 +382,7 @@ def _count(qa: QuasiAction, fset: FiniteSubset, table: np.ndarray,
     g, n, keys = qa.owner, qa.carrier_n, qa.keys
     one, f_elems = g.identity, list(fset)
     f_ids, k = qa._ids(f_elems), len(f_elems)
-    fixed = _slot_counts(qa, [qa._ids([one, *f_elems])], _each(fixpoint_count)).tolist()
+    fixed = _slot_counts(qa, [qa._ids([one, *f_elems])], _fixpoints).tolist()
     key_of = np.array(list(map(keys.__getitem__, qa.elements)), object)
     return VerificationReport(
         carrier_n=n,
@@ -395,7 +398,9 @@ def _count(qa: QuasiAction, fset: FiniteSubset, table: np.ndarray,
 
 
 def _count_strict(qa: QuasiAction, fset: FiniteSubset, eps: Fraction) -> StrictChecks:
-    """Ids are in key order, so every id array here is sorted by key."""
+    """(b') and (c') per distinct slot map, as condition (a).  y is x's inverse iff
+    x then y fixes every point (y(x(c)) = c, w_x(c) w_y(x(c)) = 1 on each cell c,
+    so x is one-to-one, so onto).  Ids are in key order, so id arrays sort by key."""
     g, n = qa.owner, qa.carrier_n
     inverse = g._inverse_ids(qa.elements)  # each id's inverse's id, or -1
     f_ids, one = qa._ids(fset), qa.ids[g.identity]
@@ -404,12 +409,11 @@ def _count_strict(qa: QuasiAction, fset: FiniteSubset, eps: Fraction) -> StrictC
         raise IncompleteSupportError(g.element_key(g._inv(qa.elements[missing[0]])),
                                      "strict mode needs F^-1 in the support")
     others = np.delete(np.arange(len(qa.elements)), one)
-    fixed = _slot_counts(qa, [np.append(one, others)], _each(fixpoint_count))
-    bijective = _slot_counts(qa, [others], _each(FiniteMap.is_bijection))
+    fixed = _slot_counts(qa, [np.append(one, others)], _fixpoints)
+    bijective = _slot_counts(qa, [others], _bijective)
     paired = inverse[others] >= 0
-    inverse_exact = iter(_slot_counts(  # y is exactly x's inverse
-        qa, [others[paired], inverse[others[paired]]],
-        _each(lambda x, y: x.is_bijection() and y == inverse_map(x))).astype(bool).tolist())
+    inverse_exact = iter((_slot_counts(
+        qa, [others[paired], inverse[others[paired]]], _fixpoints) == n).tolist())
     o = np.array(sorted({*f_ids.tolist(), one}), np.intp)
     left, right = np.triu_indices(len(o), 1)  # row-major, as itertools.combinations
     return StrictChecks(
@@ -519,6 +523,18 @@ def _indices_from_json(value, tables: list) -> list[int]:
     return at
 
 
+def _index_from_json(values: list, tables: list) -> np.ndarray:
+    """The assignment's values as one (values, slots) index array if each is a list of
+    one Python int (no bool) per slot, in range; else _indices_from_json's, or its error."""
+    sizes = [len(t) for t in tables]
+    flat = [i for v in values if type(v) is list and len(v) == len(sizes) for i in v]
+    if (len(flat) == len(values) * len(sizes) and {*map(type, flat)} <= {int}
+            and 0 <= min(flat, default=0) and max(flat, default=0) < 2**63
+            and ((index := np.array(flat, np.int64).reshape(-1, len(sizes))) < sizes).all()):
+        return index
+    return np.array([_indices_from_json(v, tables) for v in values], np.int64)
+
+
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
     (format 6).
@@ -601,8 +617,8 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
 
     The stored report is not parsed.  verify measures the stored maps again
     at the report's own F, epsilon and strictness, and the certificate is
-    refused unless that fresh report, written as canonical JSON, is exactly
-    the stored one (so ``1`` is not ``true``).  The fresh report is returned.
+    refused unless that fresh report is exactly the stored one, in value and
+    type down to each list entry (so ``1`` is not ``true``); it is returned.
     """
     doc = parse_json(text, "certificate")
     del text  # frees the text now when the caller keeps no reference to it
@@ -619,12 +635,11 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     if not slots:
         raise DomainError("field 'slots': a certificate has at least one slot")
     tables = [t for _, t in slots]
-    keyed, keys, rows = _field(doc, "assignment", lambda v: (*_assignment_keys(
-        g, list(_decode_object(v))), [_indices_from_json(e, tables) for e in v.values()]))
-    index = dict(zip(keyed.values(), rows))
+    keyed, keys, index = _field(doc, "assignment", lambda v: (*_assignment_keys(
+        g, list(_decode_object(v))), _index_from_json(list(v.values()), tables)))
     f_keyed = _field(doc, "F", lambda v: _elements_in_key_order(g, v, keyed))
     qa = QuasiAction._from_slots(g, carrier_n, tuple(layout for layout, _ in slots), tables,
-                                 index, list(index.values()), FiniteSubset(g, f_keyed.values()),
+                                 keyed.values(), index, FiniteSubset(g, f_keyed.values()),
                                  _field(doc, "epsilon", parse_fraction), keys)
     # The assignment's and F's elements are supported, so qa has their
     # canonical keys: each element is keyed once.
@@ -641,12 +656,21 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     _check_keys(f, g._keys_many(list(f.values())))
     epsilon = _field(stored, "epsilon", parse_fraction)
     strict = _field(stored, "strict", lambda v: v is not None)
-    # Only the report's text is kept while verify runs, not the document.
-    stored = canonical_json(stored)
-    del doc
+    del doc  # only the report is kept while verify runs
     report = verify(qa, f.values(), epsilon, strict)
-    if canonical_json(report_to_json(report)) != stored:
+    if not _same_report(stored, report_to_json(report)):
         raise InvariantViolationError(
             "the stored report differs from the one verify measures on the stored maps"
         )
     return qa, report
+
+
+def _same_report(stored, fresh) -> bool:
+    """Whether the decoded stored report is report_to_json's fresh one (tuples as
+    lists): the same keys, values and types down to each list entry, so 0 is not false."""
+    fresh = list(fresh) if type(fresh) is tuple else fresh
+    if type(fresh) is dict:
+        return (type(stored) is dict and stored.keys() == fresh.keys()
+                and all(_same_report(stored[k], v) for k, v in fresh.items()))
+    return type(stored) is type(fresh) and stored == fresh and (
+        type(fresh) is not list or list(map(type, stored)) == list(map(type, fresh)))

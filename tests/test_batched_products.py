@@ -6,7 +6,7 @@ among them.  ``ProductGroup`` multiplies coordinatewise, each distinct
 pair of coordinates once, ``IntegerGroup`` adds as int64 when no operand
 can wrap, and ``TableGroup`` gathers from its table.  ``_product_ids`` and
 ``_inverse_ids`` look the products and inverses up in the support, and
-``_keys_many`` keys it; ``ProductGroup`` keys per coordinate.
+``_keys_many`` keys it; ``ProductGroup`` keys and inverts per coordinate.
 ``QuasiAction._products`` builds the F x F table of ids from
 ``_product_ids``.  The scalar loops (``_mul``, ``_inv``, ``element_key``)
 stay the oracle for all of them, and for the element a missing product is
@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from quasiact import (
     FiniteSubset,
     FreeProductGroup,
+    GroupHandle,
     IntegerFinitaryGroup,
     IntegerGroup,
     ProductGroup,
@@ -78,9 +79,10 @@ HANDLES = [
     (FREE, free_words()),
     (FINITARY, finitary_elements()),
     (ProductGroup([FREE, FINITARY]), st.tuples(free_words(), finitary_elements())),
+    (ProductGroup([IntegerGroup(), cyclic_group(3)]), st.tuples(WIDE_INTEGERS, st.integers(0, 2))),
 ]
 HANDLE_IDS = ["integers", "wide_integers", "s3", "c7", "nested_product", "members_subgroup",
-              "predicate_subgroup", "free_product", "finitary", "free_x_finitary"]
+              "predicate_subgroup", "free_product", "finitary", "free_x_finitary", "wide_x_c3"]
 
 
 # Products nested two deep, with a free-product factor inside.
@@ -175,6 +177,27 @@ class TestIdBatchesAgainstTheScalarLoops:
                                      for x, y in pairs]
         assert inverses.tolist() == [position(support, g._inv(e)) for e in support]
         assert keys == [g.element_key(e) for e in support]
+
+
+class TestInverseIdsAgainstTheBaseLoop:
+    """ProductGroup inverts each distinct coordinate value once; the base
+    GroupHandle._inverse_ids, one _inv per element, is the oracle."""
+
+    @pytest.mark.parametrize("g,elements", HANDLES + NESTED, ids=HANDLE_IDS + NESTED_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_the_base_loop(self, g, elements, data):
+        support = data.draw(supports(g, elements))
+        got = g._inverse_ids(support)
+        assert got.dtype == np.intp
+        assert got.tolist() == GroupHandle._inverse_ids(g, support).tolist()
+
+    def test_unsupported_inverses_are_minus_one(self):
+        g = ProductGroup([IntegerGroup(), cyclic_group(3)])
+        support = [(0, 0), (2**64, 1), (-2**64, 2), (2**63, 1), (5, 0), (-5, 0)]
+        expected = [0, 2, 1, -1, 5, 4]  # (2**63, 1)'s inverse (-2**63, 2) is unsupported
+        assert g._inverse_ids(support).tolist() == expected
+        assert GroupHandle._inverse_ids(g, support).tolist() == expected
 
 
 def products_by_loop(g, support, fset):
