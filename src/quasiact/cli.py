@@ -42,6 +42,7 @@ from .constructions import (
     GirthGroup,
     amenable_extension_qa,
     build_free_product_action,
+    check_support_size,
     cyclic_quasi_action,
     direct_product_qa,
     finitary_extension_qa,
@@ -244,6 +245,8 @@ def _extension(spec: dict, seed: int) -> QuasiAction:
 
 def _finitary_extension(spec: dict, seed: int) -> QuasiAction:
     n, modulus = (_field(spec, k, _decode_int) for k in ("n", "modulus"))
+    _named("modulus", check_carrier_size, modulus)
+    _named("n", check_support_size, n, modulus)
     return finitary_extension_qa(n, modulus, _field(spec, "epsilon", parse_epsilon, Fraction(1, 2)))
 
 

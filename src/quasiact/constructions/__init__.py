@@ -17,6 +17,6 @@ from .extension import (
     folner_expansion,
     integer_folner_interval,
 )
-from .finitary import enumerate_finitary_elements, finitary_extension_qa
+from .finitary import check_support_size, enumerate_finitary_elements, finitary_extension_qa
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -95,13 +95,16 @@ class _Walk(NamedTuple):
         return [self.conjugates[c] for c in dict.fromkeys(which[which >= 0].tolist())]
 
     def check(self, group: GroupHandle, rows: int | None = None, missing=False) -> None:
-        """Raise for the first block of the first rows, row by row, whose
-        conjugate escaped N (an invariant violation) or else is flagged in
-        ``missing`` (absent from the inner action's support)."""
+        """Raise for the first of the first rows that meets a conjugate that
+        escaped N (an invariant violation) or else is flagged in ``missing``
+        (absent from the inner action's support): its first escaped block,
+        else its first missing one, as a walk of that row alone finds them."""
         which = self.which[:rows]
-        hit = np.append(self.escaped | missing, False)[which]  # a block's -1 reads the False
+        escaped, hit = (np.append(m, False)[which]  # a block's -1 reads the False
+                        for m in (self.escaped, self.escaped | missing))
         if hit.any():
-            c = which.flat[np.argmax(hit)]
+            r = np.argmax(hit.any(axis=1))
+            c = which[r, np.argmax(escaped[r] if escaped[r].any() else hit[r])]
             key = group.element_key(self.conjugates[c])
             if self.escaped[c]:
                 raise InvariantViolationError(

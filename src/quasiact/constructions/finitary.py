@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import DomainError, PreconditionError
-from ..finmap import FiniteMap, check_carrier_size
+from ..finmap import _MAX_CARRIER, FiniteMap, check_carrier_size
 from ..groups import FiniteSubset, IntegerFinitaryGroup
 from ..quasiaction import QuasiAction
 from ..util import check_epsilon
@@ -53,6 +53,20 @@ def ball_map(elem: tuple, modulus: int) -> FiniteMap:
     return FiniteMap((images + k) % modulus)
 
 
+def check_support_size(n: int, modulus: int) -> None:
+    """Refuse an F_2n whose maps hold more images than check_carrier_size's
+    bound, before enumerate_finitary_elements lists it: |F_2n| = (4n+1) *
+    (4n+1)! elements of modulus images each.  The product stops at the
+    bound, so a large n costs no factorial."""
+    size = 4 * n + 1
+    entries = size * modulus
+    for k in range(2, size + 1):
+        entries *= k
+        if entries > _MAX_CARRIER:
+            raise DomainError(f"F_{2 * n} holds {size} * {size}! elements of {modulus} images "
+                              f"each, more than {_MAX_CARRIER} entries")
+
+
 def finitary_extension_qa(
     n: int,
     modulus: int,
@@ -72,6 +86,7 @@ def finitary_extension_qa(
             f"must stay injective, needs modulus > {20 * n}"
         )
     check_carrier_size(modulus)  # before ball_map builds modulus images per element
+    check_support_size(n, modulus)
     epsilon = check_epsilon(epsilon)
     group = IntegerFinitaryGroup()
     assignment = {elem: ball_map(elem, modulus) for elem in enumerate_finitary_elements(2 * n)}

@@ -458,17 +458,24 @@ def report_to_json(report: VerificationReport) -> dict:
     return doc
 
 
-FORMAT = 6
+FORMAT = 7
 
 # hashlib is imported inside the codec functions: it loads OpenSSL, which
 # adds about 4 MiB of RSS to every command, including those that never
 # read or write a certificate.
 
 
+def _payload_dtype(bound: int) -> str:
+    """The narrowest little-endian dtype of a payload whose values lie below bound."""
+    return "<u1" if bound <= 1 << 8 else "<u2" if bound <= 1 << 16 else "<i4"
+
+
 def _slot_to_json(fmap: FiniteMap) -> dict:
     import hashlib
 
-    raws = [a.astype("<i4", copy=False).tobytes() for a in fmap.slots[0][:2]]  # one slot
+    # One slot: images (cells,) below cells, labels (cells, degree) below V's
+    # degree, as FiniteMap checked, so each narrows to its last axis's dtype.
+    raws = [a.astype(_payload_dtype(a.shape[-1])).tobytes() for a in fmap.slots[0][:2]]
     entry = {k: base64.b64encode(r).decode("ascii") for k, r in zip(("cells", "labels"), raws)}
     entry["sha256"] = hashlib.sha256(b"".join(raws)).hexdigest()
     return entry
@@ -476,26 +483,26 @@ def _slot_to_json(fmap: FiniteMap) -> dict:
 
 def _slot_from_json(entry, cells: int, fiber: Fiber | None, member) -> FiniteMap:
     """Decode one table entry, checking the length of each payload (cells,
-    and as many labels of V's degree) and its hash before ranges; then sift
-    every label into V, since one outside V would move points off the carrier."""
+    and as many labels of V's degree, each in _payload_dtype of its bound)
+    and its hash before ranges; then sift every label into V, since one
+    outside V would move points off the carrier."""
     import hashlib
 
     if not isinstance(entry, dict) or set(entry) != {"cells", "labels", "sha256"}:
         raise InvariantViolationError("a map entry needs exactly cells, labels and sha256")
     degree = 0 if fiber is None else fiber.degree
-    raws = []
-    for key, count in (("cells", cells), ("labels", cells * degree)):
+    raws, dtypes = [], [np.dtype(_payload_dtype(b)) for b in (cells, degree)]
+    for key, count, dtype in zip(("cells", "labels"), (cells, cells * degree), dtypes):
         try:
             raws.append(base64.b64decode(entry[key], validate=True))
         except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
             raise InvariantViolationError(f"map payload is not valid base64: {exc}") from None
-        if len(raws[-1]) != 4 * count:
-            raise InvariantViolationError(
-                f"map payload {key!r} has {len(raws[-1])} bytes, expected {4 * count}"
-            )
+        if len(raws[-1]) != dtype.itemsize * count:
+            raise InvariantViolationError(f"map payload {key!r} has {len(raws[-1])} bytes, "
+                                          f"expected {dtype.itemsize * count}")
     if hashlib.sha256(b"".join(raws)).hexdigest() != entry["sha256"]:
         raise InvariantViolationError("map payload does not match its sha256")
-    images, labels = (np.frombuffer(raw, "<i4") for raw in raws)
+    images, labels = map(np.frombuffer, raws, dtypes)
     fmap = FiniteMap(images, labels.reshape(cells, degree), fiber)
     for w in sorted(set(map(tuple, fmap.slots[0].labels.tolist()))) if member else ():
         if not member(w):
@@ -537,14 +544,16 @@ def _index_from_json(values: list, tables: list) -> np.ndarray:
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
-    (format 6).
+    (format 7).
 
     "slots" states the carrier once: per slot its cell count, its fiber (V's
     degree, generators and order, or null when dense) and "maps", its table
     of distinct slot maps (QuasiAction.slot_tables).  An entry holds base64
-    of the cell images and of the labels (empty when dense), each as
-    little-endian int32, and one sha256 over both.  Every map is a list of
-    one index per slot into that slot's table.
+    of the cell images and of the labels (empty when dense), and one sha256
+    over both.  Each payload is in the narrowest little-endian dtype of its
+    bound (_payload_dtype: uint8 up to 256, uint16 up to 65,536, else
+    int32), the bound being the slot's cells for images and V's degree for
+    labels.  Every map is a list of one index per slot into that slot's table.
     """
     g = qa.owner
     tables, index = qa.slot_tables
@@ -605,8 +614,8 @@ def _check_keys(keyed: dict, canonical: Iterable[str]) -> None:
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
-    """Read a format 6 certificate.  Formats 1-5 are refused by name: run
-    their request again with ``quasiact construct`` to get format 6.
+    """Read a format 7 certificate.  Formats 1-6 are refused by name: run
+    their request again with ``quasiact construct`` to get format 7.
 
     Each fibered slot's V is read by girth.fiber_from_json, as a girth
     witness's is, and every label of the slot's table is sifted into V.  The

@@ -31,10 +31,10 @@ def c4_certificate(tmp_path):
 def forged_c4_certificate(tmp_path):
     """The C4 certificate with map "1" changed on one point and re-hashed.
     The stored report no longer describes the maps, though the maps still
-    pass at epsilon 1/2."""
+    pass at epsilon 1/2.  A 4-cell slot's images are uint8 in format 7."""
     qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))
     doc = json.loads(emit_certificate(qa, verify(qa)))
-    raw = np.array([1, 2, 3, 1], dtype="<i4").tobytes()
+    raw = np.array([1, 2, 3, 1], dtype="<u1").tobytes()
     [i] = doc["assignment"]["1"]
     doc["slots"][0]["maps"][i] = {
         "cells": base64.b64encode(raw).decode(),
@@ -136,7 +136,8 @@ class TestVerifyCommand:
     def test_forged_certificate_exits_two(self, forged_c4_certificate, capsys):
         code = main(["verify", "--qa", str(forged_c4_certificate), "--epsilon", "1/100"])
         assert code == 2
-        assert "stored report" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: the stored report differs from the one "
+                                           "verify measures on the stored maps\n")
 
     @pytest.mark.parametrize("field,value", [
         (("epsilon",), 0.01),
@@ -194,9 +195,9 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "expected an array" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6])
     def test_old_formats_exit_two(self, c4_certificate, tmp_path, capsys, fmt):
-        # Formats 1-5 are refused by name; a missing "format" is format 1.
+        # Formats 1-6 are refused by name; a missing "format" is format 1.
         doc = json.loads(c4_certificate.read_text())
         if fmt is None:
             del doc["format"]
@@ -377,7 +378,7 @@ class TestConstructCommand:
         assert "expected an integer" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_forged_certificate_source_exits_two(self, tmp_path, forged_c4_certificate):
+    def test_forged_certificate_source_exits_two(self, tmp_path, capsys, forged_c4_certificate):
         request = {
             "construct": "product",
             "epsilon": "1/2",
@@ -385,6 +386,8 @@ class TestConstructCommand:
         }
         code, out = self.run_construct(tmp_path, request)
         assert code == 2
+        assert ("the stored report differs from the one verify measures on the stored maps"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_finitary_extension(self, tmp_path):
@@ -488,8 +491,9 @@ C4_TABLE = [[(i + j) % 4 for j in range(4)] for i in range(4)]
 
 
 class TestOversizedRanges:
-    """An extension shape refuses a range past check_carrier_size's bound
-    (2**31 - 1) by the field that set it, before enumerating it.  Each
+    """An extension shape or a finitary extension refuses a range past
+    check_carrier_size's bound (2**31 - 1) by the field that set it, before
+    enumerating it.  Each
     request runs in a child under timeout and a 1 GiB address-space limit,
     so a shape that starts to enumerate fails the test instead of stalling
     the suite or filling memory."""
@@ -499,6 +503,21 @@ class TestOversizedRanges:
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     EXTENSION = {"construct": "extension", "epsilon": "1/10", "psi_modulus": 24}
+
+    def construct(self, tmp_path, request_doc) -> str:
+        """The stderr of the construct command, which must exit 2 writing nothing."""
+        req, out = tmp_path / "request.json", tmp_path / "out.json"
+        req.write_text(json.dumps(request_doc))
+        src = str(Path(quasiact.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        run = subprocess.run(["timeout", "30", sys.executable, "-m", "quasiact.cli", "construct",
+                              "--request", str(req), "--out", str(out)],
+                             capture_output=True, text=True, env=env,
+                             preexec_fn=self.limit_memory)
+        assert run.returncode == 2, run.stderr[-500:]
+        assert not out.exists()
+        return run.stderr
 
     @pytest.mark.parametrize("request_doc,field,size", [
         # integer_folner_interval's {0..10**22 - 1}
@@ -511,21 +530,19 @@ class TestOversizedRanges:
         # cyclic_group(10**7)'s table of 10**14 entries
         ({**EXTENSION, "extension_kind": "integer_subgroup", "index": 10**7, "f": [1]},
          "index", 10**14),
-    ], ids=["product_factor_f", "integer_subgroup_f", "integer_subgroup_index"])
+        # a finitary extension's carrier, before its support is counted
+        ({"construct": "finitary_extension", "n": 1, "modulus": 2**31}, "modulus", 2**31),
+    ], ids=["product_factor_f", "integer_subgroup_f", "integer_subgroup_index", "finitary_modulus"])
     def test_exits_two_naming_the_field(self, tmp_path, request_doc, field, size):
-        req, out = tmp_path / "request.json", tmp_path / "out.json"
-        req.write_text(json.dumps(request_doc))
-        src = str(Path(quasiact.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        run = subprocess.run(["timeout", "30", sys.executable, "-m", "quasiact.cli", "construct",
-                              "--request", str(req), "--out", str(out)],
-                             capture_output=True, text=True, env=env,
-                             preexec_fn=self.limit_memory)
-        assert run.returncode == 2, run.stderr[-500:]
-        assert run.stderr == (f"error: field {field!r}: carrier size {size} is outside "
-                              "1..2147483647\n")
-        assert not out.exists()
+        assert self.construct(tmp_path, request_doc) == (
+            f"error: field {field!r}: carrier size {size} is outside 1..2147483647\n")
+
+    def test_finitary_support_past_the_bound(self, tmp_path):
+        # F_6 has 13 * 13! (about 8.1e10) elements: enumerating it would fill memory.
+        request_doc = {"construct": "finitary_extension", "n": 3, "modulus": 61}
+        assert self.construct(tmp_path, request_doc) == (
+            "error: field 'n': F_6 holds 13 * 13! elements of 61 images each, "
+            "more than 2147483647 entries\n")
 
 
 class TestMalformedInputs:

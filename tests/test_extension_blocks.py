@@ -578,6 +578,18 @@ class TestBatchedWalkAgainstTheScalarWalk:
         psi = regular_action(SubgroupHandle(S4, members=S4_NORMAL["klein"]), epsilon=Fraction(2, 7))
         return without(psi, 16), fields, [11, 14], Fraction(2, 7)
 
+    def s4_over_a4(self):
+        """Abar the whole quotient C2 with lifts 0 and 1, F = {1, 3}, and the
+        projection forged to send 2 into A4: the walk of 2 in F*F meets 2,
+        which psi lacks, on its first block and 5, which escapes, on its
+        second."""
+        q, project, _ = quotient_by(S4, S4_NORMAL["alternating"])
+        fields = dict(group=S4, quotient=q, project=lambda x: 0 if x == 2 else project(x),
+                      section=[0, 1].__getitem__, folner=FiniteSubset(q, [0, 1]))
+        members = S4_NORMAL["alternating"]
+        psi = regular_action(SubgroupHandle(S4, members=members), epsilon=Fraction(1, 10))
+        return psi, fields, [1, 3], Fraction(1, 10)
+
     @pytest.mark.parametrize("case,error,message", [
         # (2, 0), in F*F only, projects to 1: its blocks' conjugate (1, 0) escapes N.
         (lambda self: self.product_factor(project=lambda x: 1 if x == (2, 0) else x[0]),
@@ -590,8 +602,11 @@ class TestBatchedWalkAgainstTheScalarWalk:
          IncompleteSupportError, "no map assigned for element 16 (inner action support)"),
         (lambda self: self.product_factor(section=lambda q: (q + (q == 4), 1)),
          InvariantViolationError, "section fails on 4"),
+        # A row's escape is named before a support gap on an earlier block of it.
+        (lambda self: self.s4_over_a4(),
+         InvariantViolationError, "conjugated element escaped the normal subgroup: 5"),
     ], ids=["escaped_in_f_times_f", "escaped_after_the_expansion", "inner_support_gap",
-            "section_fails"])
+            "section_fails", "escape_after_a_gap_in_one_row"])
     def test_the_first_offender_is_named_as_the_scalar_walk_names_it(self, case, error, message):
         args = case(self)
         got = built(amenable_extension_qa, *args)

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -201,7 +202,7 @@ class TestFreeProductAgainstDenseCarrier:
         text = emit_certificate(dense, verify(dense, strict=True))
         doc = json.loads(text)
         [slot] = doc["slots"]
-        assert doc["format"] == 6 and (slot["cells"], slot["fiber"]) == (qa.carrier_n, None)
+        assert doc["format"] == 7 and (slot["cells"], slot["fiber"]) == (qa.carrier_n, None)
         assert all(entry["labels"] == "" for entry in slot["maps"])
         loaded, report = load_certificate(text)
         assert report == verify(qa, strict=True)
@@ -252,9 +253,11 @@ class TestFreeProductExactCases:
         assert_exact_cases(free_product(2, 3, [0, 1], [0, 1, 2], 2, 1)[0])
 
 
+# The C2 x C2 certificate's slot has 16 cells over a degree-5 V, so format 7
+# writes both its cell images and its labels as uint8.
 def fibered_entry(cells, labels) -> dict:
-    raw = np.asarray(cells, "<i4").tobytes()
-    raw_labels = np.asarray(labels, "<i4").tobytes()
+    raw = np.asarray(cells, "<u1").tobytes()
+    raw_labels = np.asarray(labels, "<u1").tobytes()
     return {
         "cells": base64.b64encode(raw).decode(),
         "labels": base64.b64encode(raw_labels).decode(),
@@ -263,8 +266,8 @@ def fibered_entry(cells, labels) -> dict:
 
 
 def entry_arrays(entry, degree):
-    cells = np.frombuffer(base64.b64decode(entry["cells"]), "<i4").copy()
-    labels = np.frombuffer(base64.b64decode(entry["labels"]), "<i4").reshape(-1, degree).copy()
+    cells = np.frombuffer(base64.b64decode(entry["cells"]), "<u1").copy()
+    labels = np.frombuffer(base64.b64decode(entry["labels"]), "<u1").reshape(-1, degree).copy()
     return cells, labels
 
 
@@ -335,12 +338,12 @@ def generators_of_other_degree(doc, key, degree):
 
 
 REFUSALS = [
-    (label_outside_v, InvariantViolationError, "not in V"),
-    (cell_out_of_range, DomainError, "out of range"),
-    (labels_short, InvariantViolationError, "bytes"),
-    (hash_mismatch, InvariantViolationError, "sha256"),
+    (label_outside_v, InvariantViolationError, "label [1, 0, 2, 3, 4] is not in V"),
+    (cell_out_of_range, DomainError, "image out of range for carrier size 16"),
+    (labels_short, InvariantViolationError, "map payload 'labels' has 75 bytes, expected 80"),
+    (hash_mismatch, InvariantViolationError, "map payload does not match its sha256"),
     (order_inflated, InvariantViolationError, "generators give"),
-    (cells_doubled, InvariantViolationError, "bytes"),
+    (cells_doubled, InvariantViolationError, "map payload 'cells' has 16 bytes, expected 32"),
     (carrier_not_the_slots_size, DomainError, "has carrier"),
     (generator_not_a_permutation, DomainError, "permutations"),
     (generators_of_other_degree, DomainError, "entries"),
@@ -352,7 +355,7 @@ class TestFiberedCertificates:
         qa, report = load_certificate(c2_c2_certificate)
         assert emit_certificate(qa, report) == c2_c2_certificate
         doc = json.loads(c2_c2_certificate)
-        assert doc["format"] == 6
+        assert doc["format"] == 7
         [slot] = doc["slots"]
         assert set(slot) == {"cells", "fiber", "maps"}
         assert slot["cells"] == 16 and set(slot["fiber"]) == {"degree", "generators", "order"}
@@ -363,7 +366,7 @@ class TestFiberedCertificates:
     @pytest.mark.parametrize("change,error,message", REFUSALS, ids=[r[0].__name__ for r in REFUSALS])
     def test_loader_refuses(self, c2_c2_certificate, tmp_path, capsys, change, error, message):
         text = tampered(c2_c2_certificate, change)
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=re.escape(message)):
             load_certificate(text)
         path = tmp_path / "tampered.json"
         path.write_text(text)
@@ -371,7 +374,7 @@ class TestFiberedCertificates:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fmt", [3, 4, 5])
+    @pytest.mark.parametrize("fmt", [3, 4, 5, 6])
     def test_other_format_refused(self, c2_c2_certificate, fmt):
         doc = json.loads(c2_c2_certificate)
         doc["format"] = fmt

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from quasiact import (
     similarity_defect,
     verify,
 )
-from quasiact.constructions import enumerate_finitary_elements, finitary_extension_qa
+from quasiact.constructions import (
+    check_support_size, enumerate_finitary_elements, finitary_extension_qa,
+)
 from quasiact.constructions.finitary import ball_map
 from quasiact.errors import DomainError, PreconditionError
 
@@ -110,6 +113,16 @@ class TestPreconditions:
         # ball_map would build 2**31 images per element before any map refused them.
         with pytest.raises(DomainError, match="carrier size"):
             finitary_extension_qa(1, 2**31)
+
+    def test_support_checked_before_enumerating(self):
+        # |F_2n| * modulus images: 9 * 9! * 657 fits the int32 bound, 13 * 13! * 61
+        # (n = 3) and 9 * 9! * 658 do not.
+        check_support_size(2, 657)
+        for n, modulus in [(3, 61), (2, 658)]:
+            with pytest.raises(DomainError, match=re.escape(
+                    f"F_{2 * n} holds {4 * n + 1} * {4 * n + 1}! elements of {modulus} images "
+                    "each, more than 2147483647 entries")):
+                finitary_extension_qa(n, modulus)
 
     def test_radius_positive(self):
         with pytest.raises(DomainError):

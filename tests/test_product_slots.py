@@ -258,7 +258,9 @@ class TestDenseOnlyConstructionsRefuseMultiSlotActions:
 
 
 def rehashed(cells, labels=b"") -> dict:
-    raw = np.asarray(cells, "<i4").tobytes()
+    """A dense entry of the 7- and 5-cell slots below, hashed; format 7
+    writes their images as uint8."""
+    raw = np.asarray(cells, "<u1").tobytes()
     return {"cells": base64.b64encode(raw).decode(), "labels": base64.b64encode(labels).decode(),
             "sha256": hashlib.sha256(raw + labels).hexdigest()}
 
@@ -272,13 +274,13 @@ class TestProductCertificates:
 
     def test_one_table_of_distinct_entries_per_slot(self, certificate):
         doc = json.loads(certificate)
-        assert doc["format"] == 6 and doc["carrier_n"] == 35
+        assert doc["format"] == 7 and doc["carrier_n"] == 35
         assert [(s["cells"], s["fiber"]) for s in doc["slots"]] == [(7, None), (5, None)]
         # 7 x 4 product maps: shifts by -2..4 mod 7 and by -1..2 mod 5.
         assert len(doc["assignment"]) == 28
         assert [len(s["maps"]) for s in doc["slots"]] == [7, 4]
         i, j = doc["assignment"]["[1,1]"]
-        assert [np.frombuffer(base64.b64decode(s["maps"][k]["cells"]), "<i4").tolist()
+        assert [np.frombuffer(base64.b64decode(s["maps"][k]["cells"]), "<u1").tolist()
                 for s, k in zip(doc["slots"], (i, j))] == [[1, 2, 3, 4, 5, 6, 0], [1, 2, 3, 4, 0]]
         # Entries are numbered in order of first use over the sorted keys.
         first = [[], []]
@@ -293,15 +295,17 @@ class TestProductCertificates:
         doc = json.loads(certificate)
         _, j = doc["assignment"]["[1,1]"]
         doc["slots"][1]["maps"][j] = rehashed([1, 2, 3, 0, 4])  # still a bijection
-        with pytest.raises(InvariantViolationError, match="stored report differs"):
+        with pytest.raises(InvariantViolationError, match="the stored report differs from the one "
+                           "verify measures on the stored maps"):
             load_certificate(json.dumps(doc))
         doc["slots"][1]["maps"][j] = rehashed([1, 2, 3, 4, 5])
-        with pytest.raises(DomainError, match="out of range"):
+        with pytest.raises(DomainError, match="image out of range for carrier size 5"):
             load_certificate(json.dumps(doc))
 
     @pytest.mark.parametrize("edit,error,message", [
         (lambda d: d.update(format=4), DomainError, "certificate format 4 is not read"),
         (lambda d: d.update(format=5), DomainError, "certificate format 5 is not read"),
+        (lambda d: d.update(format=6), DomainError, "certificate format 6 is not read"),
         (lambda d: d.update(slots=[]), DomainError, "at least one slot"),
         (lambda d: d["slots"].reverse(), DomainError, "not all below their tables' sizes"),
         (lambda d: d["slots"].pop(), DomainError, "1 entries"),
@@ -342,7 +346,8 @@ class TestProductCertificates:
     def test_unused_entry_is_refused(self, certificate):
         doc = json.loads(certificate)
         doc["slots"][1]["maps"].append(rehashed([1, 0, 2, 3, 4]))  # a valid map no element uses
-        with pytest.raises(InvariantViolationError, match="each slot map in use once"):
+        with pytest.raises(InvariantViolationError, match="a slot's table must list each slot map "
+                           "in use once, in order of first use over the sorted keys"):
             load_certificate(json.dumps(doc))
 
     def test_entry_stated_twice_is_refused(self, certificate):

@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -150,8 +151,9 @@ class TestVerify:
 
 
 def dense_entry(images) -> dict:
-    """A well-formed dense map entry for the given images, hashed correctly."""
-    raw = np.asarray(images, "<i4").tobytes()
+    """A well-formed dense map entry for the given images, hashed correctly,
+    in format 7's uint8 (every carrier it is used on has at most 256 cells)."""
+    raw = np.asarray(images, "<u1").tobytes()
     return {
         "cells": base64.b64encode(raw).decode(),
         "labels": "",
@@ -193,13 +195,13 @@ class TestCertificates:
             "format", "group", "carrier_n", "F", "epsilon", "slots", "assignment", "report"
         }
         [slot] = doc["slots"]
-        assert doc["format"] == 6 and slot["cells"] == 4 and slot["fiber"] is None
+        assert doc["format"] == 7 and slot["cells"] == 4 and slot["fiber"] is None
         assert doc["epsilon"] == "1/100"
         # one table entry per distinct map, in key order of first use
         assert doc["assignment"] == {"0": [0], "1": [1], "2": [2], "3": [3]}
         entry = slot["maps"][2]
         raw = base64.b64decode(entry["cells"])
-        assert np.frombuffer(raw, "<i4").tolist() == [2, 3, 0, 1]
+        assert np.frombuffer(raw, "<u1").tolist() == [2, 3, 0, 1]
         assert entry == dense_entry([2, 3, 0, 1])
         # compact and key-sorted, one line
         assert cert == canonical_json(doc) + "\n"
@@ -271,7 +273,12 @@ class TestCertificates:
     def test_tampered_report_rejected(self, path, value):
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa, strict=True))
-        with pytest.raises(InvariantViolationError):
+        message = "the stored report differs from the one verify measures on the stored maps"
+        if value == " 1":
+            message = "element key ' 1' is not its element's canonical key '1'"
+        elif path[0] == "slots":  # map "1" is now a second entry of map "0"
+            message = "a slot's table must list each slot map in use once"
+        with pytest.raises(InvariantViolationError, match=re.escape(message)):
             load_certificate(edited(cert, path, value))
 
 
@@ -557,9 +564,9 @@ class TestCertificateCodec:
         assert all(qa2.assignment[k] == m for k, m in qa.assignment.items())
         assert emit_certificate(qa2, r2) == cert
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6])
     def test_other_formats_refused(self, fmt):
-        # Only format 6 is read.  No "format" key is format 1, whose maps
+        # Only format 7 is read.  No "format" key is format 1, whose maps
         # were plain lists of integers.
         qa = regular_c4()
         doc = json.loads(emit_certificate(qa, verify(qa)))
@@ -602,7 +609,8 @@ class TestCertificateCodec:
     def test_wrong_byte_length(self):
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
-        with pytest.raises(InvariantViolationError, match="bytes"):
+        with pytest.raises(InvariantViolationError,
+                           match="map payload 'cells' has 3 bytes, expected 4"):
             load_certificate(replace_entry(cert, "1", dense_entry([1, 2, 3])))
 
     def test_sha256_mismatch(self):
@@ -618,17 +626,17 @@ class TestCertificateCodec:
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
         entry = map_entry(cert, "1")
-        images = np.frombuffer(base64.b64decode(entry["cells"]), "<i4").copy()
+        images = np.frombuffer(base64.b64decode(entry["cells"]), "<u1").copy()
         images[[0, 1]] = images[[1, 0]]
         FiniteMap(images)  # the tampered payload is a valid map on its own
         flipped = dict(entry, cells=dense_entry(images)["cells"])
-        with pytest.raises(InvariantViolationError, match="sha256"):
+        with pytest.raises(InvariantViolationError, match="map payload does not match its sha256"):
             load_certificate(replace_entry(cert, "1", flipped))
 
     def test_rehashed_out_of_range_payload(self):
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="image out of range for carrier size 4"):
             load_certificate(replace_entry(cert, "1", dense_entry([0, 1, 2, 4])))
 
 
