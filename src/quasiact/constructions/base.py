@@ -98,9 +98,6 @@ def direct_product_qa(
             raise PreconditionError(
                 f"factor {i} does not verify as an (F_{i}, {epsilon})-quasi-action"
             )
-    if len(inputs) == 1:
-        return inputs[0][0]
-
     qas = [qa for qa, _ in inputs]
     group = ProductGroup([qa.owner for qa in qas])
     # Element (e_1, ..., e_k) has e_1's index row, then e_2's, ...: the

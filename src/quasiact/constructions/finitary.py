@@ -10,9 +10,11 @@ map sending (k, sigma) to the self-map
                                  sigma~(t) = t elsewhere,
 
 of Z/m is multiplicative with zero defect on all pairs from F_n and
-injective on F_2n.  Conditions (a) and (b) therefore hold at every epsilon;
-condition (c) is whatever the fixpoint counts say (pure permutation elements
-fix everything outside the ball), and the verifier reports it honestly.
+injective on F_2n.  Maps go only where verify reads them: F_n * F_n holds
+the identity, F_n (1 lies in F_n) and the products.  Conditions (a) and (b)
+therefore hold at every epsilon; condition (c) is whatever the fixpoint
+counts say (pure permutation elements fix everything outside the ball),
+and the verifier reports it honestly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from ..errors import DomainError, PreconditionError
 from ..finmap import _MAX_CARRIER, FiniteMap, check_carrier_size
-from ..groups import FiniteSubset, IntegerFinitaryGroup
+from ..groups import FiniteSubset, IntegerFinitaryGroup, pair_products
 from ..quasiaction import QuasiAction
 from ..util import check_epsilon
 
@@ -54,17 +56,17 @@ def ball_map(elem: tuple, modulus: int) -> FiniteMap:
 
 
 def check_support_size(n: int, modulus: int) -> None:
-    """Refuse an F_2n whose maps hold more images than check_carrier_size's
-    bound, before enumerate_finitary_elements lists it: |F_2n| = (4n+1) *
-    (4n+1)! elements of modulus images each.  The product stops at the
-    bound, so a large n costs no factorial."""
-    size = 4 * n + 1
-    entries = size * modulus
-    for k in range(2, size + 1):
-        entries *= k
+    """Refuse an F_n * F_n whose maps could hold more images than
+    check_carrier_size's bound, before F_n is enumerated: up to |F_n|^2
+    products of |F_n| = (2n+1) * (2n+1)! elements, of modulus images each.
+    The product stops at the bound, so a large n costs no factorial."""
+    size = 2 * n + 1
+    entries = modulus * size * size
+    for k in range(1, size + 1):
+        entries *= k * k
         if entries > _MAX_CARRIER:
-            raise DomainError(f"F_{2 * n} holds {size} * {size}! elements of {modulus} images "
-                              f"each, more than {_MAX_CARRIER} entries")
+            raise DomainError(f"F_{n} * F_{n} holds up to ({size} * {size}!)^2 elements of "
+                              f"{modulus} images each, more than {_MAX_CARRIER} entries")
 
 
 def finitary_extension_qa(
@@ -72,11 +74,10 @@ def finitary_extension_qa(
     modulus: int,
     epsilon: Fraction = Fraction(1, 2),
 ) -> QuasiAction:
-    """Quasi-action on Z/modulus supported on all of F_2n, claiming F_n.
+    """Quasi-action on Z/modulus supported on F_n * F_n, claiming F_n.
 
     Requires modulus > 20n so distinct points of B_10n stay distinct mod m.
-    Support permutations must move only B_2n; every element enumerated here
-    does so by construction, and products of two F_n elements do as well.
+    Each supported element, a product of two F_n elements, moves only B_2n.
     """
     if n < 1:
         raise DomainError("radius must be positive")
@@ -89,6 +90,6 @@ def finitary_extension_qa(
     check_support_size(n, modulus)
     epsilon = check_epsilon(epsilon)
     group = IntegerFinitaryGroup()
-    assignment = {elem: ball_map(elem, modulus) for elem in enumerate_finitary_elements(2 * n)}
     claimed_f = FiniteSubset(group, enumerate_finitary_elements(n))
+    assignment = {elem: ball_map(elem, modulus) for elem in pair_products(claimed_f, claimed_f)}
     return QuasiAction(group, modulus, assignment, claimed_f, epsilon)

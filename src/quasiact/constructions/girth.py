@@ -270,7 +270,6 @@ def girth_group_search(
     girth_bound: int,
     order_cap: int,
     seed: int = 0,
-    attempts_per_degree: int = _ATTEMPTS_PER_DEGREE,
 ) -> GirthGroup:
     """Find generators whose reduced words up to girth_bound avoid the identity.
 
@@ -285,7 +284,7 @@ def girth_group_search(
     degrees = _default_degrees(label_count, girth_bound)
     over_cap = short = 0  # draws refused by the order cap, and by a short cycle
     for degree in degrees:
-        for _ in range(attempts_per_degree):
+        for _ in range(_ATTEMPTS_PER_DEGREE):
             gens = _draw_generators(rng, degree, label_count, girth_bound)
             if gens is None:
                 break  # no permutation of large enough order at this degree

@@ -66,12 +66,15 @@ def document_json(obj) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.  The file
+    gets open(path, "w")'s mode, 0o666 less the umask, not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    os.umask(umask := os.umask(0))  # reads the umask
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -36,11 +36,13 @@ from quasiact.constructions import (
     build_partitioned_carrier,
     cyclic_quasi_action,
     direct_product_qa,
+    enumerate_finitary_elements,
     finitary_extension_qa,
     girth_group_search,
     good_action_upgrade,
     regular_action,
 )
+from quasiact.constructions.finitary import ball_map
 
 from dense_carrier import dense_carrier
 from test_finmap import double, fraction, with_map
@@ -264,8 +266,8 @@ def test_criterion_8_finitary_embedding():
                 rhs = qa.assignment[group.mul(u, v)]
                 assert similarity_defect(lhs, rhs).disagreements == 0
         seen = {}
-        for elem, m in qa.assignment.items():
-            key = m
+        for elem in enumerate_finitary_elements(2):
+            key = ball_map(elem, 21)
             assert key not in seen, (elem, seen.get(key))
             seen[key] = elem
         assert len(seen) == 600

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import resource
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -400,6 +401,19 @@ class TestConstructCommand:
         code, out = self.run_construct(tmp_path, request)
         assert code == 0
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # The mode open(path, "w") gives a new file, also when the
+        # certificate replaces one written before.
+        request = {"construct": "cyclic", "f": [1], "modulus": 5}
+        old = os.umask(umask)
+        try:
+            for _ in range(2):
+                code, out = self.run_construct(tmp_path, request)
+                assert code == 0 and stat.S_IMODE(out.stat().st_mode) == mode
+        finally:
+            os.umask(old)
+
     def test_girth_group_request(self, tmp_path):
         request = {
             "construct": "girth_group",
@@ -538,10 +552,11 @@ class TestOversizedRanges:
             f"error: field {field!r}: carrier size {size} is outside 1..2147483647\n")
 
     def test_finitary_support_past_the_bound(self, tmp_path):
-        # F_6 has 13 * 13! (about 8.1e10) elements: enumerating it would fill memory.
+        # F_3 has 7 * 7! = 35,280 elements, so F_3 * F_3 is about 1.2e9 pairs:
+        # multiplying them would fill memory.
         request_doc = {"construct": "finitary_extension", "n": 3, "modulus": 61}
         assert self.construct(tmp_path, request_doc) == (
-            "error: field 'n': F_6 holds 13 * 13! elements of 61 images each, "
+            "error: field 'n': F_3 * F_3 holds up to (7 * 7!)^2 elements of 61 images each, "
             "more than 2147483647 entries\n")
 
 

@@ -9,7 +9,9 @@ from quasiact import (
     TableGroup,
     compose,
     cyclic_group,
+    emit_certificate,
     fixpoint_count,
+    load_certificate,
     shift_map,
     similarity_defect,
     verify,
@@ -79,10 +81,21 @@ class TestCyclicQuasiAction:
 
 
 class TestDirectProduct:
-    def test_single_factor_passthrough(self):
-        qa = regular_action(cyclic_group(3))
-        f = FiniteSubset(qa.owner, range(3))
-        assert direct_product_qa([(qa, f)], Fraction(1, 10)) is qa
+    def test_single_factor_claims_its_f_and_epsilon(self):
+        # One factor is a product like any other: it claims (F_1, epsilon),
+        # not the factor's own F and epsilon.
+        qa = cyclic_quasi_action([1, -1, 2, -2], 11)
+        eps = Fraction(1, 4)
+        prod = direct_product_qa([(qa, {1})], eps)
+        assert list(prod.claimed_f) == [(1,)] and prod.claimed_epsilon == eps
+        assert prod.carrier_n == 11
+        mine, factor = verify(prod), verify(qa, {1}, eps)
+        assert (mine.a_counts, mine.identity_defect, mine.c_agreements) == (
+            factor.a_counts, factor.identity_defect, factor.c_agreements)
+        assert mine.passed
+        text = emit_certificate(prod, mine)
+        loaded, report = load_certificate(text)
+        assert report == mine and emit_certificate(loaded, report) == text
 
     def test_two_regular_factors_exact(self):
         qa1 = regular_action(cyclic_group(2))

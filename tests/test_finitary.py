@@ -7,6 +7,7 @@ from quasiact import (
     IntegerFinitaryGroup,
     compose,
     fixpoint_count,
+    pair_products,
     similarity_defect,
     verify,
 )
@@ -67,8 +68,19 @@ def qa():
 
 class TestQuasiAction:
 
-    def test_support_is_f2(self, qa):
-        assert len(qa.assignment) == 600
+    def test_support_is_f1_times_f1(self, qa):
+        # The identity, F_1 and the products verify reads: 1 lies in F_1,
+        # so F_1 * F_1 holds all three, 102 of F_2's 600 elements.
+        f = qa.claimed_f
+        assert qa.owner.identity in f
+        assert set(qa.assignment) == set(pair_products(f, f))
+        assert len(qa.assignment) == 102
+
+    def test_maps_are_the_f2_maps_on_the_support(self, qa):
+        # Oracle: the maps a support of all of F_2 assigned, restricted to
+        # F_1 * F_1.
+        f2 = {elem: ball_map(elem, 21) for elem in enumerate_finitary_elements(2)}
+        assert qa.assignment == {elem: f2[elem] for elem in qa.assignment}
 
     def test_exact_multiplicativity_on_f1(self, qa):
         g = qa.owner
@@ -80,9 +92,8 @@ class TestQuasiAction:
                 rhs = qa.assignment[g.mul(u, v)]
                 assert similarity_defect(lhs, rhs).disagreements == 0
 
-    def test_injective_on_f2(self, qa):
-        seen = set(qa.assignment.values())
-        assert len(seen) == len(qa.assignment)
+    def test_injective_on_f2(self):
+        assert len({ball_map(elem, 21) for elem in enumerate_finitary_elements(2)}) == 600
 
     def test_spec_pair(self, qa):
         g = qa.owner
@@ -115,14 +126,19 @@ class TestPreconditions:
             finitary_extension_qa(1, 2**31)
 
     def test_support_checked_before_enumerating(self):
-        # |F_2n| * modulus images: 9 * 9! * 657 fits the int32 bound, 13 * 13! * 61
-        # (n = 3) and 9 * 9! * 658 do not.
-        check_support_size(2, 657)
-        for n, modulus in [(3, 61), (2, 658)]:
+        # |F_n|^2 * modulus images, |F_n| = (2n+1) * (2n+1)!: 600^2 * 5965 fits
+        # the int32 bound, 35280^2 * 61 (n = 3) and 600^2 * 5966 do not.
+        check_support_size(2, 5965)
+        for n, modulus in [(3, 61), (2, 5966)]:
             with pytest.raises(DomainError, match=re.escape(
-                    f"F_{2 * n} holds {4 * n + 1} * {4 * n + 1}! elements of {modulus} images "
-                    "each, more than 2147483647 entries")):
+                    f"F_{n} * F_{n} holds up to ({2 * n + 1} * {2 * n + 1}!)^2 elements of "
+                    f"{modulus} images each, more than 2147483647 entries")):
                 finitary_extension_qa(n, modulus)
+
+    def test_support_check_stops_at_the_bound(self):
+        # A radius far past reach is refused after a few factors, not (2n+1)! of them.
+        with pytest.raises(DomainError, match=re.escape("F_1000000000000 * F_1000000000000")):
+            check_support_size(10**12, 20 * 10**12 + 1)
 
     def test_radius_positive(self):
         with pytest.raises(DomainError):

@@ -125,11 +125,12 @@ class TestSearch:
         assert v.order <= 5000
         assert assert_girth_by_oracle(v) <= 8 * 7**3 + 8 * 7**2 + 8 * 7 + 8
 
-    def test_unreachable_cap_fails(self):
+    def test_unreachable_cap_fails(self, monkeypatch):
         # Every draw exceeds the cap, so the message names the cap.
+        monkeypatch.setattr(girth, "_ATTEMPTS_PER_DEGREE", 5)
         with pytest.raises(SearchFailureError,
                            match="all 40 draws exceeded order cap 30; raise the cap"):
-            girth_group_search(4, 4, order_cap=30, seed=0, attempts_per_degree=5)
+            girth_group_search(4, 4, order_cap=30, seed=0)
 
     def test_failure_names_the_schedule_when_draws_have_short_cycles(self, monkeypatch):
         # Every draw under the cap has a short cycle: a larger cap cannot help.
@@ -139,17 +140,19 @@ class TestSearch:
             raise InvariantViolationError("graph has a cycle")
 
         monkeypatch.setattr(girth, "_certify_word_girth", short_cycle)
+        monkeypatch.setattr(girth, "_ATTEMPTS_PER_DEGREE", 2)
         with pytest.raises(SearchFailureError) as exc:
-            girth_group_search(2, 4, order_cap=10**15, seed=0, attempts_per_degree=2)
+            girth_group_search(2, 4, order_cap=10**15, seed=0)
         message = str(exc.value)
         assert "the degree schedule (degrees 6-14) ran out; 18 draws within order cap" in message
         assert "0 exceeded the cap" in message and "raise the cap" not in message
 
-    def test_failure_counts_both_refusals(self):
+    def test_failure_counts_both_refusals(self, monkeypatch):
+        monkeypatch.setattr(girth, "_ATTEMPTS_PER_DEGREE", 1)
         with pytest.raises(SearchFailureError, match=re.escape(
                 "the degree schedule (degrees 8-14) ran out; 1 draws within order cap 100000 had "
                 "a reduced word of length <= 6 equal to the identity, 6 exceeded the cap")):
-            girth_group_search(3, 6, order_cap=100_000, seed=0, attempts_per_degree=1)
+            girth_group_search(3, 6, order_cap=100_000, seed=0)
 
     @pytest.mark.parametrize("labels,bound,attempts,cap,message", [
         (3, 6, 1, 100_000,
@@ -164,8 +167,9 @@ class TestSearch:
     def test_failure_messages_pinned(self, monkeypatch, labels, bound, attempts, cap, message):
         if labels == 2:  # every draw has a short cycle
             monkeypatch.setattr(girth, "_certify_word_girth", self.short_cycle)
+        monkeypatch.setattr(girth, "_ATTEMPTS_PER_DEGREE", attempts)
         with pytest.raises(SearchFailureError) as exc:
-            girth_group_search(labels, bound, order_cap=cap, seed=0, attempts_per_degree=attempts)
+            girth_group_search(labels, bound, order_cap=cap, seed=0)
         assert str(exc.value) == message
 
     @staticmethod
@@ -220,8 +224,9 @@ class TestSearch:
         monkeypatch.setattr(
             girth, "_certify_word_girth", lambda *a: calls.append(a) or certify(*a)
         )
-        with pytest.raises(SearchFailureError):
-            girth_group_search(2, 4, order_cap=2, seed=0, attempts_per_degree=5)
+        with monkeypatch.context() as m, pytest.raises(SearchFailureError):
+            m.setattr(girth, "_ATTEMPTS_PER_DEGREE", 5)
+            girth_group_search(2, 4, order_cap=2, seed=0)
         assert calls == []
         girth_group_search(2, 4, order_cap=5000, seed=0)
         assert calls
