@@ -14,7 +14,6 @@ from .extension import (
     ExtensionData,
     amenable_extension_qa,
     conjugated_normal_subset,
-    folner_expansion,
     integer_folner_interval,
 )
 from .finitary import check_support_size, enumerate_finitary_elements, finitary_extension_qa

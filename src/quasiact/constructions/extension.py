@@ -142,11 +142,6 @@ def _f_walk(ext: ExtensionData, f: FiniteSubset | Iterable) -> _Walk:
     return walk
 
 
-def folner_expansion(ext: ExtensionData, f: FiniteSubset | Iterable) -> Fraction:
-    """max over g in F of |Abar * gb \\ Abar| / |Abar|, counted exactly."""
-    return _f_walk(ext, f).expansion(None)
-
-
 def conjugated_normal_subset(
     ext: ExtensionData, f: FiniteSubset | Iterable
 ) -> FiniteSubset:

@@ -51,15 +51,8 @@ class GirthGroup:
         return len(self.fiber.generators)
 
     def to_witness_json(self) -> str:
-        v = self.fiber
-        doc = {
-            "degree": v.degree,
-            "generators": v.generators,
-            "order": v.order,
-            "girth_bound": self.certified_girth_bound,
-            "seed": self.seed,
-        }
-        return document_json(doc)
+        return document_json({**self.fiber.describe(), "girth_bound": self.certified_girth_bound,
+                              "seed": self.seed})
 
 
 def fiber_from_json(doc) -> tuple[Fiber, Callable[[tuple], bool]]:

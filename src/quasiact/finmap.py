@@ -55,6 +55,9 @@ class Fiber:
     def degree(self) -> int:
         return len(self.generators[0])
 
+    def describe(self) -> dict:  # as girth.fiber_from_json reads V
+        return {"degree": self.degree, "generators": self.generators, "order": self.order}
+
 
 class Slot(NamedTuple):
     """One slot of a map: cell images (cells,) and labels (cells, V's degree)."""
@@ -128,6 +131,17 @@ class FiniteMap:
             labels = stack[:, l : l + cells * d].reshape(len(stack), cells, d)
             out.append((stack[:, c : c + cells], labels))
             c, l = c + cells, l + cells * d
+        return out
+
+    @classmethod
+    def _table(cls, stack: np.ndarray, cells: int, fiber: Fiber | None) -> list[FiniteMap]:
+        """One-slot maps of cells over fiber viewing the rows of stack (read-only int32
+        packed rows, known valid): what _of sets, without its per-row layout walk."""
+        out, layout, degree = [], ((cells, fiber),), 0 if fiber is None else fiber.degree
+        for packed, labels in zip(stack, stack[:, cells:].reshape(len(stack), cells, degree)):
+            out.append(m := cls.__new__(cls))
+            m.packed, m.layout, m.images = packed, layout, packed[:cells]
+            m.slots = (Slot(m.images, labels, fiber),)
         return out
 
     @classmethod

@@ -40,10 +40,12 @@ from .errors import (
     PreconditionError,
     QuasiactError,
 )
-from .finmap import Defect, Fiber, FiniteMap, after, agreements, count_dtype, identity_like
+from .finmap import (
+    Defect, FiniteMap, after, agreements, check_carrier_size, count_dtype, identity_like,
+)
 from .groups import (
-    FiniteSubset, GroupHandle, _decode_int, _decode_ints, _decode_list, _decode_object,
-    _decode_str, _field, _row_codes, _unique, group_from_json,
+    FiniteSubset, GroupHandle, _decode_int, _decode_list, _decode_object, _decode_str, _field,
+    _row_codes, _unique, group_from_json,
 )
 from .util import canonical_json, check_epsilon, format_fraction, parse_fraction, parse_json
 
@@ -458,11 +460,12 @@ def report_to_json(report: VerificationReport) -> dict:
     return doc
 
 
-FORMAT = 7
+FORMAT = 8
 
 # hashlib is imported inside the codec functions: it loads OpenSSL, which
 # adds about 4 MiB of RSS to every command, including those that never
 # read or write a certificate.
+TABLES = "a slot's table must list each slot map in use once, in order of first use over the sorted keys"
 
 
 def _payload_dtype(bound: int) -> str:
@@ -470,133 +473,131 @@ def _payload_dtype(bound: int) -> str:
     return "<u1" if bound <= 1 << 8 else "<u2" if bound <= 1 << 16 else "<i4"
 
 
-def _slot_to_json(fmap: FiniteMap) -> dict:
+def _payloads_to_json(**parts) -> dict:
+    """Each part (values, bound) as the base64 of its values in
+    _payload_dtype(bound), and one sha256 over the parts' bytes in order."""
     import hashlib
 
-    # One slot: images (cells,) below cells, labels (cells, degree) below V's
-    # degree, as FiniteMap checked, so each narrows to its last axis's dtype.
-    raws = [a.astype(_payload_dtype(a.shape[-1])).tobytes() for a in fmap.slots[0][:2]]
-    entry = {k: base64.b64encode(r).decode("ascii") for k, r in zip(("cells", "labels"), raws)}
-    entry["sha256"] = hashlib.sha256(b"".join(raws)).hexdigest()
-    return entry
+    raws = {k: a.astype(_payload_dtype(bound)).tobytes() for k, (a, bound) in parts.items()}
+    return {**{k: base64.b64encode(r).decode("ascii") for k, r in raws.items()},
+            "sha256": hashlib.sha256(b"".join(raws.values())).hexdigest()}
 
 
-def _slot_from_json(entry, cells: int, fiber: Fiber | None, member) -> FiniteMap:
-    """Decode one table entry, checking the length of each payload (cells,
-    and as many labels of V's degree, each in _payload_dtype of its bound)
-    and its hash before ranges; then sift every label into V, since one
-    outside V would move points off the carrier."""
+def _payloads_from_json(doc, what: str, **parts) -> list[np.ndarray]:
+    """The one payload decoder: each part (shape, bound) of doc is base64 of
+    a shape array in _payload_dtype of its largest bound; doc's sha256 covers
+    the parts' bytes.  Checks each part's base64 and length, the hash, then
+    0 <= value < bound (bound broadcast over the last axis), naming the
+    field (what and the part) and the first bad value."""
     import hashlib
 
-    if not isinstance(entry, dict) or set(entry) != {"cells", "labels", "sha256"}:
-        raise InvariantViolationError("a map entry needs exactly cells, labels and sha256")
-    degree = 0 if fiber is None else fiber.degree
-    raws, dtypes = [], [np.dtype(_payload_dtype(b)) for b in (cells, degree)]
-    for key, count, dtype in zip(("cells", "labels"), (cells, cells * degree), dtypes):
+    raws, digest = [], hashlib.sha256()
+    dtypes = [np.dtype(_payload_dtype(np.max(b, initial=0))) for _, b in parts.values()]
+    for name, (shape, _), dtype in zip(parts, parts.values(), dtypes):
         try:
-            raws.append(base64.b64decode(entry[key], validate=True))
-        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-            raise InvariantViolationError(f"map payload is not valid base64: {exc}") from None
-        if len(raws[-1]) != dtype.itemsize * count:
-            raise InvariantViolationError(f"map payload {key!r} has {len(raws[-1])} bytes, "
-                                          f"expected {dtype.itemsize * count}")
-    if hashlib.sha256(b"".join(raws)).hexdigest() != entry["sha256"]:
-        raise InvariantViolationError("map payload does not match its sha256")
-    images, labels = map(np.frombuffer, raws, dtypes)
-    fmap = FiniteMap(images, labels.reshape(cells, degree), fiber)
-    for w in sorted(set(map(tuple, fmap.slots[0].labels.tolist()))) if member else ():
-        if not member(w):
-            raise InvariantViolationError(f"label {list(w)} is not in V: a map leaves the carrier")
-    return fmap
+            raws.append(base64.b64decode(_field(doc, name, _decode_str), validate=True))
+        except ValueError as exc:  # binascii.Error is a ValueError
+            raise InvariantViolationError(f"{what} {name} is not valid base64: {exc}") from None
+        if (n := len(raws[-1])) != (size := dtype.itemsize * math.prod(shape)):
+            raise InvariantViolationError(f"{what} {name} has {n} bytes, expected {size}")
+        digest.update(raws[-1])
+    if digest.hexdigest() != _field(doc, "sha256", _decode_str):
+        raise InvariantViolationError(f"{what} payload does not match its sha256")
+    out = [np.frombuffer(r, t).reshape(s) for r, t, (s, _) in zip(raws, dtypes, parts.values())]
+    for name, values, (shape, bound) in zip(parts, out, parts.values()):
+        bound = np.broadcast_to(np.asarray(bound, np.int64), shape)
+        for at in map(tuple, np.argwhere((values < 0) | (values >= bound))[:1].tolist()):
+            raise DomainError(f"{what} {name}: {values[at]} at {list(at)} is not below {bound[at]}")
+    return out
 
 
-def _table_from_json(s) -> tuple[tuple, list[FiniteMap]]:
-    """One slot's layout (cells, fiber) and table: each distinct entry
-    decoded, hashed and sifted once."""
+def _slot_to_json(layout: tuple, table: list[FiniteMap]) -> dict:
+    cells, v = layout
+    packed = np.stack([m.packed for m in table])  # one-slot maps: images, then labels
+    return {"cells": cells, "maps": len(table), "fiber": None if v is None else v.describe(),
+            **_payloads_to_json(images=(packed[:, :cells], cells),
+                                labels=(packed[:, cells:], 0 if v is None else v.degree))}
+
+
+def _table_from_json(s, i: int) -> tuple[tuple, list[FiniteMap]]:
+    """Slot i's layout (cells, fiber) and table, from its images and labels
+    payloads: each distinct label sifted into V once (one outside V, or no
+    permutation, would move points off the carrier), no row stated twice."""
+    import hashlib
+
     from .constructions.girth import fiber_from_json  # constructions imports this module
 
-    cells = _field(s, "cells", _decode_int)
-    fiber = _field(s, "fiber", lambda f: (None, None) if f is None else fiber_from_json(f))
-    table = [_slot_from_json(e, cells, *fiber) for e in _field(s, "maps", _decode_list)]
-    return (cells, fiber[0]), table
+    cells = check_carrier_size(_field(s, "cells", _decode_int))
+    fiber, member = _field(s, "fiber", lambda f: (None, None) if f is None else fiber_from_json(f))
+    rows, d = _field(s, "maps", _decode_int), 0 if fiber is None else fiber.degree
+    images, labels = _payloads_from_json(s, f"slot {i}", images=((rows, cells), cells),
+                                         labels=((rows, cells, d), d))
+    for w in sorted(set(map(tuple, labels.reshape(-1, d).tolist()))) if d else ():
+        if not member(w):
+            raise InvariantViolationError(f"slot {i} labels: label {list(w)} is not in V: "
+                                          "a map leaves the carrier")
+    packed = (np.concatenate([images, labels.reshape(rows, cells * d)], axis=1, dtype=np.int32)
+              if d else images.astype(np.int32, copy=False))  # int32 images stay in their bytes
+    # Rows are compared only where their fingerprints meet: a fixed pseudorandom
+    # linear form mod 2**64, which einsum sums in buffers, not on a copy of the table.
+    form = np.frombuffer(hashlib.shake_128(b"rows").digest(8 * packed.shape[1]), np.uint64)
+    fp = np.einsum("ij,j->i", packed, form, dtype=np.uint64, casting="unsafe")
+    _, first, inverse = np.unique(fp, return_index=True, return_inverse=True)
+    for r in np.flatnonzero(first[inverse] != np.arange(rows)).tolist():
+        for j in np.flatnonzero(inverse[:r] == inverse[r]).tolist():
+            if np.array_equal(packed[r], packed[j]):
+                raise InvariantViolationError(f"{TABLES}: slot {i} row {r} repeats row {j}")
+    packed.setflags(write=False)
+    return (cells, fiber), FiniteMap._table(packed, cells, fiber)
 
 
-def _indices_from_json(value, tables: list) -> list[int]:
-    """One assignment value: a list of one index per slot into its table."""
-    at = _decode_ints(value, len(tables))
-    if not all(0 <= i < len(t) for i, t in zip(at, tables)):
-        raise DomainError(f"map indices {at} are not all below their tables' sizes "
-                          f"{[len(t) for t in tables]}")
-    return at
-
-
-def _index_from_json(values: list, tables: list) -> np.ndarray:
-    """The assignment's values as one (values, slots) index array if each is a list of
-    one Python int (no bool) per slot, in range; else _indices_from_json's, or its error."""
-    sizes = [len(t) for t in tables]
-    flat = [i for v in values if type(v) is list and len(v) == len(sizes) for i in v]
-    if (len(flat) == len(values) * len(sizes) and {*map(type, flat)} <= {int}
-            and 0 <= min(flat, default=0) and max(flat, default=0) < 2**63
-            and ((index := np.array(flat, np.int64).reshape(-1, len(sizes))) < sizes).all()):
-        return index
-    return np.array([_indices_from_json(v, tables) for v in values], np.int64)
+def _assignment_from_json(g: GroupHandle, a, tables) -> tuple[dict, list | None, np.ndarray]:
+    """The elements by key, the keys if checked, and the (keys, slots) index
+    payload, each index below its table's size.  The keys (in key order) are
+    parsed once, joined, and checked if each is then its element's canonical
+    key, so it parses alone to it; else _elements_from_keys names a bad key."""
+    keys = _field(a, "keys", lambda v: list(map(_decode_str, _decode_list(v))))
+    try:
+        elems = [g.decode(x) for x in parse_json("[" + ",".join(keys) + "]", "keys")]
+        checked = len(elems) == len(keys) and g._keys_many(elems) == keys
+    except QuasiactError:  # the per-key path raises it for the key it belongs to
+        checked = False
+    keyed = _elements_from_keys(g, keys, dict(zip(keys, elems)) if checked else {}, ordered=True)
+    return keyed, keys if checked else None, *_payloads_from_json(
+        a, "assignment", index=((len(keys), len(tables)), [len(t) for t in tables]))
 
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
-    (format 7).
-
-    "slots" states the carrier once: per slot its cell count, its fiber (V's
-    degree, generators and order, or null when dense) and "maps", its table
-    of distinct slot maps (QuasiAction.slot_tables).  An entry holds base64
-    of the cell images and of the labels (empty when dense), and one sha256
-    over both.  Each payload is in the narrowest little-endian dtype of its
-    bound (_payload_dtype: uint8 up to 256, uint16 up to 65,536, else
-    int32), the bound being the slot's cells for images and V's degree for
-    labels.  Every map is a list of one index per slot into that slot's table.
-    """
-    g = qa.owner
+    (format 8).  Per slot: its cells, its fiber (V's degree, generators and
+    order, or null) and its table of distinct slot maps (slot_tables):
+    "maps" rows of "images" (rows, cells) and "labels" (rows, cells,
+    degree), one sha256 over both.  "assignment": the keys in key order and
+    their (keys, slots) "index" into the tables, with its sha256.  Payloads
+    are base64 of little-endian values in _payload_dtype of their bound: the
+    cells for images, V's degree for labels, the largest table for the index."""
     tables, index = qa.slot_tables
-    keys = map(qa.keys.__getitem__, qa.elements)
     doc = {
         "format": FORMAT,
-        "group": g.describe(),
+        "group": qa.owner.describe(),
         "carrier_n": qa.carrier_n,
         "epsilon": format_fraction(qa.claimed_epsilon),
         "F": [qa.keys[e] for e in qa.claimed_f],
-        "slots": [{"cells": cells, "maps": table, "fiber": None if v is None else {
-            "degree": v.degree, "generators": v.generators, "order": v.order}}
-            for (cells, v), table in zip(qa.layout, tables)],
-        "assignment": dict(zip(keys, index.tolist())),
+        "slots": list(map(_slot_to_json, qa.layout, tables)),
+        "assignment": {"keys": [qa.keys[e] for e in qa.elements],
+                       **_payloads_to_json(index=(index, max(map(len, tables))))},
         "report": report_to_json(report),
     }
-    return canonical_json(doc, default=_slot_to_json) + "\n"
+    return canonical_json(doc) + "\n"
 
 
-def _elements_from_keys(g: GroupHandle, keys, known: Mapping) -> dict:
-    """Each key's element: known's (key -> element), else the key's JSON decoded."""
-    return {k: known[k] if k in known else g.decode(parse_json(k, f"element key {k!r:.60}"))
-            for k in map(_decode_str, keys)}
-
-
-def _assignment_keys(g: GroupHandle, keys: list[str]) -> tuple[dict, list[str] | None]:
-    """(_elements_from_keys, keys) from one parse of the joined keys once each
-    is its element's canonical key (so it parses alone to that element);
-    else (_elements_from_keys, None) by the per-key path, naming any bad key."""
-    try:
-        elems = [g.decode(x) for x in parse_json("[" + ",".join(keys) + "]", "keys")]
-        if len(elems) == len(keys) and g._keys_many(elems) == keys:
-            return dict(zip(keys, elems)), keys
-    except QuasiactError:  # the per-key path raises it for the key it belongs to
-        pass
-    return _elements_from_keys(g, keys, {}), None
-
-
-def _elements_in_key_order(g: GroupHandle, v, known: Mapping) -> dict:
-    """_elements_from_keys, refusing the first key not after the one before it."""
-    keys = list(map(_decode_str, _decode_list(v)))
-    keyed = _elements_from_keys(g, keys, known)
-    for before, key in zip(keys, keys[1:]):
+def _elements_from_keys(g: GroupHandle, keys, known: Mapping, ordered=False) -> dict:
+    """Each key's element: known's (key -> element), else the key's JSON decoded;
+    if ordered, the first key not after the one before it is refused."""
+    keys = list(map(_decode_str, keys))
+    keyed = {k: known[k] if k in known else g.decode(parse_json(k, f"element key {k!r:.60}"))
+             for k in keys}
+    for before, key in zip(keys, keys[1:]) if ordered else ():
         if not before < key:
             raise DomainError(f"key {key!r:.60} does not come after {before!r:.60}: "
                               "each key is stated once, in key order")
@@ -614,20 +615,16 @@ def _check_keys(keyed: dict, canonical: Iterable[str]) -> None:
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
-    """Read a format 7 certificate.  Formats 1-6 are refused by name: run
-    their request again with ``quasiact construct`` to get format 7.
-
-    Each fibered slot's V is read by girth.fiber_from_json, as a girth
-    witness's is, and every label of the slot's table is sifted into V.  The
-    tables must be those emit_certificate writes: each entry used, once.
-    Every element key (assignment, F, the report's f) must be its element's
-    canonical key; the first that is not is refused by name.  F states its
-    keys in key order, each once, as emit_certificate writes them.
-
-    The stored report is not parsed.  verify measures the stored maps again
-    at the report's own F, epsilon and strictness, and the certificate is
-    refused unless that fresh report is exactly the stored one, in value and
-    type down to each list entry (so ``1`` is not ``true``); it is returned.
+    """Read a format 8 certificate; formats 1-7 are refused by name (run
+    their request again with ``quasiact construct``).  Each fibered slot's V
+    is read by girth.fiber_from_json and every label sifted into it.  The
+    tables and keys must be the ones emit_certificate writes: no row stated
+    twice, every row used in order of first use, every key canonical, and
+    the assignment's and F's keys in key order; the first that is not is
+    refused by name.  The stored report is not parsed: verify measures the
+    stored maps again at its F, epsilon and strictness, and the fresh report
+    must equal it in value and type down to each list entry (so ``1`` is not
+    ``true``); it is returned.
     """
     doc = parse_json(text, "certificate")
     del text  # frees the text now when the caller keeps no reference to it
@@ -640,26 +637,28 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     g = _field(doc, "group", group_from_json)
     carrier_n = _field(doc, "carrier_n", _decode_int)
     # Per slot, its layout and its table of distinct slot maps.
-    slots = _field(doc, "slots", lambda v: [_table_from_json(s) for s in _decode_list(v)])
+    slots = _field(doc, "slots", lambda v: [_table_from_json(s, i)
+                                            for i, s in enumerate(_decode_list(v))])
     if not slots:
         raise DomainError("field 'slots': a certificate has at least one slot")
-    tables = [t for _, t in slots]
-    keyed, keys, index = _field(doc, "assignment", lambda v: (*_assignment_keys(
-        g, list(_decode_object(v))), _index_from_json(list(v.values()), tables)))
-    f_keyed = _field(doc, "F", lambda v: _elements_in_key_order(g, v, keyed))
-    qa = QuasiAction._from_slots(g, carrier_n, tuple(layout for layout, _ in slots), tables,
-                                 keyed.values(), index, FiniteSubset(g, f_keyed.values()),
+    layout, tables = zip(*slots)
+    keyed, keys, index = _field(doc, "assignment", lambda v: _assignment_from_json(g, v, tables))
+    f_keyed = _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v), keyed,
+                                                             ordered=True))
+    qa = QuasiAction._from_slots(g, carrier_n, layout, list(tables), keyed.values(), index,
+                                 FiniteSubset(g, f_keyed.values()),
                                  _field(doc, "epsilon", parse_fraction), keys)
     # The assignment's and F's elements are supported, so qa has their
     # canonical keys: each element is keyed once.
     for stated in (keyed, f_keyed):
         _check_keys(stated, map(qa.keys.__getitem__, stated.values()))
-    # The tables emit_certificate writes: _first_use kept them as they are,
-    # and no entry is stated twice.
-    if qa.slot_tables[0] != tables or any(len({m.packed.tobytes() for m in t}) < len(t)
-                                          for t in tables):
-        raise InvariantViolationError("a slot's table must list each slot map in use once, "
-                                      "in order of first use over the sorted keys")
+    # The tables emit_certificate writes: each row used, in order of first use.
+    for s, stated in enumerate(tables):
+        for r in np.flatnonzero(np.bincount(index[:, s], minlength=len(stated)) == 0)[:1].tolist():
+            raise InvariantViolationError(f"{TABLES}: slot {s} row {r} is not used")
+    for s, k in np.argwhere((renumbered := qa.slot_tables[1]).T != index.T)[:1].tolist():
+        raise InvariantViolationError(f"{TABLES}: slot {s} row {index[k, s]} is first used, by key "
+                                      f"{list(keyed)[k]!r:.60}, before row {renumbered[k, s]}")
     stored = _field(doc, "report", _decode_object)
     f = _field(stored, "f", lambda v: _elements_from_keys(g, _decode_list(v), keyed))
     _check_keys(f, g._keys_many(list(f.values())))

@@ -53,11 +53,10 @@ def parse_json(text: str, what: str):
         raise DomainError(f"{what} is not JSON: {type(exc).__name__}: {exc}") from None
 
 
-def canonical_json(obj, default=None) -> str:
+def canonical_json(obj) -> str:
     """Compact, key-sorted JSON: the canonical string form used for keys and
-    certificates.  default(o) gives the JSON value of an object json cannot
-    encode."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=default)
+    certificates."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def document_json(obj) -> str:

@@ -45,6 +45,8 @@ from quasiact.util import canonical_json
 
 from test_product_slots import S3, outcome, repeating_actions
 
+from certificate_tables import assignment, set_assignment, set_slot_rows, slot_rows
+
 FREE = FreeProductGroup(cyclic_group(2), cyclic_group(3))
 FINITARY = IntegerFinitaryGroup()
 
@@ -289,7 +291,8 @@ class TestLoaderRefusesNonCanonicalKeys:
 
     def test_a_second_spelling_of_a_key_is_refused(self, doc):
         # It would load as 25 elements from 26 keys.
-        doc["assignment"]["[-1, -1]"] = doc["assignment"]["[-1,-1]"]
+        values = assignment(doc)
+        set_assignment(doc, dict(values, **{"[-1, -1]": values["[-1,-1]"]}))
         with pytest.raises(InvariantViolationError, match=re.escape(
                 "element key '[-1, -1]' is not its element's canonical key '[-1,-1]'")):
             load_certificate(json.dumps(doc))
@@ -298,7 +301,9 @@ class TestLoaderRefusesNonCanonicalKeys:
     def test_a_respelled_key_is_refused(self, doc, where):
         # It would load, and emit other bytes than it was read from.
         if where == "assignment":
-            doc["assignment"]["[-1, -1]"] = doc["assignment"].pop("[-1,-1]")
+            values = assignment(doc)
+            values["[-1, -1]"] = values.pop("[-1,-1]")
+            set_assignment(doc, values)
         else:
             keys = doc["F"] if where == "F" else doc["report"]["f"]
             keys[keys.index("[-1,-1]")] = "[-1, -1]"
@@ -379,18 +384,22 @@ class TestLoadedOneSlotTables:
         assert qa.slot_tables[1].tolist() == [[0], [1], [2], [3]]
         assert emit_certificate(qa, report) == text
 
-    @pytest.mark.parametrize("edit", [
-        lambda d: d["slots"][0]["maps"].append(d["slots"][0]["maps"][1]),  # unused
-        lambda d: d["slots"][0]["maps"].__setitem__(3, d["slots"][0]["maps"][2]),  # repeated
-        lambda d: (d["slots"][0]["maps"].reverse(),  # out of first-use order
-                   d["assignment"].update({k: [3 - i] for k, [i] in d["assignment"].items()})),
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: set_slot_rows(d, 0, slot_rows(d, 0)[0][[0, 1, 2, 3, 1]]),
+         "slot 0 row 4 repeats row 1"),  # unused, and a second row of map "1"
+        (lambda d: set_slot_rows(d, 0, slot_rows(d, 0)[0][[0, 1, 2, 2]]),
+         "slot 0 row 3 repeats row 2"),
+        (lambda d: (set_slot_rows(d, 0, slot_rows(d, 0)[0][::-1]),  # out of first-use order
+                    set_assignment(d, {k: [3 - i] for k, [i] in assignment(d).items()})),
+         "slot 0 row 3 is first used, by key '0', before row 0"),
     ], ids=["unused", "repeated", "out_of_order"])
-    def test_tables_other_than_the_emitted_ones_are_refused(self, doc, edit):
+    def test_tables_other_than_the_emitted_ones_are_refused(self, doc, edit, message):
         edit(doc)
-        with pytest.raises(InvariantViolationError, match="each slot map in use once"):
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                f"each slot map in use once, in order of first use over the sorted keys: {message}")):
             load_certificate(json.dumps(doc))
 
     def test_index_out_of_range_is_refused(self, doc):
-        doc["assignment"]["2"] = [4]
-        with pytest.raises(DomainError, match=re.escape("map indices [4] are not all below")):
+        set_assignment(doc, dict(assignment(doc), **{"2": [4]}))
+        with pytest.raises(DomainError, match=re.escape("assignment index: 4 at [2, 0] is not below 4")):
             load_certificate(json.dumps(doc))

@@ -1,5 +1,3 @@
-import base64
-import hashlib
 import json
 import os
 import resource
@@ -9,7 +7,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import quasiact
@@ -18,6 +15,8 @@ from quasiact import quasiaction
 from quasiact.cli import main
 from quasiact.constructions import regular_action
 from quasiact.errors import DomainError
+
+from certificate_tables import assignment, set_slot_rows, slot_rows
 
 
 @pytest.fixture
@@ -32,16 +31,13 @@ def c4_certificate(tmp_path):
 def forged_c4_certificate(tmp_path):
     """The C4 certificate with map "1" changed on one point and re-hashed.
     The stored report no longer describes the maps, though the maps still
-    pass at epsilon 1/2.  A 4-cell slot's images are uint8 in format 7."""
+    pass at epsilon 1/2."""
     qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))
     doc = json.loads(emit_certificate(qa, verify(qa)))
-    raw = np.array([1, 2, 3, 1], dtype="<u1").tobytes()
-    [i] = doc["assignment"]["1"]
-    doc["slots"][0]["maps"][i] = {
-        "cells": base64.b64encode(raw).decode(),
-        "labels": "",
-        "sha256": hashlib.sha256(raw).hexdigest(),
-    }
+    images, _ = slot_rows(doc, 0)
+    [i] = assignment(doc)["1"]
+    images[i] = [1, 2, 3, 1]
+    set_slot_rows(doc, 0, images)
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(doc))
     return path

@@ -44,6 +44,8 @@ from quasiact.groups import _row_codes, _unique
 
 import test_fibered
 from test_product_slots import S3, fibered_factors, outcome, repeating_actions, same_action
+
+from certificate_tables import assignment, encode, rehash
 from test_quasiaction import epsilons, near_regular_actions, random_actions
 
 
@@ -169,12 +171,15 @@ def product_certificate() -> dict:
 def respelled(doc: dict, old: list, new: list) -> str:
     """doc with the run of assignment keys old replaced, in place, by the
     keys new (each taking a map of the run)."""
-    items = list(doc["assignment"].items())
+    items = list(assignment(doc).items())
     at = [k for k, _ in items].index(old[0])
     assert [k for k, _ in items[at : at + len(old)]] == old
     values = [v for _, v in items[at : at + len(old)]]
     values += values[-1:] * (len(new) - len(values))
-    doc["assignment"] = dict(items[:at] + list(zip(new, values)) + items[at + len(old) :])
+    items[at : at + len(old)] = zip(new, values)
+    doc["assignment"]["keys"] = [k for k, _ in items]  # in place, perhaps out of key order
+    doc["assignment"]["index"] = encode([v for _, v in items], 5)
+    rehash(doc["assignment"], "index")
     return json.dumps(doc)
 
 

@@ -17,7 +17,6 @@ from quasiact.constructions import (
     amenable_extension_qa,
     conjugated_normal_subset,
     cyclic_quasi_action,
-    folner_expansion,
     integer_folner_interval,
     regular_action,
     transport_qa,
@@ -28,6 +27,8 @@ from quasiact.errors import (
     InvariantViolationError,
     PreconditionError,
 )
+
+from test_extension_blocks import folner_expansion
 
 
 def product_extension(folner_size=20):

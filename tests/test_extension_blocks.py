@@ -40,12 +40,11 @@ from quasiact.constructions import (
     conjugated_normal_subset,
     cyclic_quasi_action,
     direct_product_qa,
-    folner_expansion,
     integer_folner_interval,
     regular_action,
     transport_qa,
 )
-from quasiact.constructions.extension import _blocks
+from quasiact.constructions.extension import _blocks, _f_walk
 from quasiact.errors import (
     GroupMismatchError,
     IncompleteSupportError,
@@ -95,6 +94,12 @@ def scalar_blocks(ext, g) -> list:
             raise InvariantViolationError(f"conjugated element escaped the normal subgroup: {key}")
         blocks.append((j, conjugated))
     return blocks
+
+
+def folner_expansion(ext, f) -> Fraction:
+    """max over g in F of |Abar * gb \\ Abar| / |Abar|, counted exactly by
+    the block walk; no construction reads it, so it lives with its tests."""
+    return _f_walk(ext, f).expansion(None)
 
 
 def scalar_folner_expansion(ext, f) -> Fraction:

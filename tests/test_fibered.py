@@ -50,6 +50,8 @@ from dense_carrier import cayley_closure, densify, densify_action
 from test_finmap import double, fixpoint_set
 from test_freeproduct import multiplicativity_case
 
+from certificate_tables import assignment, raw, rehash, set_slot_rows, slot_rows
+
 C2 = {"kind": "finite", "table": [[0, 1], [1, 0]]}
 C3 = {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
 EPS = Fraction(1, 10)
@@ -202,8 +204,8 @@ class TestFreeProductAgainstDenseCarrier:
         text = emit_certificate(dense, verify(dense, strict=True))
         doc = json.loads(text)
         [slot] = doc["slots"]
-        assert doc["format"] == 7 and (slot["cells"], slot["fiber"]) == (qa.carrier_n, None)
-        assert all(entry["labels"] == "" for entry in slot["maps"])
+        assert doc["format"] == 8 and (slot["cells"], slot["fiber"]) == (qa.carrier_n, None)
+        assert slot["labels"] == ""
         loaded, report = load_certificate(text)
         assert report == verify(qa, strict=True)
         assert emit_certificate(loaded, report) == text
@@ -253,30 +255,14 @@ class TestFreeProductExactCases:
         assert_exact_cases(free_product(2, 3, [0, 1], [0, 1, 2], 2, 1)[0])
 
 
-# The C2 x C2 certificate's slot has 16 cells over a degree-5 V, so format 7
-# writes both its cell images and its labels as uint8.
-def fibered_entry(cells, labels) -> dict:
-    raw = np.asarray(cells, "<u1").tobytes()
-    raw_labels = np.asarray(labels, "<u1").tobytes()
-    return {
-        "cells": base64.b64encode(raw).decode(),
-        "labels": base64.b64encode(raw_labels).decode(),
-        "sha256": hashlib.sha256(raw + raw_labels).hexdigest(),
-    }
-
-
-def entry_arrays(entry, degree):
-    cells = np.frombuffer(base64.b64decode(entry["cells"]), "<u1").copy()
-    labels = np.frombuffer(base64.b64decode(entry["labels"]), "<u1").reshape(-1, degree).copy()
-    return cells, labels
-
-
 @pytest.fixture(scope="module")
 def c2_c2_certificate():
     qa, _ = free_product(2, 2, [0, 1], [0, 1], 1, 0)
     return emit_certificate(qa, verify(qa))
 
 
+# The C2 x C2 certificate's slot is a table of 8 rows of 16 cells over a
+# degree-5 V: its images and labels payloads are uint8, 128 and 640 bytes.
 def tampered(text, change):
     doc = json.loads(text)
     key = next(k for k in doc["F"] if k != "[[0,0]]")
@@ -284,35 +270,30 @@ def tampered(text, change):
     return json.dumps(doc)
 
 
-def entry_at(doc, key):
-    """The slot table holding the entry of the one-slot map key, and its index."""
-    [i] = doc["assignment"][key]
-    return doc["slots"][0]["maps"], i
+def edit_row(doc, key, edit):
+    """Rewrite the table with edit(images, labels, i) applied, i being key's row."""
+    images, labels = slot_rows(doc, 0)
+    edit(images, labels, assignment(doc)[key][0])
+    set_slot_rows(doc, 0, images, labels)
 
 
 def label_outside_v(doc, key, degree):
-    table, i = entry_at(doc, key)
-    cells, labels = entry_arrays(table[i], degree)
-    labels[0] = [1, 0, *range(2, degree)]  # V is generated by even permutations
-    table[i] = fibered_entry(cells, labels)
+    # V is generated by even permutations
+    edit_row(doc, key, lambda images, labels, i: labels[i].__setitem__(0, [1, 0, *range(2, degree)]))
 
 
 def cell_out_of_range(doc, key, degree):
-    table, i = entry_at(doc, key)
-    cells, labels = entry_arrays(table[i], degree)
-    cells[0] = cells.size
-    table[i] = fibered_entry(cells, labels)
+    edit_row(doc, key, lambda images, labels, i: images[i].__setitem__(0, images.shape[1]))
 
 
 def labels_short(doc, key, degree):
-    table, i = entry_at(doc, key)
-    cells, labels = entry_arrays(table[i], degree)
-    table[i] = fibered_entry(cells, labels[:-1])
+    slot = doc["slots"][0]
+    slot["labels"] = base64.b64encode(raw(slot, "labels")[:-degree]).decode()
+    rehash(slot, "images", "labels")
 
 
 def hash_mismatch(doc, key, degree):
-    table, i = entry_at(doc, key)
-    table[i]["sha256"] = hashlib.sha256(b"").hexdigest()
+    doc["slots"][0]["sha256"] = hashlib.sha256(b"").hexdigest()
 
 
 def order_inflated(doc, key, degree):
@@ -338,12 +319,12 @@ def generators_of_other_degree(doc, key, degree):
 
 
 REFUSALS = [
-    (label_outside_v, InvariantViolationError, "label [1, 0, 2, 3, 4] is not in V"),
-    (cell_out_of_range, DomainError, "image out of range for carrier size 16"),
-    (labels_short, InvariantViolationError, "map payload 'labels' has 75 bytes, expected 80"),
-    (hash_mismatch, InvariantViolationError, "map payload does not match its sha256"),
+    (label_outside_v, InvariantViolationError, "slot 0 labels: label [1, 0, 2, 3, 4] is not in V"),
+    (cell_out_of_range, DomainError, "field 'slots': slot 0 images: 16 at ["),
+    (labels_short, InvariantViolationError, "slot 0 labels has 635 bytes, expected 640"),
+    (hash_mismatch, InvariantViolationError, "slot 0 payload does not match its sha256"),
     (order_inflated, InvariantViolationError, "generators give"),
-    (cells_doubled, InvariantViolationError, "map payload 'cells' has 16 bytes, expected 32"),
+    (cells_doubled, InvariantViolationError, "slot 0 images has 128 bytes, expected 256"),
     (carrier_not_the_slots_size, DomainError, "has carrier"),
     (generator_not_a_permutation, DomainError, "permutations"),
     (generators_of_other_degree, DomainError, "entries"),
@@ -355,13 +336,13 @@ class TestFiberedCertificates:
         qa, report = load_certificate(c2_c2_certificate)
         assert emit_certificate(qa, report) == c2_c2_certificate
         doc = json.loads(c2_c2_certificate)
-        assert doc["format"] == 7
+        assert doc["format"] == 8
         [slot] = doc["slots"]
-        assert set(slot) == {"cells", "fiber", "maps"}
+        assert set(slot) == {"cells", "fiber", "maps", "images", "labels", "sha256"}
         assert slot["cells"] == 16 and set(slot["fiber"]) == {"degree", "generators", "order"}
         assert doc["carrier_n"] == 16 * slot["fiber"]["order"]
-        assert sorted(i for [i] in doc["assignment"].values()) == list(range(len(slot["maps"])))
-        assert all(set(entry) == {"cells", "labels", "sha256"} for entry in slot["maps"])
+        assert sorted(i for [i] in assignment(doc).values()) == list(range(slot["maps"]))
+        assert [len(raw(slot, k)) for k in ("images", "labels")] == [8 * 16, 8 * 16 * 5]
 
     @pytest.mark.parametrize("change,error,message", REFUSALS, ids=[r[0].__name__ for r in REFUSALS])
     def test_loader_refuses(self, c2_c2_certificate, tmp_path, capsys, change, error, message):

@@ -1,16 +1,20 @@
-"""Format 7 map payloads: each is written in the narrowest little-endian dtype
-that holds values below its bound.  The bound is the slot's cells for cell
-images and V's degree for labels: uint8 up to 256, uint16 up to 65,536, else
-int32.
+"""Format 8 payloads: each slot's table is one images payload (rows x
+cells) and one labels payload (rows x cells x V's degree), each in the
+narrowest little-endian dtype that holds values below its bound.  The
+bound is the slot's cells for cell images and V's degree for labels:
+uint8 up to 256, uint16 up to 65,536, else int32.
 
-The int32 codec of format 6 is kept here as the oracle: for the same
-QuasiAction, the tables a format 7 certificate loads to are the maps that
-int32 payloads of the same tables decode to.
+Two oracles are kept here.  The int32 codec of format 6: for the same
+QuasiAction, the tables a format 8 certificate loads to are the maps that
+int32 payloads of the same tables decode to.  And the per-entry decoder of
+format 7 (certificate_tables.per_entry_tables), which splits each table
+into rows and decodes and hashes each row alone: it gives the maps the
+table decoder gives, at each dtype edge and on dense, fibered, product and
+finitary certificates.
 """
 
 import base64
 import functools
-import hashlib
 import json
 import re
 from fractions import Fraction
@@ -23,16 +27,19 @@ from quasiact import (
     FiniteMap, FiniteSubset, QuasiAction, cyclic_group, emit_certificate, load_certificate,
     verify,
 )
+from quasiact import quasiaction
+from quasiact.constructions import (
+    build_free_product_action, cyclic_quasi_action, direct_product_qa, finitary_extension_qa,
+    regular_action,
+)
+from quasiact.constructions.girth import fiber_from_json
 from quasiact.errors import DomainError, InvariantViolationError
 from quasiact.finmap import Fiber
 
+from certificate_tables import dtype_of, per_entry_tables, raw, rehash, slot_rows
+
 DENSE_CELLS = [1, 255, 256, 257, 65_536, 65_537]
 FIBER_DEGREES = [2, 8, 256]
-
-
-def dtype_of(bound: int) -> np.dtype:
-    """The format 7 rule, stated apart from the codec."""
-    return np.dtype("<u1" if bound <= 256 else "<u2" if bound <= 65_536 else "<i4")
 
 
 def rotations(degree: int, shifts) -> np.ndarray:
@@ -76,26 +83,18 @@ def certificate(cells: int, degree: int | None) -> str:
     return emit_certificate(qa, verify(qa))
 
 
-def hashed(cells: bytes, labels: bytes) -> dict:
-    """A map entry of the two payloads, with the sha256 of both."""
-    return {"cells": base64.b64encode(cells).decode(), "labels": base64.b64encode(labels).decode(),
-            "sha256": hashlib.sha256(cells + labels).hexdigest()}
+def int32_decoded(fmap: FiniteMap) -> tuple[list, list]:
+    """The format 6 codec: a map's images and labels written as little-endian
+    int32, and read back."""
+    images, labels = (np.frombuffer(a.astype("<i4").tobytes(), "<i4") for a in fmap.slots[0][:2])
+    return images.tolist(), labels.reshape(images.size, -1).tolist()
 
 
-def int32_entry(fmap: FiniteMap) -> dict:
-    """The format 6 codec: both payloads as little-endian int32."""
-    return hashed(*(a.astype("<i4").tobytes() for a in fmap.slots[0][:2]))
-
-
-def int32_decoded(entry: dict, degree: int) -> tuple[list, list]:
-    images, labels = (np.frombuffer(base64.b64decode(entry[k]), "<i4") for k in ("cells", "labels"))
-    return images.tolist(), labels.reshape(images.size, degree).tolist()
-
-
-def entry(images, labels, cells: int, degree: int) -> dict:
-    """A hand-built format 7 entry: images in cells' dtype, labels in degree's."""
-    return hashed(np.asarray(images, dtype_of(cells)).tobytes(),
-                  np.asarray(labels, dtype_of(degree)).tobytes())
+def with_payloads(doc: dict, **payloads: bytes) -> None:
+    """Replace slot 0's named payloads by raw bytes, and hash the slot again."""
+    slot = doc["slots"][0]
+    slot.update({k: base64.b64encode(r).decode() for k, r in payloads.items()})
+    rehash(slot, "images", "labels")
 
 
 class TestRoundTrip:
@@ -108,10 +107,10 @@ class TestRoundTrip:
         loaded, report = load_certificate(cert)
         assert emit_certificate(loaded, report) == cert
         degree = degree or 0
-        for e in json.loads(cert)["slots"][0]["maps"]:
-            assert len(base64.b64decode(e["cells"])) == dtype_of(cells).itemsize * cells
-            assert (len(base64.b64decode(e["labels"]))
-                    == dtype_of(degree).itemsize * cells * degree)
+        slot = json.loads(cert)["slots"][0]
+        assert len(raw(slot, "images")) == dtype_of(cells).itemsize * cells * slot["maps"]
+        assert (len(raw(slot, "labels"))
+                == dtype_of(degree).itemsize * cells * degree * slot["maps"])
 
     @pytest.mark.parametrize("cells,degree", SLOTS)
     @settings(max_examples=4, deadline=None)
@@ -121,22 +120,22 @@ class TestRoundTrip:
         cert = emit_certificate(qa, verify(qa))
         [table], _ = load_certificate(cert)[0].slot_tables
         [oracle], _ = qa.slot_tables
-        written = json.loads(cert)["slots"][0]["maps"]
-        assert len(table) == len(oracle) == len(written)
-        for fmap, expected, e in zip(table, oracle, written):
-            images, labels = int32_decoded(int32_entry(expected), degree or 0)
-            assert fmap.slots[0].images.tolist() == images
-            assert fmap.slots[0].labels.tolist() == labels
-            assert e == entry(images, labels, cells, degree or 0)
+        images, labels = slot_rows(json.loads(cert), 0)
+        assert len(table) == len(oracle) == len(images)
+        for fmap, expected, row, row_labels in zip(table, oracle, images, labels):
+            want_images, want_labels = int32_decoded(expected)
+            assert fmap.slots[0].images.tolist() == want_images == row.tolist()
+            assert fmap.slots[0].labels.tolist() == want_labels == row_labels.tolist()
 
     @pytest.mark.parametrize("cells,degree", [(255, None), (65_536, None), (257, 8)])
     def test_int32_payloads_are_refused_by_length(self, cells, degree):
-        # Up to 65,536 cells, a format 6 cells payload is 4 or 2 times too long.
+        # Up to 65,536 cells, an int32 images payload is 4 or 2 times too long.
         doc = json.loads(certificate(cells, degree))
         [[fmap]], _ = action(cells, degree and cyclic_fiber(degree), 1, 0).slot_tables
-        doc["slots"][0]["maps"][0] = int32_entry(fmap)
+        with_payloads(doc, **{k: a.astype("<i4").tobytes()
+                              for k, a in zip(("images", "labels"), fmap.slots[0][:2])})
         with pytest.raises(InvariantViolationError, match=re.escape(
-                f"map payload 'cells' has {4 * cells} bytes, "
+                f"slot 0 images has {4 * cells} bytes, "
                 f"expected {dtype_of(cells).itemsize * cells}")):
             load_certificate(json.dumps(doc))
 
@@ -145,42 +144,122 @@ class TestRefusals:
     """A tampered payload, hashed again, is refused for the reason it breaks."""
 
     @pytest.mark.parametrize("cells,degree,key", [
-        (100, None, "cells"), (257, None, "cells"), (65_537, None, "cells"),
-        (257, 8, "cells"), (1, 8, "labels"), (257, 256, "labels")])
+        (100, None, "images"), (257, None, "images"), (65_537, None, "images"),
+        (257, 8, "images"), (1, 8, "labels"), (257, 256, "labels")])
     @pytest.mark.parametrize("items", [-1, 1])
     def test_one_item_short_or_long(self, cells, degree, key, items):
         doc = json.loads(certificate(cells, degree))
-        slot = doc["slots"][0]
-        bound, count = (cells, cells) if key == "cells" else (degree, cells * degree)
-        e = slot["maps"][0]
-        raws = {k: base64.b64decode(e[k]) for k in ("cells", "labels")}
+        bound, count = (cells, cells) if key == "images" else (degree, cells * degree)
+        payload = raw(doc["slots"][0], key)
         size = dtype_of(bound).itemsize
-        raws[key] = raws[key][:-size] if items < 0 else raws[key] + bytes(size)
-        slot["maps"][0] = hashed(raws["cells"], raws["labels"])
+        with_payloads(doc, **{key: payload[:-size] if items < 0 else payload + bytes(size)})
         with pytest.raises(InvariantViolationError, match=re.escape(
-                f"map payload {key!r} has {size * (count + items)} bytes, "
+                f"slot 0 {key} has {size * (count + items)} bytes, "
                 f"expected {size * count}")):
             load_certificate(json.dumps(doc))
 
     def test_image_at_or_past_the_cells_is_refused_in_its_dtype(self):
         # Byte 200 is a valid uint8 but no cell of a 100-cell slot.
         doc = json.loads(certificate(100, None))
-        images = [200] + list(range(1, 100))
-        doc["slots"][0]["maps"][0] = entry(images, [], 100, 0)
-        with pytest.raises(DomainError, match="image out of range for carrier size 100"):
+        with_payloads(doc, images=np.asarray([200, *range(1, 100)], "<u1").tobytes())
+        with pytest.raises(DomainError, match=re.escape(
+                "field 'slots': slot 0 images: 200 at [0, 0] is not below 100")):
             load_certificate(json.dumps(doc))
+
+    def test_negative_int32_image_is_refused(self):
+        # Past 65,536 cells images are int32, which holds negative values: one
+        # is named, not wrapped into a valid-looking numpy index.
+        doc = json.loads(certificate(65_537, None))
+        images = slot_rows(doc, 0)[0]
+        images[0, 0] = -1
+        with_payloads(doc, images=images.astype("<i4").tobytes())
+        with pytest.raises(DomainError, match=re.escape(
+                "field 'slots': slot 0 images: -1 at [0, 0] is not below 65537")):
+            load_certificate(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [-1, -2**31, 70_000])
+    def test_int32_index_outside_its_table_is_refused(self, value):
+        # The index is int32 once a table passes 65,536 rows.  Such a
+        # certificate states 65,537 distinct maps, so the one payload decoder
+        # is given the index alone: tables of 3 and 70,000 rows.
+        index = {"index": base64.b64encode(np.asarray([[0, value]], "<i4").tobytes()).decode()}
+        rehash(index, "index")
+        with pytest.raises(DomainError, match=re.escape(
+                f"assignment index: {value} at [0, 1] is not below 70000")):
+            quasiaction._payloads_from_json(index, "assignment", index=((1, 2), [3, 70_000]))
 
     def test_label_at_the_degree_is_refused(self):
         doc = json.loads(certificate(4, 8))
         labels = rotations(8, [0, 1, 2, 3])
         labels[0, 0] = 8
-        doc["slots"][0]["maps"][0] = entry([0, 1, 2, 3], labels, 4, 8)
-        with pytest.raises(DomainError, match="every label must be a permutation of 0..7"):
+        with_payloads(doc, images=np.asarray([0, 1, 2, 3], "<u1").tobytes(),
+                      labels=np.asarray(labels, "<u1").tobytes())
+        with pytest.raises(DomainError, match=re.escape(
+                "field 'slots': slot 0 labels: 8 at [0, 0, 0] is not below 8")):
+            load_certificate(json.dumps(doc))
+
+    def test_label_not_a_permutation_is_not_in_v(self):
+        doc = json.loads(certificate(4, 8))
+        labels = rotations(8, [0, 1, 2, 3])
+        labels[1, 0] = labels[1, 1]
+        with_payloads(doc, images=np.asarray([0, 1, 2, 3], "<u1").tobytes(),
+                      labels=np.asarray(labels, "<u1").tobytes())
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                "slot 0 labels: label [2, 2, 3, 4, 5, 6, 7, 0] is not in V")):
             load_certificate(json.dumps(doc))
 
     @pytest.mark.parametrize("cells,degree", SLOTS)
-    def test_format_6_is_refused_by_name(self, cells, degree):
+    def test_format_7_is_refused_by_name(self, cells, degree):
         doc = json.loads(certificate(cells, degree))
-        doc["format"] = 6
-        with pytest.raises(DomainError, match="certificate format 6 is not read, only format 7"):
+        doc["format"] = 7
+        with pytest.raises(DomainError, match="certificate format 7 is not read, only format 8"):
             load_certificate(json.dumps(doc))
+
+
+def table_decoded(doc: dict) -> list[list[FiniteMap]]:
+    return [quasiaction._table_from_json(slot, i)[1] for i, slot in enumerate(doc["slots"])]
+
+
+def per_entry_decoded(doc: dict) -> list[list[FiniteMap]]:
+    return per_entry_tables(doc, [(None, None) if s["fiber"] is None else fiber_from_json(s["fiber"])
+                                  for s in doc["slots"]])
+
+
+def dense_c4() -> str:
+    qa = regular_action(cyclic_group(4), epsilon=Fraction(1, 100))
+    return emit_certificate(qa, verify(qa))
+
+
+def fibered_c2_c3() -> str:
+    qa, _ = build_free_product_action(cyclic_group(2), cyclic_group(3), [0, 1], [0, 1], 1,
+                                      Fraction(1, 10), seed=0)
+    return emit_certificate(qa, verify(qa))
+
+
+def product_83_11() -> str:
+    big = [k for i in range(1, 21) for k in (i, -i)]
+    a = cyclic_quasi_action(big, 83, Fraction(1, 10))
+    b = cyclic_quasi_action([1, -1, 2, -2], 11, Fraction(1, 10))
+    qa = direct_product_qa([(a, a.claimed_f), (b, b.claimed_f)], Fraction(1, 10))
+    return emit_certificate(qa, verify(qa))
+
+
+def finitary_n1() -> str:
+    qa = finitary_extension_qa(1, 21, Fraction(20, 21))
+    return emit_certificate(qa, verify(qa))
+
+
+class TestPerEntryOracle:
+    @pytest.mark.parametrize("make", [dense_c4, fibered_c2_c3, product_83_11, finitary_n1])
+    def test_rows_decoded_alone_are_the_table(self, make):
+        doc = json.loads(make())
+        tables = table_decoded(doc)
+        assert [len(t) for t in tables] == [s["maps"] for s in doc["slots"]]
+        assert per_entry_decoded(doc) == tables
+        assert tables == load_certificate(make())[0].slot_tables[0]
+
+    @pytest.mark.parametrize("cells,degree", SLOTS)
+    def test_rows_decoded_alone_at_each_dtype_edge(self, cells, degree):
+        qa = action(cells, degree and cyclic_fiber(degree), 3, 1)
+        doc = json.loads(emit_certificate(qa, verify(qa)))
+        assert per_entry_decoded(doc) == table_decoded(doc) == qa.slot_tables[0]

@@ -6,8 +6,6 @@ point by point on the row-major product carrier (the last factor varies
 fastest).  A fibered factor is first written out with ``densify``.
 """
 
-import base64
-import hashlib
 import itertools
 import json
 import math
@@ -57,6 +55,10 @@ from quasiact.util import canonical_json
 
 from dense_carrier import cayley_closure, densify, densify_action
 from test_finmap import with_map
+
+from certificate_tables import (
+    assignment, encode, raw, rehash, set_assignment, set_slot_rows, slot_rows,
+)
 
 EPS = Fraction(1, 4)
 S3 = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
@@ -257,12 +259,11 @@ class TestDenseOnlyConstructionsRefuseMultiSlotActions:
         assert not out.exists()
 
 
-def rehashed(cells, labels=b"") -> dict:
-    """A dense entry of the 7- and 5-cell slots below, hashed; format 7
-    writes their images as uint8."""
-    raw = np.asarray(cells, "<u1").tobytes()
-    return {"cells": base64.b64encode(raw).decode(), "labels": base64.b64encode(labels).decode(),
-            "sha256": hashlib.sha256(raw + labels).hexdigest()}
+def with_row(doc: dict, s: int, key: str, images) -> None:
+    """Replace the slot s row of map key's slot map by images (dense), hashed again."""
+    rows, _ = slot_rows(doc, s)
+    rows[assignment(doc)[key][s]] = images
+    set_slot_rows(doc, s, rows)
 
 
 class TestProductCertificates:
@@ -274,18 +275,19 @@ class TestProductCertificates:
 
     def test_one_table_of_distinct_entries_per_slot(self, certificate):
         doc = json.loads(certificate)
-        assert doc["format"] == 7 and doc["carrier_n"] == 35
+        assert doc["format"] == 8 and doc["carrier_n"] == 35
         assert [(s["cells"], s["fiber"]) for s in doc["slots"]] == [(7, None), (5, None)]
         # 7 x 4 product maps: shifts by -2..4 mod 7 and by -1..2 mod 5.
-        assert len(doc["assignment"]) == 28
-        assert [len(s["maps"]) for s in doc["slots"]] == [7, 4]
-        i, j = doc["assignment"]["[1,1]"]
-        assert [np.frombuffer(base64.b64decode(s["maps"][k]["cells"]), "<u1").tolist()
-                for s, k in zip(doc["slots"], (i, j))] == [[1, 2, 3, 4, 5, 6, 0], [1, 2, 3, 4, 0]]
-        # Entries are numbered in order of first use over the sorted keys.
+        values = assignment(doc)
+        assert len(values) == 28 == len(doc["assignment"]["keys"])
+        assert [s["maps"] for s in doc["slots"]] == [7, 4]
+        i, j = values["[1,1]"]
+        assert [slot_rows(doc, s)[0][k].tolist() for s, k in enumerate((i, j))] == [
+            [1, 2, 3, 4, 5, 6, 0], [1, 2, 3, 4, 0]]
+        # Rows are numbered in order of first use over the sorted keys.
         first = [[], []]
-        for key in sorted(doc["assignment"]):
-            for seen, k in zip(first, doc["assignment"][key]):
+        for key in sorted(values):
+            for seen, k in zip(first, values[key]):
                 seen += [k] * (k not in seen)
         assert first == [list(range(7)), list(range(4))]
         qa, report = load_certificate(certificate)
@@ -293,22 +295,25 @@ class TestProductCertificates:
 
     def test_rehashed_tampered_slot_is_refused(self, certificate):
         doc = json.loads(certificate)
-        _, j = doc["assignment"]["[1,1]"]
-        doc["slots"][1]["maps"][j] = rehashed([1, 2, 3, 0, 4])  # still a bijection
+        with_row(doc, 1, "[1,1]", [1, 2, 3, 0, 4])  # still a bijection
         with pytest.raises(InvariantViolationError, match="the stored report differs from the one "
                            "verify measures on the stored maps"):
             load_certificate(json.dumps(doc))
-        doc["slots"][1]["maps"][j] = rehashed([1, 2, 3, 4, 5])
-        with pytest.raises(DomainError, match="image out of range for carrier size 5"):
+        with_row(doc, 1, "[1,1]", [1, 2, 3, 4, 5])
+        j = assignment(doc)["[1,1]"][1]
+        with pytest.raises(DomainError, match=re.escape(f"slot 1 images: 5 at [{j}, 4] is not below 5")):
             load_certificate(json.dumps(doc))
 
     @pytest.mark.parametrize("edit,error,message", [
         (lambda d: d.update(format=4), DomainError, "certificate format 4 is not read"),
         (lambda d: d.update(format=5), DomainError, "certificate format 5 is not read"),
         (lambda d: d.update(format=6), DomainError, "certificate format 6 is not read"),
+        (lambda d: d.update(format=7), DomainError, "certificate format 7 is not read"),
         (lambda d: d.update(slots=[]), DomainError, "at least one slot"),
-        (lambda d: d["slots"].reverse(), DomainError, "not all below their tables' sizes"),
-        (lambda d: d["slots"].pop(), DomainError, "1 entries"),
+        (lambda d: d["slots"].reverse(), DomainError, r"assignment index: \d+ at \[\d+, 0\] "
+                                                      "is not below 4"),
+        (lambda d: d["slots"].pop(), InvariantViolationError,
+         "assignment index has 56 bytes, expected 28"),
         (lambda d: d["slots"][0].pop("maps"), DomainError, "missing field 'maps'"),
     ])
     def test_layout_edits_are_refused(self, certificate, edit, error, message):
@@ -317,17 +322,17 @@ class TestProductCertificates:
         with pytest.raises(error, match=message):
             load_certificate(json.dumps(doc))
 
-    @pytest.mark.parametrize("index,message", [
-        (7, "map indices [7, 2] are not all below their tables' sizes [7, 4]"),
-        (-1, "map indices [-1, 2] are not all below"),
-        (True, "expected an integer, got True"),
-        (1.0, "expected an integer, got 1.0"),
-        ("1", "expected an integer, got '1'"),
-        (None, "expected an integer, got None"),
+    @pytest.mark.parametrize("s,index,message", [
+        (0, 7, "assignment index: 7 at [{row}, 0] is not below 7"),
+        (1, 4, "assignment index: 4 at [{row}, 1] is not below 4"),
+        (1, 255, "assignment index: 255 at [{row}, 1] is not below 4"),
     ])
-    def test_bad_index_is_refused_by_name(self, certificate, tmp_path, capsys, index, message):
+    def test_bad_index_is_refused_by_name(self, certificate, tmp_path, capsys, s, index, message):
         doc = json.loads(certificate)
-        doc["assignment"]["[1,1]"][0] = index
+        values = assignment(doc)
+        values["[1,1]"][s] = index
+        set_assignment(doc, values)
+        message = message.format(row=sorted(values).index("[1,1]"))
         with pytest.raises(DomainError, match=re.escape(message)):
             load_certificate(json.dumps(doc))
         path = tmp_path / "index.json"
@@ -336,46 +341,78 @@ class TestProductCertificates:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("value", [[0], [0, 0, 0], 0, {"0": 0}])
-    def test_wrong_number_of_indices_is_refused(self, certificate, value):
+    @pytest.mark.parametrize("field,value,message", [
+        ("index", 5, "field 'index': expected a string, got 5"),
+        ("index", None, "field 'index': expected a string, got None"),
+        ("index", [0, 1], "field 'index': expected a string, got [0, 1]"),
+        ("keys", 3, "field 'keys': expected an array, got 3"),
+        ("keys", {"[0,0]": [0, 0]}, "field 'keys': expected an array"),
+        ("keys", [1], "field 'keys': expected a string, got 1"),
+    ])
+    def test_assignment_of_other_json_types_is_refused(self, certificate, field, value, message):
         doc = json.loads(certificate)
-        doc["assignment"]["[1,1]"] = value
-        with pytest.raises(DomainError, match="an array of 2 entries"):
+        doc["assignment"][field] = value
+        with pytest.raises(DomainError, match=re.escape(f"field 'assignment': {message}")):
+            load_certificate(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda a: a.update(index=encode(np.frombuffer(raw(a, "index"), "<u1")[:-1], 7)),
+         "assignment index has 55 bytes, expected 56"),
+        (lambda a: a.update(index=encode([*np.frombuffer(raw(a, "index"), "<u1"), 0], 7)),
+         "assignment index has 57 bytes, expected 56"),
+        (lambda a: a.update(keys=a["keys"][:-1]), "assignment index has 56 bytes, expected 54"),
+    ], ids=["short", "long", "one_key_fewer"])
+    def test_wrong_number_of_indices_is_refused(self, certificate, edit, message):
+        doc = json.loads(certificate)
+        edit(doc["assignment"])
+        rehash(doc["assignment"], "index")
+        with pytest.raises(InvariantViolationError, match=re.escape(message)):
             load_certificate(json.dumps(doc))
 
     def test_unused_entry_is_refused(self, certificate):
         doc = json.loads(certificate)
-        doc["slots"][1]["maps"].append(rehashed([1, 0, 2, 3, 4]))  # a valid map no element uses
+        rows, _ = slot_rows(doc, 1)
+        set_slot_rows(doc, 1, np.vstack([rows, [[1, 0, 2, 3, 4]]]))  # a valid map no element uses
         with pytest.raises(InvariantViolationError, match="a slot's table must list each slot map "
-                           "in use once, in order of first use over the sorted keys"):
+                           "in use once, in order of first use over the sorted keys: slot 1 row 4 "
+                           "is not used"):
             load_certificate(json.dumps(doc))
 
     def test_entry_stated_twice_is_refused(self, certificate):
         doc = json.loads(certificate)
-        table = doc["slots"][0]["maps"]
-        table.append(dict(table[0]))
-        last = max(k for k in doc["assignment"] if doc["assignment"][k][0] == 0)
-        doc["assignment"][last][0] = len(table) - 1  # both copies in use
-        with pytest.raises(InvariantViolationError, match="each slot map in use once"):
+        rows, _ = slot_rows(doc, 0)
+        set_slot_rows(doc, 0, np.vstack([rows, rows[:1]]))
+        values = assignment(doc)
+        last = max(k for k in values if values[k][0] == 0)
+        values[last][0] = len(rows)  # both copies in use
+        set_assignment(doc, values)
+        with pytest.raises(InvariantViolationError, match="each slot map in use once, in order of "
+                           "first use over the sorted keys: slot 0 row 7 repeats row 0"):
             load_certificate(json.dumps(doc))
 
     def test_entries_out_of_first_use_order_are_refused(self, certificate):
-        # Swapping two entries and renumbering every map keeps the maps, but
+        # Swapping two rows and renumbering every map keeps the maps, but
         # not the one numbering emit_certificate writes.
         doc = json.loads(certificate)
-        table = doc["slots"][0]["maps"]
-        table[0], table[1] = table[1], table[0]
-        for value in doc["assignment"].values():
+        rows, _ = slot_rows(doc, 0)
+        set_slot_rows(doc, 0, rows[[1, 0, *range(2, len(rows))]])
+        values = assignment(doc)
+        for value in values.values():
             value[0] = {0: 1, 1: 0}.get(value[0], value[0])
-        with pytest.raises(InvariantViolationError, match="in order of first use"):
+        set_assignment(doc, values)
+        first = sorted(values)[0]
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                f"in order of first use over the sorted keys: slot 0 row 1 is first used, by key "
+                f"{first!r}, before row 0")):
             load_certificate(json.dumps(doc))
 
     def test_deleting_an_unneeded_map_is_refused(self, certificate):
         # The first map in key order is outside F's products; without it, the
         # stored numbering is no longer the first-use numbering.
         doc = json.loads(certificate)
-        first = min(doc["assignment"])
-        del doc["assignment"][first]
+        values = assignment(doc)
+        del values[min(values)]
+        set_assignment(doc, values)
         with pytest.raises(InvariantViolationError):
             load_certificate(json.dumps(doc))
 
@@ -403,7 +440,7 @@ def test_emit_load_emit_is_byte_identical(build, strict):
     loaded, report = load_certificate(text)
     assert emit_certificate(loaded, report) == text
     tables, _ = loaded.slot_tables
-    assert [len(t) for t in tables] == [len(s["maps"]) for s in json.loads(text)["slots"]]
+    assert [len(t) for t in tables] == [s["maps"] for s in json.loads(text)["slots"]]
     assert all(loaded.map_for(e) == qa.map_for(e) for e in qa.assignment)
 
 

@@ -5,6 +5,7 @@ import random
 import re
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +40,10 @@ from quasiact.errors import (
 from quasiact.quasiaction import StrictChecks, VerificationReport, report_to_json
 from quasiact.util import canonical_json, check_epsilon
 from test_finmap import composition_defect, fraction, swap_map, with_map
+
+from certificate_tables import (
+    assignment, encode, rehash, set_assignment, set_slot_rows, slot_rows,
+)
 
 
 def regular_c4():
@@ -150,15 +155,15 @@ class TestVerify:
             assert verify(qa, epsilon=eps).passed
 
 
-def dense_entry(images) -> dict:
-    """A well-formed dense map entry for the given images, hashed correctly,
-    in format 7's uint8 (every carrier it is used on has at most 256 cells)."""
-    raw = np.asarray(images, "<u1").tobytes()
-    return {
-        "cells": base64.b64encode(raw).decode(),
-        "labels": "",
-        "sha256": hashlib.sha256(raw).hexdigest(),
-    }
+def with_row(cert: str, key: str, images) -> str:
+    """The certificate with the table row of the one-slot map key replaced by
+    images, and the slot hashed again."""
+    doc = json.loads(cert)
+    rows, _ = slot_rows(doc, 0)
+    [i] = assignment(doc)[key]
+    rows[i] = images
+    set_slot_rows(doc, 0, rows)
+    return json.dumps(doc)
 
 
 def edited(cert: str, path: tuple, value) -> str:
@@ -195,14 +200,17 @@ class TestCertificates:
             "format", "group", "carrier_n", "F", "epsilon", "slots", "assignment", "report"
         }
         [slot] = doc["slots"]
-        assert doc["format"] == 7 and slot["cells"] == 4 and slot["fiber"] is None
+        assert doc["format"] == 8 and slot["cells"] == 4 and slot["fiber"] is None
+        assert set(slot) == {"cells", "fiber", "maps", "images", "labels", "sha256"}
+        assert set(doc["assignment"]) == {"keys", "index", "sha256"}
         assert doc["epsilon"] == "1/100"
-        # one table entry per distinct map, in key order of first use
-        assert doc["assignment"] == {"0": [0], "1": [1], "2": [2], "3": [3]}
-        entry = slot["maps"][2]
-        raw = base64.b64decode(entry["cells"])
-        assert np.frombuffer(raw, "<u1").tolist() == [2, 3, 0, 1]
-        assert entry == dense_entry([2, 3, 0, 1])
+        # one table row per distinct map, in key order of first use
+        assert doc["assignment"]["keys"] == ["0", "1", "2", "3"]
+        assert assignment(doc) == {"0": [0], "1": [1], "2": [2], "3": [3]}
+        # one uint8 payload of 4 rows of 4 cells, and none of labels
+        images = np.frombuffer(base64.b64decode(slot["images"]), "<u1")
+        assert images.reshape(4, 4)[2].tolist() == [2, 3, 0, 1] and slot["labels"] == ""
+        assert slot["sha256"] == hashlib.sha256(images.tobytes()).hexdigest()
         # compact and key-sorted, one line
         assert cert == canonical_json(doc) + "\n"
 
@@ -265,7 +273,7 @@ class TestCertificates:
             (("report", "condition_a", 0), 0.0),
             (("report", "condition_b"), "0/4"),
             (("report", "f", 1), " 1"),  # a key that names the same element
-            (("slots", 0, "maps", 1), dense_entry([0, 1, 2, 3])),  # map "1", rehashed identity
+            (("slots",), [0, 1, 2, 3]),  # map "1"'s row, rehashed as the identity's
             (("report", "strict", "identity_exact"), 1),
             (("report", "condition_c", 0), 0.9),
         ],
@@ -276,10 +284,11 @@ class TestCertificates:
         message = "the stored report differs from the one verify measures on the stored maps"
         if value == " 1":
             message = "element key ' 1' is not its element's canonical key '1'"
-        elif path[0] == "slots":  # map "1" is now a second entry of map "0"
+        elif path[0] == "slots":  # map "1" is now a second row of map "0"
             message = "a slot's table must list each slot map in use once"
+        text = with_row(cert, "1", value) if path[0] == "slots" else edited(cert, path, value)
         with pytest.raises(InvariantViolationError, match=re.escape(message)):
-            load_certificate(edited(cert, path, value))
+            load_certificate(text)
 
 
 def oracle_verdicts(qa, epsilon, strict) -> dict:
@@ -385,18 +394,9 @@ def near_regular_actions(draw):
     return QuasiAction(g, n, assign, FiniteSubset(g, range(order)), Fraction(1, 2))
 
 
-def map_entry(cert: str, key: str) -> dict:
-    """The table entry of a one-slot map."""
+def with_edit(cert: str, edit) -> str:
     doc = json.loads(cert)
-    [i] = doc["assignment"][key]
-    return doc["slots"][0]["maps"][i]
-
-
-def replace_entry(cert: str, key: str, entry: dict) -> str:
-    """The certificate with the table entry of a one-slot map replaced."""
-    doc = json.loads(cert)
-    [i] = doc["assignment"][key]
-    doc["slots"][0]["maps"][i] = entry
+    edit(doc)
     return json.dumps(doc)
 
 
@@ -564,9 +564,9 @@ class TestCertificateCodec:
         assert all(qa2.assignment[k] == m for k, m in qa.assignment.items())
         assert emit_certificate(qa2, r2) == cert
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7])
     def test_other_formats_refused(self, fmt):
-        # Only format 7 is read.  No "format" key is format 1, whose maps
+        # Only format 8 is read.  No "format" key is format 1, whose maps
         # were plain lists of integers.
         qa = regular_c4()
         doc = json.loads(emit_certificate(qa, verify(qa)))
@@ -602,42 +602,85 @@ class TestCertificateCodec:
     def test_invalid_base64(self):
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
-        entry = dict(map_entry(cert, "1"), cells="AQAAAA!=")
-        with pytest.raises(InvariantViolationError, match="base64"):
-            load_certificate(replace_entry(cert, "1", entry))
+        bad = with_edit(cert, lambda d: d["slots"][0].update(images="AQAAAA!="))
+        with pytest.raises(InvariantViolationError, match="slot 0 images is not valid base64"):
+            load_certificate(bad)
 
     def test_wrong_byte_length(self):
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
         with pytest.raises(InvariantViolationError,
-                           match="map payload 'cells' has 3 bytes, expected 4"):
-            load_certificate(replace_entry(cert, "1", dense_entry([1, 2, 3])))
+                           match="slot 0 images has 15 bytes, expected 16"):
+            load_certificate(with_edit(cert, lambda d: (
+                d["slots"][0].update(images=encode(slot_rows(d, 0)[0].ravel()[:-1], 4)),
+                rehash(d["slots"][0], "images", "labels"))))
 
     def test_sha256_mismatch(self):
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
-        entry = dict(map_entry(cert, "1"), sha256=map_entry(cert, "2")["sha256"])
-        with pytest.raises(InvariantViolationError, match="sha256"):
-            load_certificate(replace_entry(cert, "1", entry))
+        bad = with_edit(cert, lambda d: d["slots"][0].update(sha256=d["assignment"]["sha256"]))
+        with pytest.raises(InvariantViolationError, match="slot 0 payload does not match its sha256"):
+            load_certificate(bad)
 
     def test_flipped_payload(self):
         # Swap two images of map "1": still an in-range map, still valid
         # base64 of the right length, but no longer the bytes that were hashed.
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
-        entry = map_entry(cert, "1")
-        images = np.frombuffer(base64.b64decode(entry["cells"]), "<u1").copy()
-        images[[0, 1]] = images[[1, 0]]
-        FiniteMap(images)  # the tampered payload is a valid map on its own
-        flipped = dict(entry, cells=dense_entry(images)["cells"])
-        with pytest.raises(InvariantViolationError, match="map payload does not match its sha256"):
-            load_certificate(replace_entry(cert, "1", flipped))
+        doc = json.loads(cert)
+        images, _ = slot_rows(doc, 0)
+        images[1, [0, 1]] = images[1, [1, 0]]
+        FiniteMap(images[1])  # the tampered row is a valid map on its own
+        doc["slots"][0]["images"] = encode(images, 4)
+        with pytest.raises(InvariantViolationError, match="slot 0 payload does not match its sha256"):
+            load_certificate(json.dumps(doc))
 
     def test_rehashed_out_of_range_payload(self):
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
-        with pytest.raises(DomainError, match="image out of range for carrier size 4"):
-            load_certificate(replace_entry(cert, "1", dense_entry([0, 1, 2, 4])))
+        with pytest.raises(DomainError, match=re.escape(
+                "field 'slots': slot 0 images: 4 at [1, 3] is not below 4")):
+            load_certificate(with_row(cert, "1", [0, 1, 2, 4]))
+
+    # The C4 table is one row per map, the assignment [[0], [1], [2], [3]] over keys "0".."3".
+    @pytest.mark.parametrize("edit,error,message", [
+        (lambda d: set_slot_rows(d, 0, slot_rows(d, 0)[0][[0, 1, 2, 2]]),
+         InvariantViolationError, "slot 0 row 3 repeats row 2"),
+        (lambda d: set_slot_rows(d, 0, np.vstack([slot_rows(d, 0)[0], [[1, 0, 3, 2]]])),
+         InvariantViolationError, "slot 0 row 4 is not used"),
+        (lambda d: (set_slot_rows(d, 0, np.insert(slot_rows(d, 0)[0], 1, [1, 0, 3, 2], axis=0)),
+                    set_assignment(d, {"0": [0], "1": [2], "2": [3], "3": [4]})),
+         InvariantViolationError, "slot 0 row 1 is not used"),
+        (lambda d: set_slot_rows(d, 0, slot_rows(d, 0)[0] + [[0, 0, 0, 0], [0, 0, 0, 0],
+                                                            [0, 5, 0, 0], [4, 0, 0, 0]]),
+         DomainError, "field 'slots': slot 0 images: 8 at [2, 1] is not below 4"),
+        (lambda d: set_assignment(d, dict(assignment(d), **{"2": [4]})),
+         DomainError, "field 'assignment': assignment index: 4 at [2, 0] is not below 4"),
+        (lambda d: (d["assignment"].update(index=encode([0, 1, 2], 4)),
+                    rehash(d["assignment"], "index")),
+         InvariantViolationError, "assignment index has 3 bytes, expected 4"),
+        (lambda d: set_assignment(d, dict(assignment(d), **{"1": [2], "2": [1]})),
+         InvariantViolationError, "slot 0 row 2 is first used, by key '1', before row 1"),
+        (lambda d: set_slot_rows(d, 0, np.zeros((0, 4), int)),
+         DomainError, "field 'assignment': assignment index: 0 at [0, 0] is not below 0"),
+    ], ids=["repeated_row", "unused_row", "unused_row_mid_table", "image_past_cells",
+            "index_past_table", "short_index", "out_of_first_use_order", "empty_table"])
+    def test_table_and_index_refusals_name_the_first_bad_value(self, edit, error, message):
+        qa = regular_c4()
+        with pytest.raises(error, match=re.escape(message)):
+            load_certificate(with_edit(emit_certificate(qa, verify(qa)), edit))
+
+    def test_rows_whose_fingerprints_meet_are_compared_exactly(self, monkeypatch):
+        # An all-zero linear form gives every row one fingerprint: distinct
+        # rows still load, and a repeat is named by its first equal row.
+        monkeypatch.setattr(hashlib, "shake_128", lambda data: SimpleNamespace(digest=bytes))
+        qa = regular_c4()
+        cert = emit_certificate(qa, verify(qa))
+        assert emit_certificate(*load_certificate(cert)) == cert
+        with pytest.raises(InvariantViolationError, match="slot 0 row 3 repeats row 1"):
+            load_certificate(with_edit(cert, lambda d: (
+                set_slot_rows(d, 0, slot_rows(d, 0)[0][[0, 1, 2, 1]]),
+                set_assignment(d, {"0": [0], "1": [1], "2": [2], "3": [3]}))))
 
 
 def extend_assignment(qa: QuasiAction, elements) -> QuasiAction:

@@ -11,9 +11,8 @@ fibered and multi-slot actions.
 The loader compares the stored report's count, flag and key lists entry by
 entry with a type check, and the rest as canonical JSON; the canonical
 JSON of the whole report, which it compared before, is the oracle.  It
-reads the assignment as one index array when every value is a list of
-in-range Python ints; anything else goes value by value through
-``_indices_from_json``, which names the first bad value as before.
+reads the assignment as one index payload and names the first index past
+its table's size.
 """
 
 import json
@@ -45,6 +44,8 @@ import test_fibered
 from dense_carrier import cayley_closure
 from test_count_columns import actions, python_ints
 from test_product_slots import SMALL_FIBERS, outcome, slot_product_qa
+
+from certificate_tables import assignment, set_assignment
 from test_quasiaction import epsilons, random_actions
 
 
@@ -310,58 +311,49 @@ def product_document() -> dict:
     return json.loads(strict_certificate())
 
 
-def per_entry_refusal(doc: dict):
-    """The first bad assignment value as the per-entry reader names it."""
-    tables = [s["maps"] for s in doc["slots"]]
-    try:
-        for value in doc["assignment"].values():
-            quasiaction._indices_from_json(value, tables)
-    except DomainError as exc:
-        return DomainError, f"field 'assignment': {exc}"
-    return None
-
-
 class TestIndexArray:
-    @pytest.mark.parametrize("value,message", [
-        ([0, True], "expected an integer, got True"),
-        ([1.0, 0], "expected an integer, got 1.0"),
-        ([0, 2**64], "map indices [0, 18446744073709551616] are not all below their "
-                     "tables' sizes [5, 5]"),
-        ([-1, 0], "map indices [-1, 0] are not all below their tables' sizes [5, 5]"),
-        ([0, 5], "map indices [0, 5] are not all below their tables' sizes [5, 5]"),
-        ([0, 1, 2], "expected an array of 2 entries, got [0, 1, 2]"),
-        ({"0": 0}, "expected an array of 2 entries, got {'0': 0}"),
-        (3, "expected an array of 2 entries, got 3"),
-    ], ids=["true", "float", "past_int64", "negative", "table_size", "row_length",
-            "object", "int"])
-    def test_a_bad_value_is_named_as_before(self, value, message):
+    """The (keys, slots) index payload, 25 rows of two uint8 indices into
+    tables of 5 rows: each index is range-checked against its slot's table,
+    and the first bad one, in row-major order, is named."""
+
+    @pytest.mark.parametrize("key,slot,value", [
+        ("[-1,-1]", 0, 5), ("[-1,-1]", 1, 5), ("[1,1]", 0, 5), ("[1,1]", 1, 5),
+        ("[1,1]", 1, 6), ("[1,1]", 0, 255), ("[2,2]", 1, 5), ("[2,2]", 0, 9),
+    ], ids=["first_row_slot_0", "first_row_slot_1", "slot_0", "table_size", "past_table_size",
+            "uint8_max", "last_row", "last_row_slot_0"])
+    def test_a_bad_value_is_named(self, key, slot, value):
         doc = product_document()
-        doc["assignment"]["[1,1]"] = value
-        expected = (DomainError, f"field 'assignment': {message}")
-        assert per_entry_refusal(doc) == expected
-        assert refusal(json.dumps(doc)) == expected
+        values = assignment(doc)
+        values[key][slot] = value
+        set_assignment(doc, values)
+        row = sorted(values).index(key)
+        assert refusal(json.dumps(doc)) == (
+            DomainError, f"field 'assignment': assignment index: {value} at [{row}, {slot}] "
+                         "is not below 5")
 
     def test_the_first_bad_value_is_named(self):
         doc = product_document()
-        doc["assignment"]["[0,0]"] = [0, 9]
-        doc["assignment"]["[1,1]"] = [True, 0]
-        assert refusal(json.dumps(doc)) == per_entry_refusal(doc) == (
-            DomainError, "field 'assignment': map indices [0, 9] are not all below their "
-                         "tables' sizes [5, 5]")
+        values = assignment(doc)
+        values["[0,0]"] = [0, 9]
+        values["[1,1]"] = [7, 0]
+        set_assignment(doc, values)
+        assert refusal(json.dumps(doc)) == (
+            DomainError, f"field 'assignment': assignment index: 9 at "
+                         f"[{sorted(values).index('[0,0]')}, 1] is not below 5")
 
-    def test_a_canonical_certificate_reads_no_value_alone(self, monkeypatch):
+    def test_a_canonical_certificate_loads_its_index_payload(self):
         text = strict_certificate()
-        calls = []
-        monkeypatch.setattr(quasiaction, "_indices_from_json",
-                            lambda *args: calls.append(args) or [0, 0])
         qa, report = load_certificate(text)
-        assert calls == [] and emit_certificate(qa, report) == text
+        assert emit_certificate(qa, report) == text
         assert qa.slot_tables[1].dtype == np.intp
+        assert qa.slot_tables[1].tolist() == list(assignment(json.loads(text)).values())
 
     def test_an_element_stated_twice_is_refused_by_its_key(self):
         # "[0, 0]" is "[0,0]" respelled, with another row.
         doc = product_document()
-        doc["assignment"]["[0, 0]"] = doc["assignment"]["[1,1]"]
+        values = assignment(doc)
+        values["[0, 0]"] = values["[1,1]"]
+        set_assignment(doc, values)
         assert refusal(json.dumps(doc)) == (
             InvariantViolationError,
             "element key '[0, 0]' is not its element's canonical key '[0,0]'")
