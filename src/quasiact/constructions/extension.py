@@ -208,7 +208,7 @@ def amenable_extension_qa(
     # One gather from psi's distinct maps, with the identity as the last row
     # (picked by which's -1) for blocks that leave Abar; those stay in place.
     tables, index = psi.slot_tables
-    images = np.stack([m.images for m in tables[0]] + [np.arange(psi.carrier_n)]).astype(np.int64)
+    images = np.vstack([tables[0], np.arange(psi.carrier_n)], dtype=np.int64)
     picks = np.append(index[ids, 0], len(tables[0]))[walk.which]
     a_n = len(ext.folner)
     target = np.where(walk.targets >= 0, walk.targets, np.arange(a_n))

@@ -134,17 +134,6 @@ class FiniteMap:
         return out
 
     @classmethod
-    def _table(cls, stack: np.ndarray, cells: int, fiber: Fiber | None) -> list[FiniteMap]:
-        """One-slot maps of cells over fiber viewing the rows of stack (read-only int32
-        packed rows, known valid): what _of sets, without its per-row layout walk."""
-        out, layout, degree = [], ((cells, fiber),), 0 if fiber is None else fiber.degree
-        for packed, labels in zip(stack, stack[:, cells:].reshape(len(stack), cells, degree)):
-            out.append(m := cls.__new__(cls))
-            m.packed, m.layout, m.images = packed, layout, packed[:cells]
-            m.slots = (Slot(m.images, labels, fiber),)
-        return out
-
-    @classmethod
     def _of(cls, slots: Sequence[tuple]) -> FiniteMap:
         return cls.__new__(cls)._pack(slots)
 
@@ -208,14 +197,15 @@ class Defect:
         return not self.is_similar(delta)
 
 
-def identity_map(n: int) -> FiniteMap:
-    return FiniteMap(np.arange(check_carrier_size(n), dtype=_DTYPE))
+def identity_map(n: int, fiber: Fiber | None = None) -> FiniteMap:
+    """The identity on n cells (over fiber, with every label 1)."""
+    cells = np.arange(check_carrier_size(n), dtype=_DTYPE)
+    return FiniteMap._of([(cells, np.indices((n, 0 if fiber is None else fiber.degree))[1], fiber)])
 
 
 def identity_like(e: FiniteMap) -> FiniteMap:
     """The identity map on e's carrier: in every slot, cells fixed and labels 1."""
-    return FiniteMap._of([(np.arange(s.images.size), np.indices(s.labels.shape)[1], s.fiber)
-                          for s in e.slots])
+    return FiniteMap.product([identity_map(*slot) for slot in e.layout])
 
 
 def shift_map(n: int, k: int) -> FiniteMap:

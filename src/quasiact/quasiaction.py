@@ -41,7 +41,7 @@ from .errors import (
     QuasiactError,
 )
 from .finmap import (
-    Defect, FiniteMap, after, agreements, check_carrier_size, count_dtype, identity_like,
+    Defect, FiniteMap, after, agreements, check_carrier_size, count_dtype, identity_map,
 )
 from .groups import (
     FiniteSubset, GroupHandle, _decode_int, _decode_list, _decode_object, _decode_str, _field,
@@ -50,8 +50,8 @@ from .groups import (
 from .util import canonical_json, check_epsilon, format_fraction, parse_fraction, parse_json
 
 
-# verify stacks slot maps in chunks of max(1, POINTS // width) rows, width
-# being the int32 entries of one slot map (cells x (1 + V's degree)): about
+# verify gathers slot table rows in chunks of max(1, POINTS // width) rows,
+# width being the int32 entries of one row (cells x (1 + V's degree)): about
 # 1 MiB per chunk, and one map at a time on large dense carriers.
 POINTS = 1 << 18
 
@@ -63,12 +63,14 @@ class QuasiAction:
     Each supported element has an integer id: its position in key order
     (``elements``; ``ids`` maps back, ``keys`` gives the keys).  The maps
     share one ``layout``: the same cells and fiber (or None) in every slot.
-    ``slot_tables`` holds per slot its distinct slot maps (one-slot maps),
-    and per id one index per slot, as an (ids, slots) array numbered by
-    ``_first_use``: the same maps give the same tables whether they come one
-    by one (validated here, interned by content) or as tables
-    (``_from_slots``, from a product or a certificate).  ``assignment`` is
-    built from the tables on first read.  The keys are validated once (F's
+    ``slot_tables`` holds per slot its distinct slot maps as one read-only
+    int32 array, a row per map of its cell images then its labels (rows,
+    cells * (1 + V's degree)), the rows a certificate stores; and per id one
+    index per slot, as an (ids, slots) array numbered by ``_first_use``: the
+    same maps give the same tables whether they come one by one (validated
+    here, interned by their rows' bytes) or as tables (``_from_slots``, from
+    a product or a certificate).  ``assignment`` is built from the tables'
+    rows on first read.  The keys are validated once (F's
     by FiniteSubset), and the support check builds the claimed F's F x F
     product table of ids, once."""
 
@@ -94,11 +96,11 @@ class QuasiAction:
                 raise DomainError("a quasi-action's maps must share one fiber and size per slot")
             layout = fmap.layout
             maps[elem] = fmap
-        seen = [{} for _ in layout]  # per slot, a slot map's bytes -> (its number, a map using it)
-        index = [[t.setdefault(s.images.tobytes() + s.labels.tobytes(), (len(t), m))[0]
-                  for t, s in zip(seen, m.slots)] for m in maps.values()]
-        tables = [[m if len(layout) == 1 else FiniteMap._of([m.slots[s]]) for _, m in t.values()]
-                  for s, t in enumerate(seen)]
+        seen = [{} for _ in layout]  # per slot, a packed row's bytes -> (its number, the row)
+        rows = ([m.packed] if len(layout) == 1 else [np.append(s.images, s.labels) for s in m.slots]
+                for m in maps.values())  # a one-slot map's packed array is its row
+        index = [[t.setdefault(r.tobytes(), (len(t), r))[0] for t, r in zip(seen, rs)] for rs in rows]
+        tables = [np.stack([r for _, r in t.values()]) for t in seen]
         self._set(owner, carrier_n, layout, tables, maps, index, claimed_f, claimed_epsilon)
 
     @classmethod
@@ -107,8 +109,8 @@ class QuasiAction:
         claimed_f, claimed_epsilon[, keys]) whose elements[i] maps by
         tables[s][index[i][s]] in each slot s.  The caller vouches that the
         elements are decoded and distinct (keys, if given, their canonical
-        keys), each table holds distinct one-slot maps of its slot's layout,
-        and each index is in range."""
+        keys), each table holds distinct valid int32 rows of its slot's
+        layout, and each index is in range."""
         return cls.__new__(cls)._set(*args)
 
     def _set(self, owner, carrier_n, layout, tables, elements, index, claimed_f,
@@ -135,9 +137,11 @@ class QuasiAction:
 
     @cached_property
     def assignment(self) -> dict:
-        """Element -> map, built from the slot tables on first read."""
+        """Element -> map, built from the slot tables' rows on first read."""
         tables, index = self.slot_tables
-        maps = ([t[i] for t, i in zip(tables, row)] for row in index.tolist())
+        rows = [[FiniteMap._of([(r[:c], r[c:].reshape(c, -1), v)]) for r in t]
+                for t, (c, v) in zip(tables, self.layout)]
+        maps = ([t[i] for t, i in zip(rows, row)] for row in index.tolist())
         return {e: m[0] if len(m) == 1 else FiniteMap.product(m)
                 for e, m in zip(self.elements, maps)}
 
@@ -181,17 +185,19 @@ def require_dense(qa: QuasiAction, construction: str) -> None:
 
 
 def _first_use(tables: list, index: np.ndarray) -> tuple[list, np.ndarray]:
-    """The canonical slot tables: per slot, the entries in use, in order of
-    first use over the rows of ``index`` (the ids, in key order), and the
-    index renumbered to match.  Built, product and loaded actions all number
-    their tables so, and a certificate must state them so."""
+    """The canonical slot tables: per slot, the rows in use, in order of
+    first use over the rows of ``index`` (the ids, in key order), read-only
+    (a table already so is kept, not copied), and the index renumbered to
+    match.  Built, product and loaded actions all number their tables so, and
+    a certificate must state them so."""
     out, renumbered = [], np.empty_like(index)
     for s, table in enumerate(tables):
         kept = list(dict.fromkeys(index[:, s].tolist()))
         new = np.zeros(len(table), np.intp)
         new[kept] = np.arange(len(kept))
         renumbered[:, s] = new[index[:, s]]
-        out.append([table[i] for i in kept])
+        out.append(table if kept == list(range(len(table))) else table[kept])
+        out[-1].setflags(write=False)
     return out, renumbered
 
 
@@ -323,24 +329,22 @@ def _slot_counts(qa: QuasiAction, columns: list[np.ndarray], measure) -> np.ndar
     tables, index = qa.slot_tables
     ids = np.stack(columns)
     total = np.ones(ids.shape[1], count_dtype(qa.carrier_n))
-    for s, t in enumerate(tables):
+    for s, (t, layout) in enumerate(zip(tables, qa.layout)):
         rows = index[:, s].take(ids)  # (columns, rows); faster than one 2-d gather
         _, code, first = _unique(_row_codes(rows, itertools.repeat(len(t))))
-        total *= np.asarray(measure(t, rows[:, first].T), total.dtype)[code]
+        total *= np.asarray(measure((identity_map(*layout), t), rows[:, first].T), total.dtype)[code]
     return total
 
 
-def _stacked(measure, table: list[FiniteMap], rows: np.ndarray) -> np.ndarray:
-    """measure(m, x, ...) on the rows (x, ...) of one slot's table, m its
-    first entry: batched over chunks of max(1, POINTS // width) rows, each
-    stacking the entries it uses once."""
-    m = table[0]
-    step = max(1, POINTS // m.packed.size)
+def _stacked(measure, slot: tuple[FiniteMap, np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """measure(m, x, ...) on the rows (x, ...) of slot (m, table), m the
+    identity map of the table's layout: batched over chunks of max(1, POINTS
+    // width) rows, each gathering x, ... from the table."""
+    m, table = slot
+    step = max(1, POINTS // table.shape[1])
     out = np.zeros(len(rows), count_dtype(m.n))
     for i in range(0, len(rows), step):
-        used, at, _ = _unique(rows[i : i + step].ravel())
-        stacked = np.stack([table[j].packed for j in used])
-        out[i : i + step] = measure(m, *(m.rows(stacked[c]) for c in at.reshape(-1, rows.shape[1]).T))
+        out[i : i + step] = measure(m, *(m.rows(table[c]) for c in rows[i : i + step].T))
     return out
 
 
@@ -348,9 +352,8 @@ def _stacked(measure, table: list[FiniteMap], rows: np.ndarray) -> np.ndarray:
 # or x then y with z; per (x) or (x, y): the points x, or x then y, fixes; per (x): x onto.
 _agreements = partial(_stacked, lambda m, x, y, *z: agreements(m, after(x, y), *z) if z
                       else agreements(m, x, y))
-_fixpoints = partial(_stacked, lambda m, x, *y: agreements(m, after(x, *y) if y else x,
-                                                            identity_like(m).rows()))
-_bijective = partial(_stacked, lambda m, x: (np.sort(x[0][0]) == np.arange(m.images.size)).all(-1))
+_fixpoints = partial(_stacked, lambda m, x, *y: agreements(m, after(x, *y) if y else x, m.rows()))
+_bijective = partial(_stacked, lambda m, x: (np.sort(x[0][0]) == m.images).all(-1))
 
 
 def verify(
@@ -511,15 +514,14 @@ def _payloads_from_json(doc, what: str, **parts) -> list[np.ndarray]:
     return out
 
 
-def _slot_to_json(layout: tuple, table: list[FiniteMap]) -> dict:
+def _slot_to_json(layout: tuple, table: np.ndarray) -> dict:
     cells, v = layout
-    packed = np.stack([m.packed for m in table])  # one-slot maps: images, then labels
     return {"cells": cells, "maps": len(table), "fiber": None if v is None else v.describe(),
-            **_payloads_to_json(images=(packed[:, :cells], cells),
-                                labels=(packed[:, cells:], 0 if v is None else v.degree))}
+            **_payloads_to_json(images=(table[:, :cells], cells),
+                                labels=(table[:, cells:], 0 if v is None else v.degree))}
 
 
-def _table_from_json(s, i: int) -> tuple[tuple, list[FiniteMap]]:
+def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
     """Slot i's layout (cells, fiber) and table, from its images and labels
     payloads: each distinct label sifted into V once (one outside V, or no
     permutation, would move points off the carrier), no row stated twice."""
@@ -548,7 +550,7 @@ def _table_from_json(s, i: int) -> tuple[tuple, list[FiniteMap]]:
             if np.array_equal(packed[r], packed[j]):
                 raise InvariantViolationError(f"{TABLES}: slot {i} row {r} repeats row {j}")
     packed.setflags(write=False)
-    return (cells, fiber), FiniteMap._table(packed, cells, fiber)
+    return (cells, fiber), packed
 
 
 def _assignment_from_json(g: GroupHandle, a, tables) -> tuple[dict, list | None, np.ndarray]:
@@ -570,9 +572,9 @@ def _assignment_from_json(g: GroupHandle, a, tables) -> tuple[dict, list | None,
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
     (format 8).  Per slot: its cells, its fiber (V's degree, generators and
-    order, or null) and its table of distinct slot maps (slot_tables):
-    "maps" rows of "images" (rows, cells) and "labels" (rows, cells,
-    degree), one sha256 over both.  "assignment": the keys in key order and
+    order, or null) and its slot table's rows (slot_tables), split as "maps"
+    rows of "images" (rows, cells) and "labels" (rows, cells, degree), one
+    sha256 over both.  "assignment": the keys in key order and
     their (keys, slots) "index" into the tables, with its sha256.  Payloads
     are base64 of little-endian values in _payload_dtype of their bound: the
     cells for images, V's degree for labels, the largest table for the index."""

@@ -1,6 +1,8 @@
 """Format 8 certificate documents in the tests: read and rewrite the slot
 tables and the assignment as arrays, each rewrite hashed again, and the
 per-entry decoder of format 7 kept as the oracle of the table decoder.
+An action's slot tables (int32 rows of cell images, then labels) are read
+as maps through table_maps alone.
 
 A slot's "images" payload is its (rows, cells) table of cell images and
 "labels" its (rows, cells, degree) labels, one sha256 over both; the
@@ -73,6 +75,20 @@ def set_assignment(doc: dict, values: dict) -> None:
     a = doc["assignment"] = {"keys": keys}
     a["index"] = encode([values[k] for k in keys], max(s["maps"] for s in doc["slots"]))
     rehash(a, "index")
+
+
+def table_maps(table: np.ndarray, layout: tuple) -> list[FiniteMap]:
+    """Each row of a slot table of layout (cells, fiber or None) as its
+    one-slot map, built by the public FiniteMap(images, labels, fiber), so
+    its range and permutation checks run on every row."""
+    cells, fiber = layout
+    return [FiniteMap(r[:cells], None if fiber is None else r[cells:].reshape(cells, -1), fiber)
+            for r in table]
+
+
+def slot_maps(qa) -> list[list[FiniteMap]]:
+    """Every slot table of qa as its rows' maps (table_maps)."""
+    return [table_maps(t, layout) for t, layout in zip(qa.slot_tables[0], qa.layout)]
 
 
 def per_entry_tables(doc: dict, fibers) -> list[list[FiniteMap]]:

@@ -39,13 +39,13 @@ from quasiact import (
 from quasiact import quasiaction
 from quasiact.constructions import cyclic_quasi_action, direct_product_qa, regular_action
 from quasiact.errors import DomainError, IncompleteSupportError
-from quasiact.finmap import FiniteMap, after, count_dtype, differs
+from quasiact.finmap import FiniteMap, after, count_dtype, differs, identity_map
 from quasiact.groups import _row_codes, _unique
 
 import test_fibered
 from test_product_slots import S3, fibered_factors, outcome, repeating_actions, same_action
 
-from certificate_tables import assignment, encode, rehash
+from certificate_tables import assignment, encode, rehash, table_maps
 from test_quasiaction import epsilons, near_regular_actions, random_actions
 
 
@@ -58,8 +58,10 @@ def object_agreements(e, x, y) -> list[int]:
     return [math.prod(t) for t in zip(*per_slot)]
 
 
-def object_agreements_measure(table, rows) -> list[int]:
-    """quasiaction._agreements as it was, on object_agreements."""
+def object_agreements_measure(slot, rows) -> list[int]:
+    """quasiaction._agreements as it was, on object_agreements: the slot's
+    table read as maps, m the first."""
+    table = table_maps(slot[1], *slot[0].layout)
     m = table[0]
     step = max(1, quasiaction.POINTS // m.packed.size)
     out = []
@@ -77,12 +79,13 @@ def object_slot_counts(qa, columns, measure) -> np.ndarray:
     tables, index = qa.slot_tables
     rows = index[np.stack(columns)]
     total = np.ones(rows.shape[1], dtype=object)
-    for s, t in enumerate(tables):
+    for s, (t, layout) in enumerate(zip(tables, qa.layout)):
         _, code = np.unique(_row_codes(rows[..., s], itertools.repeat(len(t))),
                             return_inverse=True)
         first = np.empty(code.max(initial=-1) + 1, np.intp)
         first[code] = np.arange(len(code))
-        total *= np.array(measure(t, rows[:, first, s].T), dtype=object)[code]
+        total *= np.array(measure((identity_map(*layout), t), rows[:, first, s].T),
+                          dtype=object)[code]
     return total
 
 

@@ -36,7 +36,9 @@ from quasiact.constructions.girth import fiber_from_json
 from quasiact.errors import DomainError, InvariantViolationError
 from quasiact.finmap import Fiber
 
-from certificate_tables import dtype_of, per_entry_tables, raw, rehash, slot_rows
+from certificate_tables import (
+    dtype_of, per_entry_tables, raw, rehash, slot_maps, slot_rows, table_maps,
+)
 
 DENSE_CELLS = [1, 255, 256, 257, 65_536, 65_537]
 FIBER_DEGREES = [2, 8, 256]
@@ -118,8 +120,8 @@ class TestRoundTrip:
     def test_tables_are_what_int32_payloads_decode_to(self, cells, degree, order, seed):
         qa = action(cells, degree and cyclic_fiber(degree), order, seed)
         cert = emit_certificate(qa, verify(qa))
-        [table], _ = load_certificate(cert)[0].slot_tables
-        [oracle], _ = qa.slot_tables
+        [table] = slot_maps(load_certificate(cert)[0])
+        [oracle] = slot_maps(qa)
         images, labels = slot_rows(json.loads(cert), 0)
         assert len(table) == len(oracle) == len(images)
         for fmap, expected, row, row_labels in zip(table, oracle, images, labels):
@@ -131,7 +133,7 @@ class TestRoundTrip:
     def test_int32_payloads_are_refused_by_length(self, cells, degree):
         # Up to 65,536 cells, an int32 images payload is 4 or 2 times too long.
         doc = json.loads(certificate(cells, degree))
-        [[fmap]], _ = action(cells, degree and cyclic_fiber(degree), 1, 0).slot_tables
+        [[fmap]] = slot_maps(action(cells, degree and cyclic_fiber(degree), 1, 0))
         with_payloads(doc, **{k: a.astype("<i4").tobytes()
                               for k, a in zip(("images", "labels"), fmap.slots[0][:2])})
         with pytest.raises(InvariantViolationError, match=re.escape(
@@ -217,7 +219,8 @@ class TestRefusals:
 
 
 def table_decoded(doc: dict) -> list[list[FiniteMap]]:
-    return [quasiaction._table_from_json(slot, i)[1] for i, slot in enumerate(doc["slots"])]
+    return [table_maps(table, layout) for layout, table in
+            (quasiaction._table_from_json(slot, i) for i, slot in enumerate(doc["slots"]))]
 
 
 def per_entry_decoded(doc: dict) -> list[list[FiniteMap]]:
@@ -256,10 +259,10 @@ class TestPerEntryOracle:
         tables = table_decoded(doc)
         assert [len(t) for t in tables] == [s["maps"] for s in doc["slots"]]
         assert per_entry_decoded(doc) == tables
-        assert tables == load_certificate(make())[0].slot_tables[0]
+        assert tables == slot_maps(load_certificate(make())[0])
 
     @pytest.mark.parametrize("cells,degree", SLOTS)
     def test_rows_decoded_alone_at_each_dtype_edge(self, cells, degree):
         qa = action(cells, degree and cyclic_fiber(degree), 3, 1)
         doc = json.loads(emit_certificate(qa, verify(qa)))
-        assert per_entry_decoded(doc) == table_decoded(doc) == qa.slot_tables[0]
+        assert per_entry_decoded(doc) == table_decoded(doc) == slot_maps(qa)

@@ -42,7 +42,7 @@ from quasiact.util import canonical_json, check_epsilon
 from test_finmap import composition_defect, fraction, swap_map, with_map
 
 from certificate_tables import (
-    assignment, encode, rehash, set_assignment, set_slot_rows, slot_rows,
+    assignment, encode, rehash, set_assignment, set_slot_rows, slot_rows, table_maps,
 )
 
 
@@ -519,19 +519,20 @@ class TestBatchedVerify:
         assert fresh == expected
 
     def test_chunks_split_as_stated(self, monkeypatch):
-        table = [shift_map(4, k) for k in range(5)]
+        table = np.stack([shift_map(4, k).packed for k in range(5)])
+        maps, slot = table_maps(table, (4, None)), (identity_map(4), table)
         rows = np.array([[k, (k + 1) % 5] for k in range(5)])
-        expected = [4 - similarity_defect(table[a], table[b]).disagreements for a, b in rows]
+        expected = [4 - similarity_defect(maps[a], maps[b]).disagreements for a, b in rows]
         seen = []
         real = quasiaction.agreements
         monkeypatch.setattr(quasiaction, "agreements",
                             lambda m, x, y: seen.append(x[0][0].shape) or real(m, x, y))
         monkeypatch.setattr(quasiaction, "POINTS", 8)
-        assert quasiaction._agreements(table, rows).tolist() == expected
+        assert quasiaction._agreements(slot, rows).tolist() == expected
         assert seen == [(2, 4), (2, 4), (1, 4)]
         seen.clear()
         monkeypatch.setattr(quasiaction, "POINTS", 3)
-        assert quasiaction._agreements(table, rows).tolist() == expected
+        assert quasiaction._agreements(slot, rows).tolist() == expected
         assert seen == [(1, 4)] * 5
 
     def test_product_table_built_once_per_f(self):

@@ -45,14 +45,18 @@ from dense_carrier import cayley_closure
 from test_count_columns import actions, python_ints
 from test_product_slots import SMALL_FIBERS, outcome, slot_product_qa
 
-from certificate_tables import assignment, set_assignment
+from certificate_tables import assignment, set_assignment, table_maps
 from test_quasiaction import epsilons, random_actions
 
 
 def each(fact):
     """The measure verify used: fact(x, ...) of each row's slot maps, one
-    call per row."""
-    return lambda table, rows: [fact(*map(table.__getitem__, r)) for r in rows.tolist()]
+    call per row, on the slot's (layout map, table)."""
+    def measure(slot, rows):
+        m, table = slot
+        maps = table_maps(table, *m.layout)
+        return [fact(*map(maps.__getitem__, r)) for r in rows.tolist()]
+    return measure
 
 
 def each_count_strict(qa, fset, eps) -> StrictChecks:
