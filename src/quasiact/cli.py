@@ -34,6 +34,7 @@ from .quasiaction import (
     VerificationReport,
     emit_certificate,
     load_certificate,
+    report_to_json,
     verify,
 )
 from .util import atomic_write_text, parse_epsilon, parse_json
@@ -64,21 +65,20 @@ def _print_summary(report: VerificationReport) -> None:
     def verdict(ok: bool) -> str:
         return "PASS" if ok else "FAIL"
 
-    # Every count is out of carrier_n: the first largest is the worst.
-    n, limit = report.carrier_n, eps * report.carrier_n
-    if report.a_counts:
-        i = report.a_counts.index(max(report.a_counts))
-        e, f = divmod(i, len(report.f_keys))
-        d = report.a_counts[i]
+    # Every count is out of carrier_n: the first largest, which a certificate
+    # stores, is the worst.
+    n, limit, stored = report.carrier_n, eps * report.carrier_n, report_to_json(report)
+    if a := stored["condition_a"]:
+        e, f = divmod(a["at"], len(report.f_keys))
+        d = a["max"]
         print(f"condition (a): worst pair ({report.f_keys[e]}, {report.f_keys[f]}) defect "
               f"{d}/{n}, margin eps*n - d = {limit - d} (threshold {eps}): "
               f"{verdict(report.a_pass)}")
     print(f"condition (b): defect {report.identity_defect} (threshold {eps}): "
           f"{verdict(report.b_pass)}")
-    if report.c_agreements:
-        i = report.c_agreements.index(max(report.c_agreements))
-        agree = report.c_agreements[i]
-        print(f"condition (c): worst element {report.c_keys[i]} agrees on {agree}/{n}, "
+    if c := stored["condition_c"]:
+        agree = c["max"]
+        print(f"condition (c): worst element {report.c_keys[c['at']]} agrees on {agree}/{n}, "
               f"margin eps*n - agreements = {limit - agree} (must disagree on more than "
               f"{1 - eps} of the carrier): {verdict(report.c_pass)}")
     if report.strict is not None:

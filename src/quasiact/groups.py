@@ -31,8 +31,8 @@ def _row_codes(columns: Iterable[np.ndarray], sizes: Iterable[int]) -> np.ndarra
     code, size = 0, 1
     for c, n in zip(columns, sizes):
         if size > 1 and size * n > CODES:
-            _, code, _ = _unique(code)
-            size = len(code)
+            distinct, code, _ = _unique(code)
+            size = len(distinct)
         code, size = code * n + c, size * n
     return code
 

@@ -430,40 +430,40 @@ def _count_strict(qa: QuasiAction, fset: FiniteSubset, eps: Fraction) -> StrictC
     )
 
 
+def _extreme(counts: tuple, pick=max) -> dict | None:
+    """A count array's stored summary: its largest (or, pick=min, smallest)
+    value and the first position it occurs at, or None when it is empty."""
+    return {pick.__name__: (v := pick(counts)), "at": counts.index(v)} if counts else None
+
+
 def report_to_json(report: VerificationReport) -> dict:
-    """The stored form of a report: its count arrays, then for readers the
-    verdicts and max_defect derived from them.  It holds no product key and
-    no per-pair record: F and the group give both."""
-    doc = {
+    """The stored form of a report: each condition's deciding count (the
+    largest (a) count and agreement, the smallest pairwise count) with its
+    first position, each flag array's first failing position (or None), and
+    for readers the verdicts and max_defect.  Every count stays in memory:
+    the loader measures them all again and compares this form."""
+    s = report.strict
+    return {
         "carrier_n": report.carrier_n,
         "epsilon": format_fraction(report.epsilon),
-        "f": report.f_keys,
-        "condition_a": report.a_counts,
+        "f": list(report.f_keys),
+        "condition_a": _extreme(report.a_counts),
         "condition_b": report.identity_defect.disagreements,
-        "condition_c": report.c_agreements,
-        "a_pass": report.a_pass,
-        "b_pass": report.b_pass,
-        "c_pass": report.c_pass,
+        "condition_c": _extreme(report.c_agreements),
+        "a_pass": report.a_pass, "b_pass": report.b_pass, "c_pass": report.c_pass,
         "passed": report.passed,
         "max_defect": str(report.max_defect),
-        "strict": None,
-    }
-    if report.strict is not None:
-        s = report.strict
-        doc["strict"] = {
+        "strict": None if s is None else {
             "identity_exact": s.identity_exact,
-            "bijective": s.bijective,
-            "fixpoint_free": s.fixpoint_free,
-            "inverse_exact": s.inverse_exact,
-            "pairwise": s.pair_counts,
-            "bprime_pass": s.bprime_pass,
-            "cprime_pass": s.cprime_pass,
-            "passed": s.passed,
-        }
-    return doc
+            **{k: flags.index(False) if False in (flags := getattr(s, k)) else None
+               for k in ("bijective", "fixpoint_free", "inverse_exact")},
+            "pairwise": _extreme(s.pair_counts, min),
+            "bprime_pass": s.bprime_pass, "cprime_pass": s.cprime_pass, "passed": s.passed,
+        },
+    }
 
 
-FORMAT = 8
+FORMAT = 9
 
 # hashlib is imported inside the codec functions: it loads OpenSSL, which
 # adds about 4 MiB of RSS to every command, including those that never
@@ -571,13 +571,14 @@ def _assignment_from_json(g: GroupHandle, a, tables) -> tuple[dict, list | None,
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
-    (format 8).  Per slot: its cells, its fiber (V's degree, generators and
+    (format 9).  Per slot: its cells, its fiber (V's degree, generators and
     order, or null) and its slot table's rows (slot_tables), split as "maps"
     rows of "images" (rows, cells) and "labels" (rows, cells, degree), one
     sha256 over both.  "assignment": the keys in key order and
     their (keys, slots) "index" into the tables, with its sha256.  Payloads
     are base64 of little-endian values in _payload_dtype of their bound: the
-    cells for images, V's degree for labels, the largest table for the index."""
+    cells for images, V's degree for labels, the largest table for the index.
+    "report" is report_to_json's summary of the counts."""
     tables, index = qa.slot_tables
     doc = {
         "format": FORMAT,
@@ -617,16 +618,16 @@ def _check_keys(keyed: dict, canonical: Iterable[str]) -> None:
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
-    """Read a format 8 certificate; formats 1-7 are refused by name (run
+    """Read a format 9 certificate; formats 1-8 are refused by name (run
     their request again with ``quasiact construct``).  Each fibered slot's V
     is read by girth.fiber_from_json and every label sifted into it.  The
     tables and keys must be the ones emit_certificate writes: no row stated
     twice, every row used in order of first use, every key canonical, and
     the assignment's and F's keys in key order; the first that is not is
     refused by name.  The stored report is not parsed: verify measures the
-    stored maps again at its F, epsilon and strictness, and the fresh report
-    must equal it in value and type down to each list entry (so ``1`` is not
-    ``true``); it is returned.
+    stored maps again at its F, epsilon and strictness, and report_to_json of
+    the fresh report must equal it in value and type at every level (so ``0``
+    is not ``false``); the fresh report, with every count, is returned.
     """
     doc = parse_json(text, "certificate")
     del text  # frees the text now when the caller keeps no reference to it
@@ -676,11 +677,9 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
 
 
 def _same_report(stored, fresh) -> bool:
-    """Whether the decoded stored report is report_to_json's fresh one (tuples as
-    lists): the same keys, values and types down to each list entry, so 0 is not false."""
-    fresh = list(fresh) if type(fresh) is tuple else fresh
+    """Whether the decoded stored report is report_to_json's fresh one: the same keys,
+    values and types at every level, so 0 is not false (f's keys equal only strings)."""
     if type(fresh) is dict:
         return (type(stored) is dict and stored.keys() == fresh.keys()
                 and all(_same_report(stored[k], v) for k, v in fresh.items()))
-    return type(stored) is type(fresh) and stored == fresh and (
-        type(fresh) is not list or list(map(type, stored)) == list(map(type, fresh)))
+    return type(stored) is type(fresh) and stored == fresh

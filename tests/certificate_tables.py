@@ -1,8 +1,9 @@
-"""Format 8 certificate documents in the tests: read and rewrite the slot
+"""Format 9 certificate documents in the tests: read and rewrite the slot
 tables and the assignment as arrays, each rewrite hashed again, and the
 per-entry decoder of format 7 kept as the oracle of the table decoder.
 An action's slot tables (int32 rows of cell images, then labels) are read
-as maps through table_maps alone.
+as maps through table_maps alone.  every_count writes a report with every
+count, as format 8 stored it, for tests that compare two reports in full.
 
 A slot's "images" payload is its (rows, cells) table of cell images and
 "labels" its (rows, cells, degree) labels, one sha256 over both; the
@@ -17,6 +18,7 @@ import numpy as np
 
 from quasiact.errors import InvariantViolationError
 from quasiact.finmap import FiniteMap
+from quasiact.util import canonical_json, format_fraction
 
 
 def dtype_of(bound: int) -> np.dtype:
@@ -139,3 +141,39 @@ def slot_from_entry(entry: dict, cells: int, fiber, member) -> FiniteMap:
         if not member(w):
             raise InvariantViolationError(f"label {list(w)} is not in V: a map leaves the carrier")
     return fmap
+
+
+def every_count(report) -> str:
+    """The canonical JSON of a report with every count, flag and verdict:
+    format 8's stored report, which format 9 summarises.  Two reports give
+    the same text iff they agree on every count (a_counts row-major over F,
+    c_agreements over F minus the identity, the strict flags over the
+    support minus the identity and the pairwise counts over F and the
+    identity)."""
+    doc = {
+        "carrier_n": report.carrier_n,
+        "epsilon": format_fraction(report.epsilon),
+        "f": report.f_keys,
+        "condition_a": report.a_counts,
+        "condition_b": report.identity_defect.disagreements,
+        "condition_c": report.c_agreements,
+        "a_pass": report.a_pass,
+        "b_pass": report.b_pass,
+        "c_pass": report.c_pass,
+        "passed": report.passed,
+        "max_defect": str(report.max_defect),
+        "strict": None,
+    }
+    if report.strict is not None:
+        s = report.strict
+        doc["strict"] = {
+            "identity_exact": s.identity_exact,
+            "bijective": s.bijective,
+            "fixpoint_free": s.fixpoint_free,
+            "inverse_exact": s.inverse_exact,
+            "pairwise": s.pair_counts,
+            "bprime_pass": s.bprime_pass,
+            "cprime_pass": s.cprime_pass,
+            "passed": s.passed,
+        }
+    return canonical_json(doc)

@@ -344,6 +344,60 @@ class TestSlotCodes:
         assert renumbered == outcome(verify, fresh, None, Fraction(1, 4), strict)
 
 
+def row_codes(rows: list, sizes: list, codes: int) -> tuple[list, list]:
+    """_row_codes of rows under CODES = codes, and the length of each batch
+    it renumbered."""
+    renumbered, unique = [], groups._unique
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "CODES", codes)
+        mp.setattr(groups, "_unique", lambda v: renumbered.append(len(v)) or unique(v))
+        code = groups._row_codes([np.array(c, np.int64) for c in zip(*rows)], sizes)
+    return code.tolist(), renumbered
+
+
+def renumbering_schedule(rows: list, sizes: list, codes: int) -> tuple[int, int]:
+    """How often a row code must be renumbered, and the columns before the
+    last renumbering: the code bound is the distinct prefixes there times
+    the later sizes, and a renumbering is due when it could pass codes."""
+    size, count, last = 1, 0, 0
+    for j, n in enumerate(sizes):
+        if size > 1 and size * n > codes:
+            size, count, last = len({r[:j] for r in rows}), count + 1, j
+        size *= n
+    return count, last
+
+
+class TestRowCodes:
+    """_row_codes renumbers its codes densely (through _unique) when the next
+    column could take them past CODES; the bound it then carries is the
+    distinct count, so it renumbers no more often than that bound needs."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_codes_match_tuple_equality_within_the_distinct_bound(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+        row = st.tuples(*(st.integers(0, n - 1) for n in sizes))
+        pool = data.draw(st.lists(row, min_size=1, max_size=6))  # repeats make few distinct
+        rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+        codes = data.draw(st.integers(1, 300))
+        code, renumbered = row_codes(rows, sizes, codes)
+        for (a, x), (b, y) in itertools.combinations(zip(rows, code), 2):
+            assert (x == y) == (a == b)
+        count, last = renumbering_schedule(rows, sizes, codes)
+        assert renumbered == [len(rows)] * count
+        bound = len({r[:last] for r in rows}) * np.prod(sizes[last:], dtype=object)
+        assert 0 <= min(code) and max(code) < bound
+
+    def test_a_few_distinct_prefixes_renumber_once(self):
+        # 300 rows share two prefixes of three columns: after renumbering
+        # them before the fourth column the codes lie below 2 x 10, and the
+        # fifth column fits under CODES = 1000 without another renumbering.
+        rows = [(p, p, p, i % 10, i // 30) for i in range(300) for p in [i % 2]]
+        code, renumbered = row_codes(rows, [10] * 5, 1000)
+        assert renumbered == [300] and max(code) < 2 * 10 * 10
+        assert len(set(code)) == len(set(rows))
+
+
 class TestCyclicTables:
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 300])
     def test_numpy_table_equals_the_json_table(self, n):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -42,7 +43,7 @@ from quasiact.util import canonical_json, check_epsilon
 from test_finmap import composition_defect, fraction, swap_map, with_map
 
 from certificate_tables import (
-    assignment, encode, rehash, set_assignment, set_slot_rows, slot_rows, table_maps,
+    assignment, encode, every_count, rehash, set_assignment, set_slot_rows, slot_rows, table_maps,
 )
 
 
@@ -200,7 +201,7 @@ class TestCertificates:
             "format", "group", "carrier_n", "F", "epsilon", "slots", "assignment", "report"
         }
         [slot] = doc["slots"]
-        assert doc["format"] == 8 and slot["cells"] == 4 and slot["fiber"] is None
+        assert doc["format"] == 9 and slot["cells"] == 4 and slot["fiber"] is None
         assert set(slot) == {"cells", "fiber", "maps", "images", "labels", "sha256"}
         assert set(doc["assignment"]) == {"keys", "index", "sha256"}
         assert doc["epsilon"] == "1/100"
@@ -214,17 +215,35 @@ class TestCertificates:
         # compact and key-sorted, one line
         assert cert == canonical_json(doc) + "\n"
 
-    def test_report_is_count_arrays(self):
+    def test_report_is_count_summaries(self):
         qa = integer_shifts([-1, 1], 12, range(-2, 3))
         report = json.loads(emit_certificate(qa, verify(qa, strict=True)))["report"]
         assert report["f"] == ["-1", "1"]
-        assert report["condition_a"] == [0, 0, 0, 0]
+        assert report["condition_a"] == {"max": 0, "at": 0}  # of 4 zeros
         assert report["condition_b"] == 0
-        assert report["condition_c"] == [0, 0]
+        assert report["condition_c"] == {"max": 0, "at": 0}  # of 2 zeros
         strict = report["strict"]
-        assert strict["bijective"] == strict["fixpoint_free"] == [True] * 4
-        assert strict["inverse_exact"] == [True] * 4
-        assert strict["pairwise"] == [12, 12, 12]  # -1, 0, 1 in key order
+        assert strict["bijective"] is strict["fixpoint_free"] is strict["inverse_exact"] is None
+        assert strict["pairwise"] == {"min": 12, "at": 0}  # of 3: -1, 0, 1 in key order
+
+    def test_report_names_the_first_failures(self):
+        # In C4, 1 and 3 map to inverse shifts and 2 to a map that is neither
+        # onto nor fixpoint-free: each flag fails first at 2, position 1 of
+        # the elements other than the identity.
+        g = cyclic_group(4)
+        assign = {0: identity_map(4), 1: shift_map(4, 1), 2: FiniteMap([1, 0, 0, 3]),
+                  3: shift_map(4, 3)}
+        qa = QuasiAction(g, 4, assign, FiniteSubset(g, range(4)), Fraction(1, 2))
+        r = verify(qa, strict=True)
+        report = json.loads(emit_certificate(qa, r))["report"]
+        assert r.a_counts == (0, 0, 0, 0, 0, 3, 3, 0, 0, 3, 1, 3, 0, 0, 3, 3)
+        assert report["condition_a"] == {"max": 3, "at": 5}  # the pair (1, 1), first of 7
+        assert r.c_agreements == (0, 1, 0) and report["condition_c"] == {"max": 1, "at": 1}
+        strict = report["strict"]
+        for flag in ("bijective", "fixpoint_free", "inverse_exact"):
+            assert getattr(r.strict, flag) == (True, False, True) and strict[flag] == 1
+        assert r.strict.pair_counts == (4, 3, 4, 3, 4, 3)
+        assert strict["pairwise"] == {"min": 3, "at": 1}
 
     def test_condition_b_defect_recorded(self):
         g = TableGroup([[0]])
@@ -262,20 +281,29 @@ class TestCertificates:
             (("report", "b_pass"), False),
             (("report", "c_pass"), False),
             (("report", "strict", "passed"), False),
-            (("report", "condition_a", 5), 1),  # a pair over 1/100 of the carrier
+            (("report", "condition_a", "max"), 1),  # a pair over 1/100 of the carrier
+            (("report", "condition_a", "at"), 5),  # a later position of the same largest count
             (("report", "condition_b"), 1),
-            (("report", "condition_c", 2), 1),
-            (("report", "strict", "pairwise", 0), 3),
-            (("report", "strict", "bijective", 0), False),
-            (("report", "strict", "inverse_exact", 1), None),
+            (("report", "condition_c", "max"), 1),
+            (("report", "condition_c", "at"), 2),
+            (("report", "strict", "pairwise", "min"), 3),
+            (("report", "strict", "pairwise", "at"), 1),
+            (("report", "strict", "bijective"), 0),  # fails at the first element
+            (("report", "strict", "fixpoint_free"), 2),
+            (("report", "strict", "inverse_exact"), 1),
             (("report", "a_pass"), 1),
-            (("report", "condition_a", 0), False),
-            (("report", "condition_a", 0), 0.0),
+            (("report", "condition_a", "max"), False),
+            (("report", "condition_a", "max"), 0.0),
+            (("report", "condition_a", "at"), False),
+            (("report", "condition_a", "at"), "0"),
+            (("report", "condition_a", "min"), 0),  # a key the summary does not have
+            (("report", "condition_a"), [0, 0]),  # a list for a summary
+            (("report", "condition_c"), None),  # null for a non-empty array
             (("report", "condition_b"), "0/4"),
             (("report", "f", 1), " 1"),  # a key that names the same element
             (("slots",), [0, 1, 2, 3]),  # map "1"'s row, rehashed as the identity's
             (("report", "strict", "identity_exact"), 1),
-            (("report", "condition_c", 0), 0.9),
+            (("report", "condition_c", "max"), 0.9),
         ],
     )
     def test_tampered_report_rejected(self, path, value):
@@ -515,7 +543,7 @@ class TestBatchedVerify:
                 mp.setattr(quasiaction, "POINTS", rows * qa.carrier_n)
             fresh = verify(qa, f, epsilon, strict)
         expected = verify_per_pair(qa, f, epsilon, strict)
-        assert canonical_json(report_to_json(fresh)) == canonical_json(report_to_json(expected))
+        assert every_count(fresh) == every_count(expected)
         assert fresh == expected
 
     def test_chunks_split_as_stated(self, monkeypatch):
@@ -556,18 +584,87 @@ class TestBatchedVerify:
             verify(qa, [3])
 
 
+def first_extreme(counts: tuple, pick: str) -> dict | None:
+    """The stored summary of counts by a plain scan: the largest (pick "max")
+    or smallest ("min") value and the first position holding it."""
+    if not counts:
+        return None
+    best = sorted(counts)[-1 if pick == "max" else 0]
+    return {pick: best, "at": next(i for i, c in enumerate(counts) if c == best)}
+
+
+def first_failure(flags: tuple) -> int | None:
+    return next((i for i, flag in enumerate(flags) if flag is False), None)
+
+
+class TestStoredSummaries:
+    """A certificate stores each count array as its deciding value and that
+    value's first position, and each flag array as its first failure; the
+    report in memory keeps every count."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(random_actions(), near_regular_actions()), epsilons, st.booleans(),
+           st.data())
+    def test_positions_name_the_first_extreme(self, qa, epsilon, strict, data):
+        f = data.draw(st.none() | st.sets(st.sampled_from(sorted(qa.assignment))))
+        r = verify(qa, f, epsilon, strict)
+        stored = report_to_json(r)
+        assert stored["condition_a"] == first_extreme(r.a_counts, "max")
+        assert stored["condition_c"] == first_extreme(r.c_agreements, "max")
+        if strict:
+            s, summaries = r.strict, stored["strict"]
+            assert summaries["pairwise"] == first_extreme(s.pair_counts, "min")
+            for flag in ("bijective", "fixpoint_free", "inverse_exact"):
+                assert summaries[flag] == first_failure(getattr(s, flag))
+
+    def test_ties_zeros_and_unsupported_inverses(self):
+        assert quasiaction._extreme((0, 0, 0)) == {"max": 0, "at": 0}
+        assert quasiaction._extreme((1, 3, 0, 3)) == {"max": 3, "at": 1}
+        assert quasiaction._extreme((4, 2, 2, 5), min) == {"min": 2, "at": 1}
+        assert quasiaction._extreme(()) is None
+        # A flag fails where it is False; None (an unsupported inverse) is no failure.
+        r = verify(regular_c4(), strict=True)
+        flags = {"bijective": (True, False, False), "fixpoint_free": (True, True, True),
+                 "inverse_exact": (None, True, False)}
+        stored = report_to_json(replace(r, strict=replace(r.strict, **flags)))["strict"]
+        assert {k: stored[k] for k in flags} == {
+            "bijective": 1, "fixpoint_free": None, "inverse_exact": 2}
+
+    def test_empty_arrays_are_null(self):
+        # F = {1} in the trivial group: no element of F but the identity, and
+        # one element of F and the identity, so no pairwise count.
+        g = TableGroup([[0]])
+        qa = QuasiAction(g, 3, {0: identity_map(3)}, FiniteSubset(g, [0]), Fraction(1, 5))
+        cert = emit_certificate(qa, verify(qa, strict=True))
+        report = json.loads(cert)["report"]
+        assert report["condition_a"] == {"max": 0, "at": 0}
+        assert report["condition_c"] is None and report["strict"]["pairwise"] is None
+        assert report["strict"]["bijective"] is None  # no element but the identity
+        assert emit_certificate(*load_certificate(cert)) == cert
+        with pytest.raises(InvariantViolationError, match="the stored report differs"):
+            load_certificate(edited(cert, ("report", "condition_c"), {"max": 0, "at": 0}))
+        # An empty F stores no condition (a) count either.
+        qa = QuasiAction(g, 3, {0: identity_map(3)}, FiniteSubset(g, []), Fraction(1, 5))
+        cert = emit_certificate(qa, verify(qa))
+        assert json.loads(cert)["report"]["condition_a"] is None
+        assert emit_certificate(*load_certificate(cert)) == cert
+
+
 class TestCertificateCodec:
     @settings(max_examples=60, deadline=None)
     @given(random_actions(), st.booleans())
     def test_emit_load_emit_identical(self, qa, strict):
-        cert = emit_certificate(qa, verify(qa, strict=strict))
+        report = verify(qa, strict=strict)
+        cert = emit_certificate(qa, report)
         qa2, r2 = load_certificate(cert)
         assert all(qa2.assignment[k] == m for k, m in qa.assignment.items())
         assert emit_certificate(qa2, r2) == cert
+        # The loaded report keeps every count the certificate summarises.
+        assert r2 == report and every_count(r2) == every_count(report)
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8])
     def test_other_formats_refused(self, fmt):
-        # Only format 8 is read.  No "format" key is format 1, whose maps
+        # Only format 9 is read.  No "format" key is format 1, whose maps
         # were plain lists of integers.
         qa = regular_c4()
         doc = json.loads(emit_certificate(qa, verify(qa)))
@@ -594,8 +691,12 @@ class TestCertificateCodec:
         stored = verify(with_map(qa, elem, FiniteMap(images)), epsilon=epsilon, strict=strict)
         fresh = verify(qa, epsilon=epsilon, strict=strict)
         cert = emit_certificate(qa, stored)
+        # A certificate stores report_to_json's summary, so a perturbation that
+        # leaves every summary entry as it was writes qa's own certificate.
         if canonical_json(report_to_json(stored)) == canonical_json(report_to_json(fresh)):
-            assert load_certificate(cert)[1] == fresh
+            assert cert == emit_certificate(qa, fresh)
+            _, loaded = load_certificate(cert)
+            assert loaded == fresh and every_count(loaded) == every_count(fresh)
         else:
             with pytest.raises(InvariantViolationError):
                 load_certificate(cert)

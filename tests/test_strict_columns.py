@@ -1,5 +1,5 @@
-"""Strict verify on stacked slot tables, the stored report compared as
-count lists, and the assignment read as one index array.
+"""Strict verify on stacked slot tables, the stored report compared by
+type and value, and the assignment read as one index array.
 
 ``verify --strict`` measures fixpoints, bijectivity and exact inverses per
 slot on stacked table entries, in chunks of ``POINTS``, as it measures
@@ -8,9 +8,10 @@ condition (a).  The strict count it replaced, one ``fixpoint_count``,
 slot map (``each_count_strict``), is kept here as the oracle, on dense,
 fibered and multi-slot actions.
 
-The loader compares the stored report's count, flag and key lists entry by
-entry with a type check, and the rest as canonical JSON; the canonical
-JSON of the whole report, which it compared before, is the oracle.  It
+The loader compares the stored report's summaries (each count array's
+deciding value and its position, each flag array's first failure) and the
+rest by type and value at every level; the canonical JSON of the whole
+report is the oracle.  It
 reads the assignment as one index payload and names the first index past
 its table's size.
 """
@@ -258,15 +259,15 @@ DIFFERS = (InvariantViolationError,
 def edit_report(doc: dict, edit: str) -> None:
     report, strict = doc["report"], doc["report"]["strict"]
     if edit == "false_for_0":
-        assert report["condition_a"][0] == 0
-        report["condition_a"][0] = False
+        assert report["condition_a"]["max"] == 0
+        report["condition_a"]["max"] = False
     elif edit == "1_for_true":
-        assert strict["bijective"][3] is True
-        strict["bijective"][3] = 1
+        assert strict["identity_exact"] is True
+        strict["identity_exact"] = 1
     elif edit == "float_count":
-        strict["pairwise"][2] = float(strict["pairwise"][2])
+        strict["pairwise"]["min"] = float(strict["pairwise"]["min"])
     elif edit == "off_by_one":
-        report["condition_c"][1] += 1
+        report["condition_c"]["max"] += 1
     elif edit == "extra_key":
         report["note"] = 0
     elif edit == "extra_strict_key":
@@ -275,19 +276,35 @@ def edit_report(doc: dict, edit: str) -> None:
         del report["max_defect"]
     elif edit == "missing_strict_key":
         del strict["pairwise"]
-    elif edit == "dict_for_list":
-        report["condition_c"] = dict(enumerate(report["condition_c"]))
-    elif edit == "strict_dict_for_list":
+    elif edit == "list_for_summary":
+        report["condition_c"] = list(report["condition_c"].values())
+    elif edit == "strict_dict_for_flag":
         strict["inverse_exact"] = {"0": strict["inverse_exact"]}
     elif edit == "string_for_count":
-        report["condition_a"][5] = "0"
+        report["condition_a"]["max"] = "0"
     elif edit == "list_for_flag":
         strict["passed"] = [True]
+    elif edit == "false_for_position":
+        assert report["condition_a"]["at"] == 0
+        report["condition_a"]["at"] = False
+    elif edit == "float_position":
+        strict["pairwise"]["at"] = 0.0
+    elif edit == "moved_position":
+        report["condition_c"]["at"] += 1
+    elif edit == "missing_summary_key":
+        del report["condition_a"]["at"]
+    elif edit == "extra_summary_key":
+        report["condition_c"]["min"] = 0
+    elif edit == "false_for_null":
+        assert strict["fixpoint_free"] is None
+        strict["fixpoint_free"] = False
 
 
 EDITS = ["false_for_0", "1_for_true", "float_count", "off_by_one", "extra_key",
-         "extra_strict_key", "missing_key", "missing_strict_key", "dict_for_list",
-         "strict_dict_for_list", "string_for_count", "list_for_flag"]
+         "extra_strict_key", "missing_key", "missing_strict_key", "list_for_summary",
+         "strict_dict_for_flag", "string_for_count", "list_for_flag", "false_for_position",
+         "float_position", "moved_position", "missing_summary_key", "extra_summary_key",
+         "false_for_null"]
 
 
 class TestReportCompare:
@@ -307,7 +324,7 @@ class TestReportCompare:
         text = emit_certificate(qa, verify(qa, strict=True))
         assert emit_certificate(*load_certificate(text)) == text
         doc = json.loads(text)
-        doc["report"]["condition_a"][-1] -= 1  # n - 1: exact only as a Python int
+        doc["report"]["condition_a"]["max"] -= 1  # n - 1: exact only as a Python int
         assert refusal(json.dumps(doc)) == DIFFERS
 
 
