@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,11 +56,11 @@ class GirthGroup:
                               "seed": self.seed})
 
 
-def fiber_from_json(doc) -> tuple[Fiber, Callable[[tuple], bool]]:
+def fiber_from_json(doc) -> tuple[Fiber, Callable[..., np.ndarray]]:
     """The one reader of V (a girth witness, or a certificate slot's fiber):
     its degree, then its generators, each of that length, then its order.
     Fiber checks the permutations and Schreier-Sims the order; returns V and
-    a cached test of membership in V."""
+    Schreier-Sims's batched test of membership in V."""
     degree = _field(doc, "degree", _decode_int)
     gens = _field(doc, "generators", lambda v: tuple(
         tuple(_decode_ints(p, degree)) for p in _decode_list(v)))
@@ -67,7 +68,7 @@ def fiber_from_json(doc) -> tuple[Fiber, Callable[[tuple], bool]]:
     order, member = schreier_sims(gens)
     if order != fiber.order:
         raise InvariantViolationError(f"V states order {fiber.order}; its generators give {order}")
-    return fiber, cache(member)
+    return fiber, member
 
 
 def load_girth_witness(text: str) -> GirthGroup:
@@ -188,48 +189,47 @@ def _certify_word_girth(gens: Sequence[tuple[int, ...]], bound: int) -> None:
     certify_girth([[(0, p, i ^ 1) for i, p in enumerate(letters)]], [0], bound)
 
 
-def schreier_sims(gens: Sequence[tuple[int, ...]]) -> tuple[int, Callable[[tuple], bool]]:
-    """|<gens>| and a membership test, by deterministic Schreier-Sims
+def schreier_sims(gens: Sequence[tuple[int, ...]]) -> tuple[int, Callable[..., np.ndarray]]:
+    """|<gens>| and a batched membership test, by deterministic Schreier-Sims
     (Seress 2003, ch. 4; Holt et al. 2005, 4.4).  Level i has base point
     b_i, strong generators S_i fixing b_0..b_{i-1} and the orbit of b_i
     under <S_i>, with u_p(b_i) = p.  With the levels above i complete, each
     Schreier generator u_{s(p)}^-1 s u_p sifts through them; a nontrivial
-    residue joins S_{i+1}..S_j and checking resumes at level j.  |<gens>|
-    is the product of the orbit lengths, and a permutation of the degree
-    lies in <gens> iff it sifts to the identity through every level."""
+    residue joins S_{i+1}..S_j and checking resumes at level j.  Orbits only
+    grow and keep each u_p, so a Schreier generator that sifted to 1 would
+    again: it is sifted once.  |<gens>| is the product of the orbit lengths;
+    member(rows) says if each row of a (rows, degree) int array sifts to 1."""
     identity = tuple(range(len(gens[0])))
     base, strong, reps = [], [], []  # per level: b_i, S_i and {p: u_p}
+    sifted = set()  # (i, p, index of s in S_i) whose Schreier generator sifted to 1
     inverse = cache(_inverse)  # the same transversal elements are inverted again and again
 
     def extend(g, lo, hi):  # g joins S_lo..S_hi, opening level hi if new
         if hi == len(base):
             base.append(next(x for x in identity if g[x] != x))
             strong.append([])
-            reps.append({})
+            reps.append({base[-1]: identity})
         for k in range(lo, hi + 1):
             strong[k].append(g)
-            orbit = reps[k] = {base[k]: identity}
-            queue = [base[k]]
-            for p in queue:
-                for s in strong[k]:
+            orbit, queue = reps[k], list(reps[k])
+            old = len(queue)  # closed under the rest of S_k, so only g moves them out
+            for n, p in enumerate(queue):
+                for s in strong[k] if n >= old else (g,):
                     if s[p] not in orbit:
-                        orbit[s[p]] = tuple(s[x] for x in orbit[p])
+                        orbit[s[p]] = itemgetter(*orbit[p])(s)
                         queue.append(s[p])
-
-    def sift(g, j):  # g stripped through levels j..: (residue, level reached)
-        while j < len(base) and g[base[j]] in reps[j]:
-            inv = inverse(reps[j][g[base[j]]])
-            g, j = tuple(inv[x] for x in g), j + 1
-        return g, j
 
     def next_level(i):  # i - 1 if level i is complete, else the deepest level changed
         for p, u in reps[i].items():
-            for s in strong[i]:
-                inv = inverse(reps[i][s[p]])
-                g, j = sift(tuple(inv[s[x]] for x in u), i + 1)
-                if g != identity:
-                    extend(g, i + 1, j)
-                    return j
+            for n, s in enumerate(strong[i]):
+                if (i, p, n) not in sifted:
+                    g, j = itemgetter(*itemgetter(*u)(s))(inverse(reps[i][s[p]])), i + 1
+                    while j < len(base) and g != identity and g[base[j]] in reps[j]:  # sift
+                        g, j = itemgetter(*g)(inverse(reps[j][g[base[j]]])), j + 1
+                    if g != identity:  # the residue, stripped through levels i + 1..j - 1
+                        extend(g, i + 1, j)
+                        return j
+                    sifted.add((i, p, n))
         return i - 1
 
     for g in gens:
@@ -238,8 +238,21 @@ def schreier_sims(gens: Sequence[tuple[int, ...]]) -> tuple[int, Callable[[tuple
     i = len(base) - 1
     while i >= 0:
         i = next_level(i)
-    order = math.prod(len(orbit) for orbit in reps)
-    return order, lambda g: len(g) == len(identity) and sift(tuple(g), 0)[0] == identity
+
+    def member(rows):
+        rows, points = np.asarray(rows), np.arange(len(identity))
+        if rows.ndim != 2 or rows.shape[1] != len(points):
+            return np.zeros(len(rows), bool)  # another width is never in <gens>
+        ok = ((rows >= 0) & (rows < len(points))).all(axis=1)
+        g = np.where(ok[:, None], rows, points)
+        for b, orbit in zip(base, reps):
+            # u_p^-1 at orbit point p, else a constant row: never 1, as levels need degree >= 2
+            inverses = np.zeros((len(points), len(points)), np.intp)
+            inverses[list(orbit)] = [inverse(u) for u in orbit.values()]
+            g = np.take_along_axis(inverses[g[:, b]], g, axis=1)
+        return ok & (g == points).all(axis=1)
+
+    return math.prod(len(orbit) for orbit in reps), member
 
 
 def _reduced_word_count(labels: int, bound: int) -> int:

@@ -523,8 +523,8 @@ def _slot_to_json(layout: tuple, table: np.ndarray) -> dict:
 
 def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
     """Slot i's layout (cells, fiber) and table, from its images and labels
-    payloads: each distinct label sifted into V once (one outside V, or no
-    permutation, would move points off the carrier), no row stated twice."""
+    payloads: the distinct labels sifted into V in one batch (one outside V,
+    or no permutation, would move points off the carrier), no row stated twice."""
     import hashlib
 
     from .constructions.girth import fiber_from_json  # constructions imports this module
@@ -534,9 +534,11 @@ def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
     rows, d = _field(s, "maps", _decode_int), 0 if fiber is None else fiber.degree
     images, labels = _payloads_from_json(s, f"slot {i}", images=((rows, cells), cells),
                                          labels=((rows, cells, d), d))
-    for w in sorted(set(map(tuple, labels.reshape(-1, d).tolist()))) if d else ():
-        if not member(w):
-            raise InvariantViolationError(f"slot {i} labels: label {list(w)} is not in V: "
+    if d:  # the distinct labels in sorted order: row codes order rows lexicographically
+        flat = labels.reshape(-1, d)
+        distinct = flat[_unique(_row_codes(flat.T.astype(np.int64), itertools.repeat(d)))[2]]
+        for w in distinct[~member(distinct)][:1].tolist():
+            raise InvariantViolationError(f"slot {i} labels: label {w} is not in V: "
                                           "a map leaves the carrier")
     packed = (np.concatenate([images, labels.reshape(rows, cells * d)], axis=1, dtype=np.int32)
               if d else images.astype(np.int32, copy=False))  # int32 images stay in their bytes

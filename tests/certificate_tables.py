@@ -138,7 +138,7 @@ def slot_from_entry(entry: dict, cells: int, fiber, member) -> FiniteMap:
     images, labels = map(np.frombuffer, raws, dtypes)
     fmap = FiniteMap(images, labels.reshape(cells, degree), fiber)
     for w in sorted(set(map(tuple, fmap.slots[0].labels.tolist()))) if member else ():
-        if not member(w):
+        if not member([w])[0]:
             raise InvariantViolationError(f"label {list(w)} is not in V: a map leaves the carrier")
     return fmap
 

@@ -352,6 +352,18 @@ class TestFiberedCertificates:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_of_two_labels_outside_v_the_smaller_is_named(self, c2_c2_certificate):
+        # The distinct labels are tested against V in one batch; the error
+        # names the first failing label in sorted order, not the first met.
+        def two_outside_v(images, labels, i):
+            labels[i, 0], labels[i, 1] = [1, 0, 2, 3, 4], [0, 1, 2, 4, 3]
+
+        text = tampered(c2_c2_certificate, lambda doc, key, degree: edit_row(doc, key, two_outside_v))
+        with pytest.raises(InvariantViolationError) as caught:
+            load_certificate(text)
+        assert str(caught.value) == ("slot 0 labels: label [0, 1, 2, 4, 3] is not in V: "
+                                     "a map leaves the carrier")
+
     @pytest.mark.parametrize("fmt", [3, 4, 5, 6])
     def test_other_format_refused(self, c2_c2_certificate, fmt):
         doc = json.loads(c2_c2_certificate)

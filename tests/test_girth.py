@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quasiact.cli import main
 from quasiact.constructions import (
     GirthGroup,
     PartitionedCarrier,
@@ -239,17 +240,30 @@ class TestSearch:
     def test_bound_six_order(self):
         assert girth_group_search(6, 6, order_cap=2_000_000, seed=0).order == 1_814_400
 
-    def test_cold_start_leaves_numpy_ma_unimported(self):
+    def test_cold_start_leaves_numpy_ma_unimported(self, tmp_path):
         # A plain np.unique(x) imports numpy.ma, about 20 ms in a fresh
-        # interpreter; neither the search nor the loader may pay for it.
+        # interpreter; neither the search, the witness loader nor the
+        # certificate loader's one batch of distinct labels may pay for it.
+        request = {"construct": "free_product", "epsilon": "1/10",
+                   "left_group": {"kind": "finite", "table": [[0, 1], [1, 0]]},
+                   "right_group": {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+                   "f_left": [0, 1], "f_right": [0, 1], "syllable_bound": 2}
+        (tmp_path / "fp2.request.json").write_text(json.dumps(request))
+        cert = tmp_path / "fp2.json"
+        argv = ["construct", "--request", str(tmp_path / "fp2.request.json"), "--out", str(cert)]
+        assert main(argv) == 0
         code = (
             "import sys\n"
+            "from quasiact import load_certificate\n"
             "from quasiact.constructions import girth_group_search, load_girth_witness\n"
             "v = girth_group_search(6, 5, order_cap=200000, seed=0)\n"
             "load_girth_witness(v.to_witness_json())\n"
+            "qa, _ = load_certificate(open(sys.argv[1]).read())\n"
+            "assert qa.layout[0][1] is not None  # a fibered slot\n"
             "print('numpy.ma' in sys.modules)\n"
         )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, "-c", code, str(cert)],
+                             capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
     def test_search_and_loader_never_enumerate(self):
@@ -728,6 +742,88 @@ perm_sets_to_degree_nine = st.integers(1, 9).flatmap(
 )
 
 
+def scalar_schreier_sims(gens):
+    """Oracle: Schreier-Sims on tuples that rebuilds a level's orbit from
+    scratch whenever a strong generator joins it, sifts every Schreier
+    generator again on each pass, and tests membership one tuple at a time."""
+    identity = tuple(range(len(gens[0])))
+    base, strong, reps = [], [], []
+    inverse = girth._inverse
+
+    def extend(g, lo, hi):
+        if hi == len(base):
+            base.append(next(x for x in identity if g[x] != x))
+            strong.append([])
+            reps.append({})
+        for k in range(lo, hi + 1):
+            strong[k].append(g)
+            orbit = reps[k] = {base[k]: identity}
+            queue = [base[k]]
+            for p in queue:
+                for s in strong[k]:
+                    if s[p] not in orbit:
+                        orbit[s[p]] = tuple(s[x] for x in orbit[p])
+                        queue.append(s[p])
+
+    def sift(g, j):
+        while j < len(base) and g[base[j]] in reps[j]:
+            inv = inverse(reps[j][g[base[j]]])
+            g, j = tuple(inv[x] for x in g), j + 1
+        return g, j
+
+    def next_level(i):
+        for p, u in reps[i].items():
+            for s in strong[i]:
+                inv = inverse(reps[i][s[p]])
+                g, j = sift(tuple(inv[s[x]] for x in u), i + 1)
+                if g != identity:
+                    extend(g, i + 1, j)
+                    return j
+        return i - 1
+
+    for g in gens:
+        if g != identity:
+            extend(g, 0, 0)
+    i = len(base) - 1
+    while i >= 0:
+        i = next_level(i)
+    order = 1
+    for orbit in reps:
+        order *= len(orbit)
+    return order, lambda g: len(g) == len(identity) and sift(tuple(g), 0)[0] == identity
+
+
+@st.composite
+def structured_generators(draw):
+    """Generator sets of degree 0 to 12: unstructured, identity-only,
+    intransitive (each generator permutes within fixed blocks) or imprimitive
+    (each permutes k blocks of m points and the points within each block)."""
+    kind = draw(st.sampled_from(["any", "identity", "intransitive", "imprimitive"]))
+    if kind == "intransitive":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+
+        def one():
+            return tuple(sum(sizes[:b]) + x for b, size in enumerate(sizes)
+                         for x in draw(st.permutations(range(size))))
+    elif kind == "imprimitive":
+        k, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+        def one():
+            outer = draw(st.permutations(range(k)))
+            inner = [draw(st.permutations(range(m))) for _ in range(k)]
+            return tuple(outer[b] * m + inner[b][x] for b in range(k) for x in range(m))
+    else:
+        degree = draw(st.integers(0, 9))
+
+        def one():
+            return tuple(draw(st.permutations(range(degree))) if kind == "any" else range(degree))
+    return [one() for _ in range(draw(st.integers(1, 4)))]
+
+
+def is_permutation(row):
+    return sorted(row) == list(range(len(row)))
+
+
 class TestSchreierSimsAgainstOracles:
     @settings(max_examples=150, deadline=None)
     @given(gens=perm_sets_to_degree_nine, kind=special_kinds)
@@ -768,9 +864,9 @@ class TestSchreierSimsAgainstOracles:
         if data is not None:
             candidates += [data.draw(st.sampled_from(closure[0])),
                            tuple(data.draw(st.permutations(range(degree))))]
-        for perm in candidates:
-            assert member(perm) == (perm in elements)
-        assert all(member(g) for g in gens)
+        assert member(np.array(candidates, int).reshape(-1, degree)).tolist() == [
+            perm in elements for perm in candidates]
+        assert member(np.array(gens)).all()
 
     @settings(max_examples=100, deadline=None)
     @given(gens=perm_sets_to_degree_nine, kind=special_kinds, data=st.data())
@@ -784,17 +880,65 @@ class TestSchreierSimsAgainstOracles:
         for j in data.draw(st.lists(st.integers(0, len(gens) - 1), max_size=6)):
             word = tuple(gens[j][x] for x in word)
         other = tuple(data.draw(st.permutations(range(degree))))
-        assert member(word)
-        for perm in (word, other):
-            assert member(perm) == group.contains(combinatorics.Permutation(list(perm)))
+        assert member(np.array([word, other])).tolist() == [
+            True, group.contains(combinatorics.Permutation(list(other)))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(gens=structured_generators(), data=st.data())
+    @example(gens=[()], data=None)
+    @example(gens=[(0,)], data=None)
+    @example(gens=[(0, 1)], data=None)
+    @example(gens=[(1, 0)], data=None)
+    @example(gens=[(0, 1, 2), (0, 1, 2)], data=None)
+    def test_matches_the_scalar_oracle(self, gens, data):
+        # The scalar routine, the closure and sympy agree with the batched
+        # routine on the order and on every row of one batch: words in the
+        # generators, permutations, non-permutations in and out of range and
+        # repeated rows.
+        order, member = schreier_sims(gens)
+        scalar_order, scalar_member = scalar_schreier_sims(gens)
+        assert order == scalar_order
+        closure = enumerate_closure(gens, ORACLE_CAP)
+        assert order == len(closure[0]) if closure else order > ORACLE_CAP
+        degree = len(gens[0])
+        rows = [tuple(range(degree)), *gens, (1, 0, *range(2, degree))[:degree]]
+        if data is not None:
+            for _ in range(data.draw(st.integers(0, 3))):
+                word = tuple(range(degree))
+                for j in data.draw(st.lists(st.integers(0, len(gens) - 1), max_size=6)):
+                    word = tuple(gens[j][x] for x in word)
+                rows.append(word)
+            rows += [tuple(data.draw(st.permutations(range(degree)))) for _ in range(2)]
+            rows += data.draw(st.lists(st.tuples(*[st.integers(-2, degree + 1)] * degree), max_size=3))
+            rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+        expected = [is_permutation(r) and scalar_member(r) for r in rows]
+        assert member(np.array(rows, int).reshape(len(rows), degree)).tolist() == expected
+        if closure:
+            assert expected == [r in set(closure[0]) for r in rows]
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        if degree:
+            group = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
+            assert order == group.order()
+            in_group = [is_permutation(r) and group.contains(combinatorics.Permutation(list(r)))
+                        for r in rows]
+            assert expected == in_group
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5])
+    def test_batches_of_no_rows_and_of_the_wrong_width(self, degree):
+        _, member = schreier_sims([tuple(range(1, degree)) + (0,)] if degree else [()])
+        assert member(np.zeros((0, degree), int)).tolist() == []
+        assert member([]).tolist() == []
+        for width in (degree - 1, degree + 1):
+            if width >= 0:
+                assert member(np.zeros((3, width), int) + np.arange(width)).tolist() == [False] * 3
+        assert member(np.arange(degree)[None].repeat(2, axis=0)).tolist() == [True, True]
 
     def test_transposition_outside_an_alternating_group(self):
         v = girth_group_search(6, 5, order_cap=200000, seed=0)
         order, member = schreier_sims(v.fiber.generators)
         assert order == 181440  # A_9 has index 2 in S_9
-        assert not member((1, 0, *range(2, 9)))
-        assert member((1, 2, 0, *range(3, 9)))
-        assert not member((1, 0))  # wrong degree
+        assert member([(1, 0, *range(2, 9)), (1, 2, 0, *range(3, 9))]).tolist() == [False, True]
+        assert not member([(1, 0)])[0]  # wrong degree
 
     def test_order_matches_full_closure(self):
         v = girth_group_search(6, 5, order_cap=200000, seed=0)

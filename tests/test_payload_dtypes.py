@@ -200,6 +200,25 @@ class TestRefusals:
                 "field 'slots': slot 0 labels: 8 at [0, 0, 0] is not below 8")):
             load_certificate(json.dumps(doc))
 
+    @pytest.mark.parametrize("degree", FIBER_DEGREES)  # at 256 the row codes renumber
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), forged=st.integers(1, 5))
+    def test_the_smallest_label_outside_v_is_named(self, degree, seed, forged):
+        # The loader tests the distinct labels in one batch and names the
+        # first in sorted order that is not a rotation, wherever it sits.
+        doc = json.loads(certificate(257, degree))
+        images, labels = slot_rows(doc, 0)
+        rng = np.random.default_rng(seed)
+        labels[0, rng.integers(0, 257, forged)] = rng.integers(0, degree, (forged, degree))
+        labels[0, rng.integers(0, 257)] = degree - 1  # outside V, and last in sorted order
+        outside = [w for w in labels[0].tolist() if w != rotations(degree, [w[0]])[0].tolist()]
+        with_payloads(doc, images=images.astype(dtype_of(257)).tobytes(),
+                      labels=labels.astype(dtype_of(degree)).tobytes())
+        with pytest.raises(InvariantViolationError) as caught:
+            load_certificate(json.dumps(doc))
+        assert str(caught.value) == (f"slot 0 labels: label {min(outside)} is not in V: "
+                                     "a map leaves the carrier")
+
     def test_label_not_a_permutation_is_not_in_v(self):
         doc = json.loads(certificate(4, 8))
         labels = rotations(8, [0, 1, 2, 3])
