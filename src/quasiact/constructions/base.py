@@ -10,7 +10,6 @@ mechanism).
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -104,8 +103,8 @@ def direct_product_qa(
     # factors' rows side by side, in itertools.product order.
     grid = np.indices([len(qa.elements) for qa in qas]).reshape(len(qas), -1)
     return QuasiAction._from_slots(
-        group, math.prod(qa.carrier_n for qa in qas), sum((qa.layout for qa in qas), ()),
-        [t for qa in qas for t in qa.slot_tables[0]], itertools.product(*(qa.elements for qa in qas)),
+        group, sum((qa.layout for qa in qas), ()), [t for qa in qas for t in qa.slot_tables[0]],
+        itertools.product(*(qa.elements for qa in qas)),
         np.hstack([qa.slot_tables[1][at] for qa, at in zip(qas, grid)]),
         FiniteSubset(group, itertools.product(*(fset for _, fset in inputs))), claimed)
 

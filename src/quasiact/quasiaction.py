@@ -101,22 +101,22 @@ class QuasiAction:
                 for m in maps.values())  # a one-slot map's packed array is its row
         index = [[t.setdefault(r.tobytes(), (len(t), r))[0] for t, r in zip(seen, rs)] for rs in rows]
         tables = [np.stack([r for _, r in t.values()]) for t in seen]
-        self._set(owner, carrier_n, layout, tables, maps, index, claimed_f, claimed_epsilon)
+        self._set(owner, layout, tables, maps, index, claimed_f, claimed_epsilon)
 
     @classmethod
     def _from_slots(cls, *args) -> QuasiAction:
-        """The action (owner, carrier_n, layout, tables, elements, index,
-        claimed_f, claimed_epsilon[, keys]) whose elements[i] maps by
-        tables[s][index[i][s]] in each slot s.  The caller vouches that the
-        elements are decoded and distinct (keys, if given, their canonical
-        keys), each table holds distinct valid int32 rows of its slot's
-        layout, and each index is in range."""
+        """The action (owner, layout, tables, elements, index, claimed_f,
+        claimed_epsilon[, keys]) whose elements[i] maps by tables[s][index[i][s]]
+        in each slot s; its carrier is the product of the slots' sizes.  The
+        caller vouches that the elements are decoded and distinct (keys, if
+        given, their canonical keys), each table holds distinct valid int32
+        rows of its slot's layout, and each index is in range."""
         return cls.__new__(cls)._set(*args)
 
-    def _set(self, owner, carrier_n, layout, tables, elements, index, claimed_f,
-             claimed_epsilon, keys=None) -> QuasiAction:
+    def _set(self, owner, layout, tables, elements, index, claimed_f, claimed_epsilon,
+             keys=None) -> QuasiAction:
         self.owner = owner
-        self.carrier_n = int(carrier_n)
+        self.carrier_n = math.prod(cells * (1 if v is None else v.order) for cells, v in layout)
         self.claimed_f = FiniteSubset(owner, claimed_f)
         self.claimed_epsilon = check_epsilon(claimed_epsilon)
         self.layout = layout
@@ -127,9 +127,6 @@ class QuasiAction:
         self.keys = {e: keys[i] for e, i in zip(self.elements, by_key)}
         self.ids = {e: i for i, e in enumerate(self.elements)}
         self._claimed_products = self._products(self.claimed_f)
-        n = math.prod(cells * (1 if v is None else v.order) for cells, v in layout)
-        if n != self.carrier_n:
-            raise DomainError(f"the slots' layout has carrier {n}, expected {self.carrier_n}")
         index = np.asarray(index, np.intp).reshape(len(keys), len(layout))[by_key]
         self.slot_tables = _first_use(tables, index)
         self._counts = {}  # verify's reports on the claimed F by strictness, at any epsilon
@@ -446,7 +443,6 @@ def report_to_json(report: VerificationReport) -> dict:
     return {
         "carrier_n": report.carrier_n,
         "epsilon": format_fraction(report.epsilon),
-        "f": list(report.f_keys),
         "condition_a": _extreme(report.a_counts),
         "condition_b": report.identity_defect.disagreements,
         "condition_c": _extreme(report.c_agreements),
@@ -463,7 +459,7 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
-FORMAT = 9
+FORMAT = 10
 
 # hashlib is imported inside the codec functions: it loads OpenSSL, which
 # adds about 4 MiB of RSS to every command, including those that never
@@ -555,39 +551,43 @@ def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
     return (cells, fiber), packed
 
 
-def _assignment_from_json(g: GroupHandle, a, tables) -> tuple[dict, list | None, np.ndarray]:
-    """The elements by key, the keys if checked, and the (keys, slots) index
-    payload, each index below its table's size.  The keys (in key order) are
-    parsed once, joined, and checked if each is then its element's canonical
-    key, so it parses alone to it; else _elements_from_keys names a bad key."""
+def _assignment_from_json(g: GroupHandle, a, tables) -> tuple[dict, np.ndarray]:
+    """The elements by key and the (keys, slots) index payload, each index
+    below its table's size.  The keys (in key order) are parsed once, joined,
+    and known canonical if each is then its element's key, so it parses
+    alone to it; else _elements_from_keys names a bad key."""
     keys = _field(a, "keys", lambda v: list(map(_decode_str, _decode_list(v))))
     try:
         elems = [g.decode(x) for x in parse_json("[" + ",".join(keys) + "]", "keys")]
         checked = len(elems) == len(keys) and g._keys_many(elems) == keys
     except QuasiactError:  # the per-key path raises it for the key it belongs to
         checked = False
-    keyed = _elements_from_keys(g, keys, dict(zip(keys, elems)) if checked else {}, ordered=True)
-    return keyed, keys if checked else None, *_payloads_from_json(
+    keyed = _elements_from_keys(g, keys, dict(zip(keys, elems)) if checked else {})
+    return keyed, *_payloads_from_json(
         a, "assignment", index=((len(keys), len(tables)), [len(t) for t in tables]))
 
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
-    (format 9).  Per slot: its cells, its fiber (V's degree, generators and
-    order, or null) and its slot table's rows (slot_tables), split as "maps"
-    rows of "images" (rows, cells) and "labels" (rows, cells, degree), one
-    sha256 over both.  "assignment": the keys in key order and
-    their (keys, slots) "index" into the tables, with its sha256.  Payloads
-    are base64 of little-endian values in _payload_dtype of their bound: the
-    cells for images, V's degree for labels, the largest table for the index.
-    "report" is report_to_json's summary of the counts."""
+    (format 10), each fact once.  Per slot: its cells, its fiber (V's degree,
+    generators and order, or null; the slots' sizes give the carrier) and its
+    table's rows, as "maps" rows of "images" (rows, cells) and "labels" (rows,
+    cells, degree), one sha256 over both.  "assignment": the keys in key order
+    and their (keys, slots) "index" into the tables, with its sha256.  Payloads
+    are base64 of little-endian values in _payload_dtype of their bound (cells,
+    V's degree, the largest table).  "report" is report_to_json's summary of
+    counts measured on qa's carrier and claimed F; another is refused by name."""
+    f_keys = tuple(qa.keys[e] for e in qa.claimed_f)
+    for name, other in (("carrier", report.carrier_n != qa.carrier_n),
+                        ("F", report.f_keys != f_keys)):
+        if other:
+            raise DomainError(f"the report was measured on another {name} than the action's")
     tables, index = qa.slot_tables
     doc = {
         "format": FORMAT,
         "group": qa.owner.describe(),
-        "carrier_n": qa.carrier_n,
         "epsilon": format_fraction(qa.claimed_epsilon),
-        "F": [qa.keys[e] for e in qa.claimed_f],
+        "F": list(f_keys),
         "slots": list(map(_slot_to_json, qa.layout, tables)),
         "assignment": {"keys": [qa.keys[e] for e in qa.elements],
                        **_payloads_to_json(index=(index, max(map(len, tables))))},
@@ -596,40 +596,39 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     return canonical_json(doc) + "\n"
 
 
-def _elements_from_keys(g: GroupHandle, keys, known: Mapping, ordered=False) -> dict:
-    """Each key's element: known's (key -> element), else the key's JSON decoded;
-    if ordered, the first key not after the one before it is refused."""
-    keys = list(map(_decode_str, keys))
-    keyed = {k: known[k] if k in known else g.decode(parse_json(k, f"element key {k!r:.60}"))
-             for k in keys}
-    for before, key in zip(keys, keys[1:]) if ordered else ():
+def _elements_from_keys(g: GroupHandle, keys, known: Mapping) -> dict:
+    """Each key's element: known's (key -> element, keys known canonical), else
+    the key's JSON decoded, refused unless the key is its element's element_key
+    (another spelling would load as it); then the first key not after the one
+    before it is refused, so each element is keyed once, in key order."""
+    keys, keyed = list(map(_decode_str, keys)), {}
+    for key in keys:
+        if key not in known:
+            elem = g.decode(parse_json(key, f"element key {key!r:.60}"))
+            if (canonical := g.element_key(elem)) != key:
+                raise InvariantViolationError(f"element key {key!r:.60} is not its element's "
+                                              f"canonical key {canonical!r:.60}")
+        keyed[key] = known[key] if key in known else elem
+    for before, key in zip(keys, keys[1:]):
         if not before < key:
             raise DomainError(f"key {key!r:.60} does not come after {before!r:.60}: "
                               "each key is stated once, in key order")
     return keyed
 
 
-def _check_keys(keyed: dict, canonical: Iterable[str]) -> None:
-    """Refuse the first stated key of keyed (key -> its element) that is not
-    its element's canonical key (element_key): another spelling of an element
-    would load as that element."""
-    for stated, key in zip(keyed, canonical):
-        if stated != key:
-            raise InvariantViolationError(
-                f"element key {stated!r:.60} is not its element's canonical key {key!r:.60}")
-
-
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
-    """Read a format 9 certificate; formats 1-8 are refused by name (run
+    """Read a format 10 certificate; formats 1-9 are refused by name (run
     their request again with ``quasiact construct``).  Each fibered slot's V
-    is read by girth.fiber_from_json and every label sifted into it.  The
-    tables and keys must be the ones emit_certificate writes: no row stated
-    twice, every row used in order of first use, every key canonical, and
-    the assignment's and F's keys in key order; the first that is not is
-    refused by name.  The stored report is not parsed: verify measures the
-    stored maps again at its F, epsilon and strictness, and report_to_json of
-    the fresh report must equal it in value and type at every level (so ``0``
-    is not ``false``); the fresh report, with every count, is returned.
+    is read by girth.fiber_from_json and every label sifted into it; the
+    slots' sizes give the carrier.  The tables and keys must be the ones
+    emit_certificate writes: no row stated twice, every row used in order of
+    first use, and the assignment's and F's keys canonical and in key order,
+    each key checked where it is read; the first that is not is refused by
+    name.  The stored report is not parsed: verify measures the stored maps
+    again on the claimed F, at the report's epsilon and strictness, and
+    report_to_json of the fresh report must have the stored report's
+    canonical JSON (so ``0`` is not ``false`` or ``0.0``); the fresh report,
+    with every count, is returned.
     """
     doc = parse_json(text, "certificate")
     del text  # frees the text now when the caller keeps no reference to it
@@ -640,23 +639,17 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
             "run its request again with quasiact construct"
         )
     g = _field(doc, "group", group_from_json)
-    carrier_n = _field(doc, "carrier_n", _decode_int)
     # Per slot, its layout and its table of distinct slot maps.
     slots = _field(doc, "slots", lambda v: [_table_from_json(s, i)
                                             for i, s in enumerate(_decode_list(v))])
     if not slots:
         raise DomainError("field 'slots': a certificate has at least one slot")
     layout, tables = zip(*slots)
-    keyed, keys, index = _field(doc, "assignment", lambda v: _assignment_from_json(g, v, tables))
-    f_keyed = _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v), keyed,
-                                                             ordered=True))
-    qa = QuasiAction._from_slots(g, carrier_n, layout, list(tables), keyed.values(), index,
-                                 FiniteSubset(g, f_keyed.values()),
-                                 _field(doc, "epsilon", parse_fraction), keys)
-    # The assignment's and F's elements are supported, so qa has their
-    # canonical keys: each element is keyed once.
-    for stated in (keyed, f_keyed):
-        _check_keys(stated, map(qa.keys.__getitem__, stated.values()))
+    keyed, index = _field(doc, "assignment", lambda v: _assignment_from_json(g, v, tables))
+    f = _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v), keyed))
+    qa = QuasiAction._from_slots(g, layout, list(tables), keyed.values(), index,
+                                 FiniteSubset(g, f.values()),
+                                 _field(doc, "epsilon", parse_fraction), list(keyed))
     # The tables emit_certificate writes: each row used, in order of first use.
     for s, stated in enumerate(tables):
         for r in np.flatnonzero(np.bincount(index[:, s], minlength=len(stated)) == 0)[:1].tolist():
@@ -665,23 +658,11 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
         raise InvariantViolationError(f"{TABLES}: slot {s} row {index[k, s]} is first used, by key "
                                       f"{list(keyed)[k]!r:.60}, before row {renumbered[k, s]}")
     stored = _field(doc, "report", _decode_object)
-    f = _field(stored, "f", lambda v: _elements_from_keys(g, _decode_list(v), keyed))
-    _check_keys(f, g._keys_many(list(f.values())))
-    epsilon = _field(stored, "epsilon", parse_fraction)
-    strict = _field(stored, "strict", lambda v: v is not None)
     del doc  # only the report is kept while verify runs
-    report = verify(qa, f.values(), epsilon, strict)
-    if not _same_report(stored, report_to_json(report)):
+    report = verify(qa, epsilon=_field(stored, "epsilon", parse_fraction),
+                    strict=_field(stored, "strict", lambda v: v is not None))
+    if canonical_json(stored) != canonical_json(report_to_json(report)):
         raise InvariantViolationError(
             "the stored report differs from the one verify measures on the stored maps"
         )
     return qa, report
-
-
-def _same_report(stored, fresh) -> bool:
-    """Whether the decoded stored report is report_to_json's fresh one: the same keys,
-    values and types at every level, so 0 is not false (f's keys equal only strings)."""
-    if type(fresh) is dict:
-        return (type(stored) is dict and stored.keys() == fresh.keys()
-                and all(_same_report(stored[k], v) for k, v in fresh.items()))
-    return type(stored) is type(fresh) and stored == fresh

@@ -1,4 +1,4 @@
-"""Format 9 certificate documents in the tests: read and rewrite the slot
+"""Format 10 certificate documents in the tests: read and rewrite the slot
 tables and the assignment as arrays, each rewrite hashed again, and the
 per-entry decoder of format 7 kept as the oracle of the table decoder.
 An action's slot tables (int32 rows of cell images, then labels) are read
@@ -145,7 +145,7 @@ def slot_from_entry(entry: dict, cells: int, fiber, member) -> FiniteMap:
 
 def every_count(report) -> str:
     """The canonical JSON of a report with every count, flag and verdict:
-    format 8's stored report, which format 9 summarises.  Two reports give
+    format 8's stored report, which format 10 summarises.  Two reports give
     the same text iff they agree on every count (a_counts row-major over F,
     c_agreements over F minus the identity, the strict flags over the
     support minus the identity and the pairwise counts over F and the

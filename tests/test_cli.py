@@ -139,7 +139,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("field,value", [
         (("epsilon",), 0.01),
         (("F",), [1, 2]),
-        (("report", "f"), [1, 2]),
+        (("report", "epsilon"), 0.01),
         (("assignment",), []),
         (("F",), 5),
         (("report",), []),
@@ -192,9 +192,9 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "expected an array" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_old_formats_exit_two(self, c4_certificate, tmp_path, capsys, fmt):
-        # Formats 1-6 are refused by name; a missing "format" is format 1.
+        # Formats 1-9 are refused by name; a missing "format" is format 1.
         doc = json.loads(c4_certificate.read_text())
         if fmt is None:
             del doc["format"]
@@ -564,7 +564,7 @@ class TestMalformedInputs:
         (_set(("group", "table"), C4_TABLE[:3] + [[3, 0, 1, 2.0]]), "'table': expected an integer"),
         (_set(("group", "table"), C4_TABLE[:3] + [[3, 0, 1, "2"]]), "'table': expected an integer"),
         (_set(("group",), {"kind": "product", "factors": 5}), "'factors': expected an array"),
-        (lambda doc: doc.pop("carrier_n"), "missing field 'carrier_n'"),
+        (lambda doc: doc.pop("slots"), "missing field 'slots'"),
         (_format_1, "certificate format 1 is not read"),
         (_set(("F", 0), "[1,"), "element key '[1,' is not JSON"),
     ])
@@ -633,7 +633,7 @@ class TestUnparsableJson:
     ])
     def test_certificate(self, tmp_path, capsys, c4_certificate, value, cause):
         old = c4_certificate.read_text()
-        text = old.replace('"carrier_n":4', f'"carrier_n":{value}')
+        text = old.replace('"carrier_n":4', f'"carrier_n":{value}')  # the report's carrier
         assert text != old
         path = tmp_path / "bad.json"
         path.write_text(text)

@@ -1,11 +1,11 @@
-"""Format 9 payloads, as format 8 wrote them: each slot's table is one
+"""Format 10 payloads, as formats 8 and 9 wrote them: each slot's table is one
 images payload (rows x cells) and one labels payload (rows x cells x V's
 degree), each in the narrowest little-endian dtype that holds values below
 its bound.  The bound is the slot's cells for cell images and V's degree
 for labels: uint8 up to 256, uint16 up to 65,536, else int32.
 
 Two oracles are kept here.  The int32 codec of format 6: for the same
-QuasiAction, the tables a format 9 certificate loads to are the maps that
+QuasiAction, the tables a format 10 certificate loads to are the maps that
 int32 payloads of the same tables decode to.  And the per-entry decoder of
 format 7 (certificate_tables.per_entry_tables), which splits each table
 into rows and decodes and hashes each row alone: it gives the maps the
@@ -232,10 +232,10 @@ class TestRefusals:
     @pytest.mark.parametrize("cells,degree", SLOTS)
     def test_format_7_is_refused_by_name(self, cells, degree):
         doc = json.loads(certificate(cells, degree))
-        for fmt in (7, 8):  # format 8 stored every count of the report
+        for fmt in (7, 8, 9):  # format 8 stored every count, format 9 F and the carrier twice
             doc["format"] = fmt
             with pytest.raises(DomainError,
-                               match=f"certificate format {fmt} is not read, only format 9"):
+                               match=f"certificate format {fmt} is not read, only format 10"):
                 load_certificate(json.dumps(doc))
 
 

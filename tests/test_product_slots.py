@@ -274,7 +274,7 @@ class TestProductCertificates:
 
     def test_one_table_of_distinct_entries_per_slot(self, certificate):
         doc = json.loads(certificate)
-        assert doc["format"] == 9 and doc["carrier_n"] == 35
+        assert doc["format"] == 10 and "carrier_n" not in doc and doc["report"]["carrier_n"] == 35
         assert [(s["cells"], s["fiber"]) for s in doc["slots"]] == [(7, None), (5, None)]
         # 7 x 4 product maps: shifts by -2..4 mod 7 and by -1..2 mod 5.
         values = assignment(doc)

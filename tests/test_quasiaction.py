@@ -197,11 +197,9 @@ class TestCertificates:
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
         doc = json.loads(cert)
-        assert set(doc) == {
-            "format", "group", "carrier_n", "F", "epsilon", "slots", "assignment", "report"
-        }
+        assert set(doc) == {"format", "group", "F", "epsilon", "slots", "assignment", "report"}
         [slot] = doc["slots"]
-        assert doc["format"] == 9 and slot["cells"] == 4 and slot["fiber"] is None
+        assert doc["format"] == 10 and slot["cells"] == 4 and slot["fiber"] is None
         assert set(slot) == {"cells", "fiber", "maps", "images", "labels", "sha256"}
         assert set(doc["assignment"]) == {"keys", "index", "sha256"}
         assert doc["epsilon"] == "1/100"
@@ -217,8 +215,9 @@ class TestCertificates:
 
     def test_report_is_count_summaries(self):
         qa = integer_shifts([-1, 1], 12, range(-2, 3))
-        report = json.loads(emit_certificate(qa, verify(qa, strict=True)))["report"]
-        assert report["f"] == ["-1", "1"]
+        doc = json.loads(emit_certificate(qa, verify(qa, strict=True)))
+        report = doc["report"]
+        assert doc["F"] == ["-1", "1"] and "f" not in report
         assert report["condition_a"] == {"max": 0, "at": 0}  # of 4 zeros
         assert report["condition_b"] == 0
         assert report["condition_c"] == {"max": 0, "at": 0}  # of 2 zeros
@@ -300,7 +299,7 @@ class TestCertificates:
             (("report", "condition_a"), [0, 0]),  # a list for a summary
             (("report", "condition_c"), None),  # null for a non-empty array
             (("report", "condition_b"), "0/4"),
-            (("report", "f", 1), " 1"),  # a key that names the same element
+            (("F", 1), " 1"),  # a key that names the same element
             (("slots",), [0, 1, 2, 3]),  # map "1"'s row, rehashed as the identity's
             (("report", "strict", "identity_exact"), 1),
             (("report", "condition_c", "max"), 0.9),
@@ -317,6 +316,49 @@ class TestCertificates:
         text = with_row(cert, "1", value) if path[0] == "slots" else edited(cert, path, value)
         with pytest.raises(InvariantViolationError, match=re.escape(message)):
             load_certificate(text)
+
+
+class TestEmitStatesFOnce:
+    """A certificate states F and the carrier once, so emit_certificate
+    refuses a report measured on another F or carrier by name; the loader
+    measures the report again on the claimed F and carrier."""
+
+    @staticmethod
+    def doubled_c4():
+        # C4 shifting 8 points by two per step: the same F, on another carrier.
+        g = cyclic_group(4)
+        assign = {k: shift_map(8, 2 * k) for k in range(4)}
+        return QuasiAction(g, 8, assign, FiniteSubset(g, range(4)), Fraction(1, 100))
+
+    @pytest.mark.parametrize("f", [[0, 1], [0, 2], [], [1, 2, 3]])
+    def test_a_report_on_another_f_is_refused(self, f):
+        qa = regular_c4()
+        with pytest.raises(DomainError) as exc:
+            emit_certificate(qa, verify(qa, f))
+        assert str(exc.value) == "the report was measured on another F than the action's"
+
+    def test_a_report_on_another_carrier_is_refused(self):
+        qa, report = regular_c4(), verify(self.doubled_c4())
+        assert report.f_keys == verify(qa).f_keys and report.carrier_n == 8
+        with pytest.raises(DomainError) as exc:
+            emit_certificate(qa, report)
+        assert str(exc.value) == "the report was measured on another carrier than the action's"
+
+    def test_the_carrier_is_named_before_f(self):
+        with pytest.raises(DomainError, match="another carrier"):
+            emit_certificate(regular_c4(), verify(self.doubled_c4(), [0, 1]))
+
+    def test_f_given_in_another_order_or_repeated_is_the_claimed_f(self):
+        qa = regular_c4()
+        cert = emit_certificate(qa, verify(qa, [3, 2, 1, 0, 3]))
+        assert cert == emit_certificate(qa, verify(qa))
+
+    def test_another_epsilon_and_strictness_are_written(self):
+        qa = regular_c4()
+        report = verify(qa, epsilon=Fraction(1, 5), strict=True)
+        doc = json.loads(emit_certificate(qa, report))
+        assert (doc["epsilon"], doc["report"]["epsilon"]) == ("1/100", "1/5")
+        assert load_certificate(json.dumps(doc))[1] == report
 
 
 def oracle_verdicts(qa, epsilon, strict) -> dict:
@@ -662,9 +704,9 @@ class TestCertificateCodec:
         # The loaded report keeps every count the certificate summarises.
         assert r2 == report and every_count(r2) == every_count(report)
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_other_formats_refused(self, fmt):
-        # Only format 9 is read.  No "format" key is format 1, whose maps
+        # Only format 10 is read.  No "format" key is format 1, whose maps
         # were plain lists of integers.
         qa = regular_c4()
         doc = json.loads(emit_certificate(qa, verify(qa)))

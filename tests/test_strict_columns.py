@@ -1,5 +1,5 @@
-"""Strict verify on stacked slot tables, the stored report compared by
-type and value, and the assignment read as one index array.
+"""Strict verify on stacked slot tables, the stored report compared in
+canonical form, and the assignment read as one index array.
 
 ``verify --strict`` measures fixpoints, bijectivity and exact inverses per
 slot on stacked table entries, in chunks of ``POINTS``, as it measures
@@ -10,8 +10,8 @@ fibered and multi-slot actions.
 
 The loader compares the stored report's summaries (each count array's
 deciding value and its position, each flag array's first failure) and the
-rest by type and value at every level; the canonical JSON of the whole
-report is the oracle.  It
+rest as the canonical JSON of the whole report; the compare by type and
+value at every level that the format 9 loader made is the oracle.  It
 reads the assignment as one index payload and names the first index past
 its table's size.
 """
@@ -38,7 +38,7 @@ from quasiact.errors import (DomainError, IncompleteSupportError, InvariantViola
                              QuasiactError)
 from quasiact.finmap import Fiber, FiniteMap, fixpoint_count, identity_like, inverse_map
 from quasiact.groups import GroupHandle
-from quasiact.quasiaction import StrictChecks, _slot_counts
+from quasiact.quasiaction import StrictChecks, _slot_counts, report_to_json
 from quasiact.util import canonical_json
 
 import test_fibered
@@ -236,19 +236,20 @@ def strict_certificate() -> str:
 
 
 def old_same_report(stored, fresh) -> bool:
-    """The compare the loader made before: the whole report as canonical JSON."""
-    return canonical_json(stored) == canonical_json(fresh)
+    """The compare the format 9 loader made: the same keys, values and types
+    at every level, so 0 is not false."""
+    if type(fresh) is dict:
+        return (type(stored) is dict and stored.keys() == fresh.keys()
+                and all(old_same_report(stored[k], v) for k, v in fresh.items()))
+    return type(stored) is type(fresh) and stored == fresh
 
 
-def refusal(text: str, same_report=None):
+def refusal(text: str):
     """load_certificate's error as (type, message), or None if it loads."""
-    with pytest.MonkeyPatch.context() as mp:
-        if same_report is not None:
-            mp.setattr(quasiaction, "_same_report", same_report)
-        try:
-            load_certificate(text)
-        except QuasiactError as exc:
-            return type(exc), str(exc)
+    try:
+        load_certificate(text)
+    except QuasiactError as exc:
+        return type(exc), str(exc)
     return None
 
 
@@ -298,13 +299,17 @@ def edit_report(doc: dict, edit: str) -> None:
     elif edit == "false_for_null":
         assert strict["fixpoint_free"] is None
         strict["fixpoint_free"] = False
+    elif edit == "f_restated":  # format 9's copy of F in the report
+        report["f"] = doc["F"]
+    elif edit == "keys_reversed":  # the same report, its members in another order
+        doc["report"] = dict(reversed(report.items()), strict=dict(reversed(strict.items())))
 
 
 EDITS = ["false_for_0", "1_for_true", "float_count", "off_by_one", "extra_key",
          "extra_strict_key", "missing_key", "missing_strict_key", "list_for_summary",
          "strict_dict_for_flag", "string_for_count", "list_for_flag", "false_for_position",
          "float_position", "moved_position", "missing_summary_key", "extra_summary_key",
-         "false_for_null"]
+         "false_for_null", "f_restated"]
 
 
 class TestReportCompare:
@@ -312,12 +317,22 @@ class TestReportCompare:
         text = strict_certificate()
         assert emit_certificate(*load_certificate(text)) == text
 
-    @pytest.mark.parametrize("edit", EDITS)
+    @pytest.mark.parametrize("edit", [None, "keys_reversed", *EDITS])
     def test_an_edited_report_is_refused_as_before(self, edit):
-        doc = json.loads(strict_certificate())
-        edit_report(doc, edit)
+        # The canonical JSON of the stored report equals the fresh one's
+        # exactly when the format 9 compare holds, and the loader refuses
+        # every edit that changes the report with the same message.
+        original = strict_certificate()
+        fresh = report_to_json(load_certificate(original)[1])
+        doc = json.loads(original)
+        if edit is not None:
+            edit_report(doc, edit)
         text = json.dumps(doc)
-        assert refusal(text) == refusal(text, old_same_report) == DIFFERS
+        stored = json.loads(text)["report"]
+        kept = edit in (None, "keys_reversed")
+        assert (canonical_json(stored) == canonical_json(fresh)) is old_same_report(stored, fresh)
+        assert old_same_report(stored, fresh) is kept
+        assert refusal(text) == (None if kept else DIFFERS)
 
     def test_counts_past_int64_compare_exactly(self):
         qa = test_fibered.TestCountsPastInt64().shift_action(21)
