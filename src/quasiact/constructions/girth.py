@@ -27,8 +27,8 @@ import numpy as np
 
 from ..errors import DomainError, InvariantViolationError, SearchFailureError
 from ..finmap import Fiber
-from ..groups import _decode_int, _decode_ints, _decode_list, _field
-from ..util import document_json, parse_json
+from ..groups import _decode_int, _decode_ints, _decode_list, _decode_object, _field
+from ..util import canonical_json, parse_json
 
 _ATTEMPTS_PER_DEGREE = 80
 _DRAWS_PER_GENERATOR = 400
@@ -52,15 +52,18 @@ class GirthGroup:
         return len(self.fiber.generators)
 
     def to_witness_json(self) -> str:
-        return document_json({**self.fiber.describe(), "girth_bound": self.certified_girth_bound,
-                              "seed": self.seed})
+        return canonical_json({**self.fiber.describe(), "girth_bound": self.certified_girth_bound,
+                               "seed": self.seed}) + "\n"
 
 
-def fiber_from_json(doc) -> tuple[Fiber, Callable[..., np.ndarray]]:
+def fiber_from_json(doc, what: str = "fiber", more=()) -> tuple[Fiber, Callable[..., np.ndarray]]:
     """The one reader of V (a girth witness, or a certificate slot's fiber):
-    its degree, then its generators, each of that length, then its order.
+    a key that is neither V's nor one of more (the caller's) is refused, then
+    its degree, its generators, each of that length, and its order are read.
     Fiber checks the permutations and Schreier-Sims the order; returns V and
     Schreier-Sims's batched test of membership in V."""
+    for key in sorted(set(_decode_object(doc)) - {"degree", "generators", "order", *more})[:1]:
+        raise DomainError(f"{what} key {key!r:.40} is not read")
     degree = _field(doc, "degree", _decode_int)
     gens = _field(doc, "generators", lambda v: tuple(
         tuple(_decode_ints(p, degree)) for p in _decode_list(v)))
@@ -73,10 +76,10 @@ def fiber_from_json(doc) -> tuple[Fiber, Callable[..., np.ndarray]]:
 
 def load_girth_witness(text: str) -> GirthGroup:
     """Rebuild a GirthGroup from a witness file: V by fiber_from_json, then
-    its girth bound and seed (JSON integers only, else DomainError), and the
-    word-girth certificate earned again."""
+    its girth bound and seed (JSON integers only, else DomainError; so is a
+    key it does not read), and the word-girth certificate earned again."""
     doc = parse_json(text, "girth witness")
-    fiber = fiber_from_json(doc)[0]
+    fiber = fiber_from_json(doc, "girth witness", ("girth_bound", "seed"))[0]
     bound, seed = (_field(doc, k, _decode_int) for k in ("girth_bound", "seed"))
     if bound < 1:
         raise DomainError(f"girth_bound must be positive, got {bound}")

@@ -459,12 +459,15 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
-FORMAT = 10
+FORMAT = 11
 
 # hashlib is imported inside the codec functions: it loads OpenSSL, which
 # adds about 4 MiB of RSS to every command, including those that never
 # read or write a certificate.
 TABLES = "a slot's table must list each slot map in use once, in order of first use over the sorted keys"
+LABELS = "a fibered slot states each distinct label once, in sorted order, and uses each"
+_SLOT_KEYS = frozenset({"cells", "maps", "fiber", "images", "sha256"})
+_LABEL_KEYS = frozenset({"label_count", "labels", "label_index"})
 
 
 def _payload_dtype(bound: int) -> str:
@@ -510,34 +513,65 @@ def _payloads_from_json(doc, what: str, **parts) -> list[np.ndarray]:
     return out
 
 
+def _label_codes(labels: np.ndarray) -> np.ndarray:
+    """One int64 code per row of a (labels, degree) array, ordered as the rows
+    are lexicographically (row codes are), so sorted codes give sorted labels."""
+    codes = _row_codes(labels.T.astype(np.int64), itertools.repeat(labels.shape[1]))
+    return np.broadcast_to(codes, len(labels))  # at degree 0 each label is the empty one
+
+
 def _slot_to_json(layout: tuple, table: np.ndarray) -> dict:
     cells, v = layout
-    return {"cells": cells, "maps": len(table), "fiber": None if v is None else v.describe(),
-            **_payloads_to_json(images=(table[:, :cells], cells),
-                                labels=(table[:, cells:], 0 if v is None else v.degree))}
+    slot = {"cells": cells, "maps": len(table), "fiber": None if v is None else v.describe()}
+    if v is None:
+        return {**slot, **_payloads_to_json(images=(table, cells))}
+    labels = table[:, cells:].reshape(len(table) * cells, v.degree)
+    distinct, at, first = _unique(_label_codes(labels))
+    return {**slot, "label_count": len(distinct), **_payloads_to_json(
+        images=(table[:, :cells], cells), labels=(labels[first], v.degree),
+        label_index=(at, len(distinct)))}
 
 
 def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
-    """Slot i's layout (cells, fiber) and table, from its images and labels
-    payloads: the distinct labels sifted into V in one batch (one outside V,
-    or no permutation, would move points off the carrier), no row stated twice."""
+    """Slot i's layout (cells, fiber) and table, from its "images" payload
+    and, when fibered, its "label_count" distinct labels, sorted, and one
+    "label_index" into them per cell.  Any other key is refused.  The label
+    table is sifted into V in one batch (a label outside V, or no
+    permutation, would move points off the carrier) and must state each label
+    once and use it; the rows are gathered from it, none stated twice."""
     import hashlib
 
     from .constructions.girth import fiber_from_json  # constructions imports this module
 
     cells = check_carrier_size(_field(s, "cells", _decode_int))
-    fiber, member = _field(s, "fiber", lambda f: (None, None) if f is None else fiber_from_json(f))
-    rows, d = _field(s, "maps", _decode_int), 0 if fiber is None else fiber.degree
-    images, labels = _payloads_from_json(s, f"slot {i}", images=((rows, cells), cells),
-                                         labels=((rows, cells, d), d))
-    if d:  # the distinct labels in sorted order: row codes order rows lexicographically
-        flat = labels.reshape(-1, d)
-        distinct = flat[_unique(_row_codes(flat.T.astype(np.int64), itertools.repeat(d)))[2]]
-        for w in distinct[~member(distinct)][:1].tolist():
-            raise InvariantViolationError(f"slot {i} labels: label {w} is not in V: "
+    fiber, member = _field(s, "fiber", lambda f: (None, None) if f is None
+                           else fiber_from_json(f, f"slot {i} fiber"))
+    for key in sorted(set(s) - (_SLOT_KEYS if fiber is None else _SLOT_KEYS | _LABEL_KEYS))[:1]:
+        hint = ": a dense slot states no labels" if key in _LABEL_KEYS else ""
+        raise DomainError(f"slot {i} key {key!r:.40} is not read{hint}")
+    rows, what = _field(s, "maps", _decode_int), f"slot {i}"
+    if fiber is None:
+        [images] = _payloads_from_json(s, what, images=((rows, cells), cells))
+        packed = images.astype(np.int32, copy=False)  # int32 images stay in their bytes
+    else:
+        d, k = fiber.degree, _field(s, "label_count", _decode_int)
+        if k > rows * cells:  # each label is used, so by some cell
+            raise InvariantViolationError(f"{what} labels: {k} labels for {rows * cells} cells: "
+                                          f"{LABELS}")
+        images, labels, index = _payloads_from_json(s, what, images=((rows, cells), cells),
+                                                    labels=((k, d), d),
+                                                    label_index=((rows, cells), k))
+        codes = _label_codes(labels)
+        for j in np.flatnonzero(codes[1:] <= codes[:-1])[:1].tolist():
+            raise InvariantViolationError(f"{what} labels: label {j + 1} does not come after "
+                                          f"label {j}: {LABELS}")
+        for j in np.flatnonzero(np.bincount(index.ravel(), minlength=k) == 0)[:1].tolist():
+            raise InvariantViolationError(f"{what} labels: label {j} is not used: {LABELS}")
+        for w in labels[~member(labels)][:1].tolist():  # the first in sorted order
+            raise InvariantViolationError(f"{what} labels: label {w} is not in V: "
                                           "a map leaves the carrier")
-    packed = (np.concatenate([images, labels.reshape(rows, cells * d)], axis=1, dtype=np.int32)
-              if d else images.astype(np.int32, copy=False))  # int32 images stay in their bytes
+        packed = np.concatenate([images, labels[index].reshape(rows, cells * d)], axis=1,
+                                dtype=np.int32)
     # Rows are compared only where their fingerprints meet: a fixed pseudorandom
     # linear form mod 2**64, which einsum sums in buffers, not on a copy of the table.
     form = np.frombuffer(hashlib.shake_128(b"rows").digest(8 * packed.shape[1]), np.uint64)
@@ -569,14 +603,17 @@ def _assignment_from_json(g: GroupHandle, a, tables) -> tuple[dict, np.ndarray]:
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
-    (format 10), each fact once.  Per slot: its cells, its fiber (V's degree,
+    (format 11), each fact once.  Per slot: its cells, its fiber (V's degree,
     generators and order, or null; the slots' sizes give the carrier) and its
-    table's rows, as "maps" rows of "images" (rows, cells) and "labels" (rows,
-    cells, degree), one sha256 over both.  "assignment": the keys in key order
-    and their (keys, slots) "index" into the tables, with its sha256.  Payloads
-    are base64 of little-endian values in _payload_dtype of their bound (cells,
-    V's degree, the largest table).  "report" is report_to_json's summary of
-    counts measured on qa's carrier and claimed F; another is refused by name."""
+    table's rows, as "maps" rows of "images" (rows, cells).  A fibered slot
+    states its "label_count" distinct labels once, sorted, as "labels" (count,
+    degree), and one "label_index" into them per cell (rows, cells); a dense
+    slot states no labels.  One sha256 covers the slot's payloads.
+    "assignment": the keys in key order and their (keys, slots) "index" into
+    the tables, with its sha256.  Payloads are base64 of little-endian values
+    in _payload_dtype of their bound (cells, V's degree, the label count, the
+    largest table).  "report" is report_to_json's summary of counts measured
+    on qa's carrier and claimed F; another is refused by name."""
     f_keys = tuple(qa.keys[e] for e in qa.claimed_f)
     for name, other in (("carrier", report.carrier_n != qa.carrier_n),
                         ("F", report.f_keys != f_keys)):
@@ -617,11 +654,12 @@ def _elements_from_keys(g: GroupHandle, keys, known: Mapping) -> dict:
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
-    """Read a format 10 certificate; formats 1-9 are refused by name (run
+    """Read a format 11 certificate; formats 1-10 are refused by name (run
     their request again with ``quasiact construct``).  Each fibered slot's V
-    is read by girth.fiber_from_json and every label sifted into it; the
-    slots' sizes give the carrier.  The tables and keys must be the ones
-    emit_certificate writes: no row stated twice, every row used in order of
+    is read by girth.fiber_from_json and its label table sifted into it; the
+    slots' sizes give the carrier.  The slots, tables and keys must be the
+    ones emit_certificate writes: no slot key it does not write, each label
+    stated once, sorted and used, no row stated twice, every row used in order of
     first use, and the assignment's and F's keys canonical and in key order,
     each key checked where it is read; the first that is not is refused by
     name.  The stored report is not parsed: verify measures the stored maps

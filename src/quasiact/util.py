@@ -54,14 +54,9 @@ def parse_json(text: str, what: str):
 
 
 def canonical_json(obj) -> str:
-    """Compact, key-sorted JSON: the canonical string form used for keys and
-    certificates."""
+    """Compact, key-sorted JSON: the canonical string form used for keys,
+    certificates and girth witnesses."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def document_json(obj) -> str:
-    """Deterministic human-readable JSON for girth witness files."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -1,14 +1,17 @@
-"""Format 10 certificate documents in the tests: read and rewrite the slot
-tables and the assignment as arrays, each rewrite hashed again, and the
-per-entry decoder of format 7 kept as the oracle of the table decoder.
-An action's slot tables (int32 rows of cell images, then labels) are read
-as maps through table_maps alone.  every_count writes a report with every
-count, as format 8 stored it, for tests that compare two reports in full.
+"""Format 11 certificate documents in the tests: read and rewrite the slot
+tables and the assignment as arrays, each rewrite hashed again, and two
+older decoders kept as oracles of the table decoder: format 10's, which
+read one label per cell, and format 7's per-entry one.  An action's slot
+tables (int32 rows of cell images, then labels) are read as maps through
+table_maps alone.  every_count writes a report with every count, as format
+8 stored it, for tests that compare two reports in full.
 
-A slot's "images" payload is its (rows, cells) table of cell images and
-"labels" its (rows, cells, degree) labels, one sha256 over both; the
-assignment's "index" payload is (keys, slots), with its own sha256.  Each
-payload is little-endian in the narrowest dtype of its bound.
+A slot's "images" payload is its (rows, cells) table of cell images.  A
+fibered slot adds its "label_count" distinct labels, sorted, as "labels"
+(count, degree) and one "label_index" into them per cell (rows, cells); one
+sha256 covers the slot's payloads.  The assignment's "index" payload is
+(keys, slots), with its own sha256.  Each payload is little-endian in the
+narrowest dtype of its bound.
 """
 
 import base64
@@ -44,23 +47,84 @@ def degree_of(slot: dict) -> int:
 
 
 def slot_rows(doc: dict, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slot s's table as int64 arrays: images (rows, cells), labels (rows, cells, degree)."""
+    """Slot s's table as int64 arrays: images (rows, cells), labels (rows,
+    cells, degree), each cell's label gathered from the label table."""
     slot = doc["slots"][s]
     cells, degree, rows = slot["cells"], degree_of(slot), slot["maps"]
     images = np.frombuffer(raw(slot, "images"), dtype_of(cells)).reshape(rows, cells)
-    labels = np.frombuffer(raw(slot, "labels"), dtype_of(degree)).reshape(rows, cells, degree)
-    return images.astype(np.int64), labels.astype(np.int64)
+    if not degree:
+        return images.astype(np.int64), np.zeros((rows, cells, 0), np.int64)
+    table, index = label_table(slot)
+    return images.astype(np.int64), table[index]
+
+
+def label_table(slot: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A fibered slot's label table (count, degree) and its (rows, cells)
+    index, as int64 arrays."""
+    degree, count = degree_of(slot), slot["label_count"]
+    table = np.frombuffer(raw(slot, "labels"), dtype_of(degree)).reshape(count, degree)
+    index = np.frombuffer(raw(slot, "label_index"), dtype_of(count))
+    return table.astype(np.int64), index.reshape(slot["maps"], -1).astype(np.int64)
+
+
+def set_label_table(doc: dict, s: int, images, table, index) -> None:
+    """Write fibered slot s from images (rows, cells), a label table (count,
+    degree) and its index (rows, cells) as given, sorted or not, in the
+    slot's dtypes, with its row and label counts and hash."""
+    slot = doc["slots"][s]
+    images, table = np.asarray(images), np.asarray(table).reshape(-1, degree_of(slot))
+    slot.update(maps=len(images), label_count=len(table), images=encode(images, slot["cells"]),
+                labels=encode(table, degree_of(slot)), label_index=encode(index, len(table)))
+    rehash(slot, "images", "labels", "label_index")
 
 
 def set_slot_rows(doc: dict, s: int, images, labels=None) -> None:
     """Write slot s's table from images (rows, cells) and labels (rows, cells,
-    degree; none when dense) in the slot's dtypes, with its row count and hash."""
+    degree; none when dense) as the codec does: a dense slot's images alone,
+    a fibered slot's distinct labels sorted, each cell indexing its own."""
     slot = doc["slots"][s]
     images = np.asarray(images)
-    labels = np.zeros(images.shape + (0,), int) if labels is None else np.asarray(labels)
-    slot.update(maps=len(images), images=encode(images, slot["cells"]),
-                labels=encode(labels, degree_of(slot)))
-    rehash(slot, "images", "labels")
+    if not degree_of(slot):
+        slot.update(maps=len(images), images=encode(images, slot["cells"]))
+        rehash(slot, "images")
+        return
+    labels = np.asarray(labels).reshape(-1, degree_of(slot))
+    table, index = np.unique(labels, axis=0, return_inverse=True)
+    set_label_table(doc, s, images, table, index.reshape(images.shape))
+
+
+def format_10_slot(slot: dict) -> dict:
+    """Slot as format 10 wrote it: "images", then one label per cell as
+    "labels" (rows, cells, degree), one sha256 over both."""
+    old = {k: slot[k] for k in ("cells", "fiber", "maps", "images")}
+    old["labels"] = encode(slot_rows({"slots": [slot]}, 0)[1], degree_of(slot))
+    rehash(old, "images", "labels")
+    return old
+
+
+def format_10_table(s: dict, i: int) -> tuple[tuple, np.ndarray]:
+    """Format 10's decoder of slot i, kept as the oracle: its images and
+    per-cell labels payloads, every cell's label deduplicated and the
+    distinct ones sifted into V in one batch, no row stated twice."""
+    from quasiact.constructions.girth import fiber_from_json
+    from quasiact.quasiaction import TABLES, _payloads_from_json
+
+    cells, fiber_doc, rows = s["cells"], s["fiber"], s["maps"]
+    fiber, member = (None, None) if fiber_doc is None else fiber_from_json(fiber_doc)
+    d = 0 if fiber is None else fiber.degree
+    images, labels = _payloads_from_json(s, f"slot {i}", images=((rows, cells), cells),
+                                         labels=((rows, cells, d), d))
+    if d:
+        distinct = np.unique(labels.reshape(-1, d), axis=0)
+        for w in distinct[~member(distinct)][:1].tolist():
+            raise InvariantViolationError(f"slot {i} labels: label {w} is not in V: "
+                                          "a map leaves the carrier")
+    packed = np.concatenate([images, labels.reshape(rows, cells * d)], axis=1, dtype=np.int32)
+    seen = {}
+    for r, row in enumerate(packed):
+        if (j := seen.setdefault(row.tobytes(), r)) != r:
+            raise InvariantViolationError(f"{TABLES}: slot {i} row {r} repeats row {j}")
+    return (cells, fiber), packed
 
 
 def assignment(doc: dict) -> dict:
@@ -95,7 +159,7 @@ def slot_maps(qa) -> list[list[FiniteMap]]:
 
 def per_entry_tables(doc: dict, fibers) -> list[list[FiniteMap]]:
     """Every slot's table decoded row by row, the format 7 way: each row's
-    images and labels split from the slot's payloads, hashed alone as one
+    images and per-cell labels split from the slot's table, hashed alone as one
     entry, then decoded and sifted by slot_from_entry.  fibers holds each
     slot's (Fiber, membership test), or (None, None) when dense."""
     tables = []
@@ -103,7 +167,9 @@ def per_entry_tables(doc: dict, fibers) -> list[list[FiniteMap]]:
         cells, degree = slot["cells"], degree_of(slot)
         image_bytes = cells * dtype_of(cells).itemsize
         label_bytes = cells * degree * dtype_of(degree).itemsize
-        images, labels = raw(slot, "images"), raw(slot, "labels")
+        images, labels = slot_rows(doc, len(tables))
+        images = images.astype(dtype_of(cells)).tobytes()
+        labels = labels.astype(dtype_of(degree)).tobytes()
         table = []
         for r in range(slot["maps"]):
             row = images[r * image_bytes : (r + 1) * image_bytes]
@@ -145,7 +211,7 @@ def slot_from_entry(entry: dict, cells: int, fiber, member) -> FiniteMap:
 
 def every_count(report) -> str:
     """The canonical JSON of a report with every count, flag and verdict:
-    format 8's stored report, which format 10 summarises.  Two reports give
+    format 8's stored report, which formats 9 to 11 summarise.  Two reports give
     the same text iff they agree on every count (a_counts row-major over F,
     c_agreements over F minus the identity, the strict flags over the
     support minus the identity and the pairwise counts over F and the

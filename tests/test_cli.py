@@ -13,7 +13,7 @@ import quasiact
 from quasiact import cyclic_group, emit_certificate, load_certificate, verify
 from quasiact import quasiaction
 from quasiact.cli import main
-from quasiact.constructions import regular_action
+from quasiact.constructions import load_girth_witness, regular_action
 from quasiact.errors import DomainError
 
 from certificate_tables import assignment, set_slot_rows, slot_rows
@@ -192,9 +192,9 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "expected an array" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_old_formats_exit_two(self, c4_certificate, tmp_path, capsys, fmt):
-        # Formats 1-9 are refused by name; a missing "format" is format 1.
+        # Formats 1-10 are refused by name; a missing "format" is format 1.
         doc = json.loads(c4_certificate.read_text())
         if fmt is None:
             del doc["format"]
@@ -234,6 +234,36 @@ class TestGirthSearchCommand:
         assert code == 2
         assert "order cap" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_verify_earns_the_witness_again(self, tmp_path, capsys):
+        # verify reads a witness, which has no "format", with the witness
+        # loader, and --out writes it again byte for byte.
+        code, out = self.search(tmp_path, labels=2, bound=2, order_cap=500)
+        group = load_girth_witness(out.read_text())
+        capsys.readouterr()
+        again = tmp_path / "again.json"
+        assert main(["verify", "--qa", str(out), "--epsilon", "1/10", "--out", str(again)]) == 0
+        assert capsys.readouterr().out == (f"girth witness: 2 labels, order {group.order}, "
+                                           "girth bound 2: PASS\n")
+        assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("edit,epsilon,message", [
+        (lambda d: d, "1/0", "zero denominator"),
+        (lambda d: d, "0.1", "expected an exact rational"),
+        (lambda d: d.update(order=d["order"] + 1), "1/10", "generators give"),
+        (lambda d: d.update(note=1), "1/10", "girth witness key 'note' is not read"),
+        (lambda d: d.update(girth_bound=99), "1/10", "does not satisfy its own certificate"),
+    ])
+    def test_verify_refuses_a_bad_witness_or_epsilon(self, tmp_path, capsys, edit, epsilon,
+                                                     message):
+        code, out = self.search(tmp_path, labels=2, bound=2, order_cap=500)
+        doc = json.loads(out.read_text())
+        edit(doc)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--qa", str(out), "--epsilon", epsilon]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 class TestConstructCommand:

@@ -193,16 +193,16 @@ class TestFreeProductAgainstDenseCarrier:
 
     @pytest.mark.parametrize("pair,n", [("C2*C2", 1), ("C2*C3", 1), ("C2*C2", 2)])
     def test_dense_certificate_loads(self, pair, n):
-        # The action's dense form writes the same entry shape with empty
-        # labels and a null fiber; it loads, measures the same report, and
-        # writes itself.
+        # The action's dense form writes its images under a null fiber and
+        # no label fields; it loads, measures the same report, and writes
+        # itself.
         qa, pc = free_product(*PAIRS[pair], n, 0)
         dense = densify_action(qa, closure_of(pc.v.fiber))
         text = emit_certificate(dense, verify(dense, strict=True))
         doc = json.loads(text)
         [slot] = doc["slots"]
-        assert doc["format"] == 10 and (slot["cells"], slot["fiber"]) == (qa.carrier_n, None)
-        assert slot["labels"] == ""
+        assert doc["format"] == 11 and (slot["cells"], slot["fiber"]) == (qa.carrier_n, None)
+        assert set(slot) == {"cells", "fiber", "maps", "images", "sha256"}
         loaded, report = load_certificate(text)
         assert report == verify(qa, strict=True)
         assert emit_certificate(loaded, report) == text
@@ -259,7 +259,8 @@ def c2_c2_certificate():
 
 
 # The C2 x C2 certificate's slot is a table of 8 rows of 16 cells over a
-# degree-5 V: its images and labels payloads are uint8, 128 and 640 bytes.
+# degree-5 V whose 128 cells take 10 distinct labels: its images, labels and
+# label_index payloads are uint8, 128, 50 and 128 bytes.
 def tampered(text, change):
     doc = json.loads(text)
     key = next(k for k in doc["F"] if k != "[[0,0]]")
@@ -286,7 +287,7 @@ def cell_out_of_range(doc, key, degree):
 def labels_short(doc, key, degree):
     slot = doc["slots"][0]
     slot["labels"] = base64.b64encode(raw(slot, "labels")[:-degree]).decode()
-    rehash(slot, "images", "labels")
+    rehash(slot, "images", "labels", "label_index")
 
 
 def hash_mismatch(doc, key, degree):
@@ -312,7 +313,7 @@ def generators_of_other_degree(doc, key, degree):
 REFUSALS = [
     (label_outside_v, InvariantViolationError, "slot 0 labels: label [1, 0, 2, 3, 4] is not in V"),
     (cell_out_of_range, DomainError, "field 'slots': slot 0 images: 16 at ["),
-    (labels_short, InvariantViolationError, "slot 0 labels has 635 bytes, expected 640"),
+    (labels_short, InvariantViolationError, "slot 0 labels has 45 bytes, expected 50"),
     (hash_mismatch, InvariantViolationError, "slot 0 payload does not match its sha256"),
     (order_inflated, InvariantViolationError, "generators give"),
     (cells_doubled, InvariantViolationError, "slot 0 images has 128 bytes, expected 256"),
@@ -326,13 +327,16 @@ class TestFiberedCertificates:
         qa, report = load_certificate(c2_c2_certificate)
         assert emit_certificate(qa, report) == c2_c2_certificate
         doc = json.loads(c2_c2_certificate)
-        assert doc["format"] == 10 and "carrier_n" not in doc
+        assert doc["format"] == 11 and "carrier_n" not in doc
         [slot] = doc["slots"]
-        assert set(slot) == {"cells", "fiber", "maps", "images", "labels", "sha256"}
+        assert set(slot) == {"cells", "fiber", "maps", "images", "label_count", "labels",
+                             "label_index", "sha256"}
         assert slot["cells"] == 16 and set(slot["fiber"]) == {"degree", "generators", "order"}
         assert qa.carrier_n == 16 * slot["fiber"]["order"] == doc["report"]["carrier_n"]
         assert sorted(i for [i] in assignment(doc).values()) == list(range(slot["maps"]))
-        assert [len(raw(slot, k)) for k in ("images", "labels")] == [8 * 16, 8 * 16 * 5]
+        assert [len(raw(slot, k)) for k in ("images", "labels", "label_index")] == [
+            8 * 16, slot["label_count"] * 5, 8 * 16]
+        assert slot["label_count"] == 10
 
     @pytest.mark.parametrize("change,error,message", REFUSALS, ids=[r[0].__name__ for r in REFUSALS])
     def test_loader_refuses(self, c2_c2_certificate, tmp_path, capsys, change, error, message):
@@ -357,7 +361,7 @@ class TestFiberedCertificates:
         assert str(caught.value) == ("slot 0 labels: label [0, 1, 2, 4, 3] is not in V: "
                                      "a map leaves the carrier")
 
-    @pytest.mark.parametrize("fmt", [3, 4, 5, 6, 9])
+    @pytest.mark.parametrize("fmt", [3, 4, 5, 6, 9, 10])
     def test_other_format_refused(self, c2_c2_certificate, fmt):
         doc = json.loads(c2_c2_certificate)
         doc["format"] = fmt

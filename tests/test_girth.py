@@ -25,6 +25,7 @@ from quasiact.constructions.carrier import _bfs_girth_certificate, _label_assign
 from quasiact.constructions.girth import _certify_word_girth, _default_degrees, schreier_sims
 from quasiact.errors import DomainError, InvariantViolationError, PreconditionError, SearchFailureError
 from quasiact.finmap import Fiber
+from quasiact.util import canonical_json
 
 from dense_carrier import (
     DenseCarrier,
@@ -95,11 +96,12 @@ def enumerate_closure(gens, order_cap):
 
 
 # sha256 of girth_group_search(6, 5, order_cap=200000, seed=s).to_witness_json(),
-# recorded while the search still enumerated the closure.
+# the compact canonical JSON of the witnesses recorded while the search still
+# enumerated the closure (those were written indented).
 WITNESS_SHA256 = {
-    0: "b84f56343abd248b6279f25226920629c7b667214ecec202c5b1ea7a7393540b",
-    1: "21890bf36e395dd37fb2b7ab320c979e8107af601cb8aeeccd7692bf7f6c00a3",
-    2: "5f374f8cdd9e4d789b99801d9d7cb06899bb919d512c4422b9cb7dcd80f0d099",
+    0: "d345a1b8d48329bbb208222388546b61abe0c194166b7d610f7a559829f5f2da",
+    1: "96bc504b80885a23d16398198125fec286c4927b95bd618069d2ade06dd6fd8c",
+    2: "905b5ca898d055cd0b4e61c59511dd79cf317540ecd931361f981ce028e887ef",
 }
 
 
@@ -1007,6 +1009,18 @@ class TestWitnessLoaderSoundness:
         doc = self.witness_doc()
         with pytest.raises(DomainError):
             load_girth_witness(json.dumps(list(doc.items())))
+
+    @pytest.mark.parametrize("key", ["note", "format", "labels"])
+    def test_a_key_it_does_not_read_is_refused(self, key):
+        doc = self.witness_doc()
+        doc[key] = 1
+        with pytest.raises(DomainError, match=re.escape(f"girth witness key {key!r} is not read")):
+            load_girth_witness(json.dumps(doc))
+
+    def test_written_as_compact_canonical_json(self):
+        text = girth_group_search(2, 4, order_cap=5000, seed=1).to_witness_json()
+        assert text == canonical_json(json.loads(text)) + "\n"
+        assert load_girth_witness(text).to_witness_json() == text
 
     def test_float_generator_image_rejected(self):
         doc = self.witness_doc()

@@ -1,11 +1,12 @@
-"""Format 10 payloads, as formats 8 and 9 wrote them: each slot's table is one
-images payload (rows x cells) and one labels payload (rows x cells x V's
-degree), each in the narrowest little-endian dtype that holds values below
-its bound.  The bound is the slot's cells for cell images and V's degree
-for labels: uint8 up to 256, uint16 up to 65,536, else int32.
+"""Format 11 payloads: each slot's table is one images payload (rows x
+cells); a fibered slot adds a labels payload of its distinct labels (label
+count x V's degree) and a label_index payload (rows x cells).  Each is in
+the narrowest little-endian dtype that holds values below its bound: the
+slot's cells for cell images, V's degree for labels and the label count for
+the label index: uint8 up to 256, uint16 up to 65,536, else int32.
 
 Two oracles are kept here.  The int32 codec of format 6: for the same
-QuasiAction, the tables a format 10 certificate loads to are the maps that
+QuasiAction, the tables a format 11 certificate loads to are the maps that
 int32 payloads of the same tables decode to.  And the per-entry decoder of
 format 7 (certificate_tables.per_entry_tables), which splits each table
 into rows and decodes and hashes each row alone: it gives the maps the
@@ -37,7 +38,8 @@ from quasiact.errors import DomainError, InvariantViolationError
 from quasiact.finmap import Fiber
 
 from certificate_tables import (
-    dtype_of, per_entry_tables, raw, rehash, slot_maps, slot_rows, table_maps,
+    dtype_of, per_entry_tables, raw, rehash, set_label_table, set_slot_rows, slot_maps, slot_rows,
+    table_maps,
 )
 
 DENSE_CELLS = [1, 255, 256, 257, 65_536, 65_537]
@@ -96,7 +98,7 @@ def with_payloads(doc: dict, **payloads: bytes) -> None:
     """Replace slot 0's named payloads by raw bytes, and hash the slot again."""
     slot = doc["slots"][0]
     slot.update({k: base64.b64encode(r).decode() for k, r in payloads.items()})
-    rehash(slot, "images", "labels")
+    rehash(slot, *(k for k in ("images", "labels", "label_index") if k in slot))
 
 
 class TestRoundTrip:
@@ -108,11 +110,14 @@ class TestRoundTrip:
         cert = emit_certificate(qa, verify(qa, strict=strict))
         loaded, report = load_certificate(cert)
         assert emit_certificate(loaded, report) == cert
-        degree = degree or 0
         slot = json.loads(cert)["slots"][0]
         assert len(raw(slot, "images")) == dtype_of(cells).itemsize * cells * slot["maps"]
-        assert (len(raw(slot, "labels"))
-                == dtype_of(degree).itemsize * cells * degree * slot["maps"])
+        if degree is None:
+            assert "labels" not in slot and "label_index" not in slot
+            return
+        count = slot["label_count"]
+        assert len(raw(slot, "labels")) == dtype_of(degree).itemsize * degree * count
+        assert len(raw(slot, "label_index")) == dtype_of(count).itemsize * cells * slot["maps"]
 
     @pytest.mark.parametrize("cells,degree", SLOTS)
     @settings(max_examples=4, deadline=None)
@@ -134,8 +139,7 @@ class TestRoundTrip:
         # Up to 65,536 cells, an int32 images payload is 4 or 2 times too long.
         doc = json.loads(certificate(cells, degree))
         [[fmap]] = slot_maps(action(cells, degree and cyclic_fiber(degree), 1, 0))
-        with_payloads(doc, **{k: a.astype("<i4").tobytes()
-                              for k, a in zip(("images", "labels"), fmap.slots[0][:2])})
+        with_payloads(doc, images=fmap.slots[0].images.astype("<i4").tobytes())
         with pytest.raises(InvariantViolationError, match=re.escape(
                 f"slot 0 images has {4 * cells} bytes, "
                 f"expected {dtype_of(cells).itemsize * cells}")):
@@ -147,11 +151,14 @@ class TestRefusals:
 
     @pytest.mark.parametrize("cells,degree,key", [
         (100, None, "images"), (257, None, "images"), (65_537, None, "images"),
-        (257, 8, "images"), (1, 8, "labels"), (257, 256, "labels")])
+        (257, 8, "images"), (1, 8, "labels"), (257, 256, "labels"), (1, 8, "label_index"),
+        (257, 256, "label_index")])
     @pytest.mark.parametrize("items", [-1, 1])
     def test_one_item_short_or_long(self, cells, degree, key, items):
         doc = json.loads(certificate(cells, degree))
-        bound, count = (cells, cells) if key == "images" else (degree, cells * degree)
+        labels = doc["slots"][0].get("label_count", 0)
+        bound, count = {"images": (cells, cells), "labels": (degree, labels * (degree or 0)),
+                        "label_index": (labels, cells)}[key]
         payload = raw(doc["slots"][0], key)
         size = dtype_of(bound).itemsize
         with_payloads(doc, **{key: payload[:-size] if items < 0 else payload + bytes(size)})
@@ -193,11 +200,10 @@ class TestRefusals:
     def test_label_at_the_degree_is_refused(self):
         doc = json.loads(certificate(4, 8))
         labels = rotations(8, [0, 1, 2, 3])
-        labels[0, 0] = 8
-        with_payloads(doc, images=np.asarray([0, 1, 2, 3], "<u1").tobytes(),
-                      labels=np.asarray(labels, "<u1").tobytes())
+        labels[1, 2] = 8
+        set_label_table(doc, 0, [[0, 1, 2, 3]], labels, [[0, 1, 2, 3]])
         with pytest.raises(DomainError, match=re.escape(
-                "field 'slots': slot 0 labels: 8 at [0, 0, 0] is not below 8")):
+                "field 'slots': slot 0 labels: 8 at [1, 2] is not below 8")):
             load_certificate(json.dumps(doc))
 
     @pytest.mark.parametrize("degree", FIBER_DEGREES)  # at 256 the row codes renumber
@@ -212,8 +218,7 @@ class TestRefusals:
         labels[0, rng.integers(0, 257, forged)] = rng.integers(0, degree, (forged, degree))
         labels[0, rng.integers(0, 257)] = degree - 1  # outside V, and last in sorted order
         outside = [w for w in labels[0].tolist() if w != rotations(degree, [w[0]])[0].tolist()]
-        with_payloads(doc, images=images.astype(dtype_of(257)).tobytes(),
-                      labels=labels.astype(dtype_of(degree)).tobytes())
+        set_slot_rows(doc, 0, images, labels)
         with pytest.raises(InvariantViolationError) as caught:
             load_certificate(json.dumps(doc))
         assert str(caught.value) == (f"slot 0 labels: label {min(outside)} is not in V: "
@@ -223,8 +228,7 @@ class TestRefusals:
         doc = json.loads(certificate(4, 8))
         labels = rotations(8, [0, 1, 2, 3])
         labels[1, 0] = labels[1, 1]
-        with_payloads(doc, images=np.asarray([0, 1, 2, 3], "<u1").tobytes(),
-                      labels=np.asarray(labels, "<u1").tobytes())
+        set_slot_rows(doc, 0, [[0, 1, 2, 3]], labels[None])
         with pytest.raises(InvariantViolationError, match=re.escape(
                 "slot 0 labels: label [2, 2, 3, 4, 5, 6, 7, 0] is not in V")):
             load_certificate(json.dumps(doc))
@@ -232,10 +236,12 @@ class TestRefusals:
     @pytest.mark.parametrize("cells,degree", SLOTS)
     def test_format_7_is_refused_by_name(self, cells, degree):
         doc = json.loads(certificate(cells, degree))
-        for fmt in (7, 8, 9):  # format 8 stored every count, format 9 F and the carrier twice
+        # format 8 stored every count, format 9 F and the carrier twice, format
+        # 10 one label per cell
+        for fmt in (7, 8, 9, 10):
             doc["format"] = fmt
             with pytest.raises(DomainError,
-                               match=f"certificate format {fmt} is not read, only format 10"):
+                               match=f"certificate format {fmt} is not read, only format 11"):
                 load_certificate(json.dumps(doc))
 
 

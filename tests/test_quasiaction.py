@@ -199,16 +199,16 @@ class TestCertificates:
         doc = json.loads(cert)
         assert set(doc) == {"format", "group", "F", "epsilon", "slots", "assignment", "report"}
         [slot] = doc["slots"]
-        assert doc["format"] == 10 and slot["cells"] == 4 and slot["fiber"] is None
-        assert set(slot) == {"cells", "fiber", "maps", "images", "labels", "sha256"}
+        assert doc["format"] == 11 and slot["cells"] == 4 and slot["fiber"] is None
+        assert set(slot) == {"cells", "fiber", "maps", "images", "sha256"}
         assert set(doc["assignment"]) == {"keys", "index", "sha256"}
         assert doc["epsilon"] == "1/100"
         # one table row per distinct map, in key order of first use
         assert doc["assignment"]["keys"] == ["0", "1", "2", "3"]
         assert assignment(doc) == {"0": [0], "1": [1], "2": [2], "3": [3]}
-        # one uint8 payload of 4 rows of 4 cells, and none of labels
+        # one uint8 payload of 4 rows of 4 cells, and no label fields
         images = np.frombuffer(base64.b64decode(slot["images"]), "<u1")
-        assert images.reshape(4, 4)[2].tolist() == [2, 3, 0, 1] and slot["labels"] == ""
+        assert images.reshape(4, 4)[2].tolist() == [2, 3, 0, 1]
         assert slot["sha256"] == hashlib.sha256(images.tobytes()).hexdigest()
         # compact and key-sorted, one line
         assert cert == canonical_json(doc) + "\n"
@@ -704,9 +704,9 @@ class TestCertificateCodec:
         # The loaded report keeps every count the certificate summarises.
         assert r2 == report and every_count(r2) == every_count(report)
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_other_formats_refused(self, fmt):
-        # Only format 10 is read.  No "format" key is format 1, whose maps
+        # Only format 11 is read.  No "format" key is format 1, whose maps
         # were plain lists of integers.
         qa = regular_c4()
         doc = json.loads(emit_certificate(qa, verify(qa)))
@@ -757,7 +757,7 @@ class TestCertificateCodec:
                            match="slot 0 images has 15 bytes, expected 16"):
             load_certificate(with_edit(cert, lambda d: (
                 d["slots"][0].update(images=encode(slot_rows(d, 0)[0].ravel()[:-1], 4)),
-                rehash(d["slots"][0], "images", "labels"))))
+                rehash(d["slots"][0], "images"))))
 
     def test_sha256_mismatch(self):
         qa = regular_c4()
