@@ -116,8 +116,8 @@ def _verify_witness(text: str, args) -> int:
 
 
 def _read_text(path: str) -> str:
-    with open(path, errors="surrogateescape") as fh:  # bad bytes then fail as JSON
-        return fh.read()
+    with open(path, "rb") as fh:  # its bytes as they are, no newline translation
+        return fh.read().decode(errors="surrogateescape")  # bad bytes then fail as JSON
 
 
 def _elements(group: GroupHandle):  # decoder of a JSON array of the group's elements

@@ -27,8 +27,8 @@ import numpy as np
 
 from ..errors import DomainError, InvariantViolationError, SearchFailureError
 from ..finmap import Fiber
-from ..groups import _decode_int, _decode_ints, _decode_list, _decode_object, _field
-from ..util import canonical_json, parse_json
+from ..groups import _decode_int, _decode_ints, _decode_list, _field
+from ..util import canonical_json, check_written, parse_json
 
 _ATTEMPTS_PER_DEGREE = 80
 _DRAWS_PER_GENERATOR = 400
@@ -51,19 +51,19 @@ class GirthGroup:
     def labels(self) -> int:
         return len(self.fiber.generators)
 
+    def witness(self) -> dict:
+        return {**self.fiber.describe(), "girth_bound": self.certified_girth_bound, "seed": self.seed}
+
     def to_witness_json(self) -> str:
-        return canonical_json({**self.fiber.describe(), "girth_bound": self.certified_girth_bound,
-                               "seed": self.seed}) + "\n"
+        return canonical_json(self.witness()) + "\n"
 
 
-def fiber_from_json(doc, what: str = "fiber", more=()) -> tuple[Fiber, Callable[..., np.ndarray]]:
+def fiber_from_json(doc) -> tuple[Fiber, Callable[..., np.ndarray]]:
     """The one reader of V (a girth witness, or a certificate slot's fiber):
-    a key that is neither V's nor one of more (the caller's) is refused, then
-    its degree, its generators, each of that length, and its order are read.
-    Fiber checks the permutations and Schreier-Sims the order; returns V and
-    Schreier-Sims's batched test of membership in V."""
-    for key in sorted(set(_decode_object(doc)) - {"degree", "generators", "order", *more})[:1]:
-        raise DomainError(f"{what} key {key!r:.40} is not read")
+    its degree, its generators, each of that length, and its order.  Fiber
+    checks the permutations and Schreier-Sims the order; returns V and
+    Schreier-Sims's batched test of membership in V.  Other keys are the
+    acceptance rule's (load_girth_witness, load_certificate)."""
     degree = _field(doc, "degree", _decode_int)
     gens = _field(doc, "generators", lambda v: tuple(
         tuple(_decode_ints(p, degree)) for p in _decode_list(v)))
@@ -76,10 +76,12 @@ def fiber_from_json(doc, what: str = "fiber", more=()) -> tuple[Fiber, Callable[
 
 def load_girth_witness(text: str) -> GirthGroup:
     """Rebuild a GirthGroup from a witness file: V by fiber_from_json, then
-    its girth bound and seed (JSON integers only, else DomainError; so is a
-    key it does not read), and the word-girth certificate earned again."""
+    its girth bound and seed (JSON integers only, else DomainError), and the
+    word-girth certificate earned again.  It loads only if its text is what
+    to_witness_json writes for the group (util.check_written names the first
+    differing JSON path, or character)."""
     doc = parse_json(text, "girth witness")
-    fiber = fiber_from_json(doc, "girth witness", ("girth_bound", "seed"))[0]
+    fiber = fiber_from_json(doc)[0]
     bound, seed = (_field(doc, k, _decode_int) for k in ("girth_bound", "seed"))
     if bound < 1:
         raise DomainError(f"girth_bound must be positive, got {bound}")
@@ -87,7 +89,9 @@ def load_girth_witness(text: str) -> GirthGroup:
         _certify_word_girth(fiber.generators, bound)
     except InvariantViolationError:
         raise DomainError("witness file does not satisfy its own certificate") from None
-    return GirthGroup(fiber, bound, seed)
+    group = GirthGroup(fiber, bound, seed)
+    check_written(text, group.witness(), "girth witness", "to_witness_json")
+    return group
 
 
 def _inverse(perm: Sequence[int]) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GroupMismatchError
+from .errors import DomainError, GroupMismatchError, InvariantViolationError
 from .util import canonical_json
 
 
@@ -114,15 +114,16 @@ _REQUIRED = object()
 
 def _field(doc, name: str, decode: Callable, default=_REQUIRED):
     """The one reader of a decoded JSON object's fields: decode(doc[name]), or
-    default if absent.  A missing required field or refused value names the field."""
+    default if absent.  A missing required field or refused value names the
+    field; a refusal keeps its type (DomainError or InvariantViolationError)."""
     if name not in _decode_object(doc):
         if default is _REQUIRED:
             raise DomainError(f"missing field {name!r}")
         return default
     try:
         return decode(doc[name])
-    except DomainError as exc:
-        raise DomainError(f"field {name!r}: {exc}") from None
+    except (DomainError, InvariantViolationError) as exc:
+        raise type(exc)(f"field {name!r}: {exc}") from None
 
 
 class GroupHandle:

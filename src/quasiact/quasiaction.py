@@ -47,7 +47,7 @@ from .groups import (
     FiniteSubset, GroupHandle, _decode_int, _decode_list, _decode_object, _decode_str, _field,
     _row_codes, _unique, group_from_json,
 )
-from .util import canonical_json, check_epsilon, format_fraction, parse_fraction, parse_json
+from .util import check_epsilon, check_written, chunks, format_fraction, parse_fraction, parse_json
 
 
 # verify gathers slot table rows in chunks of max(1, POINTS // width) rows,
@@ -464,10 +464,7 @@ FORMAT = 11
 # hashlib is imported inside the codec functions: it loads OpenSSL, which
 # adds about 4 MiB of RSS to every command, including those that never
 # read or write a certificate.
-TABLES = "a slot's table must list each slot map in use once, in order of first use over the sorted keys"
-LABELS = "a fibered slot states each distinct label once, in sorted order, and uses each"
-_SLOT_KEYS = frozenset({"cells", "maps", "fiber", "images", "sha256"})
-_LABEL_KEYS = frozenset({"label_count", "labels", "label_index"})
+TABLES = "a slot's table states each slot map once"
 
 
 def _payload_dtype(bound: int) -> str:
@@ -476,13 +473,17 @@ def _payload_dtype(bound: int) -> str:
 
 
 def _payloads_to_json(**parts) -> dict:
-    """Each part (values, bound) as the base64 of its values in
-    _payload_dtype(bound), and one sha256 over the parts' bytes in order."""
+    """Each part (values, bound) as the bytes of its values in
+    _payload_dtype(bound), a memoryview (of the array itself when it is so
+    already) that util.chunks writes as base64, and one sha256 over the
+    parts' bytes in order."""
     import hashlib
 
-    raws = {k: a.astype(_payload_dtype(bound)).tobytes() for k, (a, bound) in parts.items()}
-    return {**{k: base64.b64encode(r).decode("ascii") for k, r in raws.items()},
-            "sha256": hashlib.sha256(b"".join(raws.values())).hexdigest()}
+    payloads, digest = {}, hashlib.sha256()
+    for k, (a, bound) in parts.items():
+        payloads[k] = memoryview(np.ascontiguousarray(a, _payload_dtype(bound)).reshape(-1).view(np.uint8))
+        digest.update(payloads[k])
+    return {**payloads, "sha256": digest.hexdigest()}
 
 
 def _payloads_from_json(doc, what: str, **parts) -> list[np.ndarray]:
@@ -508,16 +509,13 @@ def _payloads_from_json(doc, what: str, **parts) -> list[np.ndarray]:
     out = [np.frombuffer(r, t).reshape(s) for r, t, (s, _) in zip(raws, dtypes, parts.values())]
     for name, values, (shape, bound) in zip(parts, out, parts.values()):
         bound = np.broadcast_to(np.asarray(bound, np.int64), shape)
-        for at in map(tuple, np.argwhere((values < 0) | (values >= bound))[:1].tolist()):
+        # Each column's extremes against its bound (which varies along the last axis
+        # only) are cheaper than comparing every value; the search runs on a bad one.
+        if values.size and (values.min() < 0 or (values.reshape(-1, shape[-1]).max(0)
+                                                 >= bound[(0,) * (len(shape) - 1)]).any()):
+            at = tuple(np.argwhere((values < 0) | (values >= bound))[0].tolist())
             raise DomainError(f"{what} {name}: {values[at]} at {list(at)} is not below {bound[at]}")
     return out
-
-
-def _label_codes(labels: np.ndarray) -> np.ndarray:
-    """One int64 code per row of a (labels, degree) array, ordered as the rows
-    are lexicographically (row codes are), so sorted codes give sorted labels."""
-    codes = _row_codes(labels.T.astype(np.int64), itertools.repeat(labels.shape[1]))
-    return np.broadcast_to(codes, len(labels))  # at degree 0 each label is the empty one
 
 
 def _slot_to_json(layout: tuple, table: np.ndarray) -> dict:
@@ -526,7 +524,9 @@ def _slot_to_json(layout: tuple, table: np.ndarray) -> dict:
     if v is None:
         return {**slot, **_payloads_to_json(images=(table, cells))}
     labels = table[:, cells:].reshape(len(table) * cells, v.degree)
-    distinct, at, first = _unique(_label_codes(labels))
+    # Row codes order the labels lexicographically; at degree 0 each is the empty one.
+    codes = _row_codes(labels.T.astype(np.int64), itertools.repeat(v.degree))
+    distinct, at, first = _unique(np.broadcast_to(codes, len(labels)))
     return {**slot, "label_count": len(distinct), **_payloads_to_json(
         images=(table[:, :cells], cells), labels=(labels[first], v.degree),
         label_index=(at, len(distinct)))}
@@ -534,21 +534,18 @@ def _slot_to_json(layout: tuple, table: np.ndarray) -> dict:
 
 def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
     """Slot i's layout (cells, fiber) and table, from its "images" payload
-    and, when fibered, its "label_count" distinct labels, sorted, and one
-    "label_index" into them per cell.  Any other key is refused.  The label
-    table is sifted into V in one batch (a label outside V, or no
-    permutation, would move points off the carrier) and must state each label
-    once and use it; the rows are gathered from it, none stated twice."""
+    and, when fibered, its "label_count" labels (at most one per cell) and
+    one "label_index" into them per cell.  The label table is sifted into V
+    in one batch (a label outside V, or no permutation, would move points
+    off the carrier); the rows are gathered from it, none stated twice, as
+    emission would state it again.  Keys, label order and unused labels are
+    the acceptance rule's (load_certificate)."""
     import hashlib
 
     from .constructions.girth import fiber_from_json  # constructions imports this module
 
     cells = check_carrier_size(_field(s, "cells", _decode_int))
-    fiber, member = _field(s, "fiber", lambda f: (None, None) if f is None
-                           else fiber_from_json(f, f"slot {i} fiber"))
-    for key in sorted(set(s) - (_SLOT_KEYS if fiber is None else _SLOT_KEYS | _LABEL_KEYS))[:1]:
-        hint = ": a dense slot states no labels" if key in _LABEL_KEYS else ""
-        raise DomainError(f"slot {i} key {key!r:.40} is not read{hint}")
+    fiber, member = _field(s, "fiber", lambda f: (None, None) if f is None else fiber_from_json(f))
     rows, what = _field(s, "maps", _decode_int), f"slot {i}"
     if fiber is None:
         [images] = _payloads_from_json(s, what, images=((rows, cells), cells))
@@ -556,17 +553,10 @@ def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
     else:
         d, k = fiber.degree, _field(s, "label_count", _decode_int)
         if k > rows * cells:  # each label is used, so by some cell
-            raise InvariantViolationError(f"{what} labels: {k} labels for {rows * cells} cells: "
-                                          f"{LABELS}")
+            raise InvariantViolationError(f"{what} labels: {k} labels for {rows * cells} cells")
         images, labels, index = _payloads_from_json(s, what, images=((rows, cells), cells),
                                                     labels=((k, d), d),
                                                     label_index=((rows, cells), k))
-        codes = _label_codes(labels)
-        for j in np.flatnonzero(codes[1:] <= codes[:-1])[:1].tolist():
-            raise InvariantViolationError(f"{what} labels: label {j + 1} does not come after "
-                                          f"label {j}: {LABELS}")
-        for j in np.flatnonzero(np.bincount(index.ravel(), minlength=k) == 0)[:1].tolist():
-            raise InvariantViolationError(f"{what} labels: label {j} is not used: {LABELS}")
         for w in labels[~member(labels)][:1].tolist():  # the first in sorted order
             raise InvariantViolationError(f"{what} labels: label {w} is not in V: "
                                           "a map leaves the carrier")
@@ -585,20 +575,30 @@ def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
     return (cells, fiber), packed
 
 
-def _assignment_from_json(g: GroupHandle, a, tables) -> tuple[dict, np.ndarray]:
-    """The elements by key and the (keys, slots) index payload, each index
-    below its table's size.  The keys (in key order) are parsed once, joined,
-    and known canonical if each is then its element's key, so it parses
-    alone to it; else _elements_from_keys names a bad key."""
-    keys = _field(a, "keys", lambda v: list(map(_decode_str, _decode_list(v))))
+def _assignment_from_json(g: GroupHandle, a, tables) -> tuple[dict, list, np.ndarray]:
+    """The elements by stated key, their keys as _keys_many writes them, and
+    the (keys, slots) index payload, each index below its table's size.  The
+    keys are parsed once, joined; unless that gives each key back, each key
+    is parsed alone, so a key that is not JSON alone is named.  Two keys of
+    one element are refused by name; any other key that is not its
+    element's is the acceptance rule's."""
+    stated = _field(a, "keys", lambda v: list(map(_decode_str, _decode_list(v))))
     try:
-        elems = [g.decode(x) for x in parse_json("[" + ",".join(keys) + "]", "keys")]
-        checked = len(elems) == len(keys) and g._keys_many(elems) == keys
-    except QuasiactError:  # the per-key path raises it for the key it belongs to
-        checked = False
-    keyed = _elements_from_keys(g, keys, dict(zip(keys, elems)) if checked else {})
-    return keyed, *_payloads_from_json(
-        a, "assignment", index=((len(keys), len(tables)), [len(t) for t in tables]))
+        elems = [g.decode(x) for x in parse_json("[" + ",".join(stated) + "]", "keys")]
+        keys = g._keys_many(elems) if len(elems) == len(stated) else None
+    except QuasiactError:
+        keys = None
+    if keys != stated:
+        elems = _elements_from_keys(g, stated, {})
+        keys = g._keys_many(elems)
+    first = {}
+    for i, key in enumerate(keys):
+        if (j := first.setdefault(key, i)) != i:
+            raise DomainError(f"keys[{j}] {stated[j]!r:.60} and keys[{i}] {stated[i]!r:.60} "
+                              f"name one element, {key!r:.60}")
+    index = _payloads_from_json(a, "assignment", index=((len(keys), len(tables)),
+                                                        [len(t) for t in tables]))
+    return dict(zip(stated, elems)), keys, *index
 
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
@@ -614,13 +614,18 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     in _payload_dtype of their bound (cells, V's degree, the label count, the
     largest table).  "report" is report_to_json's summary of counts measured
     on qa's carrier and claimed F; another is refused by name."""
+    return "".join(chunks(_certificate(qa, report))) + "\n"
+
+
+def _certificate(qa: QuasiAction, report: VerificationReport) -> dict:
+    """The document emit_certificate writes, its payloads memoryviews."""
     f_keys = tuple(qa.keys[e] for e in qa.claimed_f)
     for name, other in (("carrier", report.carrier_n != qa.carrier_n),
                         ("F", report.f_keys != f_keys)):
         if other:
             raise DomainError(f"the report was measured on another {name} than the action's")
     tables, index = qa.slot_tables
-    doc = {
+    return {
         "format": FORMAT,
         "group": qa.owner.describe(),
         "epsilon": format_fraction(qa.claimed_epsilon),
@@ -630,46 +635,27 @@ def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
                        **_payloads_to_json(index=(index, max(map(len, tables))))},
         "report": report_to_json(report),
     }
-    return canonical_json(doc) + "\n"
 
 
-def _elements_from_keys(g: GroupHandle, keys, known: Mapping) -> dict:
-    """Each key's element: known's (key -> element, keys known canonical), else
-    the key's JSON decoded, refused unless the key is its element's element_key
-    (another spelling would load as it); then the first key not after the one
-    before it is refused, so each element is keyed once, in key order."""
-    keys, keyed = list(map(_decode_str, keys)), {}
-    for key in keys:
-        if key not in known:
-            elem = g.decode(parse_json(key, f"element key {key!r:.60}"))
-            if (canonical := g.element_key(elem)) != key:
-                raise InvariantViolationError(f"element key {key!r:.60} is not its element's "
-                                              f"canonical key {canonical!r:.60}")
-        keyed[key] = known[key] if key in known else elem
-    for before, key in zip(keys, keys[1:]):
-        if not before < key:
-            raise DomainError(f"key {key!r:.60} does not come after {before!r:.60}: "
-                              "each key is stated once, in key order")
-    return keyed
+def _elements_from_keys(g: GroupHandle, keys, known: Mapping) -> list:
+    """Each key's element: known's, else the key's JSON decoded."""
+    return [known[k] if k in known else g.decode(parse_json(k, f"element key {k!r:.60}"))
+            for k in map(_decode_str, keys)]
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     """Read a format 11 certificate; formats 1-10 are refused by name (run
-    their request again with ``quasiact construct``).  Each fibered slot's V
-    is read by girth.fiber_from_json and its label table sifted into it; the
-    slots' sizes give the carrier.  The slots, tables and keys must be the
-    ones emit_certificate writes: no slot key it does not write, each label
-    stated once, sorted and used, no row stated twice, every row used in order of
-    first use, and the assignment's and F's keys canonical and in key order,
-    each key checked where it is read; the first that is not is refused by
-    name.  The stored report is not parsed: verify measures the stored maps
-    again on the claimed F, at the report's epsilon and strictness, and
-    report_to_json of the fresh report must have the stored report's
-    canonical JSON (so ``0`` is not ``false`` or ``0.0``); the fresh report,
-    with every count, is returned.
-    """
+    their request again with ``quasiact construct``).  It loads only if its
+    text is what emit_certificate writes for the action it states and the
+    report verify measures on it again, on the claimed F at the stored
+    report's epsilon and strictness (util.check_written names the first
+    differing JSON path, or character).  Checked before anything is built,
+    as decoding, allocation and _from_slots rely on them: the format, each
+    payload's base64, length, sha256 and range, the label count, the labels
+    in V, no row stated twice, each key an element and no two keys one, and
+    F's keys in the assignment.  The fresh report, with every count, is
+    returned."""
     doc = parse_json(text, "certificate")
-    del text  # frees the text now when the caller keeps no reference to it
     fmt = _field(doc, "format", _decode_int, 1)  # format 1 had no "format" key
     if fmt != FORMAT:
         raise DomainError(
@@ -683,24 +669,13 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     if not slots:
         raise DomainError("field 'slots': a certificate has at least one slot")
     layout, tables = zip(*slots)
-    keyed, index = _field(doc, "assignment", lambda v: _assignment_from_json(g, v, tables))
+    keyed, keys, index = _field(doc, "assignment", lambda v: _assignment_from_json(g, v, tables))
     f = _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v), keyed))
     qa = QuasiAction._from_slots(g, layout, list(tables), keyed.values(), index,
-                                 FiniteSubset(g, f.values()),
-                                 _field(doc, "epsilon", parse_fraction), list(keyed))
-    # The tables emit_certificate writes: each row used, in order of first use.
-    for s, stated in enumerate(tables):
-        for r in np.flatnonzero(np.bincount(index[:, s], minlength=len(stated)) == 0)[:1].tolist():
-            raise InvariantViolationError(f"{TABLES}: slot {s} row {r} is not used")
-    for s, k in np.argwhere((renumbered := qa.slot_tables[1]).T != index.T)[:1].tolist():
-        raise InvariantViolationError(f"{TABLES}: slot {s} row {index[k, s]} is first used, by key "
-                                      f"{list(keyed)[k]!r:.60}, before row {renumbered[k, s]}")
+                                 FiniteSubset(g, f), _field(doc, "epsilon", parse_fraction), keys)
     stored = _field(doc, "report", _decode_object)
-    del doc  # only the report is kept while verify runs
+    del doc  # only the report and the text are kept while verify runs
     report = verify(qa, epsilon=_field(stored, "epsilon", parse_fraction),
                     strict=_field(stored, "strict", lambda v: v is not None))
-    if canonical_json(stored) != canonical_json(report_to_json(report)):
-        raise InvariantViolationError(
-            "the stored report differs from the one verify measures on the stored maps"
-        )
+    check_written(text, _certificate(qa, report), "certificate", f"format {FORMAT}")
     return qa, report

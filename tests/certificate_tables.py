@@ -136,9 +136,10 @@ def assignment(doc: dict) -> dict:
 
 def set_assignment(doc: dict, values: dict) -> None:
     """Write the assignment from key -> indices: the keys in key order, their
-    rows in the dtype of the largest table, hashed."""
+    rows in the dtype of the largest table, hashed, its fields in the
+    emitter's order."""
     keys = sorted(values)
-    a = doc["assignment"] = {"keys": keys}
+    a = doc["assignment"] = {"index": None, "keys": keys}
     a["index"] = encode([values[k] for k in keys], max(s["maps"] for s in doc["slots"]))
     rehash(a, "index")
 

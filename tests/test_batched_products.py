@@ -41,6 +41,7 @@ from quasiact import (
 from quasiact import groups
 from quasiact.constructions import cyclic_quasi_action, direct_product_qa, regular_action
 from quasiact.errors import DomainError, IncompleteSupportError, InvariantViolationError
+from quasiact.quasiaction import TABLES
 from quasiact.util import canonical_json
 
 from test_product_slots import S3, outcome, repeating_actions
@@ -281,7 +282,9 @@ class TestProductSupportsThatAreNoGrid:
 
 class TestLoaderRefusesNonCanonicalKeys:
     """Every key a certificate states must be its element's element_key:
-    another spelling of an element is refused by name, not read as it."""
+    another spelling of an element is refused by name, not read as it.  Two
+    keys of one element are refused as the assignment is read; any other
+    key that emission would not write, by the acceptance rule at its path."""
 
     @pytest.fixture
     def doc(self):
@@ -293,8 +296,9 @@ class TestLoaderRefusesNonCanonicalKeys:
         # It would load as 25 elements from 26 keys.
         values = assignment(doc)
         set_assignment(doc, dict(values, **{"[-1, -1]": values["[-1,-1]"]}))
-        with pytest.raises(InvariantViolationError, match=re.escape(
-                "element key '[-1, -1]' is not its element's canonical key '[-1,-1]'")):
+        with pytest.raises(DomainError, match=re.escape(
+                "field 'assignment': keys[0] '[-1, -1]' and keys[1] '[-1,-1]' name one "
+                "element, '[-1,-1]'")):
             load_certificate(json.dumps(doc))
 
     @pytest.mark.parametrize("where", ["assignment", "F"])
@@ -307,7 +311,9 @@ class TestLoaderRefusesNonCanonicalKeys:
         else:
             keys = doc["F"]
             keys[keys.index("[-1,-1]")] = "[-1, -1]"
-        with pytest.raises(InvariantViolationError, match=re.escape("element key '[-1, -1]'")):
+        path = "assignment.keys[0]" if where == "assignment" else "F[0]"
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                f"certificate field '{path}' states \"[-1, -1]\", where format 11 writes \"[-1,-1]\"")):
             load_certificate(json.dumps(doc))
 
     @pytest.mark.parametrize("probe", ["swapped", "repeated"])
@@ -318,11 +324,12 @@ class TestLoaderRefusesNonCanonicalKeys:
         first, second = keys[0], keys[1]
         if probe == "swapped":
             keys[0], keys[1] = second, first
-            message = f"field 'F': key {first!r} does not come after {second!r}"
+            message = f"certificate field 'F[0]' states \"{second}\", where format 11 writes \"{first}\""
         else:
             keys.append(first)
-            message = f"field 'F': key {first!r} does not come after {keys[-2]!r}"
-        with pytest.raises(DomainError, match=re.escape(message)):
+            message = ("certificate field 'F' states [-1,1]\",\"[1,-1]\",\"[1,1]\",\"[-1,-1]\"], "
+                       "where format 11 writes [-1,1]\",\"[1,-1]\",\"[1,1]\"]")  # 24 characters around
+        with pytest.raises(InvariantViolationError, match=re.escape(message)):
             load_certificate(json.dumps(doc))
 
     def test_the_canonical_keys_load(self, doc):
@@ -440,17 +447,16 @@ class TestLoadedOneSlotTables:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda d: set_slot_rows(d, 0, slot_rows(d, 0)[0][[0, 1, 2, 3, 1]]),
-         "slot 0 row 4 repeats row 1"),  # unused, and a second row of map "1"
+         f"{TABLES}: slot 0 row 4 repeats row 1"),  # unused, and a second row of map "1"
         (lambda d: set_slot_rows(d, 0, slot_rows(d, 0)[0][[0, 1, 2, 2]]),
-         "slot 0 row 3 repeats row 2"),
+         f"{TABLES}: slot 0 row 3 repeats row 2"),
         (lambda d: (set_slot_rows(d, 0, slot_rows(d, 0)[0][::-1]),  # out of first-use order
                     set_assignment(d, {k: [3 - i] for k, [i] in assignment(d).items()})),
-         "slot 0 row 3 is first used, by key '0', before row 0"),
+         "certificate field 'assignment.index' states \"AwIBAA==\", where format 11 writes \"AAECAw==\""),
     ], ids=["unused", "repeated", "out_of_order"])
     def test_tables_other_than_the_emitted_ones_are_refused(self, doc, edit, message):
         edit(doc)
-        with pytest.raises(InvariantViolationError, match=re.escape(
-                f"each slot map in use once, in order of first use over the sorted keys: {message}")):
+        with pytest.raises(InvariantViolationError, match=re.escape(message)):
             load_certificate(json.dumps(doc))
 
     def test_index_out_of_range_is_refused(self, doc):

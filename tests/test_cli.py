@@ -133,8 +133,8 @@ class TestVerifyCommand:
     def test_forged_certificate_exits_two(self, forged_c4_certificate, capsys):
         code = main(["verify", "--qa", str(forged_c4_certificate), "--epsilon", "1/100"])
         assert code == 2
-        assert capsys.readouterr().err == ("error: the stored report differs from the one "
-                                           "verify measures on the stored maps\n")
+        assert capsys.readouterr().err == ("error: certificate field 'report.a_pass' states true, "
+                                           "where format 11 writes false\n")
 
     @pytest.mark.parametrize("field,value", [
         (("epsilon",), 0.01),
@@ -251,7 +251,8 @@ class TestGirthSearchCommand:
         (lambda d: d, "1/0", "zero denominator"),
         (lambda d: d, "0.1", "expected an exact rational"),
         (lambda d: d.update(order=d["order"] + 1), "1/10", "generators give"),
-        (lambda d: d.update(note=1), "1/10", "girth witness key 'note' is not read"),
+        (lambda d: d.update(note=1), "1/10",
+         "girth witness field 'note' is not written by to_witness_json"),
         (lambda d: d.update(girth_bound=99), "1/10", "does not satisfy its own certificate"),
     ])
     def test_verify_refuses_a_bad_witness_or_epsilon(self, tmp_path, capsys, edit, epsilon,
@@ -413,8 +414,8 @@ class TestConstructCommand:
         }
         code, out = self.run_construct(tmp_path, request)
         assert code == 2
-        assert ("the stored report differs from the one verify measures on the stored maps"
-                in capsys.readouterr().err)
+        assert ("error: field 'factors': certificate field 'report.a_pass' states true, where "
+                "format 11 writes false" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_finitary_extension(self, tmp_path):

@@ -10,8 +10,9 @@ reports, strict and plain, on dense, fibered and multi-slot actions.
 
 The loader parses the assignment's keys as one joined JSON list and keeps
 that parse only when every element's canonical key is its stated key; any
-other certificate takes the per-key path, which names the first bad key as
-before.  ``regular_action`` reads its maps from one batch of products;
+other certificate takes the per-key path, which names the first key that is
+not JSON alone as before (a key that is JSON but not canonical is refused by
+the acceptance rule, at its path).  ``regular_action`` reads its maps from one batch of products;
 ``regular_by_loop``, its old loop of checked products, is the oracle.
 """
 
@@ -41,6 +42,7 @@ from quasiact.constructions import cyclic_quasi_action, direct_product_qa, regul
 from quasiact.errors import DomainError, IncompleteSupportError
 from quasiact.finmap import FiniteMap, after, count_dtype, differs, identity_map
 from quasiact.groups import _row_codes, _unique
+from quasiact.util import canonical_json
 
 import test_fibered
 from test_product_slots import S3, fibered_factors, outcome, repeating_actions, same_action
@@ -223,7 +225,7 @@ class TestLoaderKeysEachElementOnce:
         assert str(exc.value) == "no map assigned for element [9,9] (needed for (F, epsilon))"
 
     def test_a_canonical_certificate_parses_its_keys_once(self, monkeypatch):
-        text = json.dumps(product_certificate())
+        text = canonical_json(product_certificate()) + "\n"  # as emit_certificate writes it
         parsed, keyed = [], []
         parse, keys_many = quasiaction.parse_json, ProductGroup._keys_many
         monkeypatch.setattr(quasiaction, "parse_json", lambda t, what: parsed.append(what)
@@ -231,7 +233,7 @@ class TestLoaderKeysEachElementOnce:
         monkeypatch.setattr(ProductGroup, "_keys_many", lambda self, xs: keyed.append(len(xs))
                             or keys_many(self, xs))
         qa, report = load_certificate(text)
-        assert parsed == ["certificate", "keys"]  # F and the report's f are looked up
+        assert parsed == ["certificate", "keys"]  # F's keys are looked up in the assignment's
         assert keyed.count(len(qa.elements)) == 1  # _set reuses the checked keys
         assert emit_certificate(qa, report) == emit_certificate(*load_certificate(text))
 

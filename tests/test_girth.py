@@ -1014,7 +1014,8 @@ class TestWitnessLoaderSoundness:
     def test_a_key_it_does_not_read_is_refused(self, key):
         doc = self.witness_doc()
         doc[key] = 1
-        with pytest.raises(DomainError, match=re.escape(f"girth witness key {key!r} is not read")):
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                f"girth witness field {key!r} is not written by to_witness_json")):
             load_girth_witness(json.dumps(doc))
 
     def test_written_as_compact_canonical_json(self):

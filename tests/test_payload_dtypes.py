@@ -221,8 +221,8 @@ class TestRefusals:
         set_slot_rows(doc, 0, images, labels)
         with pytest.raises(InvariantViolationError) as caught:
             load_certificate(json.dumps(doc))
-        assert str(caught.value) == (f"slot 0 labels: label {min(outside)} is not in V: "
-                                     "a map leaves the carrier")
+        assert str(caught.value) == (f"field 'slots': slot 0 labels: label {min(outside)} is not "
+                                     "in V: a map leaves the carrier")
 
     def test_label_not_a_permutation_is_not_in_v(self):
         doc = json.loads(certificate(4, 8))

@@ -8,12 +8,12 @@ condition (a).  The strict count it replaced, one ``fixpoint_count``,
 slot map (``each_count_strict``), is kept here as the oracle, on dense,
 fibered and multi-slot actions.
 
-The loader compares the stored report's summaries (each count array's
-deciding value and its position, each flag array's first failure) and the
-rest as the canonical JSON of the whole report; the compare by type and
-value at every level that the format 9 loader made is the oracle.  It
-reads the assignment as one index payload and names the first index past
-its table's size.
+The loader's acceptance rule compares the stored report's summaries (each
+count array's deciding value and its position, each flag array's first
+failure) and the rest with the report it writes, by JSON path; the compare
+by type and value at every level that the format 9 loader made is the
+oracle.  It reads the assignment as one index payload and names the first
+index past its table's size.
 """
 
 import json
@@ -253,8 +253,12 @@ def refusal(text: str):
     return None
 
 
-DIFFERS = (InvariantViolationError,
-           "the stored report differs from the one verify measures on the stored maps")
+def refused_at(text: str, path: str) -> bool:
+    """load_certificate refuses text by the acceptance rule, at path or below it."""
+    error = refusal(text)
+    return error is not None and error[0] is InvariantViolationError and (
+        error[1].startswith(f"certificate field {path!r}")
+        or error[1].startswith(f"certificate field '{path}."))
 
 
 def edit_report(doc: dict, edit: str) -> None:
@@ -320,19 +324,20 @@ class TestReportCompare:
     @pytest.mark.parametrize("edit", [None, "keys_reversed", *EDITS])
     def test_an_edited_report_is_refused_as_before(self, edit):
         # The canonical JSON of the stored report equals the fresh one's
-        # exactly when the format 9 compare holds, and the loader refuses
-        # every edit that changes the report with the same message.
+        # exactly when the format 9 compare holds.  The loader refuses every
+        # edit, and the same report with its members in another order, by
+        # the acceptance rule at a path in the report.
         original = strict_certificate()
         fresh = report_to_json(load_certificate(original)[1])
         doc = json.loads(original)
         if edit is not None:
             edit_report(doc, edit)
-        text = json.dumps(doc)
+        text = json.dumps(doc, separators=(",", ":")) + "\n"  # in the document's own key order
         stored = json.loads(text)["report"]
         kept = edit in (None, "keys_reversed")
         assert (canonical_json(stored) == canonical_json(fresh)) is old_same_report(stored, fresh)
         assert old_same_report(stored, fresh) is kept
-        assert refusal(text) == (None if kept else DIFFERS)
+        assert refusal(text) is None if edit is None else refused_at(text, "report")
 
     def test_counts_past_int64_compare_exactly(self):
         qa = test_fibered.TestCountsPastInt64().shift_action(21)
@@ -340,7 +345,9 @@ class TestReportCompare:
         assert emit_certificate(*load_certificate(text)) == text
         doc = json.loads(text)
         doc["report"]["condition_a"]["max"] -= 1  # n - 1: exact only as a Python int
-        assert refusal(json.dumps(doc)) == DIFFERS
+        assert refusal(json.dumps(doc)) == (
+            InvariantViolationError, f"certificate field 'report.condition_a.max' states "
+                                     f"{qa.carrier_n - 1}, where format 11 writes {qa.carrier_n}")
 
 
 def product_document() -> dict:
@@ -390,6 +397,7 @@ class TestIndexArray:
         values = assignment(doc)
         values["[0, 0]"] = values["[1,1]"]
         set_assignment(doc, values)
+        i, j = map(sorted(values).index, ("[0, 0]", "[0,0]"))
         assert refusal(json.dumps(doc)) == (
-            InvariantViolationError,
-            "element key '[0, 0]' is not its element's canonical key '[0,0]'")
+            DomainError,
+            f"field 'assignment': keys[{i}] '[0, 0]' and keys[{j}] '[0,0]' name one element, '[0,0]'")
