@@ -60,18 +60,14 @@ class GirthGroup:
 
 def fiber_from_json(doc) -> tuple[Fiber, Callable[..., np.ndarray]]:
     """The one reader of V (a girth witness, or a certificate slot's fiber):
-    its degree, its generators, each of that length, and its order.  Fiber
-    checks the permutations and Schreier-Sims the order; returns V and
-    Schreier-Sims's batched test of membership in V.  Other keys are the
-    acceptance rule's (load_girth_witness, load_certificate)."""
-    degree = _field(doc, "degree", _decode_int)
-    gens = _field(doc, "generators", lambda v: tuple(
-        tuple(_decode_ints(p, degree)) for p in _decode_list(v)))
-    fiber = Fiber(gens, _field(doc, "order", _decode_int))
+    its generators, checked as permutations of one degree before
+    Schreier-Sims reads them.  Returns V, with Schreier-Sims's order, and
+    its batched test of membership in V.  The stated degree, order and other
+    keys are the acceptance rule's (load_girth_witness, load_certificate)."""
+    gens = _field(doc, "generators", lambda v: tuple(tuple(_decode_ints(p)) for p in _decode_list(v)))
+    Fiber(gens, 1)  # checks the permutations, whatever V's order
     order, member = schreier_sims(gens)
-    if order != fiber.order:
-        raise InvariantViolationError(f"V states order {fiber.order}; its generators give {order}")
-    return fiber, member
+    return Fiber(gens, order), member
 
 
 def load_girth_witness(text: str) -> GirthGroup:
@@ -79,7 +75,7 @@ def load_girth_witness(text: str) -> GirthGroup:
     its girth bound and seed (JSON integers only, else DomainError), and the
     word-girth certificate earned again.  It loads only if its text is what
     to_witness_json writes for the group (util.check_written names the first
-    differing JSON path, or character)."""
+    differing JSON path, or character), as is V's stated degree and order."""
     doc = parse_json(text, "girth witness")
     fiber = fiber_from_json(doc)[0]
     bound, seed = (_field(doc, k, _decode_int) for k in ("girth_bound", "seed"))

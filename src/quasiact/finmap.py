@@ -55,7 +55,7 @@ class Fiber:
     def degree(self) -> int:
         return len(self.generators[0])
 
-    def describe(self) -> dict:  # as girth.fiber_from_json reads V
+    def describe(self) -> dict:  # as a girth witness and a fibered slot state V
         return {"degree": self.degree, "generators": self.generators, "order": self.order}
 
 

@@ -23,7 +23,7 @@ through one code path: per cell and slot, then multiplied over the slots.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -488,26 +488,21 @@ def _payloads_to_json(**parts) -> dict:
 
 def _payloads_from_json(doc, what: str, **parts) -> list[np.ndarray]:
     """The one payload decoder: each part (shape, bound) of doc is base64 of
-    a shape array in _payload_dtype of its largest bound; doc's sha256 covers
-    the parts' bytes.  Checks each part's base64 and length, the hash, then
-    0 <= value < bound (bound broadcast over the last axis), naming the
-    field (what and the part) and the first bad value."""
-    import hashlib
-
-    raws, digest = [], hashlib.sha256()
-    dtypes = [np.dtype(_payload_dtype(np.max(b, initial=0))) for _, b in parts.values()]
-    for name, (shape, _), dtype in zip(parts, parts.values(), dtypes):
+    a shape array in _payload_dtype of its largest bound.  Checks, part by
+    part, its base64 padding and length, then 0 <= value < bound (bound
+    broadcast over the last axis), naming the field (what and the part) and
+    the first bad value.  The str is decoded in place; the sha256 and the
+    base64 spelling are the acceptance rule's (load_certificate)."""
+    out = []
+    for name, (shape, bound) in parts.items():
+        dtype = np.dtype(_payload_dtype(np.max(bound, initial=0)))
         try:
-            raws.append(base64.b64decode(_field(doc, name, _decode_str), validate=True))
+            raw = binascii.a2b_base64(_field(doc, name, _decode_str))
         except ValueError as exc:  # binascii.Error is a ValueError
             raise InvariantViolationError(f"{what} {name} is not valid base64: {exc}") from None
-        if (n := len(raws[-1])) != (size := dtype.itemsize * math.prod(shape)):
+        if (n := len(raw)) != (size := dtype.itemsize * math.prod(shape)):
             raise InvariantViolationError(f"{what} {name} has {n} bytes, expected {size}")
-        digest.update(raws[-1])
-    if digest.hexdigest() != _field(doc, "sha256", _decode_str):
-        raise InvariantViolationError(f"{what} payload does not match its sha256")
-    out = [np.frombuffer(r, t).reshape(s) for r, t, (s, _) in zip(raws, dtypes, parts.values())]
-    for name, values, (shape, bound) in zip(parts, out, parts.values()):
+        out.append(values := np.frombuffer(raw, dtype).reshape(shape))
         bound = np.broadcast_to(np.asarray(bound, np.int64), shape)
         # Each column's extremes against its bound (which varies along the last axis
         # only) are cheaper than comparing every value; the search runs on a bad one.
@@ -538,8 +533,9 @@ def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
     one "label_index" into them per cell.  The label table is sifted into V
     in one batch (a label outside V, or no permutation, would move points
     off the carrier); the rows are gathered from it, none stated twice, as
-    emission would state it again.  Keys, label order and unused labels are
-    the acceptance rule's (load_certificate)."""
+    emission would state it again.  Keys, label order, unused labels, the
+    sha256, the base64 spelling and V's stated degree and order are the
+    acceptance rule's (load_certificate)."""
     import hashlib
 
     from .constructions.girth import fiber_from_json  # constructions imports this module
@@ -649,12 +645,13 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
     text is what emit_certificate writes for the action it states and the
     report verify measures on it again, on the claimed F at the stored
     report's epsilon and strictness (util.check_written names the first
-    differing JSON path, or character).  Checked before anything is built,
-    as decoding, allocation and _from_slots rely on them: the format, each
-    payload's base64, length, sha256 and range, the label count, the labels
-    in V, no row stated twice, each key an element and no two keys one, and
-    F's keys in the assignment.  The fresh report, with every count, is
-    returned."""
+    differing JSON path, or character): the one check of each sha256, each
+    payload's base64 spelling and V's degree and order.  Checked before
+    anything is built, as decoding, allocation and _from_slots rely on them:
+    the format, each payload's base64 padding, length and range, the label
+    count, V's generators, the labels in V, no row stated twice, each key an
+    element and no two keys one, and F's keys in the assignment.  The fresh
+    report, with every count, is returned."""
     doc = parse_json(text, "certificate")
     fmt = _field(doc, "format", _decode_int, 1)  # format 1 had no "format" key
     if fmt != FORMAT:

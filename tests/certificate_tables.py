@@ -103,12 +103,15 @@ def format_10_slot(slot: dict) -> dict:
 
 
 def format_10_table(s: dict, i: int) -> tuple[tuple, np.ndarray]:
-    """Format 10's decoder of slot i, kept as the oracle: its images and
-    per-cell labels payloads, every cell's label deduplicated and the
-    distinct ones sifted into V in one batch, no row stated twice."""
+    """Format 10's decoder of slot i, kept as the oracle: one sha256 over
+    its images and per-cell labels payloads, in that order, every cell's
+    label deduplicated and the distinct ones sifted into V in one batch, no
+    row stated twice."""
     from quasiact.constructions.girth import fiber_from_json
     from quasiact.quasiaction import TABLES, _payloads_from_json
 
+    if hashlib.sha256(raw(s, "images") + raw(s, "labels")).hexdigest() != s["sha256"]:
+        raise InvariantViolationError(f"slot {i} payload does not match its sha256")
     cells, fiber_doc, rows = s["cells"], s["fiber"], s["maps"]
     fiber, member = (None, None) if fiber_doc is None else fiber_from_json(fiber_doc)
     d = 0 if fiber is None else fiber.degree

@@ -250,7 +250,7 @@ class TestGirthSearchCommand:
     @pytest.mark.parametrize("edit,epsilon,message", [
         (lambda d: d, "1/0", "zero denominator"),
         (lambda d: d, "0.1", "expected an exact rational"),
-        (lambda d: d.update(order=d["order"] + 1), "1/10", "generators give"),
+        (lambda d: d.update(order=d["order"] + 1), "1/10", "girth witness field 'order' states"),
         (lambda d: d.update(note=1), "1/10",
          "girth witness field 'note' is not written by to_witness_json"),
         (lambda d: d.update(girth_bound=99), "1/10", "does not satisfy its own certificate"),

@@ -826,6 +826,47 @@ def is_permutation(row):
     return sorted(row) == list(range(len(row)))
 
 
+@st.composite
+def structured_families(draw):
+    """Generator sets whose orbits a Schreier-Sims that skips too many
+    Schreier generators misjudges: one permutation of disjoint cycles (as
+    (0 1 2)(3 4)), diagonal generators (each the same permutation on two or
+    three disjoint copies of its points) and C_a wr C_b (an a-cycle on the
+    first of b blocks of a points and the b-cycle of the blocks)."""
+    kind = draw(st.sampled_from(["cycles", "diagonal", "wreath"]))
+    if kind == "cycles":
+        lengths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=3))
+        starts = [sum(lengths[:c]) for c in range(len(lengths))]
+        return [tuple(start + (x + 1) % n for start, n in zip(starts, lengths) for x in range(n))]
+    if kind == "diagonal":
+        m, copies = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+        perms = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3))
+        return [tuple(c * m + p[x] for c in range(copies) for x in range(m)) for p in perms]
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cycle = tuple((x + 1) % a if x < a else x for x in range(a * b))
+    return [cycle, tuple((x + a) % (a * b) for x in range(a * b))]
+
+
+def check_order_against_sympy(routine, gens):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    group = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
+    assert routine(gens)[0] == group.order()
+
+
+def skipping_schreier_sims(gens):
+    """schreier_sims with one fault: once any orbit point's Schreier
+    generator for s sifts to 1, s is skipped at every point of that level."""
+    import inspect
+
+    source = inspect.getsource(girth.schreier_sims)
+    faulty = source.replace("(i, p, n) not in sifted", "(i, n) not in sifted").replace(
+        "sifted.add((i, p, n))", "sifted.add((i, n))")
+    assert faulty.count("(i, n)") == 2
+    namespace = dict(vars(girth))
+    exec(faulty, namespace)
+    return namespace["schreier_sims"](gens)
+
+
 class TestSchreierSimsAgainstOracles:
     @settings(max_examples=150, deadline=None)
     @given(gens=perm_sets_to_degree_nine, kind=special_kinds)
@@ -925,6 +966,21 @@ class TestSchreierSimsAgainstOracles:
                         for r in rows]
             assert expected == in_group
 
+    @settings(max_examples=100, deadline=None)
+    @given(gens=structured_families())
+    @example(gens=[(1, 2, 0, 4, 3)])
+    def test_structured_families_match_sympy(self, gens):
+        # Every loaded V's order comes from Schreier-Sims alone.
+        check_order_against_sympy(schreier_sims, gens)
+
+    def test_the_sympy_comparison_refuses_a_routine_that_skips_too_much(self):
+        # In <(0 1 2)(3 4)> the Schreier generator at orbit point 0 sifts to
+        # 1, that at point 2 is (3 4); skipping it stops at the 3-cycle.
+        gens = [(1, 2, 0, 4, 3)]
+        assert skipping_schreier_sims(gens)[0] == 3 and schreier_sims(gens)[0] == 6
+        with pytest.raises(AssertionError):
+            check_order_against_sympy(skipping_schreier_sims, gens)
+
     @pytest.mark.parametrize("degree", [0, 1, 2, 5])
     def test_batches_of_no_rows_and_of_the_wrong_width(self, degree):
         _, member = schreier_sims([tuple(range(1, degree)) + (0,)] if degree else [()])
@@ -979,13 +1035,15 @@ class TestWitnessLoaderSoundness:
     def test_inflated_order_rejected(self):
         doc = self.witness_doc()
         doc["order"] += 1000
-        with pytest.raises(InvariantViolationError, match="generators give"):
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                "girth witness field 'order' states 1360, where to_witness_json writes 360")):
             load_girth_witness(json.dumps(doc))
 
     def test_wrong_degree_rejected(self):
         doc = self.witness_doc()
         doc["degree"] = 99
-        with pytest.raises(DomainError):
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                "girth witness field 'degree' states 99, where to_witness_json writes 6")):
             load_girth_witness(json.dumps(doc))
 
     @pytest.mark.parametrize("field,value", [
@@ -999,10 +1057,11 @@ class TestWitnessLoaderSoundness:
         ("girth_bound", -3),
     ])
     def test_fields_decode_strictly(self, field, value):
+        # V's degree and order are read from its generators; the acceptance rule refuses another.
         doc = self.witness_doc()
         assert doc["order"] == 360
         doc[field] = value
-        with pytest.raises(DomainError):
+        with pytest.raises(InvariantViolationError if field in ("degree", "order") else DomainError):
             load_girth_witness(json.dumps(doc))
 
     def test_non_object_witness_rejected(self):

@@ -5,6 +5,7 @@ and format 10's per-cell label decoding kept as the oracle of the tables."""
 
 import base64
 import functools
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -84,6 +85,9 @@ class TestLabelTables:
             assert layout == oracle_layout
             assert table.dtype == oracle.dtype == np.int32
             assert np.array_equal(table, oracle) and np.array_equal(table, tables[i])
+            with pytest.raises(InvariantViolationError, match=re.escape(
+                    f"slot {i} payload does not match its sha256")):
+                format_10_table(dict(format_10_slot(slot), sha256="0" * 64), i)
 
 
 def test_sizes():
@@ -218,13 +222,23 @@ def test_a_fibered_slot_states_its_label_count():
 
 
 def test_the_label_payloads_are_hashed():
+    # Each slot's sha256 covers its payloads in written order: a fibered
+    # slot's images, labels and label_index, a dense slot's images; the
+    # assignment's covers its index.
+    for make in CERTIFICATES.values():
+        doc = json.loads(make())
+        for part in doc["slots"] + [doc["assignment"]]:
+            names = (("index",) if "index" in part else ("images",) if part["fiber"] is None
+                     else ("images", "labels", "label_index"))
+            assert part["sha256"] == hashlib.sha256(b"".join(raw(part, n) for n in names)).hexdigest()
     doc = json.loads(c2_c3(1))
     slot = doc["slots"][0]
     index = bytearray(raw(slot, "label_index"))
     index[0] ^= 1
     slot["label_index"] = base64.b64encode(bytes(index)).decode()
+    # The acceptance rule measures the changed maps again: the stored report is the first difference.
     with pytest.raises(InvariantViolationError, match=re.escape(
-            "field 'slots': slot 0 payload does not match its sha256")):
+            "certificate field 'report.condition_a.max' states 0, where format 11 writes 360")):
         load_certificate(json.dumps(doc))
 
 

@@ -764,12 +764,14 @@ class TestCertificateCodec:
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
         bad = with_edit(cert, lambda d: d["slots"][0].update(sha256=d["assignment"]["sha256"]))
-        with pytest.raises(InvariantViolationError, match="slot 0 payload does not match its sha256"):
+        with pytest.raises(InvariantViolationError,
+                           match=re.escape("certificate field 'slots[0].sha256' states ")):
             load_certificate(bad)
 
     def test_flipped_payload(self):
         # Swap two images of map "1": still an in-range map, still valid
-        # base64 of the right length, but no longer the bytes that were hashed.
+        # base64 of the right length, but no longer the bytes that were hashed;
+        # the report measured again on it is the first difference.
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
         doc = json.loads(cert)
@@ -777,7 +779,8 @@ class TestCertificateCodec:
         images[1, [0, 1]] = images[1, [1, 0]]
         FiniteMap(images[1])  # the tampered row is a valid map on its own
         doc["slots"][0]["images"] = encode(images, 4)
-        with pytest.raises(InvariantViolationError, match="slot 0 payload does not match its sha256"):
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                "certificate field 'report.a_pass' states true, where format 11 writes false")):
             load_certificate(json.dumps(doc))
 
     def test_rehashed_out_of_range_payload(self):

@@ -6,11 +6,14 @@ text is what the library writes for it.
 again; ``load_girth_witness`` with ``to_witness_json``.  A difference is
 refused naming the first differing JSON path and both values, or, when the
 two texts are one document, the first differing character.  The property
-below runs over four valid documents and three kinds of change (a key
+below runs over four valid documents and five kinds of change (a key
 inserted at a random path, the text re-indented, one object's keys
-reordered), derandomized, with one example per kind, so every run tries the
-same cases.  A comparison that checked only the report would pass every
-change outside it, which the inserted keys and reordered objects reach.
+reordered, a digit of a payload group's sha256 changed, a character outside
+the base64 alphabet inserted into a payload), derandomized, with one example
+per kind, so every run tries the same cases.  A comparison that checked only
+the report would pass every change outside it, which the inserted keys and
+reordered objects reach.  The loader neither hashes a payload nor reads its
+base64 strictly: the sha256 and the spelling are this rule's alone.
 """
 
 import functools
@@ -20,7 +23,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quasiact import cyclic_group, emit_certificate, load_certificate, verify
 from quasiact.cli import main
@@ -99,11 +102,31 @@ def compact(doc) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+PAYLOADS = ("images", "labels", "label_index", "index")
+
+
+def flipped_digit(digest: str, at: int = 0) -> str:
+    """digest with its hex digit at `at` changed."""
+    return digest[:at] + format(int(digest[at], 16) ^ 1, "x") + digest[at + 1 :]
+
+
+def inserted(payload: str, at: int, char: str = "!") -> str:
+    """payload with char, outside the base64 alphabet, inserted at `at`: the
+    lenient decoder skips it, so it decodes to the same bytes."""
+    return payload[:at] + char + payload[at:]
+
+
 def changed(text: str, kind: str, rng: random.Random) -> tuple[str, str]:
     """text changed by kind, and the start of the refusal that must name it."""
     doc = json.loads(text)
     if kind == "indent":
         return json.dumps(doc, indent=rng.randint(0, 4)) + "\n", "text differs from what"
+    if kind in ("sha256", "alphabet"):
+        keys = ("sha256",) if kind == "sha256" else PAYLOADS
+        path, obj, key = rng.choice([(p, o, k) for p, o in objects(doc) for k in keys if k in o])
+        obj[key] = (flipped_digit(obj[key], rng.randrange(64)) if kind == "sha256" else
+                    inserted(obj[key], rng.randint(0, len(obj[key])), rng.choice("!*.-_ \n")))
+        return compact(doc), f"field '{path}.{key}' states "
     path, obj = rng.choice([(p, o) for p, o in objects(doc) if kind == "insert" or len(o) > 1])
     items = list(obj.items())
     if kind == "insert":
@@ -128,13 +151,17 @@ def test_the_untouched_text_loads_and_is_written_again(name):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(name=st.sampled_from(NAMES), kind=st.sampled_from(["insert", "indent", "reorder"]),
+@given(name=st.sampled_from(NAMES),
+       kind=st.sampled_from(["insert", "indent", "reorder", "sha256", "alphabet"]),
        seed=st.integers(0, 2**32 - 1))
 @example(name="many_pairs_product", kind="insert", seed=0)
 @example(name="c2_c3_n2", kind="indent", seed=0)
 @example(name="z_times_c2_extension", kind="reorder", seed=0)
 @example(name="girth_witness", kind="reorder", seed=1)
+@example(name="c2_c3_n2", kind="sha256", seed=0)
+@example(name="many_pairs_product", kind="alphabet", seed=0)
 def test_a_changed_text_is_refused_by_name(name, kind, seed):
+    assume(name != "girth_witness" or kind not in ("sha256", "alphabet"))  # it has no payloads
     text, message = changed(document(name), kind, random.Random(seed))
     with pytest.raises(InvariantViolationError) as caught:
         load(name, text)
@@ -189,12 +216,31 @@ CASES = [
         "assignment"].update(index=respelled_base64(d["assignment"]["index"]))),
      "certificate field 'assignment.index' states \"AAECAwQFBgcICT==\", "
      "where format 11 writes \"AAECAwQFBgcICQ==\""),
+    ("slot_sha256_digit", lambda: edited(document("c2_c3_n2"), lambda d: d["slots"][0].update(
+        sha256=flipped_digit(d["slots"][0]["sha256"]))),
+     "certificate field 'slots[0].sha256' states \""),
+    ("assignment_sha256_digit", lambda: edited(document("many_pairs_product"), lambda d: d[
+        "assignment"].update(sha256=flipped_digit(d["assignment"]["sha256"]))),
+     "certificate field 'assignment.sha256' states \""),
+    ("non_alphabet_character", lambda: edited(document("many_pairs_product"), lambda d: d[
+        "slots"][1].update(images=inserted(d["slots"][1]["images"], 10))),
+     "certificate field 'slots[1].images' states \"CgABAgMEBQ!YHCAkJCgABAgMEBQYHCAgJC, "
+     "where format 11 writes \"CgABAgMEBQYHCAkJCgABAgMEBQYHCAgJCg"),
+    ("pad_bits", lambda: edited(document("c2_c3_n2"), lambda d: d["slots"][0].update(
+        labels=respelled_base64(d["slots"][0]["labels"]))),
+     "certificate field 'slots[0].labels' states AECBwYBAwUEAgAHBgQCBQABAz==\", "
+     "where format 11 writes AECBwYBAwUEAgAHBgQCBQABAw==\""),
+    ("fiber_order", lambda: edited(document("c2_c3_n2"), lambda d: d["slots"][0]["fiber"].update(
+        order=d["slots"][0]["fiber"]["order"] + 1)),
+     "certificate field 'slots[0].fiber.order' states 20161, where format 11 writes 20160"),
     ("witness_key", lambda: with_top(document("girth_witness"), note=0),
      "girth witness field 'note' is not written by to_witness_json"),
     ("witness_indented", lambda: json.dumps(json.loads(document("girth_witness")), indent=2),
      "girth witness text differs from what to_witness_json writes at character 1: "),
     ("witness_reordered", lambda: compact(reordered(json.loads(document("girth_witness")))),
      "girth witness top level states its keys as ['seed', 'order', "),
+    ("witness_order", lambda: edited(document("girth_witness"), lambda d: d.update(order=d["order"] - 1)),
+     "girth witness field 'order' states 359, where to_witness_json writes 360"),
 ]
 
 
@@ -237,3 +283,25 @@ def test_the_piecewise_writer_writes_canonical_json(name):
     nested = {"b": [{"x": memoryview(data)}, [1, {}]], "a": {}, "c": []}
     expected = {"b": [{"x": base64.b64encode(data).decode()}, [1, {}]], "a": {}, "c": []}
     assert "".join(chunks(nested)) == canonical_json(expected)
+
+
+def test_a_character_outside_the_alphabet_decodes_to_the_same_bytes():
+    # The loader's lenient decoder skips it, so the stated sha256 still
+    # holds: the text comparison is what refuses it.
+    import binascii
+
+    images = json.loads(document("many_pairs_product"))["slots"][1]["images"]
+    for char in "!*.-_ \n":
+        assert binascii.a2b_base64(inserted(images, 10, char)) == binascii.a2b_base64(images)
+
+
+@pytest.mark.parametrize("name", ["many_pairs_product", "c2_c3_n2"])
+def test_each_payload_group_is_hashed_once_per_load(monkeypatch, name):
+    # Only the acceptance rule hashes a payload, as it writes the slots and
+    # the assignment again: one sha256 per slot and one for the assignment.
+    import hashlib
+
+    text, sha256, calls = document(name), hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda *a, **k: calls.append(a) or sha256(*a, **k))
+    load_certificate(text)
+    assert len(calls) == len(json.loads(text)["slots"]) + 1
