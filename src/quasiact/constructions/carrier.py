@@ -14,7 +14,7 @@ these are transitive on V.  So every class lies in the orbit of some
 (b, 1) or (a, 1), and girth.certify_girth, walking the non-backtracking
 walks from these |A| + |B| roots a level at a time on class nodes labelled
 by permutations, refuses every cycle of length <= 2N, two classes meeting
-twice included.  |V| is recomputed by Schreier-Sims.
+twice included.  |V| is V's Fiber's, from Schreier-Sims on its generators.
 
 Generators attach to (a,b) cells either one-to-one (label count == |A||B|)
 or through the cyclic assignment gen(a,b) = generator[(a+b) mod labels],
@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import DomainError, InvariantViolationError, PreconditionError
-from .girth import GirthGroup, _inverse, certify_girth, schreier_sims
+from ..errors import DomainError, PreconditionError
+from .girth import GirthGroup, _inverse, certify_girth
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,11 @@ def _label_assignment(a_size: int, b_size: int, v: GirthGroup) -> tuple[tuple[in
 def build_partitioned_carrier(
     a_size: int, b_size: int, depth: int, v: GirthGroup
 ) -> PartitionedCarrier:
-    """Assemble the carrier and certify |V| and the incidence girth.
+    """Assemble the carrier and certify its incidence girth.
 
     Alpha-classes have |A| points and beta-classes |B| by construction: the
-    points (a, b, w * gen(a,b)) of a beta-class differ in b.
+    points (a, b, w * gen(a,b)) of a beta-class differ in b.  |V| is the
+    Fiber's, which Schreier-Sims computed from the generators.
     """
     if a_size < 1 or b_size < 1 or depth < 1:
         raise DomainError("sizes and depth must be positive")
@@ -85,9 +86,6 @@ def build_partitioned_carrier(
             f"need at least {2 * depth}"
         )
     pc = PartitionedCarrier(a_size, b_size, v, _label_assignment(a_size, b_size, v), depth)
-    order = schreier_sims(v.fiber.generators)[0]
-    if order != v.order:
-        raise InvariantViolationError(f"the generators give {order} elements, not {v.order}")
     _bfs_girth_certificate(pc)
     return pc
 

@@ -19,14 +19,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cache
-from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import DomainError, InvariantViolationError, SearchFailureError
-from ..finmap import Fiber
+from ..finmap import Fiber, _inverse, schreier_sims  # schreier_sims is imported from here too
 from ..groups import _decode_int, _decode_ints, _decode_list, _field
 from ..util import canonical_json, check_written, parse_json
 
@@ -58,16 +56,13 @@ class GirthGroup:
         return canonical_json(self.witness()) + "\n"
 
 
-def fiber_from_json(doc) -> tuple[Fiber, Callable[..., np.ndarray]]:
+def fiber_from_json(doc) -> Fiber:
     """The one reader of V (a girth witness, or a certificate slot's fiber):
-    its generators, checked as permutations of one degree before
-    Schreier-Sims reads them.  Returns V, with Schreier-Sims's order, and
-    its batched test of membership in V.  The stated degree, order and other
-    keys are the acceptance rule's (load_girth_witness, load_certificate)."""
-    gens = _field(doc, "generators", lambda v: tuple(tuple(_decode_ints(p)) for p in _decode_list(v)))
-    Fiber(gens, 1)  # checks the permutations, whatever V's order
-    order, member = schreier_sims(gens)
-    return Fiber(gens, order), member
+    V from its generators alone, its order and membership test by
+    Schreier-Sims.  The stated degree, order and other keys are the
+    acceptance rule's (load_girth_witness, load_certificate)."""
+    return Fiber(_field(doc, "generators",
+                        lambda v: tuple(tuple(_decode_ints(p)) for p in _decode_list(v))))
 
 
 def load_girth_witness(text: str) -> GirthGroup:
@@ -77,7 +72,7 @@ def load_girth_witness(text: str) -> GirthGroup:
     to_witness_json writes for the group (util.check_written names the first
     differing JSON path, or character), as is V's stated degree and order."""
     doc = parse_json(text, "girth witness")
-    fiber = fiber_from_json(doc)[0]
+    fiber = fiber_from_json(doc)
     bound, seed = (_field(doc, k, _decode_int) for k in ("girth_bound", "seed"))
     if bound < 1:
         raise DomainError(f"girth_bound must be positive, got {bound}")
@@ -88,10 +83,6 @@ def load_girth_witness(text: str) -> GirthGroup:
     group = GirthGroup(fiber, bound, seed)
     check_written(text, group.witness(), "girth witness", "to_witness_json")
     return group
-
-
-def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def _cycle_lengths(perm: Sequence[int]) -> list[int]:
@@ -138,7 +129,8 @@ def certify_girth(moves: Sequence[Sequence[tuple]], roots: Sequence[int], bound:
     per_word = 8 // dtype.itemsize
     rows = np.zeros((len(roots), -(-(2 + degree) // per_word) * per_word), dtype)  # whole words
     rows[:, 0], rows[:, 1], rows[:, 2:2 + degree] = range(len(roots)), roots, range(degree)
-    perms, arrived, levels, hashes = perms.astype(dtype), -1, [rows], [_row_hashes(rows)]
+    perms, arrived, levels = perms.astype(dtype), -1, [rows]
+    hashes = [_row_hashes(rows.view(np.uint64))]  # fingerprints of whole words
     for _ in range((bound + 1) // 2):
         # Each row takes every move of its tag but the back move of the one it came by.
         arrived, parent = np.nonzero((rows[:, 1] == source[:, None]) & (arrived != back[:, None]))
@@ -150,15 +142,16 @@ def certify_girth(moves: Sequence[Sequence[tuple]], roots: Sequence[int], bound:
         for m, (lo, hi) in enumerate(zip(ends, ends[1:])):
             rows[lo:hi, 2:2 + degree] = perms[m][rows[lo:hi, 2:2 + degree]]
         levels.append(rows)
-        hashes.append(_row_hashes(rows))
+        hashes.append(_row_hashes(rows.view(np.uint64)))
         _refuse_meetings(levels, hashes, bound)
 
 
 def _row_hashes(rows: np.ndarray) -> np.ndarray:
-    """A 64-bit hash per row (equal rows, equal hashes): its words times odd weights."""
-    words = rows.view(np.uint64)
-    weights = [pow(0x9E3779B97F4A7C15, k + 1, 1 << 64) for k in range(words.shape[1])]
-    return (words * np.array(weights, np.uint64)).sum(axis=1, dtype=np.uint64)
+    """The one 64-bit row fingerprint (equal rows, equal fingerprints): each
+    row of an integer array times odd weights, summed mod 2**64 by einsum
+    in buffers, not on a copy of the rows."""
+    weights = np.cumprod(np.full(rows.shape[1], 0x9E3779B97F4A7C15, np.uint64))
+    return np.einsum("ij,j->i", rows, weights, dtype=np.uint64, casting="unsafe")
 
 
 def _refuse_meetings(levels: list[np.ndarray], hashes: list[np.ndarray], bound: int) -> None:
@@ -190,72 +183,6 @@ def _certify_word_girth(gens: Sequence[tuple[int, ...]], bound: int) -> None:
     meet (a 2-cycle)."""
     letters = [p for g in gens for p in (g, _inverse(g))]
     certify_girth([[(0, p, i ^ 1) for i, p in enumerate(letters)]], [0], bound)
-
-
-def schreier_sims(gens: Sequence[tuple[int, ...]]) -> tuple[int, Callable[..., np.ndarray]]:
-    """|<gens>| and a batched membership test, by deterministic Schreier-Sims
-    (Seress 2003, ch. 4; Holt et al. 2005, 4.4).  Level i has base point
-    b_i, strong generators S_i fixing b_0..b_{i-1} and the orbit of b_i
-    under <S_i>, with u_p(b_i) = p.  With the levels above i complete, each
-    Schreier generator u_{s(p)}^-1 s u_p sifts through them; a nontrivial
-    residue joins S_{i+1}..S_j and checking resumes at level j.  Orbits only
-    grow and keep each u_p, so a Schreier generator that sifted to 1 would
-    again: it is sifted once.  |<gens>| is the product of the orbit lengths;
-    member(rows) says if each row of a (rows, degree) int array sifts to 1."""
-    identity = tuple(range(len(gens[0])))
-    base, strong, reps = [], [], []  # per level: b_i, S_i and {p: u_p}
-    sifted = set()  # (i, p, index of s in S_i) whose Schreier generator sifted to 1
-    inverse = cache(_inverse)  # the same transversal elements are inverted again and again
-
-    def extend(g, lo, hi):  # g joins S_lo..S_hi, opening level hi if new
-        if hi == len(base):
-            base.append(next(x for x in identity if g[x] != x))
-            strong.append([])
-            reps.append({base[-1]: identity})
-        for k in range(lo, hi + 1):
-            strong[k].append(g)
-            orbit, queue = reps[k], list(reps[k])
-            old = len(queue)  # closed under the rest of S_k, so only g moves them out
-            for n, p in enumerate(queue):
-                for s in strong[k] if n >= old else (g,):
-                    if s[p] not in orbit:
-                        orbit[s[p]] = itemgetter(*orbit[p])(s)
-                        queue.append(s[p])
-
-    def next_level(i):  # i - 1 if level i is complete, else the deepest level changed
-        for p, u in reps[i].items():
-            for n, s in enumerate(strong[i]):
-                if (i, p, n) not in sifted:
-                    g, j = itemgetter(*itemgetter(*u)(s))(inverse(reps[i][s[p]])), i + 1
-                    while j < len(base) and g != identity and g[base[j]] in reps[j]:  # sift
-                        g, j = itemgetter(*g)(inverse(reps[j][g[base[j]]])), j + 1
-                    if g != identity:  # the residue, stripped through levels i + 1..j - 1
-                        extend(g, i + 1, j)
-                        return j
-                    sifted.add((i, p, n))
-        return i - 1
-
-    for g in gens:
-        if g != identity:
-            extend(g, 0, 0)
-    i = len(base) - 1
-    while i >= 0:
-        i = next_level(i)
-
-    def member(rows):
-        rows, points = np.asarray(rows), np.arange(len(identity))
-        if rows.ndim != 2 or rows.shape[1] != len(points):
-            return np.zeros(len(rows), bool)  # another width is never in <gens>
-        ok = ((rows >= 0) & (rows < len(points))).all(axis=1)
-        g = np.where(ok[:, None], rows, points)
-        for b, orbit in zip(base, reps):
-            # u_p^-1 at orbit point p, else a constant row: never 1, as levels need degree >= 2
-            inverses = np.zeros((len(points), len(points)), np.intp)
-            inverses[list(orbit)] = [inverse(u) for u in orbit.values()]
-            g = np.take_along_axis(inverses[g[:, b]], g, axis=1)
-        return ok & (g == points).all(axis=1)
-
-    return math.prod(len(orbit) for orbit in reps), member
 
 
 def _reduced_word_count(labels: int, bound: int) -> int:
@@ -298,8 +225,8 @@ def girth_group_search(
             if gens is None:
                 break  # no permutation of large enough order at this degree
             # The order first: a draw past the cap never pays for the word ball.
-            order = schreier_sims(gens)[0]
-            if order > order_cap:
+            v = Fiber(tuple(gens))
+            if v.order > order_cap:
                 over_cap += 1
                 continue
             try:
@@ -307,7 +234,7 @@ def girth_group_search(
             except InvariantViolationError:
                 short += 1
                 continue
-            return GirthGroup(Fiber(tuple(gens), order), girth_bound, seed)
+            return GirthGroup(v, girth_bound, seed)
     found = f"no girth-{girth_bound} generator set with {label_count} labels found"
     if over_cap and not short:
         raise SearchFailureError(

@@ -17,9 +17,11 @@ integer pairs, never floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from functools import cache
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,18 +40,21 @@ def check_carrier_size(n: int) -> int:
 
 @dataclass(frozen=True)
 class Fiber:
-    """The group V that fibered maps' labels lie in: permutation generators
-    of one degree and the order of the group they generate."""
+    """The group V that fibered maps' labels lie in, given by permutation
+    generators of one degree; its order and its batched membership test
+    (member) are schreier_sims's."""
 
     generators: tuple[tuple[int, ...], ...]
-    order: int
+    order: int = field(init=False, compare=False)
+    member: Callable[..., np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         gens = self.generators
         if not gens or any(sorted(g) != list(range(len(gens[0]))) for g in gens):
             raise DomainError("fiber generators must be permutations of one degree")
-        if self.order < 1:
-            raise DomainError(f"a fiber's order must be positive, got {self.order}")
+        order, member = schreier_sims(gens)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "member", member)
 
     @property
     def degree(self) -> int:
@@ -57,6 +62,76 @@ class Fiber:
 
     def describe(self) -> dict:  # as a girth witness and a fibered slot state V
         return {"degree": self.degree, "generators": self.generators, "order": self.order}
+
+
+def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
+def schreier_sims(gens: Sequence[tuple[int, ...]]) -> tuple[int, Callable[..., np.ndarray]]:
+    """|<gens>| and a batched membership test, by deterministic Schreier-Sims
+    (Seress 2003, ch. 4; Holt et al. 2005, 4.4).  Level i has base point
+    b_i, strong generators S_i fixing b_0..b_{i-1} and the orbit of b_i
+    under <S_i>, with u_p(b_i) = p.  With the levels above i complete, each
+    Schreier generator u_{s(p)}^-1 s u_p sifts through them; a nontrivial
+    residue joins S_{i+1}..S_j and checking resumes at level j.  Orbits only
+    grow and keep each u_p, so a Schreier generator that sifted to 1 would
+    again: it is sifted once.  |<gens>| is the product of the orbit lengths;
+    member(rows) says if each row of a (rows, degree) int array sifts to 1."""
+    identity = tuple(range(len(gens[0])))
+    base, strong, reps = [], [], []  # per level: b_i, S_i and {p: u_p}
+    sifted = set()  # (i, p, index of s in S_i) whose Schreier generator sifted to 1
+    inverse = cache(_inverse)  # the same transversal elements are inverted again and again
+
+    def extend(g, lo, hi):  # g joins S_lo..S_hi, opening level hi if new
+        if hi == len(base):
+            base.append(next(x for x in identity if g[x] != x))
+            strong.append([])
+            reps.append({base[-1]: identity})
+        for k in range(lo, hi + 1):
+            strong[k].append(g)
+            orbit, queue = reps[k], list(reps[k])
+            old = len(queue)  # closed under the rest of S_k, so only g moves them out
+            for n, p in enumerate(queue):
+                for s in strong[k] if n >= old else (g,):
+                    if s[p] not in orbit:
+                        orbit[s[p]] = itemgetter(*orbit[p])(s)
+                        queue.append(s[p])
+
+    def next_level(i):  # i - 1 if level i is complete, else the deepest level changed
+        for p, u in reps[i].items():
+            for n, s in enumerate(strong[i]):
+                if (i, p, n) not in sifted:
+                    g, j = itemgetter(*itemgetter(*u)(s))(inverse(reps[i][s[p]])), i + 1
+                    while j < len(base) and g != identity and g[base[j]] in reps[j]:  # sift
+                        g, j = itemgetter(*g)(inverse(reps[j][g[base[j]]])), j + 1
+                    if g != identity:  # the residue, stripped through levels i + 1..j - 1
+                        extend(g, i + 1, j)
+                        return j
+                    sifted.add((i, p, n))
+        return i - 1
+
+    for g in gens:
+        if g != identity:
+            extend(g, 0, 0)
+    i = len(base) - 1
+    while i >= 0:
+        i = next_level(i)
+
+    def member(rows):
+        rows, points = np.asarray(rows), np.arange(len(identity))
+        if rows.ndim != 2 or rows.shape[1] != len(points):
+            return np.zeros(len(rows), bool)  # another width is never in <gens>
+        ok = ((rows >= 0) & (rows < len(points))).all(axis=1)
+        g = np.where(ok[:, None], rows, points)
+        for b, orbit in zip(base, reps):
+            # u_p^-1 at orbit point p, else a constant row: never 1, as levels need degree >= 2
+            inverses = np.zeros((len(points), len(points)), np.intp)
+            inverses[list(orbit)] = [inverse(u) for u in orbit.values()]
+            g = np.take_along_axis(inverses[g[:, b]], g, axis=1)
+        return ok & (g == points).all(axis=1)
+
+    return math.prod(len(orbit) for orbit in reps), member
 
 
 class Slot(NamedTuple):

@@ -459,11 +459,7 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
-FORMAT = 11
-
-# hashlib is imported inside the codec functions: it loads OpenSSL, which
-# adds about 4 MiB of RSS to every command, including those that never
-# read or write a certificate.
+FORMAT = 12
 TABLES = "a slot's table states each slot map once"
 
 
@@ -475,15 +471,9 @@ def _payload_dtype(bound: int) -> str:
 def _payloads_to_json(**parts) -> dict:
     """Each part (values, bound) as the bytes of its values in
     _payload_dtype(bound), a memoryview (of the array itself when it is so
-    already) that util.chunks writes as base64, and one sha256 over the
-    parts' bytes in order."""
-    import hashlib
-
-    payloads, digest = {}, hashlib.sha256()
-    for k, (a, bound) in parts.items():
-        payloads[k] = memoryview(np.ascontiguousarray(a, _payload_dtype(bound)).reshape(-1).view(np.uint8))
-        digest.update(payloads[k])
-    return {**payloads, "sha256": digest.hexdigest()}
+    already) that util.chunks writes as base64."""
+    return {k: memoryview(np.ascontiguousarray(a, _payload_dtype(bound)).reshape(-1).view(np.uint8))
+            for k, (a, bound) in parts.items()}
 
 
 def _payloads_from_json(doc, what: str, **parts) -> list[np.ndarray]:
@@ -491,8 +481,8 @@ def _payloads_from_json(doc, what: str, **parts) -> list[np.ndarray]:
     a shape array in _payload_dtype of its largest bound.  Checks, part by
     part, its base64 padding and length, then 0 <= value < bound (bound
     broadcast over the last axis), naming the field (what and the part) and
-    the first bad value.  The str is decoded in place; the sha256 and the
-    base64 spelling are the acceptance rule's (load_certificate)."""
+    the first bad value.  The str is decoded in place; the base64 spelling
+    is the acceptance rule's (load_certificate)."""
     out = []
     for name, (shape, bound) in parts.items():
         dtype = np.dtype(_payload_dtype(np.max(bound, initial=0)))
@@ -534,14 +524,13 @@ def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
     in one batch (a label outside V, or no permutation, would move points
     off the carrier); the rows are gathered from it, none stated twice, as
     emission would state it again.  Keys, label order, unused labels, the
-    sha256, the base64 spelling and V's stated degree and order are the
-    acceptance rule's (load_certificate)."""
-    import hashlib
-
-    from .constructions.girth import fiber_from_json  # constructions imports this module
+    base64 spelling and V's stated degree and order are the acceptance
+    rule's (load_certificate)."""
+    # constructions imports this module
+    from .constructions.girth import _row_hashes, fiber_from_json
 
     cells = check_carrier_size(_field(s, "cells", _decode_int))
-    fiber, member = _field(s, "fiber", lambda f: (None, None) if f is None else fiber_from_json(f))
+    fiber = _field(s, "fiber", lambda f: None if f is None else fiber_from_json(f))
     rows, what = _field(s, "maps", _decode_int), f"slot {i}"
     if fiber is None:
         [images] = _payloads_from_json(s, what, images=((rows, cells), cells))
@@ -553,16 +542,13 @@ def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
         images, labels, index = _payloads_from_json(s, what, images=((rows, cells), cells),
                                                     labels=((k, d), d),
                                                     label_index=((rows, cells), k))
-        for w in labels[~member(labels)][:1].tolist():  # the first in sorted order
+        for w in labels[~fiber.member(labels)][:1].tolist():  # the first in sorted order
             raise InvariantViolationError(f"{what} labels: label {w} is not in V: "
                                           "a map leaves the carrier")
         packed = np.concatenate([images, labels[index].reshape(rows, cells * d)], axis=1,
                                 dtype=np.int32)
-    # Rows are compared only where their fingerprints meet: a fixed pseudorandom
-    # linear form mod 2**64, which einsum sums in buffers, not on a copy of the table.
-    form = np.frombuffer(hashlib.shake_128(b"rows").digest(8 * packed.shape[1]), np.uint64)
-    fp = np.einsum("ij,j->i", packed, form, dtype=np.uint64, casting="unsafe")
-    _, first, inverse = np.unique(fp, return_index=True, return_inverse=True)
+    # Rows are compared only where their fingerprints meet.
+    _, first, inverse = np.unique(_row_hashes(packed), return_index=True, return_inverse=True)
     for r in np.flatnonzero(first[inverse] != np.arange(rows)).tolist():
         for j in np.flatnonzero(inverse[:r] == inverse[r]).tolist():
             if np.array_equal(packed[r], packed[j]):
@@ -599,17 +585,17 @@ def _assignment_from_json(g: GroupHandle, a, tables) -> tuple[dict, list, np.nda
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
-    (format 11), each fact once.  Per slot: its cells, its fiber (V's degree,
+    (format 12), each fact once.  Per slot: its cells, its fiber (V's degree,
     generators and order, or null; the slots' sizes give the carrier) and its
     table's rows, as "maps" rows of "images" (rows, cells).  A fibered slot
     states its "label_count" distinct labels once, sorted, as "labels" (count,
     degree), and one "label_index" into them per cell (rows, cells); a dense
-    slot states no labels.  One sha256 covers the slot's payloads.
-    "assignment": the keys in key order and their (keys, slots) "index" into
-    the tables, with its sha256.  Payloads are base64 of little-endian values
-    in _payload_dtype of their bound (cells, V's degree, the label count, the
-    largest table).  "report" is report_to_json's summary of counts measured
-    on qa's carrier and claimed F; another is refused by name."""
+    slot states no labels.  "assignment": the keys in key order and their
+    (keys, slots) "index" into the tables.  Payloads are base64 of
+    little-endian values in _payload_dtype of their bound (cells, V's degree,
+    the label count, the largest table); no hash restates them, as the
+    loader binds every byte.  "report" is report_to_json's summary of counts
+    measured on qa's carrier and claimed F; another is refused by name."""
     return "".join(chunks(_certificate(qa, report))) + "\n"
 
 
@@ -640,13 +626,13 @@ def _elements_from_keys(g: GroupHandle, keys, known: Mapping) -> list:
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
-    """Read a format 11 certificate; formats 1-10 are refused by name (run
+    """Read a format 12 certificate; formats 1-11 are refused by name (run
     their request again with ``quasiact construct``).  It loads only if its
     text is what emit_certificate writes for the action it states and the
     report verify measures on it again, on the claimed F at the stored
     report's epsilon and strictness (util.check_written names the first
-    differing JSON path, or character): the one check of each sha256, each
-    payload's base64 spelling and V's degree and order.  Checked before
+    differing JSON path, or character): the one check of each payload's
+    base64 spelling and V's degree and order.  Checked before
     anything is built, as decoding, allocation and _from_slots rely on them:
     the format, each payload's base64 padding, length and range, the label
     count, V's generators, the labels in V, no row stated twice, each key an

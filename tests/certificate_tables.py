@@ -1,17 +1,16 @@
-"""Format 11 certificate documents in the tests: read and rewrite the slot
-tables and the assignment as arrays, each rewrite hashed again, and two
-older decoders kept as oracles of the table decoder: format 10's, which
-read one label per cell, and format 7's per-entry one.  An action's slot
+"""Format 12 certificate documents in the tests: read and rewrite the slot
+tables and the assignment as arrays, and two older decoders kept as
+oracles of the table decoder: format 10's, which read one label per cell
+under one sha256, and format 7's per-entry one.  An action's slot
 tables (int32 rows of cell images, then labels) are read as maps through
 table_maps alone.  every_count writes a report with every count, as format
 8 stored it, for tests that compare two reports in full.
 
 A slot's "images" payload is its (rows, cells) table of cell images.  A
 fibered slot adds its "label_count" distinct labels, sorted, as "labels"
-(count, degree) and one "label_index" into them per cell (rows, cells); one
-sha256 covers the slot's payloads.  The assignment's "index" payload is
-(keys, slots), with its own sha256.  Each payload is little-endian in the
-narrowest dtype of its bound.
+(count, degree) and one "label_index" into them per cell (rows, cells).
+The assignment's "index" payload is (keys, slots).  Each payload is
+little-endian in the narrowest dtype of its bound; none is hashed.
 """
 
 import base64
@@ -31,11 +30,6 @@ def dtype_of(bound: int) -> np.dtype:
 
 def raw(part: dict, name: str) -> bytes:
     return base64.b64decode(part[name])
-
-
-def rehash(part: dict, *names: str) -> None:
-    """Set part's sha256 to the hash of its named payloads' bytes, in order."""
-    part["sha256"] = hashlib.sha256(b"".join(raw(part, n) for n in names)).hexdigest()
 
 
 def encode(values, bound: int) -> str:
@@ -70,12 +64,11 @@ def label_table(slot: dict) -> tuple[np.ndarray, np.ndarray]:
 def set_label_table(doc: dict, s: int, images, table, index) -> None:
     """Write fibered slot s from images (rows, cells), a label table (count,
     degree) and its index (rows, cells) as given, sorted or not, in the
-    slot's dtypes, with its row and label counts and hash."""
+    slot's dtypes, with its row and label counts."""
     slot = doc["slots"][s]
     images, table = np.asarray(images), np.asarray(table).reshape(-1, degree_of(slot))
     slot.update(maps=len(images), label_count=len(table), images=encode(images, slot["cells"]),
                 labels=encode(table, degree_of(slot)), label_index=encode(index, len(table)))
-    rehash(slot, "images", "labels", "label_index")
 
 
 def set_slot_rows(doc: dict, s: int, images, labels=None) -> None:
@@ -86,7 +79,6 @@ def set_slot_rows(doc: dict, s: int, images, labels=None) -> None:
     images = np.asarray(images)
     if not degree_of(slot):
         slot.update(maps=len(images), images=encode(images, slot["cells"]))
-        rehash(slot, "images")
         return
     labels = np.asarray(labels).reshape(-1, degree_of(slot))
     table, index = np.unique(labels, axis=0, return_inverse=True)
@@ -98,7 +90,7 @@ def format_10_slot(slot: dict) -> dict:
     "labels" (rows, cells, degree), one sha256 over both."""
     old = {k: slot[k] for k in ("cells", "fiber", "maps", "images")}
     old["labels"] = encode(slot_rows({"slots": [slot]}, 0)[1], degree_of(slot))
-    rehash(old, "images", "labels")
+    old["sha256"] = hashlib.sha256(raw(old, "images") + raw(old, "labels")).hexdigest()
     return old
 
 
@@ -113,13 +105,13 @@ def format_10_table(s: dict, i: int) -> tuple[tuple, np.ndarray]:
     if hashlib.sha256(raw(s, "images") + raw(s, "labels")).hexdigest() != s["sha256"]:
         raise InvariantViolationError(f"slot {i} payload does not match its sha256")
     cells, fiber_doc, rows = s["cells"], s["fiber"], s["maps"]
-    fiber, member = (None, None) if fiber_doc is None else fiber_from_json(fiber_doc)
+    fiber = None if fiber_doc is None else fiber_from_json(fiber_doc)
     d = 0 if fiber is None else fiber.degree
     images, labels = _payloads_from_json(s, f"slot {i}", images=((rows, cells), cells),
                                          labels=((rows, cells, d), d))
     if d:
         distinct = np.unique(labels.reshape(-1, d), axis=0)
-        for w in distinct[~member(distinct)][:1].tolist():
+        for w in distinct[~fiber.member(distinct)][:1].tolist():
             raise InvariantViolationError(f"slot {i} labels: label {w} is not in V: "
                                           "a map leaves the carrier")
     packed = np.concatenate([images, labels.reshape(rows, cells * d)], axis=1, dtype=np.int32)
@@ -139,12 +131,11 @@ def assignment(doc: dict) -> dict:
 
 def set_assignment(doc: dict, values: dict) -> None:
     """Write the assignment from key -> indices: the keys in key order, their
-    rows in the dtype of the largest table, hashed, its fields in the
-    emitter's order."""
+    rows in the dtype of the largest table, its fields in the emitter's
+    order."""
     keys = sorted(values)
     a = doc["assignment"] = {"index": None, "keys": keys}
     a["index"] = encode([values[k] for k in keys], max(s["maps"] for s in doc["slots"]))
-    rehash(a, "index")
 
 
 def table_maps(table: np.ndarray, layout: tuple) -> list[FiniteMap]:
@@ -165,9 +156,9 @@ def per_entry_tables(doc: dict, fibers) -> list[list[FiniteMap]]:
     """Every slot's table decoded row by row, the format 7 way: each row's
     images and per-cell labels split from the slot's table, hashed alone as one
     entry, then decoded and sifted by slot_from_entry.  fibers holds each
-    slot's (Fiber, membership test), or (None, None) when dense."""
+    slot's Fiber, or None when dense."""
     tables = []
-    for slot, (fiber, member) in zip(doc["slots"], fibers):
+    for slot, fiber in zip(doc["slots"], fibers):
         cells, degree = slot["cells"], degree_of(slot)
         image_bytes = cells * dtype_of(cells).itemsize
         label_bytes = cells * degree * dtype_of(degree).itemsize
@@ -181,12 +172,12 @@ def per_entry_tables(doc: dict, fibers) -> list[list[FiniteMap]]:
             entry = {"cells": base64.b64encode(row).decode(),
                      "labels": base64.b64encode(row_labels).decode(),
                      "sha256": hashlib.sha256(row + row_labels).hexdigest()}
-            table.append(slot_from_entry(entry, cells, fiber, member))
+            table.append(slot_from_entry(entry, cells, fiber))
         tables.append(table)
     return tables
 
 
-def slot_from_entry(entry: dict, cells: int, fiber, member) -> FiniteMap:
+def slot_from_entry(entry: dict, cells: int, fiber) -> FiniteMap:
     """Format 7's decoder of one table entry: the length of each payload
     (cells, and as many labels of V's degree, each in the dtype of its
     bound), its hash, then FiniteMap's range and permutation checks, then
@@ -207,15 +198,15 @@ def slot_from_entry(entry: dict, cells: int, fiber, member) -> FiniteMap:
         raise InvariantViolationError("map payload does not match its sha256")
     images, labels = map(np.frombuffer, raws, dtypes)
     fmap = FiniteMap(images, labels.reshape(cells, degree), fiber)
-    for w in sorted(set(map(tuple, fmap.slots[0].labels.tolist()))) if member else ():
-        if not member([w])[0]:
+    for w in sorted(set(map(tuple, fmap.slots[0].labels.tolist()))) if fiber else ():
+        if not fiber.member([w])[0]:
             raise InvariantViolationError(f"label {list(w)} is not in V: a map leaves the carrier")
     return fmap
 
 
 def every_count(report) -> str:
     """The canonical JSON of a report with every count, flag and verdict:
-    format 8's stored report, which formats 9 to 11 summarise.  Two reports give
+    format 8's stored report, which formats 9 to 12 summarise.  Two reports give
     the same text iff they agree on every count (a_counts row-major over F,
     c_agreements over F minus the identity, the strict flags over the
     support minus the identity and the pairwise counts over F and the

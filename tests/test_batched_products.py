@@ -313,7 +313,7 @@ class TestLoaderRefusesNonCanonicalKeys:
             keys[keys.index("[-1,-1]")] = "[-1, -1]"
         path = "assignment.keys[0]" if where == "assignment" else "F[0]"
         with pytest.raises(InvariantViolationError, match=re.escape(
-                f"certificate field '{path}' states \"[-1, -1]\", where format 11 writes \"[-1,-1]\"")):
+                f"certificate field '{path}' states \"[-1, -1]\", where format 12 writes \"[-1,-1]\"")):
             load_certificate(json.dumps(doc))
 
     @pytest.mark.parametrize("probe", ["swapped", "repeated"])
@@ -324,11 +324,11 @@ class TestLoaderRefusesNonCanonicalKeys:
         first, second = keys[0], keys[1]
         if probe == "swapped":
             keys[0], keys[1] = second, first
-            message = f"certificate field 'F[0]' states \"{second}\", where format 11 writes \"{first}\""
+            message = f"certificate field 'F[0]' states \"{second}\", where format 12 writes \"{first}\""
         else:
             keys.append(first)
             message = ("certificate field 'F' states [-1,1]\",\"[1,-1]\",\"[1,1]\",\"[-1,-1]\"], "
-                       "where format 11 writes [-1,1]\",\"[1,-1]\",\"[1,1]\"]")  # 24 characters around
+                       "where format 12 writes [-1,1]\",\"[1,-1]\",\"[1,1]\"]")  # 24 characters around
         with pytest.raises(InvariantViolationError, match=re.escape(message)):
             load_certificate(json.dumps(doc))
 
@@ -452,7 +452,7 @@ class TestLoadedOneSlotTables:
          f"{TABLES}: slot 0 row 3 repeats row 2"),
         (lambda d: (set_slot_rows(d, 0, slot_rows(d, 0)[0][::-1]),  # out of first-use order
                     set_assignment(d, {k: [3 - i] for k, [i] in assignment(d).items()})),
-         "certificate field 'assignment.index' states \"AwIBAA==\", where format 11 writes \"AAECAw==\""),
+         "certificate field 'assignment.index' states \"AwIBAA==\", where format 12 writes \"AAECAw==\""),
     ], ids=["unused", "repeated", "out_of_order"])
     def test_tables_other_than_the_emitted_ones_are_refused(self, doc, edit, message):
         edit(doc)

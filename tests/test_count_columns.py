@@ -47,7 +47,7 @@ from quasiact.util import canonical_json
 import test_fibered
 from test_product_slots import S3, fibered_factors, outcome, repeating_actions, same_action
 
-from certificate_tables import assignment, encode, rehash, table_maps
+from certificate_tables import assignment, encode, table_maps
 from test_quasiaction import epsilons, near_regular_actions, random_actions
 
 
@@ -184,7 +184,6 @@ def respelled(doc: dict, old: list, new: list) -> str:
     items[at : at + len(old)] = zip(new, values)
     doc["assignment"]["keys"] = [k for k, _ in items]  # in place, perhaps out of key order
     doc["assignment"]["index"] = encode([v for _, v in items], 5)
-    rehash(doc["assignment"], "index")
     return json.dumps(doc)
 
 

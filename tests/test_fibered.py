@@ -49,7 +49,7 @@ from dense_carrier import cayley_closure, densify, densify_action
 from test_finmap import double, fixpoint_set
 from test_freeproduct import multiplicativity_case
 
-from certificate_tables import assignment, every_count, raw, rehash, set_slot_rows, slot_rows
+from certificate_tables import assignment, every_count, raw, set_slot_rows, slot_rows
 
 C2 = {"kind": "finite", "table": [[0, 1], [1, 0]]}
 C3 = {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
@@ -74,7 +74,7 @@ def fibered_maps(draw, count, fiber_index=None):
     gens = SMALL_FIBERS[draw(st.sampled_from(range(len(SMALL_FIBERS))))
                         if fiber_index is None else fiber_index]
     elements = cayley_closure(gens, 100)[0]
-    fiber = Fiber(gens, len(elements))
+    fiber = Fiber(gens)
     cells = draw(st.integers(1, 5))
     bijective = draw(st.booleans())
 
@@ -134,7 +134,7 @@ class TestFiberedMapsAgainstDenseForms:
         assert emit_certificate(qa2, r2) == cert
 
     def test_maps_on_different_fibers_do_not_mix(self):
-        s3, z5 = (Fiber(gens, order) for gens, order in zip(SMALL_FIBERS[::2], (6, 5)))
+        s3, z5 = map(Fiber, SMALL_FIBERS[::2])
         e = identity_like(FiniteMap([0] * 5, [tuple(range(3))] * 5, s3))
         f = FiniteMap([0] * 6, [tuple(range(5))] * 6, z5)
         assert e.n == f.n == 30
@@ -150,7 +150,7 @@ class TestFiberedMapsAgainstDenseForms:
     @pytest.mark.parametrize("labels", [[[0, 1, 1]], [[0, 1]], [[0, 1, 3]]])
     def test_labels_must_be_permutations_of_the_degree(self, labels):
         with pytest.raises(DomainError):
-            FiniteMap([0], labels, Fiber(SMALL_FIBERS[0], 6))
+            FiniteMap([0], labels, Fiber(SMALL_FIBERS[0]))
 
     def test_one_class_for_both_kinds(self):
         # A dense map is the trivial-fiber case: labels of shape (n, 0).
@@ -160,7 +160,7 @@ class TestFiberedMapsAgainstDenseForms:
         assert FiniteMap([1, 0], np.zeros((2, 0), dtype=int)) == dense
         with pytest.raises(DomainError, match="shape"):
             FiniteMap([1, 0], [[0], [0]])
-        fibered = FiniteMap([1, 0], [(1, 0, 2), (0, 2, 1)], Fiber(SMALL_FIBERS[0], 6))
+        fibered = FiniteMap([1, 0], [(1, 0, 2), (0, 2, 1)], Fiber(SMALL_FIBERS[0]))
         assert fibered != FiniteMap([1, 0]) and fibered.n == 12
         for op in (FiniteMap.points, fixpoint_set, double):
             with pytest.raises(DomainError, match="no list of points"):
@@ -168,7 +168,7 @@ class TestFiberedMapsAgainstDenseForms:
 
     def test_non_permutation_generators_refused(self):
         with pytest.raises(DomainError):
-            Fiber(((0, 0, 1),), 1)
+            Fiber(((0, 0, 1),))
 
 
 def free_product(left, right, f_left, f_right, n, seed):
@@ -202,8 +202,8 @@ class TestFreeProductAgainstDenseCarrier:
         text = emit_certificate(dense, verify(dense, strict=True))
         doc = json.loads(text)
         [slot] = doc["slots"]
-        assert doc["format"] == 11 and (slot["cells"], slot["fiber"]) == (qa.carrier_n, None)
-        assert set(slot) == {"cells", "fiber", "maps", "images", "sha256"}
+        assert doc["format"] == 12 and (slot["cells"], slot["fiber"]) == (qa.carrier_n, None)
+        assert set(slot) == {"cells", "fiber", "maps", "images"}
         loaded, report = load_certificate(text)
         assert report == verify(qa, strict=True)
         assert emit_certificate(loaded, report) == text
@@ -288,10 +288,9 @@ def cell_out_of_range(doc, key, degree):
 def labels_short(doc, key, degree):
     slot = doc["slots"][0]
     slot["labels"] = base64.b64encode(raw(slot, "labels")[:-degree]).decode()
-    rehash(slot, "images", "labels", "label_index")
 
 
-def hash_mismatch(doc, key, degree):
+def hash_mismatch(doc, key, degree):  # format 11 stated one sha256 per slot
     doc["slots"][0]["sha256"] = hashlib.sha256(b"").hexdigest()
 
 
@@ -315,13 +314,14 @@ REFUSALS = [
     (label_outside_v, InvariantViolationError, "slot 0 labels: label [1, 0, 2, 3, 4] is not in V"),
     (cell_out_of_range, DomainError, "field 'slots': slot 0 images: 16 at ["),
     (labels_short, InvariantViolationError, "slot 0 labels has 45 bytes, expected 50"),
-    (hash_mismatch, InvariantViolationError, "certificate field 'slots[0].sha256' states "),
+    (hash_mismatch, InvariantViolationError,
+     "certificate field 'slots[0].sha256' is not written by format 12"),
     (order_inflated, InvariantViolationError,
-     "certificate field 'slots[0].fiber.order' states 120, where format 11 writes 60"),
+     "certificate field 'slots[0].fiber.order' states 120, where format 12 writes 60"),
     (cells_doubled, InvariantViolationError, "slot 0 images has 128 bytes, expected 256"),
     (generator_not_a_permutation, DomainError, "permutations"),
     (generators_of_other_degree, InvariantViolationError,
-     "certificate field 'slots[0].fiber.degree' states 6, where format 11 writes 5"),
+     "certificate field 'slots[0].fiber.degree' states 6, where format 12 writes 5"),
 ]
 
 
@@ -330,10 +330,10 @@ class TestFiberedCertificates:
         qa, report = load_certificate(c2_c2_certificate)
         assert emit_certificate(qa, report) == c2_c2_certificate
         doc = json.loads(c2_c2_certificate)
-        assert doc["format"] == 11 and "carrier_n" not in doc
+        assert doc["format"] == 12 and "carrier_n" not in doc
         [slot] = doc["slots"]
         assert set(slot) == {"cells", "fiber", "maps", "images", "label_count", "labels",
-                             "label_index", "sha256"}
+                             "label_index"}
         assert slot["cells"] == 16 and set(slot["fiber"]) == {"degree", "generators", "order"}
         assert qa.carrier_n == 16 * slot["fiber"]["order"] == doc["report"]["carrier_n"]
         assert sorted(i for [i] in assignment(doc).values()) == list(range(slot["maps"]))
@@ -364,7 +364,7 @@ class TestFiberedCertificates:
         assert str(caught.value) == ("field 'slots': slot 0 labels: label [0, 1, 2, 4, 3] is not "
                                      "in V: a map leaves the carrier")
 
-    @pytest.mark.parametrize("fmt", [3, 4, 5, 6, 9, 10])
+    @pytest.mark.parametrize("fmt", [3, 4, 5, 6, 9, 10, 11])
     def test_other_format_refused(self, c2_c2_certificate, fmt):
         doc = json.loads(c2_c2_certificate)
         doc["format"] = fmt
@@ -428,7 +428,7 @@ class TestOneReaderOfV:
         if forge is v_order_inflated:
             expected = str(from_witness.value).replace(
                 "girth witness field '", "certificate field 'slots[0].fiber.").replace(
-                "to_witness_json", "format 11")
+                "to_witness_json", "format 12")
         else:
             expected = "field 'slots': field 'fiber': " + str(from_witness.value)
         assert str(from_certificate.value) == expected
@@ -495,7 +495,7 @@ def symmetric_fiber(degree: int) -> Fiber:
     """S_degree, from a degree-cycle and a transposition."""
     cycle = tuple(range(1, degree)) + (0,)
     swap = (1, 0) + tuple(range(2, degree))
-    return Fiber((cycle, swap), math.factorial(degree))
+    return Fiber((cycle, swap))
 
 
 class TestCountsPastInt64:
@@ -535,6 +535,6 @@ class TestCountsPastInt64:
         forged = dataclasses.replace(report, a_counts=tuple(map(wrap, report.a_counts)))
         assert forged.a_pass and forged.a_counts[-1] < n // 10 < report.a_counts[-1]
         with pytest.raises(InvariantViolationError, match=re.escape(
-                "certificate field 'report.a_pass' states true, where format 11 writes false")):
+                "certificate field 'report.a_pass' states true, where format 12 writes false")):
             load_certificate(emit_certificate(qa, forged))
         assert load_certificate(emit_certificate(qa, report))[1] == report

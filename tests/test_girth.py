@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -6,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -268,6 +268,39 @@ class TestSearch:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_no_command_imports_hashlib(self, tmp_path):
+        # No certificate states a hash, so neither command pays for hashlib,
+        # which loads OpenSSL: construct and verify --out on the freeprod_n2
+        # request (one fibered slot) and the many_pairs product (two dense).
+        c2 = {"kind": "finite", "table": [[0, 1], [1, 0]]}
+        c3 = {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+        big = [k for i in range(1, 21) for k in (i, -i)]
+        requests = {
+            "fp2": {"construct": "free_product", "epsilon": "1/10", "left_group": c2,
+                    "right_group": c3, "f_left": [0, 1], "f_right": [0, 1], "syllable_bound": 2},
+            "prod": {"construct": "product", "epsilon": "1/10",
+                     "factors": [{"cyclic": {"f": big, "modulus": 83}},
+                                 {"cyclic": {"f": [1, -1, 2, -2], "modulus": 11}}]},
+        }
+        for name, request in requests.items():
+            (tmp_path / f"{name}.request.json").write_text(json.dumps(request))
+        code = (
+            "import sys\n"
+            "from quasiact.cli import main\n"
+            "for name, epsilon in (('fp2', '1/10'), ('prod', '1/5')):\n"
+            "    path = f'{sys.argv[1]}/{name}'\n"
+            "    assert main(['construct', '--request', path + '.request.json',\n"
+            "                 '--out', path + '.json']) == 0\n"
+            "    assert main(['verify', '--qa', path + '.json', '--epsilon', epsilon,\n"
+            "                 '--out', path + '.again.json']) == 0\n"
+            "print('hashlib' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "False"
+        for name in requests:
+            assert (tmp_path / f"{name}.json").read_bytes() == (tmp_path / f"{name}.again.json").read_bytes()
+
     def test_search_and_loader_never_enumerate(self):
         # Listing V's 181,440 elements as tuples allocates about 32 MB under
         # tracemalloc; the search, the loader and the carrier build together
@@ -345,7 +378,7 @@ class TestPartitionedCarrier:
         # four-cycle in the incidence graph (1 - 3 + 1 - 3 = 0 mod 4), so
         # the independent BFS re-verification must refuse it.
         gens = (tuple((i + 1) % 4 for i in range(4)), tuple((i + 3) % 4 for i in range(4)))
-        v = GirthGroup(Fiber(gens, 4), certified_girth_bound=4, seed=0)
+        v = GirthGroup(Fiber(gens), certified_girth_bound=4, seed=0)
         with pytest.raises(InvariantViolationError):
             build_partitioned_carrier(2, 2, 2, v)
 
@@ -455,6 +488,12 @@ def carrier_with_depth(v, a_size, b_size, depth):
     return PartitionedCarrier(a_size, b_size, v, _label_assignment(a_size, b_size, v), depth)
 
 
+def stand_in_v(gens, order, bound):
+    """A GirthGroup whose V states any order for its generators: a Fiber
+    takes its order from Schreier-Sims, so only a stand-in states another."""
+    return GirthGroup(SimpleNamespace(generators=gens, order=order), bound, seed=0)
+
+
 def forged_carrier(tables, a_size, b_size, depth, degree=4, bound=6):
     """A dense oracle carrier holding arbitrary index tables (V's generators
     are placeholders the table certificate must not read; its stated order
@@ -464,7 +503,7 @@ def forged_carrier(tables, a_size, b_size, depth, degree=4, bound=6):
     for j, row in enumerate(right):
         right_inv[j, row] = np.arange(row.size)
     gens = tuple(tuple(range(degree)) for _ in tables)
-    v = GirthGroup(Fiber(gens, right.shape[1]), certified_girth_bound=bound, seed=0)
+    v = stand_in_v(gens, right.shape[1], bound)
     return dense_carrier(carrier_with_depth(v, a_size, b_size, depth), (right, right_inv))
 
 
@@ -571,7 +610,7 @@ class TestSymmetryCertificatesAgainstOracles:
         right = good.right_mult.copy()
         right[0, 0] = right[0, 1]
         not_permutation = DenseCarrier(**{**good.__dict__, "right_mult": right})
-        order_three = dataclasses.replace(good.v, fiber=Fiber(good.v.fiber.generators, 3))
+        order_three = stand_in_v(good.v.fiber.generators, 3, good.v.certified_girth_bound)
         wrong_shape = DenseCarrier(**{**good.__dict__, "v": order_three})
         for pc in (not_inverse, not_permutation, wrong_shape):
             with pytest.raises(InvariantViolationError):
@@ -599,7 +638,7 @@ class TestSymmetryCertificatesAgainstOracles:
     def forged_generators(self, gens, a_size, b_size, depth):
         """Whether the carrier certificate refuses gens at this depth; the
         every-root BFS and the table-symmetry BFS must agree."""
-        v = GirthGroup(Fiber(tuple(gens), schreier_sims(gens)[0]), 2 * depth, seed=0)
+        v = GirthGroup(Fiber(tuple(gens)), 2 * depth, seed=0)
         pc = carrier_with_depth(v, a_size, b_size, depth)
         dc = dense_carrier(pc)
         refused = raises_invariant(_bfs_girth_certificate, pc)
@@ -662,7 +701,7 @@ def random_carrier(data):
         labels = data.draw(st.sampled_from([k for k in range(wide, wide + 3) if k != a_size * b_size]))
     gens = random_generators(data, data.draw(st.integers(1, 6)), labels)
     depth = data.draw(st.integers(1, 4))
-    v = GirthGroup(Fiber(tuple(gens), schreier_sims(gens)[0]), 2 * depth, seed=0)
+    v = GirthGroup(Fiber(tuple(gens)), 2 * depth, seed=0)
     return carrier_with_depth(v, a_size, b_size, depth)
 
 
@@ -721,7 +760,7 @@ class TestLevelArraysAgainstTupleBFS:
             labels = rng.choice([a_size * b_size, max(a_size, b_size) + 1])
             degree = rng.randint(1, 6)
             gens = [tuple(rng.sample(range(degree), degree)) for _ in range(labels)]
-            v = GirthGroup(Fiber(tuple(gens), schreier_sims(gens)[0]), 2 * depth, seed=0)
+            v = GirthGroup(Fiber(tuple(gens)), 2 * depth, seed=0)
             carriers.append(carrier_with_depth(v, a_size, b_size, depth))
         hashed = ([raises_invariant(_certify_word_girth, *case) for case in word_cases],
                   [raises_invariant(_bfs_girth_certificate, pc) for pc in carriers])
@@ -831,9 +870,22 @@ def structured_families(draw):
     """Generator sets whose orbits a Schreier-Sims that skips too many
     Schreier generators misjudges: one permutation of disjoint cycles (as
     (0 1 2)(3 4)), diagonal generators (each the same permutation on two or
-    three disjoint copies of its points) and C_a wr C_b (an a-cycle on the
-    first of b blocks of a points and the b-cycle of the blocks)."""
-    kind = draw(st.sampled_from(["cycles", "diagonal", "wreath"]))
+    three disjoint copies of its points), C_a wr C_b (an a-cycle on the
+    first of b blocks of a points and the b-cycle of the blocks), and groups
+    of many levels: S_n for n <= 9, by (0 1) and an n-cycle, and products of
+    small symmetric groups on disjoint supports, by those two per factor."""
+    kind = draw(st.sampled_from(["cycles", "diagonal", "wreath", "symmetric", "products"]))
+    if kind in ("symmetric", "products"):
+        sizes = ([draw(st.integers(2, 9))] if kind == "symmetric"
+                 else draw(st.lists(st.integers(2, 4), min_size=2, max_size=3)))
+        degree, gens = sum(sizes), []
+        for start, n in zip(np.cumsum([0, *sizes]).tolist(), sizes):
+            swap, cycle = list(range(degree)), list(range(degree))
+            swap[start : start + 2] = start + 1, start
+            cycle[start : start + n] = range(start + 1, start + n + 1)
+            cycle[start + n - 1] = start
+            gens += [tuple(swap), tuple(cycle)]
+        return gens
     if kind == "cycles":
         lengths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=3))
         starts = [sum(lengths[:c]) for c in range(len(lengths))]
@@ -862,7 +914,7 @@ def skipping_schreier_sims(gens):
     faulty = source.replace("(i, p, n) not in sifted", "(i, n) not in sifted").replace(
         "sifted.add((i, p, n))", "sifted.add((i, n))")
     assert faulty.count("(i, n)") == 2
-    namespace = dict(vars(girth))
+    namespace = dict(vars(sys.modules[girth.schreier_sims.__module__]))
     exec(faulty, namespace)
     return namespace["schreier_sims"](gens)
 
@@ -969,9 +1021,13 @@ class TestSchreierSimsAgainstOracles:
     @settings(max_examples=100, deadline=None)
     @given(gens=structured_families())
     @example(gens=[(1, 2, 0, 4, 3)])
+    @example(gens=[(1, 0, *range(2, 9)), (*range(1, 9), 0)])  # S_9: eight levels
+    @example(gens=[(1, 0, 2, 3, 4, 5, 6), (1, 2, 0, 3, 4, 5, 6),
+                   (0, 1, 2, 4, 3, 5, 6), (0, 1, 2, 4, 5, 6, 3)])  # S_3 x S_4
     def test_structured_families_match_sympy(self, gens):
-        # Every loaded V's order comes from Schreier-Sims alone.
+        # Every V's order comes from Schreier-Sims alone, through its Fiber.
         check_order_against_sympy(schreier_sims, gens)
+        check_order_against_sympy(lambda gens: (Fiber(tuple(gens)).order,), gens)
 
     def test_the_sympy_comparison_refuses_a_routine_that_skips_too_much(self):
         # In <(0 1 2)(3 4)> the Schreier generator at orbit point 0 sifts to
@@ -1002,12 +1058,6 @@ class TestSchreierSimsAgainstOracles:
         v = girth_group_search(6, 5, order_cap=200000, seed=0)
         elements, _ = enumerate_closure(v.fiber.generators, v.order + 1)
         assert len(elements) == v.order == 181440
-
-    def test_carrier_refuses_more_elements_than_stated(self):
-        v = girth_group_search(2, 4, order_cap=5000, seed=0)
-        with pytest.raises(InvariantViolationError):
-            build_partitioned_carrier(
-                2, 2, 2, dataclasses.replace(v, fiber=Fiber(v.fiber.generators, v.order - 1)))
 
 
 class TestWitnessLoaderSoundness:

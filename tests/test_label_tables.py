@@ -1,11 +1,10 @@
-"""Format 11 label tables: a fibered slot states its distinct labels once,
+"""Format 12 label tables: a fibered slot states its distinct labels once,
 sorted, and one index into them per cell.  Byte-identical round trips, one
 refusal for each way a table can be wrong, the slot keys the reader refuses,
 and format 10's per-cell label decoding kept as the oracle of the tables."""
 
 import base64
 import functools
-import hashlib
 import json
 import re
 from fractions import Fraction
@@ -66,7 +65,7 @@ class TestLabelTables:
         doc = json.loads(CERTIFICATES[name]())
         for s, slot in enumerate(doc["slots"]):
             if slot["fiber"] is None:
-                assert set(slot) == {"cells", "fiber", "maps", "images", "sha256"}
+                assert set(slot) == {"cells", "fiber", "maps", "images"}
                 continue
             table, index = label_table(slot)
             assert table.tolist() == sorted(map(list, set(map(tuple, table.tolist()))))
@@ -151,9 +150,9 @@ no_permutation = cell_labels_edited(lambda d: [0, 0, *range(2, d)])
 REFUSALS = [
     (unsorted, InvariantViolationError, "certificate field 'slots[0].label_index' states "),
     (repeated, InvariantViolationError,
-     "certificate field 'slots[0].label_count' states 45, where format 11 writes {count}"),
+     "certificate field 'slots[0].label_count' states 45, where format 12 writes {count}"),
     (unused, InvariantViolationError,
-     "certificate field 'slots[0].label_count' states 45, where format 11 writes {count}"),
+     "certificate field 'slots[0].label_count' states 45, where format 12 writes {count}"),
     (past_the_table, DomainError,
      "field 'slots': slot 0 label_index: {count} at [0, 0] is not below {count}"),
     (outside_v, InvariantViolationError,
@@ -196,7 +195,7 @@ def test_a_slot_key_that_is_not_read_is_refused(tmp_path, capsys, s, key, value)
     # fibered one.  The acceptance rule names the key by its path.
     doc = json.loads(c5_times_c2_c3())
     doc["slots"][s][key] = value
-    message = f"certificate field 'slots[{s}].{key}' is not written by format 11"
+    message = f"certificate field 'slots[{s}].{key}' is not written by format 12"
     with pytest.raises(InvariantViolationError, match=re.escape(message)):
         load_certificate(json.dumps(doc))
     path = tmp_path / "extra.json"
@@ -210,7 +209,7 @@ def test_a_key_in_a_slot_fiber_that_is_not_read_is_refused():
     doc = json.loads(c5_times_c2_c3())
     doc["slots"][1]["fiber"]["note"] = 0
     with pytest.raises(InvariantViolationError, match=re.escape(
-            "certificate field 'slots[1].fiber.note' is not written by format 11")):
+            "certificate field 'slots[1].fiber.note' is not written by format 12")):
         load_certificate(json.dumps(doc))
 
 
@@ -221,16 +220,13 @@ def test_a_fibered_slot_states_its_label_count():
         load_certificate(json.dumps(doc))
 
 
-def test_the_label_payloads_are_hashed():
-    # Each slot's sha256 covers its payloads in written order: a fibered
-    # slot's images, labels and label_index, a dense slot's images; the
-    # assignment's covers its index.
+def test_the_label_payloads_are_bound_without_a_hash():
+    # No slot or assignment states a sha256: the acceptance rule binds each
+    # payload's bytes, a changed label index included.
     for make in CERTIFICATES.values():
         doc = json.loads(make())
         for part in doc["slots"] + [doc["assignment"]]:
-            names = (("index",) if "index" in part else ("images",) if part["fiber"] is None
-                     else ("images", "labels", "label_index"))
-            assert part["sha256"] == hashlib.sha256(b"".join(raw(part, n) for n in names)).hexdigest()
+            assert "sha256" not in part
     doc = json.loads(c2_c3(1))
     slot = doc["slots"][0]
     index = bytearray(raw(slot, "label_index"))
@@ -238,13 +234,13 @@ def test_the_label_payloads_are_hashed():
     slot["label_index"] = base64.b64encode(bytes(index)).decode()
     # The acceptance rule measures the changed maps again: the stored report is the first difference.
     with pytest.raises(InvariantViolationError, match=re.escape(
-            "certificate field 'report.condition_a.max' states 0, where format 11 writes 360")):
+            "certificate field 'report.condition_a.max' states 0, where format 12 writes 360")):
         load_certificate(json.dumps(doc))
 
 
 def trivial_fiber_certificate() -> str:
     """C2 swapping two cells, fibered over the trivial V of degree 0."""
-    g, fiber = cyclic_group(2), Fiber(((),), 1)
+    g, fiber = cyclic_group(2), Fiber(((),))
     maps = {k: FiniteMap(images, np.zeros((2, 0), int), fiber)
             for k, images in ((0, [0, 1]), (1, [1, 0]))}
     qa = QuasiAction(g, 2, maps, FiniteSubset(g, [0, 1]), Fraction(1, 2))

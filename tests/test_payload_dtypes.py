@@ -1,4 +1,4 @@
-"""Format 11 payloads: each slot's table is one images payload (rows x
+"""Format 12 payloads: each slot's table is one images payload (rows x
 cells); a fibered slot adds a labels payload of its distinct labels (label
 count x V's degree) and a label_index payload (rows x cells).  Each is in
 the narrowest little-endian dtype that holds values below its bound: the
@@ -6,7 +6,7 @@ slot's cells for cell images, V's degree for labels and the label count for
 the label index: uint8 up to 256, uint16 up to 65,536, else int32.
 
 Two oracles are kept here.  The int32 codec of format 6: for the same
-QuasiAction, the tables a format 11 certificate loads to are the maps that
+QuasiAction, the tables a format 12 certificate loads to are the maps that
 int32 payloads of the same tables decode to.  And the per-entry decoder of
 format 7 (certificate_tables.per_entry_tables), which splits each table
 into rows and decodes and hashes each row alone: it gives the maps the
@@ -38,7 +38,7 @@ from quasiact.errors import DomainError, InvariantViolationError
 from quasiact.finmap import Fiber
 
 from certificate_tables import (
-    dtype_of, per_entry_tables, raw, rehash, set_label_table, set_slot_rows, slot_maps, slot_rows,
+    dtype_of, per_entry_tables, raw, set_label_table, set_slot_rows, slot_maps, slot_rows,
     table_maps,
 )
 
@@ -53,7 +53,7 @@ def rotations(degree: int, shifts) -> np.ndarray:
 
 def cyclic_fiber(degree: int) -> Fiber:
     """V = the rotations of 0..degree-1, generated by one degree-cycle."""
-    return Fiber((tuple(rotations(degree, [1])[0].tolist()),), degree)
+    return Fiber((tuple(rotations(degree, [1])[0].tolist()),))
 
 
 def action(cells: int, fiber: Fiber | None, order: int, seed: int) -> QuasiAction:
@@ -95,10 +95,8 @@ def int32_decoded(fmap: FiniteMap) -> tuple[list, list]:
 
 
 def with_payloads(doc: dict, **payloads: bytes) -> None:
-    """Replace slot 0's named payloads by raw bytes, and hash the slot again."""
-    slot = doc["slots"][0]
-    slot.update({k: base64.b64encode(r).decode() for k, r in payloads.items()})
-    rehash(slot, *(k for k in ("images", "labels", "label_index") if k in slot))
+    """Replace slot 0's named payloads by raw bytes."""
+    doc["slots"][0].update({k: base64.b64encode(r).decode() for k, r in payloads.items()})
 
 
 class TestRoundTrip:
@@ -192,7 +190,6 @@ class TestRefusals:
         # certificate states 65,537 distinct maps, so the one payload decoder
         # is given the index alone: tables of 3 and 70,000 rows.
         index = {"index": base64.b64encode(np.asarray([[0, value]], "<i4").tobytes()).decode()}
-        rehash(index, "index")
         with pytest.raises(DomainError, match=re.escape(
                 f"assignment index: {value} at [0, 1] is not below 70000")):
             quasiaction._payloads_from_json(index, "assignment", index=((1, 2), [3, 70_000]))
@@ -237,11 +234,11 @@ class TestRefusals:
     def test_format_7_is_refused_by_name(self, cells, degree):
         doc = json.loads(certificate(cells, degree))
         # format 8 stored every count, format 9 F and the carrier twice, format
-        # 10 one label per cell
-        for fmt in (7, 8, 9, 10):
+        # 10 one label per cell, format 11 a sha256 per payload group
+        for fmt in (7, 8, 9, 10, 11):
             doc["format"] = fmt
             with pytest.raises(DomainError,
-                               match=f"certificate format {fmt} is not read, only format 11"):
+                               match=f"certificate format {fmt} is not read, only format 12"):
                 load_certificate(json.dumps(doc))
 
 
@@ -251,8 +248,7 @@ def table_decoded(doc: dict) -> list[list[FiniteMap]]:
 
 
 def per_entry_decoded(doc: dict) -> list[list[FiniteMap]]:
-    return per_entry_tables(doc, [(None, None) if s["fiber"] is None else fiber_from_json(s["fiber"])
-                                  for s in doc["slots"]])
+    return per_entry_tables(doc, [s["fiber"] and fiber_from_json(s["fiber"]) for s in doc["slots"]])
 
 
 def dense_c4() -> str:

@@ -56,7 +56,7 @@ from dense_carrier import cayley_closure, densify, densify_action
 from test_finmap import with_map
 
 from certificate_tables import (
-    assignment, encode, every_count, raw, rehash, set_assignment, set_slot_rows, slot_maps,
+    assignment, encode, every_count, raw, set_assignment, set_slot_rows, slot_maps,
     slot_rows,
 )
 
@@ -136,7 +136,7 @@ def fibered_factors(draw):
     with fibered maps, its densified twin and V's elements."""
     gens = draw(st.sampled_from(SMALL_FIBERS))
     elements = cayley_closure(gens, 100)[0]
-    fiber = Fiber(gens, len(elements))
+    fiber = Fiber(gens)
     cells = draw(st.integers(3, 4))
     w = elements[draw(st.integers(0, len(elements) - 1))]
     z = IntegerGroup()
@@ -274,7 +274,7 @@ class TestProductCertificates:
 
     def test_one_table_of_distinct_entries_per_slot(self, certificate):
         doc = json.loads(certificate)
-        assert doc["format"] == 11 and "carrier_n" not in doc and doc["report"]["carrier_n"] == 35
+        assert doc["format"] == 12 and "carrier_n" not in doc and doc["report"]["carrier_n"] == 35
         assert [(s["cells"], s["fiber"]) for s in doc["slots"]] == [(7, None), (5, None)]
         # 7 x 4 product maps: shifts by -2..4 mod 7 and by -1..2 mod 5.
         values = assignment(doc)
@@ -363,7 +363,6 @@ class TestProductCertificates:
     def test_wrong_number_of_indices_is_refused(self, certificate, edit, message):
         doc = json.loads(certificate)
         edit(doc["assignment"])
-        rehash(doc["assignment"], "index")
         with pytest.raises(InvariantViolationError, match=re.escape(message)):
             load_certificate(json.dumps(doc))
 
@@ -373,7 +372,7 @@ class TestProductCertificates:
         set_slot_rows(doc, 1, np.vstack([rows, [[1, 0, 2, 3, 4]]]))  # a valid map no element uses
         with pytest.raises(InvariantViolationError, match=re.escape(
                 "certificate field 'slots[1].images' states BAgMAAQIDBAECAwQAAgMEAAEBAAIDBA==\", "
-                "where format 11 writes BAgMAAQIDBAECAwQAAgMEAAE=\"")):
+                "where format 12 writes BAgMAAQIDBAECAwQAAgMEAAE=\"")):
             load_certificate(json.dumps(doc))
 
     def test_entry_stated_twice_is_refused(self, certificate):

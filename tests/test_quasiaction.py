@@ -6,7 +6,6 @@ import re
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from quasiact import (
     verify,
 )
 from quasiact import quasiaction
+from quasiact.constructions import girth
 from quasiact.errors import (
     DomainError,
     GroupMismatchError,
@@ -43,7 +43,7 @@ from quasiact.util import canonical_json, check_epsilon
 from test_finmap import composition_defect, fraction, swap_map, with_map
 
 from certificate_tables import (
-    assignment, encode, every_count, rehash, set_assignment, set_slot_rows, slot_rows, table_maps,
+    assignment, encode, every_count, set_assignment, set_slot_rows, slot_rows, table_maps,
 )
 
 
@@ -158,7 +158,7 @@ class TestVerify:
 
 def with_row(cert: str, key: str, images) -> str:
     """The certificate with the table row of the one-slot map key replaced by
-    images, and the slot hashed again."""
+    images."""
     doc = json.loads(cert)
     rows, _ = slot_rows(doc, 0)
     [i] = assignment(doc)[key]
@@ -199,9 +199,9 @@ class TestCertificates:
         doc = json.loads(cert)
         assert set(doc) == {"format", "group", "F", "epsilon", "slots", "assignment", "report"}
         [slot] = doc["slots"]
-        assert doc["format"] == 11 and slot["cells"] == 4 and slot["fiber"] is None
-        assert set(slot) == {"cells", "fiber", "maps", "images", "sha256"}
-        assert set(doc["assignment"]) == {"keys", "index", "sha256"}
+        assert doc["format"] == 12 and slot["cells"] == 4 and slot["fiber"] is None
+        assert set(slot) == {"cells", "fiber", "maps", "images"}
+        assert set(doc["assignment"]) == {"keys", "index"}
         assert doc["epsilon"] == "1/100"
         # one table row per distinct map, in key order of first use
         assert doc["assignment"]["keys"] == ["0", "1", "2", "3"]
@@ -209,7 +209,6 @@ class TestCertificates:
         # one uint8 payload of 4 rows of 4 cells, and no label fields
         images = np.frombuffer(base64.b64decode(slot["images"]), "<u1")
         assert images.reshape(4, 4)[2].tolist() == [2, 3, 0, 1]
-        assert slot["sha256"] == hashlib.sha256(images.tobytes()).hexdigest()
         # compact and key-sorted, one line
         assert cert == canonical_json(doc) + "\n"
 
@@ -300,7 +299,7 @@ class TestCertificates:
             (("report", "condition_c"), None),  # null for a non-empty array
             (("report", "condition_b"), "0/4"),
             (("F", 1), " 1"),  # a key that names the same element
-            (("slots",), [0, 1, 2, 3]),  # map "1"'s row, rehashed as the identity's
+            (("slots",), [0, 1, 2, 3]),  # map "1"'s row, rewritten as the identity's
             (("report", "strict", "identity_exact"), 1),
             (("report", "condition_c", "max"), 0.9),
         ],
@@ -684,7 +683,7 @@ class TestStoredSummaries:
         assert emit_certificate(*load_certificate(cert)) == cert
         with pytest.raises(InvariantViolationError, match=re.escape(
                 "certificate field 'report.condition_c' states {\"at\":0,\"max\":0}, "
-                "where format 11 writes null")):
+                "where format 12 writes null")):
             load_certificate(edited(cert, ("report", "condition_c"), {"max": 0, "at": 0}))
         # An empty F stores no condition (a) count either.
         qa = QuasiAction(g, 3, {0: identity_map(3)}, FiniteSubset(g, []), Fraction(1, 5))
@@ -705,9 +704,9 @@ class TestCertificateCodec:
         # The loaded report keeps every count the certificate summarises.
         assert r2 == report and every_count(r2) == every_count(report)
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
     def test_other_formats_refused(self, fmt):
-        # Only format 11 is read.  No "format" key is format 1, whose maps
+        # Only format 12 is read.  No "format" key is format 1, whose maps
         # were plain lists of integers.
         qa = regular_c4()
         doc = json.loads(emit_certificate(qa, verify(qa)))
@@ -757,20 +756,21 @@ class TestCertificateCodec:
         with pytest.raises(InvariantViolationError,
                            match="slot 0 images has 15 bytes, expected 16"):
             load_certificate(with_edit(cert, lambda d: (
-                d["slots"][0].update(images=encode(slot_rows(d, 0)[0].ravel()[:-1], 4)),
-                rehash(d["slots"][0], "images"))))
+                d["slots"][0].update(images=encode(slot_rows(d, 0)[0].ravel()[:-1], 4)))))
 
-    def test_sha256_mismatch(self):
+    def test_stated_sha256_refused(self):
+        # Format 11 stated one per slot; format 12 states none.
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
-        bad = with_edit(cert, lambda d: d["slots"][0].update(sha256=d["assignment"]["sha256"]))
-        with pytest.raises(InvariantViolationError,
-                           match=re.escape("certificate field 'slots[0].sha256' states ")):
+        digest = hashlib.sha256(base64.b64decode(json.loads(cert)["slots"][0]["images"])).hexdigest()
+        bad = with_edit(cert, lambda d: d["slots"][0].update(sha256=digest))
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                "certificate field 'slots[0].sha256' is not written by format 12")):
             load_certificate(bad)
 
     def test_flipped_payload(self):
         # Swap two images of map "1": still an in-range map, still valid
-        # base64 of the right length, but no longer the bytes that were hashed;
+        # base64 of the right length, but no longer the bytes that were written;
         # the report measured again on it is the first difference.
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
@@ -780,7 +780,7 @@ class TestCertificateCodec:
         FiniteMap(images[1])  # the tampered row is a valid map on its own
         doc["slots"][0]["images"] = encode(images, 4)
         with pytest.raises(InvariantViolationError, match=re.escape(
-                "certificate field 'report.a_pass' states true, where format 11 writes false")):
+                "certificate field 'report.a_pass' states true, where format 12 writes false")):
             load_certificate(json.dumps(doc))
 
     def test_rehashed_out_of_range_payload(self):
@@ -804,8 +804,7 @@ class TestCertificateCodec:
          DomainError, "field 'slots': slot 0 images: 8 at [2, 1] is not below 4"),
         (lambda d: set_assignment(d, dict(assignment(d), **{"2": [4]})),
          DomainError, "field 'assignment': assignment index: 4 at [2, 0] is not below 4"),
-        (lambda d: (d["assignment"].update(index=encode([0, 1, 2], 4)),
-                    rehash(d["assignment"], "index")),
+        (lambda d: d["assignment"].update(index=encode([0, 1, 2], 4)),
          InvariantViolationError, "assignment index has 3 bytes, expected 4"),
         (lambda d: set_assignment(d, dict(assignment(d), **{"1": [2], "2": [1]})),
          InvariantViolationError, "certificate field 'assignment.index'"),
@@ -819,9 +818,9 @@ class TestCertificateCodec:
             load_certificate(with_edit(emit_certificate(qa, verify(qa)), edit))
 
     def test_rows_whose_fingerprints_meet_are_compared_exactly(self, monkeypatch):
-        # An all-zero linear form gives every row one fingerprint: distinct
-        # rows still load, and a repeat is named by its first equal row.
-        monkeypatch.setattr(hashlib, "shake_128", lambda data: SimpleNamespace(digest=bytes))
+        # An all-zero fingerprint for every row: distinct rows still load,
+        # and a repeat is named by its first equal row.
+        monkeypatch.setattr(girth, "_row_hashes", lambda rows: np.zeros(len(rows), np.uint64))
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
         assert emit_certificate(*load_certificate(cert)) == cert

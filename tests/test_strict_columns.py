@@ -112,7 +112,7 @@ def random_fibered_actions(draw):
     exact inverse of their inverse element's map."""
     gens = draw(st.sampled_from(SMALL_FIBERS))
     elements = cayley_closure(gens, 100)[0]
-    fiber = Fiber(gens, len(elements))
+    fiber = Fiber(gens)
     cells, order = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     cell_maps = st.permutations(range(cells)) | st.lists(
         st.integers(0, cells - 1), min_size=cells, max_size=cells)
@@ -164,7 +164,7 @@ class TestStrictMeasuresAgainstPerMapOracle:
 
 
 # C4 on 3 cells x S3; 1 and 3 are each other's inverses, 2 its own.
-S3_FIBER = Fiber(((1, 0, 2), (0, 2, 1)), 6)
+S3_FIBER = Fiber(((1, 0, 2), (0, 2, 1)))
 CYCLE = FiniteMap(np.array([1, 2, 0]), np.array([(1, 0, 2), (0, 2, 1), (2, 0, 1)]), S3_FIBER)
 IDENTITY = identity_like(CYCLE)
 
@@ -347,7 +347,7 @@ class TestReportCompare:
         doc["report"]["condition_a"]["max"] -= 1  # n - 1: exact only as a Python int
         assert refusal(json.dumps(doc)) == (
             InvariantViolationError, f"certificate field 'report.condition_a.max' states "
-                                     f"{qa.carrier_n - 1}, where format 11 writes {qa.carrier_n}")
+                                     f"{qa.carrier_n - 1}, where format 12 writes {qa.carrier_n}")
 
 
 def product_document() -> dict:
