@@ -1,17 +1,19 @@
 """Command line front end: verify certificates and run construction
 requests, the generator witness search among them.
 
-Exit status: 0 when every requested verification passes its bound, 1 when a
-bound is violated, 2 on parse or precondition errors (the message names the
-offending element or field).  Output files are written to a temporary name
-and renamed, so interrupted runs never leave partial certificates.
+One table, _COMMANDS, reads the options: a value follows its option or an "="
+(--out=FILE), no name is abbreviated, and -h or --help prints USAGE.  Exit
+status: 0 when every requested verification passes its bound, 1 when a bound
+is violated, 2 on usage, parse or precondition errors (one "error:" line names
+the offending option, element or field).  Output files are written to a
+temporary name and renamed, so interrupted runs never leave partial certificates.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import DomainError, QuasiactError
 from .finmap import check_carrier_size
@@ -299,34 +301,42 @@ def _cmd_construct(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quasiact",
-        description="construct and verify quasi-actions of groups on finite sets",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="re-verify a certificate or girth witness file")
-    p_verify.add_argument("--qa", required=True, help="certificate or girth witness file")
-    p_verify.add_argument("--epsilon", required=True, help="exact rational p/q")
-    p_verify.add_argument("--strict", action="store_true")
-    p_verify.add_argument("--out", help="write the re-verified certificate or witness here")
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_construct = sub.add_parser("construct", help="run a construction request")
-    p_construct.add_argument("--request", required=True, help="request JSON file")
-    p_construct.add_argument("--seed", type=int, default=0)
-    p_construct.add_argument("--out", required=True, help="output certificate file")
-    p_construct.set_defaults(handler=_cmd_construct)
-
-    return parser
+USAGE = ("usage: quasiact verify --qa FILE --epsilon P/Q [--strict] [--out FILE]\n"
+         "       quasiact construct --request FILE [--seed N] --out FILE\n")
+# command -> (handler, option -> (value parser, None for a flag; default, ... if required))
+_COMMANDS = {
+    "verify": (_cmd_verify, {"--qa": (str, ...), "--epsilon": (str, ...), "--strict": (None, False),
+                             "--out": (str, None)}),
+    "construct": (_cmd_construct, {"--request": (str, ...), "--seed": (int, 0), "--out": (str, ...)}),
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command argv names, option --name setting its handler's args.name."""
+    command, *rest = (sys.argv[1:] if argv is None else argv) or [""]
+    if {"-h", "--help"} & {command, *rest}:
+        print(USAGE, end="")
+        return EXIT_OK
     try:
-        return args.handler(args)
+        if command not in _COMMANDS:
+            raise DomainError(f"quasiact: command {command!r} is not verify or construct")
+        (handler, options), given = _COMMANDS[command], {}
+        rest = [part for a in rest for part in (a.split("=", 1) if a[:2] == "--" else [a])]
+        while rest:
+            option = rest.pop(0)
+            where = f"quasiact {command}: option {option!r}"
+            if option not in options or option in given:
+                raise DomainError(f"{where} is {'given twice' if option in given else 'unknown'}")
+            parse = options[option][0]
+            if parse and (not rest or rest[0][:2] == "--"):
+                raise DomainError(f"{where} needs a value")
+            try:
+                given[option] = parse(rest.pop(0)) if parse else True
+            except ValueError:  # int, the one parser that refuses
+                raise DomainError(f"{where} takes an integer") from None
+        if missing := [o for o, (_, d) in options.items() if d is ... and o not in given]:
+            raise DomainError(f"quasiact {command}: option {missing[0]!r} is required")
+        return handler(SimpleNamespace(**{o[2:]: given.get(o, d) for o, (_, d) in options.items()}))
     except QuasiactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -12,6 +12,7 @@ import pytest
 import quasiact
 from quasiact import cyclic_group, emit_certificate, load_certificate, verify
 from quasiact import quasiaction
+from quasiact import cli
 from quasiact.cli import main
 from quasiact.constructions import load_girth_witness, regular_action
 from quasiact.errors import DomainError
@@ -678,3 +679,73 @@ class TestUnparsableJson:
         doc["F"][0] = "9" * 5000
         with pytest.raises(DomainError, match="element key '9999.* is not JSON: ValueError"):
             load_certificate(json.dumps(doc))
+
+
+class TestCommandLine:
+    """The option reader: one table of options per command, read whole (no
+    abbreviation), each value after its option or an "="; a usage error
+    exits 2 with one "error:" line that names the command and the option."""
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "quasiact: command '' is not verify or construct"),
+        (["verfy", "--qa", "x"], "quasiact: command 'verfy' is not verify or construct"),
+        (["construct", "--requets", "r", "--out", "o"],
+         "quasiact construct: option '--requets' is unknown"),
+        (["verify", "--eps", "1/2", "--qa", "x"], "quasiact verify: option '--eps' is unknown"),
+        (["verify", "--qa", "x", "--epsilon", "1/2", "y"],
+         "quasiact verify: option 'y' is unknown"),
+        (["verify", "--epsilon", "1/2", "--qa"], "quasiact verify: option '--qa' needs a value"),
+        (["verify", "--qa", "--epsilon", "1/2"], "quasiact verify: option '--qa' needs a value"),
+        (["verify", "--qa", "x"], "quasiact verify: option '--epsilon' is required"),
+        (["construct", "--out", "o"], "quasiact construct: option '--request' is required"),
+        (["verify", "--qa", "x", "--qa=y", "--epsilon", "1/2"],
+         "quasiact verify: option '--qa' is given twice"),
+        (["verify", "--strict", "--qa", "x", "--strict", "--epsilon", "1/2"],
+         "quasiact verify: option '--strict' is given twice"),
+        (["construct", "--request", "r", "--out", "o", "--seed", "x"],
+         "quasiact construct: option '--seed' takes an integer"),
+        (["construct", "--request", "r", "--out", "o", "--seed=1.5"],
+         "quasiact construct: option '--seed' takes an integer"),
+    ])
+    def test_usage_error_exits_two_naming_the_option(self, tmp_path, capsys, argv, message):
+        argv = [str(tmp_path / a) if a in ("x", "r", "o") else a for a in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_equals_spelling_writes_the_same_bytes(self, c4_certificate, tmp_path):
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        assert main(["verify", "--qa", str(c4_certificate), "--epsilon", "1/100",
+                     "--out", str(spaced)]) == 0
+        assert main(["verify", f"--qa={c4_certificate}", "--epsilon=1/100",
+                     f"--out={joined}"]) == 0
+        assert joined.read_bytes() == spaced.read_bytes() == c4_certificate.read_bytes()
+
+    def test_negative_seed_is_a_value(self, tmp_path):
+        req, out = tmp_path / "request.json", tmp_path / "v.json"
+        req.write_text(json.dumps({"construct": "girth_group", "labels": 2, "girth_bound": 2,
+                                   "order_cap": 500}))
+        assert main(["construct", "--request", str(req), "--seed", "-3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == -3
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"],
+                                      ["construct", "--request", "r", "-h"]])
+    def test_help_prints_the_usage_lines(self, capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == cli.USAGE
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"```\n{out}```\n" in readme  # README's "Command line" section states them
+
+    def test_importing_the_cli_leaves_argparse_and_gettext_out(self):
+        # Building argparse's parsers cost every command 2-3 ms of start-up
+        # (gettext lookups, locale, regex compiles); no import may bring it back.
+        src = str(Path(quasiact.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, quasiact.cli; "
+                "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert run.returncode == 0, run.stderr[-500:]
+        assert run.stdout == "[]\n"

@@ -17,6 +17,8 @@ from quasiact import (
 )
 from quasiact.errors import CarrierMismatchError, DomainError
 
+from mutants import strict_is_similar
+
 
 def swap_map(n: int, i: int, j: int) -> FiniteMap:
     """The identity on n points with i and j exchanged."""
@@ -113,6 +115,16 @@ class TestCompose:
         assert compose(compose(e, f), g) == compose(e, compose(f, g))
 
 
+def check_similarity_against_fractions(is_similar):
+    """is_similar(Defect(d, n), epsilon) is d/n <= epsilon as fractions, for
+    every d <= n <= 8 and every epsilon p/q in [0, 1] with q <= 8, the equal
+    ratios (where <= and < part) among them."""
+    for n in range(1, 9):
+        for d in range(n + 1):
+            for epsilon in {Fraction(p, q) for q in range(1, 9) for p in range(q + 1)}:
+                assert is_similar(Defect(d, n), epsilon) == (Fraction(d, n) <= epsilon), (d, n)
+
+
 class TestSimilarityDefect:
     def test_equal_maps(self):
         f = FiniteMap([1, 0, 3, 2])
@@ -134,6 +146,13 @@ class TestSimilarityDefect:
     def test_size_mismatch(self):
         with pytest.raises(CarrierMismatchError):
             similarity_defect(identity_map(3), identity_map(4))
+
+    def test_similarity_matches_fractions(self):
+        check_similarity_against_fractions(Defect.is_similar)
+
+    def test_the_fraction_comparison_refuses_a_strict_bound(self):
+        with pytest.raises(AssertionError):
+            check_similarity_against_fractions(strict_is_similar)
 
     @given(same_size_maps(2))
     def test_symmetric(self, ef):

@@ -34,6 +34,7 @@ from dense_carrier import (
     tuple_carrier_girth,
     tuple_word_girth,
 )
+from mutants import short_sighted_word_girth, skipping_schreier_sims
 
 
 def iter_reduced_words(perms, bound):
@@ -536,6 +537,10 @@ def with_special(gens, kind):
     return gens
 
 
+def check_word_girth_against_reduced_words(certify, gens, bound):
+    assert raises_invariant(certify, gens, bound) == words_hit_identity(gens, bound)
+
+
 class TestSymmetryCertificatesAgainstOracles:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -549,8 +554,13 @@ class TestSymmetryCertificatesAgainstOracles:
     @example(gens=[(1, 2, 3, 0)], kind="inverse", bound=2)
     @example(gens=[(1, 2, 3, 0)], kind="none", bound=4)
     def test_cayley_ball_matches_reduced_words(self, gens, kind, bound):
-        gens = with_special(gens, kind)
-        assert raises_invariant(_certify_word_girth, gens, bound) == words_hit_identity(gens, bound)
+        check_word_girth_against_reduced_words(_certify_word_girth, with_special(gens, kind), bound)
+
+    def test_the_reduced_word_comparison_refuses_a_distance_bound_off_by_one(self):
+        # (0 1 2) closes a 3-cycle, found only by walks of 1 and 2 steps.
+        check_word_girth_against_reduced_words(_certify_word_girth, [(1, 2, 0)], 3)
+        with pytest.raises(AssertionError):
+            check_word_girth_against_reduced_words(short_sighted_word_girth, [(1, 2, 0)], 3)
 
     def test_special_generators_are_refused(self):
         base = [(1, 2, 3, 4, 0)]
@@ -903,20 +913,6 @@ def check_order_against_sympy(routine, gens):
     combinatorics = pytest.importorskip("sympy.combinatorics")
     group = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
     assert routine(gens)[0] == group.order()
-
-
-def skipping_schreier_sims(gens):
-    """schreier_sims with one fault: once any orbit point's Schreier
-    generator for s sifts to 1, s is skipped at every point of that level."""
-    import inspect
-
-    source = inspect.getsource(girth.schreier_sims)
-    faulty = source.replace("(i, p, n) not in sifted", "(i, n) not in sifted").replace(
-        "sifted.add((i, p, n))", "sifted.add((i, n))")
-    assert faulty.count("(i, n)") == 2
-    namespace = dict(vars(sys.modules[girth.schreier_sims.__module__]))
-    exec(faulty, namespace)
-    return namespace["schreier_sims"](gens)
 
 
 class TestSchreierSimsAgainstOracles:

@@ -6,6 +6,7 @@ import re
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from test_finmap import composition_defect, fraction, swap_map, with_map
 from certificate_tables import (
     assignment, encode, every_count, set_assignment, set_slot_rows, slot_rows, table_maps,
 )
+from mutants import table_from_json_trusting_fingerprints
 
 
 def regular_c4():
@@ -817,10 +819,21 @@ class TestCertificateCodec:
         with pytest.raises(error, match=re.escape(message)):
             load_certificate(with_edit(emit_certificate(qa, verify(qa)), edit))
 
-    def test_rows_whose_fingerprints_meet_are_compared_exactly(self, monkeypatch):
-        # An all-zero fingerprint for every row: distinct rows still load,
-        # and a repeat is named by its first equal row.
-        monkeypatch.setattr(girth, "_row_hashes", lambda rows: np.zeros(len(rows), np.uint64))
+    def test_rows_whose_fingerprints_meet_are_compared_exactly(self):
+        check_rows_compared_exactly(quasiaction._table_from_json)
+
+    def test_the_exact_comparison_refuses_a_loader_that_trusts_fingerprints(self):
+        with pytest.raises(InvariantViolationError, match="slot 0 row 1 repeats row 0"):
+            check_rows_compared_exactly(table_from_json_trusting_fingerprints)
+
+
+def check_rows_compared_exactly(table_from_json):
+    """With table_from_json as the slot loader and an all-zero fingerprint
+    for every row, distinct rows still load, and a repeat is named by its
+    first equal row."""
+    zeros = lambda rows: np.zeros(len(rows), np.uint64)
+    with mock.patch.object(girth, "_row_hashes", zeros), \
+            mock.patch.object(quasiaction, "_table_from_json", table_from_json):
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
         assert emit_certificate(*load_certificate(cert)) == cert
