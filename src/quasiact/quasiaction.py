@@ -38,7 +38,6 @@ from .errors import (
     IncompleteSupportError,
     InvariantViolationError,
     PreconditionError,
-    QuasiactError,
 )
 from .finmap import (
     Defect, FiniteMap, after, agreements, check_carrier_size, count_dtype, identity_map,
@@ -70,9 +69,9 @@ class QuasiAction:
     same maps give the same tables whether they come one by one (validated
     here, interned by their rows' bytes) or as tables (``_from_slots``, from
     a product or a certificate).  ``assignment`` is built from the tables'
-    rows on first read.  The keys are validated once (F's
-    by FiniteSubset), and the support check builds the claimed F's F x F
-    product table of ids, once."""
+    rows on first read.  The keys are validated once (F's by FiniteSubset),
+    and the support check builds the claimed F's F x F product table of
+    ids, once (a certificate's loader hands in the one it formed)."""
 
     def __init__(
         self,
@@ -106,15 +105,15 @@ class QuasiAction:
     @classmethod
     def _from_slots(cls, *args) -> QuasiAction:
         """The action (owner, layout, tables, elements, index, claimed_f,
-        claimed_epsilon[, keys]) whose elements[i] maps by tables[s][index[i][s]]
-        in each slot s; its carrier is the product of the slots' sizes.  The
-        caller vouches that the elements are decoded and distinct (keys, if
-        given, their canonical keys), each table holds distinct valid int32
-        rows of its slot's layout, and each index is in range."""
+        claimed_epsilon[, keys, products]) whose elements[i] maps by
+        tables[s][index[i][s]] in each slot s, on the product of the slots'
+        sizes.  The caller vouches for the elements decoded and distinct (keys:
+        their canonical keys; products: F x F's ids, elements in key order),
+        distinct valid int32 rows of each slot's layout and indices in range."""
         return cls.__new__(cls)._set(*args)
 
     def _set(self, owner, layout, tables, elements, index, claimed_f, claimed_epsilon,
-             keys=None) -> QuasiAction:
+             keys=None, products=None) -> QuasiAction:
         self.owner = owner
         self.carrier_n = math.prod(cells * (1 if v is None else v.order) for cells, v in layout)
         self.claimed_f = FiniteSubset(owner, claimed_f)
@@ -126,7 +125,7 @@ class QuasiAction:
         self.elements = tuple(elements[i] for i in by_key)
         self.keys = {e: keys[i] for e, i in zip(self.elements, by_key)}
         self.ids = {e: i for i, e in enumerate(self.elements)}
-        self._claimed_products = self._products(self.claimed_f)
+        self._claimed_products = self._products(self.claimed_f) if products is None else products
         index = np.asarray(index, np.intp).reshape(len(keys), len(layout))[by_key]
         self.slot_tables = _first_use(tables, index)
         self._counts = {}  # verify's reports on the claimed F by strictness, at any epsilon
@@ -459,7 +458,7 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
-FORMAT = 12
+FORMAT = 13
 TABLES = "a slot's table states each slot map once"
 
 
@@ -557,41 +556,36 @@ def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
     return (cells, fiber), packed
 
 
-def _assignment_from_json(g: GroupHandle, a, tables) -> tuple[dict, list, np.ndarray]:
-    """The elements by stated key, their keys as _keys_many writes them, and
-    the (keys, slots) index payload, each index below its table's size.  The
-    keys are parsed once, joined; unless that gives each key back, each key
-    is parsed alone, so a key that is not JSON alone is named.  Two keys of
-    one element are refused by name; any other key that is not its
-    element's is the acceptance rule's."""
-    stated = _field(a, "keys", lambda v: list(map(_decode_str, _decode_list(v))))
-    try:
-        elems = [g.decode(x) for x in parse_json("[" + ",".join(stated) + "]", "keys")]
-        keys = g._keys_many(elems) if len(elems) == len(stated) else None
-    except QuasiactError:
-        keys = None
-    if keys != stated:
-        elems = _elements_from_keys(g, stated, {})
-        keys = g._keys_many(elems)
-    first = {}
-    for i, key in enumerate(keys):
-        if (j := first.setdefault(key, i)) != i:
-            raise DomainError(f"keys[{j}] {stated[j]!r:.60} and keys[{i}] {stated[i]!r:.60} "
-                              f"name one element, {key!r:.60}")
-    index = _payloads_from_json(a, "assignment", index=((len(keys), len(tables)),
-                                                        [len(t) for t in tables]))
-    return dict(zip(stated, elems)), keys, *index
+def _support_from_json(g: GroupHandle, f: FiniteSubset, a) -> tuple[list, list, np.ndarray]:
+    """The supported elements in key order, their keys as _keys_many writes
+    them and the claimed F's F x F ids, row by row: the identity, F and one
+    _multiply's products over F, then the elements of "extra_keys", one
+    naming any element before it refused by name (the keys' spelling and
+    order are the acceptance rule's)."""
+    f_elems, k = list(f), len(f)
+    products, at = g._multiply(f_elems, np.repeat(np.arange(k), k), np.tile(np.arange(k), k))
+    # Each element -> what it is; the distinct products keep positions 0, 1, ...
+    named = {**dict.fromkeys(products, "a product in F x F"),
+             **dict.fromkeys(f_elems, "an element of F"), g.identity: "the identity"}
+    extra = _field(a, "extra_keys", partial(_elements_from_keys, g))
+    for j, (key, e) in enumerate(zip(a["extra_keys"], extra)):
+        if (was := named.setdefault(e, this := f"the element of extra_keys[{j}]")) != this:
+            raise DomainError(f"extra_keys[{j}] {key!r:.60} names {was}, {g.element_key(e)!r:.60}")
+    keys = g._keys_many(elems := list(named))
+    by_key = sorted(range(len(keys)), key=keys.__getitem__)  # np.argsort(by_key): ids
+    return [elems[i] for i in by_key], [keys[i] for i in by_key], np.argsort(by_key)[at]
 
 
 def emit_certificate(qa: QuasiAction, report: VerificationReport) -> str:
     """Deterministic compact JSON binding the assignment to its measurements
-    (format 12), each fact once.  Per slot: its cells, its fiber (V's degree,
+    (format 13), each fact once.  Per slot: its cells, its fiber (V's degree,
     generators and order, or null; the slots' sizes give the carrier) and its
     table's rows, as "maps" rows of "images" (rows, cells).  A fibered slot
     states its "label_count" distinct labels once, sorted, as "labels" (count,
     degree), and one "label_index" into them per cell (rows, cells); a dense
-    slot states no labels.  "assignment": the keys in key order and their
-    (keys, slots) "index" into the tables.  Payloads are base64 of
+    slot states no labels.  "assignment": the "extra_keys" of the elements F
+    does not give (the identity, F, F x F), in key order, and the (elements
+    in key order, slots) "index" into the tables.  Payloads are base64 of
     little-endian values in _payload_dtype of their bound (cells, V's degree,
     the label count, the largest table); no hash restates them, as the
     loader binds every byte.  "report" is report_to_json's summary of counts
@@ -607,37 +601,40 @@ def _certificate(qa: QuasiAction, report: VerificationReport) -> dict:
         if other:
             raise DomainError(f"the report was measured on another {name} than the action's")
     tables, index = qa.slot_tables
+    extra = np.ones(len(qa.elements), bool)  # the ids F does not give
+    extra[np.r_[qa.ids[qa.owner.identity], qa._ids(qa.claimed_f), qa._claimed_products]] = 0
     return {
         "format": FORMAT,
         "group": qa.owner.describe(),
         "epsilon": format_fraction(qa.claimed_epsilon),
         "F": list(f_keys),
         "slots": list(map(_slot_to_json, qa.layout, tables)),
-        "assignment": {"keys": [qa.keys[e] for e in qa.elements],
+        "assignment": {"extra_keys": [qa.keys[e] for e in itertools.compress(qa.elements, extra)],
                        **_payloads_to_json(index=(index, max(map(len, tables))))},
         "report": report_to_json(report),
     }
 
 
-def _elements_from_keys(g: GroupHandle, keys, known: Mapping) -> list:
-    """Each key's element: known's, else the key's JSON decoded."""
-    return [known[k] if k in known else g.decode(parse_json(k, f"element key {k!r:.60}"))
-            for k in map(_decode_str, keys)]
+def _elements_from_keys(g: GroupHandle, keys) -> list:
+    """Each key's element, its JSON decoded."""
+    return [g.decode(parse_json(k, f"element key {k!r:.60}"))
+            for k in map(_decode_str, _decode_list(keys))]
 
 
 def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
-    """Read a format 12 certificate; formats 1-11 are refused by name (run
+    """Read a format 13 certificate; formats 1-12 are refused by name (run
     their request again with ``quasiact construct``).  It loads only if its
     text is what emit_certificate writes for the action it states and the
     report verify measures on it again, on the claimed F at the stored
     report's epsilon and strictness (util.check_written names the first
-    differing JSON path, or character): the one check of each payload's
-    base64 spelling and V's degree and order.  Checked before
-    anything is built, as decoding, allocation and _from_slots rely on them:
-    the format, each payload's base64 padding, length and range, the label
-    count, V's generators, the labels in V, no row stated twice, each key an
-    element and no two keys one, and F's keys in the assignment.  The fresh
-    report, with every count, is returned."""
+    differing JSON path, or character): the one check of each key's
+    spelling and order, each payload's base64 spelling and V's degree and
+    order.  Checked before anything is built, as decoding, allocation and
+    _from_slots rely on them: the format, each key an element and no extra
+    one an element F gives or another extra's (before any table), each
+    payload's base64 padding, length and range, the label count, V's
+    generators, the labels in V and no row stated twice; the report, with
+    every count, is measured again and returned."""
     doc = parse_json(text, "certificate")
     fmt = _field(doc, "format", _decode_int, 1)  # format 1 had no "format" key
     if fmt != FORMAT:
@@ -646,16 +643,18 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
             "run its request again with quasiact construct"
         )
     g = _field(doc, "group", group_from_json)
+    f = _field(doc, "F", lambda v: FiniteSubset(g, _elements_from_keys(g, v)))
+    elements, keys, products = _field(doc, "assignment", partial(_support_from_json, g, f))
     # Per slot, its layout and its table of distinct slot maps.
     slots = _field(doc, "slots", lambda v: [_table_from_json(s, i)
                                             for i, s in enumerate(_decode_list(v))])
     if not slots:
         raise DomainError("field 'slots': a certificate has at least one slot")
     layout, tables = zip(*slots)
-    keyed, keys, index = _field(doc, "assignment", lambda v: _assignment_from_json(g, v, tables))
-    f = _field(doc, "F", lambda v: _elements_from_keys(g, _decode_list(v), keyed))
-    qa = QuasiAction._from_slots(g, layout, list(tables), keyed.values(), index,
-                                 FiniteSubset(g, f), _field(doc, "epsilon", parse_fraction), keys)
+    index = _field(doc, "assignment", lambda a: _payloads_from_json(
+        a, "assignment", index=((len(keys), len(tables)), [len(t) for t in tables]))[0])
+    qa = QuasiAction._from_slots(g, layout, list(tables), elements, index, f,
+                                 _field(doc, "epsilon", parse_fraction), keys, products)
     stored = _field(doc, "report", _decode_object)
     del doc  # only the report and the text are kept while verify runs
     report = verify(qa, epsilon=_field(stored, "epsilon", parse_fraction),

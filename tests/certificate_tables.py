@@ -1,4 +1,4 @@
-"""Format 12 certificate documents in the tests: read and rewrite the slot
+"""Format 13 certificate documents in the tests: read and rewrite the slot
 tables and the assignment as arrays, and two older decoders kept as
 oracles of the table decoder: format 10's, which read one label per cell
 under one sha256, and format 7's per-entry one.  An action's slot
@@ -9,17 +9,21 @@ table_maps alone.  every_count writes a report with every count, as format
 A slot's "images" payload is its (rows, cells) table of cell images.  A
 fibered slot adds its "label_count" distinct labels, sorted, as "labels"
 (count, degree) and one "label_index" into them per cell (rows, cells).
-The assignment's "index" payload is (keys, slots).  Each payload is
-little-endian in the narrowest dtype of its bound; none is hashed.
+The assignment's "index" payload is (elements, slots), over the supported
+elements in key order: the identity, F and the products of F x F, which F
+gives, and the elements of its "extra_keys".  Each payload is little-endian
+in the narrowest dtype of its bound; none is hashed.
 """
 
 import base64
 import hashlib
+import json
 
 import numpy as np
 
 from quasiact.errors import InvariantViolationError
 from quasiact.finmap import FiniteMap
+from quasiact.groups import group_from_json
 from quasiact.util import canonical_json, format_fraction
 
 
@@ -122,20 +126,30 @@ def format_10_table(s: dict, i: int) -> tuple[tuple, np.ndarray]:
     return (cells, fiber), packed
 
 
+def given_keys(doc: dict) -> set[str]:
+    """The keys F gives: the identity's, F's and those of F x F's products,
+    each product by the group's scalar mul, F's keys decoded one by one."""
+    g = group_from_json(doc["group"])
+    f = [g.decode(json.loads(k)) for k in doc["F"]]
+    return set(map(g.element_key, [g.identity, *f, *(g.mul(a, b) for a in f for b in f)]))
+
+
 def assignment(doc: dict) -> dict:
-    """The assignment as key -> list of one index per slot."""
+    """The assignment as key -> list of one index per slot, over the keys F
+    gives and the extra keys, in key order."""
     a, sizes = doc["assignment"], [s["maps"] for s in doc["slots"]]
     index = np.frombuffer(raw(a, "index"), dtype_of(max(sizes))).reshape(-1, len(sizes))
-    return dict(zip(a["keys"], index.tolist()))
+    return dict(zip(sorted(given_keys(doc) | set(a["extra_keys"])), index.tolist()))
 
 
 def set_assignment(doc: dict, values: dict) -> None:
-    """Write the assignment from key -> indices: the keys in key order, their
-    rows in the dtype of the largest table, its fields in the emitter's
-    order."""
-    keys = sorted(values)
-    a = doc["assignment"] = {"index": None, "keys": keys}
-    a["index"] = encode([values[k] for k in keys], max(s["maps"] for s in doc["slots"]))
+    """Write the assignment from key -> indices: the keys F does not give as
+    "extra_keys", all rows in key order in the dtype of the largest table,
+    its fields in the emitter's order."""
+    keys, given = sorted(values), given_keys(doc)
+    doc["assignment"] = {"extra_keys": [k for k in keys if k not in given],
+                         "index": encode([values[k] for k in keys],
+                                         max(s["maps"] for s in doc["slots"]))}
 
 
 def table_maps(table: np.ndarray, layout: tuple) -> list[FiniteMap]:
@@ -206,7 +220,7 @@ def slot_from_entry(entry: dict, cells: int, fiber) -> FiniteMap:
 
 def every_count(report) -> str:
     """The canonical JSON of a report with every count, flag and verdict:
-    format 8's stored report, which formats 9 to 12 summarise.  Two reports give
+    format 8's stored report, which formats 9 to 13 summarise.  Two reports give
     the same text iff they agree on every count (a_counts row-major over F,
     c_agreements over F minus the identity, the strict flags over the
     support minus the identity and the pairwise counts over F and the

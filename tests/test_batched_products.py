@@ -38,7 +38,7 @@ from quasiact import (
     pair_products,
     verify,
 )
-from quasiact import groups
+from quasiact import groups, quasiaction
 from quasiact.constructions import cyclic_quasi_action, direct_product_qa, regular_action
 from quasiact.errors import DomainError, IncompleteSupportError, InvariantViolationError
 from quasiact.quasiaction import TABLES
@@ -282,38 +282,74 @@ class TestProductSupportsThatAreNoGrid:
 
 class TestLoaderRefusesNonCanonicalKeys:
     """Every key a certificate states must be its element's element_key:
-    another spelling of an element is refused by name, not read as it.  Two
-    keys of one element are refused as the assignment is read; any other
-    key that emission would not write, by the acceptance rule at its path."""
+    another spelling of an element is refused by name, not read as it.  An
+    extra key of an element that F gives (the identity, F and F x F's
+    products) or that another extra key names is refused as the assignment
+    is read, before any slot table; any other key that emission would not
+    write, by the acceptance rule at its path."""
 
     @pytest.fixture
     def doc(self):
+        # F = {-1, 1} x {-1, 1} gives 13 of the 25 elements; 12 are extra.
         factors = [cyclic_quasi_action([1, -1], m, Fraction(1, 10)) for m in (7, 5)]
         qa = direct_product_qa([(f, f.claimed_f) for f in factors], Fraction(1, 10))
         return json.loads(emit_certificate(qa, verify(qa)))
 
-    def test_a_second_spelling_of_a_key_is_refused(self, doc):
-        # It would load as 25 elements from 26 keys.
+    def test_a_second_spelling_of_a_key_is_refused(self, doc, monkeypatch):
+        # An extra key "[-1, -1]" beside F's "[-1,-1]", with its own index row.
         values = assignment(doc)
-        set_assignment(doc, dict(values, **{"[-1, -1]": values["[-1,-1]"]}))
+        set_assignment(doc, dict(values, **{"[-1, -1]": values["[1,1]"]}))
+        assert doc["assignment"]["extra_keys"][0] == "[-1, -1]"
+        monkeypatch.setattr(quasiaction, "_table_from_json", None)  # no slot table is read
+        with pytest.raises(DomainError) as exc:
+            load_certificate(json.dumps(doc))
+        assert str(exc.value) == ("field 'assignment': extra_keys[0] '[-1, -1]' names an element "
+                                  "of F, '[-1,-1]'")
+
+    @pytest.mark.parametrize("added,refused,names", [
+        ("[0, 0]", "[0, 0]", "the identity, '[0,0]'"),
+        ("[-1,-1]", "[-1,-1]", "an element of F, '[-1,-1]'"),
+        ("[2,-2]", "[2,-2]", "a product in F x F, '[2,-2]'"),
+        ("[2, -2]", "[2, -2]", "a product in F x F, '[2,-2]'"),
+        # "[-1, 0]" sorts first and is read; the extra key "[-1,0]" is refused.
+        ("[-1, 0]", "[-1,0]", "the element of extra_keys[0], '[-1,0]'"),
+    ], ids=["identity", "f", "product", "product_respelled", "extra"])
+    def test_a_second_key_of_an_element_is_refused_before_any_table(self, doc, monkeypatch,
+                                                                     added, refused, names):
+        # The key joins the extra keys in key order; no payload is read.
+        extra = doc["assignment"]["extra_keys"]
+        extra.append(added)
+        extra.sort()
+        monkeypatch.setattr(quasiaction, "_table_from_json", None)  # no slot table is read
+        with pytest.raises(DomainError) as exc:
+            load_certificate(json.dumps(doc))
+        assert str(exc.value) == (f"field 'assignment': extra_keys[{extra.index(refused)}] "
+                                  f"{refused!r} names {names}")
+
+    def test_an_extra_key_of_a_respelled_f_key_is_refused(self, doc, monkeypatch):
+        # F states "[-1, -1]", an extra key "[-1,-1]": one element, by name.
+        doc["F"][0] = "[-1, -1]"
+        doc["assignment"]["extra_keys"].insert(0, "[-1,-1]")
+        monkeypatch.setattr(quasiaction, "_table_from_json", None)  # no slot table is read
         with pytest.raises(DomainError, match=re.escape(
-                "field 'assignment': keys[0] '[-1, -1]' and keys[1] '[-1,-1]' name one "
-                "element, '[-1,-1]'")):
+                "field 'assignment': extra_keys[0] '[-1,-1]' names an element of F, '[-1,-1]'")):
             load_certificate(json.dumps(doc))
 
     @pytest.mark.parametrize("where", ["assignment", "F"])
     def test_a_respelled_key_is_refused(self, doc, where):
         # It would load, and emit other bytes than it was read from.
         if where == "assignment":
-            values = assignment(doc)
-            values["[-1, -1]"] = values.pop("[-1,-1]")
-            set_assignment(doc, values)
+            keys = doc["assignment"]["extra_keys"]
+            assert keys[0] == "[-1,-2]"
+            keys[0] = "[-1, -2]"  # still first in key order
         else:
             keys = doc["F"]
             keys[keys.index("[-1,-1]")] = "[-1, -1]"
-        path = "assignment.keys[0]" if where == "assignment" else "F[0]"
+        path = "assignment.extra_keys[0]" if where == "assignment" else "F[0]"
+        old = "[-1,-2]" if where == "assignment" else "[-1,-1]"
         with pytest.raises(InvariantViolationError, match=re.escape(
-                f"certificate field '{path}' states \"[-1, -1]\", where format 12 writes \"[-1,-1]\"")):
+                f"certificate field '{path}' states \"{old[:3]}, {old[4:]}\", "
+                f"where format 13 writes \"{old}\"")):
             load_certificate(json.dumps(doc))
 
     @pytest.mark.parametrize("probe", ["swapped", "repeated"])
@@ -324,11 +360,11 @@ class TestLoaderRefusesNonCanonicalKeys:
         first, second = keys[0], keys[1]
         if probe == "swapped":
             keys[0], keys[1] = second, first
-            message = f"certificate field 'F[0]' states \"{second}\", where format 12 writes \"{first}\""
+            message = f"certificate field 'F[0]' states \"{second}\", where format 13 writes \"{first}\""
         else:
             keys.append(first)
             message = ("certificate field 'F' states [-1,1]\",\"[1,-1]\",\"[1,1]\",\"[-1,-1]\"], "
-                       "where format 12 writes [-1,1]\",\"[1,-1]\",\"[1,1]\"]")  # 24 characters around
+                       "where format 13 writes [-1,1]\",\"[1,-1]\",\"[1,1]\"]")  # 24 characters around
         with pytest.raises(InvariantViolationError, match=re.escape(message)):
             load_certificate(json.dumps(doc))
 
@@ -452,7 +488,7 @@ class TestLoadedOneSlotTables:
          f"{TABLES}: slot 0 row 3 repeats row 2"),
         (lambda d: (set_slot_rows(d, 0, slot_rows(d, 0)[0][::-1]),  # out of first-use order
                     set_assignment(d, {k: [3 - i] for k, [i] in assignment(d).items()})),
-         "certificate field 'assignment.index' states \"AwIBAA==\", where format 12 writes \"AAECAw==\""),
+         "certificate field 'assignment.index' states \"AwIBAA==\", where format 13 writes \"AAECAw==\""),
     ], ids=["unused", "repeated", "out_of_order"])
     def test_tables_other_than_the_emitted_ones_are_refused(self, doc, edit, message):
         edit(doc)

@@ -135,7 +135,7 @@ class TestVerifyCommand:
         code = main(["verify", "--qa", str(forged_c4_certificate), "--epsilon", "1/100"])
         assert code == 2
         assert capsys.readouterr().err == ("error: certificate field 'report.a_pass' states true, "
-                                           "where format 12 writes false\n")
+                                           "where format 13 writes false\n")
 
     @pytest.mark.parametrize("field,value", [
         (("epsilon",), 0.01),
@@ -193,9 +193,9 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "expected an array" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
     def test_old_formats_exit_two(self, c4_certificate, tmp_path, capsys, fmt):
-        # Formats 1-11 are refused by name; a missing "format" is format 1.
+        # Formats 1-12 are refused by name; a missing "format" is format 1.
         doc = json.loads(c4_certificate.read_text())
         if fmt is None:
             del doc["format"]
@@ -416,7 +416,7 @@ class TestConstructCommand:
         code, out = self.run_construct(tmp_path, request)
         assert code == 2
         assert ("error: field 'factors': certificate field 'report.a_pass' states true, where "
-                "format 12 writes false" in capsys.readouterr().err)
+                "format 13 writes false" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_finitary_extension(self, tmp_path):

@@ -39,7 +39,7 @@ from quasiact import (
 )
 from quasiact import quasiaction
 from quasiact.constructions import cyclic_quasi_action, direct_product_qa, regular_action
-from quasiact.errors import DomainError, IncompleteSupportError
+from quasiact.errors import DomainError, InvariantViolationError
 from quasiact.finmap import FiniteMap, after, count_dtype, differs, identity_map
 from quasiact.groups import _row_codes, _unique
 from quasiact.util import canonical_json
@@ -173,58 +173,61 @@ def product_certificate() -> dict:
     return json.loads(emit_certificate(qa, verify(qa)))
 
 
-def respelled(doc: dict, old: list, new: list) -> str:
-    """doc with the run of assignment keys old replaced, in place, by the
-    keys new (each taking a map of the run)."""
-    items = list(assignment(doc).items())
-    at = [k for k, _ in items].index(old[0])
-    assert [k for k, _ in items[at : at + len(old)]] == old
-    values = [v for _, v in items[at : at + len(old)]]
-    values += values[-1:] * (len(new) - len(values))
-    items[at : at + len(old)] = zip(new, values)
-    doc["assignment"]["keys"] = [k for k, _ in items]  # in place, perhaps out of key order
-    doc["assignment"]["index"] = encode([v for _, v in items], 5)
+def respelled(doc: dict, where: str, old: list, new: list) -> str:
+    """doc with the run of keys old in F or the extra keys replaced, in
+    place, by the keys new."""
+    keys = doc["F"] if where == "F" else doc["assignment"]["extra_keys"]
+    at = keys.index(old[0])
+    assert keys[at : at + len(old)] == old
+    keys[at : at + len(old)] = new
     return json.dumps(doc)
 
 
-NOT_JSON = "field 'assignment': element key {!r} is not JSON: JSONDecodeError: "
+NOT_JSON = {"F": "field 'F': element key {!r} is not JSON: JSONDecodeError: ",
+            "extra_keys": "field 'assignment': field 'extra_keys': element key {!r} is not JSON: "
+                          "JSONDecodeError: "}
 
 
 class TestLoaderKeysEachElementOnce:
-    @pytest.mark.parametrize("old,new,message", [
-        # "[0" and "0]" join into one element: one fewer than the keys.
-        (["[0,0]"], ["[0", "0]"],
-         NOT_JSON.format("[0") + "Expecting ',' delimiter: line 1 column 3 (char 2)"),
-        # The joined parse gives as many elements as keys, with the
-        # boundaries shifted: [0,0] and [0,1] from "[0" and "0],[0,1]".
-        (["[0,0]", "[0,1]"], ["[0", "0],[0,1]"],
-         NOT_JSON.format("[0") + "Expecting ',' delimiter: line 1 column 3 (char 2)"),
+    """F's keys and the extra keys are each parsed alone, so a key that is
+    not one element's JSON is named, wherever its commas fall."""
+
+    @pytest.mark.parametrize("where,old,new,error", [
+        ("extra_keys", ["[0,1]"], ["[0", "1]"], ("[0", "Expecting ',' delimiter: line 1 column 3 (char 2)")),
+        # Boundaries shifted, as many keys as before: [0,-1] and [0,1] from "[0" and "-1],[0,1]".
+        ("extra_keys", ["[0,-1]", "[0,1]"], ["[0", "-1],[0,1]"],
+         ("[0", "Expecting ',' delimiter: line 1 column 3 (char 2)")),
         # A key with a top-level comma holds two elements.
-        (["[0,0]", "[0,1]"], ["[0,0],[0,1]"],
-         NOT_JSON.format("[0,0],[0,1]") + "Extra data: line 1 column 6 (char 5)"),
-        (["[0,0]"], ["1,2"], NOT_JSON.format("1,2") + "Extra data: line 1 column 2 (char 1)"),
-        # Both at once, again as many elements as keys.
-        (["[0,0]", "[0,1]", "[0,2]"], ["[0", "0]", "[0,1],[0,2]"],
-         NOT_JSON.format("[0") + "Expecting ',' delimiter: line 1 column 3 (char 2)"),
-    ], ids=["split", "split_and_merge", "comma", "integer_comma", "comma_and_split"])
-    def test_a_shifted_boundary_is_refused_as_before(self, old, new, message):
-        text = respelled(product_certificate(), old, new)
+        ("extra_keys", ["[0,-1]", "[0,1]"], ["[0,-1],[0,1]"],
+         ("[0,-1],[0,1]", "Extra data: line 1 column 7 (char 6)")),
+        ("extra_keys", ["[0,1]"], ["1,2"], ("1,2", "Extra data: line 1 column 2 (char 1)")),
+        # Both at once, again as many keys as before.
+        ("extra_keys", ["[0,-1]", "[0,1]", "[1,-2]"], ["[0", "-1]", "[0,1],[1,-2]"],
+         ("[0", "Expecting ',' delimiter: line 1 column 3 (char 2)")),
+        ("F", ["[1,1]"], ["[1", "1]"], ("[1", "Expecting ',' delimiter: line 1 column 3 (char 2)")),
+        ("F", ["[1,-1]", "[1,1]"], ["[1,-1],[1,1]"],
+         ("[1,-1],[1,1]", "Extra data: line 1 column 7 (char 6)")),
+    ], ids=["split", "split_and_merge", "comma", "integer_comma", "comma_and_split", "f_split",
+            "f_comma"])
+    def test_a_shifted_boundary_is_refused_as_before(self, where, old, new, error):
+        text = respelled(product_certificate(), where, old, new)
         with pytest.raises(DomainError) as exc:
             load_certificate(text)
-        assert str(exc.value) == message
+        assert str(exc.value) == NOT_JSON[where].format(error[0]) + error[1]
 
-    @pytest.mark.parametrize("where", ["F"])
-    def test_a_key_missing_from_the_assignment_is_named(self, where):
+    def test_an_f_key_beyond_the_support_is_refused_by_the_index_length(self):
+        # F gives its own products: [9,9] adds itself and [8,8], [8,10], [10,8],
+        # [10,10] and [18,18], so 31 rows of two uint8 indices, not 25.
         doc = product_certificate()
-        keys = doc[where]
-        keys.append("[9,9]")
-        keys.sort()  # F stays in key order
-        with pytest.raises(IncompleteSupportError) as exc:
+        doc["F"].append("[9,9]")
+        doc["F"].sort()  # F stays in key order
+        with pytest.raises(InvariantViolationError) as exc:
             load_certificate(json.dumps(doc))
-        assert str(exc.value) == "no map assigned for element [9,9] (needed for (F, epsilon))"
+        assert str(exc.value) == "field 'assignment': assignment index has 50 bytes, expected 62"
 
     def test_a_canonical_certificate_parses_its_keys_once(self, monkeypatch):
-        text = canonical_json(product_certificate()) + "\n"  # as emit_certificate writes it
+        doc = product_certificate()
+        text = canonical_json(doc) + "\n"  # as emit_certificate writes it
         parsed, keyed = [], []
         parse, keys_many = quasiaction.parse_json, ProductGroup._keys_many
         monkeypatch.setattr(quasiaction, "parse_json", lambda t, what: parsed.append(what)
@@ -232,7 +235,9 @@ class TestLoaderKeysEachElementOnce:
         monkeypatch.setattr(ProductGroup, "_keys_many", lambda self, xs: keyed.append(len(xs))
                             or keys_many(self, xs))
         qa, report = load_certificate(text)
-        assert parsed == ["certificate", "keys"]  # F's keys are looked up in the assignment's
+        stated = [*doc["F"], *doc["assignment"]["extra_keys"]]
+        assert parsed == ["certificate", *(f"element key {k!r}" for k in stated)]
+        assert len(stated) == 16 < len(qa.elements) == 25  # F gives the other 9
         assert keyed.count(len(qa.elements)) == 1  # _set reuses the checked keys
         assert emit_certificate(qa, report) == emit_certificate(*load_certificate(text))
 

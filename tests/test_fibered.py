@@ -202,7 +202,7 @@ class TestFreeProductAgainstDenseCarrier:
         text = emit_certificate(dense, verify(dense, strict=True))
         doc = json.loads(text)
         [slot] = doc["slots"]
-        assert doc["format"] == 12 and (slot["cells"], slot["fiber"]) == (qa.carrier_n, None)
+        assert doc["format"] == 13 and (slot["cells"], slot["fiber"]) == (qa.carrier_n, None)
         assert set(slot) == {"cells", "fiber", "maps", "images"}
         loaded, report = load_certificate(text)
         assert report == verify(qa, strict=True)
@@ -315,13 +315,13 @@ REFUSALS = [
     (cell_out_of_range, DomainError, "field 'slots': slot 0 images: 16 at ["),
     (labels_short, InvariantViolationError, "slot 0 labels has 45 bytes, expected 50"),
     (hash_mismatch, InvariantViolationError,
-     "certificate field 'slots[0].sha256' is not written by format 12"),
+     "certificate field 'slots[0].sha256' is not written by format 13"),
     (order_inflated, InvariantViolationError,
-     "certificate field 'slots[0].fiber.order' states 120, where format 12 writes 60"),
+     "certificate field 'slots[0].fiber.order' states 120, where format 13 writes 60"),
     (cells_doubled, InvariantViolationError, "slot 0 images has 128 bytes, expected 256"),
     (generator_not_a_permutation, DomainError, "permutations"),
     (generators_of_other_degree, InvariantViolationError,
-     "certificate field 'slots[0].fiber.degree' states 6, where format 12 writes 5"),
+     "certificate field 'slots[0].fiber.degree' states 6, where format 13 writes 5"),
 ]
 
 
@@ -330,7 +330,7 @@ class TestFiberedCertificates:
         qa, report = load_certificate(c2_c2_certificate)
         assert emit_certificate(qa, report) == c2_c2_certificate
         doc = json.loads(c2_c2_certificate)
-        assert doc["format"] == 12 and "carrier_n" not in doc
+        assert doc["format"] == 13 and "carrier_n" not in doc
         [slot] = doc["slots"]
         assert set(slot) == {"cells", "fiber", "maps", "images", "label_count", "labels",
                              "label_index"}
@@ -364,7 +364,7 @@ class TestFiberedCertificates:
         assert str(caught.value) == ("field 'slots': slot 0 labels: label [0, 1, 2, 4, 3] is not "
                                      "in V: a map leaves the carrier")
 
-    @pytest.mark.parametrize("fmt", [3, 4, 5, 6, 9, 10, 11])
+    @pytest.mark.parametrize("fmt", [3, 4, 5, 6, 9, 10, 11, 12])
     def test_other_format_refused(self, c2_c2_certificate, fmt):
         doc = json.loads(c2_c2_certificate)
         doc["format"] = fmt
@@ -428,7 +428,7 @@ class TestOneReaderOfV:
         if forge is v_order_inflated:
             expected = str(from_witness.value).replace(
                 "girth witness field '", "certificate field 'slots[0].fiber.").replace(
-                "to_witness_json", "format 12")
+                "to_witness_json", "format 13")
         else:
             expected = "field 'slots': field 'fiber': " + str(from_witness.value)
         assert str(from_certificate.value) == expected
@@ -535,6 +535,6 @@ class TestCountsPastInt64:
         forged = dataclasses.replace(report, a_counts=tuple(map(wrap, report.a_counts)))
         assert forged.a_pass and forged.a_counts[-1] < n // 10 < report.a_counts[-1]
         with pytest.raises(InvariantViolationError, match=re.escape(
-                "certificate field 'report.a_pass' states true, where format 12 writes false")):
+                "certificate field 'report.a_pass' states true, where format 13 writes false")):
             load_certificate(emit_certificate(qa, forged))
         assert load_certificate(emit_certificate(qa, report))[1] == report

@@ -150,9 +150,9 @@ no_permutation = cell_labels_edited(lambda d: [0, 0, *range(2, d)])
 REFUSALS = [
     (unsorted, InvariantViolationError, "certificate field 'slots[0].label_index' states "),
     (repeated, InvariantViolationError,
-     "certificate field 'slots[0].label_count' states 45, where format 12 writes {count}"),
+     "certificate field 'slots[0].label_count' states 45, where format 13 writes {count}"),
     (unused, InvariantViolationError,
-     "certificate field 'slots[0].label_count' states 45, where format 12 writes {count}"),
+     "certificate field 'slots[0].label_count' states 45, where format 13 writes {count}"),
     (past_the_table, DomainError,
      "field 'slots': slot 0 label_index: {count} at [0, 0] is not below {count}"),
     (outside_v, InvariantViolationError,
@@ -195,7 +195,7 @@ def test_a_slot_key_that_is_not_read_is_refused(tmp_path, capsys, s, key, value)
     # fibered one.  The acceptance rule names the key by its path.
     doc = json.loads(c5_times_c2_c3())
     doc["slots"][s][key] = value
-    message = f"certificate field 'slots[{s}].{key}' is not written by format 12"
+    message = f"certificate field 'slots[{s}].{key}' is not written by format 13"
     with pytest.raises(InvariantViolationError, match=re.escape(message)):
         load_certificate(json.dumps(doc))
     path = tmp_path / "extra.json"
@@ -209,7 +209,7 @@ def test_a_key_in_a_slot_fiber_that_is_not_read_is_refused():
     doc = json.loads(c5_times_c2_c3())
     doc["slots"][1]["fiber"]["note"] = 0
     with pytest.raises(InvariantViolationError, match=re.escape(
-            "certificate field 'slots[1].fiber.note' is not written by format 12")):
+            "certificate field 'slots[1].fiber.note' is not written by format 13")):
         load_certificate(json.dumps(doc))
 
 
@@ -234,7 +234,7 @@ def test_the_label_payloads_are_bound_without_a_hash():
     slot["label_index"] = base64.b64encode(bytes(index)).decode()
     # The acceptance rule measures the changed maps again: the stored report is the first difference.
     with pytest.raises(InvariantViolationError, match=re.escape(
-            "certificate field 'report.condition_a.max' states 0, where format 12 writes 360")):
+            "certificate field 'report.condition_a.max' states 0, where format 13 writes 360")):
         load_certificate(json.dumps(doc))
 
 

@@ -6,7 +6,7 @@ slot's cells for cell images, V's degree for labels and the label count for
 the label index: uint8 up to 256, uint16 up to 65,536, else int32.
 
 Two oracles are kept here.  The int32 codec of format 6: for the same
-QuasiAction, the tables a format 12 certificate loads to are the maps that
+QuasiAction, the tables a format 13 certificate loads to are the maps that
 int32 payloads of the same tables decode to.  And the per-entry decoder of
 format 7 (certificate_tables.per_entry_tables), which splits each table
 into rows and decodes and hashes each row alone: it gives the maps the
@@ -234,11 +234,12 @@ class TestRefusals:
     def test_format_7_is_refused_by_name(self, cells, degree):
         doc = json.loads(certificate(cells, degree))
         # format 8 stored every count, format 9 F and the carrier twice, format
-        # 10 one label per cell, format 11 a sha256 per payload group
-        for fmt in (7, 8, 9, 10, 11):
+        # 10 one label per cell, format 11 a sha256 per payload group, format
+        # 12 every key of the assignment
+        for fmt in (7, 8, 9, 10, 11, 12):
             doc["format"] = fmt
             with pytest.raises(DomainError,
-                               match=f"certificate format {fmt} is not read, only format 12"):
+                               match=f"certificate format {fmt} is not read, only format 13"):
                 load_certificate(json.dumps(doc))
 
 

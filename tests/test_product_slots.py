@@ -274,11 +274,12 @@ class TestProductCertificates:
 
     def test_one_table_of_distinct_entries_per_slot(self, certificate):
         doc = json.loads(certificate)
-        assert doc["format"] == 12 and "carrier_n" not in doc and doc["report"]["carrier_n"] == 35
+        assert doc["format"] == 13 and "carrier_n" not in doc and doc["report"]["carrier_n"] == 35
         assert [(s["cells"], s["fiber"]) for s in doc["slots"]] == [(7, None), (5, None)]
         # 7 x 4 product maps: shifts by -2..4 mod 7 and by -1..2 mod 5.
         values = assignment(doc)
-        assert len(values) == 28 == len(doc["assignment"]["keys"])
+        # F = {[1,1], [2,1]} gives the identity, F and 3 products; 22 are extra.
+        assert len(values) == 28 == 6 + len(doc["assignment"]["extra_keys"])
         assert [s["maps"] for s in doc["slots"]] == [7, 4]
         i, j = values["[1,1]"]
         assert [slot_rows(doc, s)[0][k].tolist() for s, k in enumerate((i, j))] == [
@@ -343,9 +344,9 @@ class TestProductCertificates:
         ("index", 5, "field 'index': expected a string, got 5"),
         ("index", None, "field 'index': expected a string, got None"),
         ("index", [0, 1], "field 'index': expected a string, got [0, 1]"),
-        ("keys", 3, "field 'keys': expected an array, got 3"),
-        ("keys", {"[0,0]": [0, 0]}, "field 'keys': expected an array"),
-        ("keys", [1], "field 'keys': expected a string, got 1"),
+        ("extra_keys", 3, "field 'extra_keys': expected an array, got 3"),
+        ("extra_keys", {"[0,0]": [0, 0]}, "field 'extra_keys': expected an array"),
+        ("extra_keys", [1], "field 'extra_keys': expected a string, got 1"),
     ])
     def test_assignment_of_other_json_types_is_refused(self, certificate, field, value, message):
         doc = json.loads(certificate)
@@ -358,7 +359,8 @@ class TestProductCertificates:
          "assignment index has 55 bytes, expected 56"),
         (lambda a: a.update(index=encode([*np.frombuffer(raw(a, "index"), "<u1"), 0], 7)),
          "assignment index has 57 bytes, expected 56"),
-        (lambda a: a.update(keys=a["keys"][:-1]), "assignment index has 56 bytes, expected 54"),
+        (lambda a: a.update(extra_keys=a["extra_keys"][:-1]),
+         "assignment index has 56 bytes, expected 54"),
     ], ids=["short", "long", "one_key_fewer"])
     def test_wrong_number_of_indices_is_refused(self, certificate, edit, message):
         doc = json.loads(certificate)
@@ -372,7 +374,7 @@ class TestProductCertificates:
         set_slot_rows(doc, 1, np.vstack([rows, [[1, 0, 2, 3, 4]]]))  # a valid map no element uses
         with pytest.raises(InvariantViolationError, match=re.escape(
                 "certificate field 'slots[1].images' states BAgMAAQIDBAECAwQAAgMEAAEBAAIDBA==\", "
-                "where format 12 writes BAgMAAQIDBAECAwQAAgMEAAE=\"")):
+                "where format 13 writes BAgMAAQIDBAECAwQAAgMEAAE=\"")):
             load_certificate(json.dumps(doc))
 
     def test_entry_stated_twice_is_refused(self, certificate):

@@ -201,12 +201,13 @@ class TestCertificates:
         doc = json.loads(cert)
         assert set(doc) == {"format", "group", "F", "epsilon", "slots", "assignment", "report"}
         [slot] = doc["slots"]
-        assert doc["format"] == 12 and slot["cells"] == 4 and slot["fiber"] is None
+        assert doc["format"] == 13 and slot["cells"] == 4 and slot["fiber"] is None
         assert set(slot) == {"cells", "fiber", "maps", "images"}
-        assert set(doc["assignment"]) == {"keys", "index"}
+        assert set(doc["assignment"]) == {"extra_keys", "index"}
         assert doc["epsilon"] == "1/100"
-        # one table row per distinct map, in key order of first use
-        assert doc["assignment"]["keys"] == ["0", "1", "2", "3"]
+        # F is the whole group, so F gives every key; one table row per
+        # distinct map, in key order of first use
+        assert doc["F"] == ["0", "1", "2", "3"] and doc["assignment"]["extra_keys"] == []
         assert assignment(doc) == {"0": [0], "1": [1], "2": [2], "3": [3]}
         # one uint8 payload of 4 rows of 4 cells, and no label fields
         images = np.frombuffer(base64.b64decode(slot["images"]), "<u1")
@@ -685,7 +686,7 @@ class TestStoredSummaries:
         assert emit_certificate(*load_certificate(cert)) == cert
         with pytest.raises(InvariantViolationError, match=re.escape(
                 "certificate field 'report.condition_c' states {\"at\":0,\"max\":0}, "
-                "where format 12 writes null")):
+                "where format 13 writes null")):
             load_certificate(edited(cert, ("report", "condition_c"), {"max": 0, "at": 0}))
         # An empty F stores no condition (a) count either.
         qa = QuasiAction(g, 3, {0: identity_map(3)}, FiniteSubset(g, []), Fraction(1, 5))
@@ -706,9 +707,9 @@ class TestCertificateCodec:
         # The loaded report keeps every count the certificate summarises.
         assert r2 == report and every_count(r2) == every_count(report)
 
-    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
     def test_other_formats_refused(self, fmt):
-        # Only format 12 is read.  No "format" key is format 1, whose maps
+        # Only format 13 is read.  No "format" key is format 1, whose maps
         # were plain lists of integers.
         qa = regular_c4()
         doc = json.loads(emit_certificate(qa, verify(qa)))
@@ -761,13 +762,13 @@ class TestCertificateCodec:
                 d["slots"][0].update(images=encode(slot_rows(d, 0)[0].ravel()[:-1], 4)))))
 
     def test_stated_sha256_refused(self):
-        # Format 11 stated one per slot; format 12 states none.
+        # Format 11 stated one per slot; formats 12 and 13 state none.
         qa = regular_c4()
         cert = emit_certificate(qa, verify(qa))
         digest = hashlib.sha256(base64.b64decode(json.loads(cert)["slots"][0]["images"])).hexdigest()
         bad = with_edit(cert, lambda d: d["slots"][0].update(sha256=digest))
         with pytest.raises(InvariantViolationError, match=re.escape(
-                "certificate field 'slots[0].sha256' is not written by format 12")):
+                "certificate field 'slots[0].sha256' is not written by format 13")):
             load_certificate(bad)
 
     def test_flipped_payload(self):
@@ -782,7 +783,7 @@ class TestCertificateCodec:
         FiniteMap(images[1])  # the tampered row is a valid map on its own
         doc["slots"][0]["images"] = encode(images, 4)
         with pytest.raises(InvariantViolationError, match=re.escape(
-                "certificate field 'report.a_pass' states true, where format 12 writes false")):
+                "certificate field 'report.a_pass' states true, where format 13 writes false")):
             load_certificate(json.dumps(doc))
 
     def test_rehashed_out_of_range_payload(self):

@@ -347,7 +347,7 @@ class TestReportCompare:
         doc["report"]["condition_a"]["max"] -= 1  # n - 1: exact only as a Python int
         assert refusal(json.dumps(doc)) == (
             InvariantViolationError, f"certificate field 'report.condition_a.max' states "
-                                     f"{qa.carrier_n - 1}, where format 12 writes {qa.carrier_n}")
+                                     f"{qa.carrier_n - 1}, where format 13 writes {qa.carrier_n}")
 
 
 def product_document() -> dict:
@@ -355,7 +355,7 @@ def product_document() -> dict:
 
 
 class TestIndexArray:
-    """The (keys, slots) index payload, 25 rows of two uint8 indices into
+    """The (elements, slots) index payload, 25 rows of two uint8 indices into
     tables of 5 rows: each index is range-checked against its slot's table,
     and the first bad one, in row-major order, is named."""
 
@@ -392,12 +392,11 @@ class TestIndexArray:
         assert qa.slot_tables[1].tolist() == list(assignment(json.loads(text)).values())
 
     def test_an_element_stated_twice_is_refused_by_its_key(self):
-        # "[0, 0]" is "[0,0]" respelled, with another row.
+        # "[0, 0]" is the identity "[0,0]" respelled, as an extra key with another row.
         doc = product_document()
         values = assignment(doc)
         values["[0, 0]"] = values["[1,1]"]
         set_assignment(doc, values)
-        i, j = map(sorted(values).index, ("[0, 0]", "[0,0]"))
+        i = doc["assignment"]["extra_keys"].index("[0, 0]")
         assert refusal(json.dumps(doc)) == (
-            DomainError,
-            f"field 'assignment': keys[{i}] '[0, 0]' and keys[{j}] '[0,0]' name one element, '[0,0]'")
+            DomainError, f"field 'assignment': extra_keys[{i}] '[0, 0]' names the identity, '[0,0]'")

@@ -207,40 +207,40 @@ def reordered(doc: dict) -> dict:
 CASES = [
     # The copy with a stale carrier and a note that format 10 loaded and wrote without them.
     ("c4_carrier_and_note", lambda: with_top(regular_c4(), carrier_n=5, note="x"),
-     "certificate field 'carrier_n' is not written by format 12"),
+     "certificate field 'carrier_n' is not written by format 13"),
     ("slot_key", lambda: edited(document("c2_c3_n2"), lambda d: d["slots"][0].update(note=0)),
-     "certificate field 'slots[0].note' is not written by format 12"),
+     "certificate field 'slots[0].note' is not written by format 13"),
     ("fiber_key", lambda: edited(document("c2_c3_n2"),
                                  lambda d: d["slots"][0]["fiber"].update(note=0)),
-     "certificate field 'slots[0].fiber.note' is not written by format 12"),
+     "certificate field 'slots[0].fiber.note' is not written by format 13"),
     ("indented", lambda: json.dumps(json.loads(document("many_pairs_product")), indent=1) + "\n",
-     "certificate text differs from what format 12 writes at character 1: "),
+     "certificate text differs from what format 13 writes at character 1: "),
     ("reordered", lambda: compact(reordered(json.loads(document("many_pairs_product")))),
      "certificate top level states its keys as ['slots', 'report', 'group', "),
     ("crlf", lambda: document("many_pairs_product")[:-1] + "\r\n",
-     "certificate text differs from what format 12 writes at character "),
+     "certificate text differs from what format 13 writes at character "),
     ("second_base64_spelling", lambda: edited(document("z_times_c2_extension"), lambda d: d[
         "assignment"].update(index=respelled_base64(d["assignment"]["index"]))),
      "certificate field 'assignment.index' states \"AAECAwQFBgcICT==\", "
-     "where format 12 writes \"AAECAwQFBgcICQ==\""),
+     "where format 13 writes \"AAECAwQFBgcICQ==\""),
     # Format 11's sha256 of a payload group, stated where format 11 stated it.
     ("slot_sha256", lambda: edited(document("c2_c3_n2"), lambda d: d["slots"][0].update(
         sha256=format_11_sha256(d["slots"][0]))),
-     "certificate field 'slots[0].sha256' is not written by format 12"),
+     "certificate field 'slots[0].sha256' is not written by format 13"),
     ("assignment_sha256", lambda: edited(document("many_pairs_product"), lambda d: d[
         "assignment"].update(sha256=format_11_sha256(d["assignment"]))),
-     "certificate field 'assignment.sha256' is not written by format 12"),
+     "certificate field 'assignment.sha256' is not written by format 13"),
     ("non_alphabet_character", lambda: edited(document("many_pairs_product"), lambda d: d[
         "slots"][1].update(images=inserted(d["slots"][1]["images"], 10))),
      "certificate field 'slots[1].images' states \"CgABAgMEBQ!YHCAkJCgABAgMEBQYHCAgJC, "
-     "where format 12 writes \"CgABAgMEBQYHCAkJCgABAgMEBQYHCAgJCg"),
+     "where format 13 writes \"CgABAgMEBQYHCAkJCgABAgMEBQYHCAgJCg"),
     ("pad_bits", lambda: edited(document("c2_c3_n2"), lambda d: d["slots"][0].update(
         labels=respelled_base64(d["slots"][0]["labels"]))),
      "certificate field 'slots[0].labels' states AECBwYBAwUEAgAHBgQCBQABAz==\", "
-     "where format 12 writes AECBwYBAwUEAgAHBgQCBQABAw==\""),
+     "where format 13 writes AECBwYBAwUEAgAHBgQCBQABAw==\""),
     ("fiber_order", lambda: edited(document("c2_c3_n2"), lambda d: d["slots"][0]["fiber"].update(
         order=d["slots"][0]["fiber"]["order"] + 1)),
-     "certificate field 'slots[0].fiber.order' states 20161, where format 12 writes 20160"),
+     "certificate field 'slots[0].fiber.order' states 20161, where format 13 writes 20160"),
     ("witness_key", lambda: with_top(document("girth_witness"), note=0),
      "girth witness field 'note' is not written by to_witness_json"),
     ("witness_indented", lambda: json.dumps(json.loads(document("girth_witness")), indent=2),
