@@ -26,8 +26,8 @@ import numpy as np
 
 from ..errors import DomainError, PreconditionError
 from ..finmap import _MAX_CARRIER, FiniteMap, check_carrier_size
-from ..groups import FiniteSubset, IntegerFinitaryGroup, pair_products
-from ..quasiaction import QuasiAction
+from ..groups import FiniteSubset, IntegerFinitaryGroup
+from ..quasiaction import QuasiAction, _support
 from ..util import check_epsilon
 
 
@@ -91,5 +91,8 @@ def finitary_extension_qa(
     epsilon = check_epsilon(epsilon)
     group = IntegerFinitaryGroup()
     claimed_f = FiniteSubset(group, enumerate_finitary_elements(n))
-    assignment = {elem: ball_map(elem, modulus) for elem in pair_products(claimed_f, claimed_f)}
-    return QuasiAction(group, modulus, assignment, claimed_f, epsilon)
+    elements, keys, products = _support(group, claimed_f)  # F_n * F_n, multiplied once
+    table, index = np.unique([ball_map(e, modulus).images for e in elements], axis=0,
+                             return_inverse=True)
+    return QuasiAction._from_slots(group, ((modulus, None),), [table], elements, index, claimed_f,
+                                   epsilon, keys, products)

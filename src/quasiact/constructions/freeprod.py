@@ -8,9 +8,13 @@ beta-class and moves its in-class coordinate.  A word g1 h1 ... gk hk acts by
 the alternating product of these maps, evaluated on its normal form.
 
 Every such map sends (c, v) to (m(c), v * w_c) for a cell c = (a, b), so it
-commutes with left multiplication on V and is stored as a fibered FiniteMap: one
-cell image and one label w_c per cell, label 1 for the left factor and
-gen(a,b)^-1 * gen(a,b') for the right.  Nothing is built on A x B x V.
+commutes with left multiplication on V and is one fibered row: one cell image
+and one label w_c per cell, label 1 for the left factor and gen(a,b)^-1 *
+gen(a,b') = gen(a,b')[gen(a,b)^-1[x]] for the right.  The word maps are built
+level by level, as rows: level j holds the words' distinct prefixes of j
+syllable pairs, each its parent's row, then g_j's, then h_j's, in two batched
+finmap.after calls a level, so words share their prefixes.  Nothing is built
+on A x B x V.
 
 Both factor actions must already be good: identity exact, nonidentity maps
 fixpoint-free bijections with exact inverses, distinct elements pairwise far
@@ -24,21 +28,14 @@ and is where the incidence girth > 2N enters.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
 from typing import Iterable
 
 import numpy as np
 
 from ..errors import DomainError, PreconditionError
-from ..finmap import FiniteMap, compose
-from ..groups import (
-    FiniteSubset,
-    FreeProductGroup,
-    FreeProductWord,
-    GroupHandle,
-    pair_products,
-)
-from ..quasiaction import QuasiAction, require_dense, verify
+from ..finmap import after
+from ..groups import FiniteSubset, FreeProductGroup, FreeProductWord, GroupHandle
+from ..quasiaction import QuasiAction, _support, require_dense, verify
 from ..util import check_epsilon
 from .carrier import PartitionedCarrier, build_partitioned_carrier
 from .girth import girth_group_search
@@ -119,33 +116,41 @@ def free_product_qa(
             f"carrier certifies incidence girth > {2 * pc.depth}, need > {2 * n}"
         )
 
-    f_words = enumerate_normal_words(group, lf, rf, n)
-    fset = FiniteSubset(group, f_words)
+    fset = FiniteSubset(group, enumerate_normal_words(group, lf, rf, n))
+    elements, keys, products = _support(group, fset)
+    table, index = np.unique(_word_rows(phi_g, psi_h, pc, elements), axis=0, return_inverse=True)
+    return QuasiAction._from_slots(group, ((pc.a_size * pc.b_size, pc.v.fiber),), [table],
+                                   elements, index, fset, epsilon, keys, products)
 
-    support = {group.identity, *f_words, *pair_products(fset, fset)}
 
-    a_size, b_size, fiber = pc.a_size, pc.b_size, pc.v.fiber
-    gen = np.array(fiber.generators, dtype=np.int64)[np.array(pc.gen_label)]  # (a, b, x)
-    gen_inv = np.argsort(gen, axis=2)
-    one = np.broadcast_to(np.arange(fiber.degree), (a_size * b_size, fiber.degree))
-    a_idx, b_idx = np.divmod(np.arange(a_size * b_size), b_size)
-
-    @cache
-    def left_map(g) -> FiniteMap:  # (a, b) -> (phi(g)(a), b), label 1
-        return FiniteMap(phi_g.map_for(g).images[a_idx] * b_size + b_idx, one, fiber)
-
-    @cache
-    def right_map(h) -> FiniteMap:  # (a, b) -> (a, b'), label gen(a,b)^-1 gen(a,b')
-        b2 = psi_h.map_for(h).images
-        labels = np.take_along_axis(gen[:, b2], gen_inv, axis=2)
-        return FiniteMap(a_idx * b_size + b2[b_idx], labels.reshape(one.shape), fiber)
-
-    assignment = {
-        word: reduce(compose, [m for g, h in word.pairs for m in (left_map(g), right_map(h))])
-        for word in sorted(support, key=group.element_key)
-    }
-
-    return QuasiAction(group, pc.size, assignment, fset, epsilon)
+def _word_rows(phi_g: QuasiAction, psi_h: QuasiAction, pc: PartitionedCarrier,
+               words: list[FreeProductWord]) -> np.ndarray:
+    """Each word's map as one int32 row, its cell images then its labels,
+    built level by level down the words' prefixes from the factors' rows."""
+    b_size, fiber = pc.b_size, pc.v.fiber
+    cells, d = pc.a_size * b_size, fiber.degree
+    a_idx, b_idx = np.divmod(np.arange(cells), b_size)
+    gen = np.array(fiber.generators, np.int32)[np.array(pc.gen_label)]  # (a, b, x)
+    (left,), (right,) = phi_g.slot_tables[0], psi_h.slot_tables[0]
+    g_rows = ((left[:, a_idx] * b_size + b_idx).astype(np.int32),
+              np.broadcast_to(np.arange(d, dtype=np.int32), (len(left), cells, d)))
+    h_rows = ((a_idx * b_size + right[:, b_idx]).astype(np.int32), np.take_along_axis(
+        gen[:, right].swapaxes(0, 1), np.argsort(gen, axis=2)[None], axis=3).reshape(-1, cells, d))
+    levels = [dict.fromkeys(w.pairs[: j + 1] for w in words if w.k > j)  # prefixes of j + 1 pairs
+              for j in range(max(w.k for w in words))]
+    levels = [{p: i for i, p in enumerate(level)} for level in levels]  # prefix -> its row
+    packed, rows = [], None  # rows: the previous level's, as finmap.after takes them
+    for j, level in enumerate(levels):  # each prefix's last g and h, as rows of their tables
+        g, h = (np.array([qa.slot_tables[1][qa.ids[p[-1][i]], 0] for p in level])
+                for i, qa in enumerate((phi_g, psi_h)))
+        x = [(g_rows[0][g], g_rows[1][g])]
+        if rows:
+            parent = [levels[j - 1][p[:-1]] for p in level]
+            x = after([(i[parent], l[parent]) for i, l in rows], x)
+        rows = after(x, [(h_rows[0][h], h_rows[1][h])])
+        packed.append(np.concatenate([rows[0][0], rows[0][1].reshape(len(level), -1)], axis=1))
+    start = np.cumsum([0, *map(len, levels)])
+    return np.concatenate(packed)[[start[w.k - 1] + levels[w.k - 1][w.pairs] for w in words]]
 
 
 def build_free_product_action(

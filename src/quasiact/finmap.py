@@ -296,14 +296,14 @@ def _check_same(e: FiniteMap, f: FiniteMap) -> None:
 def after(x: list, y: list) -> list:
     """Rows x then rows y of one layout (FiniteMap.rows, broadcast): the rows
     of the composites ef.  The label of ef at c is w_e(c) * w_f(e(c)), i.e.
-    w_f(e(c))[w_e(c)[x]]."""
+    w_f(e(c))[w_e(c)[x]].  One flat take per slot gathers each: row i of y
+    starts at i * cells in its images and at i * cells * degree in its labels."""
     out = []
     for (e_images, e_labels), (images, labels) in zip(x, y):
-        at = np.arange(len(images))[:, None], e_images  # row i of y at row i of x's images
-        labels = labels[at]
-        if labels.shape[-1]:  # empty labels (dense slots) stay empty
-            labels = np.take_along_axis(labels, e_labels, axis=2)
-        out.append((images[at], labels))
+        rows, cells, d = labels.shape
+        at = np.arange(0, rows * cells, cells)[:, None] + e_images  # row i of y at x's images
+        out.append((images.take(at), labels.take(at[..., None] * d + e_labels) if d
+                    else np.empty((*at.shape, 0), labels.dtype)))  # dense labels stay empty
     return out
 
 

@@ -556,6 +556,16 @@ class FreeProductGroup(GroupHandle):
             self, [s for g, h in reversed(a.pairs) for s in ((1, right(h)), (0, left(g)))]
         )
 
+    def _keys_many(self, xs: Sequence) -> list[str]:
+        """Each factor keys each distinct syllable of its side once; with
+        canonical_json's separators a word's key is its pairs' keys, joined."""
+        def keyed(i: int, factor: GroupHandle) -> dict:  # side i's syllables -> their keys
+            syllables = list(dict.fromkeys(p[i] for w in xs for p in w.pairs))
+            return dict(zip(syllables, factor._keys_many(syllables)))
+
+        left, right = keyed(0, self.left), keyed(1, self.right)
+        return ["[" + ",".join(f"[{left[g]},{right[h]}]" for g, h in w.pairs) + "]" for w in xs]
+
     def contains(self, x) -> bool:
         if not isinstance(x, FreeProductWord) or x.k == 0:
             return False

@@ -556,19 +556,17 @@ def _table_from_json(s, i: int) -> tuple[tuple, np.ndarray]:
     return (cells, fiber), packed
 
 
-def _support_from_json(g: GroupHandle, f: FiniteSubset, a) -> tuple[list, list, np.ndarray]:
+def _support(g: GroupHandle, f: FiniteSubset, extra=()) -> tuple[list, list, np.ndarray]:
     """The supported elements in key order, their keys as _keys_many writes
-    them and the claimed F's F x F ids, row by row: the identity, F and one
-    _multiply's products over F, then the elements of "extra_keys", one
-    naming any element before it refused by name (the keys' spelling and
-    order are the acceptance rule's)."""
+    them and F's F x F ids, row by row, for _from_slots: the identity, F, one
+    _multiply's products over F, then the elements of the (key, element) pairs
+    extra (a certificate's "extra_keys"); one naming an earlier one is refused."""
     f_elems, k = list(f), len(f)
     products, at = g._multiply(f_elems, np.repeat(np.arange(k), k), np.tile(np.arange(k), k))
     # Each element -> what it is; the distinct products keep positions 0, 1, ...
     named = {**dict.fromkeys(products, "a product in F x F"),
              **dict.fromkeys(f_elems, "an element of F"), g.identity: "the identity"}
-    extra = _field(a, "extra_keys", partial(_elements_from_keys, g))
-    for j, (key, e) in enumerate(zip(a["extra_keys"], extra)):
+    for j, (key, e) in enumerate(extra):
         if (was := named.setdefault(e, this := f"the element of extra_keys[{j}]")) != this:
             raise DomainError(f"extra_keys[{j}] {key!r:.60} names {was}, {g.element_key(e)!r:.60}")
     keys = g._keys_many(elems := list(named))
@@ -644,7 +642,10 @@ def load_certificate(text: str) -> tuple[QuasiAction, VerificationReport]:
         )
     g = _field(doc, "group", group_from_json)
     f = _field(doc, "F", lambda v: FiniteSubset(g, _elements_from_keys(g, v)))
-    elements, keys, products = _field(doc, "assignment", partial(_support_from_json, g, f))
+    extra = _field(doc, "assignment",
+                   lambda a: _field(a, "extra_keys", partial(_elements_from_keys, g)))
+    elements, keys, products = _field(doc, "assignment",
+                                      lambda a: _support(g, f, zip(a["extra_keys"], extra)))
     # Per slot, its layout and its table of distinct slot maps.
     slots = _field(doc, "slots", lambda v: [_table_from_json(s, i)
                                             for i, s in enumerate(_decode_list(v))])

@@ -182,6 +182,46 @@ class TestIdBatchesAgainstTheScalarLoops:
         assert keys == [g.element_key(e) for e in support]
 
 
+# A free product whose left factor is itself a product, so a key nests lists.
+NESTED_FREE = FreeProductGroup(ProductGroup([cyclic_group(3), IntegerGroup()]), cyclic_group(2))
+
+
+@st.composite
+def nested_free_words(draw):
+    """Normal forms of NESTED_FREE, among them the identity word and words
+    whose first left syllable is the identity."""
+    left = st.tuples(st.integers(0, 2), st.integers(-3, 3))
+    pairs = draw(st.lists(st.tuples(left, st.integers(0, 1)), min_size=1, max_size=4))
+    opening = draw(st.sampled_from([[], [((0, 0), 1)], [((0, 0), 0)]]))
+    return NESTED_FREE.word(opening + pairs)
+
+
+class TestFreeProductKeysAgainstElementKey:
+    """FreeProductGroup._keys_many keys each distinct syllable once through
+    its factors' _keys_many, with no encode or check_element per word."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(nested_free_words(), max_size=12))
+    def test_keys_equal_element_key(self, words):
+        words = [NESTED_FREE.identity, NESTED_FREE.word([((0, 0), 1), ((2, -1), 0)]), *words]
+        assert words[1].pairs[0][0] == (0, 0)  # opens with an identity left syllable
+        want = [NESTED_FREE.element_key(w) for w in words]
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("encode", "check_element", "element_key"):
+                mp.setattr(FreeProductGroup, name, lambda *a: pytest.fail("a word was keyed alone"))
+            assert NESTED_FREE._keys_many(words) == want
+
+    def test_each_distinct_syllable_keyed_once(self):
+        keyed = []
+        g = FreeProductGroup(cyclic_group(2), cyclic_group(3))
+        words = [g.word([(1, 2), (1, 1)]), g.word([(0, 2)]), g.word([(1, 1)])]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TableGroup, "_keys_many", lambda self, xs: keyed.append(list(xs)) or
+                       list(map(str, xs)))
+            assert g._keys_many(words) == [g.element_key(w) for w in words]
+        assert keyed == [[1, 0], [2, 1]]
+
+
 class TestInverseIdsAgainstTheBaseLoop:
     """ProductGroup inverts each distinct coordinate value once; the base
     GroupHandle._inverse_ids, one _inv per element, is the oracle."""

@@ -1,11 +1,16 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quasiact import (
+    FiniteSubset,
+    GroupHandle,
     IntegerFinitaryGroup,
+    QuasiAction,
     compose,
+    emit_certificate,
     fixpoint_count,
     pair_products,
     similarity_defect,
@@ -112,6 +117,32 @@ class TestQuasiAction:
         report = verify(qa, epsilon=Fraction(1, 10))
         assert report.a_pass and report.b_pass
         assert not report.c_pass  # pure permutations fix 16 of 21 points
+
+
+class TestFinitaryAgainstTheAssignment:
+    """finitary_extension_qa forms F_n x F_n once and hands its id table and
+    the deduplicated ball-map rows to the QuasiAction; the oracle is the
+    per-element assignment on pair_products, which multiplies it twice."""
+
+    def test_tables_and_certificate_equal_the_assignment(self, qa):
+        g = qa.owner
+        f = FiniteSubset(g, enumerate_finitary_elements(1))
+        want = QuasiAction(g, 21, {e: ball_map(e, 21) for e in pair_products(f, f)}, f,
+                           Fraction(20, 21))
+        assert qa.elements == want.elements and qa.keys == want.keys
+        assert all(a.dtype == np.int32 and np.array_equal(a, b)
+                   for a, b in zip(qa.slot_tables[0], want.slot_tables[0]))
+        assert np.array_equal(qa.slot_tables[1], want.slot_tables[1])
+        assert np.array_equal(qa._claimed_products, want._claimed_products)
+        assert emit_certificate(qa, verify(qa)) == emit_certificate(want, verify(want))
+
+    def test_multiplies_f_times_f_once(self, monkeypatch):
+        batches = []
+        multiply = GroupHandle._multiply
+        monkeypatch.setattr(GroupHandle, "_multiply",
+                            lambda self, s, xs, ys: batches.append(len(xs)) or multiply(self, s, xs, ys))
+        finitary_extension_qa(1, 21, Fraction(20, 21))
+        assert batches == [18 * 18]
 
 
 class TestPreconditions:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quasiact import (
     Defect,
@@ -16,6 +16,7 @@ from quasiact import (
     similarity_defect,
 )
 from quasiact.errors import CarrierMismatchError, DomainError
+from quasiact.finmap import after
 
 from mutants import strict_is_similar
 
@@ -123,6 +124,54 @@ def check_similarity_against_fractions(is_similar):
         for d in range(n + 1):
             for epsilon in {Fraction(p, q) for q in range(1, 9) for p in range(q + 1)}:
                 assert is_similar(Defect(d, n), epsilon) == (Fraction(d, n) <= epsilon), (d, n)
+
+
+def after_by_fancy_index(x: list, y: list) -> list:
+    """``after`` by two-array fancy indexing: row i of y read at row i of x's
+    cell images, then its labels at x's labels."""
+    out = []
+    for (e_images, e_labels), (images, labels) in zip(x, y):
+        at = np.arange(len(images))[:, None], e_images
+        labels = labels[at]
+        if labels.shape[-1]:
+            labels = np.take_along_axis(labels, e_labels, axis=2)
+        out.append((images[at], labels))
+    return out
+
+
+def stacked_rows(rng, rows: int, cells: int, degree: int) -> list:
+    """rows random packed rows (cell images, then labels), viewed per slot as
+    FiniteMap.rows does: column slices of one int32 stack, not contiguous."""
+    images = rng.integers(0, cells, (rows, cells))
+    labels = np.argsort(rng.random((rows, cells, degree)), axis=2).reshape(rows, -1)
+    stack = np.concatenate([images, labels], axis=1).astype(np.int32)
+    return [(stack[:, :cells], stack[:, cells:].reshape(rows, cells, degree))]
+
+
+class TestAfterAgainstFancyIndex:
+    """``after`` gathers with one flat take per slot; the fancy-index formula
+    it replaced is the oracle, on r rows against r, one row against r (and r
+    against one, both broadcast), fibered labels and zero-degree labels."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 4),
+           st.sampled_from([(1, 1), (1, 0), (0, 1)]), st.integers(0, 2**32 - 1))
+    def test_flat_take_equals_fancy_index(self, r, cells, degree, which, seed):
+        rng = np.random.default_rng(seed)
+        x = stacked_rows(rng, r if which[0] else 1, cells, degree)
+        y = stacked_rows(rng, r if which[1] else 1, cells, degree)
+        got, want = after(x, y), after_by_fancy_index(x, y)
+        for (images, labels), (want_images, want_labels) in zip(got, want):
+            assert images.shape == want_images.shape and labels.shape == want_labels.shape
+            assert images.dtype == want_images.dtype and labels.dtype == want_labels.dtype
+            assert np.array_equal(images, want_images) and np.array_equal(labels, want_labels)
+
+    def test_two_slots_compose_each(self):
+        rng = np.random.default_rng(0)
+        x = stacked_rows(rng, 3, 4, 0) + stacked_rows(rng, 3, 5, 2)
+        y = stacked_rows(rng, 1, 4, 0) + stacked_rows(rng, 1, 5, 2)
+        for got, want in zip(after(x, y), after_by_fancy_index(x, y)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestSimilarityDefect:
