@@ -90,13 +90,15 @@ def _print_summary(report: VerificationReport) -> None:
 
 
 def _cmd_verify(args) -> int:
+    text = _read_text(args.qa)  # read once: both readings judge the same document
     try:
-        qa, _ = load_certificate(_read_text(args.qa))
+        qa, _ = load_certificate(text)
     except DomainError:  # a girth witness states a girth bound and no format
-        doc = parse_json(text := _read_text(args.qa), "certificate")
+        doc = parse_json(text, "certificate")
         if not isinstance(doc, dict) or "format" in doc or "girth_bound" not in doc:
             raise
         return _verify_witness(text, args)
+    del text  # only the action is kept while verify runs
     # verify reuses the counts that loading measured on the claimed F.
     report = verify(qa, epsilon=parse_epsilon(args.epsilon), strict=args.strict)
     _print_summary(report)

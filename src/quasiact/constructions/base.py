@@ -10,15 +10,16 @@ mechanism).
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import DomainError, PreconditionError
-from ..finmap import FiniteMap, identity_like, shift_map
-from ..groups import FiniteSubset, GroupHandle, ProductGroup, pair_products
-from ..quasiaction import QuasiAction, verify
+from ..finmap import FiniteMap, check_carrier_size, identity_like
+from ..groups import FiniteSubset, GroupHandle, IntegerGroup, ProductGroup, pair_products, symmetrize
+from ..quasiaction import QuasiAction, _interned, verify
 from ..util import check_epsilon
 
 
@@ -57,17 +58,17 @@ def cyclic_quasi_action(
     additional integers the assignment should cover; keeping those shifts
     fixpoint-free is the caller's concern.
     """
-    from ..groups import IntegerGroup, symmetrize
-
     z = IntegerGroup()
     fset = FiniteSubset(z, f)
     products = pair_products(fset, fset)
     bound = max((abs(k) for k in fset), default=0)
     if modulus <= 2 * bound:
         raise PreconditionError(f"modulus {modulus} too small: needs > {2 * bound} for this F")
-    support = {*symmetrize(fset), *products, *FiniteSubset(z, extra_support)}
-    assignment = {k: shift_map(modulus, k) for k in support}
-    return QuasiAction(z, modulus, assignment, fset, epsilon)
+    support = list({*symmetrize(fset), *products, *FiniteSubset(z, extra_support)})
+    m = check_carrier_size(operator.index(modulus))  # refuses a float
+    rows = np.arange(m) + np.array([k % m for k in support], np.int64)[:, None]  # k past int64 too
+    table, index = _interned((rows % m).astype(np.int32))
+    return QuasiAction._from_slots(z, ((m, None),), [table], support, index, fset, epsilon)
 
 
 def direct_product_qa(

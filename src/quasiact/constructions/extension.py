@@ -36,9 +36,9 @@ from ..errors import (
     InvariantViolationError,
     PreconditionError,
 )
-from ..finmap import FiniteMap, check_carrier_size
+from ..finmap import check_carrier_size
 from ..groups import FiniteSubset, GroupHandle, IntegerGroup, pair_products
-from ..quasiaction import QuasiAction, require_dense, verify
+from ..quasiaction import QuasiAction, _interned, require_dense, verify
 from ..util import check_epsilon
 
 
@@ -205,14 +205,15 @@ def amenable_extension_qa(
 
     ids = np.array([psi.ids.get(c, -1) for c in walk.conjugates], np.intp)
     walk.check(g, None, ids < 0)  # F's rows have neither by now
+    a_n = len(ext.folner)
+    n = check_carrier_size(psi.carrier_n * a_n)
     # One gather from psi's distinct maps, with the identity as the last row
     # (picked by which's -1) for blocks that leave Abar; those stay in place.
     tables, index = psi.slot_tables
     images = np.vstack([tables[0], np.arange(psi.carrier_n)], dtype=np.int64)
     picks = np.append(index[ids, 0], len(tables[0]))[walk.which]
-    a_n = len(ext.folner)
     target = np.where(walk.targets >= 0, walk.targets, np.arange(a_n))
     # Point (b, a_i) is b * |A| + i; column i holds block i's B-images.
     maps = images[picks].transpose(0, 2, 1) * a_n + target[:, None, :]
-    assignment = {x: FiniteMap(m.ravel()) for x, m in zip(rows, maps)}
-    return QuasiAction(g, psi.carrier_n * a_n, assignment, fset, claimed)
+    table, index = _interned(maps.reshape(len(rows), -1).astype(np.int32))
+    return QuasiAction._from_slots(g, ((n, None),), [table], rows, index, fset, claimed)

@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import DomainError, PreconditionError
 from ..finmap import _MAX_CARRIER, FiniteMap, check_carrier_size
 from ..groups import FiniteSubset, IntegerFinitaryGroup
-from ..quasiaction import QuasiAction, _support
+from ..quasiaction import QuasiAction, _interned, _support
 from ..util import check_epsilon
 
 
@@ -92,7 +92,6 @@ def finitary_extension_qa(
     group = IntegerFinitaryGroup()
     claimed_f = FiniteSubset(group, enumerate_finitary_elements(n))
     elements, keys, products = _support(group, claimed_f)  # F_n * F_n, multiplied once
-    table, index = np.unique([ball_map(e, modulus).images for e in elements], axis=0,
-                             return_inverse=True)
+    table, index = _interned(np.array([ball_map(e, modulus).images for e in elements]))
     return QuasiAction._from_slots(group, ((modulus, None),), [table], elements, index, claimed_f,
                                    epsilon, keys, products)

@@ -13,8 +13,8 @@ and one label w_c per cell, label 1 for the left factor and gen(a,b)^-1 *
 gen(a,b') = gen(a,b')[gen(a,b)^-1[x]] for the right.  The word maps are built
 level by level, as rows: level j holds the words' distinct prefixes of j
 syllable pairs, each its parent's row, then g_j's, then h_j's, in two batched
-finmap.after calls a level, so words share their prefixes.  Nothing is built
-on A x B x V.
+finmap.after calls a level, so words share their prefixes.  Equal word rows
+merge by their bytes (quasiaction._interned); nothing is built on A x B x V.
 
 Both factor actions must already be good: identity exact, nonidentity maps
 fixpoint-free bijections with exact inverses, distinct elements pairwise far
@@ -27,6 +27,7 @@ and is where the incidence girth > 2N enters.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable
 
@@ -35,7 +36,7 @@ import numpy as np
 from ..errors import DomainError, PreconditionError
 from ..finmap import after
 from ..groups import FiniteSubset, FreeProductGroup, FreeProductWord, GroupHandle
-from ..quasiaction import QuasiAction, _support, require_dense, verify
+from ..quasiaction import QuasiAction, _interned, _support, require_dense, verify
 from ..util import check_epsilon
 from .carrier import PartitionedCarrier, build_partitioned_carrier
 from .girth import girth_group_search
@@ -55,21 +56,10 @@ def enumerate_normal_words(
     right_all = sorted({*f_right, rid}, key=group.right.element_key)
     left_inner = [g for g in left_all if g != lid]
     right_inner = [h for h in right_all if h != rid]
-
-    words: list[FreeProductWord] = []
-
-    def extend(prefix: tuple, k: int):
-        if k == max_pairs:
-            return
-        g_choices = left_all if not prefix else left_inner
-        for g in g_choices:
-            for h in right_all:
-                word = prefix + ((g, h),)
-                words.append(FreeProductWord(word))
-                if h != rid:
-                    extend(word, k + 1)
-
-    extend((), 0)
+    words = []
+    for k in range(1, max_pairs + 1):  # g1, then g2 .. gk, h1 .. h(k-1), then hk
+        choices = [left_all, *[left_inner] * (k - 1), *[right_inner] * (k - 1), right_all]
+        words += (FreeProductWord(tuple(zip(w[:k], w[k:]))) for w in itertools.product(*choices))
     return words
 
 
@@ -118,7 +108,7 @@ def free_product_qa(
 
     fset = FiniteSubset(group, enumerate_normal_words(group, lf, rf, n))
     elements, keys, products = _support(group, fset)
-    table, index = np.unique(_word_rows(phi_g, psi_h, pc, elements), axis=0, return_inverse=True)
+    table, index = _interned(_word_rows(phi_g, psi_h, pc, elements))
     return QuasiAction._from_slots(group, ((pc.a_size * pc.b_size, pc.v.fiber),), [table],
                                    elements, index, fset, epsilon, keys, products)
 

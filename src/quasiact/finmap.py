@@ -284,8 +284,8 @@ def identity_like(e: FiniteMap) -> FiniteMap:
 
 
 def shift_map(n: int, k: int) -> FiniteMap:
-    """The cyclic shift a -> (a + k) mod n."""
-    return FiniteMap((np.arange(check_carrier_size(n), dtype=np.int64) + k) % n)
+    """The cyclic shift a -> (a + k) mod n, k of any size."""
+    return FiniteMap((np.arange(check_carrier_size(n), dtype=np.int64) + k % n) % n)
 
 
 def _check_same(e: FiniteMap, f: FiniteMap) -> None:

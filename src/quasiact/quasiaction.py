@@ -67,11 +67,12 @@ class QuasiAction:
     cells * (1 + V's degree)), the rows a certificate stores; and per id one
     index per slot, as an (ids, slots) array numbered by ``_first_use``: the
     same maps give the same tables whether they come one by one (validated
-    here, interned by their rows' bytes) or as tables (``_from_slots``, from
-    a product or a certificate).  ``assignment`` is built from the tables'
-    rows on first read.  The keys are validated once (F's by FiniteSubset),
-    and the support check builds the claimed F's F x F product table of
-    ids, once (a certificate's loader hands in the one it formed)."""
+    here) or as tables (``_from_slots``: rows a construction built, merged by
+    ``_interned`` as here, or a product's or certificate's tables).
+    ``assignment`` is built from the tables' rows on first read.  The keys
+    are validated once (F's by FiniteSubset), and the support check builds
+    the claimed F's F x F product table of ids, once (a certificate's loader
+    hands in the one it formed)."""
 
     def __init__(
         self,
@@ -87,20 +88,16 @@ class QuasiAction:
             if not isinstance(fmap, FiniteMap):
                 fmap = FiniteMap(fmap)
             if fmap.n != int(carrier_n):
-                raise DomainError(
-                    f"map for {owner.element_key(elem)} has carrier {fmap.n}, "
-                    f"expected {int(carrier_n)}"
-                )
+                raise DomainError(f"map for {owner.element_key(elem)} has carrier {fmap.n}, "
+                                  f"expected {int(carrier_n)}")
             if maps and fmap.layout != layout:
                 raise DomainError("a quasi-action's maps must share one fiber and size per slot")
             layout = fmap.layout
             maps[elem] = fmap
-        seen = [{} for _ in layout]  # per slot, a packed row's bytes -> (its number, the row)
         rows = ([m.packed] if len(layout) == 1 else [np.append(s.images, s.labels) for s in m.slots]
                 for m in maps.values())  # a one-slot map's packed array is its row
-        index = [[t.setdefault(r.tobytes(), (len(t), r))[0] for t, r in zip(seen, rs)] for rs in rows]
-        tables = [np.stack([r for _, r in t.values()]) for t in seen]
-        self._set(owner, layout, tables, maps, index, claimed_f, claimed_epsilon)
+        tables, index = zip(*map(_interned, zip(*rows))) if maps else ((), ())  # per slot
+        self._set(owner, layout, tables, maps, np.transpose(index), claimed_f, claimed_epsilon)
 
     @classmethod
     def _from_slots(cls, *args) -> QuasiAction:
@@ -109,7 +106,8 @@ class QuasiAction:
         tables[s][index[i][s]] in each slot s, on the product of the slots'
         sizes.  The caller vouches for the elements decoded and distinct (keys:
         their canonical keys; products: F x F's ids, elements in key order),
-        distinct valid int32 rows of each slot's layout and indices in range."""
+        distinct valid int32 rows of each slot's layout (a construction's
+        rows, as ``_interned`` merges them) and indices in range."""
         return cls.__new__(cls)._set(*args)
 
     def _set(self, owner, layout, tables, elements, index, claimed_f, claimed_epsilon,
@@ -178,6 +176,14 @@ def require_dense(qa: QuasiAction, construction: str) -> None:
     if slots > 1 or qa.layout[0][1] is not None:
         kind = f"have {slots} slots (a direct product)" if slots > 1 else "are fibered"
         raise PreconditionError(f"{construction} reads dense carrier images; its maps {kind}")
+
+
+def _interned(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows, equal when their bytes are, of int32 rows (an array or
+    one by one) in order of first appearance as one array, and each row's number."""
+    seen = {}  # a row's bytes -> (its number, the row)
+    index = [seen.setdefault(r.tobytes(), (len(seen), r))[0] for r in rows]
+    return np.stack([r for _, r in seen.values()]), np.array(index, np.intp)
 
 
 def _first_use(tables: list, index: np.ndarray) -> tuple[list, np.ndarray]:

@@ -248,6 +248,16 @@ class TestGirthSearchCommand:
                                            "girth bound 2: PASS\n")
         assert again.read_bytes() == out.read_bytes()
 
+    def test_verify_reads_the_witness_once(self, tmp_path, monkeypatch):
+        # The certificate loader refuses it, and the witness loader judges the
+        # same text, not a second reading of the file.
+        code, out = self.search(tmp_path, labels=2, bound=2, order_cap=500)
+        reads = []
+        real = cli._read_text
+        monkeypatch.setattr(cli, "_read_text", lambda path: reads.append(path) or real(path))
+        assert main(["verify", "--qa", str(out), "--epsilon", "1/10"]) == 0
+        assert reads == [str(out)]
+
     @pytest.mark.parametrize("edit,epsilon,message", [
         (lambda d: d, "1/0", "zero denominator"),
         (lambda d: d, "0.1", "expected an exact rational"),
@@ -498,6 +508,17 @@ class TestConstructCommand:
         assert code == 0
         qa, report = load_certificate(out.read_text())
         assert len(qa.claimed_f) == 0 and report.passed
+
+    def test_cyclic_support_past_int64(self, tmp_path, capsys):
+        # 2**64 + 5 is no int64: its shift is reduced mod 5 in Python, to 1.
+        request = {"construct": "cyclic", "f": [1], "modulus": 5, "support": [2**64 + 5]}
+        code, out = self.run_construct(tmp_path, request)
+        assert code == 0 and "Traceback" not in capsys.readouterr().err
+        again = tmp_path / "again.json"
+        assert main(["verify", "--qa", str(out), "--epsilon", "1/100", "--out", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+        qa, report = load_certificate(out.read_text())
+        assert report.passed and qa.map_for(2**64 + 5) == qa.map_for(1)
 
     def test_carrier_past_int32_exits_two(self, tmp_path, capsys):
         # Refused before np.arange allocates 16 GiB of int64 images.

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quasiact import (
@@ -78,6 +79,13 @@ class TestCyclicQuasiAction:
         # precondition keeps every supported shift fixpoint-free.
         qa = cyclic_quasi_action([5], 11)
         assert all(fixpoint_count(m) == 0 for k, m in qa.assignment.items() if k)
+
+    def test_modulus_is_an_integer(self):
+        # The rows are built as one array, so no map's dtype check sees a float modulus.
+        with pytest.raises(TypeError):
+            cyclic_quasi_action([1], 5.0)
+        qa = cyclic_quasi_action([1], np.int64(5))
+        assert type(qa.carrier_n) is int and qa.layout == ((5, None),)
 
 
 class TestDirectProduct:

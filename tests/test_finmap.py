@@ -276,6 +276,13 @@ class TestHelpers:
         assert shift_map(5, 7).points().tolist() == [2, 3, 4, 0, 1]
         assert shift_map(5, -1).points().tolist() == [4, 0, 1, 2, 3]
 
+    def test_shift_map_takes_a_shift_past_int64(self):
+        # k is reduced mod n before numpy sees it, which cannot hold 2**64 + 5.
+        # 2**64 = 16**16 is 1 mod 5.
+        assert shift_map(5, 2**64 + 5) == shift_map(5, 1)
+        assert shift_map(5, 2**64 + 4) == shift_map(5, 0)
+        assert shift_map(5, -(2**70) - 1) == shift_map(5, (-(2**70) - 1) % 5)
+
     @pytest.mark.parametrize("build", [lambda n: shift_map(n, 1), identity_map])
     @pytest.mark.parametrize("n", [2**31, 0])
     def test_carrier_size_checked_before_allocating(self, build, n):

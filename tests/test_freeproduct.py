@@ -5,6 +5,7 @@ import pytest
 from quasiact import (
     FiniteSubset,
     FreeProductGroup,
+    FreeProductWord,
     compose,
     cyclic_group,
     fixpoint_count,
@@ -46,6 +47,52 @@ def z2_z3_action():
         cyclic_group(2), cyclic_group(3), [0, 1], [0, 1, 2], 2, Fraction(1, 10), seed=0
     )
     return qa, pc
+
+
+def recursive_normal_words(group: FreeProductGroup, f_left, f_right, max_pairs: int) -> list:
+    """The normal forms g1 h1 ... gk hk, k <= max_pairs, grown one pair at a
+    time: the first g may be the identity, later ones not, and a word grows
+    only past an h other than the identity."""
+    lid, rid = group.left.identity, group.right.identity
+    left_all = sorted({*f_left, lid}, key=group.left.element_key)
+    right_all = sorted({*f_right, rid}, key=group.right.element_key)
+    words = []
+
+    def extend(prefix: tuple, k: int):
+        if k == max_pairs:
+            return
+        for g in left_all if not prefix else [g for g in left_all if g != lid]:
+            for h in right_all:
+                word = prefix + ((g, h),)
+                words.append(FreeProductWord(word))
+                if h != rid:
+                    extend(word, k + 1)
+
+    extend((), 0)
+    return words
+
+
+class TestNormalWordsAgainstRecursion:
+    @pytest.mark.parametrize("orders", [(2, 3), (3, 3)], ids=["c2_c3", "c3_c3"])
+    @pytest.mark.parametrize("f_left,f_right", [
+        ([0, 1], [0, 1, 2]),  # both hold the identity
+        ([1], [2]),  # neither does
+        ([0, 1], [1]),
+        ([1], [0, 2]),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_words(self, orders, f_left, f_right, n):
+        fp = FreeProductGroup(*map(cyclic_group, orders))
+        f_left = [g for g in f_left if g < orders[0]]
+        words = enumerate_normal_words(fp, f_left, f_right, n)
+        oracle = recursive_normal_words(fp, f_left, f_right, n)
+        assert len(words) == len(set(words)) == len(oracle)
+        assert set(words) == set(oracle)
+        assert FiniteSubset(fp, words) == FiniteSubset(fp, oracle)
+
+    def test_no_pairs_no_words(self):
+        fp = FreeProductGroup(cyclic_group(2), cyclic_group(3))
+        assert enumerate_normal_words(fp, [1], [1], 0) == recursive_normal_words(fp, [1], [1], 0) == []
 
 
 class TestWordEnumeration:
